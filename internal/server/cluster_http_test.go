@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"fastmatch/internal/cluster"
 	"fastmatch/internal/colstore"
@@ -26,16 +27,26 @@ type clusterReply struct {
 // clusterFixture is a 3-shard cluster and a single-node control, both
 // serving the same fixture data over real HTTP.
 type clusterFixture struct {
-	coord   *Server
-	coordTS *httptest.Server
-	single  *httptest.Server
-	shards  []*httptest.Server
+	coord     *Server
+	coordTS   *httptest.Server
+	singleSrv *Server
+	single    *httptest.Server
+	shards    []*httptest.Server
 }
 
 // newClusterFixture splits the fixture table into n chunk-aligned shards,
 // serves each from its own HTTP daemon, and fronts them with a
 // coordinator; a single node serving the unsplit table is the control.
-func newClusterFixture(t testing.TB, n int, coordCfg Config) *clusterFixture {
+func newClusterFixture(t testing.TB, n int, cfg Config) *clusterFixture {
+	return newSlowClusterFixture(t, n, cfg, 0, 0)
+}
+
+// newSlowClusterFixture is newClusterFixture with every data-serving
+// table throttled to perBlock per block access (the unsplit table's ~320
+// blocks at 1ms make a full scan ≥300ms, so tests can reliably interrupt
+// mid-run) and the coordinated and control tables given a per-table
+// query timeout. cfg configures the coordinator and the control alike.
+func newSlowClusterFixture(t testing.TB, n int, cfg Config, perBlock, timeout time.Duration) *clusterFixture {
 	t.Helper()
 	tbl := fixtureTable(t)
 	align := tbl.BlockSize() * engine.ChunkBlocks(tbl.BlockSize())
@@ -47,21 +58,23 @@ func newClusterFixture(t testing.TB, n int, coordCfg Config) *clusterFixture {
 	refs := make([]cluster.ShardRef, n)
 	for i, part := range parts {
 		ss := New(Config{})
-		if err := ss.RegisterTable("fixture", part); err != nil {
+		if err := ss.RegisterTable("fixture", colstore.NewThrottledReader(part, perBlock)); err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(ss.Handler())
-		t.Cleanup(ts.Close)
+		ts := newHTTPServer(t, ss)
 		fx.shards = append(fx.shards, ts)
 		refs[i] = cluster.ShardRef{Name: shardName(i), URL: ts.URL}
 	}
-	fx.coord = New(coordCfg)
-	if err := fx.coord.RegisterCoordinatedTable("fixture", refs); err != nil {
+	fx.coord = New(cfg)
+	if err := fx.coord.reg.registerCoordinated("fixture", cluster.NewClient(refs), timeout, nil); err != nil {
 		t.Fatal(err)
 	}
-	fx.coordTS = httptest.NewServer(fx.coord.Handler())
-	t.Cleanup(fx.coordTS.Close)
-	_, _, fx.single = newTestServer(t, Config{})
+	fx.coordTS = newHTTPServer(t, fx.coord)
+	fx.singleSrv = New(cfg)
+	if err := fx.singleSrv.reg.register("fixture", "(in-memory)", colstore.NewThrottledReader(tbl, perBlock), timeout, nil); err != nil {
+		t.Fatal(err)
+	}
+	fx.single = newHTTPServer(t, fx.singleSrv)
 	return fx
 }
 

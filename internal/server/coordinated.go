@@ -5,8 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -47,28 +45,31 @@ func coordSource(client *cluster.Client) string {
 	return "coordinator(" + strings.Join(parts, " ") + ")"
 }
 
-// prepareCoordinated finishes request preparation for a coordinated
-// table: instead of binding a local engine it binds the request to the
-// shard set (each bound shard memoizes its meta, so the coordinator's
-// connect pays no second round-trip) and derives cache keys from the
-// shards' data generations. No predicate compilation happens here — the
-// raw query spec travels to the shards, which compile it against their
-// own dictionaries (shared across shards by construction, so the
-// resulting id spaces are identical).
-func (s *Server) prepareCoordinated(w http.ResponseWriter, r *http.Request, pq *preparedQuery, entry *tableEntry) *preparedQuery {
-	pq.release = entry.release
-	pq.holds.Store(1)
-	bail := func(status int, format string, args ...any) *preparedQuery {
-		pq.fail(w, status, format, args...)
-		pq.release()
-		return nil
-	}
+// unreachableShard stands in for a shard whose prepare-time meta failed:
+// the run's connect sees that same failure at once — and reports the
+// shard missing — instead of paying, or for a shard that accepts and
+// never answers blocking on, a second round-trip.
+type unreachableShard struct {
+	cluster.Shard
+	err error
+}
 
+func (u unreachableShard) Meta(context.Context) (*engine.ShardMeta, error) { return nil, u.err }
+
+// bindShards binds pq to a coordinated table's shard set instead of a
+// local engine (each bound shard memoizes its meta, so the coordinator's
+// connect pays no second round-trip), derives the plan key from the
+// shards' data generations, and returns the summed row count. No
+// predicate compilation happens here — the raw query spec travels to the
+// shards, which compile it against their own dictionaries (shared across
+// shards by construction, so the resulting id spaces are identical).
+func (s *Server) bindShards(ctx context.Context, pq *preparedQuery) (rows int, ok bool) {
 	raw, err := json.Marshal(pq.req.Query)
 	if err != nil {
-		return bail(http.StatusUnprocessableEntity, "invalid query: %v", err)
+		pq.fail(http.StatusUnprocessableEntity, "invalid query: %v", err)
+		return 0, false
 	}
-	pq.shards = entry.coord.Bind(pq.req.Table, raw)
+	pq.shards = pq.entry.coord.Bind(pq.req.Table, raw)
 
 	// One concurrent meta round-trip per shard: the summed row count
 	// scales the default options exactly like a single node over the
@@ -77,289 +78,74 @@ func (s *Server) prepareCoordinated(w http.ResponseWriter, r *http.Request, pq *
 	// A failed meta does not fail the request — the run degrades
 	// honestly — but it disqualifies the result cache: the row total,
 	// and hence the derived options, may differ from the healthy
-	// cluster's.
+	// cluster's. The table's query timeout bounds the fan-out, which may
+	// spend at most half of it: a shard that accepts and never answers
+	// then costs the request its share of the data, not its whole
+	// deadline.
+	if deadline, has := ctx.Deadline(); has {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Until(deadline)/2)
+		defer cancel()
+	}
 	msp := pq.tr.Start("shard_meta")
 	metas := make([]*engine.ShardMeta, len(pq.shards))
+	errs := make([]error, len(pq.shards))
 	var wg sync.WaitGroup
 	for i, sh := range pq.shards {
 		wg.Add(1)
 		go func(i int, sh cluster.Shard) {
 			defer wg.Done()
-			metas[i], _ = sh.Meta(r.Context())
+			metas[i], errs[i] = sh.Meta(ctx)
 		}(i, sh)
 	}
 	wg.Wait()
 	msp.End()
 
-	totalRows, live := 0, 0
+	live := 0
 	gens := make([]string, len(metas))
 	for i, m := range metas {
 		if m == nil {
 			gens[i] = "?"
+			pq.shards[i] = unreachableShard{pq.shards[i], errs[i]}
 			continue
 		}
 		live++
-		totalRows += m.Rows
+		rows += m.Rows
 		gens[i] = strconv.FormatUint(m.Generation, 10)
 	}
 	if live == 0 {
-		return bail(http.StatusServiceUnavailable, "table %q unavailable: all %d shards unreachable", pq.req.Table, len(pq.shards))
+		pq.fail(http.StatusServiceUnavailable, "table %q unavailable: all %d shards unreachable", pq.req.Table, len(pq.shards))
+		return 0, false
 	}
-	pq.coordOK = live == len(metas)
-
-	pq.opts = engine.DefaultOptions(totalRows)
-	if err := pq.req.Options.apply(&pq.opts); err != nil {
-		return bail(http.StatusUnprocessableEntity, "invalid options: %v", err)
-	}
-	if err := pq.opts.Validate(); err != nil {
-		return bail(http.StatusUnprocessableEntity, "%v", err)
-	}
-	pq.target = pq.req.Target.toTarget()
+	pq.cacheable = live == len(metas)
 
 	// The raw spec bytes stand in for the compiled query's fingerprint:
 	// the shards compile the spec themselves, so the coordinator keys
 	// its caches on exactly what it sends them.
 	qfp := sha256.Sum256(raw)
-	pq.planKey = fmt.Sprintf("%s\x00%d\x00%s\x00%s",
-		pq.req.Table, entry.incarnation, strings.Join(gens, ","), hex.EncodeToString(qfp[:]))
-	pq.resultKey = pq.planKey + "\x00" + pq.target.Fingerprint() + "\x00" + pq.opts.Fingerprint()
-	pq.opts.Trace = pq.tr
-	if isSamplingExecutor(pq.opts.Executor) {
-		pq.audit = s.auditSelected(entry)
-		pq.opts.Quality = pq.req.Quality || pq.audit
-	}
-	return pq
+	pq.planKey = planKeyFor(pq.req.Table, pq.entry.incarnation, strings.Join(gens, ","), hex.EncodeToString(qfp[:]))
+	return rows, true
 }
 
-// handleCoordinatedQuery is handleQuery's coordinated twin: the same
-// cache discipline, admission, error mapping, and payload encoding,
-// with the local engine run replaced by a scatter-gather across the
-// shard set. Shard statuses ride next to — never inside — the result
-// payload, so the result bytes stay byte-identical to a single node.
-func (s *Server) handleCoordinatedQuery(w http.ResponseWriter, r *http.Request, pq *preparedQuery) {
-	if !pq.req.Trace && !pq.req.Quality && pq.coordOK {
-		csp := pq.tr.Start("result_cache")
-		payload, ok := s.results.Get(pq.resultKey)
-		csp.SetAttr("hit", ok)
-		csp.End()
-		if ok {
-			s.finishRequest(pq, outcomeOK, nil, false, true, http.StatusOK, "")
-			writeJSON(w, http.StatusOK, wireResponse{
-				Table:      pq.req.Table,
-				Cached:     true,
-				DurationNS: int64(time.Since(pq.began)),
-				Result:     json.RawMessage(payload),
-			})
-			return
-		}
+// coordRunner runs pq as a scatter-gather across its bound shard set.
+// Shard statuses ride next to — never inside — the result payload, so
+// the result bytes stay byte-identical to a single node, and the
+// coordinator re-emits the engine's own progress frames. The reference
+// pass is cluster-wide too (cluster's Audit, through the same fold
+// queries use); the bound shards keep the metas the approximate run
+// used, so it grades against the same shard generations.
+func coordRunner(pq *preparedQuery) runner {
+	co := cluster.New(pq.shards...)
+	return runner{
+		run: func(ctx context.Context, opts engine.Options) (*cluster.Result, error) {
+			cres, err := co.Run(ctx, pq.target, opts)
+			if cres == nil || cres.Result == nil {
+				return nil, err
+			}
+			return cres, err
+		},
+		reference: func(ctx context.Context, approx *engine.Result) (*engine.Audit, error) {
+			return co.Audit(ctx, pq.target, approx, pq.opts)
+		},
 	}
-
-	ctx, cancel, timedOut := s.runContext(r, pq)
-	defer cancel()
-	if !s.admit(ctx, w, pq) {
-		return
-	}
-	defer s.adm.release()
-	if s.testHookRunning != nil {
-		s.testHookRunning()
-	}
-
-	cres, err := cluster.New(pq.shards...).Run(ctx, pq.target, pq.opts)
-	var res *engine.Result
-	if cres != nil {
-		res = cres.Result
-	}
-	if err != nil && !(res != nil && res.Partial) {
-		var ioe *engine.InvalidOptionsError
-		switch {
-		case errors.As(err, &ioe):
-			pq.fail(w, http.StatusUnprocessableEntity, "%v", err)
-		case errors.Is(err, context.Canceled):
-			s.finishRequest(pq, outcomeCanceled, nil, false, false, statusClientClosedRequest, "client closed request")
-			writeError(w, statusClientClosedRequest, "client closed request")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.finishRequest(pq, outcomeTimedOut, nil, false, false, http.StatusGatewayTimeout, "query timed out")
-			writeError(w, http.StatusGatewayTimeout, "query timed out before any result was available")
-		default:
-			pq.fail(w, http.StatusUnprocessableEntity, "running query: %v", err)
-		}
-		return
-	}
-	if err != nil && errors.Is(err, context.Canceled) && !timedOut() {
-		s.finishRequest(pq, outcomeCanceled, res, false, false, statusClientClosedRequest, "client closed request")
-		writeError(w, statusClientClosedRequest, "client closed request")
-		return
-	}
-
-	payload, merr := json.Marshal(toPayload(res))
-	if merr != nil {
-		pq.fail(w, http.StatusInternalServerError, "encoding result: %v", merr)
-		return
-	}
-	oc := outcomeOK
-	if res.Partial {
-		if timedOut() {
-			oc = outcomeTimedOut
-		}
-	} else if pq.coordOK {
-		// Degraded answers are always Partial, so a complete result here
-		// saw every shard — cacheable, provided the prepare-time metas
-		// (the cache key's generations) all resolved too.
-		s.results.Put(pq.resultKey, payload)
-	}
-	snap := s.finishRequest(pq, oc, res, false, false, http.StatusOK, "")
-	s.recordQuality(pq, nil, res)
-	resp := wireResponse{
-		Table:         pq.req.Table,
-		Cached:        false,
-		DurationNS:    int64(time.Since(pq.began)),
-		Shards:        cres.Shards,
-		MissingShards: cres.Missing,
-		Degraded:      cres.Degraded,
-		Result:        json.RawMessage(payload),
-	}
-	if pq.req.Trace {
-		resp.Trace = &snap
-	}
-	if pq.req.Quality {
-		resp.Quality = res.Quality
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleCoordinatedStream is handleQueryStream's coordinated twin: the
-// NDJSON frame sequence (start, per-round progress, terminal result) is
-// identical to a single node's — the coordinator re-emits the engine's
-// own progress frames — with shard statuses attached to the terminal
-// frame.
-func (s *Server) handleCoordinatedStream(w http.ResponseWriter, r *http.Request, pq *preparedQuery) {
-	ctx, cancel, timedOut := s.runContext(r, pq)
-	defer cancel()
-
-	var cachedPayload []byte
-	var cached bool
-	if !pq.req.Trace && !pq.req.Quality && pq.coordOK {
-		csp := pq.tr.Start("result_cache")
-		cachedPayload, cached = s.results.Get(pq.resultKey)
-		csp.SetAttr("hit", cached)
-		csp.End()
-	}
-	if !cached {
-		if !s.admit(ctx, w, pq) {
-			return
-		}
-		defer s.adm.release()
-		if s.testHookRunning != nil {
-			s.testHookRunning()
-		}
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	sw := &streamWriter{enc: json.NewEncoder(w), fl: fl}
-	sw.frame(StreamFrame{Type: "progress", QueryID: pq.id, Progress: &engine.Progress{Phase: "start"}})
-
-	if cached {
-		s.finishRequest(pq, outcomeOK, nil, false, true, http.StatusOK, "")
-		sw.frame(StreamFrame{
-			Type:       "result",
-			Table:      pq.req.Table,
-			Cached:     true,
-			DurationNS: int64(time.Since(pq.began)),
-			Result:     json.RawMessage(cachedPayload),
-		})
-		return
-	}
-
-	opts := pq.opts
-	opts.OnProgress = func(p engine.Progress) {
-		sw.frame(StreamFrame{Type: "progress", Progress: &p})
-	}
-	cres, err := cluster.New(pq.shards...).Run(ctx, pq.target, opts)
-	var res *engine.Result
-	if cres != nil {
-		res = cres.Result
-	}
-	if err != nil && !(res != nil && res.Partial) {
-		switch {
-		case errors.Is(err, context.Canceled):
-			s.finishRequest(pq, outcomeCanceled, nil, false, false, http.StatusOK, "client closed request")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.finishRequest(pq, outcomeTimedOut, nil, false, false, http.StatusOK, "query timed out")
-			sw.frame(StreamFrame{Type: "error", Error: "query timed out before any result was available"})
-		default:
-			s.finishRequest(pq, outcomeFailed, nil, false, false, http.StatusOK, err.Error())
-			sw.frame(StreamFrame{Type: "error", Error: "running query: " + err.Error()})
-		}
-		return
-	}
-	if err != nil && errors.Is(err, context.Canceled) && !timedOut() {
-		s.finishRequest(pq, outcomeCanceled, res, false, false, http.StatusOK, "client closed request")
-		return
-	}
-
-	payload, merr := json.Marshal(toPayload(res))
-	if merr != nil {
-		s.finishRequest(pq, outcomeFailed, nil, false, false, http.StatusOK, "encoding result: "+merr.Error())
-		sw.frame(StreamFrame{Type: "error", Error: "encoding result: " + merr.Error()})
-		return
-	}
-	oc := outcomeOK
-	if res.Partial {
-		if timedOut() {
-			oc = outcomeTimedOut
-		}
-	} else if pq.coordOK {
-		s.results.Put(pq.resultKey, payload)
-	}
-	snap := s.finishRequest(pq, oc, res, false, false, http.StatusOK, "")
-	s.recordQuality(pq, nil, res)
-	frame := StreamFrame{
-		Type:          "result",
-		Table:         pq.req.Table,
-		DurationNS:    int64(time.Since(pq.began)),
-		Shards:        cres.Shards,
-		MissingShards: cres.Missing,
-		Degraded:      cres.Degraded,
-		Result:        json.RawMessage(payload),
-	}
-	if pq.req.Trace {
-		frame.Trace = &snap
-	}
-	if pq.req.Quality {
-		frame.Quality = res.Quality
-	}
-	sw.frame(frame)
-}
-
-// runCoordAudit executes one coordinated shadow audit: a cluster-wide
-// exact reference pass (cluster's Audit, through the same scatter-gather
-// fold queries use) compared against the approximate answer, under a
-// regular admission slot like any other audit. The bound shard set
-// keeps the metas the approximate run used, so the reference pass
-// grades against the same shard generations.
-func (s *Server) runCoordAudit(pq *preparedQuery, res *engine.Result) (*engine.Audit, string) {
-	if s.adm.acquire(context.Background()) != admitOK {
-		return nil, "audit skipped: server at capacity"
-	}
-	defer s.adm.release()
-	began := time.Now()
-	audit, err := cluster.New(pq.shards...).Audit(context.Background(), pq.target, res, pq.opts)
-	if err != nil {
-		s.log.Warn("shadow audit failed", "query_id", pq.id, "table", pq.req.Table, "error", err)
-		return nil, err.Error()
-	}
-	s.log.Info("shadow audit",
-		"query_id", pq.id,
-		"table", pq.req.Table,
-		"coordinated", true,
-		"precision_at_k", audit.PrecisionAtK,
-		"guarantee_violations", audit.GuaranteeViolations,
-		"max_displacement", audit.MaxDisplacement,
-		"exact_tuples", audit.ExactIO.TuplesRead,
-		"duration_ms", float64(time.Since(began))/float64(time.Millisecond),
-	)
-	return audit, ""
 }

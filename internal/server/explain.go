@@ -22,19 +22,22 @@ type ExplainResponse struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	pq := s.prepareQuery(w, r)
+	pq := s.bindQuery(w, r, blockingSink{w})
 	if pq == nil {
 		return
 	}
-	defer pq.release()
+	defer pq.done()
 	if pq.entry.coord != nil {
-		pq.fail(w, http.StatusUnprocessableEntity,
+		pq.fail(http.StatusUnprocessableEntity,
 			"table %q is coordinated: explain it on a shard daemon (plans live where the data does)", pq.req.Table)
 		return
 	}
-	plan, planHit, err := s.planFor(pq)
+	if !s.prepareQuery(r.Context(), pq) {
+		return
+	}
+	plan, planHit, err := s.cachedPlan(pq.planKey, pq.eng, pq.q, pq.tr)
 	if err != nil {
-		pq.fail(w, http.StatusUnprocessableEntity, "planning query: %v", err)
+		pq.fail(http.StatusUnprocessableEntity, "planning query: %v", err)
 		return
 	}
 	s.finishRequest(pq, outcomeOK, nil, planHit, false, http.StatusOK, "")

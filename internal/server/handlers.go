@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -33,8 +34,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/debug/traces", s.handleDebugTraces)
 	s.mux.HandleFunc("GET /v1/debug/quality", s.handleDebugQuality)
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/query/stream", s.handleQueryStream)
+	s.mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
+		s.serveQuery(w, r, blockingSink{w})
+	})
+	s.mux.HandleFunc("POST /v1/query/stream", func(w http.ResponseWriter, r *http.Request) {
+		s.serveQuery(w, r, &streamSink{w: w})
+	})
 	s.mux.HandleFunc("POST /v1/explain", s.handleExplain)
 	s.mux.HandleFunc("POST /v1/internal/partial", s.handleInternalPartial)
 	s.mux.HandleFunc("POST /v1/tables/{name}/rows", s.handleAppend)
@@ -184,22 +189,57 @@ type wireResponse struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// preparedQuery is the decoded, validated, cache-keyed request state the
-// blocking and streaming query endpoints share. The table entry and (for
-// live tables) its data view stay pinned until release runs — including
-// across a canceled run, so a mid-flight scan can never lose its storage.
+// sink is how a query's answer leaves the server — one of the two seams
+// of the query pipeline (the other is the runner). Until begin, every
+// failure is a plain HTTP status on either sink; begin commits the
+// response, after which the NDJSON sink has sent 200 and can only report
+// failures as error frames.
+type sink interface {
+	// begin commits the response and returns where the run's interim
+	// progress goes (nil: nowhere).
+	begin(queryID string) func(engine.Progress)
+	// carried maps the status a failure deserves to the one the
+	// response can still carry.
+	carried(status int) int
+	fail(status int, msg string)
+	answer(resp wireResponse)
+}
+
+// blockingSink answers with one JSON body and real HTTP statuses.
+type blockingSink struct{ w http.ResponseWriter }
+
+func (b blockingSink) begin(string) func(engine.Progress) { return nil }
+func (b blockingSink) carried(status int) int             { return status }
+func (b blockingSink) fail(status int, msg string) {
+	writeJSON(b.w, status, ErrorResponse{Error: msg})
+}
+func (b blockingSink) answer(resp wireResponse) { writeJSON(b.w, http.StatusOK, resp) }
+
+// runner is the pipeline's other seam: the one stage a local and a
+// coordinated table do differently. run executes the prepared query
+// (a local run reports no shards); reference re-executes it exactly for
+// a shadow audit of approx.
+type runner struct {
+	run       func(ctx context.Context, opts engine.Options) (*cluster.Result, error)
+	reference func(ctx context.Context, approx *engine.Result) (*engine.Audit, error)
+}
+
+// preparedQuery is one query request's state as it moves down the
+// pipeline. The table entry and (for live tables) its data view stay
+// pinned until the last hold is dropped — including across a canceled
+// run, so a mid-flight scan can never lose its storage.
 type preparedQuery struct {
-	srv       *Server
-	req       QueryRequest
-	entry     *tableEntry
-	eng       *engine.Engine
-	q         engine.Query
+	srv   *Server
+	out   sink
+	req   QueryRequest
+	entry *tableEntry
+	// localQuery is the request's binding to a local table's data; a
+	// coordinated request sets only its planKey (shards holds the rest).
+	localQuery
 	opts      engine.Options
 	target    engine.Target
-	planKey   string
 	resultKey string
 	began     time.Time
-	release   func()
 	// id is the generated query ID (echoed as X-Query-ID and stamped on
 	// the trace); tr is the request's span tree, recorded for every
 	// request — it feeds the slow-query log and the slowest-traces ring
@@ -208,44 +248,55 @@ type preparedQuery struct {
 	tr *trace.Trace
 	// audit marks the request as sampled for a shadow audit (decided at
 	// prepare time so the run collects quality telemetry); holds counts
-	// the users of release — the handler plus any in-flight audit — so
-	// the pinned table view outlives the response when an audit is
+	// the users of the pinned entry and view — the handler plus any
+	// in-flight audit — so both outlive the response when an audit is
 	// still re-executing the plan.
 	audit bool
 	holds atomic.Int32
-	// Coordinated tables (entry.coord != nil): shards is the
-	// request-bound shard set (each memoizing its meta), and coordOK
-	// reports that every shard's meta resolved at prepare time — the
-	// precondition for using the result cache. eng and q stay zero.
-	shards  []cluster.Shard
-	coordOK bool
+	// cacheable gates the result cache, read and write: always for a
+	// local table; for a coordinated one only when every shard's meta
+	// resolved at prepare time, because the cache key's generations and
+	// the row total the options derive from are otherwise incomplete.
+	cacheable bool
+	// shards is a coordinated request's bound shard set; run is set once
+	// the request holds its admission slot.
+	shards []cluster.Shard
+	run    runner
 }
 
 // retain adds a hold on the prepared query's pinned resources; done
-// drops one and runs release when the last holder is gone. The handler
-// holds one from prepareQuery; the audit goroutine retains another.
+// drops one and releases the view and the entry when the last holder is
+// gone. The handler holds one from bindQuery; the audit goroutine
+// retains another.
 func (pq *preparedQuery) retain() { pq.holds.Add(1) }
 func (pq *preparedQuery) done() {
 	if pq.holds.Add(-1) == 0 {
-		pq.release()
+		if pq.release != nil {
+			pq.release()
+		}
+		pq.entry.release()
 	}
 }
 
-// fail records a failed request (metrics, trace, request log) and writes
-// the error response.
-func (pq *preparedQuery) fail(w http.ResponseWriter, status int, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	pq.srv.finishRequest(pq, outcomeFailed, nil, false, false, status, msg)
-	writeJSON(w, status, ErrorResponse{Error: msg})
+// end closes a request that produced no answer: it is accounted
+// (metrics, trace, request log) under oc and reported through the sink.
+func (pq *preparedQuery) end(oc runOutcome, res *engine.Result, planHit bool, status int, msg string) {
+	pq.srv.finishRequest(pq, oc, res, planHit, false, pq.out.carried(status), msg)
+	pq.out.fail(status, msg)
 }
 
-// prepareQuery decodes and validates a query request, pins the table
-// entry and its current view, and derives the plan/result cache keys. On
-// failure it writes the error response (and accounts it) and returns
-// nil; on success the caller must call release when done.
-func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request) *preparedQuery {
+// fail is end for a request-shaped failure.
+func (pq *preparedQuery) fail(status int, format string, args ...any) {
+	pq.end(outcomeFailed, nil, false, status, fmt.Sprintf(format, args...))
+}
+
+// bindQuery opens the pipeline: it mints the query ID and trace, decodes
+// the request and pins the table entry. On failure it answers (and
+// accounts) the error and returns nil; on success the caller owns one
+// hold and must call done.
+func (s *Server) bindQuery(w http.ResponseWriter, r *http.Request, out sink) *preparedQuery {
 	id := newQueryID()
-	pq := &preparedQuery{srv: s, id: id, tr: trace.New(id), began: time.Now()}
+	pq := &preparedQuery{srv: s, out: out, id: id, tr: trace.New(id), began: time.Now()}
 	w.Header().Set("X-Query-ID", id)
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
@@ -253,59 +304,111 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request) *preparedQ
 	err := dec.Decode(&pq.req)
 	dsp.End()
 	if err != nil {
-		pq.fail(w, http.StatusBadRequest, "decoding query request: %v", err)
+		pq.fail(http.StatusBadRequest, "decoding query request: %v", err)
 		return nil
 	}
 	entry, ok := s.reg.acquire(pq.req.Table)
 	if !ok {
-		pq.fail(w, http.StatusNotFound, "no table %q (see /v1/tables)", pq.req.Table)
+		pq.fail(http.StatusNotFound, "no table %q (see /v1/tables)", pq.req.Table)
 		return nil
 	}
 	pq.entry = entry
-	if entry.coord != nil {
-		return s.prepareCoordinated(w, r, pq, entry)
-	}
-
-	// For live (ingest-backed) tables this binds the request to the
-	// table's current generation: the view stays pinned for the whole
-	// request, and the caches below are keyed by (incarnation,
-	// generation) so answers computed over older data are never reused.
-	eng, gen, releaseView, err := entry.engineNow()
-	if err != nil {
-		pq.fail(w, http.StatusServiceUnavailable, "table %q unavailable: %v", pq.req.Table, err)
-		entry.release()
-		return nil
-	}
-	pq.eng = eng
-	pq.release = func() {
-		releaseView()
-		entry.release()
-	}
 	pq.holds.Store(1)
-	bail := func(status int, format string, args ...any) *preparedQuery {
-		pq.fail(w, status, format, args...)
-		pq.release()
-		return nil
+	return pq
+}
+
+// localQuery is a query spec compiled against one pinned generation of
+// a local table: what /v1/query, /v1/explain and /v1/internal/partial
+// all need before they can ask the plan cache for a plan.
+type localQuery struct {
+	eng     *engine.Engine
+	q       engine.Query
+	gen     uint64
+	planKey string
+	// release unpins the view the engine reads (nil while unbound).
+	release func()
+}
+
+// bindLocal pins entry's current data and compiles spec against it. For
+// live (ingest-backed) tables that binds the caller to the table's
+// current generation: the view stays pinned until release, and the plan
+// key carries (incarnation, generation) so plans and answers computed
+// over older data are never reused. A failure comes with its HTTP status.
+func bindLocal(entry *tableEntry, table string, spec QuerySpec) (localQuery, int, error) {
+	eng, gen, release, err := entry.engineNow()
+	if err != nil {
+		return localQuery{}, http.StatusServiceUnavailable, fmt.Errorf("table %q unavailable: %v", table, err)
+	}
+	q, err := spec.toQuery(eng)
+	var qfp string
+	if err == nil {
+		// Wire queries never carry closures, so the fingerprint always exists.
+		qfp, err = q.Fingerprint()
+	}
+	if err != nil {
+		release()
+		return localQuery{}, http.StatusUnprocessableEntity, fmt.Errorf("invalid query: %v", err)
+	}
+	key := planKeyFor(table, entry.incarnation, strconv.FormatUint(gen, 10), qfp)
+	return localQuery{eng: eng, q: q, gen: gen, planKey: key, release: release}, 0, nil
+}
+
+// planKeyFor spells the plan-cache key: table name, registry
+// incarnation, data generation(s) and query fingerprint.
+func planKeyFor(table string, incarnation uint64, gens, qfp string) string {
+	return table + "\x00" + strconv.FormatUint(incarnation, 10) + "\x00" + gens + "\x00" + qfp
+}
+
+// cachedPlan returns the plan cached under key, preparing and publishing
+// it on a miss. A miss plans under tr, so plan-building cost shows up in
+// the span tree where it is paid.
+func (s *Server) cachedPlan(key string, eng *engine.Engine, q engine.Query, tr *trace.Trace) (*engine.Plan, bool, error) {
+	psp := tr.Start("plan_cache")
+	plan, hit := s.plans.Get(key)
+	psp.SetAttr("hit", hit)
+	psp.End()
+	if !hit {
+		var err error
+		if plan, err = eng.PrepareTraced(q, tr); err != nil {
+			return nil, false, err
+		}
+		s.plans.Put(key, plan)
+	}
+	return plan, hit, nil
+}
+
+// prepareQuery binds pq to its data — a local engine or, under ctx, a
+// coordinated table's shard set — and then runs the tail both share:
+// default options scaled by the row count the query ranges over, the
+// wire overrides, validation, the target, the cache keys and the audit
+// decision. On failure it answers the error and returns false.
+func (s *Server) prepareQuery(ctx context.Context, pq *preparedQuery) bool {
+	var rows int
+	if pq.entry.coord != nil {
+		var ok bool
+		if rows, ok = s.bindShards(ctx, pq); !ok {
+			return false
+		}
+	} else {
+		lq, status, err := bindLocal(pq.entry, pq.req.Table, pq.req.Query)
+		if err != nil {
+			pq.fail(status, "%v", err)
+			return false
+		}
+		pq.localQuery, pq.cacheable = lq, true
+		rows = lq.eng.Source().NumRows()
 	}
 
-	if pq.q, err = pq.req.Query.toQuery(eng); err != nil {
-		return bail(http.StatusUnprocessableEntity, "invalid query: %v", err)
-	}
-	pq.opts = engine.DefaultOptions(eng.Source().NumRows())
+	pq.opts = engine.DefaultOptions(rows)
 	if err := pq.req.Options.apply(&pq.opts); err != nil {
-		return bail(http.StatusUnprocessableEntity, "invalid options: %v", err)
+		pq.fail(http.StatusUnprocessableEntity, "invalid options: %v", err)
+		return false
 	}
 	if err := pq.opts.Validate(); err != nil {
-		return bail(http.StatusUnprocessableEntity, "%v", err)
+		pq.fail(http.StatusUnprocessableEntity, "%v", err)
+		return false
 	}
 	pq.target = pq.req.Target.toTarget()
-
-	// Wire queries never carry closures, so the fingerprint always exists.
-	qfp, err := pq.q.Fingerprint()
-	if err != nil {
-		return bail(http.StatusUnprocessableEntity, "invalid query: %v", err)
-	}
-	pq.planKey = fmt.Sprintf("%s\x00%d\x00%d\x00%s", pq.req.Table, entry.incarnation, gen, qfp)
 	pq.resultKey = pq.planKey + "\x00" + pq.target.Fingerprint() + "\x00" + pq.opts.Fingerprint()
 	// Every request runs traced: the engine's span tree feeds the
 	// slow-query log and the debug ring even when the client never asked
@@ -317,27 +420,25 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request) *preparedQ
 	// excluded from the fingerprint: collection never changes the result
 	// bytes, so audited and unaudited runs share cache entries.
 	if isSamplingExecutor(pq.opts.Executor) {
-		pq.audit = s.auditSelected(entry)
+		pq.audit = s.auditSelected(pq.entry)
 		pq.opts.Quality = pq.req.Quality || pq.audit
 	}
-	return pq
+	return true
 }
 
-// runContext derives the request's run context from the client
-// connection and the table's query timeout. timedOut distinguishes the
-// server-imposed deadline from a client disconnect after the fact.
-func (s *Server) runContext(r *http.Request, pq *preparedQuery) (ctx context.Context, cancel context.CancelFunc, timedOut func() bool) {
-	ctx = r.Context()
-	if to := s.timeoutFor(pq.entry); to > 0 {
-		ctx, cancel = context.WithTimeout(ctx, to)
-	} else {
-		cancel = func() {}
+// runContext derives a request's context from the client connection and
+// the table's query timeout. It is derived once, as soon as the table is
+// known, so everything the request then waits on — a coordinated table's
+// shard calls, the admission queue, the run — shares one deadline.
+func (s *Server) runContext(r *http.Request, e *tableEntry) (context.Context, context.CancelFunc) {
+	if to := s.timeoutFor(e); to > 0 {
+		return context.WithTimeout(r.Context(), to)
 	}
-	return ctx, cancel, func() bool { return errors.Is(ctx.Err(), context.DeadlineExceeded) }
+	return r.Context(), func() {}
 }
 
-// admit claims an admission slot for pq under ctx, writing the rejection
-// response when it fails. The caller must release on true.
+// admit claims an admission slot for pq under ctx, answering the
+// rejection when it fails. The caller must release on true.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter, pq *preparedQuery) bool {
 	asp := pq.tr.Start("admission")
 	verdict := s.adm.acquire(ctx)
@@ -351,45 +452,56 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, pq *preparedQ
 		// client is still connected and deserves timeout semantics)
 		// from a client that hung up.
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.finishRequest(pq, outcomeTimedOut, nil, false, false, http.StatusGatewayTimeout, "queued past deadline")
-			writeError(w, http.StatusGatewayTimeout, "query timed out while queued for admission")
+			pq.end(outcomeTimedOut, nil, false, http.StatusGatewayTimeout, "query timed out while queued for admission")
 		} else {
-			s.finishRequest(pq, outcomeCanceled, nil, false, false, statusClientClosedRequest, "client closed request while queued")
-			writeError(w, statusClientClosedRequest, "client closed request while queued for admission")
+			pq.end(outcomeCanceled, nil, false, statusClientClosedRequest, "client closed request while queued for admission")
 		}
 	default: // admitTimeout
 		w.Header().Set("Retry-After", "1")
-		pq.fail(w, http.StatusServiceUnavailable, "server at capacity (%d runs in flight)", s.cfg.MaxConcurrent)
+		pq.fail(http.StatusServiceUnavailable, "server at capacity (%d runs in flight)", s.cfg.MaxConcurrent)
 	}
 	return false
 }
 
-// planFor returns the (possibly cached) plan for pq. A cache miss plans
-// under the request's trace, so plan-building cost shows up in the span
-// tree where it is paid.
-func (s *Server) planFor(pq *preparedQuery) (*engine.Plan, bool, error) {
-	psp := pq.tr.Start("plan_cache")
-	plan, planHit := s.plans.Get(pq.planKey)
-	psp.SetAttr("hit", planHit)
-	psp.End()
-	if !planHit {
-		var err error
-		if plan, err = pq.eng.PrepareTraced(pq.q, pq.tr); err != nil {
-			return nil, false, err
-		}
-		s.plans.Put(pq.planKey, plan)
+// localRunner resolves pq's plan through the plan cache (equal query
+// fingerprints share a resolved Plan) and runs it on the local engine.
+func (s *Server) localRunner(pq *preparedQuery) (runner, bool, error) {
+	plan, planHit, err := s.cachedPlan(pq.planKey, pq.eng, pq.q, pq.tr)
+	if err != nil {
+		return runner{}, false, err
 	}
-	return plan, planHit, nil
+	return runner{
+		run: func(ctx context.Context, opts engine.Options) (*cluster.Result, error) {
+			res, err := plan.RunContext(ctx, pq.target, opts)
+			if res == nil {
+				return nil, err
+			}
+			return &cluster.Result{Result: res}, err
+		},
+		reference: func(ctx context.Context, approx *engine.Result) (*engine.Audit, error) {
+			target, err := plan.ResolveTarget(pq.target, 0)
+			if err != nil {
+				return nil, fmt.Errorf("resolving audit target: %w", err)
+			}
+			return engine.AuditRun(ctx, plan, target, approx, pq.opts)
+		},
+	}, planHit, nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	pq := s.prepareQuery(w, r)
+// serveQuery is the one query pipeline behind POST /v1/query and
+// POST /v1/query/stream: decode → bind table → run context → prepare →
+// result-cache read → admission → run → encode → result-cache write →
+// finishRequest → recordQuality → answer. The table kind picks the
+// runner and the route picks the sink; nothing else differs.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, out sink) {
+	pq := s.bindQuery(w, r, out)
 	if pq == nil {
 		return
 	}
 	defer pq.done()
-	if pq.entry.coord != nil {
-		s.handleCoordinatedQuery(w, r, pq)
+	ctx, cancel := s.runContext(r, pq.entry)
+	defer cancel()
+	if !s.prepareQuery(ctx, pq) {
 		return
 	}
 
@@ -399,15 +511,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// and quality-carrying requests skip the read — Trace and Quality are
 	// excluded from the fingerprint, so a hit would hand back a payload
 	// with no span tree or quality report behind it — but still publish
-	// their payload below for plain requests to reuse.
-	if !pq.req.Trace && !pq.req.Quality {
+	// their payload below for plain requests to reuse. A hit keeps the
+	// sink's shape: a streamed one is still a start frame, then the result.
+	if pq.cacheable && !pq.req.Trace && !pq.req.Quality {
 		csp := pq.tr.Start("result_cache")
-		payload, ok := s.results.Get(pq.resultKey)
-		csp.SetAttr("hit", ok)
+		payload, hit := s.results.Get(pq.resultKey)
+		csp.SetAttr("hit", hit)
 		csp.End()
-		if ok {
+		if hit {
+			out.begin(pq.id)
 			s.finishRequest(pq, outcomeOK, nil, false, true, http.StatusOK, "")
-			writeJSON(w, http.StatusOK, wireResponse{
+			out.answer(wireResponse{
 				Table:      pq.req.Table,
 				Cached:     true,
 				DurationNS: int64(time.Since(pq.began)),
@@ -416,9 +530,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-
-	ctx, cancel, timedOut := s.runContext(r, pq)
-	defer cancel()
 
 	// Admission: bound concurrent engine runs.
 	if !s.admit(ctx, w, pq) {
@@ -429,67 +540,71 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.testHookRunning()
 	}
 
-	// Plan cache: equal query fingerprints share a resolved Plan.
-	plan, planHit, err := s.planFor(pq)
-	if err != nil {
-		pq.fail(w, http.StatusUnprocessableEntity, "planning query: %v", err)
-		return
+	var planHit bool
+	if pq.entry.coord != nil {
+		pq.run = coordRunner(pq)
+	} else {
+		var err error
+		if pq.run, planHit, err = s.localRunner(pq); err != nil {
+			pq.fail(http.StatusUnprocessableEntity, "planning query: %v", err)
+			return
+		}
 	}
 
-	res, err := plan.RunContext(ctx, pq.target, pq.opts)
-	if err != nil && !(res != nil && res.Partial) {
-		var ioe *engine.InvalidOptionsError
+	opts := pq.opts
+	opts.OnProgress = out.begin(pq.id)
+	cres, err := pq.run.run(ctx, opts)
+	timedOut := errors.Is(ctx.Err(), context.DeadlineExceeded)
+	switch {
+	case err == nil:
+	case cres == nil || !cres.Result.Partial:
+		// Nothing salvageable.
 		switch {
-		case errors.As(err, &ioe):
-			pq.fail(w, http.StatusUnprocessableEntity, "%v", err)
 		case errors.Is(err, context.Canceled):
-			// Client gone before any salvageable work: the status is for
-			// the access log, nobody reads the body.
-			s.finishRequest(pq, outcomeCanceled, nil, false, false, statusClientClosedRequest, "client closed request")
-			writeError(w, statusClientClosedRequest, "client closed request")
+			// Client gone: the status is for the access log, nobody
+			// reads the body.
+			pq.end(outcomeCanceled, nil, false, statusClientClosedRequest, "client closed request")
 		case errors.Is(err, context.DeadlineExceeded):
-			s.finishRequest(pq, outcomeTimedOut, nil, false, false, http.StatusGatewayTimeout, "query timed out")
-			writeError(w, http.StatusGatewayTimeout, "query timed out before any result was available")
+			pq.end(outcomeTimedOut, nil, false, http.StatusGatewayTimeout, "query timed out before any result was available")
 		default:
 			// Target resolution and run errors are request-shaped too
 			// (unknown candidate, group-count mismatch, …).
-			pq.fail(w, http.StatusUnprocessableEntity, "running query: %v", err)
+			pq.fail(http.StatusUnprocessableEntity, "running query: %v", err)
 		}
 		return
-	}
-
-	if err != nil && errors.Is(err, context.Canceled) && !timedOut() {
-		// A partial result exists but its client is gone; record the
-		// cancellation (the write below will fail on the dead
-		// connection, which is fine).
-		s.finishRequest(pq, outcomeCanceled, res, planHit, false, statusClientClosedRequest, "client closed request")
-		writeError(w, statusClientClosedRequest, "client closed request")
+	case errors.Is(err, context.Canceled) && !timedOut:
+		// A partial result exists but its client is gone: account the
+		// cancellation, including the I/O the aborted run did.
+		pq.end(outcomeCanceled, cres.Result, planHit, statusClientClosedRequest, "client closed request")
 		return
 	}
 
-	payload, merr := json.Marshal(toPayload(res))
-	if merr != nil {
-		pq.fail(w, http.StatusInternalServerError, "encoding result: %v", merr)
+	// Progressive contract: a timed-out, budget-capped or degraded run
+	// still answers with its best effort, flagged Partial — and is never
+	// cached (it is not the query's answer, just a prefix of it). The
+	// payload bytes are the ones every sink and the cache share.
+	res := cres.Result
+	payload, err := json.Marshal(toPayload(res))
+	if err != nil {
+		pq.fail(http.StatusInternalServerError, "encoding result: %v", err)
 		return
 	}
 	oc := outcomeOK
-	if res.Partial {
-		// Progressive contract: a timed-out or budget-capped run still
-		// answers with its best effort, flagged Partial — and is never
-		// cached (it is not the query's answer, just a prefix of it).
-		if timedOut() {
-			oc = outcomeTimedOut
-		}
-	} else {
+	switch {
+	case res.Partial && timedOut:
+		oc = outcomeTimedOut
+	case !res.Partial && pq.cacheable:
 		s.results.Put(pq.resultKey, payload)
 	}
 	snap := s.finishRequest(pq, oc, res, planHit, false, http.StatusOK, "")
-	s.recordQuality(pq, plan, res)
+	s.recordQuality(pq, res)
 	resp := wireResponse{
-		Table:      pq.req.Table,
-		Cached:     false,
-		DurationNS: int64(time.Since(pq.began)),
-		Result:     json.RawMessage(payload),
+		Table:         pq.req.Table,
+		DurationNS:    int64(time.Since(pq.began)),
+		Shards:        cres.Shards,
+		MissingShards: cres.Missing,
+		Degraded:      cres.Degraded,
+		Result:        json.RawMessage(payload),
 	}
 	if pq.req.Trace {
 		resp.Trace = &snap
@@ -497,5 +612,5 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if pq.req.Quality {
 		resp.Quality = res.Quality
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out.answer(resp)
 }

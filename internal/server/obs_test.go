@@ -218,7 +218,7 @@ func TestTracedQueryReturnsSpanTree(t *testing.T) {
 }
 
 func TestDebugTracesRingAndExplain(t *testing.T) {
-	_, tbl, ts := newTestServer(t, Config{TraceRingSize: 8})
+	s, tbl, ts := newTestServer(t, Config{TraceRingSize: 8})
 	req := baseRequest(44, "scanmatch")
 	if code, _ := postQuery(t, ts.URL, req); code != http.StatusOK {
 		t.Fatalf("query: %d", code)
@@ -271,6 +271,37 @@ func TestDebugTracesRingAndExplain(t *testing.T) {
 	}
 	if ex.Plan.Groups <= 0 || ex.Plan.Candidates <= 0 {
 		t.Fatalf("explain resolved nothing: %+v", ex.Plan)
+	}
+
+	// Explain holds the table — and a live table's view — only while it
+	// runs: afterwards nothing is in flight and the segment pins are at
+	// their quiescent baseline (one per segment for the canonical list,
+	// one more once the current generation's view is cached — see
+	// ingest.Stats.SegmentPins; a leaked view would sit above it).
+	loadIngest(t, s, "live")
+	appendRows(t, ts.URL, "live", genIngestRows(700, 0))
+	live := scanQuery("live")
+	if code, _ := postQuery(t, ts.URL, live); code != http.StatusOK { // binds the current view
+		t.Fatalf("live query: %d", code)
+	}
+	body, _ = json.Marshal(live)
+	lresp, err := http.Post(ts.URL+"/v1/explain", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lresp.Body.Close()
+	if lresp.StatusCode != http.StatusOK {
+		t.Fatalf("live explain: %s", lresp.Status)
+	}
+	if st := getTables(t, ts.URL)["live"].Ingest; st.SegmentPins > 2*int64(st.Segments) {
+		t.Fatalf("%d segment pins over %d segments after explain: a view leaked", st.SegmentPins, st.Segments)
+	}
+	for _, name := range []string{"fixture", "live"} {
+		entry, _ := s.reg.acquire(name)
+		if n := entry.inflight.Load(); n != 1 { // ours
+			t.Fatalf("table %q: %d requests in flight after explain, want none", name, n-1)
+		}
+		entry.release()
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"fastmatch/internal/cluster"
@@ -41,42 +40,27 @@ func (s *Server) handleInternalPartial(w http.ResponseWriter, r *http.Request) {
 			"table %q is itself coordinated: internal partials run on shard daemons, not coordinators", preq.Table)
 		return
 	}
-	eng, gen, releaseView, err := entry.engineNow()
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "table %q unavailable: %v", preq.Table, err)
-		return
-	}
-	defer releaseView()
-
 	var spec QuerySpec
 	if err := json.Unmarshal(preq.Query, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding query spec: %v", err)
 		return
 	}
-	q, err := spec.toQuery(eng)
+	lq, status, err := bindLocal(entry, preq.Table, spec)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "invalid query: %v", err)
+		writeError(w, status, "%v", err)
 		return
 	}
-	qfp, err := q.Fingerprint()
+	defer lq.release()
+	plan, _, err := s.cachedPlan(lq.planKey, lq.eng, lq.q, nil)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "invalid query: %v", err)
+		writeError(w, http.StatusUnprocessableEntity, "planning query: %v", err)
 		return
-	}
-	planKey := fmt.Sprintf("%s\x00%d\x00%d\x00%s", preq.Table, entry.incarnation, gen, qfp)
-	plan, ok := s.plans.Get(planKey)
-	if !ok {
-		if plan, err = eng.Prepare(q); err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "planning query: %v", err)
-			return
-		}
-		s.plans.Put(planKey, plan)
 	}
 
 	switch preq.Op {
 	case "meta":
 		m := plan.ShardMeta()
-		m.Generation = gen
+		m.Generation = lq.gen
 		writeJSON(w, http.StatusOK, cluster.PartialResponse{Meta: &m})
 	case "segment":
 		if preq.Segment == nil {

@@ -6,12 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
-
-	"fastmatch/internal/colstore"
 )
 
 // postStream POSTs to /v1/query/stream and returns the decoded frames.
@@ -115,157 +112,102 @@ func TestStreamCachedAnswerKeepsFrameShape(t *testing.T) {
 	}
 }
 
-// slowServer registers a throttled copy of the fixture table: ~320
-// blocks at ≥1ms per block ≈ ≥300ms per full scan, so tests can
-// reliably interrupt mid-run.
-func slowServer(t testing.TB, cfg Config, timeout time.Duration) (*Server, *httptest.Server) {
+// The client-disconnect row of the runner × sink matrix (see
+// pipeline_test.go): whichever runner is mid-run, a client that goes away
+// cancels it, and the request is accounted as canceled. Each test covers
+// one sink — how a client "goes away" differs — over both runners.
+
+// eachRunner runs fn against the single-node control and the coordinator
+// of a throttled 3-shard fixture, primed so the run — not cold-start
+// planning — is what the client walks away from. The local run is an
+// exact scan (≥300ms, reads every tuple if left alone). The coordinated
+// one samples: a coordinated exact scan fans its segments out at once
+// and reports the ones a cancellation cost it as shard loss, so only
+// the chained sampling walk meets a canceled context between segments.
+func eachRunner(t *testing.T, stream bool, fn func(t *testing.T, url string, req QueryRequest)) {
+	for _, c := range []pipelineCell{{false, stream}, {true, stream}} {
+		t.Run(c.String(), func(t *testing.T) {
+			_, url := newSlowClusterFixture(t, 3, Config{}, time.Millisecond, 0).server(c)
+			executor := "scan"
+			if c.coordinated {
+				executor = "scanmatch"
+			}
+			primeSlow(t, c, url, baseRequest(30, executor))
+			fn(t, url, baseRequest(31, executor))
+		})
+	}
+}
+
+// awaitCanceled waits for the fixture table's canceled counter to tick.
+func awaitCanceled(t *testing.T, url string) {
 	t.Helper()
-	tbl := fixtureTable(t)
-	s := New(cfg)
-	if err := s.reg.register("slow", "(throttled)", colstore.NewThrottledReader(tbl, time.Millisecond), timeout, nil); err != nil {
-		t.Fatal(err)
-	}
-	return s, newHTTPServer(t, s)
-}
-
-func slowRequest(seed int64) QueryRequest {
-	req := baseRequest(seed, "scan")
-	req.Table = "slow"
-	return req
-}
-
-func TestStreamClientDisconnectCancelsScan(t *testing.T) {
-	_, ts := slowServer(t, Config{}, 0)
-	body, err := json.Marshal(slowRequest(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query/stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(httpReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read the first frame (the run is now in flight), then vanish.
-	br := bufio.NewReader(resp.Body)
-	if _, err := br.ReadBytes('\n'); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	resp.Body.Close()
-
-	// The canceled counter must tick, and the aborted scan's I/O must
-	// stop growing.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := getStats(t, ts.URL).Tables["slow"]
-		if st.Canceled >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("canceled counter never ticked: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	io1 := getStats(t, ts.URL).Tables["slow"].IO.TuplesRead
-	time.Sleep(150 * time.Millisecond)
-	io2 := getStats(t, ts.URL).Tables["slow"].IO.TuplesRead
-	if io1 != io2 {
-		t.Fatalf("IOStats still growing after cancellation: %d -> %d", io1, io2)
-	}
-	if full := int64(20_000); io1 >= full {
-		t.Fatalf("scan ran to completion (%d tuples) despite disconnect", io1)
-	}
-}
-
-func TestBlockingClientDisconnectCancelsScan(t *testing.T) {
-	_, ts := slowServer(t, Config{}, 0)
-	body, err := json.Marshal(slowRequest(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := http.DefaultClient.Do(httpReq); err == nil {
-		resp.Body.Close()
-		t.Fatal("request should have been abandoned by its context")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := getStats(t, ts.URL).Tables["slow"]
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		st := getStats(t, url).Tables["fixture"]
 		if st.Canceled >= 1 {
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("canceled counter never ticked: %+v", st)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
-func TestPerTableTimeoutServesPartial(t *testing.T) {
-	_, ts := slowServer(t, Config{}, 80*time.Millisecond)
-	// Cold-start caveat: planning (the bitmap-index build, a full block
-	// sweep that pays the simulated latency too) is shared and not
-	// cancellable, so the very first query's budget can die inside it
-	// and 504 with nothing — while still priming the plan cache for
-	// everyone after. Prime, then assert the steady-state contract.
-	if status, _ := postQuery(t, ts.URL, slowRequest(33)); status != http.StatusOK && status != http.StatusGatewayTimeout {
-		t.Fatalf("priming query status %d", status)
-	}
-	status, reply := postQuery(t, ts.URL, slowRequest(33))
-	if status != http.StatusOK {
-		t.Fatalf("timed-out query status %d, want 200 + partial result", status)
-	}
-	var payload ResultPayload
-	if err := json.Unmarshal(reply.Result, &payload); err != nil {
-		t.Fatal(err)
-	}
-	if !payload.Partial || payload.Exact {
-		t.Fatalf("payload partial=%v exact=%v, want best-effort partial", payload.Partial, payload.Exact)
-	}
-	if payload.IO.TuplesRead == 0 || payload.IO.TuplesRead >= 20_000 {
-		t.Fatalf("partial scan read %d tuples, want mid-run stop", payload.IO.TuplesRead)
-	}
-	st := getStats(t, ts.URL).Tables["slow"]
-	if st.TimedOut < 1 || st.PartialResults < 1 {
-		t.Fatalf("timeout counters: %+v", st)
-	}
-	// Partial results must not be cached.
-	if _, reply = postQuery(t, ts.URL, slowRequest(33)); reply.Cached {
-		t.Fatal("partial result was served from the result cache")
-	}
+func TestStreamClientDisconnectCancelsScan(t *testing.T) {
+	eachRunner(t, true, func(t *testing.T, url string, req QueryRequest) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/query/stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(httpReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Read the first frame (the run is now in flight), then vanish.
+		br := bufio.NewReader(resp.Body)
+		if _, err := br.ReadBytes('\n'); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		resp.Body.Close()
+
+		// The canceled counter must tick, and the aborted scan's I/O must
+		// stop growing (the priming run read the table once in full).
+		awaitCanceled(t, url)
+		io1 := getStats(t, url).Tables["fixture"].IO.TuplesRead
+		time.Sleep(150 * time.Millisecond)
+		io2 := getStats(t, url).Tables["fixture"].IO.TuplesRead
+		if io1 != io2 {
+			t.Fatalf("IOStats still growing after cancellation: %d -> %d", io1, io2)
+		}
+		if full := int64(2 * 20_000); io1 >= full {
+			t.Fatalf("scan ran to completion (%d tuples with priming) despite disconnect", io1)
+		}
+	})
 }
 
-func TestRowBudgetOverWire(t *testing.T) {
-	_, _, ts := newTestServer(t, Config{})
-	req := baseRequest(34, "scan")
-	budget := int64(2_000)
-	req.Options.RowBudget = &budget
-	status, reply := postQuery(t, ts.URL, req)
-	if status != http.StatusOK {
-		t.Fatalf("budgeted query status %d", status)
-	}
-	var payload ResultPayload
-	if err := json.Unmarshal(reply.Result, &payload); err != nil {
-		t.Fatal(err)
-	}
-	if !payload.Partial {
-		t.Fatal("budgeted run not flagged partial")
-	}
-	if payload.IO.TuplesRead < budget || payload.IO.TuplesRead > budget+1_000 {
-		t.Fatalf("budget enforcement: read %d tuples for budget %d", payload.IO.TuplesRead, budget)
-	}
-	if _, reply = postQuery(t, ts.URL, req); reply.Cached {
-		t.Fatal("partial (budgeted) result was cached")
-	}
+func TestBlockingClientDisconnectCancelsScan(t *testing.T) {
+	eachRunner(t, false, func(t *testing.T, url string, req QueryRequest) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+		defer cancel()
+		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/query", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := http.DefaultClient.Do(httpReq); err == nil {
+			resp.Body.Close()
+			t.Fatal("request should have been abandoned by its context")
+		}
+		awaitCanceled(t, url)
+	})
 }
 
 func TestAdmissionQueueAbandonedOnDisconnect(t *testing.T) {

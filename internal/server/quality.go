@@ -140,15 +140,12 @@ func (s *Server) auditSelected(e *tableEntry) bool {
 
 // recordQuality publishes a completed query's answer-quality record: the
 // quality report goes to the debug ring immediately, and — when the
-// request was sampled for auditing — a shadow audit re-executes the plan
+// request was sampled for auditing — a shadow audit re-executes the query
 // exactly off the request path, with the ring entry following once the
 // verdict is in. The table entry and its data view stay pinned (pq
 // retain/done) until the audit finishes, so the exact pass always runs
 // over the same data generation the approximate answer saw.
-func (s *Server) recordQuality(pq *preparedQuery, plan *engine.Plan, res *engine.Result) {
-	if res == nil {
-		return
-	}
+func (s *Server) recordQuality(pq *preparedQuery, res *engine.Result) {
 	entry := QualityEntry{
 		QueryID:    pq.id,
 		Table:      pq.req.Table,
@@ -158,11 +155,8 @@ func (s *Server) recordQuality(pq *preparedQuery, plan *engine.Plan, res *engine
 	}
 	// Partial answers claimed no guarantee: record their (truncated)
 	// quality report but never audit them — a phantom violation count
-	// would indict the guarantee for a promise it never made. A
-	// coordinated request has no local plan; its audit re-executes
-	// across the bound shard set instead.
-	coordinated := len(pq.shards) > 0
-	if !pq.audit || (plan == nil && !coordinated) || res.Partial || len(res.TopK) == 0 {
+	// would indict the guarantee for a promise it never made.
+	if !pq.audit || res.Partial || len(res.TopK) == 0 {
 		if entry.Quality != nil {
 			s.quality.record(entry)
 		}
@@ -173,32 +167,25 @@ func (s *Server) recordQuality(pq *preparedQuery, plan *engine.Plan, res *engine
 	go func() {
 		defer s.auditWG.Done()
 		defer pq.done()
-		if plan != nil {
-			entry.Audit, entry.AuditError = s.runAudit(pq, plan, res)
-		} else {
-			entry.Audit, entry.AuditError = s.runCoordAudit(pq, res)
-		}
+		entry.Audit, entry.AuditError = s.runAudit(pq, res)
 		pq.entry.metrics.observeAudit(entry.Audit, entry.AuditError != "")
 		s.quality.record(entry)
 	}()
 }
 
-// runAudit executes one shadow audit: an exact Scan re-execution of the
-// query's plan and target, compared against the approximate answer. It
-// competes for a regular admission slot (an audit is a full scan; it
-// must not dodge the concurrency bound serving runs respect) but never
-// holds up a client — callers run it on a background goroutine.
-func (s *Server) runAudit(pq *preparedQuery, plan *engine.Plan, res *engine.Result) (*engine.Audit, string) {
+// runAudit executes one shadow audit: the runner's exact reference pass
+// (a local Scan re-execution of the plan and target, or the same across
+// a coordinated table's shard set) compared against the approximate
+// answer. It competes for a regular admission slot (an audit is a full
+// scan; it must not dodge the concurrency bound serving runs respect)
+// but never holds up a client — callers run it on a background goroutine.
+func (s *Server) runAudit(pq *preparedQuery, res *engine.Result) (*engine.Audit, string) {
 	if s.adm.acquire(context.Background()) != admitOK {
 		return nil, "audit skipped: server at capacity"
 	}
 	defer s.adm.release()
-	target, err := plan.ResolveTarget(pq.target, 0)
-	if err != nil {
-		return nil, "resolving audit target: " + err.Error()
-	}
 	began := time.Now()
-	audit, err := engine.AuditRun(context.Background(), plan, target, res, pq.opts)
+	audit, err := pq.run.reference(context.Background(), res)
 	if err != nil {
 		s.log.Warn("shadow audit failed", "query_id", pq.id, "table", pq.req.Table, "error", err)
 		return nil, err.Error()
@@ -206,6 +193,7 @@ func (s *Server) runAudit(pq *preparedQuery, plan *engine.Plan, res *engine.Resu
 	s.log.Info("shadow audit",
 		"query_id", pq.id,
 		"table", pq.req.Table,
+		"coordinated", pq.entry.coord != nil,
 		"precision_at_k", audit.PrecisionAtK,
 		"guarantee_violations", audit.GuaranteeViolations,
 		"max_displacement", audit.MaxDisplacement,

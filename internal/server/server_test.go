@@ -336,40 +336,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestAdmissionLimitRejectsWith503(t *testing.T) {
-	// One run slot, no queueing, result cache off so both requests need
-	// the engine.
-	s, _, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxWait: -1, ResultCacheSize: -1})
-	parked := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.testHookRunning = func() {
-		once.Do(func() {
-			close(parked)
-			<-release
-		})
-	}
-	done := make(chan wireReply, 1)
-	go func() {
-		_, reply := postQuery(t, ts.URL, baseRequest(1, "scanmatch"))
-		done <- reply
-	}()
-	<-parked // first request now holds the only slot
-	status, _ := postQuery(t, ts.URL, baseRequest(2, "scanmatch"))
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("over-capacity request: status %d, want 503", status)
-	}
-	close(release)
-	<-done
-	st := getStats(t, ts.URL)
-	if st.Admission.Rejected < 1 {
-		t.Fatalf("admission rejected = %d, want ≥ 1", st.Admission.Rejected)
-	}
-	if st.Admission.Limit != 1 {
-		t.Fatalf("admission limit = %d, want 1", st.Admission.Limit)
-	}
-}
-
 func TestErrorStatuses(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	post := func(body string) int {

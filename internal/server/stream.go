@@ -1,12 +1,9 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"sync"
-	"time"
 
 	"fastmatch/internal/cluster"
 	"fastmatch/internal/engine"
@@ -63,153 +60,74 @@ type StreamFrame struct {
 	Error string `json:"error,omitempty"`
 }
 
-// streamWriter serializes NDJSON frames onto the wire, flushing each so
-// progress is delivered as it happens, not when the response ends. The
-// mutex makes frame writes atomic even if an executor ever emits from a
-// worker goroutine.
-type streamWriter struct {
+// streamSink is the NDJSON sink: it serializes frames onto the wire,
+// flushing each so progress is delivered as it happens, not when the
+// response ends. The mutex makes frame writes atomic even if an executor
+// ever emits from a worker goroutine. enc is nil until begin.
+type streamSink struct {
+	w   http.ResponseWriter
 	mu  sync.Mutex
 	enc *json.Encoder
 	fl  http.Flusher
 }
 
-func (sw *streamWriter) frame(f StreamFrame) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+func (k *streamSink) frame(f StreamFrame) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	// A write error means the client is gone; the run's context (tied to
 	// the connection) is what actually stops the work, so errors here
 	// are deliberately dropped.
-	_ = sw.enc.Encode(f)
-	if sw.fl != nil {
-		sw.fl.Flush()
+	_ = k.enc.Encode(f)
+	if k.fl != nil {
+		k.fl.Flush()
 	}
 }
 
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	pq := s.prepareQuery(w, r)
-	if pq == nil {
-		return
+// begin opens the stream with a start frame carrying the query ID:
+// clients can render "query accepted" immediately and correlate the
+// stream with traces and audit records, and even a cached or instant
+// answer keeps the progress-then-result frame shape.
+func (k *streamSink) begin(queryID string) func(engine.Progress) {
+	k.w.Header().Set("Content-Type", "application/x-ndjson")
+	k.w.Header().Set("Cache-Control", "no-store")
+	k.w.WriteHeader(http.StatusOK)
+	k.enc = json.NewEncoder(k.w)
+	k.fl, _ = k.w.(http.Flusher)
+	k.frame(StreamFrame{Type: "progress", QueryID: queryID, Progress: &engine.Progress{Phase: "start"}})
+	return func(p engine.Progress) {
+		k.frame(StreamFrame{Type: "progress", Progress: &p})
 	}
-	defer pq.done()
-	if pq.entry.coord != nil {
-		s.handleCoordinatedStream(w, r, pq)
-		return
-	}
+}
 
-	ctx, cancel, timedOut := s.runContext(r, pq)
-	defer cancel()
+func (k *streamSink) carried(status int) int {
+	if k.enc != nil {
+		return http.StatusOK
+	}
+	return status
+}
 
-	// Result-cache hits and all pre-run failures use plain HTTP statuses
-	// — nothing has been streamed yet, so the client still gets proper
-	// error semantics. Cached answers stream a single start frame and
-	// the terminal result, preserving the ≥1-progress-frame shape.
-	// Traced and quality-carrying requests bypass the cache read, same
-	// as the blocking endpoint.
-	var cachedPayload []byte
-	var cached bool
-	if !pq.req.Trace && !pq.req.Quality {
-		csp := pq.tr.Start("result_cache")
-		cachedPayload, cached = s.results.Get(pq.resultKey)
-		csp.SetAttr("hit", cached)
-		csp.End()
+func (k *streamSink) fail(status int, msg string) {
+	switch {
+	case k.enc == nil:
+		// Nothing has been streamed yet, so the client still gets proper
+		// error semantics.
+		writeJSON(k.w, status, ErrorResponse{Error: msg})
+	case status != statusClientClosedRequest: // else no one is listening for a frame
+		k.frame(StreamFrame{Type: "error", Error: msg})
 	}
-	var plan *engine.Plan
-	var planHit bool
-	if !cached {
-		if !s.admit(ctx, w, pq) {
-			return
-		}
-		defer s.adm.release()
-		if s.testHookRunning != nil {
-			s.testHookRunning()
-		}
-		var err error
-		if plan, planHit, err = s.planFor(pq); err != nil {
-			pq.fail(w, http.StatusUnprocessableEntity, "planning query: %v", err)
-			return
-		}
-	}
+}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	sw := &streamWriter{enc: json.NewEncoder(w), fl: fl}
-
-	// Every stream opens with a start frame carrying the query ID:
-	// clients can render "query accepted" immediately and correlate the
-	// stream with traces and audit records, and even a cached or instant
-	// answer keeps the progress-then-result frame shape.
-	sw.frame(StreamFrame{Type: "progress", QueryID: pq.id, Progress: &engine.Progress{Phase: "start"}})
-
-	if cached {
-		s.finishRequest(pq, outcomeOK, nil, false, true, http.StatusOK, "")
-		sw.frame(StreamFrame{
-			Type:       "result",
-			Table:      pq.req.Table,
-			Cached:     true,
-			DurationNS: int64(time.Since(pq.began)),
-			Result:     json.RawMessage(cachedPayload),
-		})
-		return
-	}
-
-	opts := pq.opts
-	opts.OnProgress = func(p engine.Progress) {
-		sw.frame(StreamFrame{Type: "progress", Progress: &p})
-	}
-	res, err := plan.RunContext(ctx, pq.target, opts)
-
-	if err != nil && !(res != nil && res.Partial) {
-		switch {
-		case errors.Is(err, context.Canceled):
-			s.finishRequest(pq, outcomeCanceled, nil, false, false, http.StatusOK, "client closed request")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.finishRequest(pq, outcomeTimedOut, nil, false, false, http.StatusOK, "query timed out")
-			sw.frame(StreamFrame{Type: "error", Error: "query timed out before any result was available"})
-		default:
-			s.finishRequest(pq, outcomeFailed, nil, false, false, http.StatusOK, err.Error())
-			sw.frame(StreamFrame{Type: "error", Error: "running query: " + err.Error()})
-		}
-		return
-	}
-	if err != nil && errors.Is(err, context.Canceled) && !timedOut() {
-		// Partial work, but the client is gone: account the cancellation
-		// (including the I/O the aborted scan did); no one is listening
-		// for a frame.
-		s.finishRequest(pq, outcomeCanceled, res, planHit, false, http.StatusOK, "client closed request")
-		return
-	}
-
-	payload, merr := json.Marshal(toPayload(res))
-	if merr != nil {
-		s.finishRequest(pq, outcomeFailed, nil, false, false, http.StatusOK, "encoding result: "+merr.Error())
-		sw.frame(StreamFrame{Type: "error", Error: "encoding result: " + merr.Error()})
-		return
-	}
-	oc := outcomeOK
-	if res.Partial {
-		if timedOut() {
-			oc = outcomeTimedOut
-		}
-	} else {
-		// Identical seeded requests on the blocking endpoint reuse this
-		// exact payload — the byte-identity guarantee across endpoints.
-		s.results.Put(pq.resultKey, payload)
-	}
-	snap := s.finishRequest(pq, oc, res, planHit, false, http.StatusOK, "")
-	s.recordQuality(pq, plan, res)
-	frame := StreamFrame{
-		Type:       "result",
-		Table:      pq.req.Table,
-		DurationNS: int64(time.Since(pq.began)),
-		Result:     json.RawMessage(payload),
-	}
-	if pq.req.Trace {
-		frame.Trace = &snap
-	}
-	if pq.req.Quality {
-		frame.Quality = res.Quality
-	}
-	sw.frame(frame)
+func (k *streamSink) answer(resp wireResponse) {
+	k.frame(StreamFrame{
+		Type:          "result",
+		Table:         resp.Table,
+		Cached:        resp.Cached,
+		DurationNS:    resp.DurationNS,
+		Trace:         resp.Trace,
+		Quality:       resp.Quality,
+		Shards:        resp.Shards,
+		MissingShards: resp.MissingShards,
+		Degraded:      resp.Degraded,
+		Result:        resp.Result,
+	})
 }
