@@ -134,7 +134,7 @@ type (
 	// Metric is the distance function over normalized histograms.
 	Metric = histogram.Metric
 	// ExplainInfo is a Plan's static execution profile (resolved shapes,
-	// zone-map prunable block counts, fast-path eligibility) — see
+	// zone-map prunable block counts, kernel eligibility) — see
 	// Plan.Explain.
 	ExplainInfo = engine.ExplainInfo
 	// Trace collects a per-query span tree when set on Options.Trace;

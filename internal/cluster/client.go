@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -238,6 +239,13 @@ func (c *Client) post(ctx context.Context, idx int, preq *PartialRequest) (*Part
 			return resp, nil
 		}
 		lastErr = err
+		if errors.Is(ctx.Err(), context.Canceled) {
+			// The caller walked away mid-call: that says nothing about
+			// the shard, so its error count and health stay as they were.
+			// (A deadline expiring on the call still counts — the shard
+			// was the slow one.)
+			break
+		}
 		sc.fail(err)
 		if permanent || ctx.Err() != nil {
 			break

@@ -282,6 +282,19 @@ func (st *runState) markDead(sr *shardRun, err error) {
 	st.degraded = true
 }
 
+// segmentFailed classifies a failed segment call. Once the run's own
+// context is done the failure is the caller's cancellation (or the run's
+// deadline) cutting the call short, not shard loss: it returns the typed
+// stop the single-node guard would have and leaves the shard's health
+// alone. Otherwise the shard is marked dead and the run degrades (nil).
+func (st *runState) segmentFailed(sr *shardRun, err error) error {
+	if cerr := st.ctx.Err(); cerr != nil {
+		return engine.CanceledStopError(cerr)
+	}
+	st.markDead(sr, err)
+	return nil
+}
+
 func interrupted(err error) bool {
 	return errors.Is(err, engine.ErrCanceled) || errors.Is(err, engine.ErrBudgetExhausted)
 }

@@ -288,6 +288,58 @@ func TestCoordinatedCancel(t *testing.T) {
 	}
 }
 
+// cancelingShard answers its meta, then stands in for a segment call the
+// caller walks away from: the second segment call of the run cancels the
+// run's context and fails the way an aborted HTTP round trip does.
+type cancelingShard struct {
+	Shard
+	calls  *atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelingShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*engine.ShardSegmentResult, error) {
+	if c.calls.Add(1) == 2 {
+		c.cancel()
+		return nil, fmt.Errorf("cluster: shard %q: %w", c.Name(), ctx.Err())
+	}
+	return c.Shard.Segment(ctx, seg)
+}
+
+// TestCoordinatedCancelMidRunIsNotShardLoss: a segment call that fails
+// because the run's own context was canceled is the caller's
+// cancellation, not shard loss — the run stops with the single-node
+// guard's typed error and a best-effort partial, and every shard stays
+// healthy and unnamed.
+func TestCoordinatedCancelMidRunIsNotShardLoss(t *testing.T) {
+	for _, exec := range allExecutors() {
+		t.Run(exec.String(), func(t *testing.T) {
+			_, parts := clusterDataset(t, 40_000, 3)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var calls atomic.Int64
+			shards := shardSet(t, parts)
+			for i, sh := range shards {
+				shards[i] = &cancelingShard{Shard: sh, calls: &calls, cancel: cancel}
+			}
+			cres, err := New(shards...).Run(ctx, engine.Target{Uniform: true}, clusterOptions(exec))
+			if !errors.Is(err, engine.ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+			}
+			if cres == nil || !cres.Result.Partial || cres.Result.Exact {
+				t.Fatalf("canceled run must carry a best-effort partial, got %+v", cres)
+			}
+			if cres.Degraded || len(cres.Missing) != 0 {
+				t.Fatalf("cancellation reported as shard loss: degraded=%v missing=%v", cres.Degraded, cres.Missing)
+			}
+			for _, s := range cres.Shards {
+				if !s.Healthy || s.Error != "" {
+					t.Fatalf("shard %s marked unhealthy (%q) by the caller's cancellation", s.Name, s.Error)
+				}
+			}
+		})
+	}
+}
+
 // TestCoordinatedShardLoss pins degraded-but-honest: a shard that dies
 // mid-run yields a 200-style partial — Partial:true, the dead shard
 // named in Missing, totals covering only data actually read — never an

@@ -210,11 +210,13 @@ func (d *distSampler) pass(batch *core.Batch, stage1Need int, deficits map[int]i
 		}
 		sr.segments++
 		if err != nil {
+			if stop := st.segmentFailed(sr, err); stop != nil {
+				return stop
+			}
 			// Degraded-but-honest: treat the dead shard's remaining
 			// blocks as consumed with zero contribution. The answer
 			// stays a true partial over the data actually read; run()
 			// forces Partial on the final result and names the shard.
-			st.markDead(sr, err)
 			shardSpan(d.runSpan, sr, req, nil, false)
 			visits -= sr.meta.Blocks - d.cursor
 			d.totalCons += sr.meta.Blocks - sr.consCnt

@@ -47,8 +47,11 @@ func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, be
 		}
 		sr.segments++
 		if err != nil {
-			st.markDead(sr, err)
-			shardSpan(runSpan, sr, req, nil, true)
+			if stop := st.segmentFailed(sr, err); stop != nil {
+				stopErr = stop
+			} else {
+				shardSpan(runSpan, sr, req, nil, true)
+			}
 			return nil
 		}
 		if err := gb.Merge(part); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"fastmatch/internal/bitmap"
@@ -119,10 +118,12 @@ type Options struct {
 	// (BlocksPruned, and lower TuplesRead/BlocksRead). The knob exists
 	// for measurement and for the equivalence suite.
 	DisableBlockSkip bool
-	// DisableScanKernels turns off the vectorized grouped-count kernels,
-	// forcing the scalar per-row accumulation path everywhere. Results
-	// are byte-identical either way (IOStats.KernelBlocks is the only
-	// delta); the knob exists for benchmarking the kernels' contribution.
+	// DisableScanKernels sends every executor's block accumulator through
+	// the scalar per-row loop instead of the vectorized grouped-count
+	// kernels — one gate (Plan.newKernel). Results are byte-identical
+	// either way (IOStats.KernelBlocks is the only delta); the knob exists
+	// because the equivalence suite and BenchmarkScanKernels use the
+	// scalar loop as their reference.
 	DisableScanKernels bool
 	// Trace, when non-nil, collects a per-run span tree: a "run" root
 	// span with one child per execution phase (stage 1, every stage-2
@@ -386,26 +387,10 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 		opts.Params.CollectQuality = true
 	}
 	start := opts.StartBlock
-	if start < 0 {
-		nb := p.engine.src.NumBlocks()
-		if nb > 0 {
-			start = rand.New(rand.NewSource(opts.Seed)).Intn(nb)
-		} else {
-			start = 0
-		}
+	if nb := p.engine.src.NumBlocks(); start < 0 && nb > 0 {
+		start = rand.New(rand.NewSource(opts.Seed)).Intn(nb)
 	}
-	bs := newBlockSampler(p.engine.src, p.cand, p.grp, p.query.Filter, opts.Executor, opts.Lookahead, start, guard)
-	bs.workers = opts.Workers
-	if bs.workers <= 0 {
-		bs.workers = runtime.GOMAXPROCS(0)
-	}
-	if !opts.DisableBlockSkip {
-		bs.skipAll = p.skipAll
-		bs.skipGrp = p.skipGrp
-	}
-	if !opts.DisableScanKernels {
-		bs.initFastPath()
-	}
+	bs := p.newSampler(opts, start, guard)
 	obs, obsClose := RunObserver(began, opts, bs.Stats, p.cand.labelOf, runSpan)
 	defer obsClose()
 	coreRes, err := core.RunObserved(bs, target, opts.Params, obs)

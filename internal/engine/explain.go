@@ -1,9 +1,9 @@
 package engine
 
 // ExplainInfo is a Plan's static execution profile: what the planner
-// resolved, what the zone-map skip masks prove prunable, and which
-// fast paths each executor family would take — everything knowable
-// without running the query. Serving layers expose it verbatim
+// resolved, what the zone-map skip masks prove prunable, and whether the
+// vectorized kernels cover the plan — everything knowable without
+// running the query. Serving layers expose it verbatim
 // (POST /v1/explain), so the field set is JSON-tagged here.
 type ExplainInfo struct {
 	// Rows/Blocks/BlockSize describe the storage source.
@@ -30,12 +30,10 @@ type ExplainInfo struct {
 	// apply after their AnyActive probe (skipGrp ⊆ skipAll).
 	PrunableBlocks      int `json:"prunable_blocks"`
 	PrunableGroupBlocks int `json:"prunable_group_blocks"`
-	// ScanKernelEligible reports whether the exact-scan executors would
-	// run the vectorized grouped-count kernel for this shape (subject to
-	// Options.DisableScanKernels); SamplerFastPath whether the sampling
-	// executors would take the devirtualized single-Z/single-X read path.
+	// ScanKernelEligible reports whether every executor accumulates this
+	// plan's blocks through a vectorized grouped-count kernel rather than
+	// the scalar row loop (subject to Options.DisableScanKernels).
 	ScanKernelEligible bool `json:"scan_kernel_eligible"`
-	SamplerFastPath    bool `json:"sampler_fast_path"`
 }
 
 // Explain reports the plan's static execution profile without running
@@ -44,31 +42,15 @@ type ExplainInfo struct {
 func (p *Plan) Explain() ExplainInfo {
 	src := p.engine.src
 	info := ExplainInfo{
-		Rows:          src.NumRows(),
-		Blocks:        src.NumBlocks(),
-		BlockSize:     src.BlockSize(),
-		Candidates:    p.cand.numCandidates(),
-		Groups:        p.grp.groups(),
-		HasBlockStats: blockStatsOf(src) != nil,
-	}
-	if p.multi != nil {
-		info.CandidateKind = "predicates"
-	} else {
-		info.CandidateKind = "column"
-	}
-	groupShapeOK := false
-	switch p.grp.(type) {
-	case singleGroups:
-		info.GroupKind = "single"
-		groupShapeOK = true
-	case *multiGroups:
-		info.GroupKind = "multi"
-		groupShapeOK = true
-	case binnedGroups:
-		info.GroupKind = "binned"
-		groupShapeOK = true
-	default:
-		info.GroupKind = "other"
+		Rows:               src.NumRows(),
+		Blocks:             src.NumBlocks(),
+		BlockSize:          src.BlockSize(),
+		Candidates:         p.cand.numCandidates(),
+		CandidateKind:      p.cand.kind(),
+		Groups:             p.grp.groups(),
+		GroupKind:          p.grp.kind(),
+		HasBlockStats:      blockStatsOf(src) != nil,
+		ScanKernelEligible: p.shape != nil,
 	}
 	if p.skipAll != nil {
 		info.PrunableBlocks = p.skipAll.Count()
@@ -76,16 +58,5 @@ func (p *Plan) Explain() ExplainInfo {
 	if p.skipGrp != nil {
 		info.PrunableGroupBlocks = p.skipGrp.Count()
 	}
-	// Mirrors scanExec.newKernel's eligibility gates (shape checks plus
-	// the accumulator-size cap) without allocating the accumulator.
-	_, columnCand := p.cand.(*columnCandidates)
-	info.ScanKernelEligible = p.query.Filter == nil &&
-		info.Groups > 0 && info.Candidates > 0 &&
-		int64(info.Groups)*int64(info.Candidates) <= maxKernelCells &&
-		groupShapeOK && (p.multi != nil || columnCand)
-	// Mirrors blockSampler.initFastPath.
-	_, singleGrp := p.grp.(singleGroups)
-	info.SamplerFastPath = p.query.Filter == nil && p.multi == nil &&
-		columnCand && singleGrp
 	return info
 }

@@ -19,12 +19,14 @@ type groupMapper interface {
 	groupOf(row int) int
 	// labelOf renders a human-readable group label.
 	labelOf(g int) string
+	// kind names the mapper shape for Explain.
+	kind() string
 }
 
 // singleGroups maps groups from one categorical column. codes aliases
 // the full column storage and card caches the cardinality, both captured
 // once at plan time so the per-row hot path (groupOf, and groups() via
-// scanPartial.add) is direct data access, not an interface call.
+// scanKernel.add) is direct data access, not an interface call.
 type singleGroups struct {
 	col   colstore.ColumnReader
 	codes []uint32
@@ -38,6 +40,7 @@ func newSingleGroups(col colstore.ColumnReader, rows int) singleGroups {
 func (s singleGroups) groups() int          { return s.card }
 func (s singleGroups) groupOf(row int) int  { return int(s.codes[row]) }
 func (s singleGroups) labelOf(g int) string { return s.col.Dictionary().Value(uint32(g)) }
+func (s singleGroups) kind() string         { return "single" }
 
 // multiGroups maps groups from the cross product of several categorical
 // columns (Appendix A.1.3). The support is estimated as the product of the
@@ -68,7 +71,8 @@ func newMultiGroups(cols []colstore.ColumnReader, rows int) (*multiGroups, error
 	return mg, nil
 }
 
-func (m *multiGroups) groups() int { return m.total }
+func (m *multiGroups) groups() int  { return m.total }
+func (m *multiGroups) kind() string { return "multi" }
 
 func (m *multiGroups) groupOf(row int) int {
 	g := 0
@@ -103,7 +107,8 @@ func newBinnedGroups(m colstore.MeasureReader, rows int, binner *colstore.Binner
 	return binnedGroups{m: m, values: m.Values(0, rows), binner: binner}
 }
 
-func (b binnedGroups) groups() int { return b.binner.NumBins() }
+func (b binnedGroups) groups() int  { return b.binner.NumBins() }
+func (b binnedGroups) kind() string { return "binned" }
 
 func (b binnedGroups) groupOf(row int) int {
 	bin, ok := b.binner.Bin(b.values[row])
@@ -129,6 +134,8 @@ type candidateMapper interface {
 	// candidateBlocks returns the bitset of blocks containing candidate i.
 	candidateBlocks(i int) *bitmap.Bitset
 	labelOf(i int) string
+	// kind names the mapper shape for Explain.
+	kind() string
 }
 
 // columnCandidates derives candidates from the distinct values of one
@@ -192,6 +199,7 @@ func newColumnCandidates(col colstore.ColumnReader, rows int, idx *bitmap.Index,
 }
 
 func (cc *columnCandidates) numCandidates() int { return len(cc.candValue) }
+func (cc *columnCandidates) kind() string       { return "column" }
 
 func (cc *columnCandidates) candidateOf(row int) int {
 	code := cc.codes[row]
@@ -359,6 +367,7 @@ func compileAll(src colstore.Reader, ps []bitmap.Predicate) ([]func(row int) boo
 }
 
 func (pc *predicateCandidates) numCandidates() int { return len(pc.preds) }
+func (pc *predicateCandidates) kind() string       { return "predicates" }
 
 // candidateOf returns the first matching predicate for single-membership
 // uses; candidatesOf (below) reports all matches.

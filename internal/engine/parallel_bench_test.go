@@ -11,8 +11,8 @@ import (
 // construction (see parallel_equiv_test.go), so the only thing at stake
 // here is wall-clock: workers=1 must not regress against the serial
 // baseline, and workers>1 may only help on real multi-core hardware
-// (see BENCH_sampler_parallel.json for the recorded baseline and the
-// single-CPU-container caveat).
+// (measured end to end as engine_workers_speedup.syncmatch by
+// `bash benchmark/run.sh --trace 1`).
 func BenchmarkParallelSampling(b *testing.B) {
 	tbl := testDataset(b, 400_000, 20, 8, 5)
 	eng := New(tbl)

@@ -36,6 +36,25 @@ type Plan struct {
 	// concurrency-safe; Options.DisableBlockSkip gates their use per run.
 	skipAll *bitmap.Bitset
 	skipGrp *bitmap.Bitset
+	// shape is the plan's vectorizable form; nil when only the scalar row
+	// loop can accumulate it (see kernelShape).
+	shape *kernelShape
+	// blockSize/rows cache the table geometry: executors consuming a
+	// pruned block virtually must not call BlockSpan — a
+	// simulated-latency backend would sleep for a block nobody reads.
+	blockSize int
+	rows      int
+}
+
+// blockRows is block b's row count from the geometry alone (the last
+// block may be short).
+func (p *Plan) blockRows(b int) int64 {
+	lo := b * p.blockSize
+	hi := lo + p.blockSize
+	if hi > p.rows {
+		hi = p.rows
+	}
+	return int64(hi - lo)
 }
 
 // Prepare resolves a query into a reusable Plan. Run, RunWithTarget, and
@@ -65,10 +84,11 @@ func (e *Engine) PrepareTraced(q Query, tr *trace.Trace) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{engine: e, query: q, cand: cand, grp: grp}
+	p := &Plan{engine: e, query: q, cand: cand, grp: grp, blockSize: e.src.BlockSize(), rows: e.src.NumRows()}
 	if pc, ok := cand.(*predicateCandidates); ok {
 		p.multi = pc
 	}
+	p.shape = p.kernelShape()
 	sp = psp.Child("skip_masks")
 	p.buildSkipMasks()
 	sp.End()
@@ -144,16 +164,6 @@ func (p *Plan) buildSkipMasks() {
 		_ = all.Or(candMask)
 		p.skipAll = all
 	}
-}
-
-// plan is the internal form of Prepare, kept for call sites that want the
-// raw mappers.
-func (e *Engine) plan(q Query) (candidateMapper, groupMapper, error) {
-	p, err := e.Prepare(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.cand, p.grp, nil
 }
 
 // planCandidates resolves the candidate mapper: predicate candidates when
@@ -258,16 +268,11 @@ func (p *Plan) resolveTarget(t Target, workers int, guard *runGuard) (*histogram
 		if id < 0 {
 			return nil, fmt.Errorf("engine: target candidate %q not found", t.Candidate)
 		}
-		if p.query.Filter != nil {
-			// A Filter closure written against the pre-planner API may be
-			// stateful; only the explicit ParallelScan executor opts into
-			// concurrent Filter calls, so resolve filtered targets
-			// sequentially.
-			workers = 1
+		h, _, err := p.scanCandidate(id, workers, guard)
+		if err != nil {
+			return nil, err
 		}
-		ex := p.newScanExec(workers)
-		ex.guard = guard
-		return ex.candidateHistogram(id)
+		return h, nil
 	default:
 		return nil, fmt.Errorf("engine: empty target specification")
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -128,7 +129,7 @@ func (s *IOStats) Add(other IOStats) {
 //
 // Chunk boundaries sit at fixed positions in block-index space — the
 // planner commits after visiting any block b with (b+1) ≡ 0 (mod
-// chunkBlocks()), not after accumulating a buffer's worth of reads — so
+// ChunkBlocks), not after accumulating a buffer's worth of reads — so
 // the commit schedule is a pure function of the block indices walked,
 // independent of how many blocks in a chunk were skipped. That is what
 // lets a distributed coordinator split one global cursor walk into
@@ -150,12 +151,10 @@ const (
 // owns the I/O manager (block reads) and the sampling engine (block
 // selection policy); the statistics engine is internal/core driving it.
 type blockSampler struct {
-	src    colstore.Reader
-	cand   candidateMapper
-	multi  *predicateCandidates // non-nil iff candidates may overlap
-	grp    groupMapper
-	filter func(row int) bool
-	mode   Executor
+	plan *Plan
+	src  colstore.Reader
+	cand candidateMapper
+	mode Executor
 
 	guard     *runGuard // nil when nothing enforces termination
 	lookahead int
@@ -164,13 +163,14 @@ type blockSampler struct {
 	cursor    int
 	exact     []bool // sticky per-candidate exhaustion flags
 	stats     IOStats
-	blockSize int // cached: pruned blocks must not pay BlockSpan
-	rows      int
 
 	// workers is the read-fan-out width per chunk; ≤ 1 processes chunks
 	// inline on the planner goroutine (no pool, no goroutines). Results
 	// are byte-identical for every value — see the package comment above.
 	workers int
+	// kernels lets the workers' accumulators run the vectorized kernels
+	// (Options.DisableScanKernels clears it).
+	kernels bool
 
 	// Zone-map pruning masks (nil = no pruning). skipAll marks blocks
 	// provably free of qualifying rows for every candidate — safe to
@@ -181,16 +181,6 @@ type blockSampler struct {
 	// and pruning them here instead would perturb Drawn).
 	skipAll *bitmap.Bitset
 	skipGrp *bitmap.Bitset
-
-	// Devirtualized fast path for the dominant single-Z/single-X shape:
-	// captured code slices replace the per-row interface dispatch of
-	// groupOf/candidateOf. Workers additionally accumulate into flat
-	// count cells (scanKernel-style) when the shape fits maxKernelCells,
-	// folded exactly at round end.
-	fastOK    bool
-	fastZ     []uint32
-	fastX     []uint32
-	fastRemap []int // nil = identity
 
 	// Round-local deficit bookkeeping, owned by the planner. active is
 	// the committed unmet candidate set AnyActive probes and lookahead
@@ -217,34 +207,38 @@ type blockSampler struct {
 	segOthers int // blocks already consumed on other shards
 }
 
-func newBlockSampler(src colstore.Reader, cand candidateMapper, grp groupMapper,
-	filter func(int) bool, mode Executor, lookahead, startBlock int, guard *runGuard) *blockSampler {
-	if lookahead <= 0 {
-		lookahead = 1024
-	}
+// newSampler binds a block sampler to the plan under a run's options:
+// the executor's block policy, lookahead, read fan-out (Workers ≤ 0
+// selects GOMAXPROCS), and the skip/kernel knobs. startBlock is
+// normalized into the block space.
+func (p *Plan) newSampler(opts Options, startBlock int, guard *runGuard) *blockSampler {
+	src := p.engine.src
 	nb := src.NumBlocks()
-	cursor := 0
-	if nb > 0 {
-		cursor = ((startBlock % nb) + nb) % nb
-	}
 	bs := &blockSampler{
+		plan:      p,
 		src:       src,
-		cand:      cand,
-		grp:       grp,
-		filter:    filter,
-		mode:      mode,
+		cand:      p.cand,
+		mode:      opts.Executor,
 		guard:     guard,
-		lookahead: lookahead,
-		workers:   1,
+		lookahead: opts.Lookahead,
+		workers:   opts.Workers,
+		kernels:   !opts.DisableScanKernels,
 		consumed:  bitmap.NewBitset(nb),
-		cursor:    cursor,
-		exact:     make([]bool, cand.numCandidates()),
-		deficit:   make([]int64, cand.numCandidates()),
-		blockSize: src.BlockSize(),
-		rows:      src.NumRows(),
+		exact:     make([]bool, p.cand.numCandidates()),
+		deficit:   make([]int64, p.cand.numCandidates()),
 	}
-	if pc, ok := cand.(*predicateCandidates); ok {
-		bs.multi = pc
+	if bs.lookahead <= 0 {
+		bs.lookahead = 1024
+	}
+	if bs.workers <= 0 {
+		bs.workers = runtime.GOMAXPROCS(0)
+	}
+	if nb > 0 {
+		bs.cursor = ((startBlock % nb) + nb) % nb
+	}
+	if !opts.DisableBlockSkip {
+		bs.skipAll = p.skipAll
+		bs.skipGrp = p.skipGrp
 	}
 	return bs
 }
@@ -253,7 +247,7 @@ func newBlockSampler(src colstore.Reader, cand candidateMapper, grp groupMapper,
 func (bs *blockSampler) NumCandidates() int { return bs.cand.numCandidates() }
 
 // Groups implements core.Sampler.
-func (bs *blockSampler) Groups() int { return bs.grp.groups() }
+func (bs *blockSampler) Groups() int { return bs.plan.grp.groups() }
 
 // TotalRows implements core.Sampler.
 func (bs *blockSampler) TotalRows() int64 { return int64(bs.src.NumRows()) }
@@ -280,8 +274,9 @@ func (bs *blockSampler) allConsumed() bool {
 	return bs.consCnt >= bs.src.NumBlocks()
 }
 
-func (bs *blockSampler) newBatch() *core.Batch {
-	n := bs.cand.numCandidates()
+// newBatch allocates an empty batch over the plan's candidate domain.
+func (p *Plan) newBatch() *core.Batch {
+	n := p.cand.numCandidates()
 	return &core.Batch{Counts: make([]int64, n), Hists: make([]*histogram.Histogram, n)}
 }
 
@@ -300,7 +295,7 @@ func (bs *blockSampler) sealBatch(b *core.Batch) *core.Batch {
 // least m tuples have been drawn. A guard stop returns the partial batch
 // with the termination error (wrapping core.ErrInterrupted).
 func (bs *blockSampler) Stage1(m int) (*core.Batch, error) {
-	batch := bs.newBatch()
+	batch := bs.plan.newBatch()
 	_, err := bs.runRound(batch, m)
 	return bs.sealBatch(batch), err
 }
@@ -316,44 +311,27 @@ func (bs *blockSampler) Stage1(m int) (*core.Batch, error) {
 // called: a simulated-latency backend must not sleep for a block the
 // scan proved it does not need.
 func (bs *blockSampler) skipVirtual(b int, batch *core.Batch) {
-	lo := b * bs.blockSize
-	hi := lo + bs.blockSize
-	if hi > bs.rows {
-		hi = bs.rows
-	}
-	batch.Drawn += int64(hi - lo)
-	bs.guard.addRows(int64(hi - lo))
-	bs.consumed.Set(b)
-	bs.consCnt++
+	bs.chargeBlock(b, batch)
 	atomic.AddInt64(&bs.stats.BlocksSkipped, 1)
 	atomic.AddInt64(&bs.stats.BlocksPruned, 1)
 }
 
-// chargeBlock commits the decision to read block b: its rows are charged
-// to the batch and the guard, and the block marked consumed, before any
-// worker touches it. Planned work is never abandoned (a guard stop
-// flushes the pending chunk), so eager charging keeps Drawn and budget
-// accounting identical to a fully-serial read-then-charge loop.
+// chargeBlock commits the decision to consume block b: its rows are
+// charged to the batch and the guard, and the block marked consumed,
+// before any worker touches it. Planned work is never abandoned (a guard
+// stop flushes the pending chunk), so eager charging keeps Drawn and
+// budget accounting identical to a fully-serial read-then-charge loop.
 func (bs *blockSampler) chargeBlock(b int, batch *core.Batch) {
-	lo := b * bs.blockSize
-	hi := lo + bs.blockSize
-	if hi > bs.rows {
-		hi = bs.rows
-	}
-	batch.Drawn += int64(hi - lo)
-	bs.guard.addRows(int64(hi - lo))
+	n := bs.plan.blockRows(b)
+	batch.Drawn += n
+	bs.guard.addRows(n)
 	bs.consumed.Set(b)
 	bs.consCnt++
 }
 
 // SampleUntil implements core.Sampler with the executor's block policy.
 func (bs *blockSampler) SampleUntil(need map[int]int) (*core.Batch, error) {
-	switch bs.mode {
-	case Scan, ScanMatch, SyncMatch, FastMatch:
-	default:
-		return nil, fmt.Errorf("engine: unknown executor %v", bs.mode)
-	}
-	batch := bs.newBatch()
+	batch := bs.plan.newBatch()
 	bs.unmet = 0
 	for i := range bs.deficit {
 		bs.deficit[i] = 0
@@ -413,22 +391,6 @@ func (bs *blockSampler) advance() int {
 	return b
 }
 
-// chunkBlocks derives the commit granularity from the block size alone —
-// never from the worker count, which must not influence any decision.
-func (bs *blockSampler) chunkBlocks() int {
-	if bs.blockSize <= 0 {
-		return samplerChunkMinBlocks
-	}
-	c := samplerChunkRows / bs.blockSize
-	if c < samplerChunkMinBlocks {
-		c = samplerChunkMinBlocks
-	}
-	if c > samplerChunkMaxBlocks {
-		c = samplerChunkMaxBlocks
-	}
-	return c
-}
-
 // runRound is the unified planner/committer for one sampling pass.
 // stage1Need ≥ 0 selects stage-1 mode: sequential reads (no AnyActive)
 // until Drawn reaches stage1Need. stage1Need < 0 selects deficit mode:
@@ -443,13 +405,10 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) (int, error)
 		return 0, nil
 	}
 	stage1 := stage1Need >= 0
-	chunkCap := bs.chunkBlocks()
+	chunkCap := ChunkBlocks(bs.plan.blockSize)
 	workers := bs.workers
 	if workers > chunkCap {
 		workers = chunkCap
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	limit := total
 	if bs.seg && bs.segVisits < limit {
@@ -613,10 +572,10 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) (int, error)
 func (bs *blockSampler) commitChunk(ws []*samplerWorker) {
 	changed := false
 	for _, w := range ws {
-		for _, id := range w.touched {
-			c := w.cnt[id]
-			w.counts[id] += c
-			w.cnt[id] = 0
+		k := w.kern
+		for _, id := range k.touched {
+			c := k.cnt[id]
+			k.cnt[id] = 0
 			if d := bs.deficit[id]; d > 0 {
 				if c >= d {
 					bs.deficit[id] = 0
@@ -627,7 +586,7 @@ func (bs *blockSampler) commitChunk(ws []*samplerWorker) {
 				}
 			}
 		}
-		w.touched = w.touched[:0]
+		k.touched = k.touched[:0]
 	}
 	if changed {
 		bs.refreshActive()
@@ -645,7 +604,7 @@ func (bs *blockSampler) foldWorkers(batch *core.Batch, ws []*samplerWorker) {
 		bs.wTuples = make([]int64, len(ws))
 	}
 	for i, w := range ws {
-		if err := batch.Merge(w.roundBatch()); err != nil {
+		if err := batch.Merge(scanBatch(w.kern.fold(), 0)); err != nil {
 			panic(err) // candidate domains match by construction
 		}
 		if i < len(bs.wBlocks) {
@@ -655,78 +614,30 @@ func (bs *blockSampler) foldWorkers(batch *core.Batch, ws []*samplerWorker) {
 	}
 }
 
-// initFastPath captures direct code slices for the single-Z/single-X
-// query shape so workers bypass per-row interface dispatch. The per-row
-// accumulation sequence is value-identical to the generic path, so
-// batches, deficits, and committed active sets are byte-identical.
-func (bs *blockSampler) initFastPath() {
-	if bs.filter != nil || bs.multi != nil {
-		return
-	}
-	cc, ok := bs.cand.(*columnCandidates)
-	if !ok {
-		return
-	}
-	sg, ok := bs.grp.(singleGroups)
-	if !ok {
-		return
-	}
-	bs.fastOK = true
-	bs.fastZ = cc.codes
-	bs.fastX = sg.codes
-	bs.fastRemap = cc.remap
-}
-
 // samplerTask is one worker's share of a chunk's read list.
 type samplerTask struct {
 	w      *samplerWorker
 	blocks []int
 }
 
-// samplerWorker is one worker's private accumulation state for a round:
-// a mergeable partial (counts + histograms, merged at round end) plus
-// the per-chunk fresh counts the planner commits at each barrier.
-// Workers share no mutable state — they read immutable plan data, write
-// their own fields, and bump the sampler's atomic I/O counters.
+// samplerWorker is one worker's private state for a round: its block
+// accumulator — the round's mergeable partial, folded and merged at round
+// end, whose tally the planner commits at each chunk barrier — plus
+// diagnostics. Workers share no mutable state: they read immutable plan
+// data, write their own fields, and bump the sampler's atomic I/O
+// counters.
 type samplerWorker struct {
 	bs     *blockSampler
-	groups int
-	// counts/hists are the round-cumulative mergeable partial.
-	counts []int64
-	hists  []*histogram.Histogram
-	// acc is the flat scanKernel-style cell array [cand*groups+group],
-	// non-nil only for the devirtualized single/single shape within the
-	// kernel cell cap; folded exactly into hists at round end.
-	acc []int64
-	// cnt/touched are the per-chunk fresh counts, reset at each commit.
-	cnt     []int64
-	touched []int
-	// blocks/tuples are per-worker diagnostics.
-	blocks   int64
-	tuples   int64
-	multiBuf []int
+	kern   *scanKernel
+	blocks int64
+	tuples int64
 }
 
-// newWorkers allocates the round's worker states. The flat-cell kernel
-// path needs fastOK (shape + kernels enabled) and a cell array within
-// the scan kernels' cap.
+// newWorkers allocates the round's worker states.
 func (bs *blockSampler) newWorkers(n int) []*samplerWorker {
-	nc := bs.cand.numCandidates()
-	groups := bs.grp.groups()
-	kernel := bs.fastOK && nc > 0 && groups > 0 && nc*groups <= maxKernelCells
 	ws := make([]*samplerWorker, n)
 	for i := range ws {
-		w := &samplerWorker{
-			bs:     bs,
-			groups: groups,
-			counts: make([]int64, nc),
-			hists:  make([]*histogram.Histogram, nc),
-			cnt:    make([]int64, nc),
-		}
-		if kernel {
-			w.acc = make([]int64, nc*groups)
-		}
-		ws[i] = w
+		ws[i] = &samplerWorker{bs: bs, kern: bs.plan.newKernel(bs.kernels, -1, true)}
 	}
 	return ws
 }
@@ -736,107 +647,18 @@ func (bs *blockSampler) newWorkers(n int) []*samplerWorker {
 // shared writes are the atomic I/O counters.
 func (w *samplerWorker) process(blocks []int) {
 	bs := w.bs
-	groups := w.groups
 	for _, b := range blocks {
 		lo, hi := bs.src.BlockSpan(b)
-		switch {
-		case w.acc != nil:
-			if bs.fastRemap == nil {
-				for row := lo; row < hi; row++ {
-					z := int(bs.fastZ[row])
-					w.acc[z*groups+int(bs.fastX[row])]++
-					if w.cnt[z] == 0 {
-						w.touched = append(w.touched, z)
-					}
-					w.cnt[z]++
-				}
-			} else {
-				for row := lo; row < hi; row++ {
-					z := bs.fastRemap[bs.fastZ[row]]
-					w.acc[z*groups+int(bs.fastX[row])]++
-					if w.cnt[z] == 0 {
-						w.touched = append(w.touched, z)
-					}
-					w.cnt[z]++
-				}
-			}
-			atomic.AddInt64(&bs.stats.KernelBlocks, 1)
-		case bs.fastOK:
-			// Devirtualized but above the kernel cell cap: per-row
-			// histogram accumulation on captured code slices.
-			if bs.fastRemap == nil {
-				for row := lo; row < hi; row++ {
-					w.record(int(bs.fastZ[row]), int(bs.fastX[row]))
-				}
-			} else {
-				for row := lo; row < hi; row++ {
-					w.record(bs.fastRemap[bs.fastZ[row]], int(bs.fastX[row]))
-				}
-			}
-			atomic.AddInt64(&bs.stats.KernelBlocks, 1)
-		default:
-			for row := lo; row < hi; row++ {
-				if bs.filter != nil && !bs.filter(row) {
-					continue
-				}
-				g := bs.grp.groupOf(row)
-				if g < 0 {
-					continue
-				}
-				if bs.multi != nil {
-					// All-matches membership: a predicate candidate's
-					// histogram includes every row satisfying it, even
-					// rows an earlier overlapping predicate also matched.
-					w.multiBuf = bs.multi.candidatesOf(row, w.multiBuf[:0])
-					for _, id := range w.multiBuf {
-						w.record(id, g)
-					}
-					continue
-				}
-				if id := bs.cand.candidateOf(row); id >= 0 {
-					w.record(id, g)
-				}
-			}
-		}
+		w.kern.block(lo, hi)
 		n := int64(hi - lo)
 		w.blocks++
 		w.tuples += n
+		if w.kern.vectorized() {
+			atomic.AddInt64(&bs.stats.KernelBlocks, 1)
+		}
 		atomic.AddInt64(&bs.stats.TuplesRead, n)
 		atomic.AddInt64(&bs.stats.BlocksRead, 1)
 	}
-}
-
-func (w *samplerWorker) record(id, g int) {
-	if w.hists[id] == nil {
-		w.hists[id] = histogram.New(w.groups)
-	}
-	w.hists[id].Add(g)
-	if w.cnt[id] == 0 {
-		w.touched = append(w.touched, id)
-	}
-	w.cnt[id]++
-}
-
-// roundBatch materializes the worker's mergeable partial. The flat cell
-// array folds via AddN with integral counts — bit-identical to per-row
-// Add accumulation.
-func (w *samplerWorker) roundBatch() *core.Batch {
-	if w.acc != nil {
-		for id, c := range w.counts {
-			if c == 0 {
-				continue
-			}
-			h := histogram.New(w.groups)
-			base := id * w.groups
-			for g := 0; g < w.groups; g++ {
-				if n := w.acc[base+g]; n != 0 {
-					h.AddN(g, float64(n))
-				}
-			}
-			w.hists[id] = h
-		}
-	}
-	return &core.Batch{Counts: w.counts, Hists: w.hists}
 }
 
 // candidateExhausted reports whether every block containing candidate i

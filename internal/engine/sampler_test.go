@@ -10,11 +10,17 @@ func newTestSampler(t *testing.T, exec Executor, rows int, seed int64) (*blockSa
 	t.Helper()
 	tbl := testDataset(t, rows, 12, 6, seed)
 	e := New(tbl)
-	cand, grp, err := e.plan(baseQuery())
+	p, err := e.Prepare(baseQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newBlockSampler(tbl, cand, grp, nil, exec, 16, 0, nil), e
+	return testSampler(p, exec, 16, 0), e
+}
+
+// testSampler binds a single-worker sampler to a plan the way these unit
+// tests drive it: no guard, default knobs.
+func testSampler(p *Plan, exec Executor, lookahead, start int) *blockSampler {
+	return p.newSampler(Options{Executor: exec, Lookahead: lookahead, Workers: 1}, start, nil)
 }
 
 func TestExecutorString(t *testing.T) {
@@ -184,7 +190,7 @@ func TestSyncMatchSkipsForRareActive(t *testing.T) {
 	// blocks.
 	tbl := testDataset(t, 100_000, 100, 6, 29)
 	e := New(tbl)
-	cand, grp, err := e.plan(baseQuery())
+	p, err := e.Prepare(baseQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +206,7 @@ func TestSyncMatchSkipsForRareActive(t *testing.T) {
 			rare, rareCount = i, c
 		}
 	}
-	bs := newBlockSampler(tbl, cand, grp, nil, SyncMatch, 16, 0, nil)
+	bs := testSampler(p, SyncMatch, 16, 0)
 	batch, err := bs.SampleUntil(map[int]int{rare: rareCount})
 	if err != nil {
 		t.Fatal(err)
@@ -218,11 +224,11 @@ func TestLookaheadWindowSizes(t *testing.T) {
 	for _, la := range []int{1, 2, 7, 1024} {
 		tbl := testDataset(t, 10_000, 10, 6, 30)
 		e := New(tbl)
-		cand, grp, err := e.plan(baseQuery())
+		p, err := e.Prepare(baseQuery())
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := newBlockSampler(tbl, cand, grp, nil, FastMatch, la, 3, nil)
+		bs := testSampler(p, FastMatch, la, 3)
 		batch, err := bs.SampleUntil(map[int]int{0: 50})
 		if err != nil {
 			t.Fatal(err)
@@ -236,8 +242,8 @@ func TestLookaheadWindowSizes(t *testing.T) {
 func TestDefaultLookahead(t *testing.T) {
 	tbl := testDataset(t, 1000, 5, 4, 31)
 	e := New(tbl)
-	cand, grp, _ := e.plan(baseQuery())
-	bs := newBlockSampler(tbl, cand, grp, nil, FastMatch, 0, 0, nil)
+	p, _ := e.Prepare(baseQuery())
+	bs := testSampler(p, FastMatch, 0, 0)
 	if bs.lookahead != 1024 {
 		t.Fatalf("default lookahead = %d", bs.lookahead)
 	}
@@ -246,10 +252,10 @@ func TestDefaultLookahead(t *testing.T) {
 func TestStartBlockNormalization(t *testing.T) {
 	tbl := testDataset(t, 1000, 5, 4, 32)
 	e := New(tbl)
-	cand, grp, _ := e.plan(baseQuery())
+	p, _ := e.Prepare(baseQuery())
 	nb := tbl.NumBlocks()
 	for _, start := range []int{-1, -nb - 3, nb + 5, 0} {
-		bs := newBlockSampler(tbl, cand, grp, nil, ScanMatch, 16, start, nil)
+		bs := testSampler(p, ScanMatch, 16, start)
 		if bs.cursor < 0 || bs.cursor >= nb {
 			t.Fatalf("start %d normalized to out-of-range cursor %d", start, bs.cursor)
 		}

@@ -23,11 +23,8 @@ import (
 // decisions, and the top-k — are identical to the sequential pass
 // regardless of worker count.
 type scanExec struct {
+	plan    *Plan
 	src     colstore.Reader
-	cand    candidateMapper
-	multi   *predicateCandidates // non-nil iff candidates may overlap
-	grp     groupMapper
-	filter  func(row int) bool
 	workers int
 	// guard, when non-nil, is consulted once per block so a canceled or
 	// budget-capped scan unwinds promptly with partial accumulators.
@@ -39,14 +36,10 @@ type scanExec struct {
 	emit func(io IOStats)
 	// skip, when non-nil, marks blocks whose statistics prove no
 	// qualifying row; scanRange consumes them virtually (rows charged to
-	// guards and totals, nothing read). blockSize/rows are cached so the
-	// virtual path never calls BlockSpan — a simulated-latency backend
-	// must not sleep for a block the scan skips.
-	skip      *bitmap.Bitset
-	blockSize int
-	rows      int
-	// kernels enables the vectorized per-block accumulators; scanRange
-	// falls back to the scalar row loop for shapes no kernel covers.
+	// guards and totals, nothing read).
+	skip *bitmap.Bitset
+	// kernels lets scanRange's accumulator run the vectorized kernels
+	// (Options.DisableScanKernels clears it).
 	kernels bool
 	// span, when non-nil, is the traced run's parent span: the merge
 	// barrier records one child span per worker (its block range, wall
@@ -78,21 +71,12 @@ func (p *Plan) newScanExec(workers int) *scanExec {
 	if workers < 1 {
 		workers = 1
 	}
-	return &scanExec{
-		src:       p.engine.src,
-		cand:      p.cand,
-		multi:     p.multi,
-		grp:       p.grp,
-		filter:    p.query.Filter,
-		workers:   workers,
-		blockSize: p.engine.src.BlockSize(),
-		rows:      p.engine.src.NumRows(),
-	}
+	return &scanExec{plan: p, src: p.engine.src, workers: workers}
 }
 
 // scanPartial is one worker's private accumulators.
 type scanPartial struct {
-	hists []*histogram.Histogram // lazily allocated per candidate
+	hists []*histogram.Histogram // nil for candidates with no counted row
 	io    IOStats
 	rows  int64
 	err   error             // guard termination, if the worker was interrupted
@@ -125,103 +109,45 @@ func (s *scanExec) partition() [][2]int {
 // Progress emission paces on BlocksRead+BlocksPruned so frame positions
 // and counts match the pruning-off sweep exactly.
 func (s *scanExec) scanRange(loBlock, hiBlock int, only *bitmap.Bitset, keep int) *scanPartial {
-	part := &scanPartial{hists: make([]*histogram.Histogram, s.cand.numCandidates())}
+	part := &scanPartial{}
 	if s.span != nil {
 		part.times = &scanPartialTimes{began: time.Now()}
 	}
-	groups := s.grp.groups() // hoisted out of the per-row loop
-	var kern *scanKernel
-	if s.kernels && only == nil && keep < 0 {
-		kern = s.newKernel() // per-worker accumulator, folded on return
-	}
-	finish := func() *scanPartial {
-		if kern != nil {
-			kern.fold(part, groups)
-		}
-		if part.times != nil {
-			part.times.ended = time.Now()
-		}
-		return part
-	}
-	var multiBuf []int
+	kern := s.plan.newKernel(s.kernels, keep, false) // per-worker, folded on return
 	for b := loBlock; b < hiBlock; b++ {
-		if err := s.guard.stop(); err != nil {
-			part.err = err
-			return finish()
+		if part.err = s.guard.stop(); part.err != nil {
+			break
 		}
 		if only != nil && !only.Get(b) {
 			continue
 		}
 		if s.skip != nil && s.skip.Get(b) {
-			lo := b * s.blockSize
-			hi := lo + s.blockSize
-			if hi > s.rows {
-				hi = s.rows
-			}
+			n := s.plan.blockRows(b)
 			part.io.BlocksSkipped++
 			part.io.BlocksPruned++
-			part.rows += int64(hi - lo)
-			s.guard.addRows(int64(hi - lo))
-			if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
-				s.emit(part.io)
-			}
-			continue
-		}
-		lo, hi := s.src.BlockSpan(b)
-		part.io.BlocksRead++
-		s.guard.addRows(int64(hi - lo))
-		if kern != nil {
+			part.rows += n
+			s.guard.addRows(n)
+		} else {
+			lo, hi := s.src.BlockSpan(b)
+			n := int64(hi - lo)
+			part.io.BlocksRead++
+			s.guard.addRows(n)
 			kern.block(lo, hi)
-			part.io.TuplesRead += int64(hi - lo)
-			part.rows += int64(hi - lo)
-			part.io.KernelBlocks++
-			if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
-				s.emit(part.io)
+			part.io.TuplesRead += n
+			part.rows += n
+			if kern.vectorized() {
+				part.io.KernelBlocks++
 			}
-			continue
-		}
-		for row := lo; row < hi; row++ {
-			part.io.TuplesRead++
-			part.rows++
-			if s.filter != nil && !s.filter(row) {
-				continue
-			}
-			g := s.grp.groupOf(row)
-			if g < 0 {
-				continue
-			}
-			if s.multi != nil {
-				// All-matches membership, for the full scan and for the
-				// keep-one target path alike: a predicate candidate's true
-				// histogram includes every row satisfying it, even rows an
-				// earlier overlapping predicate also matches.
-				multiBuf = s.multi.candidatesOf(row, multiBuf[:0])
-				for _, id := range multiBuf {
-					if keep >= 0 && id != keep {
-						continue
-					}
-					part.add(id, g, groups)
-				}
-				continue
-			}
-			id := s.cand.candidateOf(row)
-			if id < 0 || (keep >= 0 && id != keep) {
-				continue
-			}
-			part.add(id, g, groups)
 		}
 		if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
 			s.emit(part.io)
 		}
 	}
-	return finish()
-}
-
-func (p *scanPartial) add(id, g, groups int) {
-	if p.hists[id] == nil {
-		p.hists[id] = histogram.New(groups)
+	part.hists = kern.fold()
+	if part.times != nil {
+		part.times.ended = time.Now()
 	}
-	p.hists[id].Add(g)
+	return part
 }
 
 // run fans the scan out over the partitioned block ranges and merges the
@@ -242,10 +168,10 @@ func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, I
 	}
 	wg.Wait()
 
-	n := s.cand.numCandidates()
+	n := s.plan.cand.numCandidates()
 	hists := make([]*histogram.Histogram, n)
 	for i := range hists {
-		hists[i] = histogram.New(s.grp.groups())
+		hists[i] = histogram.New(s.plan.grp.groups())
 	}
 	var io IOStats
 	var rows int64
@@ -274,16 +200,25 @@ func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, I
 	return hists, io, rows, stopErr
 }
 
-// candidateHistogram computes the exact histogram of one candidate,
-// restricted (via the bitmap index) to the blocks that contain it. An
-// interrupted scan returns the guard's termination error: a truncated
-// target histogram is not best-effort-usable, it is wrong.
-func (s *scanExec) candidateHistogram(id int) (*histogram.Histogram, error) {
-	hists, _, _, err := s.run(s.cand.candidateBlocks(id), id)
-	if err != nil {
-		return nil, err
+// scanCandidate computes the exact histogram of one candidate,
+// restricted (via the bitmap index) to the blocks that contain it, and
+// the rows it charged to the guard. The target pass for single-node
+// resolution and shard target segments alike. An interrupted pass returns
+// the guard's termination error beside the truncated histogram: callers
+// must not use it — a truncated target is not best-effort-usable, it is
+// wrong.
+func (p *Plan) scanCandidate(id, workers int, guard *runGuard) (*histogram.Histogram, int64, error) {
+	if p.query.Filter != nil {
+		// A Filter closure written against the pre-planner API may be
+		// stateful; only the explicit ParallelScan executor opts into
+		// concurrent Filter calls, so filtered targets resolve
+		// sequentially.
+		workers = 1
 	}
-	return hists[id], nil
+	ex := p.newScanExec(workers)
+	ex.guard = guard
+	hists, _, rows, err := ex.run(p.cand.candidateBlocks(id), id)
+	return hists[id], rows, err
 }
 
 // runScan answers the plan exactly: one full pass computing every

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"time"
 
 	"fastmatch/internal/bitmap"
@@ -207,6 +206,21 @@ func (r *ShardSegmentResult) StopError(budget, read int64) error {
 	}
 }
 
+// InvalidSegmentError reports a ShardSegment whose walk state no
+// coordinator walk over this shard could have produced, naming the
+// offending field. Segments arrive from the wire, so RunShardSegment
+// checks them before running anything: a lying count or an unknown
+// executor would otherwise yield a silently wrong answer, not a failure.
+type InvalidSegmentError struct {
+	Field  string
+	Reason string
+}
+
+// Error implements error.
+func (e *InvalidSegmentError) Error() string {
+	return fmt.Sprintf("engine: invalid segment %s: %s", e.Field, e.Reason)
+}
+
 // RunShardSegment executes one shard segment against this plan. It is
 // stateless with respect to the plan (safe for concurrent segments) and
 // idempotent with respect to the request.
@@ -223,39 +237,70 @@ func (p *Plan) RunShardSegment(ctx context.Context, req *ShardSegment) (*ShardSe
 	}
 }
 
-// segGuard builds the run guard for a segment from the residual
-// termination state.
-func segGuard(ctx context.Context, req *ShardSegment) *runGuard {
-	return newRunGuard(ctx, Options{Deadline: req.Deadline, RowBudget: req.RowBudget})
+// segOptions lifts a segment's run knobs and residual termination state
+// into the Options the local constructors take.
+func segOptions(req *ShardSegment) Options {
+	return Options{
+		Executor:           req.Executor,
+		Lookahead:          req.Lookahead,
+		Workers:            req.Workers,
+		DisableBlockSkip:   req.DisableBlockSkip,
+		DisableScanKernels: req.DisableScanKernels,
+		Deadline:           req.Deadline,
+		RowBudget:          req.RowBudget,
+	}
+}
+
+// validateWalk checks a sampling segment's walk state against the shard's
+// geometry and returns the rebuilt consumed set.
+func (p *Plan) validateWalk(req *ShardSegment) (*bitmap.Bitset, error) {
+	bad := func(field, format string, args ...any) (*bitmap.Bitset, error) {
+		return nil, &InvalidSegmentError{Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
+	nb := p.engine.src.NumBlocks()
+	switch req.Executor {
+	case ScanMatch, SyncMatch, FastMatch:
+	default:
+		return bad("executor", "%d is not a sampling executor", int(req.Executor))
+	}
+	if req.Cursor < 0 || req.Cursor > nb {
+		return bad("cursor", "%d outside [0, %d]", req.Cursor, nb)
+	}
+	if words := (nb + 63) / 64; len(req.Consumed) > words {
+		return bad("consumed", "%d words for a shard of %d", len(req.Consumed), words)
+	}
+	consumed := bitsetFromWords(nb, req.Consumed)
+	if n := consumed.Count(); req.ConsumedCount != n {
+		return bad("consumed_count", "%d but consumed marks %d of %d blocks", req.ConsumedCount, n, nb)
+	}
+	if req.Visits < 0 {
+		return bad("visits", "%d is negative", req.Visits)
+	}
+	if req.GlobalBlocks < nb {
+		return bad("global_blocks", "%d is below this shard's %d blocks", req.GlobalBlocks, nb)
+	}
+	if req.OthersConsumed < 0 || req.OthersConsumed > req.GlobalBlocks-nb {
+		return bad("others_consumed", "%d outside [0, %d]", req.OthersConsumed, req.GlobalBlocks-nb)
+	}
+	return consumed, nil
 }
 
 func (p *Plan) runSampleSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
-	nb := p.engine.src.NumBlocks()
-	if req.Cursor < 0 || req.Cursor > nb {
-		return nil, fmt.Errorf("engine: segment cursor %d outside [0, %d]", req.Cursor, nb)
+	consumed, err := p.validateWalk(req)
+	if err != nil {
+		return nil, err
 	}
-	bs := newBlockSampler(p.engine.src, p.cand, p.grp, p.query.Filter,
-		req.Executor, req.Lookahead, req.Cursor, segGuard(ctx, req))
-	bs.cursor = req.Cursor // undo newBlockSampler's wrap-around normalization
-	bs.workers = req.Workers
-	if bs.workers <= 0 {
-		bs.workers = runtime.GOMAXPROCS(0)
-	}
-	if !req.DisableBlockSkip {
-		bs.skipAll = p.skipAll
-		bs.skipGrp = p.skipGrp
-	}
-	if !req.DisableScanKernels {
-		bs.initFastPath()
-	}
+	opts := segOptions(req)
+	bs := p.newSampler(opts, 0, newRunGuard(ctx, opts))
+	bs.cursor = req.Cursor // verbatim: a segment may start parked at NumBlocks
 	bs.seg = true
 	bs.segVisits = req.Visits
 	bs.segGlobal = req.GlobalBlocks
 	bs.segOthers = req.OthersConsumed
-	bs.consumed = bitsetFromWords(nb, req.Consumed)
+	bs.consumed = consumed
 	bs.consCnt = req.ConsumedCount
 
-	batch := bs.newBatch()
+	batch := p.newBatch()
 	stage1Need := -1
 	if req.Kind == SegStage1 {
 		stage1Need = req.Stage1Need
@@ -263,7 +308,7 @@ func (p *Plan) runSampleSegment(ctx context.Context, req *ShardSegment) (*ShardS
 		bs.unmet = 0
 		for id, d := range req.Deficits {
 			if id < 0 || id >= bs.cand.numCandidates() {
-				return nil, fmt.Errorf("engine: segment deficit for unknown candidate %d", id)
+				return nil, &InvalidSegmentError{Field: "deficits", Reason: fmt.Sprintf("unknown candidate %d", id)}
 			}
 			if d > 0 {
 				bs.deficit[id] = d
@@ -304,7 +349,7 @@ func (p *Plan) runSampleSegment(ctx context.Context, req *ShardSegment) (*ShardS
 
 func (p *Plan) runScanSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
 	ex := p.newScanExec(req.Workers)
-	ex.guard = segGuard(ctx, req)
+	ex.guard = newRunGuard(ctx, segOptions(req))
 	if !req.DisableBlockSkip {
 		ex.skip = p.skipAll
 	}
@@ -322,33 +367,25 @@ func (p *Plan) runTargetSegment(ctx context.Context, req *ShardSegment) (*ShardS
 	if id < 0 || id >= p.cand.numCandidates() {
 		return nil, fmt.Errorf("engine: segment target candidate %d out of range", id)
 	}
-	workers := req.Workers
-	if p.query.Filter != nil {
-		workers = 1 // mirror resolveTarget: a Filter closure may be stateful
-	}
-	ex := p.newScanExec(workers)
-	ex.guard = segGuard(ctx, req)
-	hists, _, rows, stopErr := ex.run(p.cand.candidateBlocks(id), id)
-	batch := &core.Batch{
-		Drawn:  rows,
-		Counts: make([]int64, len(hists)),
-		Hists:  make([]*histogram.Histogram, len(hists)),
-	}
-	batch.Counts[id] = int64(hists[id].Total())
-	batch.Hists[id] = hists[id]
+	h, rows, stopErr := p.scanCandidate(id, req.Workers, newRunGuard(ctx, segOptions(req)))
+	batch := p.newBatch()
+	batch.Drawn, batch.Counts[id], batch.Hists[id] = rows, int64(h.Total()), h
 	return &ShardSegmentResult{
 		Batch:   core.EncodeBatch(batch),
 		Stopped: stopReason(stopErr),
 	}, nil
 }
 
-// scanBatch packs an exact pass's histograms into the mergeable Batch
-// envelope: Drawn carries the guard-charged rows (pruned blocks
-// included), Counts the per-candidate totals.
+// scanBatch packs accumulated histograms (nil = no counted row) into the
+// mergeable Batch envelope: Drawn carries the guard-charged rows (pruned
+// blocks included; 0 from the sampler, whose planner charges Drawn
+// itself), Counts the per-candidate histogram totals.
 func scanBatch(hists []*histogram.Histogram, rows int64) *core.Batch {
 	b := &core.Batch{Drawn: rows, Counts: make([]int64, len(hists)), Hists: hists}
 	for i, h := range hists {
-		b.Counts[i] = int64(h.Total())
+		if h != nil {
+			b.Counts[i] = int64(h.Total())
+		}
 	}
 	return b
 }

@@ -173,8 +173,8 @@ func TestSkipOnOffByteIdentical(t *testing.T) {
 					if skipOn.IO.TuplesRead >= skipOff.IO.TuplesRead {
 						t.Fatalf("pruning read no fewer tuples: %d vs %d", skipOn.IO.TuplesRead, skipOff.IO.TuplesRead)
 					}
-					if (exec == Scan || exec == ParallelScan) && skipOn.IO.KernelBlocks == 0 {
-						t.Fatal("exact scan took no kernel blocks with kernels enabled")
+					if skipOn.IO.KernelBlocks == 0 {
+						t.Fatalf("%s took no kernel blocks with kernels enabled", exec)
 					}
 					if skipOff.IO.KernelBlocks != 0 {
 						t.Fatalf("DisableScanKernels still took %d kernel blocks", skipOff.IO.KernelBlocks)

@@ -35,12 +35,12 @@ func TestWrapAroundFromLateStart(t *testing.T) {
 		t.Run(exec.String(), func(t *testing.T) {
 			tbl := testDataset(t, 20_000, 10, 6, 51)
 			e := New(tbl)
-			cand, grp, err := e.plan(baseQuery())
+			p, err := e.Prepare(baseQuery())
 			if err != nil {
 				t.Fatal(err)
 			}
 			start := tbl.NumBlocks() - 3
-			bs := newBlockSampler(tbl, cand, grp, nil, exec, 16, start, nil)
+			bs := testSampler(p, exec, 16, start)
 			batch, err := bs.SampleUntil(map[int]int{0: 500})
 			if err != nil {
 				t.Fatal(err)
@@ -60,12 +60,12 @@ func TestLookaheadWindowCrossesWrap(t *testing.T) {
 	// segments (the wrap-split path in runLookahead).
 	tbl := testDataset(t, 5_000, 8, 6, 52)
 	e := New(tbl)
-	cand, grp, err := e.plan(baseQuery())
+	p, err := e.Prepare(baseQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
 	nb := tbl.NumBlocks()
-	bs := newBlockSampler(tbl, cand, grp, nil, FastMatch, nb, nb-2, nil) // window spans the wrap
+	bs := testSampler(p, FastMatch, nb, nb-2) // window spans the wrap
 	batch, err := bs.SampleUntil(map[int]int{1: 100})
 	if err != nil {
 		t.Fatal(err)

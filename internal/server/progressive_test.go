@@ -119,31 +119,32 @@ func TestStreamCachedAnswerKeepsFrameShape(t *testing.T) {
 
 // eachRunner runs fn against the single-node control and the coordinator
 // of a throttled 3-shard fixture, primed so the run — not cold-start
-// planning — is what the client walks away from. The local run is an
-// exact scan (≥300ms, reads every tuple if left alone). The coordinated
-// one samples: a coordinated exact scan fans its segments out at once
-// and reports the ones a cancellation cost it as shard loss, so only
-// the chained sampling walk meets a canceled context between segments.
+// planning — is what the client walks away from. Both run an exact scan
+// (≥300ms locally, reads every tuple if left alone): the coordinated one
+// has all three segment calls in flight when its client goes.
 func eachRunner(t *testing.T, stream bool, fn func(t *testing.T, url string, req QueryRequest)) {
 	for _, c := range []pipelineCell{{false, stream}, {true, stream}} {
 		t.Run(c.String(), func(t *testing.T) {
 			_, url := newSlowClusterFixture(t, 3, Config{}, time.Millisecond, 0).server(c)
-			executor := "scan"
-			if c.coordinated {
-				executor = "scanmatch"
-			}
-			primeSlow(t, c, url, baseRequest(30, executor))
-			fn(t, url, baseRequest(31, executor))
+			primeSlow(t, c, url, baseRequest(30, "scan"))
+			fn(t, url, baseRequest(31, "scan"))
 		})
 	}
 }
 
-// awaitCanceled waits for the fixture table's canceled counter to tick.
+// awaitCanceled waits for the fixture table's canceled counter to tick,
+// then holds the coordinator to what a cancellation is: the caller's
+// doing, so no shard's error count or health moved.
 func awaitCanceled(t *testing.T, url string) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		st := getStats(t, url).Tables["fixture"]
 		if st.Canceled >= 1 {
+			for _, sh := range st.Shards {
+				if sh.Errors != 0 || !sh.Healthy {
+					t.Fatalf("client disconnect charged to shard %s: %+v", sh.Name, sh)
+				}
+			}
 			return
 		}
 		if time.Now().After(deadline) {
