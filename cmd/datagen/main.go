@@ -15,11 +15,10 @@
 // -snapshot additionally writes the built table as a binary snapshot
 // (see internal/colstore: WriteSnapshot) that fastmatchd can cold-start
 // from without CSV re-parsing; pass -out "" to skip the CSV entirely.
-// Snapshots are written in format v3 (8-byte-aligned sections, mmap-able
-// zero-copy with -table name=path?backend=mmap, plus a per-block
-// statistics section for zone-map block skipping); -snapshot-format 2
-// drops the statistics section and -snapshot-format 1 writes the legacy
-// unaligned v1 layout, both for older readers.
+// Snapshots are written in the one format colstore reads (v3: 8-byte-
+// aligned sections, mmap-able zero-copy with -table name=path?backend=mmap,
+// plus a per-block statistics section for zone-map block skipping);
+// re-running with -snapshot is how v1/v2 files are rewritten.
 //
 // -shards N splits the table into N disjoint row-range shard snapshots
 // (x.fms -> x-shard0.fms ... x-shardN-1.fms) for a fastmatchd cluster:
@@ -71,8 +70,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	out := flag.String("out", "-", "CSV output path (- for stdout, empty to skip CSV)")
 	snapshot := flag.String("snapshot", "", "also write a binary table snapshot to this path")
-	snapshotFormat := flag.Int("snapshot-format", colstore.CurrentSnapshotVersion,
-		"snapshot format version (3 = aligned + block stats, 2 = aligned/mmap-able, 1 = legacy)")
 	shards := flag.Int("shards", 0, "with -snapshot: split the table into N disjoint row-range shard snapshots (name-shardK.ext), chunk-aligned for coordinator byte-identity")
 	summary := flag.Bool("summary", false, "print per-column summaries to stderr")
 	stream := flag.String("stream", "", "POST rows to this fastmatchd append endpoint (e.g. http://host:8080/v1/tables/NAME/rows)")
@@ -110,17 +107,17 @@ func main() {
 			}
 			for i, part := range parts {
 				path := shardPath(*snapshot, i)
-				if err := colstore.WriteSnapshotFileVersion(part, path, *snapshotFormat); err != nil {
+				if err := colstore.WriteSnapshotFile(part, path); err != nil {
 					log.Fatal(err)
 				}
-				fmt.Fprintf(os.Stderr, "shard %d snapshot (v%d): %d rows, %d blocks -> %s\n",
-					i, *snapshotFormat, part.NumRows(), part.NumBlocks(), path)
+				fmt.Fprintf(os.Stderr, "shard %d snapshot: %d rows, %d blocks -> %s\n",
+					i, part.NumRows(), part.NumBlocks(), path)
 			}
 		} else {
-			if err := colstore.WriteSnapshotFileVersion(ds.Table, *snapshot, *snapshotFormat); err != nil {
+			if err := colstore.WriteSnapshotFile(ds.Table, *snapshot); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "snapshot (v%d) written to %s\n", *snapshotFormat, *snapshot)
+			fmt.Fprintf(os.Stderr, "snapshot written to %s\n", *snapshot)
 		}
 	}
 	if *stream != "" {

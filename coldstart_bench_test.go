@@ -1,12 +1,12 @@
 // BenchmarkColdStart measures time-to-first-query for every way of
-// loading a dataset: CSV re-parse (with the mandatory shuffle), the v1
-// unaligned snapshot, the v2 aligned snapshot (both materializing on the
-// heap), and the zero-copy mmap open of a v2 snapshot. Baseline numbers
-// live in BENCH_mmap.json. The mmap open still scales with rows — it
-// validates every code against its dictionary in one sequential pass —
-// but with a far smaller constant than materializing (no decode, no
-// allocation, measure pages untouched); the acceptance floor is ≥ 10x
-// over CSV at 1M rows.
+// loading a dataset: CSV re-parse (with the mandatory shuffle), the heap
+// snapshot open (ReadSnapshotFile: one aligned read, full verification),
+// and the zero-copy mmap open. Baseline numbers live in BENCH_mmap.json;
+// run with -benchmem, since the heap open's cost is mostly its buffer.
+// The mmap open still scales with rows — it validates every code against
+// its dictionary in one sequential pass — but with a far smaller constant
+// than the heap open (no copy, measure pages untouched); the acceptance
+// floor is ≥ 10x over CSV at 1M rows.
 package fastmatch_test
 
 import (
@@ -18,7 +18,7 @@ import (
 	"fastmatch/internal/datagen"
 )
 
-func writeColdStartFixtures(b *testing.B, rows int) (csvPath, v1Path, v2Path string) {
+func writeColdStartFixtures(b *testing.B, rows int) (csvPath, snapPath string) {
 	b.Helper()
 	dir := b.TempDir()
 	ds, err := datagen.ByName("flights", rows, 1, 0)
@@ -36,20 +36,16 @@ func writeColdStartFixtures(b *testing.B, rows int) (csvPath, v1Path, v2Path str
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	v1Path = fmt.Sprintf("%s/flights_%d.v1.fms", dir, rows)
-	if err := colstore.WriteSnapshotFileVersion(ds.Table, v1Path, colstore.SnapshotV1); err != nil {
+	snapPath = fmt.Sprintf("%s/flights_%d.fms", dir, rows)
+	if err := colstore.WriteSnapshotFile(ds.Table, snapPath); err != nil {
 		b.Fatal(err)
 	}
-	v2Path = fmt.Sprintf("%s/flights_%d.v2.fms", dir, rows)
-	if err := colstore.WriteSnapshotFileVersion(ds.Table, v2Path, colstore.SnapshotV2); err != nil {
-		b.Fatal(err)
-	}
-	return csvPath, v1Path, v2Path
+	return csvPath, snapPath
 }
 
 func BenchmarkColdStart(b *testing.B) {
 	for _, rows := range []int{100_000, 1_000_000} {
-		csvPath, v1Path, v2Path := writeColdStartFixtures(b, rows)
+		csvPath, snapPath := writeColdStartFixtures(b, rows)
 		b.Run(fmt.Sprintf("csv/rows=%d", rows), func(b *testing.B) {
 			seed := int64(1)
 			for i := 0; i < b.N; i++ {
@@ -67,23 +63,16 @@ func BenchmarkColdStart(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("snapshotV1/rows=%d", rows), func(b *testing.B) {
+		b.Run(fmt.Sprintf("heap/rows=%d", rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := colstore.ReadSnapshotFile(v1Path); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("snapshotV2/rows=%d", rows), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := colstore.ReadSnapshotFile(v2Path); err != nil {
+				if _, err := colstore.ReadSnapshotFile(snapPath); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("mmap/rows=%d", rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mt, err := colstore.OpenMmapFile(v2Path)
+				mt, err := colstore.OpenMmapFile(snapPath)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -83,8 +83,8 @@ type (
 	// Table is an immutable block-structured column store relation — the
 	// in-memory Reader backend.
 	Table = colstore.Table
-	// MmapTable is the zero-copy mmap snapshot backend (linux/darwin;
-	// heap fallback elsewhere and for v1 snapshots). Close it only after
+	// MmapTable is the zero-copy mmap snapshot backend (linux/darwin on
+	// little-endian hosts; heap fallback elsewhere). Close it only after
 	// the last query over it has finished.
 	MmapTable = colstore.MmapTable
 	// StorageStats describes a Reader's backend and residency.
@@ -279,23 +279,23 @@ func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 // purely observational: results are byte-identical with or without it.
 func NewTrace(id string) *Trace { return trace.New(id) }
 
-// WriteSnapshot serializes a table as a versioned binary snapshot that
-// loads without CSV re-parsing and preserves the block layout exactly
-// (see internal/colstore for the format). Snapshots are written in
-// format v3: 8-byte-aligned sections that OpenMmap can serve in place,
-// plus a per-block statistics section (categorical presence bitsets and
-// measure min/max) that powers zone-map block skipping without paging
-// in the data arrays.
+// WriteSnapshot atomically replaces path with a binary snapshot of tbl
+// that loads without CSV re-parsing and preserves the block layout
+// exactly (see internal/colstore for the format): 8-byte-aligned
+// sections that OpenMmap can serve in place, plus a per-block statistics
+// section (categorical presence bitsets and measure min/max) that powers
+// zone-map block skipping without paging in the data arrays.
 func WriteSnapshot(tbl *Table, path string) error { return colstore.WriteSnapshotFile(tbl, path) }
 
-// ReadSnapshot loads a table snapshot (any supported format version)
-// into memory, verifying its CRC.
+// ReadSnapshot loads a table snapshot into memory, verifying its CRC,
+// structure, codes and stored block statistics. Files in the retired
+// formats v1/v2 are rejected; rewrite them with WriteSnapshot.
 func ReadSnapshot(path string) (*Table, error) { return colstore.ReadSnapshotFile(path) }
 
-// OpenMmap opens a snapshot with the zero-copy mmap backend: a v2
-// snapshot's column sections are served straight from read-only mapped
-// pages (~instant cold start, tables larger than RAM). V1 snapshots and
-// unsupported platforms transparently materialize in memory instead.
+// OpenMmap opens a snapshot with the zero-copy mmap backend: its column
+// sections are served straight from read-only mapped pages (~instant
+// cold start, tables larger than RAM). Unsupported platforms and
+// big-endian hosts transparently materialize in memory instead.
 func OpenMmap(path string) (*MmapTable, error) { return colstore.OpenMmapFile(path) }
 
 // NewEngine creates an engine over any storage backend (*Table,

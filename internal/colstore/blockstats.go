@@ -13,12 +13,12 @@ import "math"
 // a block read that a full scan would have paid anyway.
 //
 // Precision varies by backend and is part of each backend's contract:
-// the in-memory table and stream-read snapshots compute exact per-block
-// stats in their open/validation pass; a zero-copy mapped v2 snapshot has
-// exact code presence (recomputed during its code-validation scan) but no
-// measure ranges (computing them would page in the measure arrays,
-// forfeiting the ~instant cold start); a v3 snapshot persists measure
-// ranges so the mapped open gets both; the live-ingest backend adapts its
+// the in-memory table computes exact per-block stats on first use; both
+// snapshot opens recompute exact code presence in their code-validation
+// scan and take measure ranges from the snapshot's stored section — the
+// heap open after checking them against the values, the mmap open
+// unread (checking would page in the measure arrays, forfeiting the
+// ~instant cold start); the live-ingest backend adapts its
 // per-segment zone maps, which are segment-granular (every block of a
 // segment reports the segment's range) with the unsealed tail unknown.
 
@@ -137,16 +137,19 @@ func (s *TableBlockStats) PresenceWords(column string) ([]uint64, int, bool) {
 
 var _ BlockStats = (*TableBlockStats)(nil)
 
-// emptyMeasureRanges returns per-block range arrays initialized to the
-// empty interval (+Inf, -Inf), the identity of the min/max fold: NaN
-// values never update either bound (comparisons are false), so an
-// all-NaN block keeps the empty range — which provably bins nowhere.
-func emptyMeasureRanges(numBlocks int) (lo, hi []float64) {
-	lo = make([]float64, numBlocks)
-	hi = make([]float64, numBlocks)
-	for b := range lo {
-		lo[b] = math.Inf(1)
-		hi[b] = math.Inf(-1)
+// valueRange folds vals into [lo, hi] starting from the empty interval
+// (+Inf, -Inf): NaN values never update either bound (comparisons are
+// false), so an all-NaN block keeps the empty range — which provably
+// bins nowhere.
+func valueRange(vals []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
 	}
 	return lo, hi
 }
@@ -184,17 +187,10 @@ func computeBlockStats(r Reader) *TableBlockStats {
 		if err != nil {
 			continue
 		}
-		lo, hi := emptyMeasureRanges(nb)
+		lo, hi := make([]float64, nb), make([]float64, nb)
 		for b := 0; b < nb; b++ {
 			blo, bhi := r.BlockSpan(b)
-			for _, v := range m.Values(blo, bhi) {
-				if v < lo[b] {
-					lo[b] = v
-				}
-				if v > hi[b] {
-					hi[b] = v
-				}
-			}
+			lo[b], hi[b] = valueRange(m.Values(blo, bhi))
 		}
 		s.SetMeasureRange(name, lo, hi)
 	}

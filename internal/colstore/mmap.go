@@ -1,21 +1,17 @@
 package colstore
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"unsafe"
 )
 
 // Zero-copy mmap snapshot backend.
 //
-// OpenMmapFile maps a version-2 or -3 snapshot (see snapshot.go) and
-// serves its code and measure arrays straight out of the mapping: v2+
-// aligns every array to an 8-byte file offset, so on a little-endian host
-// the mapped bytes are reinterpreted as []uint32 / []float64 in place.
-// Cold start is
+// OpenMmapFile maps a snapshot (see snapshot.go) and serves its code and
+// measure arrays straight out of the mapping: every array starts on an
+// 8-byte file offset, so on a little-endian host the mapped bytes are
+// reinterpreted as []uint32 / []float64 in place. Cold start is
 // therefore ~instant regardless of table size, residency is managed by
 // the OS page cache (tables larger than RAM work), and any number of
 // processes share one physical copy of the data.
@@ -24,27 +20,23 @@ import (
 // faults instead of silently corrupting shared pages, mechanically
 // enforcing the Reader aliasing contract.
 //
-// Trade-off: unlike ReadSnapshot, the mmap open does not verify the CRC
-// trailer (that would hash every page, including the large measure
-// arrays). It does validate everything the engine's memory safety
+// Both opens run the same parser (parseSnapshot). What the mmap open
+// leaves out is what would page in the measure arrays: it checks no CRC
+// (that would hash every page) and adopts the stored per-block measure
+// ranges unread. It does validate everything the engine's memory safety
 // depends on: magic, version, structural bounds, alignment padding, and
 // the dictionary range of every code (an out-of-range code would later
 // index candidate/group arrays out of bounds inside executor
 // goroutines). The code scan pages in the uint32 arrays sequentially —
 // still O(ms) for millions of rows and far cheaper than a full
-// materialize — and folds per-block code-presence statistics into the
-// same pass, so block skipping works on mapped tables for free. Measure
-// pages stay untouched until queried: a v2 snapshot therefore has no
-// measure zone maps on this backend, while a v3 snapshot's persisted
-// ranges are adopted from its stats section (presence words there are
-// cross-checked against the recomputed ones; measure ranges are trusted,
-// consistent with this backend not hashing measure pages). Open with
-// ReadSnapshotFile to fully verify a snapshot of doubtful provenance.
+// materialize — and recomputes the per-block code-presence words, which
+// must match the stored ones. Open with ReadSnapshotFile to fully verify
+// a snapshot of doubtful provenance.
 //
-// Fallback: on hosts without mmap support (see mmap_other.go), on
-// big-endian hosts, and for version-1 (unaligned) snapshots, OpenMmapFile
-// materializes the table on the heap via the verifying reader instead;
-// Storage() then reports backend "mmap-fallback".
+// Fallback: on hosts without mmap support (see mmap_other.go) and on
+// big-endian hosts, OpenMmapFile materializes the table on the heap via
+// ReadSnapshotFile instead; Storage() then reports backend
+// "mmap-fallback".
 
 // hostLittleEndian reports whether reinterpreting file bytes as native
 // integers yields the snapshot's little-endian values.
@@ -53,11 +45,11 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// MmapTable is a Reader backed by a memory-mapped version-2 or -3 snapshot
-// (or, in fallback mode, by a heap-materialized copy). It is immutable
-// and safe for concurrent readers. Close unmaps the file; every slice
-// previously returned by Codes/Values is invalid afterwards, so only
-// close once no query can still be running.
+// MmapTable is a Reader backed by a memory-mapped snapshot (or, in
+// fallback mode, by a heap-materialized copy). It is immutable and safe
+// for concurrent readers. Close unmaps the file; every slice previously
+// returned by Codes/Values is invalid afterwards, so only close once no
+// query can still be running.
 type MmapTable struct {
 	tbl      *Table
 	data     []byte // non-nil iff zero-copy mapped
@@ -65,34 +57,21 @@ type MmapTable struct {
 	fallback string // why the open fell back to the heap ("" when mapped)
 }
 
-// OpenMmapFile opens a snapshot with the mmap backend. Version-2 and -3
-// snapshots map zero-copy on little-endian linux/darwin hosts; anything
-// else falls back to a verified in-memory materialization.
+// OpenMmapFile opens a snapshot with the mmap backend: zero-copy on
+// little-endian linux/darwin hosts, a verified in-memory materialization
+// anywhere else.
 func OpenMmapFile(path string) (*MmapTable, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, fmt.Errorf("colstore: reading snapshot magic: %w", err)
-	}
-	if !bytes.Equal(magic[:7], snapshotMagicPrefix[:]) {
-		return nil, fmt.Errorf("colstore: not a snapshot file (bad magic)")
-	}
-	version := int(magic[7])
-	if !snapshotVersionOK(version) {
-		return nil, fmt.Errorf("colstore: unsupported snapshot version %d (max %d)", version, CurrentSnapshotVersion)
-	}
 	reason := ""
 	switch {
 	case !mmapSupported:
 		reason = "mmap not supported on this platform"
 	case !hostLittleEndian:
 		reason = "big-endian host cannot reinterpret little-endian sections"
-	case version == SnapshotV1:
-		reason = "version-1 snapshot has unaligned sections"
 	}
 	if reason == "" {
 		st, err := f.Stat()
@@ -104,7 +83,7 @@ func OpenMmapFile(path string) (*MmapTable, error) {
 		} else if data, err := mmapFile(f, int(st.Size())); err != nil {
 			reason = fmt.Sprintf("mmap failed: %v", err)
 		} else {
-			tbl, perr := parseMappedSnapshot(data, version)
+			tbl, perr := parseSnapshot(data, false)
 			if perr != nil {
 				_ = munmap(data)
 				return nil, perr
@@ -117,267 +96,6 @@ func OpenMmapFile(path string) (*MmapTable, error) {
 		return nil, err
 	}
 	return &MmapTable{tbl: tbl, path: path, fallback: reason}, nil
-}
-
-// parseMappedSnapshot builds a Table whose code/value slices alias the
-// mapped snapshot bytes. Dictionaries and bookkeeping are heap-resident
-// (they are small); only the per-row arrays stay on mapped pages.
-//
-// Its validation must stay in lockstep with ReadSnapshot (snapshot.go):
-// everything the stream reader rejects structurally — bad dimensions,
-// duplicate names/values, nonzero padding, out-of-range codes — must be
-// rejected here too, so a snapshot is valid on one backend iff it is
-// valid on the other (only the CRC check differs; see the package
-// comment above).
-func parseMappedSnapshot(data []byte, version int) (*Table, error) {
-	off := 8 // past the magic
-	corrupt := func(what string) error {
-		return fmt.Errorf("colstore: mmap snapshot: truncated or corrupt %s (offset %d)", what, off)
-	}
-	u32 := func(what string) (uint32, error) {
-		if off+4 > len(data) {
-			return 0, corrupt(what)
-		}
-		v := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return v, nil
-	}
-	u64 := func(what string) (uint64, error) {
-		if off+8 > len(data) {
-			return 0, corrupt(what)
-		}
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v, nil
-	}
-	str := func(what string) (string, error) {
-		n, err := u32(what)
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<24 || off+int(n) > len(data) {
-			return "", corrupt(what)
-		}
-		s := string(data[off : off+int(n)])
-		off += int(n)
-		return s, nil
-	}
-	pad8 := func() error {
-		aligned := (off + 7) &^ 7
-		if aligned > len(data) {
-			return corrupt("alignment padding")
-		}
-		for ; off < aligned; off++ {
-			if data[off] != 0 {
-				return fmt.Errorf("colstore: mmap snapshot: nonzero alignment padding at offset %d", off)
-			}
-		}
-		return nil
-	}
-	blockSize, err := u32("header")
-	if err != nil {
-		return nil, err
-	}
-	rows64, err := u64("header")
-	if err != nil {
-		return nil, err
-	}
-	ncols, err := u32("header")
-	if err != nil {
-		return nil, err
-	}
-	nmeas, err := u32("header")
-	if err != nil {
-		return nil, err
-	}
-	if blockSize == 0 || blockSize > maxSnapshotDim {
-		return nil, fmt.Errorf("colstore: snapshot block size %d out of range", blockSize)
-	}
-	if rows64 > maxSnapshotDim {
-		return nil, fmt.Errorf("colstore: snapshot row count %d out of range", rows64)
-	}
-	if ncols > 1<<16 || nmeas > 1<<16 {
-		return nil, fmt.Errorf("colstore: snapshot declares %d columns, %d measures", ncols, nmeas)
-	}
-	rows := int(rows64)
-	if rows < 0 || uint64(rows) != rows64 {
-		// 32-bit hosts: the row count fits uint64 but not int.
-		return nil, fmt.Errorf("colstore: snapshot row count %d out of range", rows64)
-	}
-	tbl := &Table{
-		colByName: make(map[string]int, ncols),
-		measByID:  make(map[string]int, nmeas),
-		rows:      rows,
-		blockSize: int(blockSize),
-	}
-	// Code-presence statistics are folded into the code-validation scan
-	// below (block-wise, so the per-block word/bit pair is hoisted out of
-	// the row loop); measure ranges come only from a v3 stats section —
-	// computing them here would page in the measure arrays.
-	nb := tbl.NumBlocks()
-	wpv := presenceWordsPerValue(nb)
-	stats := NewTableBlockStats(nb)
-	for ci := 0; ci < int(ncols); ci++ {
-		name, err := str("column name")
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := tbl.colByName[name]; dup {
-			return nil, fmt.Errorf("colstore: snapshot has duplicate column %q", name)
-		}
-		dictLen, err := u32("dictionary")
-		if err != nil {
-			return nil, err
-		}
-		if dictLen > maxSnapshotDim {
-			return nil, fmt.Errorf("colstore: snapshot dictionary size %d out of range", dictLen)
-		}
-		dict := NewDictionary()
-		for i := 0; i < int(dictLen); i++ {
-			v, err := str("dictionary value")
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := dict.Code(v); dup {
-				return nil, fmt.Errorf("colstore: snapshot column %q has duplicate dictionary value %q", name, v)
-			}
-			dict.Intern(v)
-		}
-		if err := pad8(); err != nil {
-			return nil, err
-		}
-		// Division form: off+4*rows would overflow int on 32-bit hosts
-		// for a hostile header, silently passing the check.
-		if rows > 0 && (len(data)-off)/4 < rows {
-			return nil, corrupt("codes")
-		}
-		codes := castU32(data[off:], rows)
-		var words []uint64
-		if presenceFits(int(dictLen), nb) {
-			words = make([]uint64, int(dictLen)*wpv)
-		}
-		// Same check as the stream reader: an out-of-range code would
-		// later index candidate/group arrays out of bounds mid-query.
-		for b := 0; b < nb; b++ {
-			lo, hi := tbl.BlockSpan(b)
-			w, bit := b>>6, uint64(1)<<(uint(b)&63)
-			for i, code := range codes[lo:hi] {
-				if code >= dictLen {
-					return nil, fmt.Errorf("colstore: snapshot column %q code %d out of range (dict size %d) at row %d", name, code, dictLen, lo+i)
-				}
-				if words != nil {
-					words[int(code)*wpv+w] |= bit
-				}
-			}
-		}
-		if words != nil {
-			stats.SetPresence(name, words, wpv)
-		}
-		off += 4 * rows
-		tbl.colByName[name] = len(tbl.cols)
-		tbl.cols = append(tbl.cols, &Column{Name: name, Dict: dict, codes: codes})
-	}
-	for mi := 0; mi < int(nmeas); mi++ {
-		name, err := str("measure name")
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := tbl.measByID[name]; dup {
-			return nil, fmt.Errorf("colstore: snapshot has duplicate measure %q", name)
-		}
-		if err := pad8(); err != nil {
-			return nil, err
-		}
-		if rows > 0 && (len(data)-off)/8 < rows {
-			return nil, corrupt("measure values")
-		}
-		tbl.measByID[name] = len(tbl.measures)
-		tbl.measures = append(tbl.measures, &MeasureColumn{Name: name, values: castF64(data[off:], rows)})
-		off += 8 * rows
-	}
-	if version >= SnapshotV3 {
-		// Presence words are cross-checked against the ones just recomputed
-		// from the codes (pages are already warm from the validation scan).
-		// Measure ranges are adopted as stored: verifying them would page in
-		// the measure arrays, which this backend deliberately never does at
-		// open (the CRC-checking stream reader verifies them bitwise).
-		for _, c := range tbl.cols {
-			flag, err := u32("stats presence flag")
-			if err != nil {
-				return nil, err
-			}
-			words, _, haveWords := stats.PresenceWords(c.Name)
-			if flag > 1 || (flag == 1) != haveWords {
-				return nil, fmt.Errorf("colstore: snapshot column %q presence flag %d disagrees with cardinality cap", c.Name, flag)
-			}
-			if flag == 0 {
-				continue
-			}
-			if err := pad8(); err != nil {
-				return nil, err
-			}
-			if len(words) > 0 && (len(data)-off)/8 < len(words) {
-				return nil, corrupt("stats presence words")
-			}
-			stored := castU64(data[off:], len(words))
-			for i := range words {
-				if stored[i] != words[i] {
-					return nil, fmt.Errorf("colstore: snapshot column %q stored presence disagrees with codes", c.Name)
-				}
-			}
-			off += 8 * len(words)
-		}
-		for _, m := range tbl.measures {
-			if err := pad8(); err != nil {
-				return nil, err
-			}
-			if nb > 0 && (len(data)-off)/8 < nb {
-				return nil, corrupt("stats measure minima")
-			}
-			mlo := append([]float64(nil), castF64(data[off:], nb)...)
-			off += 8 * nb
-			if nb > 0 && (len(data)-off)/8 < nb {
-				return nil, corrupt("stats measure maxima")
-			}
-			mhi := append([]float64(nil), castF64(data[off:], nb)...)
-			off += 8 * nb
-			stats.SetMeasureRange(m.Name, mlo, mhi)
-		}
-	}
-	if off+4 > len(data) {
-		return nil, corrupt("CRC trailer")
-	}
-	tbl.setBlockStats(stats)
-	return tbl, nil
-}
-
-// castU32 reinterprets the first 4n bytes of b as n little-endian
-// uint32s in place. b must be 4-byte aligned (v2 sections are 8-aligned
-// inside a page-aligned mapping) on a little-endian host.
-func castU32(b []byte, n int) []uint32 {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
-}
-
-// castF64 reinterprets the first 8n bytes of b as n float64s in place.
-// Same alignment and endianness requirements as castU32.
-func castF64(b []byte, n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
-}
-
-// castU64 reinterprets the first 8n bytes of b as n little-endian
-// uint64s in place. Same alignment and endianness requirements as
-// castU32.
-func castU64(b []byte, n int) []uint64 {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
 }
 
 // NumRows implements Reader.
@@ -423,9 +141,9 @@ func (mt *MmapTable) Storage() StorageStats {
 }
 
 // BlockStats implements BlockStatsReader. Both open paths pre-seed the
-// underlying table's stats (the mapped parse folds them into validation;
-// the fallback path inherits the stream reader's), so this never
-// triggers a lazy recomputation that would page in measure arrays.
+// underlying table's stats (the parser folds them into validation), so
+// this never triggers a lazy recomputation that would page in measure
+// arrays.
 func (mt *MmapTable) BlockStats() BlockStats { return mt.tbl.BlockStats() }
 
 // Path returns the snapshot file the table was opened from.

@@ -1,10 +1,11 @@
 package colstore
 
 import (
-	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -15,11 +16,11 @@ func wantZeroCopy() bool {
 	return mmapSupported && hostLittleEndian
 }
 
-func writeFixtureSnapshot(t *testing.T, version int) (*Table, string) {
+func writeFixtureSnapshot(t *testing.T) (*Table, string) {
 	t.Helper()
 	tbl := snapshotFixture(t)
 	path := t.TempDir() + "/fixture.fms"
-	if err := WriteSnapshotFileVersion(tbl, path, version); err != nil {
+	if err := WriteSnapshotFile(tbl, path); err != nil {
 		t.Fatal(err)
 	}
 	return tbl, path
@@ -59,15 +60,15 @@ func assertSameTable(t *testing.T, want *Table, got Reader) {
 			t.Fatalf("measure %q lost: %v", name, err)
 		}
 		for i := 0; i < want.NumRows(); i++ {
-			if wm.Value(i) != gm.Value(i) {
+			if math.Float64bits(wm.Value(i)) != math.Float64bits(gm.Value(i)) {
 				t.Fatalf("measure %q row %d: %g != %g", name, i, gm.Value(i), wm.Value(i))
 			}
 		}
 	}
 }
 
-func TestMmapOpenV2ZeroCopy(t *testing.T) {
-	tbl, path := writeFixtureSnapshot(t, SnapshotV2)
+func TestMmapOpenZeroCopy(t *testing.T) {
+	tbl, path := writeFixtureSnapshot(t)
 	mt, err := OpenMmapFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -96,57 +97,79 @@ func TestMmapOpenV2ZeroCopy(t *testing.T) {
 	}
 }
 
-func TestMmapOpenV1FallsBack(t *testing.T) {
-	tbl, path := writeFixtureSnapshot(t, SnapshotV1)
+// TestWriteSnapshotFileKeepsMappedReaders rewrites the file under a
+// live mapping with a smaller table. The old MmapTable must keep serving
+// its rows: truncating the mapped inode in place would make its pages
+// fault (SIGBUS, turned into a panic here) or change under it.
+func TestWriteSnapshotFileKeepsMappedReaders(t *testing.T) {
+	if !wantZeroCopy() {
+		t.Skip("no zero-copy mapping on this host")
+	}
+	tbl, path := writeFixtureSnapshot(t)
 	mt, err := OpenMmapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mt.Close()
-	if st := mt.Storage(); st.Backend != "mmap-fallback" || st.MappedBytes != 0 {
-		t.Fatalf("v1 snapshot should fall back to the heap, got %+v", st)
+	small := specialValuesFixture(t)
+	if err := WriteSnapshotFile(small, path); err != nil {
+		t.Fatal(err)
 	}
-	if mt.FallbackReason() == "" {
-		t.Fatal("fallback reason not recorded")
-	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("mapped table faulted after its file was rewritten: %v", r)
+		}
+	}()
 	assertSameTable(t, tbl, mt)
+	got, err := ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTable(t, small, got)
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
+}
+
+// writeCorrupt writes b to a fresh file and returns its path.
+func writeCorrupt(t *testing.T, b []byte) string {
+	t.Helper()
+	p := t.TempDir() + "/mut.fms"
+	if err := os.WriteFile(p, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestMmapOpenRejectsCorruption(t *testing.T) {
-	_, path := writeFixtureSnapshot(t, SnapshotV2)
+	_, path := writeFixtureSnapshot(t)
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	write := func(b []byte) string {
-		p := t.TempDir() + "/mut.fms"
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	// Bad magic.
 	mut := append([]byte(nil), clean...)
 	mut[0] = 'X'
-	if _, err := OpenMmapFile(write(mut)); err == nil {
+	if _, err := OpenMmapFile(writeCorrupt(t, mut)); err == nil {
 		t.Fatal("bad magic not rejected")
 	}
 	// Unknown version.
 	mut = append([]byte(nil), clean...)
 	mut[7] = 0x7f
-	if _, err := OpenMmapFile(write(mut)); err == nil {
+	if _, err := OpenMmapFile(writeCorrupt(t, mut)); err == nil {
 		t.Fatal("unknown version not rejected")
 	}
 	// Truncations at several depths: header, dictionary, array, trailer.
 	for _, keep := range []int{10, 40, len(clean) / 2, len(clean) - 2} {
-		if _, err := OpenMmapFile(write(clean[:keep])); err == nil {
+		if _, err := OpenMmapFile(writeCorrupt(t, clean[:keep])); err == nil {
 			t.Fatalf("truncation to %d bytes not rejected", keep)
 		}
 	}
 	// Absurd header dimensions.
 	mut = append([]byte(nil), clean...)
 	binary.LittleEndian.PutUint64(mut[12:], 1<<40) // rows
-	if _, err := OpenMmapFile(write(mut)); err == nil {
+	if _, err := OpenMmapFile(writeCorrupt(t, mut)); err == nil {
 		t.Fatal("absurd row count not rejected")
 	}
 }
@@ -156,43 +179,17 @@ func TestMmapOpenRejectsCorruption(t *testing.T) {
 // stream reader rejects it too), never handed to executors where it
 // would index candidate/group arrays out of bounds mid-query.
 func TestMmapOpenRejectsOutOfRangeCode(t *testing.T) {
-	tbl := snapshotFixture(t)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(tbl, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
-	// Walk to the first column's codes array (same layout the zero-copy
-	// parser follows).
-	off := 8
-	u32 := func() int {
-		v := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return int(v)
-	}
-	skipStr := func() { off += u32() }
-	u32()    // blockSize
-	off += 8 // rows
-	u32()    // ncols
-	u32()    // nmeas
-	skipStr()
-	dictLen := u32()
-	for i := 0; i < dictLen; i++ {
-		skipStr()
-	}
-	off = (off + 7) &^ 7
-	binary.LittleEndian.PutUint32(data[off:], uint32(dictLen)) // one past the dictionary
-	path := t.TempDir() + "/badcode.fms"
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMmapFile(path); err == nil || !strings.Contains(err.Error(), "out of range") {
+	data := encodeSnapshot(t, snapshotFixture(t))
+	l := walkSnapshot(t, data)
+	dictLen := binary.LittleEndian.Uint32(data[l.dicts[0]:])
+	binary.LittleEndian.PutUint32(data[l.codes[0]:], dictLen) // one past the dictionary
+	if _, err := OpenMmapFile(writeCorrupt(t, data)); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range code not rejected: %v", err)
 	}
 }
 
 func TestMmapCloseIdempotentAndMaterialize(t *testing.T) {
-	tbl, path := writeFixtureSnapshot(t, SnapshotV2)
+	tbl, path := writeFixtureSnapshot(t)
 	mt, err := OpenMmapFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -208,79 +205,24 @@ func TestMmapCloseIdempotentAndMaterialize(t *testing.T) {
 	assertSameTable(t, tbl, heap)
 }
 
-// TestSnapshotV2SectionAlignment walks the v2 byte stream and checks that
-// every code/value array starts on an 8-byte file offset — the invariant
-// the zero-copy reinterpretation relies on.
-func TestSnapshotV2SectionAlignment(t *testing.T) {
+// TestSnapshotSectionAlignment walks the encoding, padding to 8-byte
+// offsets as the parser does, and checks that the walk ends at the
+// trailer and the aligned offsets hold the table's codes verbatim: every
+// array starts on an 8-byte file offset, the invariant the in-place
+// reinterpretation relies on.
+func TestSnapshotSectionAlignment(t *testing.T) {
 	tbl := snapshotFixture(t)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(tbl, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	off := 8
-	u32 := func() int {
-		v := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return int(v)
-	}
-	skipStr := func() { off += u32() }
-	blockSize := u32()
-	if off += 8; blockSize <= 0 { // rows u64
-		t.Fatal("bad block size")
-	}
-	ncols, nmeas := u32(), u32()
-	if ncols != len(tbl.Columns()) {
-		t.Fatalf("header declares %d columns, table has %d", ncols, len(tbl.Columns()))
-	}
-	rows := tbl.NumRows()
-	pad8 := func(what string, i int) {
-		for ; off%8 != 0; off++ {
-			if data[off] != 0 {
-				t.Fatalf("%s %d: nonzero padding byte at offset %d", what, i, off)
-			}
-		}
+	data := encodeSnapshot(t, tbl)
+	l := walkSnapshot(t, data)
+	if len(l.codes) != len(tbl.Columns()) || len(l.presence) != len(tbl.Columns()) {
+		t.Fatalf("%d code arrays, %d presence arrays for %d columns (all fit the cap)", len(l.codes), len(l.presence), len(tbl.Columns()))
 	}
 	for c, name := range tbl.Columns() {
-		skipStr()
-		dictLen := u32()
-		for i := 0; i < dictLen; i++ {
-			skipStr()
-		}
-		pad8("column", c)
-		// The aligned offset must hold this column's codes verbatim —
-		// i.e. the offsets a zero-copy reader computes land on real data.
 		col, _ := tbl.Column(name)
-		for i := 0; i < rows; i++ {
-			if got := binary.LittleEndian.Uint32(data[off+4*i:]); got != col.Code(i) {
+		for i := 0; i < tbl.NumRows(); i++ {
+			if got := binary.LittleEndian.Uint32(data[l.codes[c]+4*i:]); got != col.Code(i) {
 				t.Fatalf("column %q row %d: aligned section holds %d, want %d", name, i, got, col.Code(i))
 			}
 		}
-		off += 4 * rows
-	}
-	for m := 0; m < nmeas; m++ {
-		skipStr()
-		pad8("measure", m)
-		off += 8 * rows
-	}
-	// v3 stats section: presence flag per column with 8-aligned words,
-	// then 8-aligned per-block min/max arrays per measure — the same
-	// alignment invariant, since the mapped reader casts these in place.
-	nb := tbl.NumBlocks()
-	wpv := presenceWordsPerValue(nb)
-	for c, name := range tbl.Columns() {
-		if flag := u32(); flag != 1 {
-			t.Fatalf("stats column %d: presence flag %d, fixture columns all fit the cap", c, flag)
-		}
-		pad8("stats column", c)
-		col, _ := tbl.Column(name)
-		off += 8 * col.Dict.Len() * wpv
-	}
-	for m := 0; m < nmeas; m++ {
-		pad8("stats measure", m)
-		off += 16 * nb
-	}
-	if off+4 != len(data) {
-		t.Fatalf("trailer at %d, file is %d bytes", off, len(data))
 	}
 }

@@ -85,19 +85,6 @@ func (t *Table) BlockStats() BlockStats {
 	return t.stats
 }
 
-// snapshotStats returns statistics complete enough to persist in a v3
-// snapshot: seeded stats missing measure ranges (a zero-copy mapped v2
-// table deliberately skips them) are recomputed in full.
-func (t *Table) snapshotStats() *TableBlockStats {
-	t.statsOnce.Do(func() { t.stats = computeBlockStats(t) })
-	for _, m := range t.measures {
-		if _, ok := t.stats.ranges[m.Name]; !ok {
-			return computeBlockStats(t)
-		}
-	}
-	return t.stats
-}
-
 // NumRows returns the number of tuples.
 func (t *Table) NumRows() int { return t.rows }
 

@@ -22,8 +22,7 @@ import (
 // block space, the configuration the paper's Algorithm 3 measurements
 // use. parallel_equiv_test.go covers the short-window tilings.
 
-// mmapTwin writes tbl to a v2 snapshot and opens it with the mmap
-// backend.
+// mmapTwin writes tbl to a snapshot and opens it with the mmap backend.
 func mmapTwin(t testing.TB, tbl *colstore.Table) *colstore.MmapTable {
 	t.Helper()
 	path := t.TempDir() + "/twin.fms"

@@ -12,8 +12,8 @@ import (
 
 // Background compaction.
 //
-// The compactor runs two policies, both producing snapshot-format-v2
-// files (mmap-able, identical to the batch snapshot format):
+// The compactor runs two policies, both producing snapshot files
+// (mmap-able, identical to batch snapshots):
 //
 //  1. Persist: every sealed-but-unpersisted segment run [persistedRows,
 //     sealedRows) is merged into one segment file. Once the manifest
@@ -147,30 +147,15 @@ func (t *WritableTable) mergeFiles() error {
 }
 
 // writeSegmentFile durably writes rows [firstRow, firstRow+tbl.NumRows())
-// as a snapshot-v2 file and wraps it as a segment, inheriting the
-// children's zone maps and pre-stitching their cached bitmap indexes so
-// the merged segment starts warm.
+// as a snapshot file and wraps it as a segment, inheriting the children's
+// zone maps and pre-stitching their cached bitmap indexes so the merged
+// segment starts warm.
 func (t *WritableTable) writeSegmentFile(tbl *colstore.Table, firstRow int, children []*segment) (*segment, error) {
 	rows := tbl.NumRows()
 	name := segFileName(firstRow, rows)
 	path := filepath.Join(t.dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := colstore.WriteSnapshot(tbl, f); err != nil {
-		f.Close()
-		os.Remove(path)
+	if err := colstore.WriteSnapshotFile(tbl, path); err != nil {
 		return nil, fmt.Errorf("ingest: writing segment file %s: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return nil, err
 	}
 	reader, closer, err := openSegmentReader(path, t.opts.DisableMmap)
 	if err != nil {

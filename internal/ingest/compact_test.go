@@ -216,17 +216,22 @@ func TestBootCleansOrphanSegmentFiles(t *testing.T) {
 	if err := wt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A crashed compaction leaves a file the manifest never adopted.
-	orphan := filepath.Join(dir, segFileName(512, 512))
-	if err := os.WriteFile(orphan, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
+	// A crashed compaction leaves a file the manifest never adopted, or a
+	// temporary file it never renamed into place.
+	orphans := []string{filepath.Join(dir, segFileName(512, 512)), filepath.Join(dir, segFileName(1024, 512)+".tmp")}
+	for _, orphan := range orphans {
+		if err := os.WriteFile(orphan, []byte("not a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wt2, err := Open(dir, Schema{}, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wt2.Close()
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("orphan segment file survived boot")
+	for _, orphan := range orphans {
+		if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+			t.Fatalf("orphan %s survived boot", filepath.Base(orphan))
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // The acceptance suite: query results over an ingested (and compacted)
 // WritableTable must be byte-identical — TopK, histograms, Pruned,
 // RunStats, and IOStats — to the same rows batch-loaded through the
-// existing inmem Builder and to a batch-written v2 snapshot served by
+// existing inmem Builder and to a batch-written snapshot served by
 // the inmem and mmap backends, for all five executors. The ingest path
 // preserves the block grid (segments are block-aligned), the dictionary
 // code assignment (first-appearance interning, same as AppendRow), and
@@ -192,7 +192,7 @@ func TestIngestMatchesSnapshotBackends(t *testing.T) {
 
 // TestCompactedFileIsByteIdenticalToBatchSnapshot pins the strongest
 // form of equivalence: with every row sealed, the single compacted
-// segment file and a batch-written v2 snapshot of the same rows are the
+// segment file and a batch-written snapshot of the same rows are the
 // same bytes.
 func TestCompactedFileIsByteIdenticalToBatchSnapshot(t *testing.T) {
 	rows := genRows(2048, 23) // exactly 4 × SealRows: no tail

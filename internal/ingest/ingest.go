@@ -19,7 +19,7 @@
 //	                                  per-column bitmap index, refcounted)
 //	                                                 │ background compactor
 //	                                                 ▼
-//	                                 snapshot-v2 segment file (mmap-able)
+//	                                 snapshot segment file (mmap-able)
 //	                                      + manifest swap + WAL truncation
 //
 // Queries never block appends, and appends never block queries at the

@@ -26,7 +26,7 @@ type manifest struct {
 	// PersistedRows counts rows durable in the segment files below; WAL
 	// replay skips rows before this point.
 	PersistedRows int `json:"persisted_rows"`
-	// Segments lists the compacted snapshot-v2 files in row order.
+	// Segments lists the compacted snapshot files in row order.
 	Segments []manifestSegment `json:"segments"`
 }
 
@@ -108,7 +108,8 @@ func segFileName(firstRow, rows int) string {
 
 // removeOrphans deletes segment files the manifest does not list —
 // leftovers of a compaction that crashed between writing its file and
-// committing the manifest.
+// committing the manifest, or (seg-*.fms.tmp) before renaming it into
+// place.
 func removeOrphans(dir string, m manifest) error {
 	listed := make(map[string]bool, len(m.Segments))
 	for _, s := range m.Segments {
@@ -123,7 +124,7 @@ func removeOrphans(dir string, m manifest) error {
 		if e.IsDir() || listed[name] {
 			continue
 		}
-		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".fms") {
+		if strings.HasPrefix(name, "seg-") && (strings.HasSuffix(name, ".fms") || strings.HasSuffix(name, ".fms.tmp")) {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
 				return err
 			}

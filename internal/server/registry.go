@@ -40,7 +40,7 @@ type TableSpec struct {
 	// ingest backend it declares the schema's measure columns.
 	Measures []string `json:"measures,omitempty"`
 	// Backend selects the storage backend: "inmem" (default; parse onto
-	// the heap), "mmap" (zero-copy map a v2 snapshot), or "ingest" (live
+	// the heap), "mmap" (zero-copy map a snapshot), or "ingest" (live
 	// appendable table rooted at Path, WAL-replayed on load). CSV tables
 	// are always in-memory; combining csv with mmap is an error.
 	Backend string `json:"backend,omitempty"`
