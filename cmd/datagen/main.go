@@ -24,9 +24,10 @@
 // (x.fms -> x-shard0.fms ... x-shardN-1.fms) for a fastmatchd cluster:
 // every shard carries the FULL dictionaries (identical candidate/group
 // id spaces) and all but the last hold a multiple of
-// blockSize×engine.ChunkBlocks(blockSize) rows, so a coordinator's
+// blockSize×engine.ChunkBlocks(blockSize) rows, so every shard's blocks
+// are blocks of the unsplit table and a coordinator's exact
 // scatter-gather answer over the shards is byte-identical to a single
-// node loading the unsplit snapshot.
+// node scanning the unsplit snapshot.
 //
 // -stream POSTs the generated rows to a running fastmatchd append
 // endpoint as batched text/csv requests, rate-limited by -stream-rate
@@ -95,11 +96,11 @@ func main() {
 	}
 	if *snapshot != "" {
 		if *shards > 1 {
-			// Shard boundaries must land on sampler chunk-commit positions:
-			// that is what makes a coordinated K-shard answer byte-identical
-			// to a single node over the concatenated data (see
-			// internal/cluster). Shards share the table's full dictionaries
-			// by construction.
+			// Shard boundaries land on block (and sampler chunk)
+			// boundaries, so a coordinated K-shard scan reads the same
+			// blocks a single node over the concatenated data reads (see
+			// internal/cluster). Shards share the table's full
+			// dictionaries by construction.
 			align := ds.Table.BlockSize() * engine.ChunkBlocks(ds.Table.BlockSize())
 			parts, err := colstore.ShardTables(ds.Table, *shards, align)
 			if err != nil {

@@ -48,10 +48,11 @@
 // and cancellation). CSV and ingest measure columns are named with
 // -measures table:col1,col2.
 //
-// -coordinator NAME serves NAME as a coordinated table: queries fan out
-// across the -shard daemons (repeatable name=url, order = global block
-// order, matching datagen -shards output order) and their partials fold
-// into an answer byte-identical to a single node over the concatenated
+// -coordinator NAME serves NAME as a coordinated table: every query,
+// whatever its executor, runs as an exact scan fanned out across the
+// -shard daemons (repeatable name=url, order = row-range order, matching
+// datagen -shards output order), and their partials fold into an answer
+// byte-identical to a single-node parallelscan over the concatenated
 // data. A dead shard degrades the answer honestly — 200 with
 // "partial": true and the missing shard named — never a wrong total.
 //
@@ -174,7 +175,7 @@ func main() {
 	})
 	coordinator := flag.String("coordinator", "", "serve this table as a cluster coordinator scatter-gathering across the -shard daemons (no local data)")
 	var shardRefs []cluster.ShardRef
-	flag.Func("shard", "shard daemon for -coordinator, as name=url (repeatable; order is the global block order)", func(v string) error {
+	flag.Func("shard", "shard daemon for -coordinator, as name=url (repeatable; order is the row-range order)", func(v string) error {
 		name, shardURL, ok := strings.Cut(v, "=")
 		if !ok || name == "" || shardURL == "" {
 			return fmt.Errorf("want name=url, got %q", v)

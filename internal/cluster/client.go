@@ -127,7 +127,7 @@ func (c *Client) SetRetryPolicy(retries int, backoff time.Duration) {
 	}
 }
 
-// Refs returns the configured shard set, in global block order.
+// Refs returns the configured shard set, in row-range order.
 func (c *Client) Refs() []ShardRef { return c.refs }
 
 // Close releases the idle connections held by the shared transport.

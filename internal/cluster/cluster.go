@@ -1,32 +1,27 @@
 // Package cluster implements the distributed scatter-gather layer: a
 // coordinator that owns a sharded table (row-range shards, each served
-// by an independent fastmatchd process) and answers queries by folding
-// per-shard partials with the exact algebra the intra-node path uses —
-// core.Batch.Merge for sampler state and IOStats.Add for accounting.
+// by an independent fastmatchd process) and answers every query on it
+// exactly, whatever executor was requested. Each shard scans its own
+// qualifying blocks (engine.RunShardSegment) and returns its local exact
+// histograms; the coordinator folds them with core.Batch.Merge (integer
+// sums: order-independent and value-exact), sums IOStats with
+// IOStats.Add, and ranks the global fold through the same
+// engine.RankExact the single-node exact pass uses. A K-shard answer is
+// therefore byte-identical to a single-node ParallelScan over the
+// concatenated data, and an exact answer meets every (ε, δ) promise a
+// sampling executor could have made. The equivalence suite enforces
+// this.
 //
-// The coordinator drives core.RunObserved itself, exactly as a
-// single-node run does; only the core.Sampler underneath differs: a
-// distributed sampler that chains the global block-cursor walk through
-// stateless per-shard segments (engine.RunShardSegment). Because chunk
-// commits and FastMatch marking tiles are anchored to block indices,
-// shard files whose block counts are multiples of engine.ChunkBlocks
-// (and, for FastMatch, of the lookahead) hand segments off exactly at
-// the positions the single-node walk would have committed — making a
-// K-shard answer byte-identical to a single node over the concatenated
-// data. The equivalence suite enforces this.
-//
-// Robustness is degraded-but-honest: a shard that dies mid-run has its
-// remaining blocks treated as consumed-with-zero-contribution, the
-// answer is marked Partial with the missing shard named, and totals
-// only ever count data actually read — never an error, never a wrong
-// total.
+// Robustness is degraded-but-honest: a shard that dies mid-run
+// contributes nothing, the answer is marked Partial with the missing
+// shard named, and totals only ever count data actually read — never an
+// error, never a wrong total.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -68,23 +63,20 @@ type Result struct {
 	Degraded bool
 }
 
-// Coordinator owns an ordered shard set; shard order defines the global
-// block space (shard 0's blocks first). It is stateless across runs and
-// safe for concurrent use.
+// Coordinator owns an ordered shard set; shard order is the row-range
+// order (shard 0's rows first). It is stateless across runs and safe for
+// concurrent use.
 type Coordinator struct {
 	shards []Shard
 }
 
-// New builds a coordinator over the given shards. Order matters: it is
-// the global block order, which must match the row-range partition.
+// New builds a coordinator over the given shards, in row-range order.
 func New(shards ...Shard) *Coordinator {
 	return &Coordinator{shards: shards}
 }
 
-// Shards returns the configured shard set.
-func (c *Coordinator) Shards() []Shard { return c.shards }
-
-// Run answers a query across the shard set with the same contract as
+// Run answers a query across the shard set by exact scatter-gather,
+// whatever opts.Executor names, with the same contract as
 // Plan.RunContext: typed interruption errors alongside best-effort
 // partial results, progress through opts.OnProgress, tracing through
 // opts.Trace (one child span per shard segment).
@@ -115,37 +107,27 @@ type shardRun struct {
 	dead     bool
 	errMsg   string
 	segments int64
-	io       engine.IOStats
-	// consumed/consCnt mirror the shard's slice of the global consumed
-	// set; exh is the last-known per-candidate local exhaustion.
-	consumed []uint64
-	consCnt  int
-	exh      []bool
 }
 
 // runState is the per-run coordinator state: validated metas, the
-// global budget/deadline accounting (the distributed twin of the
-// engine's runGuard), and degraded-mode bookkeeping.
+// global budget/deadline accounting, and degraded-mode bookkeeping.
 type runState struct {
 	ctx  context.Context
 	opts engine.Options
 
-	shards []*shardRun // all configured shards, in global block order
-	walk   []*shardRun // live-at-connect shards: the global block space
+	shards []*shardRun // all configured shards, in row-range order
+	walk   []*shardRun // live-at-connect shards
 
 	nCand       int
 	groups      int
 	labels      []string
 	groupLabels []string
-	globalNB    int
-	totalRows   int64
 
 	charged  int64 // rows charged against the budget so far
 	budget   int64
 	deadline time.Time
 
 	degraded bool
-	began    time.Time
 }
 
 func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runState, error) {
@@ -157,7 +139,6 @@ func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runSta
 		opts:     opts,
 		budget:   opts.RowBudget,
 		deadline: opts.Deadline,
-		began:    time.Now(),
 		shards:   make([]*shardRun, len(c.shards)),
 	}
 	var wg sync.WaitGroup
@@ -190,13 +171,7 @@ func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runSta
 		} else if err := metaMatch(ref, m); err != nil {
 			return nil, fmt.Errorf("cluster: shard %q: %w", sr.shard.Name(), err)
 		}
-		sr.exh = append([]bool(nil), m.Absent...)
-		if sr.exh == nil {
-			sr.exh = make([]bool, m.Candidates)
-		}
 		st.walk = append(st.walk, sr)
-		st.globalNB += m.Blocks
-		st.totalRows += int64(m.Rows)
 	}
 	if ref == nil {
 		return nil, fmt.Errorf("cluster: all %d shards unreachable", len(c.shards))
@@ -241,9 +216,9 @@ func (st *runState) newBatch() *core.Batch {
 	return &core.Batch{Counts: make([]int64, st.nCand), Hists: make([]*histogram.Histogram, st.nCand)}
 }
 
-// stopCheck is the coordinator-side twin of runGuard.stop, evaluated
-// between segments in the same order (context, budget, deadline) so a
-// coordinated stop lands exactly where the single-node guard's would.
+// stopCheck evaluates the run's stop conditions between segments in the
+// single-node guard's order (context, budget, deadline), so a coordinated
+// stop lands exactly where the single-node guard's would.
 func (st *runState) stopCheck() error {
 	if st.ctx != nil {
 		if err := st.ctx.Err(); err != nil {
@@ -269,19 +244,6 @@ func (st *runState) residualBudget() int64 {
 	return st.budget - st.charged
 }
 
-// sequential reports whether segment fan-out must be sequential to
-// preserve determinism: budget and deadline stops are charged in block
-// order, so concurrent shards would race the stop point.
-func (st *runState) sequential() bool {
-	return st.budget > 0 || !st.deadline.IsZero()
-}
-
-func (st *runState) markDead(sr *shardRun, err error) {
-	sr.dead = true
-	sr.errMsg = err.Error()
-	st.degraded = true
-}
-
 // segmentFailed classifies a failed segment call. Once the run's own
 // context is done the failure is the caller's cancellation (or the run's
 // deadline) cutting the call short, not shard loss: it returns the typed
@@ -291,15 +253,13 @@ func (st *runState) segmentFailed(sr *shardRun, err error) error {
 	if cerr := st.ctx.Err(); cerr != nil {
 		return engine.CanceledStopError(cerr)
 	}
-	st.markDead(sr, err)
+	sr.dead = true
+	sr.errMsg = err.Error()
+	st.degraded = true
 	return nil
 }
 
-func interrupted(err error) bool {
-	return errors.Is(err, engine.ErrCanceled) || errors.Is(err, engine.ErrBudgetExhausted)
-}
-
-// resolveTarget mirrors Plan.resolveTarget across the shard set:
+// resolveTarget resolves the query target across the shard set:
 // explicit and uniform targets resolve locally; candidate targets by an
 // exact scatter-gather scan of the candidate's blocks. Target I/O is
 // excluded from the run's IOStats (the single-node contract) but its
@@ -341,11 +301,19 @@ func (st *runState) resolveTarget(ctx context.Context, t engine.Target) (*histog
 // single-node analogue — an interrupted target scan — errors too).
 func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histogram.Histogram, error) {
 	h := histogram.New(st.groups)
-	fold := func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
-		if err != nil {
-			return fmt.Errorf("cluster: target resolution on shard %q: %w", sr.shard.Name(), err)
+	mkReq := func() *engine.ShardSegment {
+		return &engine.ShardSegment{
+			Kind:            engine.SegTarget,
+			Workers:         st.opts.Workers,
+			TargetCandidate: id,
+			Deadline:        st.deadline,
 		}
-		part, err := core.DecodeBatch(res.Batch)
+	}
+	err := st.each(ctx, mkReq, func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
+		var part *core.Batch
+		if err == nil {
+			part, err = core.DecodeBatch(res.Batch)
+		}
 		if err != nil {
 			return fmt.Errorf("cluster: target resolution on shard %q: %w", sr.shard.Name(), err)
 		}
@@ -360,87 +328,11 @@ func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histog
 			}
 		}
 		return nil
-	}
-	mkReq := func() *engine.ShardSegment {
-		return &engine.ShardSegment{
-			Kind:            engine.SegTarget,
-			Workers:         st.opts.Workers,
-			TargetCandidate: id,
-			Deadline:        st.deadline,
-		}
-	}
-	if st.sequential() {
-		for _, sr := range st.walk {
-			if err := st.stopCheck(); err != nil {
-				return nil, err
-			}
-			req := mkReq()
-			req.RowBudget = st.residualBudget()
-			res, err := sr.shard.Segment(ctx, req)
-			if err := fold(sr, res, err); err != nil {
-				return nil, err
-			}
-		}
-		return h, nil
-	}
-	results, err := st.fanout(ctx, mkReq)
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		if err := fold(r.sr, r.res, r.err); err != nil {
-			return nil, err
-		}
-	}
 	return h, nil
-}
-
-// run executes the query against a resolved target, mirroring
-// Plan.runWithTarget.
-func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Result, error) {
-	opts := st.opts
-	if target.Groups() != st.groups {
-		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), st.groups)
-	}
-	began := time.Now()
-	runSpan := opts.Trace.StartAt("run", began)
-	runSpan.SetAttr("executor", opts.Executor.String())
-	runSpan.SetAttr("shards", len(st.shards))
-	defer runSpan.End()
-	if opts.Executor == engine.Scan || opts.Executor == engine.ParallelScan {
-		return st.runScan(ctx, target, began, runSpan)
-	}
-	if opts.Quality {
-		opts.Params.CollectQuality = true
-	}
-	start := opts.StartBlock
-	if start < 0 {
-		if st.globalNB > 0 {
-			start = rand.New(rand.NewSource(opts.Seed)).Intn(st.globalNB)
-		} else {
-			start = 0
-		}
-	} else if st.globalNB > 0 {
-		start = ((start % st.globalNB) + st.globalNB) % st.globalNB
-	} else {
-		start = 0
-	}
-	ds := newDistSampler(st, ctx, start, runSpan)
-	obs, obsClose := engine.RunObserver(began, opts, ds.Stats, st.labelOf, runSpan)
-	defer obsClose()
-	coreRes, err := core.RunObserved(ds, target, opts.Params, obs)
-	if err != nil && (coreRes == nil || !interrupted(err)) {
-		return nil, err
-	}
-	res := engine.SamplingResult(coreRes, ds.Stats(), time.Since(began), st.groupLabels, st.labelOf)
-	if st.degraded {
-		// Degraded-but-honest: the dead shard's blocks were folded in as
-		// consumed-with-zero-contribution, so totals only count data
-		// actually read — but no exactness or guarantee can be claimed.
-		res.Exact = false
-		res.Partial = true
-	}
-	return st.finish(res), err
 }
 
 // finish attaches per-shard statuses to the engine result.
@@ -470,70 +362,84 @@ func (st *runState) finish(res *engine.Result) *Result {
 // many undecoded partials are ever buffered regardless of shard count.
 const fanoutWindow = 4
 
-type fanoutResult struct {
-	sr  *shardRun
-	res *engine.ShardSegmentResult
-	err error
-}
-
-// fanout issues one segment per live shard concurrently and returns the
-// responses in shard order. Responses stream through a fixed-size
-// channel — memory stays bounded by fanoutWindow, not by shard count —
-// and folding happens on the caller's goroutine. Only order-independent
-// folds (integer-sum merges) may use this; budgeted runs must go
-// sequential.
-func (st *runState) fanout(ctx context.Context, mkReq func() *engine.ShardSegment) ([]fanoutResult, error) {
-	live := st.liveWalk()
-	ch := make(chan fanoutResult, fanoutWindow)
+// each sends one segment to every live shard and hands each response to
+// fold on the calling goroutine, in shard order, returning the first
+// error the stop check or fold reports. Un-budgeted runs fan out
+// concurrently, their responses streaming through a channel of
+// fanoutWindow capacity — memory stays bounded by the window, not by
+// shard count — which is sound because folds are integer-sum merges.
+// Budgeted or deadlined runs chain the shards sequentially with the
+// residual budget instead: their stops are charged in row order, so
+// concurrent shards would race the stop point.
+func (st *runState) each(ctx context.Context, mkReq func() *engine.ShardSegment,
+	fold func(*shardRun, *engine.ShardSegmentResult, error) error) error {
+	if st.budget > 0 || !st.deadline.IsZero() {
+		for _, sr := range st.walk {
+			if sr.dead {
+				continue
+			}
+			if err := st.stopCheck(); err != nil {
+				return err
+			}
+			req := mkReq()
+			req.RowBudget = st.residualBudget()
+			res, err := sr.shard.Segment(ctx, req)
+			if err := fold(sr, res, err); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	type response struct {
+		sr  *shardRun
+		res *engine.ShardSegmentResult
+		err error
+	}
+	var live []*shardRun
+	for _, sr := range st.walk {
+		if !sr.dead {
+			live = append(live, sr)
+		}
+	}
+	ch := make(chan response, fanoutWindow)
 	for _, sr := range live {
 		go func(sr *shardRun) {
 			res, err := sr.shard.Segment(ctx, mkReq())
-			ch <- fanoutResult{sr: sr, res: res, err: err}
+			ch <- response{sr, res, err}
 		}(sr)
 	}
-	byShard := make(map[*shardRun]fanoutResult, len(live))
+	bySR := make(map[*shardRun]response, len(live))
 	for range live {
 		r := <-ch
-		byShard[r.sr] = r
+		bySR[r.sr] = r
 	}
-	out := make([]fanoutResult, 0, len(live))
+	var first error
 	for _, sr := range live {
-		out = append(out, byShard[sr])
-	}
-	return out, nil
-}
-
-func (st *runState) liveWalk() []*shardRun {
-	out := make([]*shardRun, 0, len(st.walk))
-	for _, sr := range st.walk {
-		if !sr.dead {
-			out = append(out, sr)
+		r := bySR[sr]
+		if err := fold(sr, r.res, r.err); err != nil && first == nil {
+			first = err
 		}
 	}
-	return out
+	return first
 }
 
-// shardSpan records a segment call's trace child. Sampling segments are
-// attribute-only (phase spans own the IO deltas); exact-scan segments
-// carry their IO so the span tree sums to the run's total.
-func shardSpan(runSpan *trace.Span, sr *shardRun, req *engine.ShardSegment, res *engine.ShardSegmentResult, withIO bool) {
+// shardSpan records a scan segment's trace child, carrying its IO so the
+// span tree sums to the run's total.
+func shardSpan(runSpan *trace.Span, sr *shardRun, res *engine.ShardSegmentResult) {
 	if runSpan == nil {
 		return
 	}
 	sp := runSpan.Child("shard:" + sr.shard.Name())
-	sp.SetAttr("kind", string(req.Kind))
+	sp.SetAttr("kind", string(engine.SegScan))
 	if res != nil {
-		sp.SetAttr("visited", res.Visited)
-		if withIO {
-			sp.SetIO(trace.IO{
-				BlocksRead:    res.IO.BlocksRead,
-				BlocksSkipped: res.IO.BlocksSkipped,
-				BlocksPruned:  res.IO.BlocksPruned,
-				TuplesRead:    res.IO.TuplesRead,
-				KernelBlocks:  res.IO.KernelBlocks,
-				Wraps:         res.IO.Wraps,
-			})
-		}
+		sp.SetIO(trace.IO{
+			BlocksRead:    res.IO.BlocksRead,
+			BlocksSkipped: res.IO.BlocksSkipped,
+			BlocksPruned:  res.IO.BlocksPruned,
+			TuplesRead:    res.IO.TuplesRead,
+			KernelBlocks:  res.IO.KernelBlocks,
+			Wraps:         res.IO.Wraps,
+		})
 	} else {
 		sp.SetAttr("error", sr.errMsg)
 	}

@@ -15,14 +15,12 @@ import (
 	"fastmatch/internal/histogram"
 )
 
-// The distributed equivalence suite: a K-shard coordinated answer must
-// be BYTE-identical to a single node over the concatenated data — same
-// result JSON, same IOStats, same progress-frame sequence — for every
-// executor, including runs cut short by a row budget or cancellation.
-// This is the merge-algebra contract from the paper (sampler state is a
-// commutative monoid under Batch.Merge) plus the walk-equivalence
-// argument in package cluster's doc: shard boundaries on chunk-commit
-// positions make segment handoffs invisible.
+// The distributed equivalence suite: whatever executor is requested, a
+// K-shard coordinated answer must be BYTE-identical to a single-node
+// exact scan over the concatenated data — same result JSON, same IOStats
+// — including runs cut short by a row budget. This is the merge-algebra
+// contract from the paper: per-shard exact histograms are a commutative
+// monoid under Batch.Merge.
 
 // planShard adapts a local engine.Plan as a cluster Shard — the
 // in-process twin of the HTTP client, so the suite pins the coordinator
@@ -62,7 +60,7 @@ func (p *planShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*eng
 }
 
 // clusterDataset builds one table plus its K-shard split, with shard
-// boundaries aligned to chunk commits (blockSize=64 -> 4096-row chunks).
+// boundaries aligned the way datagen -shards aligns them.
 func clusterDataset(t testing.TB, rows, k int) (*colstore.Table, []*colstore.Table) {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Spec{
@@ -93,12 +91,8 @@ func testParams() core.Params {
 
 func clusterOptions(exec engine.Executor) engine.Options {
 	return engine.Options{
-		Params:   testParams(),
-		Executor: exec,
-		// Small marking window that divides the chunk size (64 blocks), so
-		// FastMatch tile anchors coincide on both sides of every shard
-		// boundary.
-		Lookahead:  8,
+		Params:     testParams(),
+		Executor:   exec,
 		StartBlock: -1,
 		Seed:       11,
 	}
@@ -130,51 +124,28 @@ func canonical(t testing.TB, res *engine.Result) string {
 	return string(b)
 }
 
-func progressLog(t testing.TB, seq *[]string) func(engine.Progress) {
-	return func(p engine.Progress) {
-		p.Elapsed = 0
-		b, err := json.Marshal(&p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		*seq = append(*seq, string(b))
-	}
-}
-
 func allExecutors() []engine.Executor {
-	return []engine.Executor{engine.Scan, engine.ScanMatch, engine.SyncMatch, engine.FastMatch}
-}
-
-func isSampling(exec engine.Executor) bool {
-	return exec != engine.Scan && exec != engine.ParallelScan
+	return []engine.Executor{engine.Scan, engine.ScanMatch, engine.SyncMatch, engine.FastMatch, engine.ParallelScan}
 }
 
 // TestCoordinatedByteIdentical is the core contract: for K in {1,2,3}
-// shards, every executor's coordinated answer equals the single-node
-// answer over the concatenated data byte-for-byte — result, IOStats,
-// and (for the sampling executors, whose frames are deterministic) the
-// full progress sequence.
+// shards and every requested executor, the coordinated answer equals the
+// single-node ParallelScan answer over the concatenated data
+// byte-for-byte — result and IOStats.
 func TestCoordinatedByteIdentical(t *testing.T) {
 	const rows = 40_000
 	tbl, _ := clusterDataset(t, rows, 1)
-	single := engine.New(tbl)
+	res, err := engine.New(tbl).Run(baseQuery(), engine.Target{Uniform: true}, clusterOptions(engine.ParallelScan))
+	if err != nil {
+		t.Fatalf("single-node: %v", err)
+	}
+	want := canonical(t, res)
 	for _, exec := range allExecutors() {
-		opts := clusterOptions(exec)
-		var wantSeq []string
-		opts.OnProgress = progressLog(t, &wantSeq)
-		res, err := single.Run(baseQuery(), engine.Target{Uniform: true}, opts)
-		if err != nil {
-			t.Fatalf("%s single-node: %v", exec, err)
-		}
-		want := canonical(t, res)
 		for k := 1; k <= 3; k++ {
 			t.Run(fmt.Sprintf("%s/k=%d", exec, k), func(t *testing.T) {
 				_, parts := clusterDataset(t, rows, k)
 				coord := New(shardSet(t, parts)...)
-				copts := clusterOptions(exec)
-				var seq []string
-				copts.OnProgress = progressLog(t, &seq)
-				cres, err := coord.Run(context.Background(), engine.Target{Uniform: true}, copts)
+				cres, err := coord.Run(context.Background(), engine.Target{Uniform: true}, clusterOptions(exec))
 				if err != nil {
 					t.Fatalf("coordinated: %v", err)
 				}
@@ -187,16 +158,6 @@ func TestCoordinatedByteIdentical(t *testing.T) {
 				if cres.Result.IO != res.IO {
 					t.Fatalf("k=%d IOStats diverge: %+v vs %+v", k, cres.Result.IO, res.IO)
 				}
-				if isSampling(exec) {
-					if len(seq) != len(wantSeq) {
-						t.Fatalf("k=%d emitted %d progress frames, single node %d", k, len(seq), len(wantSeq))
-					}
-					for i := range seq {
-						if seq[i] != wantSeq[i] {
-							t.Fatalf("k=%d progress frame %d diverges:\n%s\nvs\n%s", k, i, seq[i], wantSeq[i])
-						}
-					}
-				}
 			})
 		}
 	}
@@ -208,14 +169,12 @@ func TestCoordinatedByteIdentical(t *testing.T) {
 func TestCoordinatedCandidateTarget(t *testing.T) {
 	const rows = 40_000
 	tbl, parts := clusterDataset(t, rows, 3)
-	single := engine.New(tbl)
 	target := engine.Target{Candidate: "Z_1"}
+	res, err := engine.New(tbl).Run(baseQuery(), target, clusterOptions(engine.ParallelScan))
+	if err != nil {
+		t.Fatalf("single-node: %v", err)
+	}
 	for _, exec := range []engine.Executor{engine.Scan, engine.SyncMatch} {
-		opts := clusterOptions(exec)
-		res, err := single.Run(baseQuery(), target, opts)
-		if err != nil {
-			t.Fatalf("%s single-node: %v", exec, err)
-		}
 		coord := New(shardSet(t, parts)...)
 		cres, err := coord.Run(context.Background(), target, clusterOptions(exec))
 		if err != nil {
@@ -227,10 +186,10 @@ func TestCoordinatedCandidateTarget(t *testing.T) {
 	}
 }
 
-// TestCoordinatedBudgetPartial pins the interruption contract: a row
-// budget must stop a coordinated run at the same committed block as the
-// single-node run — identical partial result bytes, identical typed
-// error text.
+// TestCoordinatedBudgetPartial pins the interruption contract: whatever
+// executor is requested, a row budget must stop a coordinated run at the
+// same block as the single-node Scan — identical partial result bytes,
+// identical typed error text.
 func TestCoordinatedBudgetPartial(t *testing.T) {
 	const rows = 40_000
 	tbl, _ := clusterDataset(t, rows, 1)
@@ -238,10 +197,8 @@ func TestCoordinatedBudgetPartial(t *testing.T) {
 	for _, exec := range allExecutors() {
 		for _, budget := range []int64{3_000, 12_000} {
 			t.Run(fmt.Sprintf("%s/budget=%d", exec, budget), func(t *testing.T) {
-				opts := clusterOptions(exec)
+				opts := clusterOptions(engine.Scan)
 				opts.RowBudget = budget
-				var wantSeq []string
-				opts.OnProgress = progressLog(t, &wantSeq)
 				res, err := single.Run(baseQuery(), engine.Target{Uniform: true}, opts)
 				if err == nil || !errors.Is(err, engine.ErrBudgetExhausted) {
 					t.Fatalf("single-node: expected budget stop, got %v", err)
@@ -251,8 +208,6 @@ func TestCoordinatedBudgetPartial(t *testing.T) {
 					coord := New(shardSet(t, parts)...)
 					copts := clusterOptions(exec)
 					copts.RowBudget = budget
-					var seq []string
-					copts.OnProgress = progressLog(t, &seq)
 					cres, cerr := coord.Run(context.Background(), engine.Target{Uniform: true}, copts)
 					if cerr == nil || !errors.Is(cerr, engine.ErrBudgetExhausted) {
 						t.Fatalf("k=%d: expected budget stop, got %v", k, cerr)
@@ -265,9 +220,6 @@ func TestCoordinatedBudgetPartial(t *testing.T) {
 					}
 					if got, want := canonical(t, cres.Result), canonical(t, res); got != want {
 						t.Fatalf("k=%d partial result diverges:\n%s\nvs\n%s", k, got, want)
-					}
-					if isSampling(exec) && len(seq) != len(wantSeq) {
-						t.Fatalf("k=%d partial emitted %d frames, single node %d", k, len(seq), len(wantSeq))
 					}
 				}
 			})
@@ -419,58 +371,5 @@ func TestCoordinatedDeadAtConnect(t *testing.T) {
 	}
 	if _, err := New(shards...).Run(context.Background(), engine.Target{Uniform: true}, clusterOptions(engine.ScanMatch)); err == nil {
 		t.Fatal("all shards unreachable must be an error")
-	}
-}
-
-// TestCoordinatedAudit pins the coordinated audit path: grading a
-// coordinated sampling answer against the coordinated exact reference
-// must match engine.AuditRun's grade of the single-node equivalents.
-func TestCoordinatedAudit(t *testing.T) {
-	const rows = 40_000
-	tbl, parts := clusterDataset(t, rows, 3)
-	single := engine.New(tbl)
-	opts := clusterOptions(engine.SyncMatch)
-	plan, err := single.Prepare(baseQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := plan.Run(engine.Target{Uniform: true}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, err := plan.ResolveTarget(engine.Target{Uniform: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := engine.AuditRun(context.Background(), plan, target, res, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := New(shardSet(t, parts)...)
-	cres, err := coord.Run(context.Background(), engine.Target{Uniform: true}, clusterOptions(engine.SyncMatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord.Audit(context.Background(), engine.Target{Uniform: true}, cres.Result, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The audit timing/IO fields reflect the reference pass's own cost;
-	// zero both sides before comparing.
-	want.ExactDuration, got.ExactDuration = 0, 0
-	wb, _ := json.Marshal(want)
-	gb, _ := json.Marshal(got)
-	if string(wb) != string(gb) {
-		t.Fatalf("coordinated audit diverges:\n%s\nvs\n%s", gb, wb)
-	}
-
-	if _, err := coord.Audit(context.Background(), engine.Target{Uniform: true}, &engine.Result{}, opts); err == nil {
-		t.Fatal("empty answer must be refused")
-	}
-	partial := *cres.Result
-	partial.Partial = true
-	if _, err := coord.Audit(context.Background(), engine.Target{Uniform: true}, &partial, opts); err == nil {
-		t.Fatal("partial answer must be refused")
 	}
 }

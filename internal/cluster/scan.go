@@ -2,45 +2,56 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"fastmatch/internal/core"
 	"fastmatch/internal/engine"
 	"fastmatch/internal/histogram"
-	"fastmatch/internal/obs/trace"
 )
 
-// runScan answers with the exact executors by scatter-gather: each shard
-// scans its qualifying blocks, the coordinator folds the local exact
-// histograms with Batch.Merge (integer sums — order-independent and
-// value-exact), then ranks the global accumulation through the same
-// engine.RankExact the single-node pass uses. Un-budgeted runs fan out
-// concurrently (bounded by fanoutWindow); budgeted or deadlined runs
-// chain shards sequentially with the residual budget so the stop lands
-// on the same global block a single-node pass would stop at.
-func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, began time.Time, runSpan *trace.Span) (*Result, error) {
-	params := st.opts.Params
-	if err := params.Validate(); err != nil {
+// run answers the query against a resolved target by exact
+// scatter-gather: each live shard scans its qualifying blocks, the
+// coordinator folds the local exact histograms with Batch.Merge, then
+// ranks the global accumulation through the same engine.RankExact the
+// single-node pass uses. A budgeted run chains the shards with the
+// residual budget (see each), so the stop lands on the same block a
+// single-node Scan would stop at.
+func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Result, error) {
+	opts := st.opts
+	if target.Groups() != st.groups {
+		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), st.groups)
+	}
+	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
-	workers := 1
-	if st.opts.Executor == engine.ParallelScan {
-		workers = st.opts.Workers
+	began := time.Now()
+	runSpan := opts.Trace.StartAt("run", began)
+	runSpan.SetAttr("executor", engine.ParallelScan.String())
+	runSpan.SetAttr("shards", len(st.shards))
+	defer runSpan.End()
+
+	// Workers racing one shared row budget would stop at a timing-
+	// dependent block; a budgeted scan reads each shard on one worker so
+	// the stop lands where the single-node Scan's does.
+	workers := opts.Workers
+	if st.budget > 0 {
+		workers = 1
 	}
 	mkReq := func() *engine.ShardSegment {
 		return &engine.ShardSegment{
 			Kind:               engine.SegScan,
-			Executor:           st.opts.Executor,
+			Executor:           engine.ParallelScan,
 			Workers:            workers,
-			DisableBlockSkip:   st.opts.DisableBlockSkip,
-			DisableScanKernels: st.opts.DisableScanKernels,
+			DisableBlockSkip:   opts.DisableBlockSkip,
+			DisableScanKernels: opts.DisableScanKernels,
 			Deadline:           st.deadline,
 		}
 	}
 	gb := st.newBatch()
 	var io engine.IOStats
-	var stopErr error
-	fold := func(sr *shardRun, req *engine.ShardSegment, res *engine.ShardSegmentResult, err error) error {
+	var mergeErr error
+	stopErr := st.each(ctx, mkReq, func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
 		var part *core.Batch
 		if err == nil {
 			part, err = core.DecodeBatch(res.Batch)
@@ -48,55 +59,25 @@ func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, be
 		sr.segments++
 		if err != nil {
 			if stop := st.segmentFailed(sr, err); stop != nil {
-				stopErr = stop
-			} else {
-				shardSpan(runSpan, sr, req, nil, true)
+				return stop
 			}
+			shardSpan(runSpan, sr, nil)
 			return nil
 		}
 		if err := gb.Merge(part); err != nil {
+			mergeErr = err
 			return err
 		}
 		st.charged += part.Drawn
-		sr.io.Add(res.IO)
 		io.Add(res.IO)
-		shardSpan(runSpan, sr, req, res, true)
-		if st.opts.OnProgress != nil {
-			st.opts.OnProgress(engine.Progress{Phase: "scan", IO: io, Elapsed: time.Since(began)})
+		shardSpan(runSpan, sr, res)
+		if opts.OnProgress != nil {
+			opts.OnProgress(engine.Progress{Phase: "scan", IO: io, Elapsed: time.Since(began)})
 		}
-		if res.Stopped != "" {
-			stopErr = res.StopError(st.budget, st.charged)
-		}
-		return nil
-	}
-	if st.sequential() {
-		for _, sr := range st.walk {
-			if sr.dead {
-				continue
-			}
-			if stopErr = st.stopCheck(); stopErr != nil {
-				break
-			}
-			req := mkReq()
-			req.RowBudget = st.residualBudget()
-			res, err := sr.shard.Segment(ctx, req)
-			if err := fold(sr, req, res, err); err != nil {
-				return nil, err
-			}
-			if stopErr != nil {
-				break
-			}
-		}
-	} else {
-		results, err := st.fanout(ctx, mkReq)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			if err := fold(r.sr, mkReq(), r.res, r.err); err != nil {
-				return nil, err
-			}
-		}
+		return res.StopError(st.budget, st.charged)
+	})
+	if mergeErr != nil {
+		return nil, mergeErr
 	}
 	// Degraded scans are honest partials: the fold holds only data
 	// actually read, and an incomplete pass never σ-prunes.
@@ -108,7 +89,7 @@ func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, be
 		}
 	}
 	res := &engine.Result{Exact: complete, Partial: !complete, IO: io}
-	res.TopK, res.Pruned = engine.RankExact(target, params, hists, gb.Drawn, complete, st.labelOf)
+	res.TopK, res.Pruned = engine.RankExact(target, opts.Params, hists, gb.Drawn, complete, st.labelOf)
 	res.Stats.ChosenK = len(res.TopK)
 	res.Stats.PrunedCandidates = len(res.Pruned)
 	res.Duration = time.Since(began)

@@ -12,12 +12,11 @@ import "fmt"
 // coordinator's merge algebra sound across shards.
 //
 // All shards except the last hold an exact multiple of alignRows rows
-// (alignRows ≤ 0 selects one block). For coordinated answers to be
-// byte-identical to a single node over the concatenated data, alignRows
-// must be blockSize × engine.ChunkBlocks(blockSize) — then every shard
-// boundary falls exactly on a sampler chunk-commit position, so segment
-// handoffs happen where the single-node walk would have committed
-// anyway.
+// (alignRows ≤ 0 selects one block; it must be a multiple of the block
+// size), so every shard boundary is a block boundary of the source
+// table: a coordinated scan over the shards reads exactly the blocks a
+// single node reads, and its IOStats sum to the single node's. datagen
+// -shards aligns to blockSize × engine.ChunkBlocks(blockSize).
 func ShardTables(tbl *Table, n, alignRows int) ([]*Table, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("colstore: shard count %d must be positive", n)
@@ -29,8 +28,8 @@ func ShardTables(tbl *Table, n, alignRows int) ([]*Table, error) {
 		return nil, fmt.Errorf("colstore: shard alignment %d is not a multiple of block size %d", alignRows, tbl.BlockSize())
 	}
 	rows := tbl.NumRows()
-	// Rows per shard, rounded up to the alignment so every boundary is a
-	// chunk-commit position; the last shard absorbs the remainder.
+	// Rows per shard, rounded up to the alignment so every boundary is
+	// aligned; the last shard absorbs the remainder.
 	per := (rows + n - 1) / n
 	per = ((per + alignRows - 1) / alignRows) * alignRows
 	out := make([]*Table, 0, n)

@@ -31,8 +31,11 @@ import (
 //	[4]  CRC32 (IEEE) over everything above
 //
 // Decoding validates the magic, the version, every length against the
-// payload size, and the trailing checksum, returning the typed errors
-// below so callers can distinguish cross-version peers from corruption.
+// bytes left in the payload (before allocating for it), the trailing
+// checksum, and that the payload is the one encoding of its batch — flag
+// bytes 0 or 1, histogram cells finite and non-negative — returning the
+// typed errors below so callers can distinguish cross-version peers from
+// corruption.
 var (
 	// ErrWireMagic means the payload is not a Batch encoding at all.
 	ErrWireMagic = errors.New("core: batch wire: bad magic")
@@ -142,12 +145,18 @@ func (r *batchWireReader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (r *batchWireReader) byte() (byte, error) {
+// left returns the number of unread bytes.
+func (r *batchWireReader) left() int { return len(r.data) - r.pos }
+
+func (r *batchWireReader) flag() (bool, error) {
 	b, err := r.need(1)
 	if err != nil {
-		return 0, err
+		return false, err
 	}
-	return b[0], nil
+	if b[0] > 1 {
+		return false, fmt.Errorf("%w: flag byte %d at offset %d", ErrWireCorrupt, b[0], r.pos-1)
+	}
+	return b[0] == 1, nil
 }
 
 // DecodeBatch parses an EncodeBatch payload, validating structure and
@@ -181,9 +190,9 @@ func DecodeBatch(data []byte) (*Batch, error) {
 		return nil, err
 	}
 	// Each candidate costs at least 12 bytes (count + nil-histogram
-	// marker); reject counts the payload cannot possibly hold before
+	// marker); reject counts the rest of the payload cannot hold before
 	// allocating.
-	if int64(n) > int64(len(body))/12+1 {
+	if int64(n) > int64(r.left()/12) {
 		return nil, fmt.Errorf("%w: candidate count %d exceeds payload capacity", ErrWireCorrupt, n)
 	}
 	b := &Batch{
@@ -206,7 +215,7 @@ func DecodeBatch(data []byte) (*Batch, error) {
 		if g == 0 {
 			continue
 		}
-		if int64(g) > int64(len(body))/8+1 {
+		if int64(g) > int64(r.left()/8) {
 			return nil, fmt.Errorf("%w: group count %d exceeds payload capacity", ErrWireCorrupt, g)
 		}
 		cells := make([]float64, g)
@@ -215,27 +224,27 @@ func DecodeBatch(data []byte) (*Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			cells[j] = math.Float64frombits(bits)
+			c := math.Float64frombits(bits)
+			if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+				return nil, fmt.Errorf("%w: candidate %d group %d count %g", ErrWireCorrupt, i, j, c)
+			}
+			cells[j] = c
 		}
 		b.Hists[i] = histogram.FromCounts(cells)
 	}
-	exh, err := r.byte()
+	if b.Exhausted, err = r.flag(); err != nil {
+		return nil, err
+	}
+	hasExact, err := r.flag()
 	if err != nil {
 		return nil, err
 	}
-	b.Exhausted = exh != 0
-	hasExact, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if hasExact != 0 {
-		flags, err := r.need(int(n))
-		if err != nil {
-			return nil, err
-		}
+	if hasExact {
 		b.Exact = make([]bool, n)
-		for i, f := range flags {
-			b.Exact[i] = f != 0
+		for i := range b.Exact {
+			if b.Exact[i], err = r.flag(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if r.pos != len(body) {

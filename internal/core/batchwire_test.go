@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"fastmatch/internal/histogram"
 )
 
 // TestBatchWireRoundTripMerge is the wire contract property test: for
@@ -116,4 +120,49 @@ func TestBatchWireRejectsCorruption(t *testing.T) {
 			t.Fatalf("trailing bytes: err = %v, want ErrWireCorrupt", err)
 		}
 	})
+}
+
+// FuzzDecodeBatch feeds arbitrary bytes to DecodeBatch twice: as given,
+// and resealed with a fresh checksum over all but their last four bytes,
+// so mutations reach the structural checks behind the CRC. Each input
+// yields a typed wire error or a valid batch, never a panic; decoding
+// allocates in proportion to the input, never to a length field the
+// bytes do not back; an accepted batch re-encodes to exactly its input
+// (one canonical encoding per batch); and merging it into a fixed-domain
+// batch either succeeds or returns an error.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeBatch(t, data)
+		if len(data) >= 4 {
+			body := append([]byte(nil), data[:len(data)-4]...)
+			checkDecodeBatch(t, binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+		}
+	})
+}
+
+func checkDecodeBatch(t *testing.T, data []byte) {
+	// Allocation is averaged over a few decodes: TotalAlloc is
+	// process-wide, and a single reading also counts the runtime's own.
+	const reps = 8
+	b, err := DecodeBatch(data)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		_, _ = DecodeBatch(data)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := (after.TotalAlloc - before.TotalAlloc) / reps; alloc > 64*uint64(len(data))+1024 {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrWireMagic) && !errors.Is(err, ErrWireVersion) && !errors.Is(err, ErrWireCorrupt) {
+			t.Fatalf("untyped decode error: %v", err)
+		}
+		return
+	}
+	if got := EncodeBatch(b); !bytes.Equal(got, data) {
+		t.Fatalf("re-encoding an accepted batch changed it: %d bytes in, %d out", len(data), len(got))
+	}
+	dst := &Batch{Counts: make([]int64, 2), Hists: []*histogram.Histogram{histogram.New(3), nil}, Exact: make([]bool, 2)}
+	_ = dst.Merge(b) // an error is fine; a panic is not
 }

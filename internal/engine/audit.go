@@ -72,14 +72,19 @@ type AuditCandidate struct {
 // and measures the approximate answer against the full exact ranking:
 // strict precision@k, rank displacement, per-candidate distance error,
 // and ε-tolerant guarantee violations. opts should be the options the
-// approximate run used — its Params (ε, metric) parameterize the audit;
-// executor-specific knobs are ignored. Partial approximate answers are
-// refused: a truncated run claimed no guarantee, so auditing one would
-// count phantom violations.
+// approximate run used — its Params (ε, σ, metric) parameterize the
+// audit; executor-specific knobs are ignored. Partial approximate
+// answers are refused: a truncated run claimed no guarantee, so auditing
+// one would count phantom violations.
 //
 // The exact pass ranks every candidate (no σ pruning, k = |candidates|),
 // so it costs a full scan of the qualifying blocks; run audits off the
-// request path.
+// request path. The grade, though, is at the run's σ: the guarantee only
+// covers candidates holding at least σ·N rows (stage 1 prunes the rest on
+// purpose), so every other candidate the approximate answer did not
+// return is dropped from the reference before grading. Left in, rare
+// near neighbours of a rare target would pull the exact k-th distance
+// down and count violations the guarantee never forbade.
 func AuditRun(ctx context.Context, p *Plan, target *histogram.Histogram, approx *Result, opts Options) (*Audit, error) {
 	if approx == nil || len(approx.TopK) == 0 {
 		return nil, fmt.Errorf("engine: nothing to audit: empty approximate answer")
@@ -92,14 +97,26 @@ func AuditRun(ctx context.Context, p *Plan, target *histogram.Histogram, approx 
 	if err != nil {
 		return nil, fmt.Errorf("engine: audit reference scan: %w", err)
 	}
+	returned := make(map[int]bool, len(approx.TopK))
+	for _, m := range approx.TopK {
+		returned[m.ID] = true
+	}
+	minRows := opts.Params.Sigma * float64(p.engine.src.NumRows())
+	kept := exact.TopK[:0]
+	for _, m := range exact.TopK {
+		if returned[m.ID] || m.Histogram.Total() >= minRows {
+			kept = append(kept, m)
+		}
+	}
+	exact.TopK = kept
 	return GradeAudit(approx, exact, opts.Params.Epsilon)
 }
 
 // AuditReferenceOptions derives the options for an audit's exact
 // reference pass from the approximate run's options: the Scan executor
 // ranking every candidate (no σ pruning, k = candidate count, no
-// KRange), with the approximate run's metric. Shared by AuditRun and the
-// cluster coordinator, whose reference pass is a scatter-gather scan.
+// KRange), with the approximate run's metric. Shared by AuditRun and
+// graders that run their own reference pass.
 func AuditReferenceOptions(opts Options, numCandidates int) Options {
 	exOpts := Options{Params: opts.Params, Executor: Scan}
 	exOpts.Params.K = numCandidates
@@ -112,9 +129,8 @@ func AuditReferenceOptions(opts Options, numCandidates int) Options {
 // GradeAudit measures an approximate answer against an exact reference
 // ranking (every candidate ranked, no pruning): strict precision@k, rank
 // displacement, per-candidate distance error, and ε-tolerant guarantee
-// violations. It is the grading half of AuditRun, shared with the
-// cluster coordinator, which produces its exact reference by
-// scatter-gather instead of a local scan.
+// violations. It is the grading half of AuditRun, for graders that
+// produce their own exact reference.
 func GradeAudit(approx, exact *Result, epsilon float64) (*Audit, error) {
 	k := len(approx.TopK)
 	if len(exact.TopK) < k {

@@ -391,7 +391,7 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 		start = rand.New(rand.NewSource(opts.Seed)).Intn(nb)
 	}
 	bs := p.newSampler(opts, start, guard)
-	obs, obsClose := RunObserver(began, opts, bs.Stats, p.cand.labelOf, runSpan)
+	obs, obsClose := runObserver(began, opts, bs.Stats, p.cand.labelOf, runSpan)
 	defer obsClose()
 	coreRes, err := core.RunObserved(bs, target, opts.Params, obs)
 	if opts.Trace != nil && len(bs.wBlocks) > 1 {
@@ -408,7 +408,7 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 	if err != nil && (coreRes == nil || !interrupted(err)) {
 		return nil, err
 	}
-	res := SamplingResult(coreRes, bs.Stats(), time.Since(began), groupLabels(p.grp), p.cand.labelOf)
+	res := samplingResult(coreRes, bs.Stats(), time.Since(began), groupLabels(p.grp), p.cand.labelOf)
 	res.Sampler = &SamplerStats{
 		Workers:      len(bs.wBlocks),
 		Chunks:       bs.chunks,
@@ -418,7 +418,7 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 	return res, err
 }
 
-// RunObserver builds the OnProgress/trace observer for a sampling run:
+// runObserver builds the OnProgress/trace observer for a sampling run:
 // each core emission (after stage 1, every stage-2 round, stage 3) cuts
 // a phase span carrying the IOStats delta since the previous one and/or
 // a Progress frame. Tracing forces an observer on even when OnProgress
@@ -428,10 +428,7 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 // an interrupted run salvages without a final emission, and a few I/O
 // counters land after the last one, so it folds the residual into a
 // closing "tail" span keeping the tree's IO summing to the run's total.
-// Shared by the single-node path and the cluster coordinator, which is
-// what keeps coordinated progress frames byte-identical (Elapsed aside)
-// to single-node ones.
-func RunObserver(began time.Time, opts Options, stats func() IOStats, labelOf func(int) string, runSpan *trace.Span) (core.Observer, func()) {
+func runObserver(began time.Time, opts Options, stats func() IOStats, labelOf func(int) string, runSpan *trace.Span) (core.Observer, func()) {
 	traced := opts.Trace != nil
 	if opts.OnProgress == nil && !traced {
 		return nil, func() {}
@@ -503,12 +500,9 @@ func RunObserver(began time.Time, opts Options, stats func() IOStats, labelOf fu
 	return obs, closer
 }
 
-// SamplingResult converts a core sampling result into an engine Result —
-// the assembly shared by runWithTarget and the cluster coordinator (the
-// coordinator folds shard partials into the same core run, so sharing
-// the assembly keeps coordinated answers byte-identical to single-node
-// ones). Sampler diagnostics are the caller's to attach.
-func SamplingResult(coreRes *core.Result, io IOStats, duration time.Duration, grpLabels []string, labelOf func(int) string) *Result {
+// samplingResult converts a core sampling result into an engine Result.
+// Sampler diagnostics are the caller's to attach.
+func samplingResult(coreRes *core.Result, io IOStats, duration time.Duration, grpLabels []string, labelOf func(int) string) *Result {
 	res := &Result{
 		Exact:       coreRes.Exact,
 		Partial:     coreRes.Partial,

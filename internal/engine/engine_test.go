@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"fastmatch/internal/bitmap"
@@ -429,5 +432,62 @@ func TestMeasureQueryRejectedDirectly(t *testing.T) {
 	q.Measure = "M"
 	if _, err := e.Run(q, Target{Uniform: true}, Options{Params: testParams()}); err == nil {
 		t.Fatal("direct SUM query accepted; should direct users to MeasureBiasedView")
+	}
+}
+
+// TestStage1PruningMatchesExactAtLargeSigmaM: at σ·m = 1000, past the
+// ≈745 where f(0) underflows in float64, stage 1 must still prune
+// exactly the candidates the exact scan prunes when the split is clear —
+// six candidates holding ~16% of the rows each, five holding ~0.5% each,
+// against σ = 5%. The common ones' stage-1 counts (~3,200) sit far above
+// the null's mean (σ·m) yet inside its support (below σ·N), where a
+// prefix CDF seeded with f(0) reads every P-value as 0 and prunes (or,
+// through the everything-is-rare fallback, keeps) them all.
+func TestStage1PruningMatchesExactAtLargeSigmaM(t *testing.T) {
+	b := colstore.NewBuilder(256)
+	for _, c := range []string{"Z", "X"} {
+		if _, err := b.AddColumn(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	add := func(z string, n int) {
+		for i := 0; i < n; i++ {
+			x := fmt.Sprintf("x%d", rng.Intn(8))
+			if err := b.AppendRow(map[string]string{"Z": z, "X": x}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 6; i++ {
+		add(fmt.Sprintf("common%d", i), 30_000)
+	}
+	for i := 0; i < 5; i++ {
+		add(fmt.Sprintf("rare%d", i), 1_000)
+	}
+	b.Shuffle(6)
+	e := New(b.Build())
+	params := core.Params{
+		K: 3, Epsilon: 0.10, Delta: 0.05, Sigma: 0.05,
+		Stage1Samples: 20_000, Metric: histogram.MetricL1,
+	}
+	exact, err := e.Run(baseQuery(), Target{Uniform: true}, Options{Params: params, Executor: Scan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(exact.Pruned)
+	if want != "[rare0 rare1 rare2 rare3 rare4]" {
+		t.Fatalf("exact scan pruned %s, want the five rare candidates", want)
+	}
+	for _, exec := range []Executor{ScanMatch, SyncMatch} {
+		res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{Params: params, Executor: exec, Seed: 3, StartBlock: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned := append([]string(nil), res.Pruned...)
+		sort.Strings(pruned)
+		if got := fmt.Sprint(pruned); got != want {
+			t.Errorf("%s pruned %s at σ·m = 1000, exact scan pruned %s", exec, got, want)
+		}
 	}
 }

@@ -131,12 +131,7 @@ func (s *IOStats) Add(other IOStats) {
 // planner commits after visiting any block b with (b+1) ≡ 0 (mod
 // ChunkBlocks), not after accumulating a buffer's worth of reads — so
 // the commit schedule is a pure function of the block indices walked,
-// independent of how many blocks in a chunk were skipped. That is what
-// lets a distributed coordinator split one global cursor walk into
-// per-shard segments (see shardrun.go): when shard boundaries fall on
-// chunk boundaries, a segment handoff commits exactly where the
-// single-node walk would have committed, and the chained run stays
-// byte-identical to the single-node run over the concatenated data.
+// independent of how many blocks in a chunk were skipped.
 const (
 	// samplerChunkRows sizes the commit granularity: chunks target this
 	// many rows' worth of blocks.
@@ -194,17 +189,6 @@ type blockSampler struct {
 	wBlocks []int64
 	wTuples []int64
 	chunks  int64
-
-	// Segment mode (distributed scatter-gather, see shardrun.go): this
-	// sampler executes one shard-local slice of a global cursor walk.
-	// The planner then never wraps locally (the coordinator chains the
-	// walk onto the next shard), bounds each pass by the remaining
-	// global visit budget, and evaluates allConsumed against the global
-	// block count with the other shards' consumed blocks folded in.
-	seg       bool
-	segVisits int // remaining global visits for this pass
-	segGlobal int // global block count across all shards
-	segOthers int // blocks already consumed on other shards
 }
 
 // newSampler binds a block sampler to the plan under a run's options:
@@ -268,9 +252,6 @@ func (bs *blockSampler) Stats() IOStats {
 }
 
 func (bs *blockSampler) allConsumed() bool {
-	if bs.seg {
-		return bs.segOthers+bs.consCnt >= bs.segGlobal
-	}
 	return bs.consCnt >= bs.src.NumBlocks()
 }
 
@@ -296,7 +277,7 @@ func (bs *blockSampler) sealBatch(b *core.Batch) *core.Batch {
 // with the termination error (wrapping core.ErrInterrupted).
 func (bs *blockSampler) Stage1(m int) (*core.Batch, error) {
 	batch := bs.plan.newBatch()
-	_, err := bs.runRound(batch, m)
+	err := bs.runRound(batch, m)
 	return bs.sealBatch(batch), err
 }
 
@@ -349,7 +330,7 @@ func (bs *blockSampler) SampleUntil(need map[int]int) (*core.Batch, error) {
 		return bs.sealBatch(batch), nil
 	}
 	bs.refreshActive()
-	if _, stopErr := bs.runRound(batch, -1); stopErr != nil {
+	if stopErr := bs.runRound(batch, -1); stopErr != nil {
 		// Interrupted mid-pass: the exactness inference below needs a
 		// completed pass, so skip it and hand the partial batch up.
 		return bs.sealBatch(batch), stopErr
@@ -377,14 +358,12 @@ func (bs *blockSampler) refreshActive() {
 	}
 }
 
-// advance returns the current cursor block and moves the cursor. In
-// segment mode the cursor parks at NumBlocks instead of wrapping: the
-// coordinator owns the wrap (it chains the walk onto the next shard and
-// accounts the global Wraps counter itself).
+// advance returns the current cursor block and moves the cursor,
+// wrapping at the end of the block space.
 func (bs *blockSampler) advance() int {
 	b := bs.cursor
 	bs.cursor++
-	if bs.cursor >= bs.src.NumBlocks() && !bs.seg {
+	if bs.cursor >= bs.src.NumBlocks() {
 		bs.cursor = 0
 		atomic.AddInt64(&bs.stats.Wraps, 1)
 	}
@@ -395,24 +374,19 @@ func (bs *blockSampler) advance() int {
 // stage1Need ≥ 0 selects stage-1 mode: sequential reads (no AnyActive)
 // until Drawn reaches stage1Need. stage1Need < 0 selects deficit mode:
 // the executor's block policy until every deficit is met (at chunk
-// granularity) or the pass completes. Returns the number of cursor
-// visits consumed and the guard's termination error (nil for a
-// completed pass); on error the pending chunk has been flushed and the
-// batch holds every committed sample.
-func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) (int, error) {
+// granularity) or the pass completes. Returns the guard's termination
+// error (nil for a completed pass); on error the pending chunk has been
+// flushed and the batch holds every committed sample.
+func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 	total := bs.src.NumBlocks()
 	if total == 0 {
-		return 0, nil
+		return nil
 	}
 	stage1 := stage1Need >= 0
 	chunkCap := ChunkBlocks(bs.plan.blockSize)
 	workers := bs.workers
 	if workers > chunkCap {
 		workers = chunkCap
-	}
-	limit := total
-	if bs.seg && bs.segVisits < limit {
-		limit = bs.segVisits
 	}
 	ws := bs.newWorkers(workers)
 
@@ -471,15 +445,12 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) (int, error)
 	// because the deficit set only shrinks within a round, so a stale
 	// mark is a superset of what fresher state would mark. Anchoring
 	// tiles to block indices (not to the visit sequence) keeps the
-	// marking schedule a pure function of the blocks walked, so shard
-	// segments whose boundaries fall on tile boundaries mark exactly as
-	// the single-node walk over the concatenated data would.
+	// marking schedule a pure function of the blocks walked.
 	var mark []bool
 	winStart, winEnd := 0, 0 // current tile's block range; empty until first FastMatch visit
 
-	visited := 0
 	var stopErr error
-	for ; visited < limit; visited++ {
+	for visited := 0; visited < total; visited++ {
 		if stage1 {
 			if batch.Drawn >= int64(stage1Need) {
 				break
@@ -489,9 +460,6 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) (int, error)
 		}
 		if bs.allConsumed() {
 			break
-		}
-		if bs.seg && bs.cursor >= total {
-			break // segment end: the coordinator chains onto the next shard
 		}
 		if stopErr = bs.guard.stop(); stopErr != nil {
 			break
@@ -563,7 +531,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) (int, error)
 	}
 	flush()
 	bs.foldWorkers(batch, ws)
-	return visited, stopErr
+	return stopErr
 }
 
 // commitChunk folds each worker's fresh per-chunk counts into the

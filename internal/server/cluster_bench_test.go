@@ -13,7 +13,9 @@ import (
 // misses) against a single node and against coordinators fanning out
 // over 2 and 3 shard daemons, all over real HTTP so the comparison
 // includes what coordination actually adds — shard round-trips and the
-// partial fold — not just handler overhead.
+// partial fold — not just handler overhead. The coordinators answer the
+// scanmatch stream with their exact scatter-gather scan; the single node
+// samples.
 func BenchmarkClusterQuery(b *testing.B) {
 	post := func(b *testing.B, url string, seed int64) {
 		b.Helper()

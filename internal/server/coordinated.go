@@ -18,21 +18,23 @@ import (
 // Coordinated tables: a registry entry with no local data. Queries
 // scatter-gather across a fixed set of shard daemons (each an ordinary
 // fastmatchd serving one row-range shard of the table) and fold the
-// shard partials with the engine's merge algebra (internal/cluster), so
-// a coordinated answer's result bytes are byte-identical to a single
-// node over the concatenated data. Shard order is the global block
-// order; datagen -shards writes partitions in that order.
+// shard partials with the engine's merge algebra (internal/cluster).
+// Every query on a coordinated table is answered by that exact scan,
+// whatever executor it requests — prepareQuery rewrites the executor to
+// ParallelScan — so a coordinated answer's result bytes are
+// byte-identical to a single-node ParallelScan over the concatenated
+// data, and it is exact, so it is never shadow-audited. Shard order is
+// the row-range order; datagen -shards writes partitions in that order.
 
 // registerCoordinated installs a coordinated entry over a shard client.
-func (r *registry) registerCoordinated(name string, client *cluster.Client, queryTimeout time.Duration, auditFraction *float64) error {
+func (r *registry) registerCoordinated(name string, client *cluster.Client, queryTimeout time.Duration) error {
 	return r.add(&tableEntry{
-		name:          name,
-		source:        coordSource(client),
-		coord:         client,
-		metrics:       newTableMetrics(),
-		loadedAt:      time.Now(),
-		queryTimeout:  queryTimeout,
-		auditFraction: auditFraction,
+		name:         name,
+		source:       coordSource(client),
+		coord:        client,
+		metrics:      newTableMetrics(),
+		loadedAt:     time.Now(),
+		queryTimeout: queryTimeout,
 	})
 }
 
@@ -129,11 +131,8 @@ func (s *Server) bindShards(ctx context.Context, pq *preparedQuery) (rows int, o
 
 // coordRunner runs pq as a scatter-gather across its bound shard set.
 // Shard statuses ride next to — never inside — the result payload, so
-// the result bytes stay byte-identical to a single node, and the
-// coordinator re-emits the engine's own progress frames. The reference
-// pass is cluster-wide too (cluster's Audit, through the same fold
-// queries use); the bound shards keep the metas the approximate run
-// used, so it grades against the same shard generations.
+// the result bytes stay byte-identical to a single node. It has no
+// reference pass: its answers are exact.
 func coordRunner(pq *preparedQuery) runner {
 	co := cluster.New(pq.shards...)
 	return runner{
@@ -143,9 +142,6 @@ func coordRunner(pq *preparedQuery) runner {
 				return nil, err
 			}
 			return cres, err
-		},
-		reference: func(ctx context.Context, approx *engine.Result) (*engine.Audit, error) {
-			return co.Audit(ctx, pq.target, approx, pq.opts)
 		},
 	}
 }

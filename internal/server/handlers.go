@@ -178,7 +178,7 @@ type wireResponse struct {
 	// byte-identical whether or not quality was requested.
 	Quality *engine.QualityReport `json:"quality,omitempty"`
 	// Shards reports per-shard status for coordinated tables (one entry
-	// per shard daemon, in global block order); MissingShards names
+	// per shard daemon, in row-range order); MissingShards names
 	// shards that did not contribute, and Degraded marks an answer made
 	// Partial by shard loss rather than a timeout or budget. All three
 	// precede Result for the same `"result":`-slicing reason as Trace.
@@ -218,7 +218,8 @@ func (b blockingSink) answer(resp wireResponse) { writeJSON(b.w, http.StatusOK, 
 // runner is the pipeline's other seam: the one stage a local and a
 // coordinated table do differently. run executes the prepared query
 // (a local run reports no shards); reference re-executes it exactly for
-// a shadow audit of approx.
+// a shadow audit of approx. A coordinated runner has no reference: its
+// answers are exact, so prepareQuery never selects them for an audit.
 type runner struct {
 	run       func(ctx context.Context, opts engine.Options) (*cluster.Result, error)
 	reference func(ctx context.Context, approx *engine.Result) (*engine.Audit, error)
@@ -407,6 +408,13 @@ func (s *Server) prepareQuery(ctx context.Context, pq *preparedQuery) bool {
 	if err := pq.opts.Validate(); err != nil {
 		pq.fail(http.StatusUnprocessableEntity, "%v", err)
 		return false
+	}
+	if pq.entry.coord != nil {
+		// A coordinated table answers every query with the exact
+		// scatter-gather scan, which meets any (ε, δ) promise. Rewriting
+		// the executor here makes the cache key, the audit decision and
+		// the run span describe what actually runs.
+		pq.opts.Executor = engine.ParallelScan
 	}
 	pq.target = pq.req.Target.toTarget()
 	pq.resultKey = pq.planKey + "\x00" + pq.target.Fingerprint() + "\x00" + pq.opts.Fingerprint()

@@ -11,9 +11,11 @@ import (
 // shard-internal endpoint coordinators fold queries through. Two ops:
 // "meta" answers the plan's shard metadata (domains, block counts, data
 // generation) for coordinator validation and cache keying; "segment"
-// executes one stateless slice of a global run (Plan.RunShardSegment).
-// Segments carry all cross-call state in the request, so retries are
-// harmless and any shard replica could answer them.
+// runs one stateless exact pass over this shard (Plan.RunShardSegment):
+// a scan of its blocks, or one candidate's histogram for target
+// resolution. Any other segment kind is refused with 422. Segments carry
+// no cross-call state, so retries are harmless and any shard replica
+// could answer them.
 //
 // The endpoint shares the plan cache with /v1/query: a shard serving
 // both direct queries and coordinated segments for the same query shape

@@ -154,13 +154,20 @@ func TestPipelineMatrix(t *testing.T) {
 		})
 	}
 
-	// One payload, whatever the runner, the sink, or the cache: the live
-	// answer and its cache hit are byte-identical to a direct engine run,
-	// and a cached stream keeps the start-frame-then-result shape.
+	// One payload per runner, whatever the sink or the cache: the live
+	// answer and its cache hit are byte-identical to a direct engine run
+	// — of the requested executor locally, of parallelscan on a
+	// coordinated table, which answers every query exactly — and a cached
+	// stream keeps the start-frame-then-result shape.
 	bytesReq := baseRequest(21, "scanmatch")
-	want := directPayload(t, fixtureTable(t), bytesReq)
+	wantLocal := directPayload(t, fixtureTable(t), bytesReq)
+	wantCoord := directPayload(t, fixtureTable(t), baseRequest(21, "parallelscan"))
 	eachCell(t, "bytes", func(t *testing.T, c pipelineCell) {
 		_, url := newClusterFixture(t, 3, Config{}).server(c)
+		want := wantLocal
+		if c.coordinated {
+			want = wantCoord
+		}
 		live := ask(t, c, url, bytesReq)
 		if live.status != http.StatusOK || live.Cached {
 			t.Fatalf("live: status %d cached %v", live.status, live.Cached)
@@ -205,6 +212,9 @@ func TestPipelineMatrix(t *testing.T) {
 	eachCell(t, "timeout", func(t *testing.T, c pipelineCell) {
 		_, url := newSlowClusterFixture(t, 3, Config{}, time.Millisecond, 80*time.Millisecond).server(c)
 		req := baseRequest(33, "scan")
+		// One worker per shard keeps a coordinated scan (~107 throttled
+		// blocks per shard) past the timeout however many cores run it.
+		req.Options.Workers = intp(1)
 		primeSlow(t, c, url, req)
 		rep := ask(t, c, url, req)
 		if rep.status != http.StatusOK {

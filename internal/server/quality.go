@@ -174,10 +174,10 @@ func (s *Server) recordQuality(pq *preparedQuery, res *engine.Result) {
 }
 
 // runAudit executes one shadow audit: the runner's exact reference pass
-// (a local Scan re-execution of the plan and target, or the same across
-// a coordinated table's shard set) compared against the approximate
-// answer. It competes for a regular admission slot (an audit is a full
-// scan; it must not dodge the concurrency bound serving runs respect)
+// (a local Scan re-execution of the plan and target; coordinated answers
+// are exact and never audited) compared against the approximate answer.
+// It competes for a regular admission slot (an audit is a full scan; it
+// must not dodge the concurrency bound serving runs respect)
 // but never holds up a client — callers run it on a background goroutine.
 func (s *Server) runAudit(pq *preparedQuery, res *engine.Result) (*engine.Audit, string) {
 	if s.adm.acquire(context.Background()) != admitOK {
@@ -193,7 +193,6 @@ func (s *Server) runAudit(pq *preparedQuery, res *engine.Result) (*engine.Audit,
 	s.log.Info("shadow audit",
 		"query_id", pq.id,
 		"table", pq.req.Table,
-		"coordinated", pq.entry.coord != nil,
 		"precision_at_k", audit.PrecisionAtK,
 		"guarantee_violations", audit.GuaranteeViolations,
 		"max_displacement", audit.MaxDisplacement,

@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"fastmatch/internal/colstore"
 	"fastmatch/internal/engine"
 )
 
@@ -357,5 +360,87 @@ func TestStreamCarriesQueryIDAndQuality(t *testing.T) {
 	}
 	if final.Quality == nil || final.Quality.Rounds < 0 {
 		t.Fatalf("result frame carries no quality report: %+v", final.Quality)
+	}
+}
+
+// TestAuditRareTargetGradesAtRunSigma forces the shadow audit (audit=1)
+// on a rare target whose nearest neighbours are rare too — the shape of
+// a small airport queried against its peers. Stage 1 prunes every
+// candidate below σ on purpose, so the guarantee only covers the common
+// ones; an audit that ranked the rare neighbours (distance ≈ 0) into the
+// exact top-k would flag every correct common answer as a violation.
+func TestAuditRareTargetGradesAtRunSigma(t *testing.T) {
+	b := colstore.NewBuilder(64)
+	for _, c := range []string{"Z", "X"} {
+		if _, err := b.AddColumn(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add := func(z string, n int, inX0 float64) {
+		for i := 0; i < n; i++ {
+			x := "x0"
+			if float64(i) >= inX0*float64(n) {
+				x = fmt.Sprintf("x%d", 1+i%3)
+			}
+			if err := b.AppendRow(map[string]string{"Z": z, "X": x}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Six common candidates, 0.2 apart in L1 distance from the target
+	// (wider than ε), and five rare ones — the target among them — all
+	// concentrated on x0.
+	for i, p := range []float64{0.6, 0.5, 0.4, 0.3, 0.2, 0.1} {
+		add(fmt.Sprintf("C%d", i), 5_000, p)
+	}
+	for _, z := range []string{"T", "R0", "R1", "R2", "R3"} {
+		add(z, 40, 1)
+	}
+	b.Shuffle(9)
+	s := New(Config{AuditFraction: 1})
+	if err := s.RegisterTable("rare", b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	req := QueryRequest{
+		Table:  "rare",
+		Query:  QuerySpec{Z: "Z", X: []string{"X"}},
+		Target: TargetSpec{Candidate: "T"},
+		Options: &OptionsSpec{
+			K: intp(3), Epsilon: f64p(0.10), Delta: f64p(0.05), Sigma: f64p(0.01),
+			Stage1Samples: intp(10_000), Executor: "scanmatch", Seed: i64p(4),
+		},
+	}
+	status, reply := postQuery(t, ts.URL, req)
+	if status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	var payload ResultPayload
+	if err := json.Unmarshal(reply.Result, &payload); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range payload.TopK {
+		got = append(got, m.Label)
+	}
+	if fmt.Sprint(got) != "[C0 C1 C2]" {
+		t.Fatalf("top-3 %v, want the three closest common candidates [C0 C1 C2]", got)
+	}
+	s.auditWG.Wait()
+	tm := getStats(t, ts.URL).Tables["rare"]
+	if tm.AuditRuns != 1 || tm.AuditErrors != 0 {
+		t.Fatalf("audit runs %d errors %d, want one clean audit", tm.AuditRuns, tm.AuditErrors)
+	}
+	if tm.AuditGuaranteeViolations != 0 {
+		t.Fatalf("audit counted %d guarantee violations for a correct answer", tm.AuditGuaranteeViolations)
+	}
+	log := getQualityLog(t, ts.URL)
+	if len(log.Queries) != 1 || log.Queries[0].Audit == nil {
+		t.Fatalf("quality ring: %+v, want one audited entry", log.Queries)
+	}
+	if a := log.Queries[0].Audit; a.GuaranteeViolations != 0 || a.PrecisionAtK != 1 {
+		t.Fatalf("audit verdict: %d violations, precision@k %g; want 0 and 1", a.GuaranteeViolations, a.PrecisionAtK)
 	}
 }

@@ -73,12 +73,14 @@ type TableSpec struct {
 	// fraction of completed sampling-executor answers to shadow-audit
 	// against an exact re-execution. Nil inherits the server default;
 	// a negative value disables auditing even when a default is set.
+	// Rejected on a coordinated table, whose answers are exact.
 	AuditFraction *float64 `json:"audit_fraction,omitempty"`
 	// Shards declares a coordinated table: no local data — queries
 	// scatter-gather across these shard daemons' HTTP APIs and fold
-	// their partials (see internal/cluster). Order is the global block
-	// order and must match the row-range partition (datagen -shards
-	// writes shards in that order). Exclusive with Path/Format/Backend.
+	// their partials (see internal/cluster), answering every query
+	// exactly. Order must match the row-range partition (datagen -shards
+	// writes shards in that order). Exclusive with Path/Format/Backend
+	// and AuditFraction.
 	Shards []cluster.ShardRef `json:"shards,omitempty"`
 }
 
@@ -112,6 +114,10 @@ var (
 	errTableNotFound = errors.New("table not found")
 	errTableBusy     = errors.New("table busy")
 	errNotIngest     = errors.New("table backend does not accept appends")
+	// errCoordinatedAudit refuses an audit fraction on a coordinated
+	// table: its answers are exact, so there is nothing to audit, and a
+	// silently ignored setting would be a trap.
+	errCoordinatedAudit = errors.New("audit_fraction does not apply to a coordinated table: its answers are exact")
 )
 
 // tableEntry is one registered table. Static backends bind one Engine at
@@ -282,8 +288,11 @@ func (r *registry) load(spec TableSpec) error {
 		if spec.Path != "" || spec.Format != "" || spec.Backend != "" {
 			return fmt.Errorf("server: table %q: shards is exclusive with path/format/backend", spec.Name)
 		}
+		if spec.AuditFraction != nil {
+			return fmt.Errorf("server: table %q: %w", spec.Name, errCoordinatedAudit)
+		}
 		timeout := time.Duration(spec.QueryTimeoutMS) * time.Millisecond
-		return r.registerCoordinated(spec.Name, cluster.NewClient(spec.Shards), timeout, spec.AuditFraction)
+		return r.registerCoordinated(spec.Name, cluster.NewClient(spec.Shards), timeout)
 	}
 	if spec.Path == "" {
 		return fmt.Errorf("server: table %q needs a path", spec.Name)

@@ -175,13 +175,13 @@ func (s *Server) RegisterLiveTable(name string, wt *ingest.WritableTable) error 
 // RegisterCoordinatedTable registers a coordinated (scatter-gather)
 // table: the server holds no local data and answers queries by fanning
 // out across the named shard daemons and folding their partials with
-// the engine's merge algebra — byte-identical to a single node over the
-// concatenated data (see internal/cluster). Shard order defines the
-// global block order and must match the row-range partition (datagen
-// -shards writes shards in that order). Each shard daemon must serve
-// the same table name.
+// the engine's merge algebra. Every query is answered exactly, whatever
+// executor it requests — byte-identical to a single-node ParallelScan
+// over the concatenated data (see internal/cluster). Shard order must
+// match the row-range partition (datagen -shards writes shards in that
+// order). Each shard daemon must serve the same table name.
 func (s *Server) RegisterCoordinatedTable(name string, refs []cluster.ShardRef) error {
-	return s.reg.registerCoordinated(name, cluster.NewClient(refs), 0, nil)
+	return s.reg.registerCoordinated(name, cluster.NewClient(refs), 0)
 }
 
 // timeoutFor resolves a table's effective query timeout: the per-table

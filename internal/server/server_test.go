@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"fastmatch/internal/cluster"
 	"fastmatch/internal/colstore"
 	"fastmatch/internal/datagen"
 	"fastmatch/internal/engine"
@@ -518,6 +520,16 @@ func TestBackendSpecValidation(t *testing.T) {
 	}
 	if err := s.LoadTable(TableSpec{Name: "bad", Path: csvPath, Backend: "turbo"}); err == nil {
 		t.Fatal("unknown backend must be rejected")
+	}
+	// A coordinated table answers exactly, so an audit fraction on one
+	// would be silently ignored: it is refused instead.
+	f := 1.0
+	shards := []cluster.ShardRef{{Name: "a", URL: "http://127.0.0.1:1"}}
+	if err := s.LoadTable(TableSpec{Name: "bad", Shards: shards, AuditFraction: &f}); !errors.Is(err, errCoordinatedAudit) {
+		t.Fatalf("audit_fraction on a coordinated table: err = %v, want errCoordinatedAudit", err)
+	}
+	if err := s.LoadTable(TableSpec{Name: "coord", Shards: shards}); err != nil {
+		t.Fatalf("coordinated table without audit_fraction: %v", err)
 	}
 }
 

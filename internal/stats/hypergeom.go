@@ -76,10 +76,15 @@ func (h Hypergeometric) PMF(j int64) float64 {
 // CDF returns P(X ≤ j) = Σ_{i≤j} f(i), the stage-1 under-representation
 // P-value when j is the observed per-candidate sample count.
 //
-// The sum runs over the support only; for the small j values stage 1 cares
-// about this is cheap, and successive terms are computed by the recurrence
-// f(i+1)/f(i) = (K−i)(m−i) / ((i+1)(N−K−m+i+1)) to avoid re-evaluating
-// log-gammas.
+// It sums whichever tail lies away from the mode: P(X ≤ j) itself when
+// j is at or below the mode, else 1 − P(X ≥ j+1). The walk starts at
+// the term nearest the mode and moves outward, so terms only shrink and
+// it stops once they no longer change the sum; every term is taken
+// relative to the first through the recurrence
+// f(i+1)/f(i) = (K−i)(m−i) / ((i+1)(N−K−m+i+1)), and the first term
+// itself is applied in log space. Nothing is seeded with a PMF value
+// that can underflow: f(lo) is 0.0 in float64 once σ·m ≳ 745, and a sum
+// built up from it stays 0 however large the true CDF is.
 func (h Hypergeometric) CDF(j int64) float64 {
 	lo, hi := h.Support()
 	if j < lo {
@@ -88,20 +93,35 @@ func (h Hypergeometric) CDF(j int64) float64 {
 	if j >= hi {
 		return 1
 	}
-	// Start from the PMF at lo and accumulate with the term recurrence.
-	logp := h.LogPMF(lo)
-	p := math.Exp(logp)
-	sum := p
-	for i := lo; i < j; i++ {
-		num := float64(h.K-i) * float64(h.M-i)
-		den := float64(i+1) * float64(h.N-h.K-h.M+i+1)
-		p *= num / den
-		sum += p
+	if j <= h.mode() {
+		sum, r := 1.0, 1.0
+		for i := j; i > lo && r > sum*1e-17; i-- {
+			r /= h.ratio(i - 1)
+			sum += r
+		}
+		return math.Min(1, math.Exp(h.LogPMF(j)+math.Log(sum)))
 	}
-	if sum > 1 {
-		sum = 1
+	// P(X ≤ j) = 1 − P(X ≥ j+1), the upper tail walked up from j+1.
+	sum, r := 1.0, 1.0
+	for i := j + 1; i < hi && r > sum*1e-17; i++ {
+		r *= h.ratio(i)
+		sum += r
 	}
-	return sum
+	return math.Max(0, 1-math.Exp(h.LogPMF(j+1)+math.Log(sum)))
+}
+
+// ratio returns f(i+1)/f(i) for lo ≤ i < hi, where it is positive and
+// finite.
+func (h Hypergeometric) ratio(i int64) float64 {
+	return float64(h.K-i) * float64(h.M-i) / (float64(i+1) * float64(h.N-h.K-h.M+i+1))
+}
+
+// mode returns the most likely outcome, ⌊(m+1)(K+1)/(N+2)⌋, clamped
+// into the support.
+func (h Hypergeometric) mode() int64 {
+	lo, hi := h.Support()
+	md := int64(float64(h.M+1) * float64(h.K+1) / float64(h.N+2))
+	return max(lo, min(md, hi))
 }
 
 // Mean returns E[X] = mK/N.
@@ -158,31 +178,36 @@ func UnderRepPValues(counts []int64, totalN int64, sigma float64, m int64) ([]fl
 	if maxCount > hi {
 		maxCount = hi
 	}
-	// Prefix CDF table over [0, maxCount] shared by all candidates.
+	// Prefix CDF table over [0, maxCount] shared by all candidates (0
+	// below the support). The PMF is built relative to its largest value
+	// on [lo, maxCount] — at the mode, or at maxCount when that lies below
+	// it — walking outward with the term recurrence, so no ratio can
+	// overflow and those that underflow are negligible next to the
+	// pivot. The pivot's own PMF is applied in log space: seeding the
+	// walk with f(0) instead underflows to 0 once σ·m ≳ 745, zeroing
+	// every P-value.
 	table := make([]float64, maxCount+1)
-	if lo == 0 {
-		p := h.PMF(0)
-		sum := p
-		table[0] = sum
-		for j := int64(0); j < maxCount; j++ {
-			num := float64(h.K-j) * float64(h.M-j)
-			den := float64(j+1) * float64(h.N-h.K-h.M+j+1)
-			p *= num / den
-			sum += p
-			if sum > 1 {
-				sum = 1
-			}
-			table[j+1] = sum
+	if maxCount >= lo {
+		pivot := min(h.mode(), maxCount)
+		table[pivot] = 1
+		for i := pivot; i > lo; i-- {
+			table[i-1] = table[i] / h.ratio(i-1)
 		}
-	} else {
-		// σ so large that even 0 observed successes is outside the support's
-		// lower tail: CDF(j) = 0 for j < lo.
-		for j := int64(0); j <= maxCount; j++ {
-			if j < lo {
-				table[j] = 0
-			} else {
-				table[j] = h.CDF(j)
+		for i := pivot; i < maxCount; i++ {
+			table[i+1] = table[i] * h.ratio(i)
+		}
+		logScale := h.LogPMF(pivot)
+		scale := math.Exp(logScale)
+		sum := 0.0
+		for j := lo; j <= maxCount; j++ {
+			sum += table[j]
+			p := sum * scale
+			if logScale < -700 {
+				// scale is at the edge of float64 underflow: take the product
+				// in log space.
+				p = math.Exp(logScale + math.Log(sum))
 			}
+			table[j] = math.Min(p, 1)
 		}
 	}
 	out := make([]float64, len(counts))

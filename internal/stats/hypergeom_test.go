@@ -251,3 +251,73 @@ func TestUnderRepPValuesMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// logSpaceCDF is an independent reference for P(X ≤ j): the forward
+// term recurrence from f(lo), carried entirely in log space and summed
+// with log-sum-exp, so no term underflows however small f(lo) is.
+func logSpaceCDF(h Hypergeometric, j int64) float64 {
+	lo, hi := h.Support()
+	if j < lo {
+		return 0
+	}
+	if j >= hi {
+		return 1
+	}
+	logp := h.LogPMF(lo)
+	logSum := logp
+	for i := lo; i < j; i++ {
+		logp += math.Log(float64(h.K-i)*float64(h.M-i)) - math.Log(float64(i+1)*float64(h.N-h.K-h.M+i+1))
+		hiL, loL := math.Max(logSum, logp), math.Min(logSum, logp)
+		logSum = hiL + math.Log1p(math.Exp(loL-hiL))
+	}
+	return math.Min(1, math.Exp(logSum))
+}
+
+// Property: over σ·m ∈ [1, 10⁵] — far past the ≈745 where f(0)
+// underflows in float64 — the batch P-values equal Hypergeometric.CDF,
+// and both equal the log-space reference, on counts spread across the
+// whole distribution (deep lower tail, mean, upper tail). The relative
+// tolerance covers LogPMF itself: a difference of log-gammas near
+// ln(N!) ≈ 10¹⁰ keeps only ~10⁻⁶ of absolute precision.
+func TestUnderRepPValuesLargeSigmaMMatchesCDF(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sm := math.Exp(rng.Float64() * math.Log(1e5))      // σ·m, log-uniform in [1, 1e5]
+		m := int64(math.Ceil(sm * (1 + rng.Float64()*99))) // σ ∈ [0.01, 1]: m ≥ σ·m
+		totalN := m * int64(2+rng.Intn(200))
+		sigma := sm / float64(m)
+		h, err := NewHypergeometric(totalN, int64(math.Ceil(sigma*float64(totalN))), m)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		mean, sd := h.Mean(), math.Sqrt(h.Variance())
+		var counts []int64
+		for _, z := range []float64{-40, -6, -2, -0.5, 0, 0.5, 2, 6} {
+			if c := int64(mean + z*sd); c >= 0 {
+				counts = append(counts, c)
+			}
+		}
+		counts = append(counts, 0)
+		pv, err := UnderRepPValues(counts, totalN, sigma, m)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		for i, c := range counts {
+			want := logSpaceCDF(h, c)
+			if cdf := h.CDF(c); math.Abs(cdf-want) > 1e-9+1e-4*want {
+				t.Logf("N=%d K=%d m=%d: CDF(%d) = %g, log-space sum %g", h.N, h.K, h.M, c, cdf, want)
+				return false
+			}
+			if math.Abs(pv[i]-want) > 1e-9+1e-4*want {
+				t.Logf("N=%d K=%d m=%d: P-value(%d) = %g, log-space sum %g", h.N, h.K, h.M, c, pv[i], want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

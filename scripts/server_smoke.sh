@@ -264,11 +264,13 @@ for p in "$S1:$SP1" "$S2:$SP2" "$S3:$SP3" "$SN:$SNP" "$PID:$PORT"; do
   wait_url "http://127.0.0.1:${p#*:}" "${p%%:*}"
 done
 
-echo "== coordinated answer is byte-identical to a single node over the unsplit snapshot"
+echo "== a coordinated scanmatch request is answered exactly: byte-identical to a single-node parallelscan"
 CQUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"scanmatch","epsilon":0.1,"seed":31}}'
+CPSCAN="$(printf '%s' "$CQUERY" | sed 's/"executor":"scanmatch"/"executor":"parallelscan"/')"
 RC="$(curl -fsS -X POST "$BASE/v1/query" -d "$CQUERY")"
-RSN="$(curl -fsS -X POST "http://127.0.0.1:${SNP}/v1/query" -d "$CQUERY")"
+RSN="$(curl -fsS -X POST "http://127.0.0.1:${SNP}/v1/query" -d "$CPSCAN")"
 echo "$RC" | grep -q '"shards":\[' || { echo "coordinated reply carries no shard statuses: $RC" >&2; exit 1; }
+echo "$RC" | grep -q '"exact":true' || { echo "coordinated answer is not exact: $RC" >&2; exit 1; }
 PC="$(printf '%s' "$RC" | sed 's/.*"result"://')"
 PSN="$(printf '%s' "$RSN" | sed 's/.*"result"://')"
 [ "$PC" = "$PSN" ] || { echo "coordinated result differs from single node" >&2; echo "coord:  $PC" >&2; echo "single: $PSN" >&2; exit 1; }
