@@ -23,9 +23,9 @@
 // -shards N splits the table into N disjoint row-range shard snapshots
 // (x.fms -> x-shard0.fms ... x-shardN-1.fms) for a fastmatchd cluster:
 // every shard carries the FULL dictionaries (identical candidate/group
-// id spaces) and all but the last hold a multiple of
-// blockSize×engine.ChunkBlocks(blockSize) rows, so every shard's blocks
-// are blocks of the unsplit table and a coordinator's exact
+// id spaces) and all but the last hold a whole number of blocks, so
+// every shard's blocks are blocks of the unsplit table and a
+// coordinator's exact
 // scatter-gather answer over the shards is byte-identical to a single
 // node scanning the unsplit snapshot.
 //
@@ -55,7 +55,6 @@ import (
 
 	"fastmatch/internal/colstore"
 	"fastmatch/internal/datagen"
-	"fastmatch/internal/engine"
 	"fastmatch/internal/obs/logx"
 )
 
@@ -71,7 +70,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	out := flag.String("out", "-", "CSV output path (- for stdout, empty to skip CSV)")
 	snapshot := flag.String("snapshot", "", "also write a binary table snapshot to this path")
-	shards := flag.Int("shards", 0, "with -snapshot: split the table into N disjoint row-range shard snapshots (name-shardK.ext), chunk-aligned for coordinator byte-identity")
+	shards := flag.Int("shards", 0, "with -snapshot: split the table into N disjoint row-range shard snapshots (name-shardK.ext), block-aligned for coordinator byte-identity")
 	summary := flag.Bool("summary", false, "print per-column summaries to stderr")
 	stream := flag.String("stream", "", "POST rows to this fastmatchd append endpoint (e.g. http://host:8080/v1/tables/NAME/rows)")
 	streamRate := flag.Int("stream-rate", 0, "rows per second for -stream (0 = unthrottled)")
@@ -96,13 +95,11 @@ func main() {
 	}
 	if *snapshot != "" {
 		if *shards > 1 {
-			// Shard boundaries land on block (and sampler chunk)
-			// boundaries, so a coordinated K-shard scan reads the same
-			// blocks a single node over the concatenated data reads (see
-			// internal/cluster). Shards share the table's full
-			// dictionaries by construction.
-			align := ds.Table.BlockSize() * engine.ChunkBlocks(ds.Table.BlockSize())
-			parts, err := colstore.ShardTables(ds.Table, *shards, align)
+			// Shard boundaries land on block boundaries, so a coordinated
+			// K-shard scan reads the same blocks a single node over the
+			// concatenated data reads (see internal/cluster). Shards share
+			// the table's full dictionaries by construction.
+			parts, err := colstore.ShardTables(ds.Table, *shards)
 			if err != nil {
 				log.Fatal(err)
 			}

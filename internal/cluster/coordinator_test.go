@@ -74,8 +74,7 @@ func clusterDataset(t testing.TB, rows, k int) (*colstore.Table, []*colstore.Tab
 		t.Fatal(err)
 	}
 	tbl := ds.Table
-	align := tbl.BlockSize() * engine.ChunkBlocks(tbl.BlockSize())
-	shards, err := colstore.ShardTables(tbl, k, align)
+	shards, err := colstore.ShardTables(tbl, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,27 +11,19 @@ import "fmt"
 // their rows. That shared-dictionary property is what makes the cluster
 // coordinator's merge algebra sound across shards.
 //
-// All shards except the last hold an exact multiple of alignRows rows
-// (alignRows ≤ 0 selects one block; it must be a multiple of the block
-// size), so every shard boundary is a block boundary of the source
-// table: a coordinated scan over the shards reads exactly the blocks a
-// single node reads, and its IOStats sum to the single node's. datagen
-// -shards aligns to blockSize × engine.ChunkBlocks(blockSize).
-func ShardTables(tbl *Table, n, alignRows int) ([]*Table, error) {
+// All shards except the last hold an exact multiple of the block size,
+// so every shard boundary is a block boundary of the source table: a
+// coordinated scan over the shards reads exactly the blocks a single
+// node reads, and its IOStats sum to the single node's.
+func ShardTables(tbl *Table, n int) ([]*Table, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("colstore: shard count %d must be positive", n)
 	}
-	if alignRows <= 0 {
-		alignRows = tbl.BlockSize()
-	}
-	if alignRows%tbl.BlockSize() != 0 {
-		return nil, fmt.Errorf("colstore: shard alignment %d is not a multiple of block size %d", alignRows, tbl.BlockSize())
-	}
-	rows := tbl.NumRows()
-	// Rows per shard, rounded up to the alignment so every boundary is
+	bs, rows := tbl.BlockSize(), tbl.NumRows()
+	// Rows per shard, rounded up to a whole block so every boundary is
 	// aligned; the last shard absorbs the remainder.
 	per := (rows + n - 1) / n
-	per = ((per + alignRows - 1) / alignRows) * alignRows
+	per = ((per + bs - 1) / bs) * bs
 	out := make([]*Table, 0, n)
 	for i := 0; i < n; i++ {
 		lo := i * per
@@ -40,7 +32,7 @@ func ShardTables(tbl *Table, n, alignRows int) ([]*Table, error) {
 			hi = rows
 		}
 		if lo >= rows && n > 1 {
-			return nil, fmt.Errorf("colstore: %d rows cannot fill %d shards aligned to %d rows", rows, n, alignRows)
+			return nil, fmt.Errorf("colstore: %d rows cannot fill %d block-aligned shards of %d-row blocks", rows, n, bs)
 		}
 		if lo > rows {
 			lo = rows

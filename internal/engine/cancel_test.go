@@ -209,8 +209,12 @@ func TestRowBudgetReturnsPartialResult(t *testing.T) {
 			if res.IO.TuplesRead < budget {
 				t.Fatalf("stopped before the budget: read %d of %d", res.IO.TuplesRead, budget)
 			}
-			// Block-granular enforcement: at most one extra block per worker.
+			// Block-granular enforcement: a sampling walk reads at most one
+			// block past the budget, the exact scans one per worker.
 			slack := int64((opts.Workers + 1) * tbl.BlockSize())
+			if exec != Scan && exec != ParallelScan {
+				slack = int64(tbl.BlockSize())
+			}
 			if res.IO.TuplesRead > budget+slack {
 				t.Fatalf("overshot the budget: read %d, budget %d (+%d slack)", res.IO.TuplesRead, budget, slack)
 			}

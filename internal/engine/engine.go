@@ -39,13 +39,12 @@ type Query struct {
 	Measure string
 	// Filter, when set, restricts the relation to rows where it returns
 	// true (WHERE predicates beyond the candidate equality). The
-	// ParallelScan executor and the sampling executors with Workers > 1
-	// invoke it from several goroutines within one run, and sharing an
-	// Engine or Plan across goroutines makes concurrent runs each call it
-	// too — so unless every run using this query is sequential,
-	// single-worker, and non-ParallelScan, the function must be safe for
-	// concurrent calls. (Candidate-target resolution itself drops to one
-	// worker when a Filter is present.)
+	// ParallelScan executor invokes it from several goroutines within one
+	// run, and sharing an Engine or Plan across goroutines makes
+	// concurrent runs each call it too — so unless every run using this
+	// query is sequential and non-ParallelScan, the function must be safe
+	// for concurrent calls. (Candidate-target resolution itself drops to
+	// one worker when a Filter is present.)
 	Filter func(row int) bool
 }
 
@@ -80,15 +79,13 @@ type Options struct {
 	// supply a distinct Seed per run (the CLI tools seed from wall-clock
 	// time).
 	Seed int64
-	// Workers is the goroutine count for the ParallelScan executor, for
-	// parallel candidate-target resolution, and for the block-read fan-out
-	// of the sampling executors' chunk-committed rounds (see
-	// blockSampler); ≤ 0 selects GOMAXPROCS. Sampling results are
-	// byte-identical for every worker count — Workers is purely a
-	// throughput knob there — and Workers == 1 runs the sampling round
-	// inline with no goroutines at all. The sequential Scan executor is
-	// the single-threaded exact baseline by definition and ignores
-	// Workers; ParallelScan is its parallel counterpart.
+	// Workers is the goroutine count for the exact path: the ParallelScan
+	// executor's block partitions and parallel candidate-target
+	// resolution; ≤ 0 selects GOMAXPROCS. The sampling executors run
+	// every round on the caller's goroutine and ignore it (see
+	// blockSampler), as does the sequential Scan executor, the
+	// single-threaded exact baseline by definition; ParallelScan is its
+	// parallel counterpart.
 	Workers int
 	// OnProgress, when non-nil, receives interim run state: sampling
 	// executors emit after stage 1, after every HistSim round, and after
@@ -108,8 +105,9 @@ type Options struct {
 	Deadline time.Time
 	// RowBudget, when > 0, caps the tuples a run may read across all
 	// stages and workers; exhausting it returns a partial Result with
-	// ErrBudgetExhausted. The cap is enforced at block granularity, so
-	// up to one block per worker may be read past it.
+	// ErrBudgetExhausted. The cap is enforced at block granularity, so a
+	// sampling run may read up to one block past it, and ParallelScan up
+	// to one block per worker.
 	RowBudget int64
 	// DisableBlockSkip turns off statistics-based block pruning. Pruning
 	// never changes results — skipped blocks are provably free of
@@ -173,34 +171,12 @@ type Result struct {
 	// GroupLabels names the histogram groups, aligned with Histogram
 	// vector indices.
 	GroupLabels []string
-	// Sampler carries per-worker sampling diagnostics (nil for the exact
-	// scan executors). It is deliberately excluded from JSON: the numbers
-	// depend on the worker count, and serialized results must stay
-	// byte-identical across Workers values. Serving layers aggregate it
-	// into metrics instead.
-	Sampler *SamplerStats `json:"-"`
 	// Quality is the answer-quality report, present only when
 	// Options.Quality was set on a sampling-executor run (nil otherwise).
-	// Excluded from JSON for the same reason as Sampler: serialized
-	// results must stay byte-identical whether or not quality telemetry
-	// was requested. Serving layers surface it as a sibling field of the
-	// result, never inside it.
+	// Excluded from JSON: serialized results must stay byte-identical
+	// whether or not quality telemetry was requested. Serving layers
+	// surface it as a sibling field of the result, never inside it.
 	Quality *QualityReport `json:"-"`
-}
-
-// SamplerStats describes how a sampling run's block reads were spread
-// across workers. Unlike Result's other fields it is worker-count
-// dependent — diagnostics, not part of the answer.
-type SamplerStats struct {
-	// Workers is the effective fan-out width (after the ≤0 → GOMAXPROCS
-	// default and the chunk-size cap).
-	Workers int
-	// Chunks counts committed planner chunks across all rounds.
-	Chunks int64
-	// WorkerBlocks / WorkerTuples count blocks and tuples read by each
-	// worker, indexed by worker id.
-	WorkerBlocks []int64
-	WorkerTuples []int64
 }
 
 // Match pairs a candidate with its distance and reconstructed histogram.
@@ -394,28 +370,10 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 	obs, obsClose := runObserver(began, opts, bs.Stats, p.cand.labelOf, runSpan)
 	defer obsClose()
 	coreRes, err := core.RunObserved(bs, target, opts.Params, obs)
-	if opts.Trace != nil && len(bs.wBlocks) > 1 {
-		// Per-worker sampler spans, attribute-only: phase spans already
-		// carry the run's full IO as deltas, so worker spans must not
-		// repeat it (the span tree's IO sums to Result.IO).
-		for i := range bs.wBlocks {
-			sp := runSpan.Child(fmt.Sprintf("sampler.worker%d", i))
-			sp.SetAttr("blocks", bs.wBlocks[i])
-			sp.SetAttr("tuples", bs.wTuples[i])
-			sp.End()
-		}
-	}
 	if err != nil && (coreRes == nil || !interrupted(err)) {
 		return nil, err
 	}
-	res := samplingResult(coreRes, bs.Stats(), time.Since(began), groupLabels(p.grp), p.cand.labelOf)
-	res.Sampler = &SamplerStats{
-		Workers:      len(bs.wBlocks),
-		Chunks:       bs.chunks,
-		WorkerBlocks: bs.wBlocks,
-		WorkerTuples: bs.wTuples,
-	}
-	return res, err
+	return samplingResult(coreRes, bs.Stats(), time.Since(began), groupLabels(p.grp), p.cand.labelOf), err
 }
 
 // runObserver builds the OnProgress/trace observer for a sampling run:
@@ -501,7 +459,6 @@ func runObserver(began time.Time, opts Options, stats func() IOStats, labelOf fu
 }
 
 // samplingResult converts a core sampling result into an engine Result.
-// Sampler diagnostics are the caller's to attach.
 func samplingResult(coreRes *core.Result, io IOStats, duration time.Duration, grpLabels []string, labelOf func(int) string) *Result {
 	res := &Result{
 		Exact:       coreRes.Exact,

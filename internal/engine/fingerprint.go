@@ -102,8 +102,10 @@ func (t Target) Fingerprint() string {
 // Fingerprint returns a canonical cache key for every run-affecting
 // option. Two runs of the same Plan and target with equal option
 // fingerprints produce identical Results: the executors are deterministic
-// given Seed (which fixes the start block when StartBlock is negative) and
-// Workers (ParallelScan partitioning). OnProgress, Trace, and Quality (no
+// given Seed (which fixes the start block when StartBlock is negative).
+// Workers is written only for ParallelScan, the one executor whose run it
+// partitions: Scan and the sampling executors ignore it, so requests that
+// differ only in Workers share one key there. OnProgress, Trace, and Quality (no
 // effect on the result; purely observational) and Deadline (wall-clock dependent;
 // Deadline-bearing runs must not be cached by fingerprint) are
 // deliberately excluded — which is also why serving layers must bypass
@@ -127,7 +129,9 @@ func (o Options) Fingerprint() string {
 	w.int("lookahead", int64(o.Lookahead))
 	w.int("start", int64(o.StartBlock))
 	w.int("seed", o.Seed)
-	w.int("workers", int64(o.Workers))
+	if o.Executor == ParallelScan {
+		w.int("workers", int64(o.Workers))
+	}
 	w.int("rowbudget", o.RowBudget)
 	// Results are byte-identical across these two knobs; they are still
 	// fingerprinted because cached Results carry IOStats, which the knobs

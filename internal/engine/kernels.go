@@ -7,7 +7,7 @@ import "fastmatch/internal/histogram"
 // The five executors differ only in which blocks they select; what
 // happens to a selected block — map each row to (candidate, group),
 // count it — is scanKernel.block for all of them: scanExec.scanRange
-// calls it for the exact pass, samplerWorker.process for sampling rounds.
+// calls it for the exact pass, blockSampler.readBlock for sampling rounds.
 //
 // The scalar row loop pays, per row, two interface dispatches (groupOf,
 // candidateOf), a lazy-histogram nil check, and a float64 histogram
@@ -109,7 +109,7 @@ type scanKernel struct {
 
 	// cnt/touched, when cnt is non-nil, tally the rows counted per
 	// candidate since the caller last drained them: the sampler commits
-	// them into its deficits at every chunk barrier.
+	// them into its deficits at every chunk boundary.
 	cnt     []int64
 	touched []int
 

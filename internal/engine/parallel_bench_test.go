@@ -1,19 +1,13 @@
 package engine
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// BenchmarkParallelSampling measures the adaptive sampling executors
-// (stage-1 uniform pass + stage-2 hypothesis-testing rounds) across
-// worker counts. Results are byte-identical for any worker count by
-// construction (see parallel_equiv_test.go), so the only thing at stake
-// here is wall-clock: workers=1 must not regress against the serial
-// baseline, and workers>1 may only help on real multi-core hardware
-// (measured end to end as engine_workers_speedup.syncmatch by
-// `bash benchmark/run.sh --trace 1`).
-func BenchmarkParallelSampling(b *testing.B) {
+// BenchmarkSampling measures each adaptive sampling executor (stage-1
+// uniform pass + stage-2 hypothesis-testing rounds) over a 400k-row
+// table. Every round runs on the caller's goroutine, so there is no
+// worker axis; compare its per-row cost with BenchmarkScanKernels' exact
+// pass to size the sampler's overhead over the scan.
+func BenchmarkSampling(b *testing.B) {
 	tbl := testDataset(b, 400_000, 20, 8, 5)
 	eng := New(tbl)
 	plan, err := eng.Prepare(baseQuery())
@@ -24,17 +18,14 @@ func BenchmarkParallelSampling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, exec := range []Executor{ScanMatch, SyncMatch, FastMatch} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", exec, workers), func(b *testing.B) {
-				opts := equivOptions(exec, tbl.NumBlocks())
-				opts.Workers = workers
-				for i := 0; i < b.N; i++ {
-					if _, err := plan.RunWithTarget(target, opts); err != nil {
-						b.Fatal(err)
-					}
+	for _, exec := range samplingExecutors() {
+		b.Run(exec.String(), func(b *testing.B) {
+			opts := equivOptions(exec, tbl.NumBlocks())
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.RunWithTarget(target, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

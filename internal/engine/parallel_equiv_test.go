@@ -5,23 +5,26 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
-// Worker-count equivalence suite: the sampling executors' chunk-committed
-// rounds promise byte-identical results for ANY Options.Workers value —
-// the planner makes every policy decision serially from committed state
-// and per-worker partials merge with exact integer arithmetic (see
-// sampler.go). This suite enforces the promise the same way
-// TestSkipOnOffByteIdentical pins skip on/off: canonical JSON equality
-// over results, IOStats, and the full OnProgress sequence, across all
-// three storage backends, including runs cut short by a row budget or a
-// mid-scan cancellation. Run under -race in CI, it also proves the
-// worker pool shares no unsynchronized state.
+// Worker-count suite for the sampling executors: every sampling round
+// runs on the caller's goroutine (see sampler.go), so Options.Workers is
+// inert there. TestSamplingRunsOnCallerGoroutine pins the first half —
+// no goroutine is started — and the TestWorkerCountByteIdentical* tests
+// pin the second the same way TestSkipOnOffByteIdentical pins skip
+// on/off: canonical JSON equality over results, IOStats, and the full
+// OnProgress sequence, across all three storage backends, including runs
+// cut short by a row budget or a mid-scan cancellation.
 
 func samplingExecutors() []Executor {
 	return []Executor{ScanMatch, SyncMatch, FastMatch}
 }
+
+// inertWorkers are the Workers values the suite compares: the reference
+// 1, the GOMAXPROCS default, and an explicit fan-out of 4.
+var inertWorkers = []int{1, 0, 4}
 
 // progressLog returns an OnProgress hook appending each frame's
 // canonical form (Elapsed zeroed — the one nondeterministic field) to
@@ -37,6 +40,40 @@ func progressLog(t testing.TB, seq *[]string) func(Progress) {
 	}
 }
 
+// TestSamplingRunsOnCallerGoroutine runs every sampling executor at
+// Workers: 4 with a Filter that samples runtime.NumGoroutine() on every
+// row it sees: a sampling run must never hold more goroutines than
+// existed before it started.
+func TestSamplingRunsOnCallerGoroutine(t *testing.T) {
+	tbl := testDataset(t, 40_000, 20, 8, 5)
+	eng := New(tbl)
+	for _, exec := range samplingExecutors() {
+		t.Run(exec.String(), func(t *testing.T) {
+			peak := 0
+			q := baseQuery()
+			q.Filter = func(int) bool {
+				if n := runtime.NumGoroutine(); n > peak {
+					peak = n
+				}
+				return true
+			}
+			opts := equivOptions(exec, tbl.NumBlocks())
+			opts.Workers = 4
+			base := runtime.NumGoroutine()
+			res, err := eng.Run(q, Target{Uniform: true}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.IO.BlocksRead == 0 || peak == 0 {
+				t.Fatal("run read no rows through the filter")
+			}
+			if peak > base {
+				t.Fatalf("%d goroutines during the run, %d before it", peak, base)
+			}
+		})
+	}
+}
+
 func TestWorkerCountByteIdentical(t *testing.T) {
 	for name, src := range cancelBackends(t) {
 		eng := New(src)
@@ -45,7 +82,7 @@ func TestWorkerCountByteIdentical(t *testing.T) {
 				var wantRes string
 				var wantIO IOStats
 				var wantSeq []string
-				for _, workers := range []int{1, 2, 4} {
+				for i, workers := range inertWorkers {
 					opts := equivOptions(exec, src.NumBlocks())
 					opts.Workers = workers
 					var seq []string
@@ -55,7 +92,7 @@ func TestWorkerCountByteIdentical(t *testing.T) {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
 					got := canonicalResult(t, res)
-					if workers == 1 {
+					if i == 0 {
 						wantRes, wantIO, wantSeq = got, res.IO, seq
 						continue
 					}
@@ -89,7 +126,7 @@ func TestWorkerCountByteIdenticalShortLookahead(t *testing.T) {
 	for _, lookahead := range []int{3, 17} {
 		t.Run(fmt.Sprintf("lookahead=%d", lookahead), func(t *testing.T) {
 			var want string
-			for _, workers := range []int{1, 2, 4} {
+			for i, workers := range inertWorkers {
 				opts := equivOptions(FastMatch, tbl.NumBlocks())
 				opts.Lookahead = lookahead
 				opts.Workers = workers
@@ -98,7 +135,7 @@ func TestWorkerCountByteIdenticalShortLookahead(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				got := canonicalResult(t, res)
-				if workers == 1 {
+				if i == 0 {
 					want = got
 				} else if got != want {
 					t.Fatalf("workers=%d diverges from workers=1 at lookahead %d", workers, lookahead)
@@ -109,9 +146,9 @@ func TestWorkerCountByteIdenticalShortLookahead(t *testing.T) {
 }
 
 // TestWorkerCountByteIdenticalBudgetPartial pins the harder half of the
-// determinism contract: a run stopped by a row budget must cut at the
-// same committed block for every worker count, so even the partial
-// result and its progress prefix are byte-identical.
+// determinism contract: a run stopped by a row budget cuts at the same
+// block for every worker count, so even the partial result and its
+// progress prefix are byte-identical.
 func TestWorkerCountByteIdenticalBudgetPartial(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 5)
 	eng := New(tbl)
@@ -119,7 +156,7 @@ func TestWorkerCountByteIdenticalBudgetPartial(t *testing.T) {
 		t.Run(exec.String(), func(t *testing.T) {
 			var wantRes string
 			var wantSeq []string
-			for _, workers := range []int{1, 2, 4} {
+			for i, workers := range inertWorkers {
 				opts := equivOptions(exec, tbl.NumBlocks())
 				opts.Workers = workers
 				opts.RowBudget = 3_000
@@ -133,7 +170,7 @@ func TestWorkerCountByteIdenticalBudgetPartial(t *testing.T) {
 					t.Fatalf("workers=%d: no partial result", workers)
 				}
 				got := canonicalResult(t, res)
-				if workers == 1 {
+				if i == 0 {
 					wantRes, wantSeq = got, seq
 					continue
 				}
@@ -149,18 +186,17 @@ func TestWorkerCountByteIdenticalBudgetPartial(t *testing.T) {
 }
 
 // TestWorkerCountByteIdenticalCancelPartial does the same for a filter
-// that cancels the context after a fixed number of rows. The trigger row
-// lands inside the same planned chunk for every worker count (the
-// planner's read plan never depends on workers), and the planner only
-// observes the guard between chunks — so the cut, and the partial, are
-// deterministic even though worker interleaving within the chunk is not.
+// that cancels the context after a fixed number of rows. The walk reads
+// on its own goroutine and checks the guard before every block, so the
+// cut lands right after the block holding the trigger row for every
+// worker count.
 func TestWorkerCountByteIdenticalCancelPartial(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 5)
 	eng := New(tbl)
 	for _, exec := range samplingExecutors() {
 		t.Run(exec.String(), func(t *testing.T) {
 			var want string
-			for _, workers := range []int{1, 2, 4} {
+			for i, workers := range inertWorkers {
 				ctx, cancel := context.WithCancel(context.Background())
 				q := baseQuery()
 				q.Filter = cancelAfterRows(cancel, 5_000)
@@ -175,60 +211,12 @@ func TestWorkerCountByteIdenticalCancelPartial(t *testing.T) {
 					t.Fatalf("workers=%d: no partial result", workers)
 				}
 				got := canonicalResult(t, res)
-				if workers == 1 {
+				if i == 0 {
 					want = got
 				} else if got != want {
 					t.Fatalf("workers=%d cancel partial diverges from workers=1:\n%s\nvs\n%s", workers, got, want)
 				}
 			}
 		})
-	}
-}
-
-// TestSamplerStatsAccounting checks the per-worker diagnostics: worker
-// block/tuple counts must sum to the run's I/O totals, and the effective
-// width must respect the requested worker count.
-func TestSamplerStatsAccounting(t *testing.T) {
-	tbl := testDataset(t, 40_000, 20, 8, 5)
-	eng := New(tbl)
-	for _, workers := range []int{1, 3} {
-		opts := equivOptions(SyncMatch, tbl.NumBlocks())
-		opts.Workers = workers
-		res, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := res.Sampler
-		if ss == nil {
-			t.Fatalf("workers=%d: sampling run carries no SamplerStats", workers)
-		}
-		if ss.Workers != workers {
-			t.Fatalf("effective workers %d, requested %d", ss.Workers, workers)
-		}
-		if ss.Chunks <= 0 {
-			t.Fatalf("workers=%d: no chunks committed", workers)
-		}
-		var blocks, tuples int64
-		for i := range ss.WorkerBlocks {
-			blocks += ss.WorkerBlocks[i]
-			tuples += ss.WorkerTuples[i]
-		}
-		if blocks != res.IO.BlocksRead {
-			t.Fatalf("worker blocks sum %d != BlocksRead %d", blocks, res.IO.BlocksRead)
-		}
-		if tuples != res.IO.TuplesRead {
-			t.Fatalf("worker tuples sum %d != TuplesRead %d", tuples, res.IO.TuplesRead)
-		}
-		if workers > 1 {
-			busy := 0
-			for _, b := range ss.WorkerBlocks {
-				if b > 0 {
-					busy++
-				}
-			}
-			if busy < 2 {
-				t.Fatalf("workers=%d but only %d worker(s) read blocks", workers, busy)
-			}
-		}
 	}
 }

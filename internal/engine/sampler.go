@@ -2,9 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fastmatch/internal/bitmap"
 	"fastmatch/internal/colstore"
@@ -90,48 +87,37 @@ func (s *IOStats) Add(other IOStats) {
 	s.Wraps += other.Wraps
 }
 
-// Chunk-committed parallel sampling rounds
+// Chunk-committed sampling rounds
 //
-// Every sampling pass (Stage1 and each SampleUntil round) is driven by a
-// single-threaded *planner* that walks the block permutation making every
-// policy decision — consumed-set skips, AnyActive probes, zone-map
-// virtual skips, guard/budget checks — against *committed* state only.
-// Blocks the planner decides to read are charged eagerly (Drawn, the
-// guard's row budget, the consumed set) and appended to a read list;
-// the list is dispatched to workers in chunks of samplerChunkRows-worth
-// of blocks. Workers accumulate into private mergeable partials
-// (core.Batch counts/histograms); at each chunk barrier the planner
-// commits their fresh per-candidate counts into the deficit bookkeeping,
-// and at round end the partials are merged in worker order via
-// core.Batch.Merge.
+// Every sampling pass (Stage1 and each SampleUntil round) is one walk
+// over the block permutation on the run's own goroutine. The walk makes
+// every policy decision — consumed-set skips, AnyActive probes, zone-map
+// virtual skips, guard/budget checks — against *committed* state only,
+// and reads each block it decides to read at once through the round's
+// one scanKernel, whose per-candidate tally accumulates uncommitted. At
+// fixed chunk boundaries the walk commits the tally into the deficit
+// bookkeeping; at round end the kernel's histograms are merged into the
+// round batch (core.Batch.Merge).
 //
-// This plan-then-read structure is what makes results byte-identical for
-// ANY worker count, including workers=1:
-//
-//   - every policy decision is made serially from committed state, so
-//     the set and order of planned blocks never depends on worker
-//     timing;
-//   - every planned block is always read (a guard stop flushes the
-//     pending chunk first), so no speculative work is ever discarded and
-//     Drawn/IOStats count exactly the committed work;
-//   - partials hold only integer-valued quantities, so the worker-order
-//     merge is exact (see core.Batch.Merge).
-//
-// The price is that adaptive decisions — round termination when deficits
-// are met, the active set AnyActive probes see — advance at chunk
+// Adaptive decisions — round termination when deficits are met, the
+// active set AnyActive probes see — therefore advance at chunk
 // granularity instead of row granularity: a round may read up to one
 // chunk (at most samplerChunkMaxBlocks blocks) past the point a
-// fully-serial row-fresh policy would have stopped. That granularity is
-// fixed per table (derived from the block size, never from the worker
-// count), so it is part of the deterministic contract, and the Sampler
-// interface explicitly permits the extra samples — they only sharpen the
-// cumulative estimates.
+// row-fresh policy would have stopped. That granularity is fixed per
+// table (derived from the block size), so it is part of the
+// deterministic contract, and the Sampler interface explicitly permits
+// the extra samples — they only sharpen the cumulative estimates.
 //
 // Chunk boundaries sit at fixed positions in block-index space — the
-// planner commits after visiting any block b with (b+1) ≡ 0 (mod
-// ChunkBlocks), not after accumulating a buffer's worth of reads — so
-// the commit schedule is a pure function of the block indices walked,
-// independent of how many blocks in a chunk were skipped.
+// walk commits after visiting any block b with (b+1) ≡ 0 (mod
+// chunkBlocks), and at the end of the block space — so the commit
+// schedule is a pure function of the block indices walked, independent
+// of how many blocks in a chunk were skipped.
+//
+// There is no read fan-out: FastMatch wins by skipping blocks, not by
+// reading the chosen ones on more threads, and a per-chunk worker pool
+// measured slower than this one goroutine for every sampling executor.
+// Options.Workers parallelizes only the exact path.
 const (
 	// samplerChunkRows sizes the commit granularity: chunks target this
 	// many rows' worth of blocks.
@@ -141,6 +127,22 @@ const (
 	samplerChunkMinBlocks = 4
 	samplerChunkMaxBlocks = 64
 )
+
+// chunkBlocks returns the chunk-commit granularity (in blocks) for the
+// given block size.
+func chunkBlocks(blockSize int) int {
+	if blockSize <= 0 {
+		return samplerChunkMinBlocks
+	}
+	c := samplerChunkRows / blockSize
+	if c < samplerChunkMinBlocks {
+		c = samplerChunkMinBlocks
+	}
+	if c > samplerChunkMaxBlocks {
+		c = samplerChunkMaxBlocks
+	}
+	return c
+}
 
 // blockSampler implements core.Sampler over a block-structured table. It
 // owns the I/O manager (block reads) and the sampling engine (block
@@ -159,11 +161,7 @@ type blockSampler struct {
 	exact     []bool // sticky per-candidate exhaustion flags
 	stats     IOStats
 
-	// workers is the read-fan-out width per chunk; ≤ 1 processes chunks
-	// inline on the planner goroutine (no pool, no goroutines). Results
-	// are byte-identical for every value — see the package comment above.
-	workers int
-	// kernels lets the workers' accumulators run the vectorized kernels
+	// kernels lets each round's accumulator run the vectorized kernels
 	// (Options.DisableScanKernels clears it).
 	kernels bool
 
@@ -177,24 +175,17 @@ type blockSampler struct {
 	skipAll *bitmap.Bitset
 	skipGrp *bitmap.Bitset
 
-	// Round-local deficit bookkeeping, owned by the planner. active is
-	// the committed unmet candidate set AnyActive probes and lookahead
-	// marking read; it is refreshed at chunk commits, never mid-chunk.
+	// Round-local deficit bookkeeping. active is the committed unmet
+	// candidate set AnyActive probes and lookahead marking read; it is
+	// refreshed at chunk commits, never mid-chunk.
 	deficit []int64
 	unmet   int
 	active  []int
-
-	// Per-worker diagnostics accumulated across rounds (run-scoped, not
-	// part of the result: they are worker-count-dependent by nature).
-	wBlocks []int64
-	wTuples []int64
-	chunks  int64
 }
 
 // newSampler binds a block sampler to the plan under a run's options:
-// the executor's block policy, lookahead, read fan-out (Workers ≤ 0
-// selects GOMAXPROCS), and the skip/kernel knobs. startBlock is
-// normalized into the block space.
+// the executor's block policy, lookahead, and the skip/kernel knobs.
+// startBlock is normalized into the block space.
 func (p *Plan) newSampler(opts Options, startBlock int, guard *runGuard) *blockSampler {
 	src := p.engine.src
 	nb := src.NumBlocks()
@@ -205,7 +196,6 @@ func (p *Plan) newSampler(opts Options, startBlock int, guard *runGuard) *blockS
 		mode:      opts.Executor,
 		guard:     guard,
 		lookahead: opts.Lookahead,
-		workers:   opts.Workers,
 		kernels:   !opts.DisableScanKernels,
 		consumed:  bitmap.NewBitset(nb),
 		exact:     make([]bool, p.cand.numCandidates()),
@@ -213,9 +203,6 @@ func (p *Plan) newSampler(opts Options, startBlock int, guard *runGuard) *blockS
 	}
 	if bs.lookahead <= 0 {
 		bs.lookahead = 1024
-	}
-	if bs.workers <= 0 {
-		bs.workers = runtime.GOMAXPROCS(0)
 	}
 	if nb > 0 {
 		bs.cursor = ((startBlock % nb) + nb) % nb
@@ -236,20 +223,8 @@ func (bs *blockSampler) Groups() int { return bs.plan.grp.groups() }
 // TotalRows implements core.Sampler.
 func (bs *blockSampler) TotalRows() int64 { return int64(bs.src.NumRows()) }
 
-// Stats returns a snapshot of the I/O counters. The counters are
-// maintained with atomics (workers update them concurrently within a
-// chunk), so Stats may be called while a run is in flight (e.g. by a
-// progress monitor on another goroutine).
-func (bs *blockSampler) Stats() IOStats {
-	return IOStats{
-		BlocksRead:    atomic.LoadInt64(&bs.stats.BlocksRead),
-		BlocksSkipped: atomic.LoadInt64(&bs.stats.BlocksSkipped),
-		BlocksPruned:  atomic.LoadInt64(&bs.stats.BlocksPruned),
-		TuplesRead:    atomic.LoadInt64(&bs.stats.TuplesRead),
-		KernelBlocks:  atomic.LoadInt64(&bs.stats.KernelBlocks),
-		Wraps:         atomic.LoadInt64(&bs.stats.Wraps),
-	}
-}
+// Stats returns a snapshot of the I/O counters.
+func (bs *blockSampler) Stats() IOStats { return bs.stats }
 
 func (bs *blockSampler) allConsumed() bool {
 	return bs.consCnt >= bs.src.NumBlocks()
@@ -293,21 +268,31 @@ func (bs *blockSampler) Stage1(m int) (*core.Batch, error) {
 // scan proved it does not need.
 func (bs *blockSampler) skipVirtual(b int, batch *core.Batch) {
 	bs.chargeBlock(b, batch)
-	atomic.AddInt64(&bs.stats.BlocksSkipped, 1)
-	atomic.AddInt64(&bs.stats.BlocksPruned, 1)
+	bs.stats.BlocksSkipped++
+	bs.stats.BlocksPruned++
 }
 
 // chargeBlock commits the decision to consume block b: its rows are
-// charged to the batch and the guard, and the block marked consumed,
-// before any worker touches it. Planned work is never abandoned (a guard
-// stop flushes the pending chunk), so eager charging keeps Drawn and
-// budget accounting identical to a fully-serial read-then-charge loop.
+// charged to the batch and the guard, and the block marked consumed.
 func (bs *blockSampler) chargeBlock(b int, batch *core.Batch) {
 	n := bs.plan.blockRows(b)
 	batch.Drawn += n
 	bs.guard.addRows(n)
 	bs.consumed.Set(b)
 	bs.consCnt++
+}
+
+// readBlock charges block b and accumulates its rows into the round's
+// kernel.
+func (bs *blockSampler) readBlock(b int, batch *core.Batch, kern *scanKernel) {
+	bs.chargeBlock(b, batch)
+	lo, hi := bs.src.BlockSpan(b)
+	kern.block(lo, hi)
+	bs.stats.BlocksRead++
+	bs.stats.TuplesRead += int64(hi - lo)
+	if kern.vectorized() {
+		bs.stats.KernelBlocks++
+	}
 }
 
 // SampleUntil implements core.Sampler with the executor's block policy.
@@ -365,87 +350,36 @@ func (bs *blockSampler) advance() int {
 	bs.cursor++
 	if bs.cursor >= bs.src.NumBlocks() {
 		bs.cursor = 0
-		atomic.AddInt64(&bs.stats.Wraps, 1)
+		bs.stats.Wraps++
 	}
 	return b
 }
 
-// runRound is the unified planner/committer for one sampling pass.
-// stage1Need ≥ 0 selects stage-1 mode: sequential reads (no AnyActive)
-// until Drawn reaches stage1Need. stage1Need < 0 selects deficit mode:
-// the executor's block policy until every deficit is met (at chunk
-// granularity) or the pass completes. Returns the guard's termination
-// error (nil for a completed pass); on error the pending chunk has been
-// flushed and the batch holds every committed sample.
+// runRound is the one walk for a sampling pass. stage1Need ≥ 0 selects
+// stage-1 mode: sequential reads (no AnyActive) until Drawn reaches
+// stage1Need. stage1Need < 0 selects deficit mode: the executor's block
+// policy until every deficit is met (at chunk granularity) or the pass
+// completes. Returns the guard's termination error (nil for a completed
+// pass); either way the batch holds every block read.
 func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 	total := bs.src.NumBlocks()
 	if total == 0 {
 		return nil
 	}
 	stage1 := stage1Need >= 0
-	chunkCap := ChunkBlocks(bs.plan.blockSize)
-	workers := bs.workers
-	if workers > chunkCap {
-		workers = chunkCap
-	}
-	ws := bs.newWorkers(workers)
-
-	// The per-round worker pool: spawned once per round (not per chunk),
-	// joined on every return path so a canceled run never leaves readers
-	// behind (the same discipline the old lookahead marker had).
-	var tasks chan samplerTask
-	var acks chan struct{}
-	if workers > 1 {
-		tasks = make(chan samplerTask)
-		acks = make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range tasks {
-					t.w.process(t.blocks)
-					acks <- struct{}{}
-				}
-			}()
-		}
-		defer func() { close(tasks); wg.Wait() }()
-	}
-
-	readBuf := make([]int, 0, chunkCap)
-	flush := func() {
-		n := len(readBuf)
-		if n == 0 {
-			return
-		}
-		if workers == 1 || n < 2 {
-			ws[0].process(readBuf)
-		} else {
-			p := workers
-			if p > n {
-				p = n
-			}
-			for i := 0; i < p; i++ {
-				tasks <- samplerTask{w: ws[i], blocks: readBuf[i*n/p : (i+1)*n/p]}
-			}
-			for i := 0; i < p; i++ {
-				<-acks
-			}
-		}
-		bs.commitChunk(ws)
-		readBuf = readBuf[:0]
-	}
+	chunk := chunkBlocks(bs.plan.blockSize)
+	kern := bs.plan.newKernel(bs.kernels, -1, true)
 
 	// FastMatch lookahead window state: marking decisions are computed
 	// for lookahead-sized tiles at fixed block-index positions
 	// [kL, (k+1)L) (Algorithm 3), each tile marked in one bulk AnyActive
-	// pass from the active set committed when the planner first enters
-	// it (a round starting mid-tile marks only the tile's remainder).
-	// Marks within a tile are stale by up to the tile length — safe
-	// because the deficit set only shrinks within a round, so a stale
-	// mark is a superset of what fresher state would mark. Anchoring
-	// tiles to block indices (not to the visit sequence) keeps the
-	// marking schedule a pure function of the blocks walked.
+	// pass from the active set committed when the walk first enters it
+	// (a round starting mid-tile marks only the tile's remainder). Marks
+	// within a tile are stale by up to the tile length — safe because
+	// the deficit set only shrinks within a round, so a stale mark is a
+	// superset of what fresher state would mark. Anchoring tiles to block
+	// indices (not to the visit sequence) keeps the marking schedule a
+	// pure function of the blocks walked.
 	var mark []bool
 	winStart, winEnd := 0, 0 // current tile's block range; empty until first FastMatch visit
 
@@ -487,7 +421,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 			switch {
 			case bs.consumed.Get(b):
 			case !mark[b-winStart]:
-				atomic.AddInt64(&bs.stats.BlocksSkipped, 1)
+				bs.stats.BlocksSkipped++
 			case bs.skipGrp != nil && bs.skipGrp.Get(b):
 				bs.skipVirtual(b, batch)
 			default:
@@ -500,7 +434,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 			// single block — the cache-hostile pattern SyncMatch models —
 			// with the last-committed active set.
 			case !bs.cand.blockAnyActive(bs.active, b):
-				atomic.AddInt64(&bs.stats.BlocksSkipped, 1)
+				bs.stats.BlocksSkipped++
 			// Group-prunable blocks only: candidate-prunable ones were
 			// already rejected (without sample accounting) by AnyActive.
 			case bs.skipGrp != nil && bs.skipGrp.Get(b):
@@ -518,114 +452,43 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 			}
 		}
 		if read {
-			bs.chargeBlock(b, batch)
-			readBuf = append(readBuf, b)
+			bs.readBlock(b, batch, kern)
 		}
 		// Commit at fixed block-index boundaries (see the package
-		// comment): after block b with (b+1) ≡ 0 mod chunkCap, and at
-		// the end of the block space (the wrap point), so the commit
+		// comment): after block b with (b+1) ≡ 0 mod chunk, and at the
+		// end of the block space (the wrap point), so the commit
 		// schedule never depends on how many blocks were skipped.
-		if (b+1)%chunkCap == 0 || b+1 == total {
-			flush()
+		if (b+1)%chunk == 0 || b+1 == total {
+			bs.commitChunk(kern)
 		}
 	}
-	flush()
-	bs.foldWorkers(batch, ws)
+	bs.commitChunk(kern)
+	if err := batch.Merge(scanBatch(kern.fold(), 0)); err != nil {
+		panic(err) // candidate domains match by construction
+	}
 	return stopErr
 }
 
-// commitChunk folds each worker's fresh per-chunk counts into the
-// deficit bookkeeping, in worker order. Runs on the planner goroutine at
-// a chunk barrier — no worker is in flight.
-func (bs *blockSampler) commitChunk(ws []*samplerWorker) {
+// commitChunk drains the kernel's per-candidate tally into the deficit
+// bookkeeping and refreshes the active set if any deficit was met.
+func (bs *blockSampler) commitChunk(k *scanKernel) {
 	changed := false
-	for _, w := range ws {
-		k := w.kern
-		for _, id := range k.touched {
-			c := k.cnt[id]
-			k.cnt[id] = 0
-			if d := bs.deficit[id]; d > 0 {
-				if c >= d {
-					bs.deficit[id] = 0
-					bs.unmet--
-					changed = true
-				} else {
-					bs.deficit[id] = d - c
-				}
+	for _, id := range k.touched {
+		c := k.cnt[id]
+		k.cnt[id] = 0
+		if d := bs.deficit[id]; d > 0 {
+			if c >= d {
+				bs.deficit[id] = 0
+				bs.unmet--
+				changed = true
+			} else {
+				bs.deficit[id] = d - c
 			}
 		}
-		k.touched = k.touched[:0]
 	}
+	k.touched = k.touched[:0]
 	if changed {
 		bs.refreshActive()
-	}
-	bs.chunks++
-}
-
-// foldWorkers merges the per-worker round partials into the round batch
-// in worker order (core.Batch.Merge: exact integer sums, so the merged
-// batch is byte-identical for any worker count) and accumulates the
-// per-worker diagnostics.
-func (bs *blockSampler) foldWorkers(batch *core.Batch, ws []*samplerWorker) {
-	if bs.wBlocks == nil {
-		bs.wBlocks = make([]int64, len(ws))
-		bs.wTuples = make([]int64, len(ws))
-	}
-	for i, w := range ws {
-		if err := batch.Merge(scanBatch(w.kern.fold(), 0)); err != nil {
-			panic(err) // candidate domains match by construction
-		}
-		if i < len(bs.wBlocks) {
-			bs.wBlocks[i] += w.blocks
-			bs.wTuples[i] += w.tuples
-		}
-	}
-}
-
-// samplerTask is one worker's share of a chunk's read list.
-type samplerTask struct {
-	w      *samplerWorker
-	blocks []int
-}
-
-// samplerWorker is one worker's private state for a round: its block
-// accumulator — the round's mergeable partial, folded and merged at round
-// end, whose tally the planner commits at each chunk barrier — plus
-// diagnostics. Workers share no mutable state: they read immutable plan
-// data, write their own fields, and bump the sampler's atomic I/O
-// counters.
-type samplerWorker struct {
-	bs     *blockSampler
-	kern   *scanKernel
-	blocks int64
-	tuples int64
-}
-
-// newWorkers allocates the round's worker states.
-func (bs *blockSampler) newWorkers(n int) []*samplerWorker {
-	ws := make([]*samplerWorker, n)
-	for i := range ws {
-		ws[i] = &samplerWorker{bs: bs, kern: bs.plan.newKernel(bs.kernels, -1, true)}
-	}
-	return ws
-}
-
-// process reads the given blocks, accumulating into the worker's private
-// state. Runs on a pool goroutine (or inline for workers=1); the only
-// shared writes are the atomic I/O counters.
-func (w *samplerWorker) process(blocks []int) {
-	bs := w.bs
-	for _, b := range blocks {
-		lo, hi := bs.src.BlockSpan(b)
-		w.kern.block(lo, hi)
-		n := int64(hi - lo)
-		w.blocks++
-		w.tuples += n
-		if w.kern.vectorized() {
-			atomic.AddInt64(&bs.stats.KernelBlocks, 1)
-		}
-		atomic.AddInt64(&bs.stats.TuplesRead, n)
-		atomic.AddInt64(&bs.stats.BlocksRead, 1)
 	}
 }
 

@@ -37,23 +37,6 @@ const (
 	SegTarget SegmentKind = "target"
 )
 
-// ChunkBlocks returns the chunk-commit granularity (in blocks) the
-// sampling planner uses for the given block size. datagen -shards sizes
-// shard files in multiples of it.
-func ChunkBlocks(blockSize int) int {
-	if blockSize <= 0 {
-		return samplerChunkMinBlocks
-	}
-	c := samplerChunkRows / blockSize
-	if c < samplerChunkMinBlocks {
-		c = samplerChunkMinBlocks
-	}
-	if c > samplerChunkMaxBlocks {
-		c = samplerChunkMaxBlocks
-	}
-	return c
-}
-
 // ShardMeta describes a plan's shape on one shard. The coordinator
 // cross-checks metas: candidate and group domains must agree across
 // shards.
@@ -194,7 +177,7 @@ func (p *Plan) runTargetSegment(ctx context.Context, req *ShardSegment) (*ShardS
 
 // scanBatch packs accumulated histograms (nil = no counted row) into the
 // mergeable Batch envelope: Drawn carries the guard-charged rows (pruned
-// blocks included; 0 from the sampler, whose planner charges Drawn
+// blocks included; 0 from the sampler, whose walk charges Drawn
 // itself), Counts the per-candidate histogram totals.
 func scanBatch(hists []*histogram.Histogram, rows int64) *core.Batch {
 	b := &core.Batch{Drawn: rows, Counts: make([]int64, len(hists)), Hists: hists}

@@ -34,7 +34,7 @@ type clusterFixture struct {
 	shards    []*httptest.Server
 }
 
-// newClusterFixture splits the fixture table into n chunk-aligned shards,
+// newClusterFixture splits the fixture table into n block-aligned shards,
 // serves each from its own HTTP daemon, and fronts them with a
 // coordinator; a single node serving the unsplit table is the control.
 func newClusterFixture(t testing.TB, n int, cfg Config) *clusterFixture {
@@ -49,8 +49,7 @@ func newClusterFixture(t testing.TB, n int, cfg Config) *clusterFixture {
 func newSlowClusterFixture(t testing.TB, n int, cfg Config, perBlock, timeout time.Duration) *clusterFixture {
 	t.Helper()
 	tbl := fixtureTable(t)
-	align := tbl.BlockSize() * engine.ChunkBlocks(tbl.BlockSize())
-	parts, err := colstore.ShardTables(tbl, n, align)
+	parts, err := colstore.ShardTables(tbl, n)
 	if err != nil {
 		t.Fatal(err)
 	}

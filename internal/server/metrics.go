@@ -21,35 +21,25 @@ const latencyWindow = 1024
 // tableMetrics accumulates per-table serving statistics. One instance per
 // registry entry; all methods are safe for concurrent use.
 type tableMetrics struct {
-	mu        sync.Mutex
-	requests  int64
-	errors    int64
-	canceled  int64
-	timedOut  int64
-	partials  int64
-	planHits  int64
-	planMiss  int64
-	resHits   int64
-	resMiss   int64
-	io        engine.IOStats
-	samples   int64
-	samplesS1 int64
-	samplesS2 int64
-	samplesS3 int64
-	rounds    int64
-	// Sampler fan-out counters: sampling runs executed, the subset that
-	// ran with more than one worker, chunks committed, and per-worker
-	// block/tuple reads (index = worker id; grown to the widest run
-	// seen). Worker-count dependent by nature, so they live here as
-	// operator telemetry rather than in any cached/serialized result.
-	samplerRuns     int64
-	samplerParallel int64
-	samplerChunks   int64
-	samplerWBlocks  []int64
-	samplerWTuples  []int64
-	appendReqs      int64
-	appendRows      int64
-	appendErrs      int64
+	mu         sync.Mutex
+	requests   int64
+	errors     int64
+	canceled   int64
+	timedOut   int64
+	partials   int64
+	planHits   int64
+	planMiss   int64
+	resHits    int64
+	resMiss    int64
+	io         engine.IOStats
+	samples    int64
+	samplesS1  int64
+	samplesS2  int64
+	samplesS3  int64
+	rounds     int64
+	appendReqs int64
+	appendRows int64
+	appendErrs int64
 	// Answer-quality telemetry: runs that carried a quality report, the
 	// subset cut short (truncated termination), the last completed run's
 	// final observed margin, and the stage-2 round distribution.
@@ -180,21 +170,6 @@ func (m *tableMetrics) observe(d time.Duration, res *engine.Result, oc runOutcom
 		m.samplesS2 += res.Stats.SamplesStage2
 		m.samplesS3 += res.Stats.SamplesStage3
 		m.rounds += int64(res.Stats.Rounds)
-		if ss := res.Sampler; ss != nil {
-			m.samplerRuns++
-			if ss.Workers > 1 {
-				m.samplerParallel++
-			}
-			m.samplerChunks += ss.Chunks
-			for len(m.samplerWBlocks) < len(ss.WorkerBlocks) {
-				m.samplerWBlocks = append(m.samplerWBlocks, 0)
-				m.samplerWTuples = append(m.samplerWTuples, 0)
-			}
-			for i := range ss.WorkerBlocks {
-				m.samplerWBlocks[i] += ss.WorkerBlocks[i]
-				m.samplerWTuples[i] += ss.WorkerTuples[i]
-			}
-		}
 	}
 	m.latencies[m.latCount%latencyWindow] = d
 	m.latCount++
@@ -248,17 +223,6 @@ type TableMetrics struct {
 	SamplesStage2 int64 `json:"samples_stage2,omitempty"`
 	SamplesStage3 int64 `json:"samples_stage3,omitempty"`
 	Rounds        int64 `json:"rounds,omitempty"`
-	// SamplerRuns counts sampling-executor runs; SamplerParallelRuns the
-	// subset with more than one worker; SamplerChunks the committed
-	// planner chunks; SamplerWorkerBlocks/Tuples the per-worker block and
-	// tuple reads (index = worker id). Diagnostics for the parallel
-	// sampling fan-out — results themselves are byte-identical for any
-	// worker count.
-	SamplerRuns         int64   `json:"sampler_runs,omitempty"`
-	SamplerParallelRuns int64   `json:"sampler_parallel_runs,omitempty"`
-	SamplerChunks       int64   `json:"sampler_chunks,omitempty"`
-	SamplerWorkerBlocks []int64 `json:"sampler_worker_blocks,omitempty"`
-	SamplerWorkerTuples []int64 `json:"sampler_worker_tuples,omitempty"`
 	// AppendRequests/AppendedRows/AppendErrors count POST .../rows calls
 	// served for the table (always zero for static backends).
 	AppendRequests int64 `json:"append_requests,omitempty"`
@@ -319,29 +283,24 @@ func (m *tableMetrics) snapshot() TableMetrics {
 	lats := make([]time.Duration, n)
 	copy(lats, m.latencies[:n])
 	out := TableMetrics{
-		Requests:            m.requests,
-		Errors:              m.errors,
-		Canceled:            m.canceled,
-		TimedOut:            m.timedOut,
-		PartialResults:      m.partials,
-		ResultCacheHits:     m.resHits,
-		ResultCacheMisses:   m.resMiss,
-		PlanCacheHits:       m.planHits,
-		PlanCacheMisses:     m.planMiss,
-		IO:                  m.io,
-		SamplesDrawn:        m.samples,
-		SamplesStage1:       m.samplesS1,
-		SamplesStage2:       m.samplesS2,
-		SamplesStage3:       m.samplesS3,
-		Rounds:              m.rounds,
-		SamplerRuns:         m.samplerRuns,
-		SamplerParallelRuns: m.samplerParallel,
-		SamplerChunks:       m.samplerChunks,
-		SamplerWorkerBlocks: append([]int64(nil), m.samplerWBlocks...),
-		SamplerWorkerTuples: append([]int64(nil), m.samplerWTuples...),
-		AppendRequests:      m.appendReqs,
-		AppendedRows:        m.appendRows,
-		AppendErrors:        m.appendErrs,
+		Requests:          m.requests,
+		Errors:            m.errors,
+		Canceled:          m.canceled,
+		TimedOut:          m.timedOut,
+		PartialResults:    m.partials,
+		ResultCacheHits:   m.resHits,
+		ResultCacheMisses: m.resMiss,
+		PlanCacheHits:     m.planHits,
+		PlanCacheMisses:   m.planMiss,
+		IO:                m.io,
+		SamplesDrawn:      m.samples,
+		SamplesStage1:     m.samplesS1,
+		SamplesStage2:     m.samplesS2,
+		SamplesStage3:     m.samplesS3,
+		Rounds:            m.rounds,
+		AppendRequests:    m.appendReqs,
+		AppendedRows:      m.appendRows,
+		AppendErrors:      m.appendErrs,
 
 		QualityRuns:              m.qualityRuns,
 		QualityTruncatedRuns:     m.qualityTruncated,

@@ -120,14 +120,19 @@ func TestStreamCachedAnswerKeepsFrameShape(t *testing.T) {
 // eachRunner runs fn against the single-node control and the coordinator
 // of a throttled 3-shard fixture, primed so the run — not cold-start
 // planning — is what the client walks away from. Both run an exact scan
-// (≥300ms locally, reads every tuple if left alone): the coordinated one
-// has all three segment calls in flight when its client goes.
+// that reads every tuple if left alone: ≥300ms on the single node, and
+// ≥100ms on each shard, whose third of the blocks one worker reads (more
+// workers would overlap the per-block throttle and finish inside the
+// blocking test's 60ms). The coordinated run has all three segment calls
+// in flight when its client goes.
 func eachRunner(t *testing.T, stream bool, fn func(t *testing.T, url string, req QueryRequest)) {
 	for _, c := range []pipelineCell{{false, stream}, {true, stream}} {
 		t.Run(c.String(), func(t *testing.T) {
 			_, url := newSlowClusterFixture(t, 3, Config{}, time.Millisecond, 0).server(c)
 			primeSlow(t, c, url, baseRequest(30, "scan"))
-			fn(t, url, baseRequest(31, "scan"))
+			req := baseRequest(31, "scan")
+			req.Options.Workers = intp(1)
+			fn(t, url, req)
 		})
 	}
 }

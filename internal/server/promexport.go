@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -123,12 +122,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(m TableMetrics) float64 { return float64(m.IO.Wraps) }},
 		{"fastmatch_histsim_rounds_total", "HistSim stage-2 refinement rounds.",
 			func(m TableMetrics) float64 { return float64(m.Rounds) }},
-		{"fastmatch_sampler_runs_total", "Sampling-executor runs.",
-			func(m TableMetrics) float64 { return float64(m.SamplerRuns) }},
-		{"fastmatch_sampler_parallel_runs_total", "Sampling runs with more than one worker.",
-			func(m TableMetrics) float64 { return float64(m.SamplerParallelRuns) }},
-		{"fastmatch_sampler_chunks_total", "Committed sampling planner chunks.",
-			func(m TableMetrics) float64 { return float64(m.SamplerChunks) }},
 		{"fastmatch_append_requests_total", "Row-append requests.",
 			func(m TableMetrics) float64 { return float64(m.AppendRequests) }},
 		{"fastmatch_appended_rows_total", "Rows appended.",
@@ -158,19 +151,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		samples.Sample(float64(m.SamplesStage1), "table", n, "stage", "1")
 		samples.Sample(float64(m.SamplesStage2), "table", n, "stage", "2")
 		samples.Sample(float64(m.SamplesStage3), "table", n, "stage", "3")
-	}
-
-	// Per-worker sampling fan-out: one series per worker slot that has
-	// ever read a block for the table.
-	wblocks := pw.Counter("fastmatch_sampler_worker_blocks_total", "Blocks read by each sampling worker.")
-	wtuples := pw.Counter("fastmatch_sampler_worker_tuples_total", "Tuples read by each sampling worker.")
-	for _, n := range names {
-		m := tables[n]
-		for i := range m.SamplerWorkerBlocks {
-			worker := strconv.Itoa(i)
-			wblocks.Sample(float64(m.SamplerWorkerBlocks[i]), "table", n, "worker", worker)
-			wtuples.Sample(float64(m.SamplerWorkerTuples[i]), "table", n, "worker", worker)
-		}
 	}
 
 	lat := pw.HistogramFamily("fastmatch_request_duration_seconds", "Query request latency.")

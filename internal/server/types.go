@@ -107,11 +107,11 @@ type OptionsSpec struct {
 	// Seed fixes the run's random start block; identical seeded requests
 	// produce identical results (and hit the result cache).
 	Seed *int64 `json:"seed,omitempty"`
-	// Workers sets the run's intra-node fan-out (ParallelScan partitions,
-	// sampling-round read workers). Sampling results are byte-identical
-	// for any value — it is a throughput knob, not a semantic one —
-	// though it participates in the options fingerprint, so different
-	// worker counts are distinct result-cache keys.
+	// Workers sets the exact path's intra-node fan-out: ParallelScan
+	// partitions and candidate-target resolution. Sampling executors run
+	// on one goroutine and ignore it. It enters the options fingerprint
+	// only for parallelscan, so sampling requests that differ only in
+	// workers share one result-cache entry.
 	Workers *int `json:"workers,omitempty"`
 	// RowBudget caps the tuples the run may read; exhausting it returns
 	// a best-effort partial result (Partial set in the payload).

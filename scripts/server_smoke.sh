@@ -104,20 +104,15 @@ printf '%s\n' "$METRICS" | grep -Eq '^fastmatch_requests_total\{table="flights",
 printf '%s\n' "$METRICS" | grep -Eq '^fastmatch_blocks_pruned_total\{table="flights"\} [1-9]' || { echo "/metrics shows no pruned blocks after predicate query" >&2; exit 1; }
 printf '%s\n' "$METRICS" | grep -Eq '^fastmatch_result_cache_hits_total\{table="flights"\} [1-9]' || { echo "/metrics missing cache hit" >&2; exit 1; }
 
-echo "== syncmatch with workers=4 is byte-identical to workers=1; per-worker sampler counters tick"
+echo "== syncmatch with workers=4 is a cache hit on workers=1, with identical result bytes"
 W1QUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"syncmatch","epsilon":0.1,"seed":13,"workers":1}}'
 W4QUERY="$(printf '%s' "$W1QUERY" | sed 's/"workers":1/"workers":4/')"
 RW1="$(curl -fsS -X POST "$BASE/v1/query" -d "$W1QUERY")"
 RW4="$(curl -fsS -X POST "$BASE/v1/query" -d "$W4QUERY")"
-echo "$RW4" | grep -q '"cached":false' || { echo "workers=4 unexpectedly cached (worker count should be a distinct fingerprint): $RW4" >&2; exit 1; }
+echo "$RW4" | grep -q '"cached":true' || { echo "workers=4 missed the cache (workers is inert for sampling executors): $RW4" >&2; exit 1; }
 PW1="$(printf '%s' "$RW1" | sed 's/.*"result"://')"
 PW4="$(printf '%s' "$RW4" | sed 's/.*"result"://')"
 [ "$PW1" = "$PW4" ] || { echo "workers=4 result differs from workers=1" >&2; echo "w1: $PW1" >&2; echo "w4: $PW4" >&2; exit 1; }
-FSTATS="$(curl -fsS "$BASE/v1/stats" | sed 's/.*"flights"://')"
-printf '%s' "$FSTATS" | grep -Eq '"sampler_parallel_runs":[1-9]' || { echo "/v1/stats missing parallel sampler runs: $FSTATS" >&2; exit 1; }
-printf '%s' "$FSTATS" | grep -Eq '"sampler_worker_blocks":\[[0-9]+,[0-9]+' || { echo "/v1/stats missing per-worker sampler counters: $FSTATS" >&2; exit 1; }
-METRICS="$(curl -fsS "$BASE/metrics")"
-printf '%s\n' "$METRICS" | grep -Eq '^fastmatch_sampler_worker_blocks_total\{table="flights",worker="1"\} [1-9]' || { echo "/metrics missing per-worker sampler series" >&2; exit 1; }
 
 echo "== traced query returns a span tree with the same result bytes; ring exposes it"
 TQUERY="$(printf '%s' "$QUERY" | sed 's/^{/{"trace":true,/')"
