@@ -172,12 +172,14 @@ func TestIndexInvariantProperty(t *testing.T) {
 }
 
 // Property: MarkAnyActive agrees with the naive BlockAnyActive on every
-// block of every window (Algorithm 3 ≡ Algorithm 2).
+// block of every window (Algorithm 3 ≡ Algorithm 2), for cardinalities up
+// to ~400 and windows up to 1,100 blocks that start anywhere inside a
+// word and may run past NumBlocks (those blocks read unmarked).
 func TestMarkAnyActiveMatchesNaiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(3000) + 10
-		card := rng.Intn(12) + 2
+		n := rng.Intn(6000) + 10
+		card := rng.Intn(400) + 2
 		codes := make([]uint32, n)
 		for i := range codes {
 			codes[i] = uint32(rng.Intn(card))
@@ -197,14 +199,20 @@ func TestMarkAnyActiveMatchesNaiveProperty(t *testing.T) {
 				active = append(active, v)
 			}
 		}
-		start := rng.Intn(idx.NumBlocks())
-		window := rng.Intn(200) + 1
-		mark := make([]bool, window)
+		nb := idx.NumBlocks()
+		start := rng.Intn(nb)
+		if rng.Intn(4) == 0 {
+			start = nb - 1 - rng.Intn(min(nb, 130)) // run past the end
+		}
+		mark := make([]bool, rng.Intn(1100)+1)
+		for i := range mark {
+			mark[i] = true // every entry must be overwritten
+		}
 		idx.MarkAnyActive(active, start, mark)
-		for i := 0; i < window; i++ {
+		for i := range mark {
 			b := start + i
 			want := false
-			if b < idx.NumBlocks() {
+			if b < nb {
 				want = idx.BlockAnyActive(active, b)
 			}
 			if mark[i] != want {
@@ -213,7 +221,7 @@ func TestMarkAnyActiveMatchesNaiveProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -245,5 +253,30 @@ func TestMarkedUnion(t *testing.T) {
 	u := idx.MarkedUnion([]uint32{0, 2})
 	if !u.Get(0) || u.Get(1) || !u.Get(2) {
 		t.Fatalf("MarkedUnion bits wrong: %v %v %v", u.Get(0), u.Get(1), u.Get(2))
+	}
+}
+
+// BenchmarkMarkAnyActive marks one 1,024-block lookahead tile with 347
+// active values — FLIGHTS' Origin cardinality — over an index whose
+// 256-row blocks each draw their codes from a skewed distribution, so
+// common values are in nearly every block and rare ones in few.
+func BenchmarkMarkAnyActive(b *testing.B) {
+	const values, blocks, rowsPerBlock, tile = 347, 4096, 256, 1024
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 4, values-1)
+	idx := NewIndex(values, blocks)
+	for blk := 0; blk < blocks; blk++ {
+		for r := 0; r < rowsPerBlock; r++ {
+			idx.Add(uint32(zipf.Uint64()), blk)
+		}
+	}
+	active := make([]uint32, values)
+	for v := range active {
+		active[v] = uint32(v)
+	}
+	mark := make([]bool, tile)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx.MarkAnyActive(active, tile, mark)
 	}
 }

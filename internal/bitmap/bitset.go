@@ -14,7 +14,8 @@ const wordBits = 64
 
 // Bitset is a fixed-length bit vector backed by 64-bit words. One Bitset
 // per attribute value stores a bit per block: 1 iff the block contains at
-// least one tuple with that value.
+// least one tuple with that value. Bits at or beyond the length are
+// always zero.
 type Bitset struct {
 	words []uint64
 	n     int
@@ -53,8 +54,8 @@ func (b *Bitset) Count() int {
 }
 
 // Word returns the w-th backing word; out-of-range words read as zero.
-// Exposing words lets the AnyActive evaluator consume an entire cache
-// line's worth of block bits per probe (Algorithm 3's optimization).
+// Exposing words lets the AnyActive evaluator consume 64 block bits per
+// probe (Algorithm 3's optimization).
 func (b *Bitset) Word(w int) uint64 {
 	if w < 0 || w >= len(b.words) {
 		return 0

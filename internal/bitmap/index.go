@@ -2,7 +2,6 @@ package bitmap
 
 import (
 	"fmt"
-	"math/bits"
 
 	"fastmatch/internal/colstore"
 )
@@ -134,43 +133,32 @@ func (ix *Index) BlockAnyActive(active []uint32, b int) bool {
 }
 
 // MarkAnyActive implements Algorithm 3: AnyActive selection with
-// lookahead. It marks mark[i] = true iff block start+i contains a tuple
-// for at least one active candidate, for 0 ≤ i < len(mark). The loop
-// order is candidate-major and word-chunked, so each probe of a
-// candidate's bitmap consumes up to 64 block bits at once instead of one.
-//
-// Blocks at or beyond the index's range are left unmarked.
+// lookahead. It sets mark[i] iff block start+i contains a tuple for at
+// least one active candidate, for 0 ≤ i < len(mark). It is word-major:
+// one OR per word across active candidates (see MarkAny).
 func (ix *Index) MarkAnyActive(active []uint32, start int, mark []bool) {
-	for i := range mark {
-		mark[i] = false
-	}
-	if start >= ix.blocks || len(mark) == 0 {
-		return
-	}
-	end := start + len(mark)
-	if end > ix.blocks {
-		end = ix.blocks
-	}
-	firstWord := start / wordBits
-	lastWord := (end - 1) / wordBits
-	for _, v := range active {
-		bs := ix.perValue[v]
-		for w := firstWord; w <= lastWord; w++ {
-			word := bs.Word(w)
-			if word == 0 {
-				continue
-			}
-			base := w * wordBits
-			// Only visit set bits inside [start, end).
-			for word != 0 {
-				blockID := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				if blockID < start || blockID >= end {
-					continue
-				}
-				mark[blockID-start] = true
-			}
+	MarkAny(ix.perValue, active, start, mark)
+}
+
+// MarkAny sets mark[i] iff bit start+i is set in sets[id] for some id in
+// active, for 0 ≤ i < len(mark), overwriting every entry. The loop is
+// word-major: one OR per word across active candidates, then one
+// expansion of the OR-ed word into mark, so each probe of a candidate's
+// bitmap consumes up to 64 block bits instead of one. Bits at or beyond
+// a set's length read as zero, so blocks past the end stay unmarked.
+func MarkAny[ID int | uint32](sets []*Bitset, active []ID, start int, mark []bool) {
+	for i := 0; i < len(mark); {
+		b := start + i
+		w, or := b/wordBits, uint64(0)
+		for _, id := range active {
+			or |= sets[id].Word(w)
 		}
+		or >>= uint(b % wordBits)
+		seg := mark[i:min(i+wordBits-b%wordBits, len(mark))]
+		for j := range seg {
+			seg[j] = or>>uint(j)&1 != 0
+		}
+		i += len(seg)
 	}
 }
 

@@ -31,6 +31,12 @@ import "fastmatch/internal/histogram"
 //   - predicate candidates: per candidate, the compiled matcher sweeps
 //     the block against the precomputed group buffer.
 //
+// A sampling round's kernel also tallies rows per candidate for the
+// sampler's chunk commits. Each shape counts that tally inside its
+// accumulate loop (one increment beside the acc increment), in a twin of
+// the loop selected when the tally is on; the exact scan runs the
+// tally-free loops, so the tally costs it nothing.
+//
 // The scalar loop is the single fallback: plans no shape covers (see
 // Plan.kernelShape), the keep-one target pass, and runs with
 // Options.DisableScanKernels — the reference the equivalence suite and
@@ -107,18 +113,18 @@ type scanKernel struct {
 	acc  []int64 // [candidate*groups + group]
 	gbuf []int32 // per-block group scratch; nil on the fused path
 
-	// cnt/touched, when cnt is non-nil, tally the rows counted per
-	// candidate since the caller last drained them: the sampler commits
-	// them into its deficits at every chunk boundary.
-	cnt     []int64
-	touched []int
+	// cnt, when non-nil, tallies the rows counted per candidate since the
+	// caller last drained it, counted inside the accumulate loops: the
+	// sampler commits it into its deficits at every chunk boundary.
+	cnt []int64
 
 	multiBuf []int // scalar-loop scratch for overlapping candidates
 }
 
 // newKernel builds a worker's accumulator. It is vectorized when kernels
 // is set, every candidate is kept, and the plan has a kernel shape; tally
-// adds the per-candidate row tally.
+// adds the per-candidate row tally, which selects each shape's tallying
+// loop. Without it (the exact scan) the loops carry no tally code.
 func (p *Plan) newKernel(kernels bool, keep int, tally bool) *scanKernel {
 	nCand := p.cand.numCandidates()
 	k := &scanKernel{p: p, groups: p.grp.groups(), keep: keep, hists: make([]*histogram.Histogram, nCand)}
@@ -139,27 +145,40 @@ func (p *Plan) newKernel(kernels bool, keep int, tally bool) *scanKernel {
 // counts those blocks) rather than the scalar loop.
 func (k *scanKernel) vectorized() bool { return k.acc != nil }
 
-// block accumulates rows [lo, hi) — one storage block.
+// block accumulates rows [lo, hi) — one storage block. With the tally on,
+// each shape also counts the block's rows per candidate in the same loop;
+// the exact scan runs with it off, through the tally-free loops.
 func (k *scanKernel) block(lo, hi int) {
 	if k.acc == nil {
 		k.scalar(lo, hi)
 		return
 	}
-	g := k.groups
-	var gb []int32 // the block's group codes; nil on the fused path
+	g, cnt := k.groups, k.cnt
 	switch {
-	case k.gbuf == nil && k.remap == nil:
+	case k.gbuf == nil && k.remap == nil && cnt == nil:
 		// Fused single/single: group and candidate are direct code
 		// lookups; no scratch, no branches beyond the remap variant.
 		for row := lo; row < hi; row++ {
 			k.acc[int(k.zc[row])*g+int(k.xc[row])]++
 		}
-	case k.gbuf == nil:
+	case k.gbuf == nil && k.remap == nil:
+		for row := lo; row < hi; row++ {
+			z := k.zc[row]
+			k.acc[int(z)*g+int(k.xc[row])]++
+			cnt[z]++
+		}
+	case k.gbuf == nil && cnt == nil:
 		for row := lo; row < hi; row++ {
 			k.acc[k.remap[k.zc[row]]*g+int(k.xc[row])]++
 		}
+	case k.gbuf == nil:
+		for row := lo; row < hi; row++ {
+			id := k.remap[k.zc[row]]
+			k.acc[id*g+int(k.xc[row])]++
+			cnt[id]++
+		}
 	case k.matchers != nil:
-		gb = k.groupCodes(lo, hi)
+		gb := k.groupCodes(lo, hi)
 		for c, m := range k.matchers {
 			base, n := c*g, int64(0)
 			for i, gg := range gb {
@@ -168,12 +187,12 @@ func (k *scanKernel) block(lo, hi int) {
 					n++
 				}
 			}
-			if n > 0 && k.cnt != nil {
-				k.count(c, n)
+			if cnt != nil {
+				cnt[c] += n
 			}
 		}
-	default:
-		gb = k.groupCodes(lo, hi)
+	case cnt == nil:
+		gb := k.groupCodes(lo, hi)
 		for i, gg := range gb {
 			if gg < 0 {
 				continue
@@ -184,23 +203,17 @@ func (k *scanKernel) block(lo, hi int) {
 			}
 			k.acc[id*g+int(gg)]++
 		}
-	}
-	if k.cnt != nil && k.matchers == nil {
-		// Column candidates tally in a second pass over the block's Z
-		// codes, leaving the accumulation loops above tally-free for the
-		// exact scan.
-		cnt, remap := k.cnt, k.remap
-		for i, z := range k.zc[lo:hi] {
-			if gb != nil && gb[i] < 0 {
+	default:
+		gb := k.groupCodes(lo, hi)
+		for i, gg := range gb {
+			if gg < 0 {
 				continue
 			}
-			id := int(z)
-			if remap != nil {
-				id = remap[z]
+			id := int(k.zc[lo+i])
+			if k.remap != nil {
+				id = k.remap[id]
 			}
-			if cnt[id] == 0 {
-				k.touched = append(k.touched, id)
-			}
+			k.acc[id*g+int(gg)]++
 			cnt[id]++
 		}
 	}
@@ -275,15 +288,8 @@ func (k *scanKernel) add(id, g int) {
 	}
 	k.hists[id].Add(g)
 	if k.cnt != nil {
-		k.count(id, 1)
+		k.cnt[id]++
 	}
-}
-
-func (k *scanKernel) count(id int, n int64) {
-	if k.cnt[id] == 0 {
-		k.touched = append(k.touched, id)
-	}
-	k.cnt[id] += n
 }
 
 // fold drains the accumulator into the histograms and returns them. The

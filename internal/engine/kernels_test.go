@@ -61,8 +61,8 @@ func accumulatorShapes(t testing.TB) (*Engine, map[string]Query) {
 // TestAccumulatorMatchesScalarReference is the accumulator's property
 // test: for every plan shape, with the tally on and off, the vectorized
 // kernels produce the scalar loop's histograms cell for cell (nil
-// histograms included), every block's tally equals the scalar loop's,
-// and the tallies sum to the histogram totals.
+// histograms included), every block's whole tally equals the scalar
+// loop's, and the tallies sum to the histogram totals.
 func TestAccumulatorMatchesScalarReference(t *testing.T) {
 	eng, shapes := accumulatorShapes(t)
 	src := eng.Source()
@@ -86,25 +86,20 @@ func TestAccumulatorMatchesScalarReference(t *testing.T) {
 					ref.block(lo, hi)
 					kern.block(lo, hi)
 					if !tally {
-						if kern.cnt != nil || len(kern.touched) != 0 {
+						if kern.cnt != nil {
 							t.Fatal("tally off but the accumulator tallied")
 						}
 						continue
 					}
-					// Drain both tallies the way commitChunk does.
-					sort.Ints(ref.touched)
-					sort.Ints(kern.touched)
-					if fmt.Sprint(ref.touched) != fmt.Sprint(kern.touched) {
-						t.Fatalf("block %d touched %v, scalar loop touched %v", b, kern.touched, ref.touched)
+					// Drain both tallies whole, the way commitChunk clears them.
+					if fmt.Sprint(kern.cnt) != fmt.Sprint(ref.cnt) {
+						t.Fatalf("block %d tallied %v, scalar loop %v", b, kern.cnt, ref.cnt)
 					}
-					for _, id := range kern.touched {
-						if kern.cnt[id] != ref.cnt[id] || kern.cnt[id] <= 0 {
-							t.Fatalf("block %d candidate %d tallied %d, scalar loop %d", b, id, kern.cnt[id], ref.cnt[id])
-						}
-						tallied[id] += kern.cnt[id]
-						kern.cnt[id], ref.cnt[id] = 0, 0
+					for id, c := range kern.cnt {
+						tallied[id] += c
 					}
-					kern.touched, ref.touched = kern.touched[:0], ref.touched[:0]
+					clear(kern.cnt)
+					clear(ref.cnt)
 				}
 				want, got := ref.fold(), kern.fold()
 				counted := false
@@ -133,6 +128,67 @@ func TestAccumulatorMatchesScalarReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCommitChunkClearsWholeTally: a chunk commit charges each active
+// candidate exactly its tallied rows and leaves the kernel's tally
+// all-zero, including the rows tallied for candidates outside the active
+// set.
+func TestCommitChunkClearsWholeTally(t *testing.T) {
+	tbl := testDataset(t, 3000, 12, 6, 3)
+	p, err := New(tbl).Prepare(baseQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := testSampler(p, FastMatch, 16, 0)
+	kern := p.newKernel(true, -1, true)
+	for b := 0; b < 8; b++ {
+		lo, hi := tbl.BlockSpan(b)
+		kern.block(lo, hi)
+	}
+	tally := append([]int64(nil), kern.cnt...)
+	inactive := 0
+	for id, c := range tally {
+		switch {
+		case id%2 == 1:
+			if c > 0 {
+				inactive++
+			}
+		case id%4 == 0:
+			bs.deficit[id] = c + 5 // stays unmet
+		default:
+			bs.deficit[id] = max(c, 1) // met by this chunk unless untallied
+		}
+		if bs.deficit[id] > 0 {
+			bs.unmet++
+		}
+	}
+	if inactive == 0 {
+		t.Fatal("no candidate outside the active set was tallied: the case is vacuous")
+	}
+	want := append([]int64(nil), bs.deficit...)
+	for id := range want {
+		want[id] = max(want[id]-tally[id], 0)
+	}
+	bs.refreshActive()
+	bs.commitChunk(kern)
+	for id, c := range kern.cnt {
+		if c != 0 {
+			t.Fatalf("candidate %d: tally %d after the commit, want 0", id, c)
+		}
+	}
+	var active []int
+	for id, d := range bs.deficit {
+		if d != want[id] {
+			t.Fatalf("candidate %d: deficit %d after the commit, want %d", id, d, want[id])
+		}
+		if d > 0 {
+			active = append(active, id)
+		}
+	}
+	if bs.unmet != len(active) || fmt.Sprint(bs.active) != fmt.Sprint(active) {
+		t.Fatalf("unmet = %d, active = %v; want %d unmet candidates %v", bs.unmet, bs.active, len(active), active)
 	}
 }
 

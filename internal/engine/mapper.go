@@ -125,9 +125,9 @@ func (b binnedGroups) labelOf(g int) string { return b.binner.Label(g) }
 type candidateMapper interface {
 	numCandidates() int
 	candidateOf(row int) int // -1 = row matches no candidate
-	// markAnyActive marks mark[i] = true iff block start+i may contain a
-	// tuple for an active candidate (sound: never misses a block that
-	// does). Implements Algorithm 3's chunked evaluation where possible.
+	// markAnyActive sets mark[i] iff block start+i may contain a tuple
+	// for an active candidate (sound: never misses a block that does),
+	// overwriting every entry: Algorithm 3's word-major evaluation.
 	markAnyActive(active []int, start int, mark []bool)
 	// blockAnyActive is the naive single-block probe of Algorithm 2.
 	blockAnyActive(active []int, b int) bool
@@ -152,6 +152,9 @@ type columnCandidates struct {
 	candValue []int
 	dummyID   int // -1 when absent
 	dummyBits *bitmap.Bitset
+	// blocks[i] = the blocks containing candidate i (the dummy's is
+	// dummyBits), for word-major lookahead marking.
+	blocks []*bitmap.Bitset
 }
 
 func newColumnCandidates(col colstore.ColumnReader, rows int, idx *bitmap.Index, known []string) (*columnCandidates, error) {
@@ -163,7 +166,7 @@ func newColumnCandidates(col colstore.ColumnReader, rows int, idx *bitmap.Index,
 		for v := range cc.candValue {
 			cc.candValue[v] = v
 		}
-		return cc, nil
+		return cc, cc.indexBlocks()
 	}
 	cc.remap = make([]int, card)
 	for v := range cc.remap {
@@ -195,7 +198,24 @@ func newColumnCandidates(col colstore.ColumnReader, rows int, idx *bitmap.Index,
 			}
 		}
 	}
-	return cc, nil
+	return cc, cc.indexBlocks()
+}
+
+// indexBlocks resolves every candidate's block bitset from the index.
+func (cc *columnCandidates) indexBlocks() error {
+	cc.blocks = make([]*bitmap.Bitset, len(cc.candValue))
+	for i, v := range cc.candValue {
+		if i == cc.dummyID {
+			cc.blocks[i] = cc.dummyBits
+			continue
+		}
+		bs, err := cc.idx.ValueBitset(uint32(v))
+		if err != nil {
+			return err
+		}
+		cc.blocks[i] = bs
+	}
+	return nil
 }
 
 func (cc *columnCandidates) numCandidates() int { return len(cc.candValue) }
@@ -209,33 +229,8 @@ func (cc *columnCandidates) candidateOf(row int) int {
 	return cc.remap[code]
 }
 
-// activeValues translates candidate ids to value codes, separating out the
-// dummy (which has no single value bitmap). It allocates a fresh slice
-// rather than reusing mapper-level scratch so the mapper stays free of
-// mutable state (it is called once per lookahead window, not per row).
-func (cc *columnCandidates) activeValues(active []int) (values []uint32, dummyActive bool) {
-	values = make([]uint32, 0, len(active))
-	for _, id := range active {
-		if id == cc.dummyID {
-			dummyActive = true
-			continue
-		}
-		values = append(values, uint32(cc.candValue[id]))
-	}
-	return values, dummyActive
-}
-
 func (cc *columnCandidates) markAnyActive(active []int, start int, mark []bool) {
-	values, dummyActive := cc.activeValues(active)
-	cc.idx.MarkAnyActive(values, start, mark)
-	if dummyActive && cc.dummyBits != nil {
-		for i := range mark {
-			b := start + i
-			if !mark[i] && b < cc.dummyBits.Len() && cc.dummyBits.Get(b) {
-				mark[i] = true
-			}
-		}
-	}
+	bitmap.MarkAny(cc.blocks, active, start, mark)
 }
 
 func (cc *columnCandidates) blockAnyActive(active []int, b int) bool {
@@ -253,16 +248,7 @@ func (cc *columnCandidates) blockAnyActive(active []int, b int) bool {
 	return false
 }
 
-func (cc *columnCandidates) candidateBlocks(i int) *bitmap.Bitset {
-	if i == cc.dummyID {
-		return cc.dummyBits
-	}
-	bs, err := cc.idx.ValueBitset(uint32(cc.candValue[i]))
-	if err != nil {
-		panic(fmt.Sprintf("engine: candidateBlocks(%d): %v", i, err))
-	}
-	return bs
-}
+func (cc *columnCandidates) candidateBlocks(i int) *bitmap.Bitset { return cc.blocks[i] }
 
 func (cc *columnCandidates) labelOf(i int) string {
 	if i == cc.dummyID {
@@ -391,18 +377,7 @@ func (pc *predicateCandidates) candidatesOf(row int, dst []int) []int {
 }
 
 func (pc *predicateCandidates) markAnyActive(active []int, start int, mark []bool) {
-	for i := range mark {
-		mark[i] = false
-	}
-	for _, id := range active {
-		bs := pc.blocks[id]
-		for i := range mark {
-			b := start + i
-			if !mark[i] && b < bs.Len() && bs.Get(b) {
-				mark[i] = true
-			}
-		}
-	}
+	bitmap.MarkAny(pc.blocks, active, start, mark)
 }
 
 func (pc *predicateCandidates) blockAnyActive(active []int, b int) bool {

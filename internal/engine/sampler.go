@@ -94,9 +94,10 @@ func (s *IOStats) Add(other IOStats) {
 // every policy decision — consumed-set skips, AnyActive probes, zone-map
 // virtual skips, guard/budget checks — against *committed* state only,
 // and reads each block it decides to read at once through the round's
-// one scanKernel, whose per-candidate tally accumulates uncommitted. At
-// fixed chunk boundaries the walk commits the tally into the deficit
-// bookkeeping; at round end the kernel's histograms are merged into the
+// one scanKernel, whose accumulate loops also count rows per candidate
+// into an uncommitted tally. At fixed chunk boundaries the walk commits
+// the tally into the deficit bookkeeping, visiting only the committed
+// active set; at round end the kernel's histograms are merged into the
 // round batch (core.Batch.Merge).
 //
 // Adaptive decisions — round termination when deficits are met, the
@@ -409,12 +410,8 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 				}
 				if cap(mark) < n {
 					mark = make([]bool, n)
-				} else {
-					mark = mark[:n]
-					for i := range mark {
-						mark[i] = false
-					}
 				}
+				mark = mark[:n]
 				bs.cand.markAnyActive(bs.active, b, mark)
 				winStart, winEnd = b, b+n
 			}
@@ -469,27 +466,29 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 	return stopErr
 }
 
-// commitChunk drains the kernel's per-candidate tally into the deficit
-// bookkeeping and refreshes the active set if any deficit was met.
+// commitChunk walks the committed active set, draining the kernel's
+// per-candidate tally into the deficit bookkeeping and dropping every
+// candidate whose deficit it meets, then zeroes the whole tally. Every
+// candidate with a positive deficit is in the active set (SampleUntil
+// builds it from the deficits, and only this walk lowers them), so the
+// walk sees every tally that can move a deficit; the rest are dropped,
+// as they always were. Filtering in place keeps the active set in
+// ascending id order, exactly as refreshActive would rebuild it.
 func (bs *blockSampler) commitChunk(k *scanKernel) {
-	changed := false
-	for _, id := range k.touched {
-		c := k.cnt[id]
-		k.cnt[id] = 0
-		if d := bs.deficit[id]; d > 0 {
-			if c >= d {
-				bs.deficit[id] = 0
-				bs.unmet--
-				changed = true
-			} else {
-				bs.deficit[id] = d - c
-			}
+	live := bs.active[:0]
+	for _, id := range bs.active {
+		c, d := k.cnt[id], bs.deficit[id]
+		switch {
+		case c < d:
+			bs.deficit[id] = d - c
+			live = append(live, id)
+		case d > 0:
+			bs.deficit[id] = 0
+			bs.unmet--
 		}
 	}
-	k.touched = k.touched[:0]
-	if changed {
-		bs.refreshActive()
-	}
+	bs.active = live
+	clear(k.cnt)
 }
 
 // candidateExhausted reports whether every block containing candidate i
