@@ -180,44 +180,6 @@ func BenchmarkSigmaZero(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ---
 
-// BenchmarkAblationRoundBudget compares the demand-shaping heuristic
-// against the paper's raw Equation (1) (RoundBudget < 0 disables shaping).
-func BenchmarkAblationRoundBudget(b *testing.B) {
-	// The override struct has no RoundBudget knob (it is an internal
-	// heuristic), so this ablation drives the engine directly.
-	w := workspace(b)
-	tbl, err := w.Table("flights")
-	if err != nil {
-		b.Fatal(err)
-	}
-	target, err := w.Target("flights-q1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name   string
-		budget int
-	}{{"shaped", 0}, {"raw-equation-1", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := engine.New(tbl)
-			if _, err := e.Index("Origin"); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				opts := engine.Options{
-					Params:   coreParamsForBench(tbl.NumRows(), mode.budget),
-					Executor: engine.FastMatch, Lookahead: 1024,
-					StartBlock: -1, Seed: int64(i + 1),
-				}
-				if _, err := e.RunWithTarget(engine.Query{Z: "Origin", X: []string{"DepartureHour"}}, target, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBitmapProbe compares Algorithm 3's word-chunked
 // AnyActive marking against Algorithm 2's per-block probing over a large
 // candidate set — the cache-behaviour contrast of §4.2 Challenge 4.
@@ -293,7 +255,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				opts := engine.Options{
-					Params:   coreParamsForBench(ds.Table.NumRows(), 0),
+					Params:   coreParamsForBench(ds.Table.NumRows()),
 					Executor: engine.FastMatch, Lookahead: 1024,
 					StartBlock: -1, Seed: int64(i + 1),
 				}
@@ -307,14 +269,13 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 
 // coreParamsForBench builds the paper-default parameters used by the
 // ablation benches.
-func coreParamsForBench(rows, roundBudget int) (p core.Params) {
+func coreParamsForBench(rows int) (p core.Params) {
 	p.K = 10
 	p.Epsilon = 0.25
 	p.Delta = 0.01
 	p.Sigma = 0.0015
 	p.Stage1Samples = rows / 40
 	p.Metric = histogram.MetricL1
-	p.RoundBudget = roundBudget
 	return p
 }
 
@@ -356,7 +317,7 @@ func pscanSetup(b *testing.B) (*engine.Plan, *histogram.Histogram) {
 // only the wall clock changes.
 func BenchmarkParallelScan(b *testing.B) {
 	p, target := pscanSetup(b)
-	params := coreParamsForBench(1_000_000, 0)
+	params := coreParamsForBench(1_000_000)
 	run := func(b *testing.B, exec engine.Executor, workers int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
@@ -384,7 +345,7 @@ func BenchmarkParallelScan(b *testing.B) {
 // scenario the concurrent-safe Engine exists for.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	p, target := pscanSetup(b)
-	params := coreParamsForBench(1_000_000, 0)
+	params := coreParamsForBench(1_000_000)
 	var seq atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -550,7 +511,7 @@ func BenchmarkScanKernels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		params := coreParamsForBench(1_000_000, 0)
+		params := coreParamsForBench(1_000_000)
 		b.ResetTimer()
 		var pruned, kernels int64
 		for i := 0; i < b.N; i++ {

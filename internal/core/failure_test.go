@@ -111,67 +111,6 @@ func TestMaxRoundsGuardsStalledSampler(t *testing.T) {
 	}
 }
 
-func TestRoundDemandDiagnostics(t *testing.T) {
-	pop := makePopulation(t, 30, 60_000, 12, 6, 0)
-	sam := pop.sampler(t, 31)
-	res, err := Run(sam, pop.targets, defaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats.RoundDemands) != res.Stats.Rounds {
-		t.Fatalf("demand diagnostics: %d entries for %d rounds",
-			len(res.Stats.RoundDemands), res.Stats.Rounds)
-	}
-	for i, d := range res.Stats.RoundDemands {
-		if d.SumNeed <= 0 || d.MaxNeed <= 0 || d.MaxNeedCandidate < 0 {
-			t.Fatalf("round %d demand empty: %+v", i+1, d)
-		}
-		if d.MaxNeed > d.SumNeed {
-			t.Fatalf("round %d: max %d > sum %d", i+1, d.MaxNeed, d.SumNeed)
-		}
-	}
-}
-
-func TestRoundBudgetDisabled(t *testing.T) {
-	// RoundBudget < 0 reverts to the paper's raw Equation (1); results
-	// must still satisfy the guarantees.
-	pop := makePopulation(t, 32, 80_000, 15, 6, 0)
-	sam := pop.sampler(t, 33)
-	p := defaultParams()
-	p.RoundBudget = -1
-	res, err := Run(sam, pop.targets, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop.checkGuarantees(t, res, p)
-}
-
-func TestRoundBudgetShapingReducesEarlyDemand(t *testing.T) {
-	// With shaping on, round-1 demands must not exceed roughly the budget
-	// times the max selectivity share... weaker check: round-1 SumNeed is
-	// no larger than without shaping.
-	pop := makePopulation(t, 33, 80_000, 15, 6, 0.2)
-	run := func(budget int) RunStats {
-		sam := pop.sampler(t, 34)
-		p := defaultParams()
-		p.RoundBudget = budget
-		res, err := Run(sam, pop.targets, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats
-	}
-	shaped := run(0)
-	raw := run(-1)
-	if len(shaped.RoundDemands) == 0 || len(raw.RoundDemands) == 0 {
-		t.Skip("no stage-2 rounds on this seed")
-	}
-	if shaped.RoundDemands[0].SumNeed > raw.RoundDemands[0].SumNeed {
-		t.Fatalf("shaping increased round-1 demand: %d > %d",
-			shaped.RoundDemands[0].SumNeed, raw.RoundDemands[0].SumNeed)
-	}
-}
-
 func TestBatchIsExact(t *testing.T) {
 	b := &Batch{}
 	if b.IsExact(0) {

@@ -46,20 +46,6 @@ type RunStats struct {
 	// ChosenK is the k actually returned (differs from Params.K only
 	// under a KRange query).
 	ChosenK int
-	// RoundDemands diagnoses stage-2 planning: one entry per round.
-	RoundDemands []RoundDemand
-}
-
-// RoundDemand summarizes one stage-2 round's sampling plan (Equation 1).
-type RoundDemand struct {
-	// SumNeed is Σ n'_i over all planned candidates.
-	SumNeed int64
-	// MaxNeed is the largest single n'_i.
-	MaxNeed int64
-	// MaxNeedCandidate is the candidate demanding MaxNeed.
-	MaxNeedCandidate int
-	// Split is the round's split point s.
-	Split float64
 }
 
 // TotalSamples returns the tuples consumed across all stages.
@@ -263,8 +249,6 @@ func (st *state) stage2() (bool, error) {
 		// the heuristic ε'_i from the current cumulative estimates. By
 		// construction of the split point, ε'_i ≥ ε/2 for every candidate.
 		st.planRound(mSet, rest, split, eps1, deltaUpper)
-		st.shapeRound(round)
-		st.res.Stats.RoundDemands = append(st.res.Stats.RoundDemands, demandOf(st.need, split))
 		batch, err := st.sampler.SampleUntil(st.need)
 		if err != nil {
 			if errors.Is(err, ErrInterrupted) && batch != nil {
@@ -304,42 +288,6 @@ func (st *state) planRound(mSet, rest []int, split, eps1, deltaUpper float64) {
 		// is already sufficient.
 		epsP := st.tau[j] - (split - eps1/2)
 		st.need[j] = metric.SamplesFor(st.groups, epsP, deltaUpper)
-	}
-}
-
-// shapeRound clamps the round's demands to the geometric I/O budget (see
-// Params.RoundBudget). A candidate's clamp is its expected sample yield
-// from scanning budget·2^(round−1) tuples at its estimated selectivity.
-func (st *state) shapeRound(round int) {
-	base := st.params.RoundBudget
-	if base < 0 {
-		return
-	}
-	if base == 0 {
-		base = st.params.Stage1Samples
-		if fallback := int(st.sampler.TotalRows() / 20); fallback > base {
-			base = fallback
-		}
-		if base <= 0 {
-			base = 10_000
-		}
-	}
-	if st.drawn <= 0 {
-		return // no selectivity information yet; keep the raw plan
-	}
-	budget := float64(base) * math.Pow(2, float64(round-1))
-	for id, n := range st.need {
-		sel := float64(st.n[id]) / float64(st.drawn)
-		if sel <= 0 {
-			sel = 1 / float64(st.drawn)
-		}
-		cap := int(sel * budget)
-		if cap < 64 {
-			cap = 64
-		}
-		if n > cap {
-			st.need[id] = cap
-		}
 	}
 }
 
@@ -550,18 +498,6 @@ func (st *state) tauOf(ids []int) []float64 {
 		out[i] = st.tau[id]
 	}
 	return out
-}
-
-func demandOf(need map[int]int, split float64) RoundDemand {
-	d := RoundDemand{Split: split, MaxNeedCandidate: -1}
-	for id, n := range need {
-		d.SumNeed += int64(n)
-		if int64(n) > d.MaxNeed {
-			d.MaxNeed = int64(n)
-			d.MaxNeedCandidate = id
-		}
-	}
-	return d
 }
 
 func sumCounts(b *Batch) int64 {

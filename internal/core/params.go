@@ -5,6 +5,9 @@
 // regardless of how the I/O layer produces them, which is exactly the
 // contract the FastMatch engine (internal/engine) exploits with its
 // block-based, bitmap-guided sampling.
+//
+// Every stage-2 round asks the sampler for exactly the per-candidate
+// sample counts n'_i of the paper's Equation (1), with no I/O clamp.
 package core
 
 import (
@@ -15,7 +18,8 @@ import (
 )
 
 // Params carries the user-supplied knobs of Problem 1 plus the extensions
-// of Appendix A.2.
+// of Appendix A.2. None of them reshapes a round: each stage-2 round
+// demands Equation (1)'s n'_i as computed.
 type Params struct {
 	// K is the number of matching histograms to retrieve.
 	K int
@@ -49,18 +53,6 @@ type Params struct {
 	// answer, the sampling schedule, or the I/O — so engine fingerprints
 	// exclude it; when false (the default) no quality work runs at all.
 	CollectQuality bool
-	// RoundBudget bounds the I/O of early stage-2 rounds: round t's
-	// per-candidate demands n'_i are clamped so that satisfying them is
-	// expected to scan about RoundBudget·2^(t−1) tuples, using the
-	// selectivity estimates accumulated so far. This addresses the other
-	// half of Challenge 2 (§4.2): the Equation-(1) demands computed from
-	// a noisy stage-1 estimate can force a near-full scan in round 1,
-	// wasting I/O that later, better-informed rounds would not need.
-	// Correctness is unaffected (HistSim accepts any per-round sample
-	// counts); only termination speed changes. 0 selects
-	// max(Stage1Samples, TotalRows/20); negative disables shaping,
-	// recovering the paper's raw Equation (1).
-	RoundBudget int
 }
 
 // epsSeparation returns ε₁ (Guarantee 1).

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -40,6 +41,18 @@ func TestInterruptedRunSalvagesPartialResult(t *testing.T) {
 	pop := makePopulation(t, 7, 200_000, 12, 6, 0)
 	params := defaultParams()
 	params.Stage1Samples = 5_000
+	// k = 6 matches the six candidates mixed near the target's prototype,
+	// so stage 2 separates them without reading the table and stage 3
+	// tops them up: the uninterrupted run makes at least three sampler
+	// calls, and every case below interrupts a real one.
+	params.K = 6
+	full := &interruptingSampler{SliceSampler: pop.sampler(t, 3), after: math.MaxInt}
+	if _, err := Run(full, pop.targets, params); err != nil {
+		t.Fatal(err)
+	}
+	if full.calls < 3 {
+		t.Fatalf("uninterrupted run made %d sampler calls, the cases need ≥ 3", full.calls)
+	}
 
 	for _, after := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("after-call-%d", after), func(t *testing.T) {

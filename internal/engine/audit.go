@@ -30,6 +30,11 @@ type Audit struct {
 	// separation guarantee actually forbids (they should occur with
 	// probability ≤ δ across runs).
 	GuaranteeViolations int `json:"guarantee_violations"`
+	// ReconstructionViolations counts returned matches whose
+	// reconstructed histogram lies ε or more from the candidate's exact
+	// histogram — answers Guarantee 2 forbids. Matches without a
+	// histogram are not graded.
+	ReconstructionViolations int `json:"reconstruction_violations"`
 	// ExactKthDistance is the exact distance of the true k-th best
 	// candidate, the reference for the guarantee check.
 	ExactKthDistance float64 `json:"exact_kth_distance"`
@@ -63,15 +68,17 @@ type AuditCandidate struct {
 	AbsError       float64 `json:"abs_error"`
 	// InExactTopK reports membership in the exact top-k (the strict
 	// precision numerator); Violation that the candidate breaks the
-	// ε-tolerant separation guarantee.
-	InExactTopK bool `json:"in_exact_topk"`
-	Violation   bool `json:"violation,omitempty"`
+	// ε-tolerant separation guarantee; ReconstructionViolation that its
+	// histogram breaks Guarantee 2.
+	InExactTopK             bool `json:"in_exact_topk"`
+	Violation               bool `json:"violation,omitempty"`
+	ReconstructionViolation bool `json:"reconstruction_violation,omitempty"`
 }
 
 // AuditRun re-executes the plan and target with the exact Scan executor
 // and measures the approximate answer against the full exact ranking:
 // strict precision@k, rank displacement, per-candidate distance error,
-// and ε-tolerant guarantee violations. opts should be the options the
+// and violations of both guarantees. opts should be the options the
 // approximate run used — its Params (ε, σ, metric) parameterize the
 // audit; executor-specific knobs are ignored. Partial approximate
 // answers are refused: a truncated run claimed no guarantee, so auditing
@@ -109,7 +116,13 @@ func AuditRun(ctx context.Context, p *Plan, target *histogram.Histogram, approx 
 		}
 	}
 	exact.TopK = kept
-	return GradeAudit(approx, exact, opts.Params.Epsilon)
+	// Guarantee 2 is graded as the run claimed it: in the run's metric,
+	// at ε₂ when the run set a distinct one.
+	eps2 := opts.Params.EpsilonReconstruct
+	if eps2 <= 0 {
+		eps2 = opts.Params.Epsilon
+	}
+	return gradeAudit(approx, exact, opts.Params.Epsilon, eps2, opts.Params.Metric)
 }
 
 // AuditReferenceOptions derives the options for an audit's exact
@@ -128,20 +141,26 @@ func AuditReferenceOptions(opts Options, numCandidates int) Options {
 
 // GradeAudit measures an approximate answer against an exact reference
 // ranking (every candidate ranked, no pruning): strict precision@k, rank
-// displacement, per-candidate distance error, and ε-tolerant guarantee
-// violations. It is the grading half of AuditRun, for graders that
-// produce their own exact reference.
+// displacement, per-candidate distance error, and violations of both
+// guarantees — separation (exact distance beyond the exact k-th best by
+// more than ε) and, for every match that carries a histogram,
+// reconstruction (L1 distance to the reference histogram of the same
+// candidate at least ε). It is the grading half of AuditRun and the
+// repository's one grader.
 func GradeAudit(approx, exact *Result, epsilon float64) (*Audit, error) {
+	return gradeAudit(approx, exact, epsilon, epsilon, histogram.MetricL1)
+}
+
+// gradeAudit is GradeAudit with Guarantee 2 graded in metric at eps2.
+func gradeAudit(approx, exact *Result, epsilon, eps2 float64, metric histogram.Metric) (*Audit, error) {
 	k := len(approx.TopK)
 	if len(exact.TopK) < k {
 		return nil, fmt.Errorf("engine: audit reference ranked %d candidates, approximate answer has %d", len(exact.TopK), k)
 	}
 
 	rank := make(map[int]int, len(exact.TopK))
-	dist := make(map[int]float64, len(exact.TopK))
 	for i, m := range exact.TopK {
 		rank[m.ID] = i
-		dist[m.ID] = m.Distance
 	}
 	a := &Audit{
 		K:                k,
@@ -157,7 +176,8 @@ func GradeAudit(approx, exact *Result, epsilon float64) (*Audit, error) {
 		if !ok {
 			return nil, fmt.Errorf("engine: audit: candidate %q missing from exact ranking", m.Label)
 		}
-		ed := dist[m.ID]
+		ref := exact.TopK[er]
+		ed := ref.Distance
 		ae := math.Abs(m.Distance - ed)
 		disp := er - i
 		if disp < 0 {
@@ -174,11 +194,17 @@ func GradeAudit(approx, exact *Result, epsilon float64) (*Audit, error) {
 			InExactTopK:    er < k,
 			Violation:      ed > a.ExactKthDistance+a.Epsilon,
 		}
+		if m.Histogram != nil && ref.Histogram != nil {
+			c.ReconstructionViolation = metric.Distance(m.Histogram, ref.Histogram) >= eps2
+		}
 		if c.InExactTopK {
 			hits++
 		}
 		if c.Violation {
 			a.GuaranteeViolations++
+		}
+		if c.ReconstructionViolation {
+			a.ReconstructionViolations++
 		}
 		if disp > a.MaxDisplacement {
 			a.MaxDisplacement = disp

@@ -124,22 +124,6 @@ func TestContinuousZViaBinnedDictionary(t *testing.T) {
 	}
 }
 
-func TestRoundBudgetThroughOptions(t *testing.T) {
-	tbl := testDataset(t, 50_000, 15, 6, 44)
-	e := New(tbl)
-	params := testParams()
-	params.RoundBudget = -1 // paper's raw Equation (1)
-	res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: params, Executor: ScanMatch, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.TopK) != params.K {
-		t.Fatalf("raw-plan run returned %d matches", len(res.TopK))
-	}
-}
-
 func TestMaxRoundsParameterThroughEngine(t *testing.T) {
 	tbl := testDataset(t, 30_000, 10, 6, 45)
 	e := New(tbl)

@@ -124,7 +124,6 @@ func (o Options) Fingerprint() string {
 	w.int("kmin", int64(p.KRange.KMin))
 	w.int("kmax", int64(p.KRange.KMax))
 	w.int("rounds", int64(p.MaxRounds))
-	w.int("budget", int64(p.RoundBudget))
 	w.str("exec", o.Executor.String())
 	w.int("lookahead", int64(o.Lookahead))
 	w.int("start", int64(o.StartBlock))

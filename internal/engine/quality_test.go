@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"fastmatch/internal/histogram"
 )
 
 // Quality equivalence suite: requesting answer-quality telemetry must be
@@ -288,6 +290,84 @@ func TestAuditMatchesGroundTruth(t *testing.T) {
 	}
 	if audit.PrecisionAtK != audit2.PrecisionAtK || audit.MeanAbsError != audit2.MeanAbsError {
 		t.Fatal("audit is not deterministic")
+	}
+}
+
+// TestGradeAuditCountsReconstructionViolations checks Guarantee 2 in the
+// one grader: an exact answer grades clean, and a copy whose first match
+// carries a histogram more than ε away in L1 from the candidate's exact
+// histogram counts exactly one reconstruction violation, through both
+// GradeAudit and AuditRun, without touching the separation count; and
+// AuditRun grades at the run's ε₂ when one is set.
+func TestGradeAuditCountsReconstructionViolations(t *testing.T) {
+	tbl := testDataset(t, 20_000, 12, 6, 9)
+	plan, err := New(tbl).Prepare(baseQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := plan.ResolveTarget(Target{Uniform: true}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Params: testParams(), Executor: Scan}
+	answer, err := plan.RunWithTarget(target, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference, err := plan.RunWithTarget(target, AuditReferenceOptions(opts, plan.NumCandidates()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := opts.Params.Epsilon
+
+	clean, err := GradeAudit(answer, reference, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.ReconstructionViolations != 0 || clean.GuaranteeViolations != 0 {
+		t.Fatalf("exact answer graded with violations: %+v", clean)
+	}
+
+	tampered := *answer
+	tampered.TopK = append([]Match(nil), answer.TopK...)
+	h := tampered.TopK[0].Histogram
+	moved := make([]float64, h.Groups())
+	moved[0] = h.Total() // every row in one group
+	tampered.TopK[0].Histogram = histogram.FromCounts(moved)
+	if d := histogram.L1(tampered.TopK[0].Histogram, h); d <= eps {
+		t.Fatalf("tampering moved the histogram only %.3f in L1, need > ε = %g", d, eps)
+	}
+
+	graded, err := GradeAudit(&tampered, reference, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audited, err := AuditRun(context.Background(), plan, target, &tampered, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*Audit{"GradeAudit": graded, "AuditRun": audited} {
+		if a.ReconstructionViolations != 1 || a.GuaranteeViolations != 0 {
+			t.Fatalf("%s: reconstruction %d, separation %d; want 1, 0",
+				name, a.ReconstructionViolations, a.GuaranteeViolations)
+		}
+		for i, c := range a.Candidates {
+			if c.ReconstructionViolation != (i == 0) {
+				t.Fatalf("%s: candidate %d reconstruction flag %v", name, i, c.ReconstructionViolation)
+			}
+		}
+	}
+
+	// A run that claimed a looser ε₂ is graded at it: no L1 distance
+	// between histograms reaches 2.
+	loose := opts
+	loose.Params.EpsilonReconstruct = 2
+	a, err := AuditRun(context.Background(), plan, target, &tampered, loose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ReconstructionViolations != 0 {
+		t.Fatalf("graded at ε rather than the run's ε₂: %d reconstruction violations", a.ReconstructionViolations)
 	}
 }
 

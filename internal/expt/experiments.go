@@ -51,11 +51,11 @@ func Table4(w *Workspace, reps int) ([]Table4Row, error) {
 				return nil, err
 			}
 			row.DeltaDist[exec.String()] = dd
-			viol, err := ViolatesGuarantees(w, q.ID, res, w.Cfg.Epsilon)
+			a, err := w.audit(q.ID, exec, RunOverrides{Seed: 7}, res)
 			if err != nil {
 				return nil, err
 			}
-			row.Violated = row.Violated || viol
+			row.Violated = row.Violated || a.GuaranteeViolations+a.ReconstructionViolations > 0
 		}
 		rows = append(rows, row)
 	}
@@ -261,61 +261,80 @@ func DeltaD(w *Workspace, queryID string, res *engine.Result) (float64, error) {
 	return (sumGot - sumTrue) / sumTrue, nil
 }
 
-// ViolatesGuarantees checks a result against Guarantees 1 and 2 using the
-// cached exact data.
-func ViolatesGuarantees(w *Workspace, queryID string, res *engine.Result, eps float64) (bool, error) {
-	st, err := w.state(queryID)
-	if err != nil {
-		return false, err
-	}
-	inM := map[int]bool{}
-	var maxTrue float64
-	for _, m := range res.TopK {
-		inM[m.ID] = true
-		if d := histogram.L1(st.exact[m.ID], st.target); d > maxTrue {
-			maxTrue = d
-		}
-		// Guarantee 2: reconstruction.
-		if m.Histogram != nil {
-			if d := histogram.L1(m.Histogram, st.exact[m.ID]); d >= eps {
-				return true, nil
-			}
-		}
-	}
-	// Guarantee 1: separation.
-	floor := w.Cfg.Sigma * float64(st.total)
-	for i, h := range st.exact {
-		if inM[i] || h.Total() < floor {
-			continue
-		}
-		if maxTrue-histogram.L1(h, st.target) >= eps {
-			return true, nil
-		}
-	}
-	return false, nil
+// guaranteeCell is one cell of a guarantee campaign: one query run
+// repeatedly by one sampling executor, every run graded by the one
+// grader (Workspace.audit).
+type guaranteeCell struct {
+	query, executor string
+	// runs counts graded runs; separation and reconstruction count the
+	// runs that violated Guarantee 1 or Guarantee 2.
+	runs, separation, reconstruction int
+	// fractionRead is the mean share of the table's tuples a run read.
+	fractionRead float64
 }
 
-// GuaranteeCheck runs every query `runs` times with FastMatch and counts
-// guarantee violations — the paper's §5.4 check that observed zero
-// violations across all runs at δ = 0.01.
-func GuaranteeCheck(w *Workspace, runs int) (violations, total int, err error) {
-	for _, q := range Queries {
-		for r := 0; r < runs; r++ {
-			res, err := w.Run(q.ID, engine.FastMatch, RunOverrides{Seed: int64(1000*r + 7)})
-			if err != nil {
-				return 0, 0, fmt.Errorf("%s run %d: %w", q.ID, r, err)
-			}
-			viol, err := ViolatesGuarantees(w, q.ID, res, w.Cfg.Epsilon)
-			if err != nil {
-				return 0, 0, err
-			}
-			total++
-			if viol {
-				violations++
-			}
+// GuaranteeCheck runs every listed query (all of Table 3 when queries is
+// nil) `runs` times with each sampling executor under ov, run r at seed
+// 1000r+7, grades each run against both guarantees, and writes one line
+// per (query, executor) cell to out, then the totals — the paper's §5.4
+// check, which observed zero violations across all runs.
+func GuaranteeCheck(w *Workspace, out io.Writer, queries []string, ov RunOverrides, runs int) error {
+	cells, err := guaranteeCampaign(w, queries, ov, runs)
+	if err != nil {
+		return err
+	}
+	var sep, rec, total int
+	fmt.Fprintf(out, "%-12s %-10s %6s %11s %15s %8s\n",
+		"Query", "Executor", "runs", "separation", "reconstruction", "read")
+	for _, c := range cells {
+		fmt.Fprintf(out, "%-12s %-10s %6d %11d %15d %7.1f%%\n",
+			c.query, c.executor, c.runs, c.separation, c.reconstruction, 100*c.fractionRead)
+		sep, rec, total = sep+c.separation, rec+c.reconstruction, total+c.runs
+	}
+	fmt.Fprintf(out, "violations: %d separation, %d reconstruction / %d runs\n", sep, rec, total)
+	return nil
+}
+
+// guaranteeCampaign runs and grades GuaranteeCheck's matrix.
+func guaranteeCampaign(w *Workspace, queries []string, ov RunOverrides, runs int) ([]guaranteeCell, error) {
+	if queries == nil {
+		for _, q := range Queries {
+			queries = append(queries, q.ID)
 		}
 	}
-	return violations, total, nil
+	var cells []guaranteeCell
+	for _, qid := range queries {
+		st, err := w.state(qid)
+		if err != nil {
+			return nil, err
+		}
+		for _, exec := range approxExecutors {
+			cell := guaranteeCell{query: qid, executor: exec.String(), runs: runs}
+			for r := 0; r < runs; r++ {
+				ov.Seed = int64(1000*r + 7)
+				res, err := w.Run(qid, exec, ov)
+				if err != nil {
+					return nil, fmt.Errorf("%s %v run %d: %w", qid, exec, r, err)
+				}
+				a, err := w.audit(qid, exec, ov, res)
+				if err != nil {
+					return nil, fmt.Errorf("%s %v run %d: %w", qid, exec, r, err)
+				}
+				if a.GuaranteeViolations > 0 {
+					cell.separation++
+				}
+				if a.ReconstructionViolations > 0 {
+					cell.reconstruction++
+				}
+				cell.fractionRead += float64(res.IO.TuplesRead) / float64(st.total)
+			}
+			if runs > 0 {
+				cell.fractionRead /= float64(runs)
+			}
+			cells = append(cells, cell)
+		}
+	}
+	return cells, nil
 }
 
 // SigmaZeroRow captures the σ=0 pathology measurement (§5.4 "When

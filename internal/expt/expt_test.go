@@ -105,18 +105,19 @@ func TestExactTopKAndDeltaD(t *testing.T) {
 	}
 }
 
-func TestViolatesGuaranteesOnExactResult(t *testing.T) {
+func TestAuditExactResultHasNoViolations(t *testing.T) {
 	w := smallWorkspace(t)
 	res, err := w.Run("police-q1", engine.Scan, RunOverrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viol, err := ViolatesGuarantees(w, "police-q1", res, w.Cfg.Epsilon)
+	a, err := w.audit("police-q1", engine.Scan, RunOverrides{}, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viol {
-		t.Fatal("exact Scan result flagged as violating guarantees")
+	if a.GuaranteeViolations != 0 || a.ReconstructionViolations != 0 {
+		t.Fatalf("exact Scan result graded with violations: separation %d, reconstruction %d",
+			a.GuaranteeViolations, a.ReconstructionViolations)
 	}
 }
 
@@ -126,17 +127,72 @@ func TestApproximateRunsMeetGuarantees(t *testing.T) {
 	}
 	w := smallWorkspace(t)
 	for _, qid := range []string{"flights-q1", "police-q2"} {
-		res, err := w.Run(qid, engine.FastMatch, RunOverrides{Seed: 9})
+		ov := RunOverrides{Seed: 9}
+		res, err := w.Run(qid, engine.FastMatch, ov)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viol, err := ViolatesGuarantees(w, qid, res, w.Cfg.Epsilon)
+		a, err := w.audit(qid, engine.FastMatch, ov, res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if viol {
-			t.Errorf("%s: FastMatch violated guarantees", qid)
+		if a.GuaranteeViolations != 0 || a.ReconstructionViolations != 0 {
+			t.Errorf("%s: FastMatch violated guarantees: separation %d, reconstruction %d",
+				qid, a.GuaranteeViolations, a.ReconstructionViolations)
 		}
+	}
+}
+
+// TestGuaranteeCampaign is the reduced guarantee campaign: the three
+// sampling executors × seeded runs on two matrices, every run graded
+// against both guarantees by engine.AuditRun. At the workspace defaults
+// the samplers read the whole 400k-row tables, so those cells grade
+// exact answers; the ε = 0.4, σ = 0.01 cells stop sampling early, so
+// they grade real estimates. Seeds are fixed: the outcome is
+// deterministic. GuaranteeCheck prints this same matrix.
+func TestGuaranteeCampaign(t *testing.T) {
+	w, err := NewWorkspace(Config{Rows: 400_000, Seed: 5, Reps: 1, Epsilon: 0.12, BlockSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10
+	early := RunOverrides{Epsilon: 0.4, Sigma: 0.01}
+	for _, c := range []struct {
+		queries []string
+		ov      RunOverrides
+		early   bool
+	}{
+		{[]string{"flights-q1", "police-q2"}, RunOverrides{}, false},
+		{[]string{"flights-q3", "police-q1", "police-q2"}, early, true},
+	} {
+		cells, err := guaranteeCampaign(w, c.queries, c.ov, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != len(c.queries)*len(approxExecutors) {
+			t.Fatalf("%d cells for %d queries", len(cells), len(c.queries))
+		}
+		for _, cell := range cells {
+			t.Logf("%+v", cell)
+			if cell.runs != runs {
+				t.Fatalf("%s %s graded %d runs, want %d", cell.query, cell.executor, cell.runs, runs)
+			}
+			if cell.separation != 0 || cell.reconstruction != 0 {
+				t.Errorf("%s %s: %d separation and %d reconstruction violations in %d runs",
+					cell.query, cell.executor, cell.separation, cell.reconstruction, runs)
+			}
+			if c.early && cell.fractionRead >= 1 {
+				t.Errorf("%s %s at %+v read %.1f%% of the table; the cell must stop sampling early",
+					cell.query, cell.executor, c.ov, 100*cell.fractionRead)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := GuaranteeCheck(w, &buf, []string{"police-q1"}, early, 1); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "violations: 0 separation, 0 reconstruction / 3 runs") {
+		t.Fatalf("GuaranteeCheck report:\n%s", out)
 	}
 }
 

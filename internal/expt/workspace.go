@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -303,6 +304,22 @@ func (w *Workspace) params(st *queryState, ov RunOverrides) core.Params {
 	}
 }
 
+// options builds the engine options of one run: the one place both Run
+// and audit take them from.
+func (w *Workspace) options(st *queryState, exec engine.Executor, ov RunOverrides) engine.Options {
+	lookahead := w.Cfg.Lookahead
+	if ov.Lookahead > 0 {
+		lookahead = ov.Lookahead
+	}
+	return engine.Options{
+		Params:     w.params(st, ov),
+		Executor:   exec,
+		Lookahead:  lookahead,
+		StartBlock: -1,
+		Seed:       ov.Seed + w.Cfg.RunSeed,
+	}
+}
+
 // Run executes one query with one executor and returns the engine result.
 // The query's Plan is prepared once at workspace construction (indexes
 // built untimed) and shared across runs; each run owns fresh sampler
@@ -312,17 +329,17 @@ func (w *Workspace) Run(queryID string, exec engine.Executor, ov RunOverrides) (
 	if err != nil {
 		return nil, err
 	}
-	lookahead := w.Cfg.Lookahead
-	if ov.Lookahead > 0 {
-		lookahead = ov.Lookahead
+	return st.plan.RunWithTarget(st.target, w.options(st, exec, ov))
+}
+
+// audit grades a result of Run(queryID, exec, ov) against both
+// guarantees with engine.AuditRun, under the options that run used.
+func (w *Workspace) audit(queryID string, exec engine.Executor, ov RunOverrides, res *engine.Result) (*engine.Audit, error) {
+	st, err := w.state(queryID)
+	if err != nil {
+		return nil, err
 	}
-	return st.plan.RunWithTarget(st.target, engine.Options{
-		Params:     w.params(st, ov),
-		Executor:   exec,
-		Lookahead:  lookahead,
-		StartBlock: -1,
-		Seed:       ov.Seed + w.Cfg.RunSeed,
-	})
+	return engine.AuditRun(context.Background(), st.plan, st.target, res, w.options(st, exec, ov))
 }
 
 // TimedRun averages wall-clock time over reps runs with distinct seeds and

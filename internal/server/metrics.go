@@ -180,7 +180,8 @@ func (m *tableMetrics) observe(d time.Duration, res *engine.Result, oc runOutcom
 
 // observeAudit records one shadow-audit outcome against the table.
 // failed covers both audit errors and capacity skips; a successful audit
-// contributes its precision@k and any guarantee violations it found.
+// contributes its precision@k and the violations of either guarantee it
+// found.
 func (m *tableMetrics) observeAudit(a *engine.Audit, failed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -189,7 +190,7 @@ func (m *tableMetrics) observeAudit(a *engine.Audit, failed bool) {
 		m.auditErrs++
 		return
 	}
-	m.auditViolations += int64(a.GuaranteeViolations)
+	m.auditViolations += int64(a.GuaranteeViolations + a.ReconstructionViolations)
 	m.auditPrecision.Observe(a.PrecisionAtK)
 }
 
@@ -237,8 +238,8 @@ type TableMetrics struct {
 	QualityFinalMargin   float64 `json:"quality_final_margin,omitempty"`
 	// AuditRuns counts shadow audits attempted; AuditErrors the subset
 	// that failed or were skipped at capacity; AuditGuaranteeViolations
-	// the ε-tolerant separation-guarantee violations found across all
-	// successful audits (expected ≈ δ × audited answers).
+	// the separation (ε-tolerant) and reconstruction violations found
+	// across all successful audits (expected ≈ δ × audited answers).
 	AuditRuns                int64 `json:"audit_runs,omitempty"`
 	AuditErrors              int64 `json:"audit_errors,omitempty"`
 	AuditGuaranteeViolations int64 `json:"audit_guarantee_violations,omitempty"`

@@ -136,7 +136,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(m TableMetrics) float64 { return float64(m.AuditRuns) }},
 		{"fastmatch_audit_errors_total", "Shadow audits that failed or were skipped at capacity.",
 			func(m TableMetrics) float64 { return float64(m.AuditErrors) }},
-		{"fastmatch_audit_guarantee_violations_total", "Audited answers violating the epsilon-tolerant separation guarantee.",
+		{"fastmatch_audit_guarantee_violations_total", "Shadow-audit violations of the epsilon-tolerant separation or the reconstruction guarantee.",
 			func(m TableMetrics) float64 { return float64(m.AuditGuaranteeViolations) }},
 	} {
 		fam := pw.Counter(tc.name, tc.help)

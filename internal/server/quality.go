@@ -195,6 +195,7 @@ func (s *Server) runAudit(pq *preparedQuery, res *engine.Result) (*engine.Audit,
 		"table", pq.req.Table,
 		"precision_at_k", audit.PrecisionAtK,
 		"guarantee_violations", audit.GuaranteeViolations,
+		"reconstruction_violations", audit.ReconstructionViolations,
 		"max_displacement", audit.MaxDisplacement,
 		"exact_tuples", audit.ExactIO.TuplesRead,
 		"duration_ms", float64(time.Since(began))/float64(time.Millisecond),
