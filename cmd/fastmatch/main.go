@@ -23,6 +23,8 @@ import (
 
 	"fastmatch"
 	"fastmatch/internal/colstore"
+	"fastmatch/internal/engine"
+	"fastmatch/internal/histogram"
 )
 
 func main() {
@@ -33,7 +35,7 @@ func main() {
 	epsilon := flag.Float64("epsilon", 0.1, "approximation error bound ε")
 	delta := flag.Float64("delta", 0.01, "error probability bound δ")
 	sigma := flag.Float64("sigma", 0.001, "minimum selectivity threshold σ")
-	executor := flag.String("executor", "fastmatch", "scan, parallelscan, scanmatch, syncmatch, or fastmatch")
+	executor := flag.String("executor", "auto", "auto, scan, parallelscan, scanmatch, syncmatch, or fastmatch")
 	workers := flag.Int("workers", 0, "parallelscan worker count (0 = GOMAXPROCS)")
 	metric := flag.String("metric", "l1", "distance metric: l1 or l2")
 	targetCandidate := flag.String("target-candidate", "", "candidate value whose histogram is the target")
@@ -61,11 +63,11 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "loaded %d tuples in %d blocks\n", tbl.NumRows(), tbl.NumBlocks())
 
-	exec, err := parseExecutor(*executor)
+	exec, err := engine.ParseExecutor(*executor)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := parseMetric(*metric)
+	m, err := histogram.ParseMetric(*metric)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,30 +120,4 @@ func main() {
 			}
 		}
 	}
-}
-
-func parseExecutor(s string) (fastmatch.Executor, error) {
-	switch strings.ToLower(s) {
-	case "scan":
-		return fastmatch.Scan, nil
-	case "parallelscan":
-		return fastmatch.ParallelScan, nil
-	case "scanmatch":
-		return fastmatch.ScanMatch, nil
-	case "syncmatch":
-		return fastmatch.SyncMatch, nil
-	case "fastmatch":
-		return fastmatch.FastMatch, nil
-	}
-	return 0, fmt.Errorf("unknown executor %q", s)
-}
-
-func parseMetric(s string) (fastmatch.Metric, error) {
-	switch strings.ToLower(s) {
-	case "l1":
-		return fastmatch.MetricL1, nil
-	case "l2":
-		return fastmatch.MetricL2, nil
-	}
-	return 0, fmt.Errorf("unknown metric %q", s)
 }

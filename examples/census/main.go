@@ -44,6 +44,7 @@ func main() {
 	opts := fastmatch.DefaultOptions(tbl.NumRows())
 	opts.Params.K = 5
 	opts.Params.Epsilon = 0.08
+	opts.Executor = fastmatch.FastMatch
 	res, err := eng.Run(
 		fastmatch.Query{Z: "country", X: []string{"income_bracket"}},
 		fastmatch.Target{Candidate: "country_0"},

@@ -55,6 +55,7 @@ func main() {
 	opts := fastmatch.DefaultOptions(tbl.NumRows())
 	opts.Params.K = 10
 	opts.Params.Epsilon = 0.08
+	opts.Executor = fastmatch.FastMatch
 	opts.Seed = 5
 
 	// flights-q1: airports with departure-hour distributions like the hub.

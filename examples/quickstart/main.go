@@ -67,6 +67,7 @@ func main() {
 	opts := fastmatch.DefaultOptions(tbl.NumRows())
 	opts.Params.K = 3
 	opts.Params.Epsilon = 0.05
+	opts.Executor = fastmatch.FastMatch
 	res, err := eng.Run(
 		fastmatch.Query{Z: "country", X: []string{"income_bracket"}},
 		fastmatch.Target{Candidate: "greece"},
@@ -80,7 +81,7 @@ func main() {
 	// interesting matches follow.
 	fmt.Printf("Top %d countries by income-distribution similarity to greece\n", len(res.TopK))
 	fmt.Printf("(executor=%v, sampled %d of %d tuples, %d blocks skipped, %v)\n\n",
-		fastmatch.FastMatch, res.Stats.TotalSamples(), tbl.NumRows(),
+		opts.Executor, res.Stats.TotalSamples(), tbl.NumRows(),
 		res.IO.BlocksSkipped, res.Duration.Round(1000))
 	for rank, m := range res.TopK {
 		fmt.Printf("%d. %-12s  L1 distance %.4f\n", rank+1, m.Label, m.Distance)

@@ -48,6 +48,7 @@ func main() {
 	opts := fastmatch.DefaultOptions(tbl.NumRows())
 	opts.Params.K = 8
 	opts.Params.Epsilon = 0.12
+	opts.Executor = fastmatch.FastMatch
 	// Scale σ and the stage-1 sample to this dataset's size so the rarity
 	// test has power (the library default is tuned for paper-scale data).
 	opts.Params.Sigma = 0.002

@@ -34,6 +34,7 @@
 //	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 //	defer cancel()
 //	opts := fastmatch.DefaultOptions(tbl.NumRows())
+//	opts.Executor = fastmatch.FastMatch
 //	opts.OnProgress = func(p fastmatch.Progress) {
 //	    fmt.Printf("%s round %d: best=%v\n", p.Phase, p.Round, p.TopK)
 //	}
@@ -177,6 +178,9 @@ const (
 	// ParallelScan is the exact baseline partitioned over Options.Workers
 	// goroutines (default GOMAXPROCS); results are identical to Scan.
 	ParallelScan = engine.ParallelScan
+	// Auto, the default, runs Scan when the closed form says sampling
+	// cannot skip a block and FastMatch otherwise (see DefaultOptions).
+	Auto = engine.Auto
 )
 
 // Distance metrics.
@@ -325,8 +329,14 @@ func MeasureBiasedView(src Reader, measure string, targetRows int, seed int64) (
 
 // DefaultOptions returns the paper's default configuration scaled to a
 // dataset of totalRows tuples: k=10, ε=0.04, δ=0.01, σ=0.0008,
-// lookahead=1024 blocks, FastMatch executor, and a stage-1 sample of
+// lookahead=1024 blocks, the Auto executor, and a stage-1 sample of
 // max(rows/20, 2000) capped at the paper's m = 5·10⁵.
+//
+// Auto answers exactly with Scan when a surviving candidate's sample
+// need SamplesFor(|V_X|, ε/2, δ/6) is at least σN/4 (or σ = 0), since
+// then sampling reads every block anyway, and with FastMatch otherwise;
+// the decision is pure arithmetic made before any I/O. Set
+// Options.Executor to pin one executor.
 //
 // Seed is left at zero, which is a fixed seed, not a random one: with the
 // default StartBlock of -1 every run derives the same pseudo-random start

@@ -80,7 +80,7 @@ func TestDefaultOptionsScaling(t *testing.T) {
 	if big.Params.Epsilon != 0.04 || big.Params.Delta != 0.01 || big.Params.Sigma != 0.0008 {
 		t.Fatal("paper defaults wrong")
 	}
-	if big.Executor != fastmatch.FastMatch || big.Lookahead != 1024 {
+	if big.Executor != fastmatch.Auto || big.Lookahead != 1024 {
 		t.Fatal("default executor/lookahead wrong")
 	}
 }

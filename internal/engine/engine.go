@@ -65,7 +65,7 @@ type Options struct {
 	// Params are HistSim's knobs (k, ε, δ, σ, m, metric, …).
 	Params core.Params
 	// Executor selects Scan / ScanMatch / SyncMatch / FastMatch /
-	// ParallelScan.
+	// ParallelScan, or Auto to pick Scan or FastMatch per run.
 	Executor Executor
 	// Lookahead is the FastMatch marking window in blocks (default 1024).
 	Lookahead int
@@ -335,7 +335,15 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 	}
 	began := time.Now()
 	runSpan := opts.Trace.StartAt("run", began)
+	var auto *AutoDecision
+	opts.Executor, auto = ResolveExecutor(opts, p.rows, p.grp.groups(), false)
 	runSpan.SetAttr("executor", opts.Executor.String())
+	if auto != nil {
+		runSpan.SetAttr("auto_need", auto.Need)
+		runSpan.SetAttr("auto_sigma_rows", auto.SigmaRows)
+		runSpan.SetAttr("auto_ratio", auto.Ratio)
+		runSpan.SetAttr("auto_c", auto.C)
+	}
 	defer runSpan.End()
 	if opts.Executor == Scan || opts.Executor == ParallelScan {
 		workers := 1

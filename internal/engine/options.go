@@ -10,10 +10,12 @@ import (
 
 // DefaultOptions returns the paper's default configuration scaled to a
 // dataset of totalRows tuples: k=10, ε=0.04, δ=0.01, σ=0.0008,
-// lookahead=1024 blocks, FastMatch executor, and a stage-1 sample of
-// max(rows/20, 2000) capped at the paper's m = 5·10⁵. Seed is left at
-// zero — a fixed seed, not a random one; see the root package's
-// DefaultOptions doc for the seeding discussion.
+// lookahead=1024 blocks, the Auto executor, and a stage-1 sample of
+// max(rows/20, 2000) capped at the paper's m = 5·10⁵. Auto answers
+// exactly with Scan when need = SamplesFor(|V_X|, ε/2, δ/6) ≥ σN/4 or
+// σ = 0, and samples with FastMatch otherwise (see ResolveExecutor).
+// Seed is left at zero — a fixed seed, not a random one; see the root
+// package's DefaultOptions doc for the seeding discussion.
 func DefaultOptions(totalRows int) Options {
 	m := totalRows / 20
 	if m < 2000 {
@@ -31,10 +33,55 @@ func DefaultOptions(totalRows int) Options {
 			Stage1Samples: m,
 			Metric:        histogram.MetricL1,
 		},
-		Executor:   FastMatch,
+		Executor:   Auto,
 		Lookahead:  1024,
 		StartBlock: -1,
 	}
+}
+
+// autoScanRatio is c in Auto's rule: scan once need ≥ σN/c. A survivor
+// holds ≥ σN rows spread over a shuffled table, so the closer need comes
+// to σN, the more blocks hold rows of an active candidate and the less
+// AnyActive can skip. FastMatch read 41–59 % of the table at need/σN ≈
+// 0.29 and 60–98 % at 0.46; at 1.0–1.6× the scan's per-tuple cost (2
+// vCPU, 20M rows) plus stage-1 and round overheads it breaks even only
+// below about ⅔ read. c = 4 keeps every sampled run below the 0.29 cell.
+const autoScanRatio = 4
+
+// AutoDecision is why Auto resolved as it did: need, σN, need/σN (omitted
+// when σN = 0) and c.
+type AutoDecision struct {
+	Need      int     `json:"need"`
+	SigmaRows float64 `json:"sigma_rows"`
+	Ratio     float64 `json:"ratio,omitempty"`
+	C         float64 `json:"c"`
+}
+
+// ResolveExecutor names the executor a run over rows tuples and groups
+// histogram groups uses, decided before any I/O: ParallelScan on a
+// coordinated table, an explicit executor as asked, and for Auto Scan
+// when need = SamplesFor(groups, ε/2, δ/6) ≥ σN/c or σ = 0, FastMatch
+// otherwise. The decision is returned only when Auto was resolved.
+func ResolveExecutor(opts Options, rows, groups int, coordinated bool) (Executor, *AutoDecision) {
+	if coordinated {
+		return ParallelScan, nil
+	}
+	if opts.Executor != Auto {
+		return opts.Executor, nil
+	}
+	p := opts.Params
+	d := &AutoDecision{
+		Need:      p.Metric.SamplesFor(groups, p.Epsilon/2, p.Delta/6),
+		SigmaRows: p.Sigma * float64(rows),
+		C:         autoScanRatio,
+	}
+	if d.SigmaRows > 0 {
+		d.Ratio = float64(d.Need) / d.SigmaRows
+	}
+	if float64(d.Need)*autoScanRatio >= d.SigmaRows { // σN = 0 always scans
+		return Scan, d
+	}
+	return FastMatch, d
 }
 
 // InvalidOptionsError reports a nonsensical Options value, naming the
@@ -93,7 +140,7 @@ func (o Options) Validate() error {
 		return bad("Metric", "unknown metric %d", int(p.Metric))
 	}
 	switch o.Executor {
-	case Scan, ScanMatch, SyncMatch, FastMatch, ParallelScan:
+	case Scan, ScanMatch, SyncMatch, FastMatch, ParallelScan, Auto:
 	default:
 		return bad("Executor", "unknown executor %d", int(o.Executor))
 	}

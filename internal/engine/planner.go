@@ -221,6 +221,15 @@ func (e *Engine) planGroups(q Query) (groupMapper, error) {
 	return newMultiGroups(cols, e.src.NumRows())
 }
 
+// Groups returns q's histogram width |V_X| without building a plan or reading a block.
+func (e *Engine) Groups(q Query) (int, error) {
+	grp, err := e.planGroups(q)
+	if err != nil {
+		return 0, err
+	}
+	return grp.groups(), nil
+}
+
 // Query returns the query this plan resolves.
 func (p *Plan) Query() Query { return p.query }
 

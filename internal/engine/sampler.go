@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"fastmatch/internal/bitmap"
 	"fastmatch/internal/colstore"
@@ -32,6 +33,8 @@ const (
 	// results are identical to Scan. Worker count comes from
 	// Options.Workers (default GOMAXPROCS).
 	ParallelScan
+	// Auto picks Scan or FastMatch per run before any I/O (ResolveExecutor).
+	Auto
 )
 
 // String implements fmt.Stringer.
@@ -47,9 +50,23 @@ func (e Executor) String() string {
 		return "FastMatch"
 	case ParallelScan:
 		return "ParallelScan"
+	case Auto:
+		return "Auto"
 	default:
 		return fmt.Sprintf("Executor(%d)", int(e))
 	}
+}
+
+// ParseExecutor maps an executor name (String's, in any case) onto its
+// Executor; an unknown name yields an *InvalidOptionsError.
+func ParseExecutor(s string) (Executor, error) {
+	for e := Scan; e <= Auto; e++ {
+		if strings.EqualFold(s, e.String()) {
+			return e, nil
+		}
+	}
+	return 0, &InvalidOptionsError{Field: "Executor",
+		Reason: fmt.Sprintf("unknown executor %q (want auto, scan, parallelscan, scanmatch, syncmatch or fastmatch)", s)}
 }
 
 // IOStats counts the I/O work a run performed.

@@ -17,8 +17,10 @@ type ExplainResponse struct {
 	Plan engine.ExplainInfo `json:"plan"`
 	// PlanCached reports whether the plan came from the plan cache.
 	PlanCached bool `json:"plan_cached"`
-	// Executor names the executor the request would run.
-	Executor string `json:"executor"`
+	// Executor names the executor the request would run; Auto, present
+	// only when the request asked for auto, says why.
+	Executor string               `json:"executor"`
+	Auto     *engine.AutoDecision `json:"auto,omitempty"`
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -46,5 +48,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Plan:       plan.Explain(),
 		PlanCached: planHit,
 		Executor:   pq.opts.Executor.String(),
+		Auto:       pq.auto,
 	})
 }

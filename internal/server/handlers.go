@@ -254,6 +254,8 @@ type preparedQuery struct {
 	// still re-executing the plan.
 	audit bool
 	holds atomic.Int32
+	// auto is why the executor was chosen, when the request asked for auto.
+	auto *engine.AutoDecision
 	// cacheable gates the result cache, read and write: always for a
 	// local table; for a coordinated one only when every shard's meta
 	// resolved at prepare time, because the cache key's generations and
@@ -409,13 +411,14 @@ func (s *Server) prepareQuery(ctx context.Context, pq *preparedQuery) bool {
 		pq.fail(http.StatusUnprocessableEntity, "%v", err)
 		return false
 	}
-	if pq.entry.coord != nil {
-		// A coordinated table answers every query with the exact
-		// scatter-gather scan, which meets any (ε, δ) promise. Rewriting
-		// the executor here makes the cache key, the audit decision and
-		// the run span describe what actually runs.
-		pq.opts.Executor = engine.ParallelScan
+	// The executor is resolved once, before the keys, so the cache key,
+	// the audit decision, explain and the run span describe what runs:
+	// coordinated ⇒ the exact scatter-gather scan; auto ⇒ the closed form.
+	groups := 0
+	if pq.entry.coord == nil && pq.opts.Executor == engine.Auto {
+		groups, _ = pq.eng.Groups(pq.q) // an unplannable query fails at planning
 	}
+	pq.opts.Executor, pq.auto = engine.ResolveExecutor(pq.opts, rows, groups, pq.entry.coord != nil)
 	pq.target = pq.req.Target.toTarget()
 	pq.resultKey = pq.planKey + "\x00" + pq.target.Fingerprint() + "\x00" + pq.opts.Fingerprint()
 	// Every request runs traced: the engine's span tree feeds the
@@ -560,6 +563,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, out sink) {
 	}
 
 	opts := pq.opts
+	if pq.auto != nil {
+		// The engine re-derives this choice from the plan and stamps it on its run span.
+		opts.Executor = engine.Auto
+	}
 	opts.OnProgress = out.begin(pq.id)
 	cres, err := pq.run.run(ctx, opts)
 	timedOut := errors.Is(ctx.Err(), context.DeadlineExceeded)

@@ -99,8 +99,8 @@ type OptionsSpec struct {
 	Stage1Samples      *int     `json:"stage1_samples,omitempty"`
 	// Metric is "l1" (default) or "l2".
 	Metric string `json:"metric,omitempty"`
-	// Executor is "scan", "parallelscan", "scanmatch", "syncmatch", or
-	// "fastmatch" (default).
+	// Executor is "auto" (default), "scan", "parallelscan", "scanmatch",
+	// "syncmatch", or "fastmatch"; see engine.ResolveExecutor for auto.
 	Executor   string `json:"executor,omitempty"`
 	Lookahead  *int   `json:"lookahead,omitempty"`
 	StartBlock *int   `json:"start_block,omitempty"`
@@ -334,7 +334,7 @@ func (os *OptionsSpec) apply(opts *engine.Options) error {
 		opts.Params.Metric = m
 	}
 	if os.Executor != "" {
-		exec, err := parseExecutor(os.Executor)
+		exec, err := engine.ParseExecutor(os.Executor)
 		if err != nil {
 			return err
 		}
@@ -362,21 +362,4 @@ func (os *OptionsSpec) apply(opts *engine.Options) error {
 		opts.DisableScanKernels = true
 	}
 	return nil
-}
-
-// parseExecutor maps wire executor names onto engine executors.
-func parseExecutor(s string) (engine.Executor, error) {
-	switch s {
-	case "scan":
-		return engine.Scan, nil
-	case "parallelscan":
-		return engine.ParallelScan, nil
-	case "scanmatch":
-		return engine.ScanMatch, nil
-	case "syncmatch":
-		return engine.SyncMatch, nil
-	case "fastmatch":
-		return engine.FastMatch, nil
-	}
-	return 0, fmt.Errorf("unknown executor %q (want scan, parallelscan, scanmatch, syncmatch, or fastmatch)", s)
 }

@@ -70,6 +70,17 @@ echo "== /v1/stats reports the cache hit"
 STATS="$(curl -fsS "$BASE/v1/stats")"
 echo "$STATS" | grep -q '"result_cache_hits":1' || { echo "stats missing cache hit: $STATS" >&2; exit 1; }
 
+echo "== a query without an executor answers exactly (auto resolves to scan); explicit fastmatch still samples"
+AQUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"epsilon":0.3,"sigma":0.02,"seed":41}}'
+RA="$(curl -fsS -X POST "$BASE/v1/query" -d "$AQUERY")"
+echo "$RA" | grep -q '"exact":true' || { echo "default executor answer not exact: $RA" >&2; exit 1; }
+EA="$(curl -fsS -X POST "$BASE/v1/explain" -d "$AQUERY")"
+echo "$EA" | grep -q '"executor":"Scan"' || { echo "explain does not resolve auto to Scan: $EA" >&2; exit 1; }
+echo "$EA" | grep -q '"auto":{"need":'   || { echo "explain carries no auto decision: $EA" >&2; exit 1; }
+FQUERY="$(printf '%s' "$AQUERY" | sed 's/"options":{/"options":{"executor":"fastmatch",/')"
+RF="$(curl -fsS -X POST "$BASE/v1/query" -d "$FQUERY")"
+echo "$RF" | grep -q '"exact":false' || { echo "explicit fastmatch answer not sampled: $RF" >&2; exit 1; }
+
 echo "== mmap-backed table answers the same query identically"
 MMQUERY="$(printf '%s' "$QUERY" | sed 's/"table":"flights"/"table":"flightsmm"/')"
 R3="$(curl -fsS -X POST "$BASE/v1/query" -d "$MMQUERY")"
