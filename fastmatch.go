@@ -242,8 +242,8 @@ func NewThrottledReader(src Reader, perBlock time.Duration) Reader {
 
 // Re-exported live-ingestion types (internal/ingest): a WritableTable
 // accepts appends — WAL-logged for durability, folded into immutable
-// column segments with zone maps, background-compacted into mmap-able
-// snapshot files — while serving queries through snapshot-isolated
+// column segments with exact per-block statistics, background-compacted
+// into mmap-able snapshot files — while serving queries through snapshot-isolated
 // Reader views, so every engine layer works unmodified over live data.
 type (
 	// WritableTable is the live-ingestion storage backend. Open one with

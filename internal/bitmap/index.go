@@ -18,9 +18,8 @@ type Index struct {
 // IndexedReader is an optional colstore.Reader capability: a storage
 // backend that maintains its own per-column block indexes (for example
 // the live-ingest backend, which keeps an immutable index per sealed
-// segment and stitches them with shifted ORs, consulting per-segment
-// code-presence zone maps to skip segments a value never touches) can
-// serve Build without a full O(rows) scan. BlockIndex must return an
+// segment and stitches them with shifted ORs) can serve Build without a
+// full O(rows) scan. BlockIndex must return an
 // index exactly equal to what Build's scan would produce — same
 // cardinality, same block count, same bits — so every executor behaves
 // identically on indexed and scanned backends.

@@ -40,12 +40,10 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Resu
 	}
 	mkReq := func() *engine.ShardSegment {
 		return &engine.ShardSegment{
-			Kind:               engine.SegScan,
-			Executor:           engine.ParallelScan,
-			Workers:            workers,
-			DisableBlockSkip:   opts.DisableBlockSkip,
-			DisableScanKernels: opts.DisableScanKernels,
-			Deadline:           st.deadline,
+			Kind:     engine.SegScan,
+			Executor: engine.ParallelScan,
+			Workers:  workers,
+			Deadline: st.deadline,
 		}
 	}
 	gb := st.newBatch()

@@ -18,9 +18,9 @@ import "math"
 // scan and take measure ranges from the snapshot's stored section — the
 // heap open after checking them against the values, the mmap open
 // unread (checking would page in the measure arrays, forfeiting the
-// ~instant cold start); the live-ingest backend adapts its
-// per-segment zone maps, which are segment-granular (every block of a
-// segment reports the segment's range) with the unsealed tail unknown.
+// ~instant cold start); the live-ingest backend routes each sealed block
+// to its segment's reader, a Table or MmapTable, so its answers are
+// exactly theirs, with the unsealed tail unknown.
 
 // BlockStats exposes per-block column statistics. Implementations are
 // immutable and safe for concurrent readers.

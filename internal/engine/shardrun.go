@@ -77,10 +77,8 @@ type ShardSegment struct {
 
 	// Run knobs. Executor names the exact executor the coordinated run
 	// answers with; Workers is throughput-only as everywhere else.
-	Executor           Executor `json:"executor"`
-	Workers            int      `json:"workers,omitempty"`
-	DisableBlockSkip   bool     `json:"disable_block_skip,omitempty"`
-	DisableScanKernels bool     `json:"disable_scan_kernels,omitempty"`
+	Executor Executor `json:"executor"`
+	Workers  int      `json:"workers,omitempty"`
 
 	// Residual termination state: RowBudget ≤ 0 means unlimited (the
 	// coordinator never forwards an exhausted budget — it synthesizes the
@@ -149,10 +147,8 @@ func segGuard(ctx context.Context, req *ShardSegment) *runGuard {
 func (p *Plan) runScanSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
 	ex := p.newScanExec(req.Workers)
 	ex.guard = segGuard(ctx, req)
-	if !req.DisableBlockSkip {
-		ex.skip = p.skipAll
-	}
-	ex.kernels = !req.DisableScanKernels
+	ex.skip = p.skipAll
+	ex.kernels = true
 	hists, io, rows, stopErr := ex.run(nil, -1)
 	return &ShardSegmentResult{
 		Batch:   core.EncodeBatch(scanBatch(hists, rows)),

@@ -8,6 +8,7 @@ import (
 
 	"fastmatch/internal/bitmap"
 	"fastmatch/internal/colstore"
+	"fastmatch/internal/ingest"
 )
 
 // Skip-equivalence suite: statistics-based block pruning and the
@@ -55,14 +56,35 @@ func skipTestTable(t testing.TB) *colstore.Table {
 }
 
 // skipTestBackends returns the same data behind all three storage
-// backends.
+// backends, the ingest one twice: with its sealed segments in memory and
+// compacted into a mapped segment file.
 func skipTestBackends(t testing.TB, tbl *colstore.Table) map[string]*Engine {
 	t.Helper()
 	return map[string]*Engine{
-		"inmem":  New(tbl),
-		"mmap":   New(mmapTwin(t, tbl)),
-		"ingest": New(ingestTwin(t, tbl)),
+		"inmem":            New(tbl),
+		"mmap":             New(mmapTwin(t, tbl)),
+		"ingest":           New(ingestTwin(t, tbl)),
+		"ingest-compacted": New(compactedIngestTwin(t, tbl)),
 	}
+}
+
+// compactedIngestTwin is ingestTwin with CompactNow run before the view
+// is taken, so block skipping reads file-backed segment statistics.
+func compactedIngestTwin(t testing.TB, tbl *colstore.Table) *ingest.TableView {
+	t.Helper()
+	wt := ingestTableFrom(t, tbl, 4096)
+	if err := wt.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if st := wt.Stats(); st.SegmentFiles == 0 || st.PersistedRows != tbl.NumRows() {
+		t.Fatalf("compaction left %d segment files over %d of %d rows", st.SegmentFiles, st.PersistedRows, tbl.NumRows())
+	}
+	v, err := wt.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Release)
+	return v
 }
 
 // predQuery compiles a predicate-candidate query against one engine (the

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"fastmatch/internal/bitmap"
 	"fastmatch/internal/colstore"
 )
 
@@ -29,14 +28,18 @@ import (
 //     MaxSegmentFiles to amortize further; a size-tiered policy is the
 //     upgrade path if file counts ever need to scale beyond that.
 //
-// Swaps are atomic with respect to readers: the new segment (backed by
-// the freshly written file, mmap-opened unless disabled) replaces its
+// A segment file is a batch snapshot, so it persists exact per-block
+// statistics (presence words, measure ranges); its mapped reader serves
+// them as the new segment's one summary, and nothing is carried over
+// from the children.
+//
+// Swaps are atomic with respect to readers: the new segment replaces its
 // children in the canonical list under the table mutex, while in-flight
 // views keep their pinned children alive until released — snapshot
-// isolation via the segment refcounts. Durability ordering is
-// file write + fsync → manifest rename → WAL/file deletion, so a crash
-// at any point leaves either the old manifest (orphaned file removed at
-// boot) or the new one (covered WAL rows skipped by replay).
+// isolation via the segment refcounts. Durability ordering is file
+// write + fsync → manifest rename → WAL/file deletion, so a crash at any
+// point leaves either the old manifest (orphaned file removed at boot)
+// or the new one (covered WAL rows skipped by replay).
 
 // runCompactor is the background loop started by Open.
 func (t *WritableTable) runCompactor() {
@@ -97,7 +100,7 @@ func (t *WritableTable) persistSealed() error {
 	if err != nil {
 		return err
 	}
-	merged, err := t.writeSegmentFile(tbl, lo, children)
+	merged, err := t.writeSegmentFile(tbl, lo)
 	if err != nil {
 		return err
 	}
@@ -124,7 +127,7 @@ func (t *WritableTable) mergeFiles() error {
 	if err != nil {
 		return err
 	}
-	merged, err := t.writeSegmentFile(tbl, 0, children)
+	merged, err := t.writeSegmentFile(tbl, 0)
 	if err != nil {
 		return err
 	}
@@ -147,77 +150,21 @@ func (t *WritableTable) mergeFiles() error {
 }
 
 // writeSegmentFile durably writes rows [firstRow, firstRow+tbl.NumRows())
-// as a snapshot file and wraps it as a segment, inheriting the children's
-// zone maps and pre-stitching their cached bitmap indexes so the merged
-// segment starts warm.
-func (t *WritableTable) writeSegmentFile(tbl *colstore.Table, firstRow int, children []*segment) (*segment, error) {
-	rows := tbl.NumRows()
-	name := segFileName(firstRow, rows)
+// as a snapshot file and wraps it, mapped, as a segment. The file
+// persists exact presence words, so the merged segment's first index
+// build per column is a word copy, not a rescan.
+func (t *WritableTable) writeSegmentFile(tbl *colstore.Table, firstRow int) (*segment, error) {
+	name := segFileName(firstRow, tbl.NumRows())
 	path := filepath.Join(t.dir, name)
 	if err := colstore.WriteSnapshotFile(tbl, path); err != nil {
 		return nil, fmt.Errorf("ingest: writing segment file %s: %w", name, err)
 	}
-	reader, closer, err := openSegmentReader(path, t.opts.DisableMmap)
+	reader, err := colstore.OpenMmapFile(path)
 	if err != nil {
 		os.Remove(path)
 		return nil, fmt.Errorf("ingest: re-opening segment file %s: %w", name, err)
 	}
-	seg := &segment{reader: reader, closer: closer}
-	seg.firstRow = firstRow
-	seg.rows = rows
-	seg.blockOff = firstRow / t.schema.BlockSize
-	seg.blocks = reader.NumBlocks()
-	seg.file = name
-	seg.zone = mergeZoneMaps(children)
-	seg.idx = make(map[string]*bitmap.Index)
-	seg.pins.Store(1)
-	t.prestitchIndexes(seg, children)
-	return seg, nil
-}
-
-// prestitchIndexes carries the children's per-column index caches over
-// to the merged segment: a column whose index every child already built
-// gets the merged index by shifted ORs instead of a rescan.
-func (t *WritableTable) prestitchIndexes(merged *segment, children []*segment) {
-	if len(children) == 0 {
-		return
-	}
-	caches := make([]map[string]*bitmap.Index, len(children))
-	for i, c := range children {
-		caches[i] = c.cachedIndexes()
-	}
-	for _, column := range t.schema.Columns {
-		complete := true
-		card := 0
-		for i := range children {
-			idx, ok := caches[i][column]
-			if !ok {
-				complete = false
-				break
-			}
-			if idx.NumValues() > card {
-				card = idx.NumValues()
-			}
-		}
-		if !complete {
-			continue
-		}
-		stitched := bitmap.NewIndex(card, merged.blocks)
-		ok := true
-		for i, c := range children {
-			childIdx := caches[i][column]
-			off := c.blockOff - merged.blockOff
-			for v := 0; v < childIdx.NumValues() && ok; v++ {
-				bs, err := childIdx.ValueBitset(uint32(v))
-				if err != nil || stitched.OrValueShifted(uint32(v), bs, off) != nil {
-					ok = false
-				}
-			}
-		}
-		if ok {
-			merged.adoptIndex(column, stitched)
-		}
-	}
+	return newSegment(firstRow, reader, name), nil
 }
 
 // swapSegments atomically replaces the children with the merged segment

@@ -134,29 +134,22 @@ func TestIngestMatchesBatchLoaded(t *testing.T) {
 	rows := genRows(12_000, 21) // not a seal multiple: a live tail remains
 	batch := batchTable(t, rows)
 
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"mmap-compaction", false}, {"heap-compaction", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			opts := testOptions()
-			opts.DisableMmap = mode.disable
-			wt := ingestTable(t, rows, opts)
-			if err := wt.CompactNow(); err != nil {
-				t.Fatal(err)
-			}
-			v, err := wt.View()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer v.Release()
-			if v.NumRows() != batch.NumRows() || v.NumBlocks() != batch.NumBlocks() {
-				t.Fatalf("shape diverges: %d/%d rows, %d/%d blocks",
-					v.NumRows(), batch.NumRows(), v.NumBlocks(), batch.NumBlocks())
-			}
-			runAllExecutors(t, mode.name, engine.New(batch), engine.New(v), batch.NumBlocks())
-		})
-	}
+	t.Run("mmap-compaction", func(t *testing.T) {
+		wt := ingestTable(t, rows, testOptions())
+		if err := wt.CompactNow(); err != nil {
+			t.Fatal(err)
+		}
+		v, err := wt.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Release()
+		if v.NumRows() != batch.NumRows() || v.NumBlocks() != batch.NumBlocks() {
+			t.Fatalf("shape diverges: %d/%d rows, %d/%d blocks",
+				v.NumRows(), batch.NumRows(), v.NumBlocks(), batch.NumBlocks())
+		}
+		runAllExecutors(t, "mmap-compaction", engine.New(batch), engine.New(v), batch.NumBlocks())
+	})
 }
 
 func TestIngestMatchesSnapshotBackends(t *testing.T) {

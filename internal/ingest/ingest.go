@@ -15,12 +15,20 @@
 //	                                        columnar spine (append-only)
 //	                                                 │ every SealRows rows
 //	                                                 ▼
-//	                                 sealed segment (immutable, zone maps,
-//	                                  per-column bitmap index, refcounted)
+//	                                 sealed segment (immutable, exact
+//	                                  per-block stats, per-column bitmap
+//	                                  index, refcounted)
 //	                                                 │ background compactor
 //	                                                 ▼
-//	                                 snapshot segment file (mmap-able)
+//	                                 snapshot segment file (mmap-opened,
+//	                                  stats section persisted)
 //	                                      + manifest swap + WAL truncation
+//
+// A sealed segment has one summary: its reader's colstore BlockStats,
+// exact per block (code presence, measure ranges). View-level block
+// skipping and the segment's bitmap index both read it. A compacted
+// segment file persists the same statistics and its mapped reader
+// serves them, so nothing is carried across a merge.
 //
 // Queries never block appends, and appends never block queries at the
 // current generation (the unchanged-generation View path is lock-free;
@@ -56,6 +64,11 @@ var (
 	ErrInvalidRow = errors.New("invalid row")
 	// ErrClosed marks operations on a closed table.
 	ErrClosed = errors.New("table is closed")
+	// ErrCorrupt marks on-disk state that fails validation: a manifest
+	// that does not describe a valid table, or an intact (CRC-checked)
+	// WAL record that does not decode. A torn WAL tail is not corrupt;
+	// replay truncates it.
+	ErrCorrupt = errors.New("corrupt table state")
 )
 
 // Schema declares a writable table's shape up front. Like the batch
@@ -79,6 +92,9 @@ func (s *Schema) validate() error {
 	}
 	if s.BlockSize <= 0 {
 		s.BlockSize = 256
+	}
+	if s.BlockSize > 1<<31 { // the snapshot format's bound
+		return fmt.Errorf("ingest: block size %d out of range", s.BlockSize)
 	}
 	seen := make(map[string]bool, len(s.Columns)+len(s.Measures))
 	for _, c := range s.Columns {
@@ -147,11 +163,6 @@ type Options struct {
 	// MaxSegmentFiles bounds how many snapshot files the table keeps on
 	// disk before the compactor merges them all into one; ≤ 0 selects 4.
 	MaxSegmentFiles int
-	// DisableMmap makes compacted segment files re-open with the heap
-	// snapshot reader instead of the zero-copy mmap backend (the mmap
-	// open transparently falls back to heap on unsupported platforms
-	// anyway; this is for tests pinning one behavior).
-	DisableMmap bool
 	// Logger receives the table's structured lifecycle logs (WAL replay
 	// at open, segment seals, compaction cycles and their failures). Nil
 	// discards everything.
@@ -190,8 +201,8 @@ type AppendResult struct {
 	Synced bool `json:"synced"`
 }
 
-// MeasureRange is a measure column's observed [Min, Max] — the
-// table-level aggregate of the per-segment zone maps.
+// MeasureRange is a measure column's observed [Min, Max] over every
+// row of the table, maintained as rows are applied.
 type MeasureRange struct {
 	Min float64 `json:"min"`
 	Max float64 `json:"max"`
@@ -235,7 +246,7 @@ type Stats struct {
 	Compactions      int64  `json:"compactions"`
 	CompactErrors    int64  `json:"compact_errors,omitempty"`
 	LastCompactError string `json:"last_compact_error,omitempty"`
-	// MeasureRanges aggregates the segment zone maps (plus the unsealed
-	// tail) per measure column.
+	// MeasureRanges is the observed value range per measure column,
+	// sealed and unsealed rows alike (omitted while the table is empty).
 	MeasureRanges map[string]MeasureRange `json:"measure_ranges,omitempty"`
 }

@@ -80,23 +80,37 @@ func readManifest(dir string) (manifest, bool, error) {
 	if err != nil {
 		return manifest{}, false, err
 	}
+	corrupt := func(format string, args ...any) (manifest, bool, error) {
+		return manifest{}, false, fmt.Errorf("ingest: %w: %s: %s", ErrCorrupt, manifestName, fmt.Sprintf(format, args...))
+	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return manifest{}, false, fmt.Errorf("ingest: parsing %s: %w", manifestName, err)
+		return corrupt("%v", err)
 	}
 	if m.Version != 1 {
-		return manifest{}, false, fmt.Errorf("ingest: unsupported manifest version %d", m.Version)
+		return corrupt("unsupported version %d", m.Version)
 	}
-	// Structural sanity: segments must tile [0, PersistedRows) exactly.
+	// The manifest records the validated schema the table was created
+	// with and a block-aligned seal granularity; a missing value here is
+	// corruption, not a default to fill in.
+	bs := m.Schema.BlockSize
+	if bs <= 0 || m.SealRows <= 0 || m.SealRows%bs != 0 {
+		return corrupt("block size %d with seal rows %d", bs, m.SealRows)
+	}
+	if err := m.Schema.validate(); err != nil {
+		return corrupt("%v", err)
+	}
+	// Structural sanity: block-aligned segments must tile
+	// [0, PersistedRows) exactly.
 	at := 0
 	for _, s := range m.Segments {
-		if s.FirstRow != at || s.Rows <= 0 || strings.ContainsAny(s.File, "/\\") {
-			return manifest{}, false, fmt.Errorf("ingest: manifest segment list is inconsistent at row %d", at)
+		if s.FirstRow != at || s.Rows <= 0 || s.Rows%bs != 0 || strings.ContainsAny(s.File, "/\\") {
+			return corrupt("segment list is inconsistent at row %d", at)
 		}
 		at += s.Rows
 	}
 	if at != m.PersistedRows {
-		return manifest{}, false, fmt.Errorf("ingest: manifest covers %d rows but declares %d persisted", at, m.PersistedRows)
+		return corrupt("segments cover %d rows but %d are declared persisted", at, m.PersistedRows)
 	}
 	return m, true, nil
 }

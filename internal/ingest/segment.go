@@ -10,61 +10,14 @@ import (
 	"fastmatch/internal/colstore"
 )
 
-// zoneMaps are a sealed segment's data-skipping summaries, computed once
-// at seal (or load) time from an O(segment rows) scan:
-//
-//   - presence: per categorical column, a bitset over the dictionary code
-//     space (at seal time) with a 1 for every code the segment contains.
-//     Index stitching consults it to skip values a segment never holds —
-//     with long-tailed attributes most values are absent from most
-//     segments, so most per-value ORs are skipped outright.
-//   - min/max: per measure column, the observed value range, aggregated
-//     into table-level Stats.MeasureRanges.
-type zoneMaps struct {
-	presence map[string]*bitmap.Bitset
-	min, max map[string]float64
-}
-
-// buildZoneMaps scans a block-aligned reader once.
-func buildZoneMaps(r colstore.Reader) (zoneMaps, error) {
-	z := zoneMaps{
-		presence: make(map[string]*bitmap.Bitset),
-		min:      make(map[string]float64),
-		max:      make(map[string]float64),
-	}
-	rows := r.NumRows()
-	for _, name := range r.Columns() {
-		col, err := r.ColumnByName(name)
-		if err != nil {
-			return zoneMaps{}, err
-		}
-		bs := bitmap.NewBitset(col.Cardinality())
-		for _, code := range col.Codes(0, rows) {
-			bs.Set(int(code))
-		}
-		z.presence[name] = bs
-	}
-	for _, name := range r.MeasureNames() {
-		m, err := r.MeasureByName(name)
-		if err != nil {
-			return zoneMaps{}, err
-		}
-		vals := m.Values(0, rows)
-		if len(vals) == 0 {
-			continue
-		}
-		lo, hi := vals[0], vals[0]
-		for _, v := range vals[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		z.min[name], z.max[name] = lo, hi
-	}
-	return z, nil
+// segmentReader is what a sealed segment reads through: a spine-aliased
+// *colstore.Table (sealed in memory) or a *colstore.MmapTable (a
+// compacted file). Both carry exact per-block statistics and never
+// return nil BlockStats, so those statistics are the segment's only
+// summary: view-level skipping and index builds both read them.
+type segmentReader interface {
+	colstore.Reader
+	BlockStats() colstore.BlockStats
 }
 
 // segment is one sealed, immutable, block-aligned run of rows. Segments
@@ -78,68 +31,28 @@ type segment struct {
 	rows     int
 	blockOff int // block offset of the segment's first block
 	blocks   int
-	reader   colstore.Reader // block-aligned view of just this segment's rows
-	closer   io.Closer       // non-nil for mmap-backed segments
-	file     string          // compacted snapshot file, "" if memory-only
-	zone     zoneMaps
+	reader   segmentReader // block-aligned view of just this segment's rows
+	file     string        // compacted snapshot file, "" if memory-only
 	pins     atomic.Int64
 	idxMu    sync.Mutex
 	idx      map[string]*bitmap.Index
 }
 
-// openSegmentReader opens a compacted segment file as a Reader: through
-// the zero-copy mmap backend by default (which itself falls back to heap
-// materialization on unsupported platforms), or the heap snapshot reader
-// when disableMmap is set. The shared helper keeps boot-loaded and
-// compaction-produced segments on identical open behavior.
-func openSegmentReader(path string, disableMmap bool) (colstore.Reader, io.Closer, error) {
-	if disableMmap {
-		tbl, err := colstore.ReadSnapshotFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tbl, nil, nil
-	}
-	mt, err := colstore.OpenMmapFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mt, mt, nil
-}
-
 // newSegment wraps a block-aligned reader (rows must be a multiple of
 // the table block size except for boot-loaded files, which are aligned
-// by construction) and computes its zone maps.
-func newSegment(firstRow int, r colstore.Reader, file string, closer io.Closer) (*segment, error) {
-	z, err := buildZoneMaps(r)
-	if err != nil {
-		return nil, err
-	}
+// by construction), holding the canonical list's reference.
+func newSegment(firstRow int, r segmentReader, file string) *segment {
 	s := &segment{
 		firstRow: firstRow,
 		rows:     r.NumRows(),
 		blockOff: firstRow / r.BlockSize(),
 		blocks:   r.NumBlocks(),
 		reader:   r,
-		closer:   closer,
 		file:     file,
-		zone:     z,
 		idx:      make(map[string]*bitmap.Index),
 	}
-	s.pins.Store(1) // the canonical list's reference
-	return s, nil
-}
-
-// blockStats surfaces the segment reader's own per-block statistics
-// when its backend carries them (heap tables and mapped snapshots both
-// do), giving view-level skipping block granularity inside sealed
-// segments. Returns nil when the backend has none; callers then fall
-// back to the segment-granular zone maps.
-func (s *segment) blockStats() colstore.BlockStats {
-	if br, ok := s.reader.(colstore.BlockStatsReader); ok {
-		return br.BlockStats()
-	}
-	return nil
+	s.pins.Store(1)
+	return s
 }
 
 // pin takes a reference; callers must hold an existing reference (the
@@ -154,8 +67,8 @@ func (s *segment) unpin() {
 	s.idxMu.Lock()
 	s.idx = nil
 	s.idxMu.Unlock()
-	if s.closer != nil {
-		_ = s.closer.Close()
+	if c, ok := s.reader.(io.Closer); ok {
+		_ = c.Close()
 	}
 }
 
@@ -163,7 +76,8 @@ func (s *segment) unpin() {
 // own bitmap index for a column — block bits are segment-local, shifted
 // into place by the view-level stitch. Immutable once built, so it is
 // shared across every view and generation that spans this segment: index
-// maintenance cost is O(new data), not O(table), per generation.
+// maintenance cost is O(new data), not O(table), per generation. Build
+// copies the reader's exact presence words instead of scanning the rows.
 func (s *segment) blockIndex(column string) (*bitmap.Index, error) {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
@@ -179,61 +93,4 @@ func (s *segment) blockIndex(column string) (*bitmap.Index, error) {
 	}
 	s.idx[column] = idx
 	return idx, nil
-}
-
-// cachedIndexes snapshots which columns have built indexes (used by
-// compaction to pre-stitch the merged segment's cache).
-func (s *segment) cachedIndexes() map[string]*bitmap.Index {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	out := make(map[string]*bitmap.Index, len(s.idx))
-	for k, v := range s.idx {
-		out[k] = v
-	}
-	return out
-}
-
-// adoptIndex installs a pre-stitched index (compaction's merge path).
-func (s *segment) adoptIndex(column string, idx *bitmap.Index) {
-	s.idxMu.Lock()
-	if s.idx != nil {
-		s.idx[column] = idx
-	}
-	s.idxMu.Unlock()
-}
-
-// mergeZoneMaps combines consecutive segments' zone maps into the maps
-// for their concatenation (presence bitsets may have grown with the
-// dictionary; the merge extends to the largest).
-func mergeZoneMaps(segs []*segment) zoneMaps {
-	z := zoneMaps{
-		presence: make(map[string]*bitmap.Bitset),
-		min:      make(map[string]float64),
-		max:      make(map[string]float64),
-	}
-	for _, s := range segs {
-		for name, bs := range s.zone.presence {
-			cur, ok := z.presence[name]
-			if !ok || cur.Len() < bs.Len() {
-				grown := bitmap.NewBitset(bs.Len())
-				if cur != nil {
-					_ = grown.OrShifted(cur, 0)
-				}
-				z.presence[name] = grown
-				cur = grown
-			}
-			_ = cur.OrShifted(bs, 0)
-		}
-		for name, lo := range s.zone.min {
-			if cur, ok := z.min[name]; !ok || lo < cur {
-				z.min[name] = lo
-			}
-		}
-		for name, hi := range s.zone.max {
-			if cur, ok := z.max[name]; !ok || hi > cur {
-				z.max[name] = hi
-			}
-		}
-	}
-	return z
 }

@@ -212,28 +212,20 @@ func Open(dir string, schema Schema, opts Options) (*WritableTable, error) {
 // pinned, file-backed segments.
 func (t *WritableTable) loadSegments(m manifest) error {
 	for _, ms := range m.Segments {
-		reader, closer, err := openSegmentReader(filepath.Join(t.dir, ms.File), t.opts.DisableMmap)
+		reader, err := colstore.OpenMmapFile(filepath.Join(t.dir, ms.File))
 		if err != nil {
 			return fmt.Errorf("ingest: loading segment %s: %w", ms.File, err)
 		}
-		fail := func(err error) error {
-			if closer != nil {
-				_ = closer.Close()
-			}
-			return err
-		}
 		if reader.NumRows() != ms.Rows || reader.BlockSize() != t.schema.BlockSize {
-			return fail(fmt.Errorf("ingest: segment %s shape mismatch (rows %d want %d, block %d want %d)",
-				ms.File, reader.NumRows(), ms.Rows, reader.BlockSize(), t.schema.BlockSize))
+			reader.Close()
+			return fmt.Errorf("ingest: segment %s shape mismatch (rows %d want %d, block %d want %d)",
+				ms.File, reader.NumRows(), ms.Rows, reader.BlockSize(), t.schema.BlockSize)
 		}
 		if err := t.adoptSegmentData(reader, ms); err != nil {
-			return fail(err)
+			reader.Close()
+			return err
 		}
-		seg, err := newSegment(ms.FirstRow, reader, ms.File, closer)
-		if err != nil {
-			return fail(err)
-		}
-		t.segments = append(t.segments, seg)
+		t.segments = append(t.segments, newSegment(ms.FirstRow, reader, ms.File))
 	}
 	t.rows = m.PersistedRows
 	t.sealedRows = m.PersistedRows
@@ -417,18 +409,15 @@ func (t *WritableTable) observeMeasure(j int, v float64) {
 }
 
 // seal freezes the next SealRows rows into an immutable segment whose
-// reader aliases the spine (zero copy), computing its zone maps.
-// Caller holds t.mu.
+// reader aliases the spine (zero copy). Its block statistics are computed
+// on first use, off the append path. Caller holds t.mu.
 func (t *WritableTable) seal() {
 	lo, hi := t.sealedRows, t.sealedRows+t.opts.SealRows
 	tbl, err := t.rangeTable(lo, hi)
 	if err != nil {
 		panic(fmt.Sprintf("ingest: sealing [%d,%d): %v", lo, hi, err)) // shape invariants guarantee success
 	}
-	seg, err := newSegment(lo, tbl, "", nil)
-	if err != nil {
-		panic(fmt.Sprintf("ingest: sealing [%d,%d): %v", lo, hi, err))
-	}
+	seg := newSegment(lo, tbl, "")
 	t.segments = append(t.segments, seg)
 	t.sealedRows = hi
 	t.seals++

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -61,6 +63,26 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open(t.TempDir(), Schema{Columns: []string{"a"}, Measures: []string{"a"}}, testOptions()); err == nil {
 		t.Fatal("column/measure name collision must fail")
+	}
+	// An existing directory opened with an empty schema adopts the
+	// manifest's; a corrupt one must be rejected, not panic or open.
+	for name, doc := range map[string]string{
+		"zero block size":    `{"version":1,"schema":{"columns":["a"],"block_size":0},"seal_rows":512,"persisted_rows":0}`,
+		"omitted block size": `{"version":1,"schema":{"columns":["a"]},"seal_rows":512,"persisted_rows":0}`,
+		"duplicate columns":  `{"version":1,"schema":{"columns":["a","a"],"block_size":64},"seal_rows":512,"persisted_rows":0}`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wt, err := Open(dir, Schema{}, testOptions())
+		if err == nil {
+			wt.Close()
+			t.Fatalf("%s: adopting a corrupt manifest must fail", name)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

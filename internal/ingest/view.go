@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"fastmatch/internal/bitmap"
@@ -24,11 +22,11 @@ import (
 // indexes and mmap handles — stay valid until the view is released.
 //
 // A view is also a bitmap.IndexedReader: the per-column block index is
-// stitched from the pinned segments' cached per-segment indexes (shifted
-// ORs, skipping segment/value pairs the code-presence zone maps rule
-// out) plus a scan of only the unsealed tail blocks. The stitched index
-// is bit-for-bit equal to a full Build scan, so executors behave
-// identically; the cost per generation is O(new data), not O(table).
+// stitched from the pinned segments' cached per-segment indexes (one
+// shifted OR per segment and value) plus a scan of only the unsealed
+// tail blocks. The stitched index is bit-for-bit equal to a full Build
+// scan, so executors behave identically; the cost per generation is
+// O(new data), not O(table).
 type TableView struct {
 	inner      *colstore.Table // spine-aliased, zero-copy
 	segs       []*segment      // pinned for the view's lifetime
@@ -132,13 +130,9 @@ func (v *TableView) Storage() colstore.StorageStats {
 // Segments reports the view's pinned segment count (diagnostics).
 func (v *TableView) Segments() int { return len(v.segs) }
 
-// BlockStats implements colstore.BlockStatsReader by adapting the
-// pinned segments' summaries. Sealed blocks answer from the segment's
-// own backend statistics when available (block-granular, since segment
-// readers are themselves stats-carrying tables), falling back to the
-// seal-time zone maps (segment-granular: every block of a segment
-// reports the whole segment's presence/range — coarser but still
-// sound). Unsealed tail blocks are unknown and never prune.
+// BlockStats implements colstore.BlockStatsReader by routing each sealed
+// block to its segment reader's exact per-block statistics. Unsealed
+// tail blocks are unknown and never prune.
 func (v *TableView) BlockStats() colstore.BlockStats { return viewBlockStats{v: v} }
 
 // viewBlockStats routes per-block statistics questions to the segment
@@ -176,17 +170,7 @@ func (vs viewBlockStats) MayContainCode(column string, code uint32, b int) bool 
 	if s == nil {
 		return true
 	}
-	if st := s.blockStats(); st != nil {
-		return st.MayContainCode(column, code, local)
-	}
-	p := s.zone.presence[column]
-	if p == nil {
-		return true
-	}
-	if int(code) >= p.Len() {
-		return false
-	}
-	return p.Get(int(code))
+	return s.reader.BlockStats().MayContainCode(column, code, local)
 }
 
 // MeasureRange implements colstore.BlockStats.
@@ -195,17 +179,7 @@ func (vs viewBlockStats) MeasureRange(measure string, b int) (lo, hi float64, ok
 	if s == nil {
 		return 0, 0, false
 	}
-	if st := s.blockStats(); st != nil {
-		if lo, hi, ok = st.MeasureRange(measure, local); ok {
-			return lo, hi, ok
-		}
-	}
-	mlo, ok1 := s.zone.min[measure]
-	mhi, ok2 := s.zone.max[measure]
-	if !ok1 || !ok2 {
-		return 0, 0, false
-	}
-	return mlo, mhi, true
+	return s.reader.BlockStats().MeasureRange(measure, local)
 }
 
 // PresenceWords implements colstore.BlockStats: the stitched view has
@@ -214,8 +188,9 @@ func (vs viewBlockStats) MeasureRange(measure string, b int) (lo, hi float64, ok
 // declines.
 func (vs viewBlockStats) PresenceWords(string) ([]uint64, int, bool) { return nil, 0, false }
 
-// BlockIndex implements bitmap.IndexedReader: stitch the sealed
-// segments' cached indexes, then scan only the unsealed tail blocks.
+// BlockIndex implements bitmap.IndexedReader: stitch every value of the
+// sealed segments' cached indexes into place, then scan only the
+// unsealed tail blocks.
 func (v *TableView) BlockIndex(column string) (*bitmap.Index, error) {
 	col, err := v.inner.ColumnByName(column)
 	if err != nil {
@@ -227,23 +202,13 @@ func (v *TableView) BlockIndex(column string) (*bitmap.Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		presence := s.zone.presence[column]
-		if presence == nil {
-			return nil, fmt.Errorf("ingest: segment [%d,%d) has no zone map for column %q", s.firstRow, s.firstRow+s.rows, column)
-		}
-		// Zone-map skip: only stitch values the segment actually holds.
-		for w := 0; w < presence.NumWords(); w++ {
-			word := presence.Word(w)
-			for word != 0 {
-				val := uint32(w*64 + bits.TrailingZeros64(word))
-				word &= word - 1
-				bs, err := segIdx.ValueBitset(val)
-				if err != nil {
-					return nil, err
-				}
-				if err := idx.OrValueShifted(val, bs, s.blockOff); err != nil {
-					return nil, err
-				}
+		for val := 0; val < segIdx.NumValues(); val++ {
+			bs, err := segIdx.ValueBitset(uint32(val))
+			if err != nil {
+				return nil, err
+			}
+			if err := idx.OrValueShifted(uint32(val), bs, s.blockOff); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -228,7 +228,7 @@ func encodeWALRecord(buf []byte, schema Schema, firstRow int, rows []Row) []byte
 // decodeWALRecord parses one record payload into rows.
 func decodeWALRecord(payload []byte, schema Schema) (firstRow int, rows []Row, err error) {
 	fail := func(what string) (int, []Row, error) {
-		return 0, nil, fmt.Errorf("ingest: WAL record %s", what)
+		return 0, nil, fmt.Errorf("ingest: %w: WAL record %s", ErrCorrupt, what)
 	}
 	if len(payload) < 12 {
 		return fail("too short")
@@ -236,10 +236,11 @@ func decodeWALRecord(payload []byte, schema Schema) (firstRow int, rows []Row, e
 	firstRow = int(binary.LittleEndian.Uint64(payload[0:8]))
 	n := int(binary.LittleEndian.Uint32(payload[8:12]))
 	// Bound the declared row count by what the payload could possibly
-	// hold (≥ 4 bytes per column value, 8 per measure), so a corrupt
-	// count that slipped past the CRC cannot force a giant allocation.
+	// hold (≥ 4 bytes per column value, 8 per measure; a validated schema
+	// has a column), so a corrupt count that slipped past the CRC cannot
+	// force a giant allocation. The division form cannot overflow.
 	minRowBytes := 4*len(schema.Columns) + 8*len(schema.Measures)
-	if n < 0 || n*minRowBytes > len(payload)-12 {
+	if n < 0 || n > (len(payload)-12)/minRowBytes {
 		return fail("declares more rows than its payload holds")
 	}
 	off := 12

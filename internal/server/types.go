@@ -116,12 +116,6 @@ type OptionsSpec struct {
 	// RowBudget caps the tuples the run may read; exhausting it returns
 	// a best-effort partial result (Partial set in the payload).
 	RowBudget *int64 `json:"row_budget,omitempty"`
-	// DisableBlockSkip / DisableScanKernels turn off zone-map block
-	// pruning and the vectorized grouped-count kernels for this request
-	// (measurement knobs — results are byte-identical either way, only
-	// the io counters change).
-	DisableBlockSkip   bool `json:"disable_block_skip,omitempty"`
-	DisableScanKernels bool `json:"disable_scan_kernels,omitempty"`
 }
 
 // ResultPayload is the JSON form of engine.Result, minus wall-clock
@@ -354,12 +348,6 @@ func (os *OptionsSpec) apply(opts *engine.Options) error {
 	}
 	if os.RowBudget != nil {
 		opts.RowBudget = *os.RowBudget
-	}
-	if os.DisableBlockSkip {
-		opts.DisableBlockSkip = true
-	}
-	if os.DisableScanKernels {
-		opts.DisableScanKernels = true
 	}
 	return nil
 }
