@@ -475,14 +475,9 @@ func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, []bitmap.Predic
 			rare[i] = uint32(best)
 			counts[best] = 0
 		}
-		dm, err := bitmap.BuildDensity(tbl, "Origin")
-		if err != nil {
-			kernErr = err
-			return
-		}
 		kernPred = make([]bitmap.Predicate, len(rare))
 		for i, v := range rare {
-			kernPred[i] = &bitmap.ValuePred{Column: "Origin", Code: v, DM: dm}
+			kernPred[i] = &bitmap.ValuePred{Column: "Origin", Code: v}
 		}
 	})
 	if kernErr != nil {

@@ -102,8 +102,8 @@ type (
 // Re-exported query/engine types.
 type (
 	// Engine answers matching queries over one Table. One shared Engine is
-	// safe for concurrent use: its index and density caches are guarded by
-	// singleflight locking, and per-run scan state lives in the run.
+	// safe for concurrent use: its index cache is guarded by singleflight
+	// locking, and per-run scan state lives in the run.
 	Engine = engine.Engine
 	// Plan is a prepared query — candidate and group mappers resolved
 	// once, reusable (and safe to share) across runs; see Engine.Prepare.

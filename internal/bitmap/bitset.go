@@ -1,8 +1,9 @@
 // Package bitmap provides the per-(attribute-value, block) bitmap index
 // structures FastMatch uses to decide whether a block can contain samples
 // for a candidate (§4.1), the AnyActive block-selection evaluators of
-// Algorithms 2 and 3, density maps for boolean-predicate candidates
-// (Appendix A.1.2), and a run-length compressed representation.
+// Algorithms 2 and 3, and the predicate trees that define
+// boolean-predicate candidates (Appendix A.1.2), whose block sets are
+// computed from the same index.
 package bitmap
 
 import (

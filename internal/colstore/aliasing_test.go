@@ -39,7 +39,7 @@ func TestCodesAndValuesAliasBackingStorage(t *testing.T) {
 }
 
 // TestBlockReadsLeaveStorageUntouched drives every storage-touching
-// consumer (bitmap index, density map, block spans) over a table and
+// consumer (bitmap index, block spans) over a table and
 // verifies the underlying codes are bit-identical afterwards: the
 // engine-side read-only discipline the mmap backend depends on.
 func TestBlockReadsLeaveStorageUntouched(t *testing.T) {

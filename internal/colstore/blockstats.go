@@ -4,13 +4,15 @@ import "math"
 
 // Per-block statistics ("zone maps") for data skipping.
 //
-// BlockStats answers two conservative questions the engine's planner and
-// executors use to prove a block holds no qualifying row before reading
-// it: "may block b contain code v of column c?" and "what value range does
-// measure m span in block b?". Both answers are sound in the skipping
-// direction — a false MayContainCode and a disjoint MeasureRange are
-// proofs of absence; anything unknown reports "maybe", which merely costs
-// a block read that a full scan would have paid anyway.
+// BlockStats carries two per-block summaries. Measure ranges answer
+// "what value range does measure m span in block b?", which the planner
+// uses to prove a block holds no row in any bin before reading it; the
+// answer is sound in the skipping direction — a disjoint range is a proof
+// of absence, and an unknown range merely costs a block read that a full
+// scan would have paid anyway. Presence words are each column's exact
+// per-block value presence, from which bitmap.Build copies the §4.1
+// index instead of scanning the column; the index is what categorical
+// skipping reads.
 //
 // Precision varies by backend and is part of each backend's contract:
 // the in-memory table computes exact per-block stats on first use; both
@@ -25,10 +27,6 @@ import "math"
 // BlockStats exposes per-block column statistics. Implementations are
 // immutable and safe for concurrent readers.
 type BlockStats interface {
-	// MayContainCode reports whether block b may contain a row whose code
-	// for the named categorical column equals code. false is a proof of
-	// absence; true covers both presence and "unknown".
-	MayContainCode(column string, code uint32, b int) bool
 	// MeasureRange returns the closed interval [lo, hi] covering every
 	// finite value of the named measure in block b, with ok=false when the
 	// range is unknown. A block with no finite values reports the empty
@@ -37,8 +35,7 @@ type BlockStats interface {
 	// PresenceWords returns the exact value-major presence bitset for the
 	// column when one exists: bit b of value v is
 	// words[int(v)*wordsPerValue + b/64] >> (b%64) & 1. ok=false means no
-	// exact bitset is available (the stats may still answer MayContainCode
-	// conservatively). The returned words are read-only.
+	// exact bitset is available. The returned words are read-only.
 	PresenceWords(column string) (words []uint64, wordsPerValue int, ok bool)
 }
 
@@ -50,8 +47,8 @@ type BlockStatsReader interface {
 }
 
 // maxPresenceBits caps a column's presence bitset (cardinality × blocks
-// bits, ~16 MiB of words at the cap). Columns past it skip presence and
-// answer MayContainCode with "maybe" — correct, just never pruning.
+// bits, ~16 MiB of words at the cap). Columns past it skip presence, and
+// their index is built by a column scan instead.
 const maxPresenceBits = 1 << 27
 
 // presenceWordsPerValue is the stride of one value's block bits.
@@ -68,9 +65,8 @@ func presenceFits(cardinality, numBlocks int) bool {
 // TableBlockStats is the concrete per-block statistics container shared
 // by the in-memory, snapshot, and mmap backends. Immutable once built.
 type TableBlockStats struct {
-	numBlocks int
-	presence  map[string]presenceStats
-	ranges    map[string]rangeStats
+	presence map[string]presenceStats
+	ranges   map[string]rangeStats
 }
 
 type presenceStats struct {
@@ -80,13 +76,12 @@ type presenceStats struct {
 
 type rangeStats struct{ lo, hi []float64 }
 
-// NewTableBlockStats returns an empty container for a numBlocks-block
-// table, to be populated with SetPresence/SetMeasureRange before sharing.
-func NewTableBlockStats(numBlocks int) *TableBlockStats {
+// NewTableBlockStats returns an empty container, to be populated with
+// SetPresence/SetMeasureRange before sharing.
+func NewTableBlockStats() *TableBlockStats {
 	return &TableBlockStats{
-		numBlocks: numBlocks,
-		presence:  make(map[string]presenceStats),
-		ranges:    make(map[string]rangeStats),
+		presence: make(map[string]presenceStats),
+		ranges:   make(map[string]rangeStats),
 	}
 }
 
@@ -100,21 +95,6 @@ func (s *TableBlockStats) SetPresence(column string, words []uint64, wordsPerVal
 // (aliased, not copied; length numBlocks each).
 func (s *TableBlockStats) SetMeasureRange(measure string, lo, hi []float64) {
 	s.ranges[measure] = rangeStats{lo: lo, hi: hi}
-}
-
-// MayContainCode implements BlockStats.
-func (s *TableBlockStats) MayContainCode(column string, code uint32, b int) bool {
-	p, ok := s.presence[column]
-	if !ok || b < 0 || b >= s.numBlocks {
-		return true
-	}
-	idx := int(code)*p.wpv + b>>6
-	if idx < 0 || idx >= len(p.words) {
-		// A code beyond the column's cardinality names no value at all, so
-		// no block contains it.
-		return false
-	}
-	return p.words[idx]>>(uint(b)&63)&1 != 0
 }
 
 // MeasureRange implements BlockStats.
@@ -161,7 +141,7 @@ func valueRange(vals []float64) (lo, hi float64) {
 // into their existing loops instead of calling this.
 func computeBlockStats(r Reader) *TableBlockStats {
 	nb := r.NumBlocks()
-	s := NewTableBlockStats(nb)
+	s := NewTableBlockStats()
 	for _, name := range r.Columns() {
 		col, err := r.ColumnByName(name)
 		if err != nil {

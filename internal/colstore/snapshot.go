@@ -338,7 +338,7 @@ func parseSnapshot(data []byte, verifyRanges bool) (*Table, error) {
 	// ranges come from the stats section.
 	nb := tbl.NumBlocks()
 	wpv := presenceWordsPerValue(nb)
-	stats := NewTableBlockStats(nb)
+	stats := NewTableBlockStats()
 	for ci := 0; ci < int(ncols); ci++ {
 		name, err := str("column name")
 		if err != nil {

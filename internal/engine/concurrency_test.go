@@ -6,15 +6,15 @@ import (
 )
 
 // TestConcurrentEngineStress hammers one shared Engine from many
-// goroutines with a mix of query shapes, so concurrent index and density
-// builds, plan preparation, and runs all overlap. Run under -race it
+// goroutines with a mix of query shapes, so concurrent index builds, plan
+// preparation, and runs all overlap. Run under -race it
 // verifies the singleflight-guarded caches and the read-only mappers.
 func TestConcurrentEngineStress(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 31)
 	e := New(tbl)
 
 	// Distinct candidate columns force concurrent index builds (Z, X, W
-	// all serve as Z somewhere below); density builds race with them too.
+	// all serve as Z somewhere below); direct Index calls race with them too.
 	queries := []Query{
 		{Z: "Z", X: []string{"X"}},
 		{Z: "Z", X: []string{"X", "W"}},
@@ -46,7 +46,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 					return
 				}
 				if (g+r)%3 == 0 {
-					if _, err := e.Density("W"); err != nil {
+					if _, err := e.Index("W"); err != nil {
 						errs <- err
 						return
 					}

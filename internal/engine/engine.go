@@ -194,15 +194,14 @@ type Match struct {
 // Engine answers top-k histogram matching queries over one storage
 // source — any colstore.Reader backend: the heap-resident table, the
 // zero-copy mmap snapshot, or future backends (sharded, remote). It
-// caches bitmap indexes and density maps per column behind singleflight
-// guards, so one shared Engine is safe for concurrent use: any number of
-// goroutines may Prepare, Run, and ResolveTarget simultaneously (per-run
-// scan state lives in the run, not the Engine). Concurrent requests for a
-// missing index block on a single build instead of duplicating it.
+// caches bitmap indexes per column behind singleflight guards, so one
+// shared Engine is safe for concurrent use: any number of goroutines may
+// Prepare, Run, and ResolveTarget simultaneously (per-run scan state
+// lives in the run, not the Engine). Concurrent requests for a missing
+// index block on a single build instead of duplicating it.
 type Engine struct {
 	src     colstore.Reader
 	indexes *buildCache[*bitmap.Index]
-	density *buildCache[*bitmap.DensityMap]
 }
 
 // New creates an engine over a storage source (e.g. a *colstore.Table or
@@ -211,7 +210,6 @@ func New(src colstore.Reader) *Engine {
 	return &Engine{
 		src:     src,
 		indexes: newBuildCache[*bitmap.Index](),
-		density: newBuildCache[*bitmap.DensityMap](),
 	}
 }
 
@@ -223,13 +221,6 @@ func (e *Engine) Source() colstore.Reader { return e.src }
 func (e *Engine) Index(column string) (*bitmap.Index, error) {
 	return e.indexes.get(column, func() (*bitmap.Index, error) {
 		return bitmap.Build(e.src, column)
-	})
-}
-
-// Density returns (building if needed) the density map for a column.
-func (e *Engine) Density(column string) (*bitmap.DensityMap, error) {
-	return e.density.get(column, func() (*bitmap.DensityMap, error) {
-		return bitmap.BuildDensity(e.src, column)
 	})
 }
 

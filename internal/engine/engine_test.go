@@ -369,25 +369,17 @@ func TestDeterministicWithFixedSeed(t *testing.T) {
 func TestPredicateCandidates(t *testing.T) {
 	tbl := testDataset(t, 40_000, 10, 6, 13)
 	e := New(tbl)
-	dmZ, err := e.Density("Z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dmW, err := e.Density("W")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Candidates: (Z=0 AND W=0), (Z=1), (Z=2 OR Z=3).
 	qp := Query{X: []string{"X"}}
 	qp.CandidatePreds = append(qp.CandidatePreds,
 		&bitmap.AndPred{Children: []bitmap.Predicate{
-			&bitmap.ValuePred{Column: "Z", Code: 0, DM: dmZ},
-			&bitmap.ValuePred{Column: "W", Code: 0, DM: dmW},
+			&bitmap.ValuePred{Column: "Z", Code: 0},
+			&bitmap.ValuePred{Column: "W", Code: 0},
 		}},
-		&bitmap.ValuePred{Column: "Z", Code: 1, DM: dmZ},
+		&bitmap.ValuePred{Column: "Z", Code: 1},
 		&bitmap.OrPred{Children: []bitmap.Predicate{
-			&bitmap.ValuePred{Column: "Z", Code: 2, DM: dmZ},
-			&bitmap.ValuePred{Column: "Z", Code: 3, DM: dmZ},
+			&bitmap.ValuePred{Column: "Z", Code: 2},
+			&bitmap.ValuePred{Column: "Z", Code: 3},
 		}},
 	)
 	params := testParams()
@@ -421,6 +413,26 @@ func TestPredicateCandidates(t *testing.T) {
 		}
 		if exactD-truthBoundary >= params.Epsilon {
 			t.Errorf("predicate candidate %q exact distance %g vs boundary %g", m.Label, exactD, truthBoundary)
+		}
+	}
+
+	// Malformed trees are Prepare errors: never a panic, and never a plan
+	// whose answer depends on block skipping (an empty AND matches every
+	// row, yet its block set would be empty).
+	z0 := &bitmap.ValuePred{Column: "Z", Code: 0}
+	for name, pred := range map[string]bitmap.Predicate{
+		"code-out-of-range": &bitmap.ValuePred{Column: "Z", Code: 999},
+		"unknown-column":    &bitmap.ValuePred{Column: "nope", Code: 0},
+		"empty-and":         &bitmap.AndPred{},
+		"empty-or":          &bitmap.OrPred{},
+		"nil-child":         &bitmap.AndPred{Children: []bitmap.Predicate{z0, nil}},
+		"typed-nil-child":   &bitmap.OrPred{Children: []bitmap.Predicate{z0, (*bitmap.ValuePred)(nil)}},
+		"nested-empty-and":  &bitmap.OrPred{Children: []bitmap.Predicate{z0, &bitmap.AndPred{}}},
+		"nil":               nil,
+	} {
+		q := Query{X: []string{"X"}, CandidatePreds: []bitmap.Predicate{z0, pred}}
+		if _, err := e.Prepare(q); err == nil {
+			t.Errorf("%s: malformed predicate accepted", name)
 		}
 	}
 }

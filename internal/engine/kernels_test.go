@@ -20,10 +20,6 @@ func accumulatorShapes(t testing.TB) (*Engine, map[string]Query) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err := eng.Density("Z")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Bin the measure's interquartile range only, so half the rows fall
 	// outside every bin.
 	m, err := tbl.MeasureByName("M")
@@ -44,15 +40,15 @@ func accumulatorShapes(t testing.TB) (*Engine, map[string]Query) {
 		"multi-x":       {Z: "Z", X: []string{"X", "W"}},
 		"binned-sparse": {Z: "Z", XMeasure: "M", XBins: bins},
 		"overlapping-predicates": {X: []string{"X"}, CandidatePreds: []bitmap.Predicate{
-			&bitmap.ValuePred{Column: "Z", Code: 0, DM: dm},
+			&bitmap.ValuePred{Column: "Z", Code: 0},
 			&bitmap.OrPred{Children: []bitmap.Predicate{
-				&bitmap.ValuePred{Column: "Z", Code: 0, DM: dm},
-				&bitmap.ValuePred{Column: "Z", Code: 1, DM: dm},
+				&bitmap.ValuePred{Column: "Z", Code: 0},
+				&bitmap.ValuePred{Column: "Z", Code: 1},
 			}},
 		}},
 		"predicates-binned": {XMeasure: "M", XBins: bins, CandidatePreds: []bitmap.Predicate{
-			&bitmap.ValuePred{Column: "Z", Code: 2, DM: dm},
-			&bitmap.ValuePred{Column: "Z", Code: 4, DM: dm},
+			&bitmap.ValuePred{Column: "Z", Code: 2},
+			&bitmap.ValuePred{Column: "Z", Code: 4},
 		}},
 		"filter": {Z: "Z", X: []string{"X"}, Filter: func(row int) bool { return row%3 != 0 }},
 	}

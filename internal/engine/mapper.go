@@ -258,101 +258,122 @@ func (cc *columnCandidates) labelOf(i int) string {
 }
 
 // predicateCandidates derives candidates from boolean predicates over
-// attribute values (Appendix A.1.2), using the density maps embedded in
-// the predicates for block estimates. A row belongs to every predicate it
-// satisfies; HistSim's Holm–Bonferroni machinery is agnostic to the
-// induced dependence. Because a row may match several predicates,
-// candidateOf is replaced by candidatesOf; the sampler handles the
-// multi-membership. Read-only after construction.
+// attribute values (Appendix A.1.2). Each candidate's block set comes
+// from the columns' bitmap indexes (§4.1). A row belongs to every
+// predicate it satisfies; HistSim's Holm–Bonferroni machinery is
+// agnostic to the induced dependence. Because a row may match several
+// predicates, candidateOf is replaced by candidatesOf; the sampler
+// handles the multi-membership. Read-only after construction.
 type predicateCandidates struct {
-	preds    []bitmap.Predicate
 	matchers []func(row int) bool
 	blocks   []*bitmap.Bitset // per candidate: blocks that may contain it
 	labels   []string
 }
 
-func newPredicateCandidates(src colstore.Reader, preds []bitmap.Predicate) (*predicateCandidates, error) {
+func (e *Engine) newPredicateCandidates(preds []bitmap.Predicate) (*predicateCandidates, error) {
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("engine: no candidate predicates")
 	}
-	pc := &predicateCandidates{preds: preds}
-	nb := src.NumBlocks()
+	pc := &predicateCandidates{}
 	for _, p := range preds {
-		m, err := compilePredicate(src, p)
+		m, bs, err := e.compilePredicate(p)
 		if err != nil {
 			return nil, err
 		}
 		pc.matchers = append(pc.matchers, m)
-		bs := bitmap.NewBitset(nb)
-		for b := 0; b < nb; b++ {
-			if p.EstimateBlock(b) > 0 {
-				bs.Set(b)
-			}
-		}
 		pc.blocks = append(pc.blocks, bs)
 		pc.labels = append(pc.labels, p.String())
 	}
 	return pc, nil
 }
 
-// compilePredicate turns a bitmap.Predicate into a direct row matcher
-// against source columns, avoiding per-row map allocation.
-func compilePredicate(src colstore.Reader, p bitmap.Predicate) (func(row int) bool, error) {
+// compilePredicate compiles a predicate tree once into a direct row
+// matcher against source columns (no per-row map allocation) and its
+// block set: the blocks that may hold a matching row. A leaf's set is
+// its value's bitset in the column's index, exact presence; AND
+// intersects and OR unions its children's sets, so a leaf or an OR of
+// leaves is exact and an AND a superset. The index's bitsets are shared
+// and never written: combining happens on a clone. A nil node, an
+// unknown node type, an empty AND/OR, an unknown column and an
+// out-of-range code are errors.
+func (e *Engine) compilePredicate(p bitmap.Predicate) (func(row int) bool, *bitmap.Bitset, error) {
 	switch q := p.(type) {
 	case *bitmap.ValuePred:
-		col, err := src.ColumnByName(q.Column)
-		if err != nil {
-			return nil, err
+		if q != nil {
+			return e.compileLeaf(q)
 		}
-		// Capture the aliased codes once: the matcher runs per row in
-		// executor hot loops, where an interface call per row would cost.
-		codes := col.Codes(0, src.NumRows())
-		code := q.Code
-		return func(row int) bool { return codes[row] == code }, nil
 	case *bitmap.AndPred:
-		kids, err := compileAll(src, q.Children)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) bool {
-			for _, k := range kids {
-				if !k(row) {
-					return false
+		if q != nil {
+			kids, bs, err := e.compileAll(q.Children, (*bitmap.Bitset).And)
+			return func(row int) bool {
+				for _, k := range kids {
+					if !k(row) {
+						return false
+					}
 				}
-			}
-			return true
-		}, nil
+				return true
+			}, bs, err
+		}
 	case *bitmap.OrPred:
-		kids, err := compileAll(src, q.Children)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) bool {
-			for _, k := range kids {
-				if k(row) {
-					return true
+		if q != nil {
+			kids, bs, err := e.compileAll(q.Children, (*bitmap.Bitset).Or)
+			return func(row int) bool {
+				for _, k := range kids {
+					if k(row) {
+						return true
+					}
 				}
-			}
-			return false
-		}, nil
-	default:
-		return nil, fmt.Errorf("engine: unsupported predicate type %T", p)
+				return false
+			}, bs, err
+		}
 	}
+	return nil, nil, fmt.Errorf("engine: nil or unsupported predicate node %T", p)
 }
 
-func compileAll(src colstore.Reader, ps []bitmap.Predicate) ([]func(row int) bool, error) {
+func (e *Engine) compileLeaf(q *bitmap.ValuePred) (func(row int) bool, *bitmap.Bitset, error) {
+	col, err := e.src.ColumnByName(q.Column)
+	if err != nil {
+		return nil, nil, err
+	}
+	idx, err := e.Index(q.Column)
+	if err != nil {
+		return nil, nil, err
+	}
+	bs, err := idx.ValueBitset(q.Code)
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: predicate %s: %w", q, err)
+	}
+	// Capture the aliased codes once: the matcher runs per row in
+	// executor hot loops, where an interface call per row would cost.
+	codes := col.Codes(0, e.src.NumRows())
+	code := q.Code
+	return func(row int) bool { return codes[row] == code }, bs, nil
+}
+
+// compileAll compiles an AND/OR node's children and folds their block
+// sets with combine into a fresh bitset.
+func (e *Engine) compileAll(ps []bitmap.Predicate, combine func(dst, src *bitmap.Bitset) error) ([]func(row int) bool, *bitmap.Bitset, error) {
+	if len(ps) == 0 {
+		return nil, nil, fmt.Errorf("engine: empty AND/OR predicate")
+	}
 	out := make([]func(row int) bool, len(ps))
+	var set *bitmap.Bitset
 	for i, p := range ps {
-		m, err := compilePredicate(src, p)
+		m, bs, err := e.compilePredicate(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out[i] = m
+		if set == nil {
+			set = bs.Clone()
+		} else if err := combine(set, bs); err != nil {
+			return nil, nil, err
+		}
 	}
-	return out, nil
+	return out, set, nil
 }
 
-func (pc *predicateCandidates) numCandidates() int { return len(pc.preds) }
+func (pc *predicateCandidates) numCandidates() int { return len(pc.matchers) }
 func (pc *predicateCandidates) kind() string       { return "predicates" }
 
 // candidateOf returns the first matching predicate for single-membership

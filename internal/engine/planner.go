@@ -171,7 +171,7 @@ func (p *Plan) buildSkipMasks() {
 // backed by its bitmap index.
 func (e *Engine) planCandidates(q Query) (candidateMapper, error) {
 	if len(q.CandidatePreds) > 0 {
-		return newPredicateCandidates(e.src, q.CandidatePreds)
+		return e.newPredicateCandidates(q.CandidatePreds)
 	}
 	if q.Z == "" {
 		return nil, fmt.Errorf("engine: query needs Z or CandidatePreds")

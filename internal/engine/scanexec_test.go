@@ -94,20 +94,12 @@ func TestParallelScanWithFilterAndKnownCandidates(t *testing.T) {
 func TestParallelScanPredicateCandidates(t *testing.T) {
 	tbl := testDataset(t, 30_000, 10, 6, 23)
 	e := New(tbl)
-	dmZ, err := e.Density("Z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dmW, err := e.Density("W")
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := Query{X: []string{"X"}}
 	q.CandidatePreds = append(q.CandidatePreds,
-		&bitmap.ValuePred{Column: "Z", Code: 1, DM: dmZ},
+		&bitmap.ValuePred{Column: "Z", Code: 1},
 		&bitmap.OrPred{Children: []bitmap.Predicate{
-			&bitmap.ValuePred{Column: "Z", Code: 1, DM: dmZ},
-			&bitmap.ValuePred{Column: "W", Code: 0, DM: dmW},
+			&bitmap.ValuePred{Column: "Z", Code: 1},
+			&bitmap.ValuePred{Column: "W", Code: 0},
 		}},
 	)
 	params := testParams()
@@ -133,17 +125,13 @@ func TestParallelScanPredicateCandidates(t *testing.T) {
 func TestOverlappingPredicateTargetResolution(t *testing.T) {
 	tbl := testDataset(t, 20_000, 8, 6, 26)
 	e := New(tbl)
-	dmZ, err := e.Density("Z")
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := Query{X: []string{"X"}}
 	// pred 1 overlaps pred 0 on Z=0 rows.
 	q.CandidatePreds = append(q.CandidatePreds,
-		&bitmap.ValuePred{Column: "Z", Code: 0, DM: dmZ},
+		&bitmap.ValuePred{Column: "Z", Code: 0},
 		&bitmap.OrPred{Children: []bitmap.Predicate{
-			&bitmap.ValuePred{Column: "Z", Code: 0, DM: dmZ},
-			&bitmap.ValuePred{Column: "Z", Code: 1, DM: dmZ},
+			&bitmap.ValuePred{Column: "Z", Code: 0},
+			&bitmap.ValuePred{Column: "Z", Code: 1},
 		}},
 	)
 	p, err := e.Prepare(q)

@@ -7,8 +7,8 @@ import (
 
 // buildCache is a concurrency-safe build-once cache with per-key
 // singleflight de-duplication: concurrent getters of a missing key block
-// on one build instead of each building (bitmap index and density-map
-// construction are full table passes — the expensive part of planning).
+// on one build instead of each building (bitmap index construction is a
+// full table pass — the expensive part of planning).
 // Build errors are returned to every waiter but not cached, so a failed
 // build is retried on the next get.
 type buildCache[V any] struct {

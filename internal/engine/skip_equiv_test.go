@@ -3,6 +3,8 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,13 +90,9 @@ func compactedIngestTwin(t testing.TB, tbl *colstore.Table) *ingest.TableView {
 }
 
 // predQuery compiles a predicate-candidate query against one engine (the
-// density maps price blocks for that engine's backend).
+// values resolve to codes in that engine's backend).
 func predQuery(t testing.TB, eng *Engine, x []string, xMeasure string, bins *colstore.Binner, values ...string) Query {
 	t.Helper()
-	dm, err := eng.Density("Z")
-	if err != nil {
-		t.Fatal(err)
-	}
 	col, err := eng.Source().ColumnByName("Z")
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +103,7 @@ func predQuery(t testing.TB, eng *Engine, x []string, xMeasure string, bins *col
 		if !ok {
 			t.Fatalf("no code for %q", v)
 		}
-		preds[i] = &bitmap.ValuePred{Column: "Z", Code: code, DM: dm}
+		preds[i] = &bitmap.ValuePred{Column: "Z", Code: code}
 	}
 	return Query{CandidatePreds: preds, X: x, XMeasure: xMeasure, XBins: bins}
 }
@@ -294,5 +292,115 @@ func TestSkipConcurrentAgreement(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPredicateCandidateBlockSets checks every candidate's planned block
+// set against a naive row scan, per candidate rather than through the
+// union the skip mask sees. Random Value/And/Or trees over Z and X run on
+// every backend. The set must hold every block with a matching row; for
+// trees without an AND (leaves and ORs of them) it must be exactly that
+// set; and for every tree it must be the set the index algebra defines
+// (a leaf's blocks, AND as intersection, OR as union). The compiled row
+// matcher must agree with the naive evaluation on every row.
+func TestPredicateCandidateBlockSets(t *testing.T) {
+	tbl := skipTestTable(t)
+	for backend, eng := range skipTestBackends(t, tbl) {
+		t.Run(backend, func(t *testing.T) {
+			src := eng.Source()
+			codes := map[string][]uint32{}
+			cards := map[string]int{}
+			for _, name := range []string{"Z", "X"} {
+				col, err := src.ColumnByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				codes[name], cards[name] = col.Codes(0, src.NumRows()), col.Cardinality()
+			}
+			var gen func(rng *rand.Rand, depth int) bitmap.Predicate
+			gen = func(rng *rand.Rand, depth int) bitmap.Predicate {
+				if depth == 0 || rng.Intn(3) == 0 {
+					col := []string{"Z", "X"}[rng.Intn(2)]
+					return &bitmap.ValuePred{Column: col, Code: uint32(rng.Intn(cards[col]))}
+				}
+				kids := make([]bitmap.Predicate, 1+rng.Intn(3))
+				for i := range kids {
+					kids[i] = gen(rng, depth-1)
+				}
+				if rng.Intn(2) == 0 {
+					return &bitmap.AndPred{Children: kids}
+				}
+				return &bitmap.OrPred{Children: kids}
+			}
+			// fold evaluates p over one row (lo == hi-1) or, with the leaf
+			// test widened to a whole block, by the index algebra.
+			var fold func(p bitmap.Predicate, lo, hi int) bool
+			fold = func(p bitmap.Predicate, lo, hi int) bool {
+				switch q := p.(type) {
+				case *bitmap.ValuePred:
+					return slices.Contains(codes[q.Column][lo:hi], q.Code)
+				case *bitmap.AndPred:
+					for _, c := range q.Children {
+						if !fold(c, lo, hi) {
+							return false
+						}
+					}
+					return true
+				default:
+					for _, c := range p.(*bitmap.OrPred).Children {
+						if fold(c, lo, hi) {
+							return true
+						}
+					}
+					return false
+				}
+			}
+			var exact func(p bitmap.Predicate) bool
+			exact = func(p bitmap.Predicate) bool {
+				if q, ok := p.(*bitmap.OrPred); ok {
+					for _, c := range q.Children {
+						if !exact(c) {
+							return false
+						}
+					}
+					return true
+				}
+				_, leaf := p.(*bitmap.ValuePred)
+				return leaf
+			}
+			rng := rand.New(rand.NewSource(11))
+			for trial := 0; trial < 40; trial++ {
+				preds := []bitmap.Predicate{gen(rng, 3), gen(rng, 3), gen(rng, 3)}
+				p, err := eng.Prepare(Query{CandidatePreds: preds, X: []string{"X"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf []int
+				for i, pred := range preds {
+					got := p.multi.candidateBlocks(i)
+					for b := 0; b < src.NumBlocks(); b++ {
+						lo, hi := src.BlockSpan(b)
+						holds := false
+						for row := lo; row < hi; row++ {
+							want := fold(pred, row, row+1)
+							buf = p.multi.candidatesOf(row, buf[:0])
+							if matched := slices.Contains(buf, i); matched != want {
+								t.Fatalf("%s: row %d matcher says %v, naive scan %v", pred, row, matched, want)
+							}
+							holds = holds || want
+						}
+						if holds && !got.Get(b) {
+							t.Fatalf("%s: block %d holds a matching row but is outside the planned set", pred, b)
+						}
+						if !holds && got.Get(b) && exact(pred) {
+							t.Fatalf("%s: block %d holds no matching row but is in the exact planned set", pred, b)
+						}
+						if want := fold(pred, lo, hi); got.Get(b) != want {
+							t.Fatalf("%s: block %d planned %v, index algebra %v", pred, b, got.Get(b), want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

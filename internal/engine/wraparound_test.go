@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"testing"
-
-	"fastmatch/internal/bitmap"
-)
+import "testing"
 
 func TestCursorContinuesAcrossStages(t *testing.T) {
 	// Stage 1 then stage-2-style sampling must consume disjoint blocks:
@@ -73,27 +69,6 @@ func TestLookaheadWindowCrossesWrap(t *testing.T) {
 	if batch.Counts[1] < 100 && !batch.IsExact(1) {
 		t.Fatalf("wrap-spanning window failed: %d", batch.Counts[1])
 	}
-}
-
-func TestIndexCompressionStats(t *testing.T) {
-	// The TAXI-like Location index must compress well: most values touch
-	// few blocks, so zero runs dominate.
-	tbl := testDataset(t, 50_000, 200, 6, 53)
-	idx, err := bitmap.Build(tbl, "Z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := idx.CompressionStats()
-	if cs.DenseBytes == 0 || cs.CompressedBytes == 0 {
-		t.Fatal("empty compression stats")
-	}
-	if cs.Ratio() <= 0 {
-		t.Fatalf("invalid ratio %g", cs.Ratio())
-	}
-	// With 200 moderately skewed candidates over ~400 blocks of 128, rare
-	// values have sparse bitsets; expect at least some compression.
-	t.Logf("dense=%dB compressed=%dB ratio=%.2f maxRuns=%d",
-		cs.DenseBytes, cs.CompressedBytes, cs.Ratio(), cs.MaxRuns)
 }
 
 func TestEngineSequentialQueryReuse(t *testing.T) {

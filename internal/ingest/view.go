@@ -160,19 +160,6 @@ func (vs viewBlockStats) segmentFor(b int) (*segment, int) {
 	return nil, 0
 }
 
-// MayContainCode implements colstore.BlockStats. Segment dictionaries
-// are seal-time prefixes of the spine dictionary (snapshots preserve
-// code order), so table codes are valid segment codes; a code past a
-// segment's dictionary was interned after sealing and is provably
-// absent there.
-func (vs viewBlockStats) MayContainCode(column string, code uint32, b int) bool {
-	s, local := vs.segmentFor(b)
-	if s == nil {
-		return true
-	}
-	return s.reader.BlockStats().MayContainCode(column, code, local)
-}
-
 // MeasureRange implements colstore.BlockStats.
 func (vs viewBlockStats) MeasureRange(measure string, b int) (lo, hi float64, ok bool) {
 	s, local := vs.segmentFor(b)

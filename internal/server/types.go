@@ -193,8 +193,8 @@ func toPayload(res *engine.Result) ResultPayload {
 
 // toQuery compiles the wire query into an engine query. The engine is
 // needed to compile predicate candidates: predicate leaves resolve values
-// to dictionary codes and bind the column's density map (which prices
-// block-level estimates) against the serving table.
+// to dictionary codes against the serving table. The engine plans their
+// block sets from its bitmap indexes at Prepare.
 func (qs QuerySpec) toQuery(eng *engine.Engine) (engine.Query, error) {
 	q := engine.Query{
 		Z:               qs.Z,
@@ -262,11 +262,7 @@ func (ps PredSpec) toPredicate(eng *engine.Engine) (bitmap.Predicate, error) {
 	if !ok {
 		return nil, fmt.Errorf("column %q has no value %q", ps.Column, ps.Value)
 	}
-	dm, err := eng.Density(ps.Column)
-	if err != nil {
-		return nil, err
-	}
-	return &bitmap.ValuePred{Column: ps.Column, Code: code, DM: dm}, nil
+	return &bitmap.ValuePred{Column: ps.Column, Code: code}, nil
 }
 
 func toPredicates(eng *engine.Engine, specs []PredSpec) ([]bitmap.Predicate, error) {
@@ -281,6 +277,11 @@ func toPredicates(eng *engine.Engine, specs []PredSpec) ([]bitmap.Predicate, err
 	return out, nil
 }
 
+// maxUniformBins caps x_bins.n, which sizes the binner's edge array:
+// explicit edges cost at least two body bytes each ("1,"), so a uniform
+// spec may ask for no more bins than an explicit one could spell.
+const maxUniformBins = maxRequestBody / 2
+
 // toBinner compiles a bins spec.
 func (bs BinsSpec) toBinner() (*colstore.Binner, error) {
 	if len(bs.Edges) > 0 {
@@ -288,6 +289,9 @@ func (bs BinsSpec) toBinner() (*colstore.Binner, error) {
 			return nil, fmt.Errorf("x_bins: give either edges or lo/hi/n, not both")
 		}
 		return colstore.NewBinner(bs.Edges)
+	}
+	if bs.N > maxUniformBins {
+		return nil, fmt.Errorf("x_bins: n %d exceeds %d bins", bs.N, maxUniformBins)
 	}
 	return colstore.NewUniformBinner(bs.Lo, bs.Hi, bs.N)
 }
