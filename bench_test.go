@@ -244,11 +244,11 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := engine.New(ds.Table)
-			if _, err := e.Index("Origin"); err != nil {
+			plan, err := engine.New(ds.Table).Prepare(engine.Query{Z: "Origin", X: []string{"DepartureHour"}})
+			if err != nil {
 				b.Fatal(err)
 			}
-			target, err := e.ResolveTarget(engine.Query{Z: "Origin", X: []string{"DepartureHour"}}, engine.Target{Uniform: true})
+			target, err := plan.ResolveTarget(engine.Target{Uniform: true}, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 					Executor: engine.FastMatch, Lookahead: 1024,
 					StartBlock: -1, Seed: int64(i + 1),
 				}
-				if _, err := e.RunWithTarget(engine.Query{Z: "Origin", X: []string{"DepartureHour"}}, target, opts); err != nil {
+				if _, err := plan.RunWithTarget(target, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

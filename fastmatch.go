@@ -41,13 +41,13 @@
 //	res, err := eng.RunContext(ctx, q, target, opts)
 //
 // Every executor checks the context at block granularity and unwinds
-// cleanly. A run cut short — context canceled, deadline passed,
-// Options.Deadline reached, or Options.RowBudget exhausted — returns a
-// best-effort partial Result (Result.Partial set, candidates ranked by
-// the estimates at the stop point, no guarantees attached) together with
-// a typed error: ErrCanceled or ErrBudgetExhausted. OnProgress receives
-// interim state after every HistSim round: the current top-k with
-// distance estimates, rows and blocks read, and I/O counters.
+// cleanly. A run cut short — context canceled, its deadline passed, or
+// Options.RowBudget exhausted — returns a best-effort partial Result
+// (Result.Partial set, candidates ranked by the estimates at the stop
+// point, no guarantees attached) together with a typed error:
+// ErrCanceled or ErrBudgetExhausted. OnProgress receives interim state
+// after every HistSim round: the current top-k with distance estimates,
+// rows and blocks read, and I/O counters.
 //
 // The server exposes the same contract over HTTP: POST /v1/query/stream
 // answers with NDJSON progress frames followed by a terminal result
@@ -60,41 +60,27 @@ import (
 	"time"
 
 	"fastmatch/internal/colstore"
-	"fastmatch/internal/core"
 	"fastmatch/internal/engine"
 	"fastmatch/internal/histogram"
-	"fastmatch/internal/ingest"
-	"fastmatch/internal/obs/trace"
 	"fastmatch/internal/server"
 )
 
 // Re-exported storage types: build tables with Builder, group continuous
 // attributes with Binner. Reader is the pluggable-backend seam: every
 // engine layer consumes it, so a query runs identically over the
-// heap-resident Table, the zero-copy MmapTable, or any future backend.
+// heap-resident Table or any other backend. Snapshot, mmap and live
+// ingest tables load through Server.LoadTable (see TableSpec).
 type (
 	// Reader is the backend-neutral block-granular storage interface the
 	// engine runs on. Slices returned through it alias backend storage
 	// and must be treated as read-only.
 	Reader = colstore.Reader
-	// ColumnReader is read access to one categorical column.
-	ColumnReader = colstore.ColumnReader
-	// MeasureReader is read access to one numeric measure column.
-	MeasureReader = colstore.MeasureReader
 	// Table is an immutable block-structured column store relation — the
 	// in-memory Reader backend.
 	Table = colstore.Table
-	// MmapTable is the zero-copy mmap snapshot backend (linux/darwin on
-	// little-endian hosts; heap fallback elsewhere). Close it only after
-	// the last query over it has finished.
-	MmapTable = colstore.MmapTable
-	// StorageStats describes a Reader's backend and residency.
-	StorageStats = colstore.StorageStats
 	// Builder accumulates rows into a Table; call Shuffle before Build so
 	// sequential scans are uniform samples.
 	Builder = colstore.Builder
-	// Column is a dictionary-encoded categorical column.
-	Column = colstore.Column
 	// Binner maps continuous values to histogram bins.
 	Binner = colstore.Binner
 )
@@ -124,45 +110,21 @@ type (
 	// Progress is the interim state of a run in flight, delivered
 	// through Options.OnProgress.
 	Progress = engine.Progress
-	// ProgressMatch is one candidate in a Progress ranking.
-	ProgressMatch = engine.ProgressMatch
 	// Executor selects the execution strategy.
 	Executor = engine.Executor
-	// Params are the HistSim knobs (k, ε, δ, σ, m, metric).
-	Params = core.Params
 	// Histogram is a vector of per-group counts.
 	Histogram = histogram.Histogram
 	// Metric is the distance function over normalized histograms.
 	Metric = histogram.Metric
-	// ExplainInfo is a Plan's static execution profile (resolved shapes,
-	// zone-map prunable block counts, kernel eligibility) — see
-	// Plan.Explain.
-	ExplainInfo = engine.ExplainInfo
-	// Trace collects a per-query span tree when set on Options.Trace;
-	// create with NewTrace and render with Trace.Snapshot.
-	Trace = trace.Trace
-	// TraceSnapshot is a trace's JSON-friendly rendering.
-	TraceSnapshot = trace.Snapshot
-	// TraceSpan is one span in a TraceSnapshot.
-	TraceSpan = trace.SpanSnapshot
 	// QualityReport is a completed sampling run's answer-quality
 	// self-assessment — rounds, final margin, per-match confidence
 	// intervals, termination cause — collected when Options.Quality is
 	// set; see Result.Quality.
 	QualityReport = engine.QualityReport
-	// MatchQuality is one returned match's estimate quality (estimated
-	// distance plus CI half-width) inside a QualityReport.
-	MatchQuality = engine.MatchQuality
-	// ProgressQuality is the per-round convergence telemetry carried on
-	// Progress when Options.Quality is set.
-	ProgressQuality = engine.ProgressQuality
 	// Audit is AuditRun's ground-truth verdict: precision@k, rank
 	// displacement, and per-candidate distance error for a completed
 	// approximate answer.
 	Audit = engine.Audit
-	// AuditCandidate is one candidate's approximate-vs-exact comparison
-	// inside an Audit.
-	AuditCandidate = engine.AuditCandidate
 )
 
 // Executor variants, in increasing sophistication (§5.2 of the paper).
@@ -175,9 +137,6 @@ const (
 	SyncMatch = engine.SyncMatch
 	// FastMatch adds asynchronous lookahead marking — the full system.
 	FastMatch = engine.FastMatch
-	// ParallelScan is the exact baseline partitioned over Options.Workers
-	// goroutines (default GOMAXPROCS); results are identical to Scan.
-	ParallelScan = engine.ParallelScan
 	// Auto, the default, runs Scan when the closed form says sampling
 	// cannot skip a block and FastMatch otherwise (see DefaultOptions).
 	Auto = engine.Auto
@@ -195,8 +154,8 @@ const (
 // Both accompany a best-effort partial Result — see the package doc's
 // progressive-queries section.
 var (
-	// ErrCanceled marks a run stopped by its context or
-	// Options.Deadline; the chain also wraps the context error
+	// ErrCanceled marks a run stopped by its context (canceled or past
+	// its deadline); the chain also wraps the context error
 	// (context.Canceled vs context.DeadlineExceeded).
 	ErrCanceled = engine.ErrCanceled
 	// ErrBudgetExhausted marks a run stopped by Options.RowBudget.
@@ -212,8 +171,10 @@ type (
 	Server = server.Server
 	// ServerConfig parameterizes a Server; the zero value is usable.
 	ServerConfig = server.Config
-	// TableSpec describes a dataset to load (CSV, binary snapshot, or a
-	// live ingest directory).
+	// TableSpec describes a dataset for Server.LoadTable: a CSV file, a
+	// binary snapshot on the heap or zero-copy mmap backend, or a live
+	// ingest directory. It is how embedders open snapshot, mmap and live
+	// tables.
 	TableSpec = server.TableSpec
 	// StreamFrame is one NDJSON line of a POST /v1/query/stream
 	// response: progress frames, then one terminal result/error frame.
@@ -240,70 +201,12 @@ func NewThrottledReader(src Reader, perBlock time.Duration) Reader {
 	return colstore.NewThrottledReader(src, perBlock)
 }
 
-// Re-exported live-ingestion types (internal/ingest): a WritableTable
-// accepts appends — WAL-logged for durability, folded into immutable
-// column segments with exact per-block statistics, background-compacted
-// into mmap-able snapshot files — while serving queries through snapshot-isolated
-// Reader views, so every engine layer works unmodified over live data.
-type (
-	// WritableTable is the live-ingestion storage backend. Open one with
-	// OpenIngestTable, append with Append, query through View.
-	WritableTable = ingest.WritableTable
-	// IngestTableView is an immutable, snapshot-isolated Reader over a
-	// WritableTable at one data generation; Release it when done.
-	IngestTableView = ingest.TableView
-	// IngestSchema declares a writable table's columns and measures.
-	IngestSchema = ingest.Schema
-	// IngestOptions tunes durability (WAL fsync), segment sealing, and
-	// compaction; the zero value is production-safe.
-	IngestOptions = ingest.Options
-	// IngestRow is one appended tuple.
-	IngestRow = ingest.Row
-	// IngestAppendResult acknowledges a durable append batch.
-	IngestAppendResult = ingest.AppendResult
-	// IngestStats snapshots a writable table's ingest counters.
-	IngestStats = ingest.Stats
-)
-
-// OpenIngestTable creates or re-opens a live-ingestion table rooted at
-// dir, replaying its write-ahead log so exactly the acked rows come
-// back. See IngestSchema/IngestOptions; pass an empty schema to adopt an
-// existing directory's.
-func OpenIngestTable(dir string, schema IngestSchema, opts IngestOptions) (*WritableTable, error) {
-	return ingest.Open(dir, schema, opts)
-}
-
 // NewServer creates a query server; register tables with
 // Server.LoadTable or Server.RegisterTable and expose Server.Handler.
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 
-// NewTrace creates an empty query trace identified by id; set it on
-// Options.Trace to collect a span tree (plan, run phases, per-span I/O
-// deltas) for the run, then render it with Trace.Snapshot. Tracing is
-// purely observational: results are byte-identical with or without it.
-func NewTrace(id string) *Trace { return trace.New(id) }
-
-// WriteSnapshot atomically replaces path with a binary snapshot of tbl
-// that loads without CSV re-parsing and preserves the block layout
-// exactly (see internal/colstore for the format): 8-byte-aligned
-// sections that OpenMmap can serve in place, plus a per-block statistics
-// section (categorical presence bitsets and measure min/max) that powers
-// zone-map block skipping without paging in the data arrays.
-func WriteSnapshot(tbl *Table, path string) error { return colstore.WriteSnapshotFile(tbl, path) }
-
-// ReadSnapshot loads a table snapshot into memory, verifying its CRC,
-// structure, codes and stored block statistics. Files in the retired
-// formats v1/v2 are rejected; rewrite them with WriteSnapshot.
-func ReadSnapshot(path string) (*Table, error) { return colstore.ReadSnapshotFile(path) }
-
-// OpenMmap opens a snapshot with the zero-copy mmap backend: its column
-// sections are served straight from read-only mapped pages (~instant
-// cold start, tables larger than RAM). Unsupported platforms and
-// big-endian hosts transparently materialize in memory instead.
-func OpenMmap(path string) (*MmapTable, error) { return colstore.OpenMmapFile(path) }
-
-// NewEngine creates an engine over any storage backend (*Table,
-// *MmapTable, or a custom Reader).
+// NewEngine creates an engine over any storage backend (a *Table or a
+// custom Reader).
 func NewEngine(src Reader) *Engine { return engine.New(src) }
 
 // NewBuilder creates a table builder with the given tuples-per-block

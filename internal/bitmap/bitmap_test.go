@@ -22,10 +22,6 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Count() != 5 {
 		t.Fatalf("Count = %d, want 5", b.Count())
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 4 {
-		t.Fatal("Clear failed")
-	}
 }
 
 func TestBitsetWordAccess(t *testing.T) {
@@ -244,15 +240,6 @@ func TestMarkAnyActiveEdges(t *testing.T) {
 		if m {
 			t.Fatal("no active candidates should mark nothing")
 		}
-	}
-}
-
-func TestMarkedUnion(t *testing.T) {
-	tbl := buildTestTable(t, 2, []uint32{0, 0, 1, 1, 2, 2}, 3)
-	idx, _ := Build(tbl, "z")
-	u := idx.MarkedUnion([]uint32{0, 2})
-	if !u.Get(0) || u.Get(1) || !u.Get(2) {
-		t.Fatalf("MarkedUnion bits wrong: %v %v %v", u.Get(0), u.Get(1), u.Get(2))
 	}
 }
 

@@ -35,11 +35,6 @@ func (b *Bitset) Set(i int) {
 	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Clear clears bit i.
-func (b *Bitset) Clear(i int) {
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Get reports bit i.
 func (b *Bitset) Get(i int) bool {
 	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0

@@ -160,15 +160,3 @@ func MarkAny[ID int | uint32](sets []*Bitset, active []ID, start int, mark []boo
 		i += len(seg)
 	}
 }
-
-// MarkedUnion returns a bitset over [0, blocks) with a 1 for every block
-// containing any of the given values; used to precompute a query
-// predicate's block mask once (for fixed candidate sets such as stage 3's
-// top-k).
-func (ix *Index) MarkedUnion(values []uint32) *Bitset {
-	out := NewBitset(ix.blocks)
-	for _, v := range values {
-		_ = out.Or(ix.perValue[v]) // lengths match by construction
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package bitmap_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,7 +49,7 @@ func candidateCounts(t testing.TB, eng *engine.Engine, pred bitmap.Predicate, di
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.Run(engine.Target{Uniform: true}, engine.Options{
+	res, err := plan.RunContext(context.Background(), engine.Target{Uniform: true}, engine.Options{
 		Params: core.Params{
 			K: 1, Epsilon: 0.1, Delta: 0.05, Sigma: 0, Metric: histogram.MetricL1,
 		},

@@ -90,15 +90,17 @@ func (sc *shardCounters) fail(err error) {
 type Client struct {
 	refs     []ShardRef
 	hc       *http.Client
-	retries  int
-	backoff  time.Duration
 	counters []*shardCounters
 }
 
-// NewClient builds a shard client over refs. Retries defaults to 2
-// re-attempts per call with exponential backoff starting at backoff
-// (default 50ms); both are knobs because the equivalence smoke kills
-// shards on purpose and should not wait out long backoffs.
+// A failed shard call is re-attempted up to shardRetries times, with
+// exponential backoff starting at shardBackoff.
+const (
+	shardRetries = 2
+	shardBackoff = 50 * time.Millisecond
+)
+
+// NewClient builds a shard client over refs.
 func NewClient(refs []ShardRef) *Client {
 	tr := &http.Transport{
 		MaxIdleConns:        64,
@@ -106,25 +108,13 @@ func NewClient(refs []ShardRef) *Client {
 		IdleConnTimeout:     90 * time.Second,
 	}
 	c := &Client{
-		refs:    refs,
-		hc:      &http.Client{Transport: tr},
-		retries: 2,
-		backoff: 50 * time.Millisecond,
+		refs: refs,
+		hc:   &http.Client{Transport: tr},
 	}
 	for range refs {
 		c.counters = append(c.counters, &shardCounters{})
 	}
 	return c
-}
-
-// SetRetryPolicy overrides the per-call retry count and initial backoff.
-func (c *Client) SetRetryPolicy(retries int, backoff time.Duration) {
-	if retries >= 0 {
-		c.retries = retries
-	}
-	if backoff > 0 {
-		c.backoff = backoff
-	}
 }
 
 // Refs returns the configured shard set, in row-range order.
@@ -224,13 +214,13 @@ func (c *Client) post(ctx context.Context, idx int, preq *PartialRequest) (*Part
 	}
 	sc := c.counters[idx]
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt <= shardRetries; attempt++ {
 		if attempt > 0 {
 			sc.retries.Add(1)
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(c.backoff << (attempt - 1)):
+			case <-time.After(shardBackoff << (attempt - 1)):
 			}
 		}
 		resp, permanent, err := c.attempt(ctx, idx, body)

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"fastmatch/internal/core"
 	"fastmatch/internal/engine"
@@ -110,7 +109,8 @@ type shardRun struct {
 }
 
 // runState is the per-run coordinator state: validated metas, the
-// global budget/deadline accounting, and degraded-mode bookkeeping.
+// global budget accounting, and degraded-mode bookkeeping. The run's
+// deadline is its context's.
 type runState struct {
 	ctx  context.Context
 	opts engine.Options
@@ -123,9 +123,8 @@ type runState struct {
 	labels      []string
 	groupLabels []string
 
-	charged  int64 // rows charged against the budget so far
-	budget   int64
-	deadline time.Time
+	charged int64 // rows charged against the budget so far
+	budget  int64
 
 	degraded bool
 }
@@ -135,11 +134,10 @@ func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runSta
 		return nil, errors.New("cluster: no shards configured")
 	}
 	st := &runState{
-		ctx:      ctx,
-		opts:     opts,
-		budget:   opts.RowBudget,
-		deadline: opts.Deadline,
-		shards:   make([]*shardRun, len(c.shards)),
+		ctx:    ctx,
+		opts:   opts,
+		budget: opts.RowBudget,
+		shards: make([]*shardRun, len(c.shards)),
 	}
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
@@ -217,7 +215,7 @@ func (st *runState) newBatch() *core.Batch {
 }
 
 // stopCheck evaluates the run's stop conditions between segments in the
-// single-node guard's order (context, budget, deadline), so a coordinated
+// single-node guard's order (context, then budget), so a coordinated
 // stop lands exactly where the single-node guard's would.
 func (st *runState) stopCheck() error {
 	if st.ctx != nil {
@@ -227,9 +225,6 @@ func (st *runState) stopCheck() error {
 	}
 	if st.budget > 0 && st.charged >= st.budget {
 		return engine.BudgetStopError(st.budget, st.charged)
-	}
-	if !st.deadline.IsZero() && !time.Now().Before(st.deadline) {
-		return engine.CanceledStopError(context.DeadlineExceeded)
 	}
 	return nil
 }
@@ -306,7 +301,6 @@ func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histog
 			Kind:            engine.SegTarget,
 			Workers:         st.opts.Workers,
 			TargetCandidate: id,
-			Deadline:        st.deadline,
 		}
 	}
 	err := st.each(ctx, mkReq, func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
@@ -368,12 +362,12 @@ const fanoutWindow = 4
 // concurrently, their responses streaming through a channel of
 // fanoutWindow capacity — memory stays bounded by the window, not by
 // shard count — which is sound because folds are integer-sum merges.
-// Budgeted or deadlined runs chain the shards sequentially with the
-// residual budget instead: their stops are charged in row order, so
-// concurrent shards would race the stop point.
+// Budgeted runs chain the shards sequentially with the residual budget
+// instead: their stops are charged in row order, so concurrent shards
+// would race the stop point.
 func (st *runState) each(ctx context.Context, mkReq func() *engine.ShardSegment,
 	fold func(*shardRun, *engine.ShardSegmentResult, error) error) error {
-	if st.budget > 0 || !st.deadline.IsZero() {
+	if st.budget > 0 {
 		for _, sr := range st.walk {
 			if sr.dead {
 				continue

@@ -43,7 +43,6 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Resu
 			Kind:     engine.SegScan,
 			Executor: engine.ParallelScan,
 			Workers:  workers,
-			Deadline: st.deadline,
 		}
 	}
 	gb := st.newBatch()

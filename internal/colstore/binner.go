@@ -87,32 +87,3 @@ func (b *Binner) Label(i int) string {
 	}
 	return fmt.Sprintf("[%g, %g%s", b.edges[i], b.edges[i+1], close)
 }
-
-// Coarsen merges every `factor` adjacent bins into one, producing a coarser
-// binner. This supports Appendix A.1.6: bitmaps built at the finest
-// granularity induce bitmaps for any coarser granularity. The final coarse
-// bin absorbs any remainder bins.
-func (b *Binner) Coarsen(factor int) (*Binner, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("colstore: coarsen factor %d < 1", factor)
-	}
-	if factor == 1 {
-		return NewBinner(b.edges)
-	}
-	var edges []float64
-	for i := 0; i < len(b.edges)-1; i += factor {
-		edges = append(edges, b.edges[i])
-	}
-	edges = append(edges, b.edges[len(b.edges)-1])
-	return NewBinner(edges)
-}
-
-// CoarseBin maps a fine bin index to its coarse bin index under Coarsen.
-func (b *Binner) CoarseBin(fineBin, factor int) int {
-	coarse := fineBin / factor
-	max := (b.NumBins() + factor - 1) / factor
-	if coarse >= max {
-		coarse = max - 1
-	}
-	return coarse
-}

@@ -103,47 +103,3 @@ func TestBinConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCoarsen(t *testing.T) {
-	fine, _ := NewUniformBinner(0, 12, 12)
-	coarse, err := fine.Coarsen(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coarse.NumBins() != 4 {
-		t.Fatalf("coarse NumBins = %d, want 4", coarse.NumBins())
-	}
-	// Property: coarse bin of v equals CoarseBin(fine bin of v).
-	for v := 0.0; v < 12; v += 0.25 {
-		fb, _ := fine.Bin(v)
-		cb, _ := coarse.Bin(v)
-		if got := fine.CoarseBin(fb, 3); got != cb {
-			t.Fatalf("v=%g: CoarseBin(%d) = %d, direct coarse bin = %d", v, fb, got, cb)
-		}
-	}
-}
-
-func TestCoarsenRemainder(t *testing.T) {
-	fine, _ := NewUniformBinner(0, 10, 10)
-	coarse, err := fine.Coarsen(4) // bins 0-3, 4-7, 8-9 → 3 coarse bins
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coarse.NumBins() != 3 {
-		t.Fatalf("coarse NumBins = %d, want 3", coarse.NumBins())
-	}
-	if got := fine.CoarseBin(9, 4); got != 2 {
-		t.Fatalf("CoarseBin(9, 4) = %d, want 2", got)
-	}
-}
-
-func TestCoarsenValidation(t *testing.T) {
-	fine, _ := NewUniformBinner(0, 10, 10)
-	if _, err := fine.Coarsen(0); err == nil {
-		t.Fatal("factor 0 accepted")
-	}
-	same, err := fine.Coarsen(1)
-	if err != nil || same.NumBins() != 10 {
-		t.Fatal("factor 1 should be identity")
-	}
-}

@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"fmt"
 	"os"
 	"unsafe"
 )
@@ -51,51 +50,41 @@ var hostLittleEndian = func() bool {
 // returned by Codes/Values is invalid afterwards, so only close once no
 // query can still be running.
 type MmapTable struct {
-	tbl      *Table
-	data     []byte // non-nil iff zero-copy mapped
-	path     string
-	fallback string // why the open fell back to the heap ("" when mapped)
+	tbl  *Table
+	data []byte // non-nil iff zero-copy mapped
 }
 
 // OpenMmapFile opens a snapshot with the mmap backend: zero-copy on
 // little-endian linux/darwin hosts, a verified in-memory materialization
-// anywhere else.
+// anywhere else. A snapshot larger than the address space, or one whose
+// mapping fails, is materialized the same way.
 func OpenMmapFile(path string) (*MmapTable, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	reason := ""
-	switch {
-	case !mmapSupported:
-		reason = "mmap not supported on this platform"
-	case !hostLittleEndian:
-		reason = "big-endian host cannot reinterpret little-endian sections"
-	}
-	if reason == "" {
+	if mmapSupported && hostLittleEndian {
 		st, err := f.Stat()
 		if err != nil {
 			return nil, err
 		}
-		if st.Size() > int64(int(^uint(0)>>1)) {
-			reason = "snapshot larger than the address space"
-		} else if data, err := mmapFile(f, int(st.Size())); err != nil {
-			reason = fmt.Sprintf("mmap failed: %v", err)
-		} else {
-			tbl, perr := parseSnapshot(data, false)
-			if perr != nil {
-				_ = munmap(data)
-				return nil, perr
+		if st.Size() <= int64(int(^uint(0)>>1)) {
+			if data, err := mmapFile(f, int(st.Size())); err == nil {
+				tbl, perr := parseSnapshot(data, false)
+				if perr != nil {
+					_ = munmap(data)
+					return nil, perr
+				}
+				return &MmapTable{tbl: tbl, data: data}, nil
 			}
-			return &MmapTable{tbl: tbl, data: data, path: path}, nil
 		}
 	}
 	tbl, err := ReadSnapshotFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &MmapTable{tbl: tbl, path: path, fallback: reason}, nil
+	return &MmapTable{tbl: tbl}, nil
 }
 
 // NumRows implements Reader.
@@ -146,13 +135,6 @@ func (mt *MmapTable) Storage() StorageStats {
 // arrays.
 func (mt *MmapTable) BlockStats() BlockStats { return mt.tbl.BlockStats() }
 
-// Path returns the snapshot file the table was opened from.
-func (mt *MmapTable) Path() string { return mt.path }
-
-// FallbackReason reports why a zero-copy mapping was not possible, or ""
-// when the table is mapped.
-func (mt *MmapTable) FallbackReason() string { return mt.fallback }
-
 // Close releases the file mapping. Every slice obtained through the
 // table beforehand becomes invalid; callers must ensure no query is in
 // flight. Close is idempotent and a no-op in fallback mode.
@@ -163,37 +145,6 @@ func (mt *MmapTable) Close() error {
 	data := mt.data
 	mt.data = nil
 	return munmap(data)
-}
-
-// Materialize copies a mapped table fully onto the heap, detaching it
-// from the file (used when a caller wants to Close the mapping but keep
-// the data). Fallback-mode tables are already heap-resident.
-func (mt *MmapTable) Materialize() *Table {
-	if mt.data == nil {
-		return mt.tbl
-	}
-	out := &Table{
-		colByName: make(map[string]int, len(mt.tbl.cols)),
-		measByID:  make(map[string]int, len(mt.tbl.measures)),
-		rows:      mt.tbl.rows,
-		blockSize: mt.tbl.blockSize,
-	}
-	for i, c := range mt.tbl.cols {
-		out.colByName[c.Name] = i
-		out.cols = append(out.cols, &Column{
-			Name:  c.Name,
-			Dict:  c.Dict,
-			codes: append([]uint32(nil), c.codes...),
-		})
-	}
-	for i, m := range mt.tbl.measures {
-		out.measByID[m.Name] = i
-		out.measures = append(out.measures, &MeasureColumn{
-			Name:   m.Name,
-			values: append([]float64(nil), m.values...),
-		})
-	}
-	return out
 }
 
 var (

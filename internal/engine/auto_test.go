@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -100,7 +101,7 @@ func TestAutoPicksSamplerWhenItCanSkip(t *testing.T) {
 		Stage1Samples: 10_000, Metric: histogram.MetricL1,
 	}
 	run := func(exec Executor, tr *trace.Trace) string {
-		res, err := plan.Run(Target{Uniform: true}, Options{
+		res, err := plan.RunContext(context.Background(), Target{Uniform: true}, Options{
 			Params: params, Executor: exec, Lookahead: 64, StartBlock: -1, Seed: 17, Trace: tr,
 		})
 		if err != nil {

@@ -237,9 +237,9 @@ func TestPreExpiredDeadlineFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := cancelOptions(ScanMatch, tbl.NumBlocks())
-	opts.Deadline = time.Now().Add(-time.Second)
-	res, err := p.Run(Target{Uniform: true}, opts)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := p.RunContext(ctx, Target{Uniform: true}, cancelOptions(ScanMatch, tbl.NumBlocks()))
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrCanceled wrapping DeadlineExceeded, got %v", err)
 	}
@@ -258,9 +258,9 @@ func TestDeadlineMidRunReturnsPartial(t *testing.T) {
 	if _, err := eng.Prepare(baseQuery()); err != nil {
 		t.Fatal(err)
 	}
-	opts := cancelOptions(ScanMatch, slow.NumBlocks())
-	opts.Deadline = time.Now().Add(50 * time.Millisecond)
-	res, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(50*time.Millisecond))
+	defer cancel()
+	res, err := eng.RunContext(ctx, baseQuery(), Target{Uniform: true}, cancelOptions(ScanMatch, slow.NumBlocks()))
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrCanceled wrapping DeadlineExceeded, got %v", err)
 	}

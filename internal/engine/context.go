@@ -15,10 +15,9 @@ import (
 // Plan.RunContext for the full progressive contract.
 var (
 	// ErrCanceled marks a run stopped by its context (cancellation or
-	// deadline) or by Options.Deadline. The chain also wraps the
-	// underlying context error, so errors.Is(err, context.Canceled)
-	// distinguishes an abandoned request from errors.Is(err,
-	// context.DeadlineExceeded), a timed-out one.
+	// deadline). The chain also wraps the underlying context error, so
+	// errors.Is(err, context.Canceled) distinguishes an abandoned request
+	// from errors.Is(err, context.DeadlineExceeded), a timed-out one.
 	ErrCanceled = errors.New("engine: run canceled")
 	// ErrBudgetExhausted marks a run stopped by Options.RowBudget.
 	ErrBudgetExhausted = errors.New("engine: row budget exhausted")
@@ -68,24 +67,24 @@ type ProgressMatch struct {
 // runGuard enforces a run's termination conditions — context
 // cancellation, deadline, row budget — at block-batch granularity: every
 // executor consults stop() between block reads and unwinds cleanly when
-// it fires. A nil guard (the common case: no context, no deadline, no
-// budget) costs one nil check per block.
+// it fires. A nil guard (the common case: no cancelable context, no
+// budget) costs one nil check per block. The context is the only
+// deadline: callers wanting one use context.WithDeadline.
 type runGuard struct {
-	ctx      context.Context // nil when no context governs the run
-	deadline time.Time       // zero when none
-	budget   int64           // ≤ 0 when unlimited
-	rows     atomic.Int64    // rows consumed, shared across scan workers
+	ctx    context.Context // nil when no context governs the run
+	budget int64           // ≤ 0 when unlimited
+	rows   atomic.Int64    // rows consumed, shared across scan workers
 }
 
 // newRunGuard builds the guard for a run, or nil when nothing needs
 // enforcing. A context that can never be canceled (context.Background())
 // contributes nothing.
-func newRunGuard(ctx context.Context, opts Options) *runGuard {
+func newRunGuard(ctx context.Context, budget int64) *runGuard {
 	hasCtx := ctx != nil && ctx.Done() != nil
-	if !hasCtx && opts.Deadline.IsZero() && opts.RowBudget <= 0 {
+	if !hasCtx && budget <= 0 {
 		return nil
 	}
-	g := &runGuard{deadline: opts.Deadline, budget: opts.RowBudget}
+	g := &runGuard{budget: budget}
 	if hasCtx {
 		g.ctx = ctx
 	}
@@ -128,9 +127,6 @@ func (g *runGuard) stop() error {
 	}
 	if g.budget > 0 && g.rows.Load() >= g.budget {
 		return BudgetStopError(g.budget, g.rows.Load())
-	}
-	if !g.deadline.IsZero() && !time.Now().Before(g.deadline) {
-		return CanceledStopError(context.DeadlineExceeded)
 	}
 	return nil
 }

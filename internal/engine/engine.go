@@ -95,14 +95,6 @@ type Options struct {
 	// work to the run. OnProgress does not affect the result and is
 	// excluded from Options.Fingerprint.
 	OnProgress func(Progress)
-	// Deadline, when non-zero, is an absolute best-effort stop time for
-	// callers not using a context: past it the run unwinds and returns a
-	// partial Result with ErrCanceled (wrapping
-	// context.DeadlineExceeded). Deadline-bearing runs are wall-clock
-	// dependent, so Deadline is excluded from Options.Fingerprint and
-	// their results must not be cached by fingerprint (the serving layer
-	// never caches partial results and applies timeouts via contexts).
-	Deadline time.Time
 	// RowBudget, when > 0, caps the tuples a run may read across all
 	// stages and workers; exhausting it returns a partial Result with
 	// ErrBudgetExhausted. The cap is enforced at block granularity, so a
@@ -196,9 +188,9 @@ type Match struct {
 // zero-copy mmap snapshot, or future backends (sharded, remote). It
 // caches bitmap indexes per column behind singleflight guards, so one
 // shared Engine is safe for concurrent use: any number of goroutines may
-// Prepare, Run, and ResolveTarget simultaneously (per-run scan state
-// lives in the run, not the Engine). Concurrent requests for a missing
-// index block on a single build instead of duplicating it.
+// Prepare and Run simultaneously (per-run scan state lives in the run,
+// not the Engine). Concurrent requests for a missing index block on a
+// single build instead of duplicating it.
 type Engine struct {
 	src     colstore.Reader
 	indexes *buildCache[*bitmap.Index]
@@ -224,21 +216,10 @@ func (e *Engine) Index(column string) (*bitmap.Index, error) {
 	})
 }
 
-// ResolveTarget materializes the target histogram for a query. Candidate
-// targets are resolved with an exact parallel scan restricted (via the
-// bitmap index) to the blocks containing the candidate.
-func (e *Engine) ResolveTarget(q Query, t Target) (*histogram.Histogram, error) {
-	p, err := e.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.ResolveTarget(t, 0)
-}
-
 // Run plans the query and answers it with the configured executor. The
 // target is resolved before timing starts, matching the paper's
 // measurement of query execution only. Repeated runs of the same query
-// shape should Prepare once and call Plan.Run instead.
+// shape should Prepare once and call Plan.RunContext instead.
 func (e *Engine) Run(q Query, t Target, opts Options) (*Result, error) {
 	return e.RunContext(context.Background(), q, t, opts)
 }
@@ -253,32 +234,19 @@ func (e *Engine) RunContext(ctx context.Context, q Query, t Target, opts Options
 	return p.RunContext(ctx, t, opts)
 }
 
-// RunWithTarget answers the query against a pre-resolved target histogram.
-func (e *Engine) RunWithTarget(q Query, target *histogram.Histogram, opts Options) (*Result, error) {
-	p, err := e.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunWithTarget(target, opts)
-}
-
-// Run resolves the target under the plan and answers it with the
-// configured executor. Options are validated first (see Options.Validate),
-// so a malformed request fails with an *InvalidOptionsError before any
-// target resolution or sampling work starts.
-func (p *Plan) Run(t Target, opts Options) (*Result, error) {
-	return p.RunContext(context.Background(), t, opts)
-}
-
-// RunContext is Run governed by a context. Every executor checks the
-// context (and Options.Deadline / Options.RowBudget) at block-batch
-// granularity and unwinds cleanly when it fires: lookahead goroutines
-// are joined, shared caches stay consistent, and the engine returns a
-// best-effort partial Result (Partial set, ranked by the estimates at
-// the stop point) together with a typed error — ErrCanceled for
-// context/deadline stops, ErrBudgetExhausted for the row budget. A stop
-// during target resolution or before any sampling returns a nil Result
-// with the error. Interim state streams through Options.OnProgress.
+// RunContext resolves the target under the plan and answers it with the
+// configured executor, governed by a context. Options are validated
+// first (see Options.Validate), so a malformed request fails with an
+// *InvalidOptionsError before any target resolution or sampling work
+// starts. Every executor checks the context (its cancellation and
+// deadline) and Options.RowBudget at block-batch granularity and
+// unwinds cleanly when it fires: lookahead goroutines are joined, shared
+// caches stay consistent, and the engine returns a best-effort partial
+// Result (Partial set, ranked by the estimates at the stop point)
+// together with a typed error — ErrCanceled for context stops,
+// ErrBudgetExhausted for the row budget. A stop during target
+// resolution or before any sampling returns a nil Result with the
+// error. Interim state streams through Options.OnProgress.
 //
 // Planning and bitmap-index construction are not canceled mid-build:
 // they are shared across runs under singleflight guards, so a canceled
@@ -287,7 +255,7 @@ func (p *Plan) RunContext(ctx context.Context, t Target, opts Options) (*Result,
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	guard := newRunGuard(ctx, opts)
+	guard := newRunGuard(ctx, opts.RowBudget)
 	if err := guard.stop(); err != nil {
 		return nil, err
 	}
@@ -313,7 +281,7 @@ func (p *Plan) RunWithTarget(target *histogram.Histogram, opts Options) (*Result
 // RunWithTargetContext is RunWithTarget governed by a context, with the
 // same cancellation contract as Plan.RunContext.
 func (p *Plan) RunWithTargetContext(ctx context.Context, target *histogram.Histogram, opts Options) (*Result, error) {
-	return p.runWithTarget(target, opts, newRunGuard(ctx, opts))
+	return p.runWithTarget(target, opts, newRunGuard(ctx, opts.RowBudget))
 }
 
 // runWithTarget executes the plan under an optional run guard.
@@ -408,7 +376,7 @@ func runObserver(began time.Time, opts Options, stats func() IOStats, labelOf fu
 				sp.SetAttr("slack", q.Slack)
 				sp.SetAttr("churn", q.Churn)
 			}
-			sp.SetIO(traceIO(ioDelta(cur, phaseIO)))
+			sp.SetIO(trace.IO(ioDelta(cur, phaseIO)))
 			sp.EndAt(now)
 			phaseStart, phaseIO = now, cur
 		}
@@ -449,7 +417,7 @@ func runObserver(began time.Time, opts Options, stats func() IOStats, labelOf fu
 		closer = func() {
 			if resid := ioDelta(stats(), phaseIO); resid != (IOStats{}) {
 				sp := runSpan.ChildAt("tail", phaseStart)
-				sp.SetIO(traceIO(resid))
+				sp.SetIO(trace.IO(resid))
 				sp.End()
 			}
 		}
@@ -492,19 +460,6 @@ func ioDelta(cur, prev IOStats) IOStats {
 		TuplesRead:    cur.TuplesRead - prev.TuplesRead,
 		KernelBlocks:  cur.KernelBlocks - prev.KernelBlocks,
 		Wraps:         cur.Wraps - prev.Wraps,
-	}
-}
-
-// traceIO converts engine I/O counters to the trace package's
-// import-cycle-free mirror struct.
-func traceIO(io IOStats) trace.IO {
-	return trace.IO{
-		BlocksRead:    io.BlocksRead,
-		BlocksSkipped: io.BlocksSkipped,
-		BlocksPruned:  io.BlocksPruned,
-		TuplesRead:    io.TuplesRead,
-		KernelBlocks:  io.KernelBlocks,
-		Wraps:         io.Wraps,
 	}
 }
 

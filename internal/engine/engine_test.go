@@ -120,11 +120,15 @@ func TestApproximateExecutorsMatchScan(t *testing.T) {
 // exactDistanceOf computes the exact distance of one candidate.
 func exactDistanceOf(t *testing.T, e *Engine, q Query, label string, params core.Params) float64 {
 	t.Helper()
-	h, err := e.ResolveTarget(q, Target{Candidate: label})
+	plan, err := e.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := e.ResolveTarget(q, Target{Uniform: true})
+	h, err := plan.ResolveTarget(Target{Candidate: label}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := plan.ResolveTarget(Target{Uniform: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,12 @@ func TestEpsilonReconstructThroughEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each returned histogram must be within ε₂ of its exact counterpart.
+	plan, err := e.Prepare(baseQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range res.TopK {
-		exact, err := e.ResolveTarget(baseQuery(), Target{Candidate: m.Label})
+		exact, err := plan.ResolveTarget(Target{Candidate: m.Label}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,12 +82,16 @@ func TestL2MetricThroughEngine(t *testing.T) {
 	}
 	// Separation check under L2.
 	boundary := truth.TopK[len(truth.TopK)-1].Distance
+	plan, err := e.Prepare(baseQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range res.TopK {
-		exact, err := e.ResolveTarget(baseQuery(), Target{Candidate: m.Label})
+		exact, err := plan.ResolveTarget(Target{Candidate: m.Label}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		target, _ := e.ResolveTarget(baseQuery(), Target{Uniform: true})
+		target, _ := plan.ResolveTarget(Target{Uniform: true}, 0)
 		if d := histogram.L2(exact, target); d-boundary >= params.Epsilon {
 			t.Errorf("L2 separation violated for %q: %g vs boundary %g", m.Label, d, boundary)
 		}
@@ -94,8 +102,8 @@ func TestContinuousZViaBinnedDictionary(t *testing.T) {
 	// Appendix A.1.6: continuous candidate attributes are binned at a
 	// finest granularity which then induces coarser candidate sets. The
 	// engine sees the binned column like any categorical column; this test
-	// verifies the binner-coarsening contract end to end by building both
-	// granularities and comparing candidate block sets.
+	// checks that a coarse candidate's block set is the union of its fine
+	// candidates' sets.
 	tbl := testDataset(t, 10_000, 12, 6, 43)
 	e := New(tbl)
 	idx, err := e.Index("Z")
@@ -116,9 +124,8 @@ func TestContinuousZViaBinnedDictionary(t *testing.T) {
 	if err := union.Or(fine1); err != nil {
 		t.Fatal(err)
 	}
-	marked := idx.MarkedUnion([]uint32{0, 1})
 	for b := 0; b < idx.NumBlocks(); b++ {
-		if union.Get(b) != marked.Get(b) {
+		if union.Get(b) != idx.BlockAnyActive([]uint32{0, 1}, b) {
 			t.Fatalf("coarse candidate block set mismatch at block %d", b)
 		}
 	}

@@ -105,9 +105,8 @@ func (t Target) Fingerprint() string {
 // given Seed (which fixes the start block when StartBlock is negative).
 // Workers is written only for ParallelScan, the one executor whose run it
 // partitions: Scan and the sampling executors ignore it, so requests that
-// differ only in Workers share one key there. OnProgress, Trace, and Quality (no
-// effect on the result; purely observational) and Deadline (wall-clock dependent;
-// Deadline-bearing runs must not be cached by fingerprint) are
+// differ only in Workers share one key there. OnProgress, Trace, and
+// Quality (no effect on the result; purely observational) are
 // deliberately excluded — which is also why serving layers must bypass
 // their result-cache read for traced requests: the fingerprint of a
 // traced and an untraced request is identical by design.

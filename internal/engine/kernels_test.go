@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -204,7 +205,7 @@ func TestExplainKernelEligibilityMatchesRuns(t *testing.T) {
 			for _, noKern := range []bool{false, true} {
 				opts := equivOptions(exec, eng.Source().NumBlocks())
 				opts.DisableScanKernels = noKern
-				res, err := p.Run(Target{Uniform: true}, opts)
+				res, err := p.RunContext(context.Background(), Target{Uniform: true}, opts)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, exec, err)
 				}

@@ -130,8 +130,11 @@ func TestMeasureBiasedViewHistogramEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(view)
-	h, err := e.ResolveTarget(Query{Z: "Z", X: []string{"X"}}, Target{Candidate: "z1"})
+	plan, err := New(view).Prepare(Query{Z: "Z", X: []string{"X"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := plan.ResolveTarget(Target{Candidate: "z1"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

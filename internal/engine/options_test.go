@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -67,8 +68,8 @@ func TestRunRejectsInvalidOptionsBeforeSampling(t *testing.T) {
 	opts := validOptions()
 	opts.Params.Epsilon = -1
 	var ioe *InvalidOptionsError
-	if _, err := p.Run(Target{Uniform: true}, opts); !errors.As(err, &ioe) {
-		t.Fatalf("Plan.Run: want *InvalidOptionsError, got %v", err)
+	if _, err := p.RunContext(context.Background(), Target{Uniform: true}, opts); !errors.As(err, &ioe) {
+		t.Fatalf("Plan.RunContext: want *InvalidOptionsError, got %v", err)
 	}
 	if _, err := eng.Run(baseQuery(), Target{Uniform: true}, opts); !errors.As(err, &ioe) {
 		t.Fatalf("Engine.Run: want *InvalidOptionsError, got %v", err)
@@ -77,7 +78,7 @@ func TestRunRejectsInvalidOptionsBeforeSampling(t *testing.T) {
 	opts = validOptions()
 	opts.Executor = Scan
 	opts.Params.K = 0
-	if _, err := p.Run(Target{Uniform: true}, opts); !errors.As(err, &ioe) {
+	if _, err := p.RunContext(context.Background(), Target{Uniform: true}, opts); !errors.As(err, &ioe) {
 		t.Fatalf("Scan path: want *InvalidOptionsError, got %v", err)
 	}
 }

@@ -57,9 +57,9 @@ func (p *Plan) blockRows(b int) int64 {
 	return int64(hi - lo)
 }
 
-// Prepare resolves a query into a reusable Plan. Run, RunWithTarget, and
-// ResolveTarget are one-shot wrappers around Prepare; prepare explicitly to
-// amortize planning across repeated runs.
+// Prepare resolves a query into a reusable Plan. Engine.Run and
+// Engine.RunContext are one-shot wrappers around Prepare; prepare
+// explicitly to amortize planning across repeated runs.
 func (e *Engine) Prepare(q Query) (*Plan, error) { return e.PrepareTraced(q, nil) }
 
 // PrepareTraced is Prepare recording the planning phases — group and
@@ -230,17 +230,11 @@ func (e *Engine) Groups(q Query) (int, error) {
 	return grp.groups(), nil
 }
 
-// Query returns the query this plan resolves.
-func (p *Plan) Query() Query { return p.query }
-
 // Groups returns the number of histogram groups the plan produces.
 func (p *Plan) Groups() int { return p.grp.groups() }
 
 // NumCandidates returns the number of candidates in the plan's domain.
 func (p *Plan) NumCandidates() int { return p.cand.numCandidates() }
-
-// GroupLabels names the histogram groups, aligned with Histogram indices.
-func (p *Plan) GroupLabels() []string { return groupLabels(p.grp) }
 
 // ResolveTarget materializes the target histogram under this plan.
 // Candidate targets are resolved with an exact parallel scan restricted

@@ -120,8 +120,9 @@ func TestQualityTruncatedRunFlagged(t *testing.T) {
 	tbl := skipTestTable(t)
 	eng := New(tbl)
 	cases := map[string]struct {
-		query func(*testing.T) Query
-		tweak func(*Query, *Options)
+		query    func(*testing.T) Query
+		tweak    func(*Query, *Options)
+		deadline time.Duration // the run's context deadline, from its start
 	}{
 		"row-budget": {
 			query: func(t *testing.T) Query { return skipQueries(t, eng)["pred-cands"] },
@@ -138,9 +139,9 @@ func TestQualityTruncatedRunFlagged(t *testing.T) {
 			tweak: func(q *Query, o *Options) {
 				q.Filter = func(int) bool { time.Sleep(100 * time.Microsecond); return true }
 				o.Params.Stage1Samples = 256
-				o.Deadline = time.Now().Add(5 * time.Millisecond)
 				o.Workers = 1
 			},
+			deadline: 5 * time.Millisecond,
 		},
 	}
 	for name, tc := range cases {
@@ -150,7 +151,13 @@ func TestQualityTruncatedRunFlagged(t *testing.T) {
 			opts := equivOptions(FastMatch, tbl.NumBlocks())
 			opts.Quality = true
 			tweak(&q, &opts)
-			res, err := eng.Run(q, Target{Uniform: true}, opts)
+			ctx := context.Background()
+			if tc.deadline > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithDeadline(ctx, time.Now().Add(tc.deadline))
+				defer cancel()
+			}
+			res, err := eng.RunContext(ctx, q, Target{Uniform: true}, opts)
 			if err == nil || res == nil {
 				t.Fatalf("res=%v err=%v, want partial result + error", res, err)
 			}

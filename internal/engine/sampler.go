@@ -69,7 +69,9 @@ func ParseExecutor(s string) (Executor, error) {
 		Reason: fmt.Sprintf("unknown executor %q (want auto, scan, parallelscan, scanmatch, syncmatch or fastmatch)", s)}
 }
 
-// IOStats counts the I/O work a run performed.
+// IOStats counts the I/O work a run performed. Traces record it as
+// trace.IO(io), a conversion that compiles only while trace.IO has the
+// same fields in the same order.
 type IOStats struct {
 	// BlocksRead / BlocksSkipped count block-selection decisions:
 	// AnyActive skips and zone-map prunes both land in BlocksSkipped.

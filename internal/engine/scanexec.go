@@ -185,7 +185,7 @@ func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, I
 		if s.span != nil && part.times != nil {
 			sp := s.span.ChildAt(fmt.Sprintf("worker%d", w), part.times.began)
 			sp.SetAttr("blocks", [2]int{ranges[w][0], ranges[w][1]})
-			sp.SetIO(traceIO(part.io))
+			sp.SetIO(trace.IO(part.io))
 			sp.EndAt(part.times.ended)
 		}
 		for i, h := range part.hists {

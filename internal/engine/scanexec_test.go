@@ -218,7 +218,7 @@ func TestPlanReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := e.RunWithTarget(baseQuery(), target, opts)
+		fresh, err := e.Run(baseQuery(), Target{Uniform: true}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

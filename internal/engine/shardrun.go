@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"fastmatch/internal/core"
 	"fastmatch/internal/histogram"
@@ -82,9 +81,8 @@ type ShardSegment struct {
 
 	// Residual termination state: RowBudget ≤ 0 means unlimited (the
 	// coordinator never forwards an exhausted budget — it synthesizes the
-	// stop itself), Deadline zero means none.
-	RowBudget int64     `json:"row_budget,omitempty"`
-	Deadline  time.Time `json:"deadline,omitempty"`
+	// stop itself). The segment's deadline is its request context's.
+	RowBudget int64 `json:"row_budget,omitempty"`
 
 	// TargetCandidate is the candidate id to resolve (SegTarget).
 	TargetCandidate int `json:"target_candidate,omitempty"`
@@ -117,11 +115,12 @@ func (r *ShardSegmentResult) StopError(budget, read int64) error {
 		return nil
 	case SegStopBudget:
 		return BudgetStopError(budget, read)
-	case SegStopDeadline:
-		return CanceledStopError(context.DeadlineExceeded)
-	default:
-		return CanceledStopError(context.Canceled)
 	}
+	cause := context.Canceled
+	if r.Stopped == SegStopDeadline {
+		cause = context.DeadlineExceeded
+	}
+	return CanceledStopError(cause)
 }
 
 // RunShardSegment executes one shard segment against this plan. It is
@@ -138,15 +137,9 @@ func (p *Plan) RunShardSegment(ctx context.Context, req *ShardSegment) (*ShardSe
 	}
 }
 
-// segGuard builds the run guard for a segment's residual termination
-// state.
-func segGuard(ctx context.Context, req *ShardSegment) *runGuard {
-	return newRunGuard(ctx, Options{Deadline: req.Deadline, RowBudget: req.RowBudget})
-}
-
 func (p *Plan) runScanSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
 	ex := p.newScanExec(req.Workers)
-	ex.guard = segGuard(ctx, req)
+	ex.guard = newRunGuard(ctx, req.RowBudget)
 	ex.skip = p.skipAll
 	ex.kernels = true
 	hists, io, rows, stopErr := ex.run(nil, -1)
@@ -162,7 +155,7 @@ func (p *Plan) runTargetSegment(ctx context.Context, req *ShardSegment) (*ShardS
 	if id < 0 || id >= p.cand.numCandidates() {
 		return nil, fmt.Errorf("engine: segment target candidate %d out of range", id)
 	}
-	h, rows, stopErr := p.scanCandidate(id, req.Workers, segGuard(ctx, req))
+	h, rows, stopErr := p.scanCandidate(id, req.Workers, newRunGuard(ctx, req.RowBudget))
 	batch := p.newBatch()
 	batch.Drawn, batch.Counts[id], batch.Hists[id] = rows, int64(h.Total()), h
 	return &ShardSegmentResult{

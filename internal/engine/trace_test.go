@@ -43,7 +43,7 @@ func TestTraceByteIdenticalAndIOSums(t *testing.T) {
 						t.Fatalf("traced run diverges from untraced:\n%s\nvs\n%s", got, want)
 					}
 					snap := tr.Snapshot()
-					if got, want := snap.SumIO(), traceIO(traced.IO); got != want {
+					if got, want := snap.SumIO(), trace.IO(traced.IO); got != want {
 						t.Fatalf("span IO sum %+v != result IO %+v", got, want)
 					}
 				})
@@ -189,7 +189,7 @@ func TestTraceInterruptedRunStillSums(t *testing.T) {
 		t.Fatal("MaxBlocks run was not partial; raise the table size or lower the budget")
 	}
 	tr.End()
-	if got, want := tr.Snapshot().SumIO(), traceIO(res.IO); got != want {
+	if got, want := tr.Snapshot().SumIO(), trace.IO(res.IO); got != want {
 		t.Fatalf("interrupted span IO sum %+v != result IO %+v", got, want)
 	}
 }

@@ -22,16 +22,6 @@ func smallWorkspace(t testing.TB) *Workspace {
 	return w
 }
 
-func TestQueryByID(t *testing.T) {
-	q, err := QueryByID("flights-q1")
-	if err != nil || q.Z != "Origin" || q.X != "DepartureHour" || q.K != 10 {
-		t.Fatalf("flights-q1 lookup wrong: %+v err=%v", q, err)
-	}
-	if _, err := QueryByID("nope"); err == nil {
-		t.Fatal("unknown query accepted")
-	}
-}
-
 func TestQueriesMatchTable3(t *testing.T) {
 	if len(Queries) != 9 {
 		t.Fatalf("query suite has %d entries, Table 3 has 9", len(Queries))

@@ -5,11 +5,7 @@
 // guarantee-violation count, and the σ=0 pathology.
 package expt
 
-import (
-	"fmt"
-
-	"fastmatch/internal/histogram"
-)
+import "fastmatch/internal/histogram"
 
 // TargetKind selects how a query's visual target is chosen, mirroring
 // Table 3.
@@ -61,16 +57,6 @@ var Queries = []QuerySpec{
 	{ID: "police-q1", Dataset: "police", Z: "RoadID", X: "ContrabandFound", K: 10, Target: TargetNearUniform},
 	{ID: "police-q2", Dataset: "police", Z: "RoadID", X: "OfficerRace", K: 10, Target: TargetNearUniform},
 	{ID: "police-q3", Dataset: "police", Z: "Violation", X: "DriverGender", K: 5, Target: TargetNearUniform},
-}
-
-// QueryByID looks up a QuerySpec.
-func QueryByID(id string) (QuerySpec, error) {
-	for _, q := range Queries {
-		if q.ID == id {
-			return q, nil
-		}
-	}
-	return QuerySpec{}, fmt.Errorf("expt: unknown query %q", id)
 }
 
 // uniformTarget builds the uniform histogram over n groups.

@@ -380,15 +380,3 @@ func (w *Workspace) ExactTopK(queryID string, metric histogram.Metric, sigma flo
 	}
 	return histogram.TopK(dist, keep, st.spec.K), dist, nil
 }
-
-// Label renders a candidate id as its attribute value.
-func (w *Workspace) Label(queryID string, id int) (string, error) {
-	st, err := w.state(queryID)
-	if err != nil {
-		return "", err
-	}
-	if id < 0 || id >= len(st.zLabels) {
-		return "", fmt.Errorf("expt: candidate %d out of range", id)
-	}
-	return st.zLabels[id], nil
-}

@@ -43,18 +43,6 @@ func FromCounts(counts []float64) *Histogram {
 	return h
 }
 
-// FromInts builds a histogram from integer counts.
-func FromInts(counts []int64) *Histogram {
-	h := New(len(counts))
-	for i, c := range counts {
-		if c > 0 {
-			h.counts[i] = float64(c)
-			h.total += float64(c)
-		}
-	}
-	return h
-}
-
 // Groups returns the number of groups (|V_X| in the paper's notation).
 func (h *Histogram) Groups() int { return len(h.counts) }
 
@@ -87,18 +75,6 @@ func (h *Histogram) Add(j int) {
 func (h *Histogram) AddN(j int, n float64) {
 	h.counts[j] += n
 	h.total += n
-}
-
-// AddWeighted increments group j by w (used for measure-biased SUM
-// estimation; see Appendix A.1.1). Negative or non-finite weights are
-// rejected.
-func (h *Histogram) AddWeighted(j int, w float64) error {
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("histogram: invalid weight %v", w)
-	}
-	h.counts[j] += w
-	h.total += w
-	return nil
 }
 
 // AddHistogram accumulates other into h. Both must have the same number of
@@ -215,49 +191,6 @@ func L2(a, b *Histogram) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// TV returns the total variation distance between the normalized forms,
-// which equals L1/2 for discrete distributions (Section 2.1 of the paper
-// cites this correspondence as a motivation for the L1 choice).
-func TV(a, b *Histogram) float64 { return L1(a, b) / 2 }
-
-// KL returns the Kullback-Leibler divergence KL(ā ‖ b̄). It is +Inf whenever
-// b places zero mass where a places nonzero mass — the drawback the paper
-// notes when rejecting KL as the matching metric.
-func KL(a, b *Histogram) float64 {
-	mustMatch(a, b)
-	pa, pb := a.Normalized(), b.Normalized()
-	var sum float64
-	for i := range pa {
-		if pa[i] == 0 {
-			continue
-		}
-		if pb[i] == 0 {
-			return math.Inf(1)
-		}
-		sum += pa[i] * math.Log(pa[i]/pb[i])
-	}
-	return sum
-}
-
-// ChiSquare returns the chi-square divergence Σ (ā−b̄)²/b̄ with the
-// convention 0/0 = 0. Provided for completeness in the metric suite.
-func ChiSquare(a, b *Histogram) float64 {
-	mustMatch(a, b)
-	pa, pb := a.Normalized(), b.Normalized()
-	var sum float64
-	for i := range pa {
-		d := pa[i] - pb[i]
-		if d == 0 {
-			continue
-		}
-		if pb[i] == 0 {
-			return math.Inf(1)
-		}
-		sum += d * d / pb[i]
-	}
-	return sum
 }
 
 func mustMatch(a, b *Histogram) {

@@ -50,28 +50,6 @@ func TestFromCountsSanitizes(t *testing.T) {
 	}
 }
 
-func TestFromInts(t *testing.T) {
-	h := FromInts([]int64{4, 0, 6})
-	if h.Total() != 10 || h.Count(2) != 6 {
-		t.Fatalf("unexpected %v total %g", h.Counts(), h.Total())
-	}
-}
-
-func TestAddWeighted(t *testing.T) {
-	h := New(2)
-	if err := h.AddWeighted(1, 2.5); err != nil {
-		t.Fatal(err)
-	}
-	if h.Count(1) != 2.5 || h.Total() != 2.5 {
-		t.Fatalf("weighted add failed: %v", h.Counts())
-	}
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if err := h.AddWeighted(0, bad); err == nil {
-			t.Errorf("AddWeighted(%v) accepted invalid weight", bad)
-		}
-	}
-}
-
 func TestAddHistogram(t *testing.T) {
 	a := FromCounts([]float64{1, 2})
 	b := FromCounts([]float64{3, 4})
@@ -208,17 +186,6 @@ func TestNormEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// Property: TV = L1 / 2 exactly.
-func TestTVHalfL1Property(t *testing.T) {
-	f := func(xs, ys [5]uint16) bool {
-		a, b := fromArray5(xs), fromArray5(ys)
-		return almostEqual(TV(a, b), L1(a, b)/2, 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func fromArray(xs [8]uint16) *Histogram {
 	counts := make([]float64, 8)
 	for i, v := range xs {
@@ -241,42 +208,6 @@ func fromArray5(xs [5]uint16) *Histogram {
 		counts[i] = float64(v)
 	}
 	return FromCounts(counts)
-}
-
-func TestKLInfOnDisjointSupport(t *testing.T) {
-	a := FromCounts([]float64{1, 0})
-	b := FromCounts([]float64{0, 1})
-	if !math.IsInf(KL(a, b), 1) {
-		t.Fatal("KL on disjoint support should be +Inf")
-	}
-	if KL(a, a) != 0 {
-		t.Fatal("KL(a,a) should be 0")
-	}
-}
-
-func TestKLKnownValue(t *testing.T) {
-	a := FromCounts([]float64{1, 1})
-	b := FromCounts([]float64{3, 1})
-	// KL(0.5,0.5 || 0.75,0.25) = 0.5 ln(0.5/0.75) + 0.5 ln(0.5/0.25)
-	want := 0.5*math.Log(0.5/0.75) + 0.5*math.Log(2.0)
-	if !almostEqual(KL(a, b), want, 1e-12) {
-		t.Fatalf("KL = %g, want %g", KL(a, b), want)
-	}
-}
-
-func TestChiSquare(t *testing.T) {
-	a := FromCounts([]float64{1, 1})
-	b := FromCounts([]float64{1, 3})
-	// ā=(.5,.5) b̄=(.25,.75): (0.25²)/0.25 + (0.25²)/0.75
-	want := 0.0625/0.25 + 0.0625/0.75
-	if !almostEqual(ChiSquare(a, b), want, 1e-12) {
-		t.Fatalf("ChiSquare = %g, want %g", ChiSquare(a, b), want)
-	}
-	c := FromCounts([]float64{1, 0})
-	d := FromCounts([]float64{0, 1})
-	if !math.IsInf(ChiSquare(c, d), 1) {
-		t.Fatal("ChiSquare with zero denominator should be +Inf")
-	}
 }
 
 func TestDistancePanicsOnMismatch(t *testing.T) {

@@ -127,9 +127,6 @@ func (v *TableView) Storage() colstore.StorageStats {
 	return st
 }
 
-// Segments reports the view's pinned segment count (diagnostics).
-func (v *TableView) Segments() int { return len(v.segs) }
-
 // BlockStats implements colstore.BlockStatsReader by routing each sealed
 // block to its segment reader's exact per-block statistics. Unsealed
 // tail blocks are unknown and never prune.

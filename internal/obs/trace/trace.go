@@ -5,7 +5,7 @@
 //
 // The package is deliberately tiny and dependency-free (it must be
 // importable from internal/engine without cycles, so it defines its own
-// IO counter struct mirroring engine.IOStats field-for-field). All
+// IO counter struct, which the engine converts to). All
 // methods are nil-safe: calling Start/Child/End/SetIO/SetAttr on a nil
 // *Trace or nil *Span is a no-op, so instrumented code paths need no
 // "tracing enabled?" branches — a disabled run passes nil and pays only
@@ -18,10 +18,12 @@ import (
 	"time"
 )
 
-// IO counts the block-level I/O work attributed to one span. It mirrors
-// engine.IOStats (same fields, same snake_case JSON tags); the engine
-// converts at its instrumentation sites so this package stays
-// import-cycle-free.
+// IO counts the block-level I/O work attributed to one span. The engine
+// converts its IOStats with trace.IO(io) at its instrumentation sites,
+// so this package stays import-cycle-free; the conversion compiles only
+// while the two structs have the same field names, types and order
+// (Go ignores struct tags in conversions), so a field added to one but
+// not the other fails the engine's build instead of dropping from traces.
 type IO struct {
 	BlocksRead    int64 `json:"blocks_read,omitempty"`
 	BlocksSkipped int64 `json:"blocks_skipped,omitempty"`

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,6 +33,39 @@ type clusterFixture struct {
 	singleSrv *Server
 	single    *httptest.Server
 	shards    []*httptest.Server
+	// shardReads counts each shard table's block reads (slow fixtures
+	// only).
+	shardReads []*countingReader
+}
+
+// countingReader counts BlockSpan calls, the one call every executor
+// makes per block it reads.
+type countingReader struct {
+	colstore.Reader
+	spans atomic.Int64
+}
+
+func (c *countingReader) BlockSpan(b int) (lo, hi int) {
+	c.spans.Add(1)
+	return c.Reader.BlockSpan(b)
+}
+
+// BlockStats forwards the wrapped reader's statistics, so pruning is
+// unchanged by the count.
+func (c *countingReader) BlockStats() colstore.BlockStats {
+	if br, ok := c.Reader.(colstore.BlockStatsReader); ok {
+		return br.BlockStats()
+	}
+	return nil
+}
+
+// shardBlockReads sums the block reads of every shard table.
+func (fx *clusterFixture) shardBlockReads() int64 {
+	var n int64
+	for _, c := range fx.shardReads {
+		n += c.spans.Load()
+	}
+	return n
 }
 
 // newClusterFixture splits the fixture table into n block-aligned shards,
@@ -46,6 +80,7 @@ func newClusterFixture(t testing.TB, n int, cfg Config) *clusterFixture {
 // blocks at 1ms make a full scan ≥300ms, so tests can reliably interrupt
 // mid-run) and the coordinated and control tables given a per-table
 // query timeout. cfg configures the coordinator and the control alike.
+// Each throttled shard table also counts its block reads (shardReads).
 func newSlowClusterFixture(t testing.TB, n int, cfg Config, perBlock, timeout time.Duration) *clusterFixture {
 	t.Helper()
 	tbl := fixtureTable(t)
@@ -56,8 +91,14 @@ func newSlowClusterFixture(t testing.TB, n int, cfg Config, perBlock, timeout ti
 	fx := &clusterFixture{}
 	refs := make([]cluster.ShardRef, n)
 	for i, part := range parts {
+		src := colstore.NewThrottledReader(part, perBlock)
+		if perBlock > 0 {
+			cr := &countingReader{Reader: src}
+			fx.shardReads = append(fx.shardReads, cr)
+			src = cr
+		}
 		ss := New(Config{})
-		if err := ss.RegisterTable("fixture", colstore.NewThrottledReader(part, perBlock)); err != nil {
+		if err := ss.RegisterTable("fixture", src); err != nil {
 			t.Fatal(err)
 		}
 		ts := newHTTPServer(t, ss)
@@ -305,5 +346,62 @@ func TestInternalPartialGuards(t *testing.T) {
 	seg := &engine.ShardSegment{Kind: engine.SegScan, Executor: engine.ParallelScan}
 	if got := post(fx.shards[0].URL, cluster.PartialRequest{Table: "fixture", Query: rawQ, Op: "segment", Segment: seg}); got != http.StatusOK {
 		t.Errorf("scan segment on a shard: want 200, got %d", got)
+	}
+}
+
+// TestCoordinatedTimeoutStopsShards checks that a coordinated query cut
+// short by its table timeout stops its shards too. Segments carry no
+// deadline, so the coordinator's canceled HTTP calls are the only signal
+// a shard gets: once the partial answer is back, the shards' block reads
+// must stop growing within 100 ms, short of a full scan.
+func TestCoordinatedTimeoutStopsShards(t *testing.T) {
+	fx := newSlowClusterFixture(t, 3, Config{}, time.Millisecond, 80*time.Millisecond)
+	req := baseRequest(35, "scan")
+	// One worker per shard keeps each shard's ~105 throttled blocks
+	// (≥ 105 ms) past the timeout.
+	req.Options.Workers = intp(1)
+	// Prime the shards' plans (their index builds pay the throttle too
+	// and are not canceled), then wait for every read to settle.
+	primeSlow(t, pipelineCell{coordinated: true}, fx.coordTS.URL, req)
+	settled := func() int64 {
+		t.Helper()
+		last := fx.shardBlockReads()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			time.Sleep(100 * time.Millisecond)
+			n := fx.shardBlockReads()
+			if n == last {
+				return n
+			}
+			last = n
+		}
+		t.Fatal("shard block reads never settled")
+		return 0
+	}
+	before := settled()
+
+	req.Options.Seed = i64p(36) // a new result-cache key
+	status, rep := postClusterQuery(t, fx.coordTS.URL, req)
+	if status != http.StatusOK {
+		t.Fatalf("timed-out query status %d, want 200 + partial result", status)
+	}
+	var p ResultPayload
+	if err := json.Unmarshal(rep.Result, &p); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Partial {
+		t.Fatal("timed-out coordinated query not flagged partial")
+	}
+	time.Sleep(100 * time.Millisecond)
+	stopped := fx.shardBlockReads()
+	time.Sleep(200 * time.Millisecond)
+	if after := fx.shardBlockReads(); after != stopped {
+		t.Fatalf("shards kept reading after the answer: %d blocks at +100 ms, %d at +300 ms", stopped-before, after-before)
+	}
+	var blocks int64
+	for _, c := range fx.shardReads {
+		blocks += int64(c.NumBlocks())
+	}
+	if read := stopped - before; read <= 0 || read >= blocks {
+		t.Fatalf("shards read %d of %d blocks for the timed-out query, want a stop mid-scan", read, blocks)
 	}
 }

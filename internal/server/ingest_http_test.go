@@ -37,7 +37,7 @@ func loadIngest(t testing.TB, s *Server, name string) {
 	if err := s.LoadTable(ingestSpec(t, name)); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = s.UnloadTable(name) })
+	t.Cleanup(func() { _ = s.reg.unload(name) })
 }
 
 // appendRows POSTs a JSON batch to the append endpoint.

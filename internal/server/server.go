@@ -32,7 +32,6 @@ import (
 	"fastmatch/internal/cluster"
 	"fastmatch/internal/colstore"
 	"fastmatch/internal/engine"
-	"fastmatch/internal/ingest"
 	"fastmatch/internal/obs/logx"
 )
 
@@ -164,14 +163,6 @@ func (s *Server) RegisterTable(name string, src colstore.Reader) error {
 	return s.reg.register(name, "(in-memory)", src, 0, nil)
 }
 
-// RegisterLiveTable registers an open ingest table; the server serves
-// queries over its rolling views and appends via
-// POST /v1/tables/{name}/rows. The server takes ownership: UnloadTable
-// (or /v1/admin/unload) closes it.
-func (s *Server) RegisterLiveTable(name string, wt *ingest.WritableTable) error {
-	return s.reg.registerLive(name, wt.Dir(), wt, 0, nil)
-}
-
 // RegisterCoordinatedTable registers a coordinated (scatter-gather)
 // table: the server holds no local data and answers queries by fanning
 // out across the named shard daemons and folding their partials with
@@ -197,10 +188,6 @@ func (s *Server) timeoutFor(e *tableEntry) time.Duration {
 		return s.cfg.QueryTimeout
 	}
 }
-
-// UnloadTable removes a table from the registry and closes its storage,
-// failing (errors matching "table busy") while requests are in flight.
-func (s *Server) UnloadTable(name string) error { return s.reg.unload(name) }
 
 // Tables lists the registered tables.
 func (s *Server) Tables() []TableInfo { return s.reg.list() }
