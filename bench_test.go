@@ -8,6 +8,7 @@ package fastmatch_test
 
 import (
 	"os"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -374,14 +375,16 @@ var (
 	kernOnce sync.Once
 	kernSrcs map[string]colstore.Reader
 	kernPred []bitmap.Predicate
+	kernMid  string
 	kernErr  error
 )
 
 // kernelBenchSetup builds the 1M-row table behind every storage backend
-// (generated once, outside the timed region) and picks the three rarest
+// (generated once, outside the timed region), picks the three rarest
 // Origin values as a selective predicate set — rare values appear in few
-// blocks, so the candidate-union complement prunes most of the table.
-func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, []bitmap.Predicate) {
+// blocks, so the candidate-union complement prunes most of the table —
+// and names the median-frequency Origin, a typical candidate target.
+func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, []bitmap.Predicate, string) {
 	b.Helper()
 	kernOnce.Do(func() {
 		ds, err := datagen.Flights(1_000_000, 5, 64)
@@ -464,6 +467,12 @@ func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, []bitmap.Predic
 		for _, code := range col.Codes(0, tbl.NumRows()) {
 			counts[code]++
 		}
+		byCount := make([]int, len(counts))
+		for v := range byCount {
+			byCount[v] = v
+		}
+		sort.Slice(byCount, func(i, j int) bool { return counts[byCount[i]] < counts[byCount[j]] })
+		kernMid = col.Dictionary().Value(uint32(byCount[len(byCount)/2]))
 		rare := make([]uint32, 3)
 		for i := range rare {
 			best := -1
@@ -483,19 +492,21 @@ func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, []bitmap.Predic
 	if kernErr != nil {
 		b.Fatal(kernErr)
 	}
-	return kernSrcs, kernPred
+	return kernSrcs, kernPred, kernMid
 }
 
 // BenchmarkScanKernels measures the exact-scan hot loop per storage
 // backend: the scalar per-row path against the vectorized grouped-count
 // kernels ("grouped-count", where no block is prunable so the kernel is
-// the entire difference), and a selective predicate-candidate query with
-// block skipping toggled ("predicate", where stats prune most blocks).
+// the entire difference), a selective predicate-candidate query with
+// block skipping toggled ("predicate", where stats prune most blocks),
+// and the candidate-target pass for a median-frequency Origin
+// ("candidate-target", Plan.ResolveTarget over that value's blocks).
 // Results are byte-identical across every variant — the equivalence
 // suite proves it — so only wall clock and the reported I/O metrics
 // move.
 func BenchmarkScanKernels(b *testing.B) {
-	srcs, preds := kernelBenchSetup(b)
+	srcs, preds, mid := kernelBenchSetup(b)
 	run := func(b *testing.B, eng *engine.Engine, q engine.Query, noSkip, noKern bool) {
 		b.Helper()
 		p, err := eng.Prepare(q)
@@ -546,6 +557,18 @@ func BenchmarkScanKernels(b *testing.B) {
 				run(b, eng, pred, v.noSkip, v.noKern)
 			})
 		}
+		b.Run(backend+"/candidate-target", func(b *testing.B) {
+			p, err := eng.Prepare(grouped)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.ResolveTarget(engine.Target{Candidate: mid}, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

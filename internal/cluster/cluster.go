@@ -164,6 +164,10 @@ func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runSta
 			continue
 		}
 		m := sr.meta
+		if len(m.Labels) != m.Candidates || len(m.GroupLabels) != m.Groups {
+			return nil, fmt.Errorf("cluster: shard %q: meta names %d of %d candidates and %d of %d groups",
+				sr.shard.Name(), len(m.Labels), m.Candidates, len(m.GroupLabels), m.Groups)
+		}
 		if ref == nil {
 			ref = m
 		} else if err := metaMatch(ref, m); err != nil {
@@ -184,7 +188,8 @@ func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runSta
 // metaMatch validates that two shards expose the same plan domain: the
 // merge algebra is only sound over identical candidate and group spaces
 // (dictionary-driven IDs — datagen -shards shares full dictionaries so
-// this holds by construction).
+// this holds by construction). connect has checked that each meta names
+// every candidate and group it counts.
 func metaMatch(a, b *engine.ShardMeta) error {
 	switch {
 	case a.BlockSize != b.BlockSize:
@@ -237,6 +242,25 @@ func (st *runState) residualBudget() int64 {
 		return 0
 	}
 	return st.budget - st.charged
+}
+
+// decodePartial decodes a segment's partial and checks it against the
+// run's domain before any fold reads it: a partial over other candidates
+// or groups than the metas agreed on is a failed segment.
+func (st *runState) decodePartial(res *engine.ShardSegmentResult) (*core.Batch, error) {
+	part, err := core.DecodeBatch(res.Batch)
+	if err != nil {
+		return nil, err
+	}
+	if len(part.Counts) != st.nCand || len(part.Hists) != st.nCand {
+		return nil, fmt.Errorf("cluster: partial covers %d candidates, want %d", len(part.Hists), st.nCand)
+	}
+	for i, h := range part.Hists {
+		if h != nil && h.Groups() != st.groups {
+			return nil, fmt.Errorf("cluster: partial candidate %d has %d groups, want %d", i, h.Groups(), st.groups)
+		}
+	}
+	return part, nil
 }
 
 // segmentFailed classifies a failed segment call. Once the run's own
@@ -306,7 +330,7 @@ func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histog
 	err := st.each(ctx, mkReq, func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
 		var part *core.Batch
 		if err == nil {
-			part, err = core.DecodeBatch(res.Batch)
+			part, err = st.decodePartial(res)
 		}
 		if err != nil {
 			return fmt.Errorf("cluster: target resolution on shard %q: %w", sr.shard.Name(), err)
@@ -351,20 +375,13 @@ func (st *runState) finish(res *engine.Result) *Result {
 	return out
 }
 
-// fanoutWindow bounds the coordinator's concurrent fan-out: shard
-// responses stream through a channel of this capacity, so at most this
-// many undecoded partials are ever buffered regardless of shard count.
-const fanoutWindow = 4
-
 // each sends one segment to every live shard and hands each response to
 // fold on the calling goroutine, in shard order, returning the first
 // error the stop check or fold reports. Un-budgeted runs fan out
-// concurrently, their responses streaming through a channel of
-// fanoutWindow capacity — memory stays bounded by the window, not by
-// shard count — which is sound because folds are integer-sum merges.
-// Budgeted runs chain the shards sequentially with the residual budget
-// instead: their stops are charged in row order, so concurrent shards
-// would race the stop point.
+// concurrently and fold once every response is in, which is sound
+// because folds are integer-sum merges. Budgeted runs chain the shards
+// sequentially with the residual budget instead: their stops are charged
+// in row order, so concurrent shards would race the stop point.
 func (st *runState) each(ctx context.Context, mkReq func() *engine.ShardSegment,
 	fold func(*shardRun, *engine.ShardSegmentResult, error) error) error {
 	if st.budget > 0 {
@@ -395,7 +412,7 @@ func (st *runState) each(ctx context.Context, mkReq func() *engine.ShardSegment,
 			live = append(live, sr)
 		}
 	}
-	ch := make(chan response, fanoutWindow)
+	ch := make(chan response, len(live))
 	for _, sr := range live {
 		go func(sr *shardRun) {
 			res, err := sr.shard.Segment(ctx, mkReq())
@@ -426,14 +443,7 @@ func shardSpan(runSpan *trace.Span, sr *shardRun, res *engine.ShardSegmentResult
 	sp := runSpan.Child("shard:" + sr.shard.Name())
 	sp.SetAttr("kind", string(engine.SegScan))
 	if res != nil {
-		sp.SetIO(trace.IO{
-			BlocksRead:    res.IO.BlocksRead,
-			BlocksSkipped: res.IO.BlocksSkipped,
-			BlocksPruned:  res.IO.BlocksPruned,
-			TuplesRead:    res.IO.TuplesRead,
-			KernelBlocks:  res.IO.KernelBlocks,
-			Wraps:         res.IO.Wraps,
-		})
+		sp.SetIO(trace.IO(res.IO))
 	} else {
 		sp.SetAttr("error", sr.errMsg)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -370,5 +371,99 @@ func TestCoordinatedDeadAtConnect(t *testing.T) {
 	}
 	if _, err := New(shards...).Run(context.Background(), engine.Target{Uniform: true}, clusterOptions(engine.ScanMatch)); err == nil {
 		t.Fatal("all shards unreachable must be an error")
+	}
+}
+
+// lyingShard answers like its inner shard, except that meta and segment
+// results pass through the edits first: the fake for a shard whose
+// answers disagree with the domain it promised.
+type lyingShard struct {
+	Shard
+	meta    func(*engine.ShardMeta)
+	partial func(kind engine.SegmentKind, b *core.Batch) *core.Batch
+}
+
+func (l *lyingShard) Meta(ctx context.Context) (*engine.ShardMeta, error) {
+	m, err := l.Shard.Meta(ctx)
+	if err == nil && l.meta != nil {
+		l.meta(m)
+	}
+	return m, err
+}
+
+func (l *lyingShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*engine.ShardSegmentResult, error) {
+	res, err := l.Shard.Segment(ctx, seg)
+	if err != nil || l.partial == nil {
+		return res, err
+	}
+	b, err := core.DecodeBatch(res.Batch)
+	if err != nil {
+		return nil, err
+	}
+	res.Batch = core.EncodeBatch(l.partial(seg.Kind, b))
+	return res, nil
+}
+
+// TestCoordinatorRejectsShortMeta: a shard whose meta names one
+// candidate fewer than it counts is refused at connect with an error.
+func TestCoordinatorRejectsShortMeta(t *testing.T) {
+	_, parts := clusterDataset(t, 40_000, 2)
+	shards := shardSet(t, parts)
+	shards[1] = &lyingShard{Shard: shards[1], meta: func(m *engine.ShardMeta) {
+		m.Labels = m.Labels[:len(m.Labels)-1]
+	}}
+	_, err := New(shards...).Run(context.Background(), engine.Target{Uniform: true}, clusterOptions(engine.ParallelScan))
+	if err == nil || !strings.Contains(err.Error(), `shard "s1"`) {
+		t.Fatalf("err = %v, want a connect error naming s1", err)
+	}
+}
+
+// TestCoordinatorRejectsNarrowTargetPartial: a target partial that
+// covers one candidate instead of the whole domain fails the target
+// resolution with an error.
+func TestCoordinatorRejectsNarrowTargetPartial(t *testing.T) {
+	_, parts := clusterDataset(t, 40_000, 2)
+	shards := shardSet(t, parts)
+	shards[1] = &lyingShard{Shard: shards[1], partial: func(kind engine.SegmentKind, b *core.Batch) *core.Batch {
+		if kind != engine.SegTarget {
+			return b
+		}
+		last := len(b.Hists) - 1
+		return &core.Batch{Drawn: b.Drawn, Counts: b.Counts[last:], Hists: b.Hists[last:]}
+	}}
+	meta, err := shards[0].Meta(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := engine.Target{Candidate: meta.Labels[len(meta.Labels)-1]}
+	_, err = New(shards...).Run(context.Background(), target, clusterOptions(engine.ParallelScan))
+	if err == nil || !strings.Contains(err.Error(), `target resolution on shard "s1"`) {
+		t.Fatalf("err = %v, want a target resolution error naming s1", err)
+	}
+}
+
+// TestCoordinatorDegradesOnNarrowScanPartial: a scan partial whose
+// histograms are one group short is a failed segment: its shard is
+// named missing and the answer is an honest partial.
+func TestCoordinatorDegradesOnNarrowScanPartial(t *testing.T) {
+	_, parts := clusterDataset(t, 40_000, 3)
+	shards := shardSet(t, parts)
+	shards[1] = &lyingShard{Shard: shards[1], partial: func(kind engine.SegmentKind, b *core.Batch) *core.Batch {
+		for i, h := range b.Hists {
+			if h != nil {
+				b.Hists[i] = histogram.FromCounts(h.Counts()[1:])
+			}
+		}
+		return b
+	}}
+	cres, err := New(shards...).Run(context.Background(), engine.Target{Uniform: true}, clusterOptions(engine.ParallelScan))
+	if err != nil {
+		t.Fatalf("a failed scan segment must degrade, not error: %v", err)
+	}
+	if !cres.Degraded || len(cres.Missing) != 1 || cres.Missing[0] != "s1" {
+		t.Fatalf("expected a degraded run missing s1, got degraded=%v missing=%v", cres.Degraded, cres.Missing)
+	}
+	if !cres.Result.Partial || cres.Result.Exact {
+		t.Fatalf("degraded run must be Partial and not Exact: partial=%v exact=%v", cres.Result.Partial, cres.Result.Exact)
 	}
 }

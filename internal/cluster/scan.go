@@ -51,7 +51,7 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Resu
 	stopErr := st.each(ctx, mkReq, func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
 		var part *core.Batch
 		if err == nil {
-			part, err = core.DecodeBatch(res.Batch)
+			part, err = st.decodePartial(res)
 		}
 		sr.segments++
 		if err != nil {

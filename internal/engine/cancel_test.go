@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fastmatch/internal/bitmap"
 	"fastmatch/internal/colstore"
 	"fastmatch/internal/ingest"
 )
@@ -100,16 +101,48 @@ func ingestTableFrom(t testing.TB, tbl *colstore.Table, sealRows int) *ingest.Wr
 	return wt
 }
 
-// cancelAfterRows returns a row filter that keeps every row and cancels
-// ctx once n rows have been seen — a deterministic mid-scan trigger that
-// works identically for sequential and parallel executors.
-func cancelAfterRows(cancel context.CancelFunc, n int64) func(int) bool {
+// rowHookReader wraps a Reader and reports each block's row count to its
+// hook as BlockSpan serves the block. BlockSpan is the one call every
+// executor makes per block it reads, so the hook sees a run's reads in
+// read order, on the goroutine that reads them. Indexes and block
+// statistics come from the wrapped reader, so planning reports nothing.
+type rowHookReader struct {
+	colstore.Reader
+	hook atomic.Pointer[func(rows int)]
+}
+
+// set installs hook for the reads that follow; nil removes it.
+func (r *rowHookReader) set(hook func(rows int)) {
+	if hook == nil {
+		r.hook.Store(nil)
+		return
+	}
+	r.hook.Store(&hook)
+}
+
+func (r *rowHookReader) BlockSpan(b int) (lo, hi int) {
+	lo, hi = r.Reader.BlockSpan(b)
+	if h := r.hook.Load(); h != nil {
+		(*h)(hi - lo)
+	}
+	return lo, hi
+}
+
+func (r *rowHookReader) BlockStats() colstore.BlockStats { return blockStatsOf(r.Reader) }
+
+func (r *rowHookReader) BlockIndex(column string) (*bitmap.Index, error) {
+	return bitmap.Build(r.Reader, column)
+}
+
+// cancelAfterRows returns a row hook that cancels ctx once n rows have
+// been served — a deterministic mid-scan trigger that works identically
+// for sequential and parallel executors.
+func cancelAfterRows(cancel context.CancelFunc, n int64) func(int) {
 	var seen atomic.Int64
-	return func(int) bool {
-		if seen.Add(1) == n {
+	return func(rows int) {
+		if seen.Add(int64(rows)) >= n {
 			cancel()
 		}
-		return true
 	}
 }
 
@@ -126,14 +159,15 @@ func cancelOptions(exec Executor, nb int) Options {
 
 func TestCancelMidScanAllExecutorsAllBackends(t *testing.T) {
 	for name, src := range cancelBackends(t) {
-		eng := New(src)
+		hooked := &rowHookReader{Reader: src}
+		eng := New(hooked)
 		for _, exec := range allExecutors() {
 			t.Run(fmt.Sprintf("%s/%s", name, exec), func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				q := baseQuery()
-				q.Filter = cancelAfterRows(cancel, 5_000)
-				res, err := eng.RunContext(ctx, q, Target{Uniform: true}, cancelOptions(exec, src.NumBlocks()))
+				hooked.set(cancelAfterRows(cancel, 5_000))
+				defer hooked.set(nil)
+				res, err := eng.RunContext(ctx, baseQuery(), Target{Uniform: true}, cancelOptions(exec, src.NumBlocks()))
 				if !errors.Is(err, ErrCanceled) {
 					t.Fatalf("want ErrCanceled, got %v", err)
 				}
@@ -161,17 +195,18 @@ func TestCancelMidScanAllExecutorsAllBackends(t *testing.T) {
 func TestCachesServeIdenticalResultsAfterCancellation(t *testing.T) {
 	for name, src := range cancelBackends(t) {
 		t.Run(name, func(t *testing.T) {
-			scarred := New(src)
+			hooked := &rowHookReader{Reader: src}
+			scarred := New(hooked)
 			for _, exec := range allExecutors() {
 				ctx, cancel := context.WithCancel(context.Background())
-				q := baseQuery()
-				q.Filter = cancelAfterRows(cancel, 2_000)
-				if _, err := scarred.RunContext(ctx, q, Target{Uniform: true}, cancelOptions(exec, src.NumBlocks())); !errors.Is(err, ErrCanceled) {
+				hooked.set(cancelAfterRows(cancel, 2_000))
+				if _, err := scarred.RunContext(ctx, baseQuery(), Target{Uniform: true}, cancelOptions(exec, src.NumBlocks())); !errors.Is(err, ErrCanceled) {
 					cancel()
 					t.Fatalf("%v: cancellation did not fire: %v", exec, err)
 				}
 				cancel()
 			}
+			hooked.set(nil)
 			pristine := New(src)
 			for _, exec := range allExecutors() {
 				opts := cancelOptions(exec, src.NumBlocks())
@@ -276,7 +311,8 @@ func TestDeadlineMidRunReturnsPartial(t *testing.T) {
 // FastMatch path leaves no marker goroutine behind.
 func TestFastMatchCancelJoinsLookaheadGoroutines(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 5)
-	eng := New(tbl)
+	hooked := &rowHookReader{Reader: tbl}
+	eng := New(hooked)
 	// Warm the index caches so the baseline is steady.
 	if _, err := eng.Run(baseQuery(), Target{Uniform: true}, cancelOptions(ScanMatch, tbl.NumBlocks())); err != nil {
 		t.Fatal(err)
@@ -284,11 +320,10 @@ func TestFastMatchCancelJoinsLookaheadGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		q := baseQuery()
-		q.Filter = cancelAfterRows(cancel, 1_000)
+		hooked.set(cancelAfterRows(cancel, 1_000))
 		opts := cancelOptions(FastMatch, tbl.NumBlocks())
 		opts.Lookahead = 16 // many windows: the marker outlives the read loop
-		if _, err := eng.RunContext(ctx, q, Target{Uniform: true}, opts); !errors.Is(err, ErrCanceled) {
+		if _, err := eng.RunContext(ctx, baseQuery(), Target{Uniform: true}, opts); !errors.Is(err, ErrCanceled) {
 			cancel()
 			t.Fatalf("iteration %d: want ErrCanceled, got %v", i, err)
 		}
@@ -325,12 +360,12 @@ func TestIngestPinsReleasedAfterCanceledRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(v)
+	hooked := &rowHookReader{Reader: v}
+	eng := New(hooked)
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		q := baseQuery()
-		q.Filter = cancelAfterRows(cancel, 2_000)
-		if _, err := eng.RunContext(ctx, q, Target{Uniform: true}, cancelOptions(FastMatch, v.NumBlocks())); !errors.Is(err, ErrCanceled) {
+		hooked.set(cancelAfterRows(cancel, 2_000))
+		if _, err := eng.RunContext(ctx, baseQuery(), Target{Uniform: true}, cancelOptions(FastMatch, v.NumBlocks())); !errors.Is(err, ErrCanceled) {
 			cancel()
 			t.Fatalf("iteration %d: want ErrCanceled, got %v", i, err)
 		}

@@ -71,9 +71,13 @@ type ProgressMatch struct {
 // budget) costs one nil check per block. The context is the only
 // deadline: callers wanting one use context.WithDeadline.
 type runGuard struct {
-	ctx    context.Context // nil when no context governs the run
-	budget int64           // ≤ 0 when unlimited
-	rows   atomic.Int64    // rows consumed, shared across scan workers
+	ctx context.Context // nil when no context governs the run
+	// done is ctx.Done(), polled instead of ctx.Err(): Err takes the
+	// context's mutex, so parallel workers calling it every block would
+	// contend on one cache line for the whole run.
+	done   <-chan struct{}
+	budget int64        // ≤ 0 when unlimited
+	rows   atomic.Int64 // rows consumed, shared across scan workers
 }
 
 // newRunGuard builds the guard for a run, or nil when nothing needs
@@ -86,7 +90,7 @@ func newRunGuard(ctx context.Context, budget int64) *runGuard {
 	}
 	g := &runGuard{budget: budget}
 	if hasCtx {
-		g.ctx = ctx
+		g.ctx, g.done = ctx, ctx.Done()
 	}
 	return g
 }
@@ -120,10 +124,10 @@ func (g *runGuard) stop() error {
 	if g == nil {
 		return nil
 	}
-	if g.ctx != nil {
-		if err := g.ctx.Err(); err != nil {
-			return CanceledStopError(err)
-		}
+	select {
+	case <-g.done: // never ready when nil
+		return CanceledStopError(g.ctx.Err())
+	default:
 	}
 	if g.budget > 0 && g.rows.Load() >= g.budget {
 		return BudgetStopError(g.budget, g.rows.Load())

@@ -14,7 +14,9 @@ import (
 )
 
 // Query is a histogram-generating query template (Definition 1): candidate
-// attribute Z, grouping attribute(s) X, and optional extensions.
+// attribute Z, grouping attribute(s) X, and optional extensions. It counts
+// rows; SUM(measure) queries (Appendix A.1.1) run the same template over a
+// MeasureBiasedView table.
 type Query struct {
 	// Z names the candidate attribute; one candidate per distinct value.
 	// Ignored when CandidatePreds is set.
@@ -34,18 +36,6 @@ type Query struct {
 	// (Appendix A.1.4).
 	XMeasure string
 	XBins    *colstore.Binner
-	// Measure, when set, answers SUM(Measure) instead of COUNT(*) via the
-	// measure-biased view (Appendix A.1.1); see MeasureBiasedView.
-	Measure string
-	// Filter, when set, restricts the relation to rows where it returns
-	// true (WHERE predicates beyond the candidate equality). The
-	// ParallelScan executor invokes it from several goroutines within one
-	// run, and sharing an Engine or Plan across goroutines makes
-	// concurrent runs each call it too — so unless every run using this
-	// query is sequential and non-ParallelScan, the function must be safe
-	// for concurrent calls. (Candidate-target resolution itself drops to
-	// one worker when a Filter is present.)
-	Filter func(row int) bool
 }
 
 // Target specifies the visual target q.

@@ -231,37 +231,6 @@ func TestBinnedXGroups(t *testing.T) {
 	}
 }
 
-func TestRowFilter(t *testing.T) {
-	tbl := testDataset(t, 20_000, 10, 6, 8)
-	e := New(tbl)
-	w, _ := tbl.Column("W")
-	q := baseQuery()
-	q.Filter = func(row int) bool { return w.Code(row) == 0 }
-	res, err := e.Run(q, Target{Uniform: true}, Options{
-		Params: testParams(), Executor: Scan,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Total mass across candidate histograms must equal filtered rows.
-	var mass float64
-	for _, m := range res.TopK {
-		mass += m.Histogram.Total()
-	}
-	filtered := 0
-	for i := 0; i < tbl.NumRows(); i++ {
-		if w.Code(i) == 0 {
-			filtered++
-		}
-	}
-	if mass > float64(filtered) {
-		t.Fatalf("histograms contain %g tuples, only %d pass the filter", mass, filtered)
-	}
-	if filtered == tbl.NumRows() {
-		t.Fatal("filter had no effect; test setup broken")
-	}
-}
-
 func TestUnknownDomainDummyCandidate(t *testing.T) {
 	tbl := testDataset(t, 30_000, 12, 6, 9)
 	e := New(tbl)
@@ -438,16 +407,6 @@ func TestPredicateCandidates(t *testing.T) {
 		if _, err := e.Prepare(q); err == nil {
 			t.Errorf("%s: malformed predicate accepted", name)
 		}
-	}
-}
-
-func TestMeasureQueryRejectedDirectly(t *testing.T) {
-	tbl := testDataset(t, 1000, 5, 4, 14)
-	e := New(tbl)
-	q := baseQuery()
-	q.Measure = "M"
-	if _, err := e.Run(q, Target{Uniform: true}, Options{Params: testParams()}); err == nil {
-		t.Fatal("direct SUM query accepted; should direct users to MeasureBiasedView")
 	}
 }
 

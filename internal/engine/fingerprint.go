@@ -47,14 +47,9 @@ func boolInt(b bool) int64 {
 
 // Fingerprint returns a canonical cache key for the query shape: two
 // queries with the same fingerprint resolve to interchangeable Plans over
-// the same Engine. Queries carrying a Filter closure are not
-// fingerprintable (closures have no canonical identity) and return an
-// error; CandidatePreds are keyed by their String() forms, which the
-// bitmap predicates render canonically.
-func (q Query) Fingerprint() (string, error) {
-	if q.Filter != nil {
-		return "", fmt.Errorf("engine: queries with a Filter closure cannot be fingerprinted")
-	}
+// the same Engine. CandidatePreds are keyed by their String() forms,
+// which the bitmap predicates render canonically.
+func (q Query) Fingerprint() string {
 	var w fpWriter
 	w.str("z", q.Z)
 	w.strs("known", q.KnownCandidates)
@@ -74,8 +69,7 @@ func (q Query) Fingerprint() (string, error) {
 			w.num("e", e)
 		}
 	}
-	w.str("measure", q.Measure)
-	return w.sb.String(), nil
+	return w.sb.String()
 }
 
 // Fingerprint returns a canonical cache key for the target specification.

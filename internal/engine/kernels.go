@@ -6,8 +6,9 @@ import "fastmatch/internal/histogram"
 //
 // The five executors differ only in which blocks they select; what
 // happens to a selected block — map each row to (candidate, group),
-// count it — is scanKernel.block for all of them: scanExec.scanRange
-// calls it for the exact pass, blockSampler.readBlock for sampling rounds.
+// count it — is scanKernel.block for all of them: scanExec.sweep
+// calls it for every exact pass (full scans, shard scan segments and
+// candidate targets), blockSampler.readBlock for sampling rounds.
 //
 // The scalar row loop pays, per row, two interface dispatches (groupOf,
 // candidateOf), a lazy-histogram nil check, and a float64 histogram
@@ -38,9 +39,9 @@ import "fastmatch/internal/histogram"
 // tally-free loops, so the tally costs it nothing.
 //
 // The scalar loop is the single fallback: plans no shape covers (see
-// Plan.kernelShape), the keep-one target pass, and runs with
-// Options.DisableScanKernels — the reference the equivalence suite and
-// BenchmarkScanKernels compare the kernels against.
+// Plan.kernelShape) and runs with Options.DisableScanKernels — the
+// reference the equivalence suite and BenchmarkScanKernels compare the
+// kernels against.
 
 // maxKernelCells caps the flat accumulator (candidates × groups) at 32
 // MiB of int64 cells; larger shapes take the scalar loop, whose
@@ -63,14 +64,12 @@ type kernelShape struct {
 }
 
 // kernelShape resolves the plan's vectorizable form, or nil when only the
-// scalar loop can run it: a Filter is present (the closure may be
-// stateful and its per-row call order is part of the observable
-// contract), a mapper no kernel knows, or an accumulator over
+// scalar loop can run it: a mapper no kernel knows, or an accumulator over
 // maxKernelCells. This is the one eligibility test — Explain reports its
 // outcome, newKernel acts on it.
 func (p *Plan) kernelShape() *kernelShape {
 	groups, nCand := p.grp.groups(), p.cand.numCandidates()
-	if p.query.Filter != nil || groups <= 0 || nCand <= 0 || int64(groups)*int64(nCand) > maxKernelCells {
+	if groups <= 0 || nCand <= 0 || int64(groups)*int64(nCand) > maxKernelCells {
 		return nil
 	}
 	sh := &kernelShape{}
@@ -104,8 +103,6 @@ type scanKernel struct {
 	// first counted row: the scalar loop adds to them row by row, fold
 	// drains acc into them. A candidate with no counted row stays nil.
 	hists []*histogram.Histogram
-	// keep ≥ 0 counts that candidate only (the target pass).
-	keep int
 
 	// Vectorized state; acc == nil selects the scalar loop. The shape is
 	// held by value so the kernels' loops index its slices directly.
@@ -122,16 +119,16 @@ type scanKernel struct {
 }
 
 // newKernel builds a worker's accumulator. It is vectorized when kernels
-// is set, every candidate is kept, and the plan has a kernel shape; tally
-// adds the per-candidate row tally, which selects each shape's tallying
-// loop. Without it (the exact scan) the loops carry no tally code.
-func (p *Plan) newKernel(kernels bool, keep int, tally bool) *scanKernel {
+// is set and the plan has a kernel shape; tally adds the per-candidate row
+// tally, which selects each shape's tallying loop. Without it (the exact
+// passes) the loops carry no tally code.
+func (p *Plan) newKernel(kernels, tally bool) *scanKernel {
 	nCand := p.cand.numCandidates()
-	k := &scanKernel{p: p, groups: p.grp.groups(), keep: keep, hists: make([]*histogram.Histogram, nCand)}
+	k := &scanKernel{p: p, groups: p.grp.groups(), hists: make([]*histogram.Histogram, nCand)}
 	if tally {
 		k.cnt = make([]int64, nCand)
 	}
-	if kernels && keep < 0 && p.shape != nil {
+	if kernels && p.shape != nil {
 		k.kernelShape = *p.shape
 		k.acc = make([]int64, k.groups*nCand)
 		if k.xc == nil || k.matchers != nil {
@@ -250,23 +247,18 @@ func (k *scanKernel) groupCodes(lo, hi int) []int32 {
 	return gb
 }
 
-// scalar is the per-row reference loop. Filter runs first on every row,
-// in row order.
+// scalar is the per-row reference loop.
 func (k *scanKernel) scalar(lo, hi int) {
-	filter, grp, cand, multi := k.p.query.Filter, k.p.grp, k.p.cand, k.p.multi
+	grp, cand, multi := k.p.grp, k.p.cand, k.p.multi
 	for row := lo; row < hi; row++ {
-		if filter != nil && !filter(row) {
-			continue
-		}
 		g := grp.groupOf(row)
 		if g < 0 {
 			continue
 		}
 		if multi != nil {
-			// All-matches membership, for full passes and the keep-one
-			// target pass alike: a predicate candidate's true histogram
-			// includes every row satisfying it, even rows an earlier
-			// overlapping predicate also matches.
+			// All-matches membership: a predicate candidate's true
+			// histogram includes every row satisfying it, even rows an
+			// earlier overlapping predicate also matches.
 			k.multiBuf = multi.candidatesOf(row, k.multiBuf[:0])
 			for _, id := range k.multiBuf {
 				k.add(id, g)
@@ -280,9 +272,6 @@ func (k *scanKernel) scalar(lo, hi int) {
 }
 
 func (k *scanKernel) add(id, g int) {
-	if k.keep >= 0 && id != k.keep {
-		return
-	}
 	if k.hists[id] == nil {
 		k.hists[id] = histogram.New(k.groups)
 	}

@@ -51,7 +51,6 @@ func accumulatorShapes(t testing.TB) (*Engine, map[string]Query) {
 			&bitmap.ValuePred{Column: "Z", Code: 2},
 			&bitmap.ValuePred{Column: "Z", Code: 4},
 		}},
-		"filter": {Z: "Z", X: []string{"X"}, Filter: func(row int) bool { return row%3 != 0 }},
 	}
 }
 
@@ -70,11 +69,11 @@ func TestAccumulatorMatchesScalarReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, kern := p.newKernel(false, -1, tally), p.newKernel(true, -1, tally)
+				ref, kern := p.newKernel(false, tally), p.newKernel(true, tally)
 				if ref.vectorized() {
 					t.Fatal("kernels off still built a vectorized accumulator")
 				}
-				if kern.vectorized() != (q.Filter == nil) {
+				if !kern.vectorized() {
 					t.Fatalf("vectorized = %v for shape %s", kern.vectorized(), name)
 				}
 				tallied := make([]int64, p.NumCandidates())
@@ -139,7 +138,7 @@ func TestCommitChunkClearsWholeTally(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := testSampler(p, FastMatch, 16, 0)
-	kern := p.newKernel(true, -1, true)
+	kern := p.newKernel(true, true)
 	for b := 0; b < 8; b++ {
 		lo, hi := tbl.BlockSpan(b)
 		kern.block(lo, hi)

@@ -41,31 +41,31 @@ func progressLog(t testing.TB, seq *[]string) func(Progress) {
 }
 
 // TestSamplingRunsOnCallerGoroutine runs every sampling executor at
-// Workers: 4 with a Filter that samples runtime.NumGoroutine() on every
-// row it sees: a sampling run must never hold more goroutines than
+// Workers: 4 with a row hook that samples runtime.NumGoroutine() on every
+// block it reads: a sampling run must never hold more goroutines than
 // existed before it started.
 func TestSamplingRunsOnCallerGoroutine(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 5)
-	eng := New(tbl)
+	hooked := &rowHookReader{Reader: tbl}
+	eng := New(hooked)
 	for _, exec := range samplingExecutors() {
 		t.Run(exec.String(), func(t *testing.T) {
 			peak := 0
-			q := baseQuery()
-			q.Filter = func(int) bool {
+			hooked.set(func(int) {
 				if n := runtime.NumGoroutine(); n > peak {
 					peak = n
 				}
-				return true
-			}
+			})
+			defer hooked.set(nil)
 			opts := equivOptions(exec, tbl.NumBlocks())
 			opts.Workers = 4
 			base := runtime.NumGoroutine()
-			res, err := eng.Run(q, Target{Uniform: true}, opts)
+			res, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.IO.BlocksRead == 0 || peak == 0 {
-				t.Fatal("run read no rows through the filter")
+				t.Fatal("run read no rows through the hook")
 			}
 			if peak > base {
 				t.Fatalf("%d goroutines during the run, %d before it", peak, base)
@@ -185,24 +185,25 @@ func TestWorkerCountByteIdenticalBudgetPartial(t *testing.T) {
 	}
 }
 
-// TestWorkerCountByteIdenticalCancelPartial does the same for a filter
-// that cancels the context after a fixed number of rows. The walk reads
-// on its own goroutine and checks the guard before every block, so the
-// cut lands right after the block holding the trigger row for every
-// worker count.
+// TestWorkerCountByteIdenticalCancelPartial does the same for a row hook
+// that cancels the context after a fixed number of rows were read. The
+// walk reads on its own goroutine and checks the guard before every
+// block, so the cut lands right after the block holding the trigger row
+// for every worker count.
 func TestWorkerCountByteIdenticalCancelPartial(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 5)
-	eng := New(tbl)
+	hooked := &rowHookReader{Reader: tbl}
+	eng := New(hooked)
 	for _, exec := range samplingExecutors() {
 		t.Run(exec.String(), func(t *testing.T) {
 			var want string
 			for i, workers := range inertWorkers {
 				ctx, cancel := context.WithCancel(context.Background())
-				q := baseQuery()
-				q.Filter = cancelAfterRows(cancel, 5_000)
+				hooked.set(cancelAfterRows(cancel, 5_000))
 				opts := equivOptions(exec, tbl.NumBlocks())
 				opts.Workers = workers
-				res, err := eng.RunContext(ctx, q, Target{Uniform: true}, opts)
+				res, err := eng.RunContext(ctx, baseQuery(), Target{Uniform: true}, opts)
+				hooked.set(nil)
 				cancel()
 				if !errors.Is(err, ErrCanceled) {
 					t.Fatalf("workers=%d: want ErrCanceled, got %v", workers, err)

@@ -67,9 +67,6 @@ func (e *Engine) Prepare(q Query) (*Plan, error) { return e.PrepareTraced(q, nil
 // and skip-mask construction — as spans under a "plan" root in tr. A nil
 // tr makes it identical to Prepare.
 func (e *Engine) PrepareTraced(q Query, tr *trace.Trace) (*Plan, error) {
-	if q.Measure != "" {
-		return nil, fmt.Errorf("engine: SUM queries run over a MeasureBiasedView table; build one with MeasureBiasedView and query it with COUNT semantics")
-	}
 	psp := tr.Start("plan")
 	defer psp.End()
 	sp := psp.Child("groups")

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fastmatch/internal/colstore"
 	"fastmatch/internal/histogram"
 )
 
@@ -118,39 +119,44 @@ func TestQualityProgressFramesCarryTelemetry(t *testing.T) {
 // accounting keys off.
 func TestQualityTruncatedRunFlagged(t *testing.T) {
 	tbl := skipTestTable(t)
-	eng := New(tbl)
 	cases := map[string]struct {
-		query    func(*testing.T) Query
-		tweak    func(*Query, *Options)
+		query    func(*testing.T, *Engine) Query
+		tweak    func(*Options)
+		perBlock time.Duration // simulated storage latency per block read
 		deadline time.Duration // the run's context deadline, from its start
 	}{
 		"row-budget": {
-			query: func(t *testing.T) Query { return skipQueries(t, eng)["pred-cands"] },
-			tweak: func(q *Query, o *Options) { o.RowBudget = 512 },
+			query: func(t *testing.T, eng *Engine) Query { return skipQueries(t, eng)["pred-cands"] },
+			tweak: func(o *Options) { o.RowBudget = 512 },
 		},
 		// The deadline must fire mid-run, after stage 1 landed samples.
 		// The query matters: every z-value is a candidate, so no stage-1
-		// block is zone-map prunable and the sleeping row filter really
-		// runs (4 blocks × 64 rows × 100µs ≫ 5ms). Planned reads are
-		// never abandoned, so stage 1 completes in full and the next
-		// sampler call's opening guard check deterministically fires.
+		// block is zone-map prunable and the throttled reads really
+		// happen (4 blocks × 6.4ms ≫ 5ms). Planned reads are never
+		// abandoned, so stage 1 completes in full and the next sampler
+		// call's opening guard check deterministically fires.
 		"deadline": {
-			query: func(*testing.T) Query { return baseQuery() },
-			tweak: func(q *Query, o *Options) {
-				q.Filter = func(int) bool { time.Sleep(100 * time.Microsecond); return true }
+			query: func(*testing.T, *Engine) Query { return baseQuery() },
+			tweak: func(o *Options) {
 				o.Params.Stage1Samples = 256
 				o.Workers = 1
 			},
+			perBlock: 6400 * time.Microsecond,
 			deadline: 5 * time.Millisecond,
 		},
 	}
 	for name, tc := range cases {
-		tweak := tc.tweak
 		t.Run(name, func(t *testing.T) {
-			q := tc.query(t)
+			eng := New(colstore.NewThrottledReader(tbl, tc.perBlock))
+			q := tc.query(t, eng)
 			opts := equivOptions(FastMatch, tbl.NumBlocks())
 			opts.Quality = true
-			tweak(&q, &opts)
+			tc.tweak(&opts)
+			// Plan before the clock starts: planning is shared across
+			// runs and deliberately not cancellable.
+			if _, err := eng.Prepare(q); err != nil {
+				t.Fatal(err)
+			}
 			ctx := context.Background()
 			if tc.deadline > 0 {
 				var cancel context.CancelFunc

@@ -388,7 +388,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 	}
 	stage1 := stage1Need >= 0
 	chunk := chunkBlocks(bs.plan.blockSize)
-	kern := bs.plan.newKernel(bs.kernels, -1, true)
+	kern := bs.plan.newKernel(bs.kernels, true)
 
 	// FastMatch lookahead window state: marking decisions are computed
 	// for lookahead-sized tiles at fixed block-index positions

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fastmatch/internal/bitmap"
@@ -14,8 +15,8 @@ import (
 )
 
 // scanExec is the exact-pass executor: the full-data baseline the paper
-// compares against (§5.2), generalized to N workers sweeping disjoint
-// contiguous block ranges with private accumulators that are merged at a
+// compares against (§5.2), generalized to N workers that claim disjoint
+// block chunks from a shared cursor into private accumulators merged at a
 // barrier. With workers == 1 it degenerates to the sequential Scan
 // baseline; ParallelScan runs it at Options.Workers (default GOMAXPROCS).
 // Because every worker counts a disjoint set of rows and counts are
@@ -35,15 +36,16 @@ type scanExec struct {
 	// frame sequence) would be nondeterministic.
 	emit func(io IOStats)
 	// skip, when non-nil, marks blocks whose statistics prove no
-	// qualifying row; scanRange consumes them virtually (rows charged to
+	// qualifying row; sweep consumes them virtually (rows charged to
 	// guards and totals, nothing read).
 	skip *bitmap.Bitset
-	// kernels lets scanRange's accumulator run the vectorized kernels
-	// (Options.DisableScanKernels clears it).
+	// kernels lets sweep's accumulator run the vectorized kernels
+	// (Options.DisableScanKernels clears it for runScan; scan segments and
+	// candidate-target passes always set it).
 	kernels bool
 	// span, when non-nil, is the traced run's parent span: the merge
-	// barrier records one child span per worker (its block range, wall
-	// time, and IOStats). Nil for untraced runs and target resolution —
+	// barrier records one child span per worker (the blocks it swept,
+	// wall time, and IOStats). Nil for untraced runs and target resolution —
 	// workers then take no timestamps and pay nothing.
 	span *trace.Span
 }
@@ -58,6 +60,11 @@ type scanPartialTimes struct {
 // scanProgressInterval is how many blocks a sequential scan reads between
 // progress emissions.
 const scanProgressInterval = 256
+
+// scanChunk is the most blocks a worker claims at a time (about 0.2 ms
+// at the default block size): a worker the OS deschedules delays the
+// barrier by at most its current chunk, not by the rest of a fixed share.
+const scanChunk = 256
 
 // newScanExec binds a scan executor to a plan. Workers ≤ 0 selects
 // GOMAXPROCS; the count is further capped at the number of blocks.
@@ -83,24 +90,32 @@ type scanPartial struct {
 	times *scanPartialTimes // non-nil only for traced runs
 }
 
-// partition splits [0, NumBlocks) into s.workers contiguous ranges.
-func (s *scanExec) partition() [][2]int {
-	nb := s.src.NumBlocks()
-	ranges := make([][2]int, 0, s.workers)
-	chunk := (nb + s.workers - 1) / s.workers
-	for lo := 0; lo < nb; lo += chunk {
-		hi := lo + chunk
-		if hi > nb {
-			hi = nb
-		}
-		ranges = append(ranges, [2]int{lo, hi})
-	}
-	return ranges
+// blockCursor hands out the blocks of one run in order, in chunks, to
+// whichever worker asks next.
+type blockCursor struct {
+	next         atomic.Int64
+	blocks, size int
 }
 
-// scanRange sweeps blocks [loBlock, hiBlock), restricted to `only` when
-// non-nil, recording every row whose candidate passes keep (keep < 0 keeps
-// all candidates).
+// newBlockCursor sizes chunks at scanChunk, smaller on tables too small
+// to give every worker several chunks.
+func newBlockCursor(blocks, workers int) *blockCursor {
+	return &blockCursor{blocks: blocks, size: max(1, min(scanChunk, blocks/(8*workers)))}
+}
+
+// claim returns the next chunk [lo, hi), or ok == false when every block
+// has been handed out.
+func (c *blockCursor) claim() (lo, hi int, ok bool) {
+	lo = int(c.next.Add(int64(c.size))) - c.size
+	if lo >= c.blocks {
+		return 0, 0, false
+	}
+	return lo, min(lo+c.size, c.blocks), true
+}
+
+// sweep is one worker: it scans the chunks it claims from cur until none
+// is left, restricted to `only` when non-nil, accumulating every
+// candidate. With one worker it claims every chunk, in block order.
 //
 // Stats-pruned blocks (s.skip) are consumed virtually: their rows are
 // charged to the guard and to part.rows — so budget decisions, σ
@@ -108,39 +123,42 @@ func (s *scanExec) partition() [][2]int {
 // sweep — but the block is never read and TuplesRead stays untouched.
 // Progress emission paces on BlocksRead+BlocksPruned so frame positions
 // and counts match the pruning-off sweep exactly.
-func (s *scanExec) scanRange(loBlock, hiBlock int, only *bitmap.Bitset, keep int) *scanPartial {
+func (s *scanExec) sweep(cur *blockCursor, only *bitmap.Bitset) *scanPartial {
 	part := &scanPartial{}
 	if s.span != nil {
 		part.times = &scanPartialTimes{began: time.Now()}
 	}
-	kern := s.plan.newKernel(s.kernels, keep, false) // per-worker, folded on return
-	for b := loBlock; b < hiBlock; b++ {
-		if part.err = s.guard.stop(); part.err != nil {
-			break
-		}
-		if only != nil && !only.Get(b) {
-			continue
-		}
-		if s.skip != nil && s.skip.Get(b) {
-			n := s.plan.blockRows(b)
-			part.io.BlocksSkipped++
-			part.io.BlocksPruned++
-			part.rows += n
-			s.guard.addRows(n)
-		} else {
-			lo, hi := s.src.BlockSpan(b)
-			n := int64(hi - lo)
-			part.io.BlocksRead++
-			s.guard.addRows(n)
-			kern.block(lo, hi)
-			part.io.TuplesRead += n
-			part.rows += n
-			if kern.vectorized() {
-				part.io.KernelBlocks++
+	kern := s.plan.newKernel(s.kernels, false) // per-worker, folded on return
+chunks:
+	for loBlock, hiBlock, ok := cur.claim(); ok; loBlock, hiBlock, ok = cur.claim() {
+		for b := loBlock; b < hiBlock; b++ {
+			if part.err = s.guard.stop(); part.err != nil {
+				break chunks
 			}
-		}
-		if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
-			s.emit(part.io)
+			if only != nil && !only.Get(b) {
+				continue
+			}
+			if s.skip != nil && s.skip.Get(b) {
+				n := s.plan.blockRows(b)
+				part.io.BlocksSkipped++
+				part.io.BlocksPruned++
+				part.rows += n
+				s.guard.addRows(n)
+			} else {
+				lo, hi := s.src.BlockSpan(b)
+				n := int64(hi - lo)
+				part.io.BlocksRead++
+				s.guard.addRows(n)
+				kern.block(lo, hi)
+				part.io.TuplesRead += n
+				part.rows += n
+				if kern.vectorized() {
+					part.io.KernelBlocks++
+				}
+			}
+			if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
+				s.emit(part.io)
+			}
 		}
 	}
 	part.hists = kern.fold()
@@ -150,21 +168,22 @@ func (s *scanExec) scanRange(loBlock, hiBlock int, only *bitmap.Bitset, keep int
 	return part
 }
 
-// run fans the scan out over the partitioned block ranges and merges the
-// per-worker accumulators at the barrier into a complete histogram set.
+// run fans the scan out over s.workers workers sharing one block cursor
+// and merges the per-worker accumulators at the barrier into a complete
+// histogram set.
 // When the run's guard fires, every worker unwinds at its next block
 // boundary and run returns the merged partial accumulators with the
 // termination error — all goroutines are always joined before returning.
-func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, IOStats, int64, error) {
-	ranges := s.partition()
-	parts := make([]*scanPartial, len(ranges))
+func (s *scanExec) run(only *bitmap.Bitset) ([]*histogram.Histogram, IOStats, int64, error) {
+	cur := newBlockCursor(s.src.NumBlocks(), s.workers)
+	parts := make([]*scanPartial, s.workers)
 	var wg sync.WaitGroup
-	for w, r := range ranges {
+	for w := range parts {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			parts[w] = s.scanRange(lo, hi, only, keep)
-		}(w, r[0], r[1])
+			parts[w] = s.sweep(cur, only)
+		}(w)
 	}
 	wg.Wait()
 
@@ -184,7 +203,7 @@ func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, I
 		}
 		if s.span != nil && part.times != nil {
 			sp := s.span.ChildAt(fmt.Sprintf("worker%d", w), part.times.began)
-			sp.SetAttr("blocks", [2]int{ranges[w][0], ranges[w][1]})
+			sp.SetAttr("blocks", part.io.BlocksRead+part.io.BlocksPruned)
 			sp.SetIO(trace.IO(part.io))
 			sp.EndAt(part.times.ended)
 		}
@@ -203,21 +222,16 @@ func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, I
 // scanCandidate computes the exact histogram of one candidate,
 // restricted (via the bitmap index) to the blocks that contain it, and
 // the rows it charged to the guard. The target pass for single-node
-// resolution and shard target segments alike. An interrupted pass returns
-// the guard's termination error beside the truncated histogram: callers
-// must not use it — a truncated target is not best-effort-usable, it is
-// wrong.
+// resolution and shard target segments alike: it accumulates every
+// candidate through the kernels, as every exact pass does, and returns
+// the one asked for. An interrupted pass returns the guard's termination
+// error beside the truncated histogram: callers must not use it — a
+// truncated target is not best-effort-usable, it is wrong.
 func (p *Plan) scanCandidate(id, workers int, guard *runGuard) (*histogram.Histogram, int64, error) {
-	if p.query.Filter != nil {
-		// A Filter closure written against the pre-planner API may be
-		// stateful; only the explicit ParallelScan executor opts into
-		// concurrent Filter calls, so filtered targets resolve
-		// sequentially.
-		workers = 1
-	}
 	ex := p.newScanExec(workers)
 	ex.guard = guard
-	hists, _, rows, err := ex.run(p.cand.candidateBlocks(id), id)
+	ex.kernels = true
+	hists, _, rows, err := ex.run(p.cand.candidateBlocks(id))
 	return hists[id], rows, err
 }
 
@@ -241,7 +255,7 @@ func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, g
 	if ex.workers == 1 {
 		ex.emit = emit
 	}
-	hists, io, totalRows, stopErr := ex.run(nil, -1)
+	hists, io, totalRows, stopErr := ex.run(nil)
 	res := &Result{Exact: stopErr == nil, Partial: stopErr != nil, IO: io}
 	res.TopK, res.Pruned = RankExact(target, params, hists, totalRows, stopErr == nil, p.cand.labelOf)
 	res.Stats.ChosenK = len(res.TopK)
@@ -259,7 +273,7 @@ func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, g
 func RankExact(target *histogram.Histogram, params core.Params, hists []*histogram.Histogram,
 	totalRows int64, complete bool, labelOf func(int) string) (topK []Match, pruned []string) {
 	dist := make([]float64, len(hists))
-	var keep []int
+	var ranked []int
 	for i := range hists {
 		if complete && params.Sigma > 0 {
 			if sel := hists[i].Total() / float64(totalRows); sel < params.Sigma {
@@ -275,16 +289,16 @@ func RankExact(target *histogram.Histogram, params core.Params, hists []*histogr
 			continue
 		}
 		dist[i] = params.Metric.Distance(hists[i], target)
-		keep = append(keep, i)
+		ranked = append(ranked, i)
 	}
 	k := params.K
 	if params.KRange.KMax > 0 {
 		k = params.KRange.KMax
-		if k > len(keep) && params.KRange.KMin <= len(keep) {
-			k = len(keep)
+		if k > len(ranked) && params.KRange.KMin <= len(ranked) {
+			k = len(ranked)
 		}
 	}
-	for _, rk := range histogram.TopK(dist, keep, k) {
+	for _, rk := range histogram.TopK(dist, ranked, k) {
 		topK = append(topK, Match{
 			ID:        rk.ID,
 			Label:     labelOf(rk.ID),

@@ -1,9 +1,16 @@
 package engine
 
 import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fastmatch/internal/bitmap"
+	"fastmatch/internal/colstore"
+	"fastmatch/internal/core"
+	"fastmatch/internal/histogram"
 )
 
 // requireIdenticalResults asserts two exact results agree bit-for-bit:
@@ -66,15 +73,13 @@ func TestParallelScanMatchesScan(t *testing.T) {
 	}
 }
 
-// TestParallelScanWithFilterAndKnownCandidates covers the filter and
-// restricted-domain paths of the partitioned scan.
-func TestParallelScanWithFilterAndKnownCandidates(t *testing.T) {
+// TestParallelScanKnownCandidates covers the restricted-domain path of
+// the partitioned scan.
+func TestParallelScanKnownCandidates(t *testing.T) {
 	tbl := testDataset(t, 40_000, 12, 6, 22)
 	e := New(tbl)
-	w, _ := tbl.Column("W")
 	z, _ := tbl.Column("Z")
 	q := baseQuery()
-	q.Filter = func(row int) bool { return w.Code(row) != 3 }
 	q.KnownCandidates = []string{z.Dict.Value(0), z.Dict.Value(1), z.Dict.Value(4)}
 	truth, err := e.Run(q, Target{Uniform: true}, Options{Params: testParams(), Executor: Scan})
 	if err != nil {
@@ -194,8 +199,172 @@ func TestParallelTargetResolution(t *testing.T) {
 	}
 }
 
+// overKernelCapTable builds a table whose Z × (A, B, C) accumulator,
+// 17 candidates × 64³ groups, exceeds maxKernelCells: only the scalar
+// loop runs it.
+func overKernelCapTable(t testing.TB) *colstore.Table {
+	t.Helper()
+	const rows, card = 2048, 64
+	dicts := make([]*colstore.Dictionary, 4)
+	codes := make([][]uint32, 4)
+	for c := range dicts {
+		dicts[c] = colstore.NewDictionary()
+		for v := 0; v < card; v++ {
+			dicts[c].Intern(fmt.Sprintf("v%d", v))
+		}
+		codes[c] = make([]uint32, rows)
+	}
+	for row := 0; row < rows; row++ {
+		codes[0][row] = uint32(row / 50 % 17)
+		codes[1][row] = uint32(row % card)
+		codes[2][row] = uint32(row / 7 % card)
+		codes[3][row] = uint32(row / 13 % card)
+	}
+	cols := make([]*colstore.Column, 4)
+	for c, name := range []string{"Z", "A", "B", "C"} {
+		cols[c] = colstore.NewColumn(name, dicts[c], codes[c])
+	}
+	tbl, err := colstore.NewTable(64, rows, cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestCandidateTargetMatchesExactScan: a candidate target, resolved on a
+// single node (Plan.ResolveTarget) or as a shard target segment, equals
+// that candidate's histogram from the exact Scan's scalar reference cell
+// for cell — for every accumulator shape and for one over maxKernelCells,
+// at one and two workers.
+func TestCandidateTargetMatchesExactScan(t *testing.T) {
+	eng, shapes := accumulatorShapes(t)
+	type tcase struct {
+		eng *Engine
+		q   Query
+	}
+	cases := map[string]tcase{
+		"over-kernel-cap": {New(overKernelCapTable(t)), Query{Z: "Z", X: []string{"A", "B", "C"}}},
+	}
+	for name, q := range shapes {
+		cases[name] = tcase{eng, q}
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			p, err := tc.eng.Prepare(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (p.shape == nil) != (name == "over-kernel-cap") {
+				t.Fatalf("kernel shape = %v", p.shape != nil)
+			}
+			params := testParams()
+			params.K, params.Sigma = p.NumCandidates(), 0
+			res, err := p.RunContext(context.Background(), Target{Uniform: true},
+				Options{Params: params, Executor: Scan, DisableScanKernels: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]*histogram.Histogram, p.NumCandidates())
+			for _, m := range res.TopK {
+				want[m.ID] = m.Histogram
+			}
+			same := func(path string, id, workers int, got *histogram.Histogram) {
+				t.Helper()
+				if got.Groups() != p.Groups() {
+					t.Fatalf("%s: candidate %d workers=%d: %d groups, want %d", path, id, workers, got.Groups(), p.Groups())
+				}
+				for g := 0; g < p.Groups(); g++ {
+					if got.Count(g) != want[id].Count(g) {
+						t.Fatalf("%s: candidate %d workers=%d: cell %d = %v, exact Scan %v",
+							path, id, workers, g, got.Count(g), want[id].Count(g))
+					}
+				}
+			}
+			ids := make([]int, p.NumCandidates())
+			for id := range ids {
+				ids[id] = id
+			}
+			if p.shape == nil {
+				// Every pass allocates all 17 × 64³ cells: check three.
+				ids = []int{0, len(ids) / 2, len(ids) - 1}
+			}
+			resolved := map[string]bool{}
+			for _, id := range ids {
+				if want[id] == nil {
+					t.Fatalf("exact Scan ranked no histogram for candidate %d", id)
+				}
+				label := p.cand.labelOf(id)
+				for _, workers := range []int{1, 2} {
+					if !resolved[label] { // ResolveTarget picks a label's first candidate
+						got, err := p.ResolveTarget(Target{Candidate: label}, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						same("ResolveTarget", id, workers, got)
+					}
+					seg, err := p.RunShardSegment(context.Background(),
+						&ShardSegment{Kind: SegTarget, Workers: workers, TargetCandidate: id})
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := core.DecodeBatch(seg.Batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same("SegTarget", id, workers, b.Hists[id])
+				}
+				resolved[label] = true
+			}
+		})
+	}
+}
+
 // TestPlanReuse runs one Plan repeatedly across executors and checks the
 // answers match planning from scratch each time.
+// TestBlockCursorHandsOutEveryBlockOnce: workers racing on one cursor
+// receive every block exactly once, in non-empty chunks of at most
+// scanChunk, and a lone worker receives the blocks in order.
+func TestBlockCursorHandsOutEveryBlockOnce(t *testing.T) {
+	for _, tc := range []struct{ blocks, workers int }{{1, 1}, {7, 3}, {100, 2}, {5000, 4}, {78125, 2}} {
+		seen := make([]atomic.Int32, tc.blocks)
+		cur := newBlockCursor(tc.blocks, tc.workers)
+		var wg sync.WaitGroup
+		for w := 0; w < tc.workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for lo, hi, ok := cur.claim(); ok; lo, hi, ok = cur.claim() {
+					if hi <= lo || hi-lo > scanChunk {
+						t.Errorf("blocks=%d workers=%d: chunk [%d, %d)", tc.blocks, tc.workers, lo, hi)
+						return
+					}
+					for b := lo; b < hi; b++ {
+						seen[b].Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for b := range seen {
+			if n := seen[b].Load(); n != 1 {
+				t.Fatalf("blocks=%d workers=%d: block %d handed out %d times", tc.blocks, tc.workers, b, n)
+			}
+		}
+
+		next := 0
+		cur = newBlockCursor(tc.blocks, 1)
+		for lo, hi, ok := cur.claim(); ok; lo, hi, ok = cur.claim() {
+			if lo != next {
+				t.Fatalf("blocks=%d: lone worker got [%d, %d) after block %d", tc.blocks, lo, hi, next)
+			}
+			next = hi
+		}
+		if next != tc.blocks {
+			t.Fatalf("blocks=%d: lone worker stopped at block %d", tc.blocks, next)
+		}
+	}
+}
+
 func TestPlanReuse(t *testing.T) {
 	tbl := testDataset(t, 30_000, 15, 6, 25)
 	e := New(tbl)

@@ -142,7 +142,7 @@ func (p *Plan) runScanSegment(ctx context.Context, req *ShardSegment) (*ShardSeg
 	ex.guard = newRunGuard(ctx, req.RowBudget)
 	ex.skip = p.skipAll
 	ex.kernels = true
-	hists, io, rows, stopErr := ex.run(nil, -1)
+	hists, io, rows, stopErr := ex.run(nil)
 	return &ShardSegmentResult{
 		Batch:   core.EncodeBatch(scanBatch(hists, rows)),
 		IO:      io,

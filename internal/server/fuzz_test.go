@@ -33,9 +33,7 @@ func FuzzQuerySpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := q.Fingerprint(); err != nil {
-			t.Fatalf("wire query has no fingerprint: %v", err)
-		}
+		_ = q.Fingerprint()
 		p, err := eng.Prepare(q)
 		if (p == nil) == (err == nil) {
 			t.Fatalf("Prepare returned plan %v with error %v", p != nil, err)

@@ -343,16 +343,11 @@ func bindLocal(entry *tableEntry, table string, spec QuerySpec) (localQuery, int
 		return localQuery{}, http.StatusServiceUnavailable, fmt.Errorf("table %q unavailable: %v", table, err)
 	}
 	q, err := spec.toQuery(eng)
-	var qfp string
-	if err == nil {
-		// Wire queries never carry closures, so the fingerprint always exists.
-		qfp, err = q.Fingerprint()
-	}
 	if err != nil {
 		release()
 		return localQuery{}, http.StatusUnprocessableEntity, fmt.Errorf("invalid query: %v", err)
 	}
-	key := planKeyFor(table, entry.incarnation, strconv.FormatUint(gen, 10), qfp)
+	key := planKeyFor(table, entry.incarnation, strconv.FormatUint(gen, 10), q.Fingerprint())
 	return localQuery{eng: eng, q: q, gen: gen, planKey: key, release: release}, 0, nil
 }
 

@@ -19,10 +19,10 @@ import (
 //
 // The endpoint shares the plan cache with /v1/query: a shard serving
 // both direct queries and coordinated segments for the same query shape
-// resolves one plan, not two. It deliberately skips admission — the
-// coordinator's fan-out window already bounds in-flight segments per
-// query, and a shard queueing segments behind its own local queries
-// would stall the whole cluster fold.
+// resolves one plan, not two. It deliberately skips admission — a
+// coordinated query has at most one segment in flight per shard, and a
+// shard queueing segments behind its own local queries would stall the
+// whole cluster fold.
 func (s *Server) handleInternalPartial(w http.ResponseWriter, r *http.Request) {
 	var preq cluster.PartialRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))

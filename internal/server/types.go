@@ -41,9 +41,9 @@ type QueryRequest struct {
 	Quality bool `json:"quality,omitempty"`
 }
 
-// QuerySpec mirrors engine.Query for JSON transport. Filter closures have
-// no JSON form and are intentionally absent; predicate candidates travel
-// as CandidatePreds trees compiled against the table's dictionaries.
+// QuerySpec mirrors engine.Query for JSON transport; predicate candidates
+// travel as CandidatePreds trees compiled against the table's
+// dictionaries.
 type QuerySpec struct {
 	// Z names the candidate attribute. Ignored when CandidatePreds is set.
 	Z string `json:"z"`
