@@ -251,10 +251,13 @@ func BenchmarkMarkAnyActive(b *testing.B) {
 	const values, blocks, rowsPerBlock, tile = 347, 4096, 256, 1024
 	rng := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(rng, 1.1, 4, values-1)
-	idx := NewIndex(values, blocks)
+	idx := &Index{perValue: make([]*Bitset, values), blocks: blocks}
+	for v := range idx.perValue {
+		idx.perValue[v] = NewBitset(blocks)
+	}
 	for blk := 0; blk < blocks; blk++ {
 		for r := 0; r < rowsPerBlock; r++ {
-			idx.Add(uint32(zipf.Uint64()), blk)
+			idx.perValue[zipf.Uint64()].Set(blk)
 		}
 	}
 	active := make([]uint32, values)

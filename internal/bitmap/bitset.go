@@ -84,35 +84,6 @@ func (b *Bitset) And(other *Bitset) error {
 	return nil
 }
 
-// OrShifted accumulates other into b with every bit of other moved up by
-// offset bits: b[offset+i] |= other[i]. other must fit entirely inside b.
-// This is the stitching primitive for segmented storage backends, where a
-// per-segment block index is folded into a table-wide index at the
-// segment's block offset.
-func (b *Bitset) OrShifted(other *Bitset, offset int) error {
-	if offset < 0 || offset+other.n > b.n {
-		return fmt.Errorf("bitmap: shifted OR of %d bits at offset %d overflows %d bits", other.n, offset, b.n)
-	}
-	wordOff := offset / wordBits
-	bitOff := uint(offset % wordBits)
-	if bitOff == 0 {
-		for i, w := range other.words {
-			b.words[wordOff+i] |= w
-		}
-		return nil
-	}
-	for i, w := range other.words {
-		if w == 0 {
-			continue
-		}
-		b.words[wordOff+i] |= w << bitOff
-		if hi := w >> (wordBits - bitOff); hi != 0 {
-			b.words[wordOff+i+1] |= hi
-		}
-	}
-	return nil
-}
-
 // Clone returns a deep copy.
 func (b *Bitset) Clone() *Bitset {
 	c := NewBitset(b.n)

@@ -15,30 +15,14 @@ type Index struct {
 	blocks   int
 }
 
-// IndexedReader is an optional colstore.Reader capability: a storage
-// backend that maintains its own per-column block indexes (for example
-// the live-ingest backend, which keeps an immutable index per sealed
-// segment and stitches them with shifted ORs) can serve Build without a
-// full O(rows) scan. BlockIndex must return an
-// index exactly equal to what Build's scan would produce — same
-// cardinality, same block count, same bits — so every executor behaves
-// identically on indexed and scanned backends.
-type IndexedReader interface {
-	BlockIndex(columnName string) (*Index, error)
-}
-
 // Build scans the column once and constructs its index against the
 // source's block layout. It works over any storage backend (the Codes
 // slices are only read, per the colstore.Reader aliasing contract).
-// Backends implementing IndexedReader serve the index directly instead;
-// backends exposing exact per-block presence words (the stats computed
-// in every open's validation pass use the same value-major bit layout
-// as this index) serve Build by copying words, skipping the O(rows)
-// scan entirely.
+// Backends exposing exact per-block presence words (the stats computed
+// in every open's validation pass, and the live-ingest summary, use the
+// same value-major bit layout as this index) serve Build by copying
+// words, skipping the O(rows) scan entirely.
 func Build(src colstore.Reader, columnName string) (*Index, error) {
-	if ir, ok := src.(IndexedReader); ok {
-		return ir.BlockIndex(columnName)
-	}
 	col, err := src.ColumnByName(columnName)
 	if err != nil {
 		return nil, err
@@ -72,30 +56,6 @@ func Build(src colstore.Reader, columnName string) (*Index, error) {
 		}
 	}
 	return idx, nil
-}
-
-// NewIndex returns an empty index for the given attribute-value
-// cardinality and block count, to be populated with Add/OrValueShifted —
-// the construction path for backends that stitch an index from
-// per-segment pieces instead of scanning.
-func NewIndex(values, blocks int) *Index {
-	idx := &Index{perValue: make([]*Bitset, values), blocks: blocks}
-	for v := range idx.perValue {
-		idx.perValue[v] = NewBitset(blocks)
-	}
-	return idx
-}
-
-// Add records that block b contains a tuple with value code v.
-func (ix *Index) Add(v uint32, b int) { ix.perValue[v].Set(b) }
-
-// OrValueShifted folds a per-segment bitset for value v into this index
-// at the segment's block offset: bit i of src marks block blockOffset+i.
-func (ix *Index) OrValueShifted(v uint32, src *Bitset, blockOffset int) error {
-	if int(v) >= len(ix.perValue) {
-		return fmt.Errorf("bitmap: value %d out of range (%d values)", v, len(ix.perValue))
-	}
-	return ix.perValue[v].OrShifted(src, blockOffset)
 }
 
 // NumBlocks returns the number of blocks indexed.

@@ -285,33 +285,8 @@ func (st *runState) segmentFailed(sr *shardRun, err error) error {
 // rows are charged against the budget, exactly as the shared guard
 // charges them intra-node.
 func (st *runState) resolveTarget(ctx context.Context, t engine.Target) (*histogram.Histogram, error) {
-	switch {
-	case len(t.Counts) > 0:
-		if len(t.Counts) != st.groups {
-			return nil, fmt.Errorf("engine: target has %d groups, query produces %d", len(t.Counts), st.groups)
-		}
-		return histogram.FromCounts(t.Counts), nil
-	case t.Uniform:
-		counts := make([]float64, st.groups)
-		for i := range counts {
-			counts[i] = 1
-		}
-		return histogram.FromCounts(counts), nil
-	case t.Candidate != "":
-		id := -1
-		for i, l := range st.labels {
-			if l == t.Candidate {
-				id = i
-				break
-			}
-		}
-		if id < 0 {
-			return nil, fmt.Errorf("engine: target candidate %q not found", t.Candidate)
-		}
-		return st.resolveCandidateTarget(ctx, id)
-	default:
-		return nil, fmt.Errorf("engine: empty target specification")
-	}
+	return engine.MaterializeTarget(t, st.groups, len(st.labels), func(i int) string { return st.labels[i] },
+		func(id int) (*histogram.Histogram, error) { return st.resolveCandidateTarget(ctx, id) })
 }
 
 // resolveCandidateTarget sums the candidate's exact local histograms. A

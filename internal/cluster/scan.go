@@ -22,9 +22,6 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Resu
 	if target.Groups() != st.groups {
 		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), st.groups)
 	}
-	if err := opts.Params.Validate(); err != nil {
-		return nil, err
-	}
 	began := time.Now()
 	runSpan := opts.Trace.StartAt("run", began)
 	runSpan.SetAttr("executor", engine.ParallelScan.String())

@@ -20,9 +20,9 @@ import "math"
 // scan and take measure ranges from the snapshot's stored section — the
 // heap open after checking them against the values, the mmap open
 // unread (checking would page in the measure arrays, forfeiting the
-// ~instant cold start); the live-ingest backend routes each sealed block
-// to its segment's reader, a Table or MmapTable, so its answers are
-// exactly theirs, with the unsealed tail unknown.
+// ~instant cold start); the live-ingest backend answers sealed blocks
+// exactly from its table-wide summary and scans the unsealed tail for
+// presence, leaving the tail's measure ranges unknown.
 
 // BlockStats exposes per-block column statistics. Implementations are
 // immutable and safe for concurrent readers.
@@ -54,11 +54,11 @@ const maxPresenceBits = 1 << 27
 // presenceWordsPerValue is the stride of one value's block bits.
 func presenceWordsPerValue(numBlocks int) int { return (numBlocks + 63) / 64 }
 
-// presenceFits reports whether a column's presence bitset is worth
+// PresenceFits reports whether a column's presence bitset is worth
 // materializing. Writers and readers must agree on this decision: the v3
 // snapshot section stores one presence flag per column and the reader
-// cross-checks it.
-func presenceFits(cardinality, numBlocks int) bool {
+// cross-checks it. The live-ingest backend's summary applies the same cap.
+func PresenceFits(cardinality, numBlocks int) bool {
 	return int64(cardinality)*int64(presenceWordsPerValue(numBlocks))*64 <= maxPresenceBits
 }
 
@@ -148,7 +148,7 @@ func computeBlockStats(r Reader) *TableBlockStats {
 			continue
 		}
 		card := col.Cardinality()
-		if !presenceFits(card, nb) {
+		if !PresenceFits(card, nb) {
 			continue
 		}
 		wpv := presenceWordsPerValue(nb)

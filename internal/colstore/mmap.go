@@ -46,11 +46,13 @@ var hostLittleEndian = func() bool {
 
 // MmapTable is a Reader backed by a memory-mapped snapshot (or, in
 // fallback mode, by a heap-materialized copy). It is immutable and safe
-// for concurrent readers. Close unmaps the file; every slice previously
-// returned by Codes/Values is invalid afterwards, so only close once no
-// query can still be running.
+// for concurrent readers. The embedded Table serves every Reader method;
+// both open paths pre-seed its block statistics, so BlockStats never
+// pages in the measure arrays. Close unmaps the file; every slice
+// previously returned by Codes/Values is invalid afterwards, so only
+// close once no query can still be running.
 type MmapTable struct {
-	tbl  *Table
+	*Table
 	data []byte // non-nil iff zero-copy mapped
 }
 
@@ -76,7 +78,7 @@ func OpenMmapFile(path string) (*MmapTable, error) {
 					_ = munmap(data)
 					return nil, perr
 				}
-				return &MmapTable{tbl: tbl, data: data}, nil
+				return &MmapTable{Table: tbl, data: data}, nil
 			}
 		}
 	}
@@ -84,35 +86,7 @@ func OpenMmapFile(path string) (*MmapTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MmapTable{tbl: tbl}, nil
-}
-
-// NumRows implements Reader.
-func (mt *MmapTable) NumRows() int { return mt.tbl.NumRows() }
-
-// BlockSize implements Reader.
-func (mt *MmapTable) BlockSize() int { return mt.tbl.BlockSize() }
-
-// NumBlocks implements Reader.
-func (mt *MmapTable) NumBlocks() int { return mt.tbl.NumBlocks() }
-
-// BlockSpan implements Reader.
-func (mt *MmapTable) BlockSpan(b int) (lo, hi int) { return mt.tbl.BlockSpan(b) }
-
-// Columns implements Reader.
-func (mt *MmapTable) Columns() []string { return mt.tbl.Columns() }
-
-// ColumnByName implements Reader.
-func (mt *MmapTable) ColumnByName(name string) (ColumnReader, error) {
-	return mt.tbl.ColumnByName(name)
-}
-
-// MeasureNames implements Reader.
-func (mt *MmapTable) MeasureNames() []string { return mt.tbl.MeasureNames() }
-
-// MeasureByName implements Reader.
-func (mt *MmapTable) MeasureByName(name string) (MeasureReader, error) {
-	return mt.tbl.MeasureByName(name)
+	return &MmapTable{Table: tbl}, nil
 }
 
 // Storage implements Reader: mapped bytes dominate, with only
@@ -120,20 +94,14 @@ func (mt *MmapTable) MeasureByName(name string) (MeasureReader, error) {
 // heap-resident).
 func (mt *MmapTable) Storage() StorageStats {
 	if mt.data == nil {
-		return StorageStats{Backend: "mmap-fallback", HeapBytes: mt.tbl.heapBytes(true)}
+		return StorageStats{Backend: "mmap-fallback", HeapBytes: mt.heapBytes(true)}
 	}
 	return StorageStats{
 		Backend:     "mmap",
 		MappedBytes: int64(len(mt.data)),
-		HeapBytes:   mt.tbl.heapBytes(false),
+		HeapBytes:   mt.heapBytes(false),
 	}
 }
-
-// BlockStats implements BlockStatsReader. Both open paths pre-seed the
-// underlying table's stats (the parser folds them into validation), so
-// this never triggers a lazy recomputation that would page in measure
-// arrays.
-func (mt *MmapTable) BlockStats() BlockStats { return mt.tbl.BlockStats() }
 
 // Close releases the file mapping. Every slice obtained through the
 // table beforehand becomes invalid; callers must ensure no query is in

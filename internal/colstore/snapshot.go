@@ -40,7 +40,7 @@ import (
 //	          rows × float64 (IEEE 754 bits) values
 //	block statistics, per categorical column (declaration order):
 //	          uint32 hasPresence (1 iff the column's cardinality fits
-//	          the presence cap; see presenceFits)
+//	          the presence cap; see PresenceFits)
 //	          if 1: zero padding to the next 8-byte offset, then
 //	          cardinality × wordsPerValue(numBlocks) uint64 value-major
 //	          presence words (bit b of value v = block b may contain v)
@@ -375,7 +375,7 @@ func parseSnapshot(data []byte, verifyRanges bool) (*Table, error) {
 		}
 		codes := castLE[uint32](data[off:], rows)
 		var words []uint64
-		if presenceFits(int(dictLen), nb) {
+		if PresenceFits(int(dictLen), nb) {
 			words = make([]uint64, int(dictLen)*wpv)
 		}
 		// An out-of-range code would later index candidate/group arrays

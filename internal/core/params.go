@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"fastmatch/internal/histogram"
 )
@@ -74,33 +73,53 @@ func (p Params) maxRounds() int {
 	return 64
 }
 
-// Validate checks parameter ranges.
+// InvalidParamsError reports an out-of-range Params field, naming it.
+type InvalidParamsError struct {
+	// Field names the offending Params field, e.g. "Epsilon".
+	Field string
+	// Reason describes the constraint that failed.
+	Reason string
+}
+
+// Error implements error.
+func (e *InvalidParamsError) Error() string {
+	return fmt.Sprintf("core: invalid parameter %s: %s", e.Field, e.Reason)
+}
+
+// Validate checks every parameter and returns an *InvalidParamsError
+// naming the first offending field. NaN fails every range check.
 func (p Params) Validate() error {
+	bad := func(field, format string, args ...any) error {
+		return &InvalidParamsError{Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
 	if p.K < 1 && p.KRange.KMax <= 0 {
-		return fmt.Errorf("core: k must be ≥ 1, got %d", p.K)
+		return bad("K", "k must be ≥ 1, got %d", p.K)
 	}
 	if !(p.Epsilon > 0 && p.Epsilon <= 2) {
-		return fmt.Errorf("core: epsilon must be in (0, 2], got %g", p.Epsilon)
+		return bad("Epsilon", "ε must be in (0, 2], got %g", p.Epsilon)
 	}
-	if p.EpsilonReconstruct < 0 || p.EpsilonReconstruct > 2 {
-		return fmt.Errorf("core: epsilonReconstruct must be in [0, 2], got %g", p.EpsilonReconstruct)
+	if !(p.EpsilonReconstruct >= 0 && p.EpsilonReconstruct <= 2) {
+		return bad("EpsilonReconstruct", "ε₂ must be in [0, 2], got %g", p.EpsilonReconstruct)
 	}
 	if !(p.Delta > 0 && p.Delta < 1) {
-		return fmt.Errorf("core: delta must be in (0, 1), got %g", p.Delta)
+		return bad("Delta", "δ must be in (0, 1), got %g", p.Delta)
 	}
-	if p.Sigma < 0 || p.Sigma >= 1 {
-		return fmt.Errorf("core: sigma must be in [0, 1), got %g", p.Sigma)
+	if !(p.Sigma >= 0 && p.Sigma < 1) {
+		return bad("Sigma", "σ must be in [0, 1), got %g", p.Sigma)
 	}
 	if p.Stage1Samples < 0 {
-		return fmt.Errorf("core: stage1Samples must be ≥ 0, got %d", p.Stage1Samples)
+		return bad("Stage1Samples", "stage-1 sample size must be ≥ 0, got %d", p.Stage1Samples)
 	}
-	if math.IsNaN(p.Epsilon) || math.IsNaN(p.Delta) || math.IsNaN(p.Sigma) {
-		return fmt.Errorf("core: NaN parameter")
+	if p.KRange.KMax > 0 && (p.KRange.KMin < 1 || p.KRange.KMin > p.KRange.KMax) {
+		return bad("KRange", "invalid k range [%d, %d]", p.KRange.KMin, p.KRange.KMax)
 	}
-	if p.KRange.KMax > 0 {
-		if p.KRange.KMin < 1 || p.KRange.KMin > p.KRange.KMax {
-			return fmt.Errorf("core: invalid k range [%d, %d]", p.KRange.KMin, p.KRange.KMax)
-		}
+	if p.MaxRounds < 0 {
+		return bad("MaxRounds", "round cap must be ≥ 0, got %d", p.MaxRounds)
+	}
+	switch p.Metric {
+	case histogram.MetricL1, histogram.MetricL2:
+	default:
+		return bad("Metric", "unknown metric %d", int(p.Metric))
 	}
 	return nil
 }

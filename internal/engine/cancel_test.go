@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"fastmatch/internal/bitmap"
 	"fastmatch/internal/colstore"
 	"fastmatch/internal/ingest"
 )
@@ -104,8 +103,9 @@ func ingestTableFrom(t testing.TB, tbl *colstore.Table, sealRows int) *ingest.Wr
 // rowHookReader wraps a Reader and reports each block's row count to its
 // hook as BlockSpan serves the block. BlockSpan is the one call every
 // executor makes per block it reads, so the hook sees a run's reads in
-// read order, on the goroutine that reads them. Indexes and block
-// statistics come from the wrapped reader, so planning reports nothing.
+// read order, on the goroutine that reads them. Block statistics come
+// from the wrapped reader, and indexes are copied from their presence
+// words, so planning reports nothing.
 type rowHookReader struct {
 	colstore.Reader
 	hook atomic.Pointer[func(rows int)]
@@ -129,10 +129,6 @@ func (r *rowHookReader) BlockSpan(b int) (lo, hi int) {
 }
 
 func (r *rowHookReader) BlockStats() colstore.BlockStats { return blockStatsOf(r.Reader) }
-
-func (r *rowHookReader) BlockIndex(column string) (*bitmap.Index, error) {
-	return bitmap.Build(r.Reader, column)
-}
 
 // cancelAfterRows returns a row hook that cancels ctx once n rows have
 // been served — a deterministic mid-scan trigger that works identically
@@ -337,43 +333,6 @@ func TestFastMatchCancelJoinsLookaheadGoroutines(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after 20 canceled FastMatch runs", before, n)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestIngestPinsReleasedAfterCanceledRun asserts a canceled FastMatch
-// run over a live-table view leaves no segment pins behind once the view
-// is released (the leak assertion via ingest.Stats).
-func TestIngestPinsReleasedAfterCanceledRun(t *testing.T) {
-	tbl := testDataset(t, 40_000, 20, 8, 5)
-	wt := ingestTableFrom(t, tbl, 2048) // many sealed segments
-	v0, err := wt.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v0.Release()
-	base := wt.Stats()
-	if base.Segments < 4 {
-		t.Fatalf("want several sealed segments, got %d", base.Segments)
-	}
-
-	v, err := wt.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hooked := &rowHookReader{Reader: v}
-	eng := New(hooked)
-	for i := 0; i < 5; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		hooked.set(cancelAfterRows(cancel, 2_000))
-		if _, err := eng.RunContext(ctx, baseQuery(), Target{Uniform: true}, cancelOptions(FastMatch, v.NumBlocks())); !errors.Is(err, ErrCanceled) {
-			cancel()
-			t.Fatalf("iteration %d: want ErrCanceled, got %v", i, err)
-		}
-		cancel()
-	}
-	v.Release()
-	if got := wt.Stats().SegmentPins; got != base.SegmentPins {
-		t.Fatalf("segment pins leaked across canceled runs: %d, baseline %d", got, base.SegmentPins)
 	}
 }
 

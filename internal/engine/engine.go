@@ -269,16 +269,17 @@ func (p *Plan) RunWithTarget(target *histogram.Histogram, opts Options) (*Result
 }
 
 // RunWithTargetContext is RunWithTarget governed by a context, with the
-// same cancellation contract as Plan.RunContext.
+// same validation and cancellation contract as Plan.RunContext.
 func (p *Plan) RunWithTargetContext(ctx context.Context, target *histogram.Histogram, opts Options) (*Result, error) {
-	return p.runWithTarget(target, opts, newRunGuard(ctx, opts.RowBudget))
-}
-
-// runWithTarget executes the plan under an optional run guard.
-func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *runGuard) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	return p.runWithTarget(target, opts, newRunGuard(ctx, opts.RowBudget))
+}
+
+// runWithTarget executes the plan under an optional run guard; the
+// caller has validated opts.
+func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *runGuard) (*Result, error) {
 	if target.Groups() != p.grp.groups() {
 		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), p.grp.groups())
 	}

@@ -10,8 +10,8 @@ import (
 // marking (Algorithm 3) to the per-block probe (Algorithm 2) at the
 // mapper level: for column candidates with and without a KnownCandidates
 // dummy and for predicate candidates, on the in-memory backend and on an
-// ingest view whose index is stitched from segments that start inside a
-// word, every mark[i] of a random tile equals blockAnyActive(active,
+// ingest view whose index is copied from 37-block seals that end inside
+// a word, every mark[i] of a random tile equals blockAnyActive(active,
 // start+i) for a random active set — including tiles that start inside a
 // word and run past the last block, which must read unmarked.
 func TestMarkAnyActiveMatchesBlockProbe(t *testing.T) {

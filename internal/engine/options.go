@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"fastmatch/internal/core"
 	"fastmatch/internal/histogram"
@@ -89,7 +89,8 @@ func ResolveExecutor(opts Options, rows, groups int, coordinated bool) (Executor
 // by every Run entry point before any sampling happens, so a malformed
 // request can never reach undefined behavior deep in the sampler. Callers
 // detect it with errors.As — a serving layer maps it to a 4xx response
-// while genuine execution failures stay 5xx.
+// while genuine execution failures stay 5xx. Params fields carry the
+// field and reason of core's *InvalidParamsError.
 type InvalidOptionsError struct {
 	// Field names the offending Options/Params field, e.g. "Epsilon".
 	Field string
@@ -103,41 +104,17 @@ func (e *InvalidOptionsError) Error() string {
 }
 
 // Validate checks every run-affecting field and returns an
-// *InvalidOptionsError naming the first offending one. The zero Options
-// value is NOT valid (K and Epsilon are zero); DefaultOptions always is.
+// *InvalidOptionsError naming the first offending one: the Params
+// through core.Params.Validate, then the executor and the row budget.
+// The zero Options value is NOT valid (K and Epsilon are zero);
+// DefaultOptions always is.
 func (o Options) Validate() error {
 	bad := func(field, format string, args ...any) error {
 		return &InvalidOptionsError{Field: field, Reason: fmt.Sprintf(format, args...)}
 	}
-	p := o.Params
-	if p.K < 1 && p.KRange.KMax <= 0 {
-		return bad("K", "k must be ≥ 1, got %d", p.K)
-	}
-	if math.IsNaN(p.Epsilon) || !(p.Epsilon > 0 && p.Epsilon <= 2) {
-		return bad("Epsilon", "ε must be in (0, 2], got %g", p.Epsilon)
-	}
-	if math.IsNaN(p.EpsilonReconstruct) || p.EpsilonReconstruct < 0 || p.EpsilonReconstruct > 2 {
-		return bad("EpsilonReconstruct", "ε₂ must be in [0, 2], got %g", p.EpsilonReconstruct)
-	}
-	if math.IsNaN(p.Delta) || !(p.Delta > 0 && p.Delta < 1) {
-		return bad("Delta", "δ must be in (0, 1), got %g", p.Delta)
-	}
-	if math.IsNaN(p.Sigma) || p.Sigma < 0 || p.Sigma >= 1 {
-		return bad("Sigma", "σ must be in [0, 1), got %g", p.Sigma)
-	}
-	if p.Stage1Samples < 0 {
-		return bad("Stage1Samples", "stage-1 sample size must be ≥ 0, got %d", p.Stage1Samples)
-	}
-	if p.KRange.KMax > 0 && (p.KRange.KMin < 1 || p.KRange.KMin > p.KRange.KMax) {
-		return bad("KRange", "invalid k range [%d, %d]", p.KRange.KMin, p.KRange.KMax)
-	}
-	if p.MaxRounds < 0 {
-		return bad("MaxRounds", "round cap must be ≥ 0, got %d", p.MaxRounds)
-	}
-	switch p.Metric {
-	case histogram.MetricL1, histogram.MetricL2:
-	default:
-		return bad("Metric", "unknown metric %d", int(p.Metric))
+	var pe *core.InvalidParamsError
+	if errors.As(o.Params.Validate(), &pe) {
+		return &InvalidOptionsError{Field: pe.Field, Reason: pe.Reason}
 	}
 	switch o.Executor {
 	case Scan, ScanMatch, SyncMatch, FastMatch, ParallelScan, Auto:

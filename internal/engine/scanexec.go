@@ -241,10 +241,6 @@ func (p *Plan) scanCandidate(id, workers int, guard *runGuard) (*histogram.Histo
 // pruning (selectivities from a truncated pass are biased), candidates
 // ranked by their partial histograms — alongside the termination error.
 func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, guard *runGuard, emit func(io IOStats), span *trace.Span) (*Result, error) {
-	params := opts.Params
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
 	ex := p.newScanExec(workers)
 	ex.guard = guard
 	ex.span = span
@@ -257,7 +253,7 @@ func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, g
 	}
 	hists, io, totalRows, stopErr := ex.run(nil)
 	res := &Result{Exact: stopErr == nil, Partial: stopErr != nil, IO: io}
-	res.TopK, res.Pruned = RankExact(target, params, hists, totalRows, stopErr == nil, p.cand.labelOf)
+	res.TopK, res.Pruned = RankExact(target, opts.Params, hists, totalRows, stopErr == nil, p.cand.labelOf)
 	res.Stats.ChosenK = len(res.TopK)
 	res.Stats.PrunedCandidates = len(res.Pruned)
 	return res, stopErr

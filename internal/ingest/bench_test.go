@@ -10,7 +10,7 @@ import (
 // baseline lives in BENCH_ingest.json at the repo root. Append
 // benchmarks report rows/s via b.N rows per iteration batches;
 // query-under-ingest interleaves appends with engine runs over fresh
-// views (the per-generation view + stitched-index maintenance cost is
+// views (the per-generation view + summary-copied index cost is
 // the thing being measured, on top of the query itself).
 
 func benchRows(n int) []Row {

@@ -11,16 +11,18 @@ import (
 
 // Background compaction.
 //
-// The compactor runs two policies, both producing snapshot files
-// (mmap-able, identical to batch snapshots):
+// Compaction is persistence only: reads are always served from the
+// spine, so a compaction cycle writes a file, commits the manifest, and
+// truncates the WAL it covers, and no reader ever notices. It runs two
+// policies, both producing snapshot files identical to batch snapshots:
 //
-//  1. Persist: every sealed-but-unpersisted segment run [persistedRows,
-//     sealedRows) is merged into one segment file. Once the manifest
+//  1. Persist: the sealed-but-unpersisted rows [persistedRows,
+//     sealedRows) are written as one segment file. Once the manifest
 //     commits, the covered WAL prefix is deleted — the WAL stays
 //     proportional to the unsealed tail, not the table.
 //  2. Merge: when more than Options.MaxSegmentFiles files accumulate,
 //     all of them are re-merged into a single file covering
-//     [0, persistedRows), bounding both file count and replay fan-in.
+//     [0, persistedRows), bounding both file count and boot fan-in.
 //     Full re-merge is deliberately simple; its write amplification is
 //     O(table) per merge, i.e. roughly one full rewrite every
 //     MaxSegmentFiles persist cycles, which is fine at the scales the
@@ -28,18 +30,10 @@ import (
 //     MaxSegmentFiles to amortize further; a size-tiered policy is the
 //     upgrade path if file counts ever need to scale beyond that.
 //
-// A segment file is a batch snapshot, so it persists exact per-block
-// statistics (presence words, measure ranges); its mapped reader serves
-// them as the new segment's one summary, and nothing is carried over
-// from the children.
-//
-// Swaps are atomic with respect to readers: the new segment replaces its
-// children in the canonical list under the table mutex, while in-flight
-// views keep their pinned children alive until released — snapshot
-// isolation via the segment refcounts. Durability ordering is file
-// write + fsync → manifest rename → WAL/file deletion, so a crash at any
-// point leaves either the old manifest (orphaned file removed at boot)
-// or the new one (covered WAL rows skipped by replay).
+// Durability ordering is file write + fsync → manifest rename →
+// WAL/file deletion, so a crash at any point leaves either the old
+// manifest (orphaned file removed at boot) or the new one (covered WAL
+// rows skipped by replay).
 
 // runCompactor is the background loop started by Open.
 func (t *WritableTable) runCompactor() {
@@ -80,8 +74,8 @@ func (t *WritableTable) CompactNow() error {
 	return t.mergeFiles()
 }
 
-// persistSealed folds the sealed-but-unpersisted segments into one
-// snapshot file and swaps a file-backed segment in for them.
+// persistSealed writes the sealed-but-unpersisted rows as one segment
+// file and commits it.
 func (t *WritableTable) persistSealed() error {
 	t.mu.Lock()
 	if t.closed || t.sealedRows == t.persistedRows {
@@ -90,59 +84,42 @@ func (t *WritableTable) persistSealed() error {
 	}
 	lo, hi := t.persistedRows, t.sealedRows
 	tbl, err := t.rangeTable(lo, hi)
-	var children []*segment
-	for _, s := range t.segments {
-		if s.firstRow >= lo && s.firstRow < hi {
-			children = append(children, s)
-		}
-	}
+	files := t.files[:len(t.files):len(t.files)]
 	t.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	merged, err := t.writeSegmentFile(tbl, lo)
+	seg, err := t.writeSegmentFile(tbl, lo)
 	if err != nil {
 		return err
 	}
-	return t.swapSegments(merged, children)
+	return t.commit(append(files, seg))
 }
 
-// mergeFiles re-merges every file-backed segment into one when the file
-// count exceeds the bound.
+// mergeFiles re-merges every segment file into one when the file count
+// exceeds the bound.
 func (t *WritableTable) mergeFiles() error {
 	t.mu.Lock()
-	var children []*segment
-	for _, s := range t.segments {
-		if s.file != "" {
-			children = append(children, s)
-		}
-	}
-	if t.closed || len(children) <= t.opts.MaxSegmentFiles {
+	old := t.files
+	if t.closed || len(old) <= t.opts.MaxSegmentFiles {
 		t.mu.Unlock()
 		return nil
 	}
-	hi := children[len(children)-1].firstRow + children[len(children)-1].rows
-	tbl, err := t.rangeTable(0, hi)
+	last := old[len(old)-1]
+	tbl, err := t.rangeTable(0, last.FirstRow+last.Rows)
 	t.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	merged, err := t.writeSegmentFile(tbl, 0)
+	seg, err := t.writeSegmentFile(tbl, 0)
 	if err != nil {
 		return err
 	}
-	oldFiles := make([]string, len(children))
-	for i, c := range children {
-		oldFiles[i] = c.file
-	}
-	if err := t.swapSegments(merged, children); err != nil {
+	if err := t.commit([]manifestSegment{seg}); err != nil {
 		return err
 	}
-	// The manifest no longer references the old files; unlinking is safe
-	// even while released-but-not-yet-unpinned views still have them
-	// mapped (POSIX keeps the pages until the mapping goes away).
-	for _, f := range oldFiles {
-		if err := os.Remove(filepath.Join(t.dir, f)); err != nil && !os.IsNotExist(err) {
+	for _, f := range old {
+		if err := os.Remove(filepath.Join(t.dir, f.File)); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
@@ -150,84 +127,38 @@ func (t *WritableTable) mergeFiles() error {
 }
 
 // writeSegmentFile durably writes rows [firstRow, firstRow+tbl.NumRows())
-// as a snapshot file and wraps it, mapped, as a segment. The file
-// persists exact presence words, so the merged segment's first index
-// build per column is a word copy, not a rescan.
-func (t *WritableTable) writeSegmentFile(tbl *colstore.Table, firstRow int) (*segment, error) {
-	name := segFileName(firstRow, tbl.NumRows())
-	path := filepath.Join(t.dir, name)
-	if err := colstore.WriteSnapshotFile(tbl, path); err != nil {
-		return nil, fmt.Errorf("ingest: writing segment file %s: %w", name, err)
+// as a snapshot file.
+func (t *WritableTable) writeSegmentFile(tbl *colstore.Table, firstRow int) (manifestSegment, error) {
+	seg := manifestSegment{File: segFileName(firstRow, tbl.NumRows()), FirstRow: firstRow, Rows: tbl.NumRows()}
+	if err := colstore.WriteSnapshotFile(tbl, filepath.Join(t.dir, seg.File)); err != nil {
+		return manifestSegment{}, fmt.Errorf("ingest: writing segment file %s: %w", seg.File, err)
 	}
-	reader, err := colstore.OpenMmapFile(path)
-	if err != nil {
-		os.Remove(path)
-		return nil, fmt.Errorf("ingest: re-opening segment file %s: %w", name, err)
-	}
-	return newSegment(firstRow, reader, name), nil
+	return seg, nil
 }
 
-// swapSegments atomically replaces the children with the merged segment
-// in the canonical list, commits the manifest, and truncates the covered
-// WAL prefix.
-func (t *WritableTable) swapSegments(merged *segment, children []*segment) error {
+// commit makes files (in row order, the last one just written) the
+// table's segment files: it writes the manifest, then truncates the WAL
+// the files cover. Nothing changes in memory unless the manifest
+// commits; on failure the new file is removed again.
+func (t *WritableTable) commit(files []manifestSegment) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	seg := files[len(files)-1]
 	if t.closed {
-		merged.unpin()
-		os.Remove(filepath.Join(t.dir, merged.file))
+		os.Remove(filepath.Join(t.dir, seg.File))
 		return fmt.Errorf("ingest: table closed during compaction")
 	}
-	// Splice: keep segments outside [merged.firstRow, merged end).
-	end := merged.firstRow + merged.rows
-	next := make([]*segment, 0, len(t.segments))
-	for _, s := range t.segments {
-		if s.firstRow >= merged.firstRow && s.firstRow < end {
-			continue
-		}
-		next = append(next, s)
-	}
-	// Insert in row order.
-	out := make([]*segment, 0, len(next)+1)
-	inserted := false
-	for _, s := range next {
-		if !inserted && s.firstRow > merged.firstRow {
-			out = append(out, merged)
-			inserted = true
-		}
-		out = append(out, s)
-	}
-	if !inserted {
-		out = append(out, merged)
-	}
-	t.segments = out
-	if end > t.persistedRows {
-		t.persistedRows = end
-	}
-	t.compactions++
-
-	// Drop the canonical references to the swapped-out children; views
-	// still pinning them keep them (and their mmap handles) alive. This
-	// happens before the manifest write: the in-memory swap is already
-	// committed, so a manifest error below must not leak the children's
-	// pins (the WAL is left untouched on that path, keeping recovery
-	// correct under the old on-disk manifest).
-	for _, c := range children {
-		c.unpin()
-	}
-
-	m := manifest{Version: 1, Schema: t.schema, SealRows: t.opts.SealRows, PersistedRows: t.persistedRows}
-	for _, s := range t.segments {
-		if s.file != "" {
-			m.Segments = append(m.Segments, manifestSegment{File: s.file, FirstRow: s.firstRow, Rows: s.rows})
-		}
-	}
+	persisted := max(t.persistedRows, seg.FirstRow+seg.Rows)
+	m := manifest{Version: 1, Schema: t.schema, SealRows: t.opts.SealRows, PersistedRows: persisted, Segments: files}
 	if err := writeManifest(t.dir, m); err != nil {
+		os.Remove(filepath.Join(t.dir, seg.File))
 		return err
 	}
+	t.files, t.persistedRows = files, persisted
+	t.compactions++
 	t.log.Info("compaction cycle committed",
-		"dir", t.dir, "file", merged.file, "first_row", merged.firstRow,
-		"rows", merged.rows, "persisted_rows", t.persistedRows,
+		"dir", t.dir, "file", seg.File, "first_row", seg.FirstRow,
+		"rows", seg.Rows, "persisted_rows", t.persistedRows,
 		"compactions", t.compactions)
 	// Rotate the WAL off any file still holding covered rows, then drop
 	// fully covered files.

@@ -135,9 +135,9 @@ func TestReopenFromSegmentsAndWAL(t *testing.T) {
 }
 
 // TestViewSurvivesCompactionSwap pins snapshot isolation: a view taken
-// before compaction keeps answering identically afterwards, even though
-// its memory segments were swapped for a file-backed one (and, after a
-// merge, the file it pinned was unlinked).
+// before compaction keeps answering identically afterwards, even after
+// a merge swapped the manifest's files and unlinked the ones that held
+// its rows (views read the spine, never segment files).
 func TestViewSurvivesCompactionSwap(t *testing.T) {
 	opts := testOptions()
 	opts.MaxSegmentFiles = 1
@@ -162,8 +162,7 @@ func TestViewSurvivesCompactionSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First cycle persists the sealed rows; v2 then pins the resulting
-	// file-backed segment.
+	// First cycle persists the sealed rows; v2 is taken after it.
 	if err := wt.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestViewSurvivesCompactionSwap(t *testing.T) {
 	}
 
 	// Second cycle persists more rows and (MaxSegmentFiles=1) merges,
-	// unlinking the file v2 still has pinned (and mapped).
+	// unlinking the file persisted before v2 was taken.
 	appendAll(t, wt, genRows(600, 35))
 	if err := wt.CompactNow(); err != nil {
 		t.Fatal(err)
@@ -189,17 +188,17 @@ func TestViewSurvivesCompactionSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	if canonicalResult(t, before) != canonicalResult(t, after) {
-		t.Fatal("pinned view's results changed across compaction swaps")
+		t.Fatal("view's results changed across compaction swaps")
 	}
 	if v.NumRows() != 1100 {
-		t.Fatalf("pinned view grew: %d rows", v.NumRows())
+		t.Fatalf("view grew: %d rows", v.NumRows())
 	}
 	after2, err := engine.New(v2).Run(q, engine.Target{Uniform: true}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canonicalResult(t, before2) != canonicalResult(t, after2) {
-		t.Fatal("view pinning an unlinked segment file changed its results")
+		t.Fatal("view taken over an unlinked segment file changed its results")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,8 +24,8 @@ import (
 // the inmem and mmap backends, for all five executors. The ingest path
 // preserves the block grid (segments are block-aligned), the dictionary
 // code assignment (first-appearance interning, same as AppendRow), and
-// the bitmap index bits (stitched per segment, scanned for the tail), so
-// any divergence is an ingest bug, not sampling noise.
+// the bitmap index bits (copied from the table's block summary, scanned
+// for the tail), so any divergence is an ingest bug, not sampling noise.
 
 // batchTable loads rows through the batch Builder, unshuffled — the
 // reference the live path must match exactly.
@@ -212,30 +213,43 @@ func TestCompactedFileIsByteIdenticalToBatchSnapshot(t *testing.T) {
 	}
 }
 
-// readerOnly hides TableView's BlockIndex so bitmap.Build takes the
-// full-scan path.
+// readerOnly hides TableView's block statistics so bitmap.Build takes
+// the full-scan path.
 type readerOnly struct{ colstore.Reader }
 
-func TestStitchedIndexMatchesScanBuilt(t *testing.T) {
-	rows := genRows(5_000, 24)
-	wt := ingestTable(t, rows, testOptions())
-	if err := wt.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	// Append more after compaction so the view spans a file-backed
-	// segment, memory segments, and an unsealed tail.
-	for i := 0; i < 8; i++ {
-		if _, err := wt.Append(genRows(150, int64(30+i))); err != nil {
+// checkViewStats holds a view's block statistics to a scan of its own
+// rows: for every column, PresenceWords equals the scanned presence bits
+// word for word and the index Build copies from them equals the index a
+// scan builds; every measure's range is the exact block min/max for the
+// sealed blocks and unknown for the unsealed tail.
+func checkViewStats(t *testing.T, stage string, v *TableView, sealed int) {
+	t.Helper()
+	stats := v.BlockStats()
+	nb := v.NumBlocks()
+	wpv := (nb + 63) / 64
+	for _, column := range v.Columns() {
+		col, err := v.ColumnByName(column)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	v, err := wt.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-	for _, column := range []string{"Z", "X"} {
-		stitched, err := bitmap.Build(v, column)
+		want := make([]uint64, col.Cardinality()*wpv)
+		for b := 0; b < nb; b++ {
+			lo, hi := v.BlockSpan(b)
+			for _, code := range col.Codes(lo, hi) {
+				want[int(code)*wpv+b/64] |= 1 << (b % 64)
+			}
+		}
+		words, gotWPV, ok := stats.PresenceWords(column)
+		if !ok || gotWPV != wpv || len(words) != len(want) {
+			t.Fatalf("%s/%s: presence declined or misshapen: ok=%v wpv=%d/%d len=%d/%d",
+				stage, column, ok, gotWPV, wpv, len(words), len(want))
+		}
+		for i := range want {
+			if words[i] != want[i] {
+				t.Fatalf("%s/%s: presence word %d (value %d) = %#x, scan %#x", stage, column, i, i/max(wpv, 1), words[i], want[i])
+			}
+		}
+		copied, err := bitmap.Build(v, column)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,17 +257,115 @@ func TestStitchedIndexMatchesScanBuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stitched.NumValues() != scanned.NumValues() || stitched.NumBlocks() != scanned.NumBlocks() {
-			t.Fatalf("%s: index shape diverges: %d/%d values, %d/%d blocks", column,
-				stitched.NumValues(), scanned.NumValues(), stitched.NumBlocks(), scanned.NumBlocks())
+		if copied.NumValues() != scanned.NumValues() || copied.NumBlocks() != scanned.NumBlocks() {
+			t.Fatalf("%s/%s: index shape diverges: %d/%d values, %d/%d blocks", stage, column,
+				copied.NumValues(), scanned.NumValues(), copied.NumBlocks(), scanned.NumBlocks())
 		}
 		for val := 0; val < scanned.NumValues(); val++ {
-			for b := 0; b < scanned.NumBlocks(); b++ {
-				if stitched.Contains(uint32(val), b) != scanned.Contains(uint32(val), b) {
-					t.Fatalf("%s: index bit (%d, %d) diverges", column, val, b)
+			a, _ := copied.ValueBitset(uint32(val))
+			b, _ := scanned.ValueBitset(uint32(val))
+			for w := 0; w < wpv; w++ {
+				if a.Word(w) != b.Word(w) {
+					t.Fatalf("%s/%s: index word (%d, %d) diverges", stage, column, val, w)
 				}
 			}
 		}
+	}
+	for _, name := range v.MeasureNames() {
+		m, err := v.MeasureByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < nb; b++ {
+			lo, hi, ok := stats.MeasureRange(name, b)
+			if b >= sealed {
+				if ok {
+					t.Fatalf("%s/%s: tail block %d has a known range", stage, name, b)
+				}
+				continue
+			}
+			blo, bhi := v.BlockSpan(b)
+			wantLo, wantHi := math.Inf(1), math.Inf(-1)
+			for _, x := range m.Values(blo, bhi) {
+				wantLo, wantHi = math.Min(wantLo, x), math.Max(wantHi, x)
+			}
+			if !ok || lo != wantLo || hi != wantHi {
+				t.Fatalf("%s/%s: sealed block %d range [%g, %g] ok=%v, want [%g, %g]", stage, name, b, lo, hi, ok, wantLo, wantHi)
+			}
+		}
+	}
+}
+
+// TestViewIndexMatchesScanBuilt checks every generation's view against a
+// scan of its own rows (see checkViewStats) across 37-block seals that
+// end inside a presence word, a persist and a merge compaction, and a
+// reopen from segment files plus the WAL, always with an unsealed tail.
+// Every earlier view is re-checked at the end, after later views have
+// extended the shared summary past its sealed blocks and interned
+// values it never saw.
+func TestViewIndexMatchesScanBuilt(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions()
+	opts.SealRows = 37 * 64
+	opts.MaxSegmentFiles = 1
+	wt, err := Open(dir, testSchema(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type checked struct {
+		stage  string
+		v      *TableView
+		sealed int
+	}
+	var views []checked
+	check := func(stage string) {
+		v, err := wt.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := checked{stage, v, wt.Stats().SealedRows / 64}
+		checkViewStats(t, c.stage, c.v, c.sealed)
+		views = append(views, c)
+	}
+	appendChecked := func(stage string, batches int, seed int64) {
+		for i := 0; i < batches; i++ {
+			rows := genRows(611, seed+int64(i))
+			rows[0] = mkRow(fmt.Sprintf("Z_new_%d_%d", seed, i), "X_0", 1)
+			if _, err := wt.Append(rows); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s/%d", stage, i))
+		}
+	}
+	check("empty")
+	appendChecked("seal", 9, 100)
+	if err := wt.CompactNow(); err != nil { // persist
+		t.Fatal(err)
+	}
+	check("persisted")
+	appendChecked("after-persist", 5, 200)
+	if err := wt.CompactNow(); err != nil { // persist, then merge two files
+		t.Fatal(err)
+	}
+	if st := wt.Stats(); st.SegmentFiles != 1 || st.Compactions != 3 {
+		t.Fatalf("want one merged file after three commits: %+v", st)
+	}
+	check("merged")
+	appendChecked("after-merge", 3, 300)
+	if err := wt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if wt, err = Open(dir, Schema{}, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer wt.Close()
+	if st := wt.Stats(); st.ReplayedRows == 0 || st.Rows == st.SealedRows {
+		t.Fatalf("reopen should replay WAL rows and keep a tail: %+v", st)
+	}
+	check("reopened")
+	appendChecked("after-reopen", 4, 400)
+	for _, c := range views {
+		checkViewStats(t, "recheck/"+c.stage, c.v, c.sealed)
 	}
 }
 

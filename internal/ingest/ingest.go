@@ -6,44 +6,40 @@
 //
 // The design is a hybrid write/read split in the spirit of HTAP systems
 // (cf. Polynesia): a small row-oriented write side is continuously folded
-// into the immutable, column-oriented analytical representation the
-// engine reads.
+// into the one column-oriented layout the engine reads.
 //
-//	appends ──▶ WAL (CRC'd records, fsync ack) ──▶ write buffer
-//	                                                 │ interning
+//	appends ──▶ WAL (CRC'd records, fsync ack) ──▶ interning
+//	                                                 │
 //	                                                 ▼
-//	                                        columnar spine (append-only)
-//	                                                 │ every SealRows rows
-//	                                                 ▼
-//	                                 sealed segment (immutable, exact
-//	                                  per-block stats, per-column bitmap
-//	                                  index, refcounted)
-//	                                                 │ background compactor
-//	                                                 ▼
-//	                                 snapshot segment file (mmap-opened,
-//	                                  stats section persisted)
-//	                                      + manifest swap + WAL truncation
+//	                              columnar spine (append-only; every read)
+//	                                 │ every SealRows rows: seal
+//	                                 ▼
+//	               sealed prefix ──▶ table-wide block summary (presence
+//	                 │                words + measure ranges, extended
+//	                 │                lazily by the first view to ask)
+//	                 ▼ background compactor
+//	         snapshot segment file + manifest swap + WAL truncation
 //
-// A sealed segment has one summary: its reader's colstore BlockStats,
-// exact per block (code presence, measure ranges). View-level block
-// skipping and the segment's bitmap index both read it. A compacted
-// segment file persists the same statistics and its mapped reader
-// serves them, so nothing is carried across a merge.
+// Sealing only advances the sealed row count: it marks the prefix whose
+// blocks the summary may describe exactly. A TableView is the spine
+// prefix at one generation plus exact block statistics: sealed blocks
+// answered from the summary, the unsealed tail's presence scanned on
+// demand. bitmap.Build copies those presence words like any other
+// backend's, so a live table has no index path of its own.
 //
-// Queries never block appends, and appends never block queries at the
-// current generation (the unchanged-generation View path is lock-free;
-// only a view of rows still being applied waits for their ack): View()
-// publishes an immutable snapshot-isolated TableView (a colstore.Reader)
-// over the spine prefix plus a pinned segment set; released views unpin
-// their segments, and a segment's resources (mmap handles, cached
-// indexes) are reclaimed on the last unpin.
+// Segment files are the writer's persistence units, never read by
+// queries: compaction writes them and truncates the WAL, and boot copies
+// them back into the spine and closes them.
+//
+// Queries never block appends: a view is a handful of slice headers
+// taken under the table mutex, and the summary has its own mutex.
 //
 // Durability: Append returns only after the batch's WAL record is fully
 // written (and fsynced unless Options.NoSync) — those rows are "acked"
-// and survive kill -9. Startup replays manifest-listed segment files and
-// then the WAL tail; a torn trailing record (crash mid-write) fails its
-// CRC or length check and is truncated away, recovering exactly the
-// acked rows.
+// and survive kill -9. Startup loads manifest-listed segment files and
+// then replays the WAL tail; a torn trailing record (crash mid-write)
+// fails its CRC or length check and is truncated away, recovering
+// exactly the acked rows.
 package ingest
 
 import (
@@ -146,11 +142,12 @@ type Row struct {
 // Options tunes a WritableTable. The zero value is production-safe:
 // fsync on every append, sealing every 64 blocks, background compaction.
 type Options struct {
-	// SealRows is how many rows accumulate before the write side seals an
-	// immutable segment. It is rounded up to a multiple of the block size
-	// so segments stay block-aligned (which keeps the table-wide block
-	// grid identical to a batch-loaded table and lets per-segment indexes
-	// stitch exactly). ≤ 0 selects 64 blocks' worth of rows.
+	// SealRows is how many rows accumulate before the write side seals
+	// them: the sealed prefix is what the block summary describes and what
+	// compaction persists. It is rounded up to a multiple of the block
+	// size so segment files stay block-aligned (which keeps the table-wide
+	// block grid identical to a batch-loaded table). ≤ 0 selects 64
+	// blocks' worth of rows.
 	SealRows int
 	// NoSync skips the fdatasync after each WAL record. Appends get much
 	// faster; rows acked since the last sync can be lost on power failure
@@ -215,19 +212,8 @@ type Stats struct {
 	SealedRows    int    `json:"sealed_rows"`
 	PersistedRows int    `json:"persisted_rows"`
 	Generation    uint64 `json:"generation"`
-	// Segments counts live sealed segments; SegmentFiles the subset
-	// backed by compacted snapshot files on disk.
-	Segments     int `json:"segments"`
+	// SegmentFiles counts the compacted snapshot files on disk.
 	SegmentFiles int `json:"segment_files"`
-	// SegmentPins sums the live segments' reference counts — the leak
-	// detector for view lifecycles. The canonical list holds one pin per
-	// segment and the table's cached current view holds one more, so a
-	// quiescent table (no outstanding caller views) reports
-	// SegmentPins == 2×Segments (or == Segments when no view has been
-	// taken since the last generation change). A value that stays higher
-	// after queries finish means a released view was leaked — e.g. a
-	// canceled run that failed to unpin.
-	SegmentPins int64 `json:"segment_pins"`
 	// AppendBatches / AppendedRows count acked appends since open.
 	AppendBatches int64 `json:"append_batches"`
 	AppendedRows  int64 `json:"appended_rows"`
@@ -237,7 +223,8 @@ type Stats struct {
 	WALBytes int64 `json:"wal_bytes"`
 	WALFiles int   `json:"wal_files"`
 	WALSyncs int64 `json:"wal_syncs"`
-	// Seals / Compactions count segment lifecycle events;
+	// Seals / Compactions count SealRows runs sealed and compaction
+	// cycles committed;
 	// CompactErrors counts failed compaction cycles and LastCompactError
 	// describes the most recent one (empty when the last cycle
 	// succeeded) — the operator's signal that persistence has stalled

@@ -64,6 +64,7 @@ type WritableTable struct {
 	opts   Options
 	log    *slog.Logger
 	gen    atomic.Uint64
+	sum    *summary // guarded by its own mutex, never mu
 
 	mu            sync.Mutex
 	dicts         []*dictState
@@ -72,17 +73,12 @@ type WritableTable struct {
 	rows          int
 	sealedRows    int
 	persistedRows int
-	segments      []*segment // sealed, row order; canonical list holds one pin each
+	files         []manifestSegment // compacted segment files, row order
 	wal           *wal
-	curView       *TableView
 	closed        bool
-
-	// curViewFast mirrors curView for View's lock-free
-	// unchanged-generation path (updated under mu, read without it).
-	curViewFast atomic.Pointer[TableView]
-	measMin     []float64
-	measMax     []float64
-	measSeen    []bool
+	measMin       []float64
+	measMax       []float64
+	measSeen      []bool
 
 	appendBatches  int64
 	appendedRows   int64
@@ -142,6 +138,7 @@ func Open(dir string, schema Schema, opts Options) (*WritableTable, error) {
 		schema: schema,
 		opts:   opts,
 		log:    logx.OrDiscard(opts.Logger),
+		sum:    newSummary(),
 		nudge:  make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -157,20 +154,6 @@ func Open(dir string, schema Schema, opts Options) (*WritableTable, error) {
 	t.measMax = make([]float64, len(schema.Measures))
 	t.measSeen = make([]bool, len(schema.Measures))
 
-	// Everything after loadSegments may hold mmap handles; release them
-	// on any failed-open path so a retried load (e.g. /v1/admin/load
-	// against a dir with a bad WAL tail) doesn't leak a mapping per
-	// segment per attempt.
-	fail := func(err error) (*WritableTable, error) {
-		for _, s := range t.segments {
-			s.unpin()
-		}
-		if t.wal != nil {
-			_ = t.wal.close()
-		}
-		return nil, err
-	}
-
 	if !found {
 		m = manifest{Version: 1, Schema: schema, SealRows: opts.SealRows}
 		if err := writeManifest(dir, m); err != nil {
@@ -178,10 +161,10 @@ func Open(dir string, schema Schema, opts Options) (*WritableTable, error) {
 		}
 	} else {
 		if err := t.loadSegments(m); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if err := removeOrphans(dir, m); err != nil {
-			return fail(err)
+			return nil, err
 		}
 	}
 
@@ -190,15 +173,15 @@ func Open(dir string, schema Schema, opts Options) (*WritableTable, error) {
 	// strings, continuing the segment files' dictionaries.
 	files, err := walReplay(dir, t.schema, t.applyReplayed)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	t.wal, err = adoptReplayed(dir, files, t.rows)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	t.log.Info("ingest table opened",
 		"dir", dir, "rows", t.rows, "replayed_rows", t.replayedRows,
-		"segments", len(t.segments), "wal_files", len(files))
+		"segment_files", len(t.files), "wal_files", len(files))
 	if t.opts.CompactInterval > 0 {
 		go t.runCompactor()
 	} else {
@@ -207,9 +190,8 @@ func Open(dir string, schema Schema, opts Options) (*WritableTable, error) {
 	return t, nil
 }
 
-// loadSegments opens every manifest-listed segment file, rebuilds the
-// columnar spine and dictionaries from them, and installs them as
-// pinned, file-backed segments.
+// loadSegments copies every manifest-listed segment file into the
+// columnar spine and dictionaries, closing each file after the copy.
 func (t *WritableTable) loadSegments(m manifest) error {
 	for _, ms := range m.Segments {
 		reader, err := colstore.OpenMmapFile(filepath.Join(t.dir, ms.File))
@@ -217,16 +199,17 @@ func (t *WritableTable) loadSegments(m manifest) error {
 			return fmt.Errorf("ingest: loading segment %s: %w", ms.File, err)
 		}
 		if reader.NumRows() != ms.Rows || reader.BlockSize() != t.schema.BlockSize {
-			reader.Close()
-			return fmt.Errorf("ingest: segment %s shape mismatch (rows %d want %d, block %d want %d)",
+			err = fmt.Errorf("ingest: segment %s shape mismatch (rows %d want %d, block %d want %d)",
 				ms.File, reader.NumRows(), ms.Rows, reader.BlockSize(), t.schema.BlockSize)
+		} else {
+			err = t.adoptSegmentData(reader, ms)
 		}
-		if err := t.adoptSegmentData(reader, ms); err != nil {
-			reader.Close()
+		reader.Close()
+		if err != nil {
 			return err
 		}
-		t.segments = append(t.segments, newSegment(ms.FirstRow, reader, ms.File))
 	}
+	t.files = m.Segments
 	t.rows = m.PersistedRows
 	t.sealedRows = m.PersistedRows
 	t.persistedRows = m.PersistedRows
@@ -375,8 +358,10 @@ func (t *WritableTable) Append(rows []Row) (AppendResult, error) {
 	}, nil
 }
 
-// internRows appends validated rows to the spine and seals full
-// segments. Caller holds t.mu (or is the single-threaded open path).
+// internRows appends validated rows to the spine and seals every full
+// SealRows run: sealing only advances sealedRows (the summary catches
+// up on a view's first BlockStats use) and nudges the compactor. Caller
+// holds t.mu (or is the single-threaded open path).
 func (t *WritableTable) internRows(rows []Row) {
 	for _, r := range rows {
 		for i, c := range t.schema.Columns {
@@ -389,8 +374,14 @@ func (t *WritableTable) internRows(rows []Row) {
 		}
 		t.rows++
 	}
-	for t.rows-t.sealedRows >= t.opts.SealRows {
-		t.seal()
+	if n := (t.rows - t.sealedRows) / t.opts.SealRows; n > 0 {
+		t.sealedRows += n * t.opts.SealRows
+		t.seals += int64(n)
+		t.log.Debug("rows sealed", "dir", t.dir, "sealed_rows", t.sealedRows, "seals", t.seals)
+		select {
+		case t.nudge <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -408,26 +399,6 @@ func (t *WritableTable) observeMeasure(j int, v float64) {
 	}
 }
 
-// seal freezes the next SealRows rows into an immutable segment whose
-// reader aliases the spine (zero copy). Its block statistics are computed
-// on first use, off the append path. Caller holds t.mu.
-func (t *WritableTable) seal() {
-	lo, hi := t.sealedRows, t.sealedRows+t.opts.SealRows
-	tbl, err := t.rangeTable(lo, hi)
-	if err != nil {
-		panic(fmt.Sprintf("ingest: sealing [%d,%d): %v", lo, hi, err)) // shape invariants guarantee success
-	}
-	seg := newSegment(lo, tbl, "")
-	t.segments = append(t.segments, seg)
-	t.sealedRows = hi
-	t.seals++
-	t.log.Debug("segment sealed", "dir", t.dir, "first_row", lo, "rows", hi-lo, "seals", t.seals)
-	select {
-	case t.nudge <- struct{}{}:
-	default:
-	}
-}
-
 // rangeTable wraps spine rows [lo, hi) as an immutable block-aligned
 // table (lo must be a block multiple). Caller holds t.mu.
 func (t *WritableTable) rangeTable(lo, hi int) (*colstore.Table, error) {
@@ -442,49 +413,20 @@ func (t *WritableTable) rangeTable(lo, hi int) (*colstore.Table, error) {
 	return colstore.NewTable(t.schema.BlockSize, hi-lo, cols, measures)
 }
 
-// View returns a retained, immutable snapshot of the table at its
-// current generation; pair every View with one Release. Consecutive
-// calls at an unchanged generation share one cached view (and its
-// stitched indexes, via the engine's caches).
-//
-// The unchanged-generation path is lock-free, so queries between
-// appends never wait on the table mutex — in particular not on an
-// in-flight append's WAL fsync. Only a view of a *new* generation
-// takes the mutex (it must: the rows it wants are being applied under
-// it).
+// View returns an immutable snapshot of the table at its current
+// generation. Each call builds a fresh view over the spine prefix (a
+// handful of slice headers); serving layers keep one per generation.
 func (t *WritableTable) View() (*TableView, error) {
-	if v := t.curViewFast.Load(); v != nil && v.gen == t.gen.Load() && v.tryRetain() {
-		// Re-check after the retain: if the generation moved in between,
-		// this snapshot is stale — fall through to the slow path.
-		if v.gen == t.gen.Load() {
-			return v, nil
-		}
-		v.Release()
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil, fmt.Errorf("ingest: %w", ErrClosed)
 	}
-	gen := t.gen.Load()
-	if t.curView != nil && t.curView.gen == gen {
-		t.curView.Retain()
-		return t.curView, nil
-	}
-	inner, err := t.rangeTable(0, t.rows)
+	tbl, err := t.rangeTable(0, t.rows)
 	if err != nil {
 		return nil, err
 	}
-	segs := make([]*segment, len(t.segments))
-	copy(segs, t.segments)
-	v := newView(inner, segs, t.sealedRows, gen)
-	if t.curView != nil {
-		t.curView.Release()
-	}
-	t.curView = v
-	t.curViewFast.Store(v)
-	v.Retain() // the caller's reference; newView's initial ref is the cache's
-	return v, nil
+	return &TableView{Table: tbl, sum: t.sum, sealed: t.sealedRows / t.schema.BlockSize, gen: t.gen.Load()}, nil
 }
 
 // Generation returns the current data version; it increases with every
@@ -513,7 +455,7 @@ func (t *WritableTable) Stats() Stats {
 		SealedRows:       t.sealedRows,
 		PersistedRows:    t.persistedRows,
 		Generation:       t.gen.Load(),
-		Segments:         len(t.segments),
+		SegmentFiles:     len(t.files),
 		AppendBatches:    t.appendBatches,
 		AppendedRows:     t.appendedRows,
 		ReplayedRows:     t.replayedRows,
@@ -521,12 +463,6 @@ func (t *WritableTable) Stats() Stats {
 		Compactions:      t.compactions,
 		CompactErrors:    t.compactErrs,
 		LastCompactError: t.lastCompactErr,
-	}
-	for _, seg := range t.segments {
-		if seg.file != "" {
-			s.SegmentFiles++
-		}
-		s.SegmentPins += seg.pins.Load()
 	}
 	if t.wal != nil {
 		s.WALBytes = t.wal.totalBytes()
@@ -545,10 +481,9 @@ func (t *WritableTable) Stats() Stats {
 	return s
 }
 
-// Close stops the background compactor, syncs and closes the WAL, and
-// releases the table's own references. Outstanding views stay fully
-// readable; the buffer tail (rows not yet compacted) is durable in the
-// WAL and replays on the next Open.
+// Close stops the background compactor and syncs and closes the WAL.
+// Outstanding views stay fully readable; the buffer tail (rows not yet
+// compacted) is durable in the WAL and replays on the next Open.
 func (t *WritableTable) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -563,18 +498,8 @@ func (t *WritableTable) Close() error {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var err error
 	if t.wal != nil {
-		err = t.wal.close()
+		return t.wal.close()
 	}
-	if t.curView != nil {
-		t.curViewFast.Store(nil)
-		t.curView.Release()
-		t.curView = nil
-	}
-	for _, seg := range t.segments {
-		seg.unpin() // the canonical list's reference
-	}
-	t.segments = nil
-	return err
+	return nil
 }

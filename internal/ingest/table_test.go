@@ -183,30 +183,6 @@ func TestViewSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestViewCachingPerGeneration(t *testing.T) {
-	wt, err := Open(t.TempDir(), testSchema(), testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wt.Close()
-	appendAll(t, wt, genRows(100, 3))
-	a, _ := wt.View()
-	b, _ := wt.View()
-	if a != b {
-		t.Fatal("same-generation views must share the cached snapshot")
-	}
-	a.Release()
-	b.Release()
-	if _, err := wt.Append(genRows(1, 4)); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := wt.View()
-	defer c.Release()
-	if c == a {
-		t.Fatal("view not refreshed after append")
-	}
-}
-
 func TestReopenReplaysWAL(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOptions()
@@ -264,7 +240,7 @@ func TestStatsCounters(t *testing.T) {
 	if st.Rows != 1200 || st.AppendedRows != 1200 || st.AppendBatches != int64(batches) {
 		t.Fatalf("bad counters: %+v", st)
 	}
-	if st.SealedRows != 1024 || st.Seals != 2 || st.Segments != 2 {
+	if st.SealedRows != 1024 || st.Seals != 2 {
 		t.Fatalf("bad seal state (SealRows=512): %+v", st)
 	}
 	if st.WALBytes == 0 || st.WALFiles != 1 {

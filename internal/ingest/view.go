@@ -1,211 +1,219 @@
 package ingest
 
 import (
-	"sync/atomic"
+	"math"
+	"sync"
 
-	"fastmatch/internal/bitmap"
 	"fastmatch/internal/colstore"
 )
 
 // TableView is a snapshot-isolated, immutable read view of a
-// WritableTable: the union of the sealed segments plus the frozen write
-// tail at one generation, presented through the engine's colstore.Reader
-// seam so the planner, all five executors, and the bitmap index work
-// unmodified over live data.
+// WritableTable at one generation, presented through the engine's
+// colstore.Reader seam so the planner, all five executors, and the
+// bitmap index work unmodified over live data.
 //
-// Row data is served from the table's append-only columnar spine: the
-// view aliases each column's [0, rows) prefix, which later appends never
-// mutate (they only extend, and a slice reallocation leaves the old
-// backing array untouched). Sealed segments are additionally pinned by
-// refcount: compaction may swap the canonical segment list underneath a
-// live view, but the view's pinned segments — and their cached bitmap
-// indexes and mmap handles — stay valid until the view is released.
+// Row data is the table's append-only columnar spine: the embedded
+// Table aliases each column's [0, rows) prefix, which later appends
+// never mutate (they only extend, and a slice reallocation leaves the
+// old backing array untouched). Compaction only writes files, so a view
+// stays valid for as long as anything holds it.
 //
-// A view is also a bitmap.IndexedReader: the per-column block index is
-// stitched from the pinned segments' cached per-segment indexes (one
-// shifted OR per segment and value) plus a scan of only the unsealed
-// tail blocks. The stitched index is bit-for-bit equal to a full Build
-// scan, so executors behave identically; the cost per generation is
-// O(new data), not O(table).
+// Block statistics come from the table's one summary (see summary): the
+// view's sealed blocks are answered exactly from it, and only the
+// unsealed tail is scanned, for presence. bitmap.Build copies those
+// presence words, so the view needs no index path of its own.
 type TableView struct {
-	inner      *colstore.Table // spine-aliased, zero-copy
-	segs       []*segment      // pinned for the view's lifetime
-	sealedRows int
-	gen        uint64
-	refs       atomic.Int64
+	*colstore.Table // the spine prefix, zero-copy
+	sum             *summary
+	sealed          int // blocks covered by the summary at this generation
+	gen             uint64
+
+	rangesOnce sync.Once
+	ranges     *colstore.TableBlockStats // measure ranges of the sealed blocks
 }
 
 // Compile-time conformance: the engine consumes views through these.
 var (
 	_ colstore.Reader           = (*TableView)(nil)
-	_ bitmap.IndexedReader      = (*TableView)(nil)
 	_ colstore.BlockStatsReader = (*TableView)(nil)
 )
 
-// newView pins the segments and wraps the spine prefix; callers (the
-// WritableTable, under its mutex) pass segments they hold references to.
-func newView(inner *colstore.Table, segs []*segment, sealedRows int, gen uint64) *TableView {
-	v := &TableView{inner: inner, segs: segs, sealedRows: sealedRows, gen: gen}
-	for _, s := range segs {
-		s.pin()
-	}
-	v.refs.Store(1)
-	return v
-}
-
-// Retain takes an additional reference; every Retain (and the reference
-// returned by WritableTable.View) must be paired with one Release.
-func (v *TableView) Retain() { v.refs.Add(1) }
-
-// tryRetain takes a reference only if the view is still alive (refcount
-// nonzero) — the lock-free View fast path may race with the cache
-// swapping this view out and dropping its last reference.
-func (v *TableView) tryRetain() bool {
-	for {
-		n := v.refs.Load()
-		if n <= 0 {
-			return false
-		}
-		if v.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// Release drops a reference; the last release unpins the view's
-// segments, letting compaction-superseded segments free their resources.
-func (v *TableView) Release() {
-	if v.refs.Add(-1) != 0 {
-		return
-	}
-	for _, s := range v.segs {
-		s.unpin()
-	}
-}
+// Release is a no-op: views hold no resources beyond memory the garbage
+// collector reclaims. It remains for callers written when views were
+// refcounted.
+func (v *TableView) Release() {}
 
 // Generation identifies the data version this view froze; it increases
 // with every acked append, so serving layers use it as a cache key.
 func (v *TableView) Generation() uint64 { return v.gen }
 
-// NumRows implements colstore.Reader.
-func (v *TableView) NumRows() int { return v.inner.NumRows() }
-
-// BlockSize implements colstore.Reader.
-func (v *TableView) BlockSize() int { return v.inner.BlockSize() }
-
-// NumBlocks implements colstore.Reader.
-func (v *TableView) NumBlocks() int { return v.inner.NumBlocks() }
-
-// BlockSpan implements colstore.Reader.
-func (v *TableView) BlockSpan(b int) (lo, hi int) { return v.inner.BlockSpan(b) }
-
-// Columns implements colstore.Reader.
-func (v *TableView) Columns() []string { return v.inner.Columns() }
-
-// ColumnByName implements colstore.Reader.
-func (v *TableView) ColumnByName(name string) (colstore.ColumnReader, error) {
-	return v.inner.ColumnByName(name)
-}
-
-// MeasureNames implements colstore.Reader.
-func (v *TableView) MeasureNames() []string { return v.inner.MeasureNames() }
-
-// MeasureByName implements colstore.Reader.
-func (v *TableView) MeasureByName(name string) (colstore.MeasureReader, error) {
-	return v.inner.MeasureByName(name)
-}
-
-// Storage implements colstore.Reader: the spine lives on the heap;
-// mmap-backed segments additionally report their mapped bytes (their
-// pages serve index builds and restart, not the row hot path).
+// Storage implements colstore.Reader: the spine lives on the heap.
 func (v *TableView) Storage() colstore.StorageStats {
-	st := v.inner.Storage()
+	st := v.Table.Storage()
 	st.Backend = "ingest"
-	for _, s := range v.segs {
-		st.MappedBytes += s.reader.Storage().MappedBytes
-	}
 	return st
 }
 
-// BlockStats implements colstore.BlockStatsReader by routing each sealed
-// block to its segment reader's exact per-block statistics. Unsealed
-// tail blocks are unknown and never prune.
-func (v *TableView) BlockStats() colstore.BlockStats { return viewBlockStats{v: v} }
+// BlockStats implements colstore.BlockStatsReader: exact statistics for
+// the sealed blocks, exact presence for the unsealed tail, and unknown
+// measure ranges for the tail (which therefore never prunes).
+func (v *TableView) BlockStats() colstore.BlockStats { return viewStats{v} }
 
-// viewBlockStats routes per-block statistics questions to the segment
-// owning the block. Segments are block-aligned (rows are sealed in
-// block-size multiples), so a table block lies entirely inside one
-// segment or entirely in the tail.
-type viewBlockStats struct{ v *TableView }
-
-// segmentFor returns the pinned segment covering table block b and the
-// block's segment-local index, or nil for tail/out-of-range blocks.
-func (vs viewBlockStats) segmentFor(b int) (*segment, int) {
-	segs := vs.v.segs
-	lo, hi := 0, len(segs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if segs[mid].blockOff+segs[mid].blocks <= b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(segs) && b >= segs[lo].blockOff {
-		return segs[lo], b - segs[lo].blockOff
-	}
-	return nil, 0
-}
+// viewStats answers a view's block-statistics questions, extending the
+// table's summary over newly sealed blocks on first use.
+type viewStats struct{ v *TableView }
 
 // MeasureRange implements colstore.BlockStats.
-func (vs viewBlockStats) MeasureRange(measure string, b int) (lo, hi float64, ok bool) {
-	s, local := vs.segmentFor(b)
-	if s == nil {
-		return 0, 0, false
-	}
-	return s.reader.BlockStats().MeasureRange(measure, local)
+func (s viewStats) MeasureRange(measure string, b int) (lo, hi float64, ok bool) {
+	v := s.v
+	v.rangesOnce.Do(func() { v.ranges = v.sum.measureRanges(v.Table, v.sealed) })
+	return v.ranges.MeasureRange(measure, b)
 }
 
-// PresenceWords implements colstore.BlockStats: the stitched view has
-// no single exact value-major bitset (tail blocks are unknown), and an
-// inexact one must never feed index construction, so this always
-// declines.
-func (vs viewBlockStats) PresenceWords(string) ([]uint64, int, bool) { return nil, 0, false }
-
-// BlockIndex implements bitmap.IndexedReader: stitch every value of the
-// sealed segments' cached indexes into place, then scan only the
-// unsealed tail blocks.
-func (v *TableView) BlockIndex(column string) (*bitmap.Index, error) {
-	col, err := v.inner.ColumnByName(column)
+// PresenceWords implements colstore.BlockStats: the summary's sealed
+// prefix, masked to this view's sealed blocks, plus a scan of the tail.
+// It declines past colstore.PresenceFits, leaving Build to scan.
+func (s viewStats) PresenceWords(column string) ([]uint64, int, bool) {
+	v := s.v
+	col, err := v.Column(column)
 	if err != nil {
-		return nil, err
+		return nil, 0, false
 	}
-	idx := bitmap.NewIndex(col.Cardinality(), v.inner.NumBlocks())
-	for _, s := range v.segs {
-		segIdx, err := s.blockIndex(column)
-		if err != nil {
-			return nil, err
-		}
-		for val := 0; val < segIdx.NumValues(); val++ {
-			bs, err := segIdx.ValueBitset(uint32(val))
-			if err != nil {
-				return nil, err
-			}
-			if err := idx.OrValueShifted(uint32(val), bs, s.blockOff); err != nil {
-				return nil, err
-			}
+	nb, card := v.NumBlocks(), col.Cardinality()
+	if !colstore.PresenceFits(card, nb) {
+		return nil, 0, false
+	}
+	wpv := (nb + 63) / 64
+	words := make([]uint64, card*wpv)
+	if !v.sum.copyPresence(v.Table, v.sealed, column, words, wpv) {
+		return nil, 0, false
+	}
+	for b := v.sealed; b < nb; b++ {
+		lo, hi := v.BlockSpan(b)
+		w, bit := b>>6, uint64(1)<<(uint(b)&63)
+		for _, code := range col.Codes(lo, hi) {
+			words[int(code)*wpv+w] |= bit
 		}
 	}
-	// Tail: the frozen write-buffer rows past the last sealed segment.
-	rows := v.inner.NumRows()
-	if v.sealedRows < rows {
-		firstTailBlock := v.sealedRows / v.inner.BlockSize()
-		for b := firstTailBlock; b < v.inner.NumBlocks(); b++ {
-			lo, hi := v.inner.BlockSpan(b)
+	return words, wpv, true
+}
+
+// summary is the table's one block summary: per column, value-major
+// block-presence words; per measure, per-block min/max; both exact over
+// the first `blocks` sealed blocks. Appends and seals do no summary
+// work. A view's first BlockStats use extends the summary over the
+// blocks sealed since the last extension, reading them from the view's
+// spine prefix (identical in every later view), under the summary's own
+// mutex — never the table's.
+type summary struct {
+	mu       sync.Mutex
+	blocks   int
+	presence map[string]*presence
+	lo, hi   map[string][]float64
+}
+
+// presence is one column's block-presence words, indexed by value code.
+type presence struct {
+	values [][]uint64
+	off    bool // past colstore.PresenceFits: views decline, Build scans
+}
+
+func newSummary() *summary {
+	return &summary{
+		presence: make(map[string]*presence),
+		lo:       make(map[string][]float64),
+		hi:       make(map[string][]float64),
+	}
+}
+
+// extend summarizes blocks [s.blocks, sealed) of tbl, whose first sealed
+// blocks are sealed and full. Caller holds s.mu.
+func (s *summary) extend(tbl *colstore.Table, sealed int) {
+	if sealed <= s.blocks {
+		return
+	}
+	for _, name := range tbl.Columns() {
+		col, _ := tbl.Column(name)
+		p := s.presence[name]
+		if p == nil {
+			p = &presence{}
+			s.presence[name] = p
+		}
+		if p.off || !colstore.PresenceFits(col.Cardinality(), sealed) {
+			p.values, p.off = nil, true
+			continue
+		}
+		for b := s.blocks; b < sealed; b++ {
+			lo, hi := tbl.BlockSpan(b)
+			w, bit := b>>6, uint64(1)<<(uint(b)&63)
 			for _, code := range col.Codes(lo, hi) {
-				idx.Add(code, b)
+				for int(code) >= len(p.values) {
+					p.values = append(p.values, nil)
+				}
+				if len(p.values[code]) <= w {
+					p.values[code] = append(p.values[code], make([]uint64, w+1-len(p.values[code]))...)
+				}
+				p.values[code][w] |= bit
 			}
 		}
 	}
-	return idx, nil
+	for _, name := range tbl.MeasureNames() {
+		m, _ := tbl.MeasureByName(name)
+		for b := s.blocks; b < sealed; b++ {
+			blo, bhi := tbl.BlockSpan(b)
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, x := range m.Values(blo, bhi) {
+				if x < lo {
+					lo = x
+				}
+				if x > hi {
+					hi = x
+				}
+			}
+			s.lo[name] = append(s.lo[name], lo)
+			s.hi[name] = append(s.hi[name], hi)
+		}
+	}
+	s.blocks = sealed
+}
+
+// copyPresence ORs the column's presence over blocks [0, sealed) into
+// words (value-major, wpv words per value), reporting false when the
+// column is past the presence cap.
+func (s *summary) copyPresence(tbl *colstore.Table, sealed int, column string, words []uint64, wpv int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.extend(tbl, sealed)
+	p := s.presence[column]
+	if p == nil {
+		return true // nothing sealed yet: the tail scan is the whole answer
+	}
+	if p.off {
+		return false
+	}
+	// Codes past this view's cardinality first appeared after its rows,
+	// so they have no bits in its sealed blocks.
+	full, rem := sealed>>6, uint(sealed)&63
+	for code := 0; code < len(p.values) && code*wpv < len(words); code++ {
+		src, dst := p.values[code], words[code*wpv:(code+1)*wpv]
+		n := copy(dst[:full], src)
+		if rem != 0 && n == full && full < len(src) {
+			dst[full] = src[full] & (1<<rem - 1)
+		}
+	}
+	return true
+}
+
+// measureRanges returns the measures' exact ranges over blocks
+// [0, sealed), aliasing the summary's arrays: later extensions only
+// append past them.
+func (s *summary) measureRanges(tbl *colstore.Table, sealed int) *colstore.TableBlockStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.extend(tbl, sealed)
+	st := colstore.NewTableBlockStats()
+	for name, lo := range s.lo {
+		st.SetMeasureRange(name, lo[:sealed:sealed], s.hi[name][:sealed:sealed])
+	}
+	return st
 }

@@ -226,9 +226,9 @@ type runner struct {
 }
 
 // preparedQuery is one query request's state as it moves down the
-// pipeline. The table entry and (for live tables) its data view stay
-// pinned until the last hold is dropped — including across a canceled
-// run, so a mid-flight scan can never lose its storage.
+// pipeline. The table entry stays acquired (unload refuses) until the
+// last hold is dropped — including across a canceled run, so a
+// mid-flight scan can never lose its storage.
 type preparedQuery struct {
 	srv   *Server
 	out   sink
@@ -249,9 +249,9 @@ type preparedQuery struct {
 	tr *trace.Trace
 	// audit marks the request as sampled for a shadow audit (decided at
 	// prepare time so the run collects quality telemetry); holds counts
-	// the users of the pinned entry and view — the handler plus any
-	// in-flight audit — so both outlive the response when an audit is
-	// still re-executing the plan.
+	// the users of the acquired entry — the handler plus any in-flight
+	// audit — so it outlives the response when an audit is still
+	// re-executing the plan.
 	audit bool
 	holds atomic.Int32
 	// auto is why the executor was chosen, when the request asked for auto.
@@ -267,16 +267,12 @@ type preparedQuery struct {
 	run    runner
 }
 
-// retain adds a hold on the prepared query's pinned resources; done
-// drops one and releases the view and the entry when the last holder is
-// gone. The handler holds one from bindQuery; the audit goroutine
-// retains another.
+// retain adds a hold on the prepared query's table entry; done drops
+// one and releases the entry when the last holder is gone. The handler
+// holds one from bindQuery; the audit goroutine retains another.
 func (pq *preparedQuery) retain() { pq.holds.Add(1) }
 func (pq *preparedQuery) done() {
 	if pq.holds.Add(-1) == 0 {
-		if pq.release != nil {
-			pq.release()
-		}
 		pq.entry.release()
 	}
 }
@@ -320,7 +316,7 @@ func (s *Server) bindQuery(w http.ResponseWriter, r *http.Request, out sink) *pr
 	return pq
 }
 
-// localQuery is a query spec compiled against one pinned generation of
+// localQuery is a query spec compiled against one generation of
 // a local table: what /v1/query, /v1/explain and /v1/internal/partial
 // all need before they can ask the plan cache for a plan.
 type localQuery struct {
@@ -328,27 +324,25 @@ type localQuery struct {
 	q       engine.Query
 	gen     uint64
 	planKey string
-	// release unpins the view the engine reads (nil while unbound).
-	release func()
 }
 
-// bindLocal pins entry's current data and compiles spec against it. For
-// live (ingest-backed) tables that binds the caller to the table's
-// current generation: the view stays pinned until release, and the plan
-// key carries (incarnation, generation) so plans and answers computed
-// over older data are never reused. A failure comes with its HTTP status.
+// bindLocal compiles spec against entry's current data. For live
+// (ingest-backed) tables that binds the caller to the table's current
+// generation: the engine reads that generation's view for as long as
+// the caller holds it, and the plan key carries (incarnation,
+// generation) so plans and answers computed over older data are never
+// reused. A failure comes with its HTTP status.
 func bindLocal(entry *tableEntry, table string, spec QuerySpec) (localQuery, int, error) {
-	eng, gen, release, err := entry.engineNow()
+	eng, gen, err := entry.engineNow()
 	if err != nil {
 		return localQuery{}, http.StatusServiceUnavailable, fmt.Errorf("table %q unavailable: %v", table, err)
 	}
 	q, err := spec.toQuery(eng)
 	if err != nil {
-		release()
 		return localQuery{}, http.StatusUnprocessableEntity, fmt.Errorf("invalid query: %v", err)
 	}
 	key := planKeyFor(table, entry.incarnation, strconv.FormatUint(gen, 10), q.Fingerprint())
-	return localQuery{eng: eng, q: q, gen: gen, planKey: key, release: release}, 0, nil
+	return localQuery{eng: eng, q: q, gen: gen, planKey: key}, 0, nil
 }
 
 // planKeyFor spells the plan-cache key: table name, registry

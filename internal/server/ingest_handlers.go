@@ -243,8 +243,8 @@ func (s *Server) handleAdminUnload(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errTableNotFound):
 		writeError(w, http.StatusNotFound, "no table %q", req.Name)
 	case errors.Is(err, errTableBusy):
-		// In-flight queries hold pinned views/segments; the client should
-		// retry once they drain.
+		// In-flight queries hold the table; the client should retry once
+		// they drain.
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusConflict, "table %q: %v", req.Name, err)
 	default:

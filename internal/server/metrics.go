@@ -21,41 +21,17 @@ const latencyWindow = 1024
 // tableMetrics accumulates per-table serving statistics. One instance per
 // registry entry; all methods are safe for concurrent use.
 type tableMetrics struct {
-	mu         sync.Mutex
-	requests   int64
-	errors     int64
-	canceled   int64
-	timedOut   int64
-	partials   int64
-	planHits   int64
-	planMiss   int64
-	resHits    int64
-	resMiss    int64
-	io         engine.IOStats
-	samples    int64
-	samplesS1  int64
-	samplesS2  int64
-	samplesS3  int64
-	rounds     int64
-	appendReqs int64
-	appendRows int64
-	appendErrs int64
-	// Answer-quality telemetry: runs that carried a quality report, the
-	// subset cut short (truncated termination), the last completed run's
-	// final observed margin, and the stage-2 round distribution.
-	qualityRuns      int64
-	qualityTruncated int64
-	qualityMargin    float64
-	qualityRounds    *metrics.Histogram
-	// Shadow-audit outcomes: audits executed, audits that failed (or were
-	// skipped at capacity), ε-tolerant guarantee violations found, and
-	// the ground-truth precision@k distribution.
-	auditRuns       int64
-	auditErrs       int64
-	auditViolations int64
-	auditPrecision  *metrics.Histogram
-	latencies       [latencyWindow]time.Duration
-	latCount        int // total observations (ring index = latCount % window)
+	mu sync.Mutex
+	// c holds the counters in their wire form; snapshot copies it whole
+	// and fills in the rest (quantiles, histograms).
+	c TableMetrics
+	// qualityRounds is the stage-2 round distribution of runs that
+	// carried a quality report; auditPrecision the shadow audits'
+	// ground-truth precision@k distribution.
+	qualityRounds  *metrics.Histogram
+	auditPrecision *metrics.Histogram
+	latencies      [latencyWindow]time.Duration
+	latCount       int // total observations (ring index = latCount % window)
 	// latHist is the bucketed latency distribution behind the
 	// fastmatch_request_duration_seconds series on /metrics; the
 	// quantile ring above stays for /v1/stats.
@@ -118,10 +94,10 @@ func (oc runOutcome) String() string {
 func (m *tableMetrics) observeAppend(rows int, failed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.appendReqs++
-	m.appendRows += int64(rows)
+	m.c.AppendRequests++
+	m.c.AppendedRows += int64(rows)
 	if failed {
-		m.appendErrs++
+		m.c.AppendErrors++
 	}
 }
 
@@ -132,44 +108,45 @@ func (m *tableMetrics) observeAppend(rows int, failed bool) {
 func (m *tableMetrics) observe(d time.Duration, res *engine.Result, oc runOutcome, planHit, resultHit bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.requests++
+	c := &m.c
+	c.Requests++
 	switch oc {
 	case outcomeFailed:
-		m.errors++
+		c.Errors++
 	case outcomeCanceled:
-		m.canceled++
+		c.Canceled++
 	case outcomeTimedOut:
-		m.timedOut++
+		c.TimedOut++
 	case outcomeOK:
 		if resultHit {
-			m.resHits++
+			c.ResultCacheHits++
 		} else {
-			m.resMiss++
+			c.ResultCacheMisses++
 			if planHit {
-				m.planHits++
+				c.PlanCacheHits++
 			} else {
-				m.planMiss++
+				c.PlanCacheMisses++
 			}
 		}
 	}
 	if res != nil {
 		if res.Partial {
-			m.partials++
+			c.PartialResults++
 		}
 		if q := res.Quality; q != nil {
-			m.qualityRuns++
-			m.qualityMargin = q.FinalGap
+			c.QualityRuns++
+			c.QualityFinalMargin = q.FinalGap
 			m.qualityRounds.Observe(float64(q.Rounds))
 			if q.Truncated {
-				m.qualityTruncated++
+				c.QualityTruncatedRuns++
 			}
 		}
-		m.io.Add(res.IO)
-		m.samples += res.Stats.TotalSamples()
-		m.samplesS1 += res.Stats.SamplesStage1
-		m.samplesS2 += res.Stats.SamplesStage2
-		m.samplesS3 += res.Stats.SamplesStage3
-		m.rounds += int64(res.Stats.Rounds)
+		c.IO.Add(res.IO)
+		c.SamplesDrawn += res.Stats.TotalSamples()
+		c.SamplesStage1 += res.Stats.SamplesStage1
+		c.SamplesStage2 += res.Stats.SamplesStage2
+		c.SamplesStage3 += res.Stats.SamplesStage3
+		c.Rounds += int64(res.Stats.Rounds)
 	}
 	m.latencies[m.latCount%latencyWindow] = d
 	m.latCount++
@@ -185,12 +162,12 @@ func (m *tableMetrics) observe(d time.Duration, res *engine.Result, oc runOutcom
 func (m *tableMetrics) observeAudit(a *engine.Audit, failed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.auditRuns++
+	m.c.AuditRuns++
 	if failed || a == nil {
-		m.auditErrs++
+		m.c.AuditErrors++
 		return
 	}
-	m.auditViolations += int64(a.GuaranteeViolations + a.ReconstructionViolations)
+	m.c.AuditGuaranteeViolations += int64(a.GuaranteeViolations + a.ReconstructionViolations)
 	m.auditPrecision.Observe(a.PrecisionAtK)
 }
 
@@ -283,33 +260,7 @@ func (m *tableMetrics) snapshot() TableMetrics {
 	}
 	lats := make([]time.Duration, n)
 	copy(lats, m.latencies[:n])
-	out := TableMetrics{
-		Requests:          m.requests,
-		Errors:            m.errors,
-		Canceled:          m.canceled,
-		TimedOut:          m.timedOut,
-		PartialResults:    m.partials,
-		ResultCacheHits:   m.resHits,
-		ResultCacheMisses: m.resMiss,
-		PlanCacheHits:     m.planHits,
-		PlanCacheMisses:   m.planMiss,
-		IO:                m.io,
-		SamplesDrawn:      m.samples,
-		SamplesStage1:     m.samplesS1,
-		SamplesStage2:     m.samplesS2,
-		SamplesStage3:     m.samplesS3,
-		Rounds:            m.rounds,
-		AppendRequests:    m.appendReqs,
-		AppendedRows:      m.appendRows,
-		AppendErrors:      m.appendErrs,
-
-		QualityRuns:              m.qualityRuns,
-		QualityTruncatedRuns:     m.qualityTruncated,
-		QualityFinalMargin:       m.qualityMargin,
-		AuditRuns:                m.auditRuns,
-		AuditErrors:              m.auditErrs,
-		AuditGuaranteeViolations: m.auditViolations,
-	}
+	out := m.c
 	m.mu.Unlock()
 	if m.latHist != nil {
 		out.LatencyHist = m.latHist.Snapshot()

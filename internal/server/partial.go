@@ -52,7 +52,6 @@ func (s *Server) handleInternalPartial(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	defer lq.release()
 	plan, _, err := s.cachedPlan(lq.planKey, lq.eng, lq.q, nil)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "planning query: %v", err)

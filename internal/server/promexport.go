@@ -188,10 +188,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(m TableMetrics) float64 { return float64(m.Ingest.PersistedRows) }},
 		{"fastmatch_ingest_generation", "Live table data generation.",
 			func(m TableMetrics) float64 { return float64(m.Ingest.Generation) }},
-		{"fastmatch_ingest_segments", "Live sealed segments.",
-			func(m TableMetrics) float64 { return float64(m.Ingest.Segments) }},
-		{"fastmatch_ingest_segment_pins", "Sum of live segment reference counts.",
-			func(m TableMetrics) float64 { return float64(m.Ingest.SegmentPins) }},
 		{"fastmatch_ingest_wal_bytes", "Live write-ahead log size in bytes.",
 			func(m TableMetrics) float64 { return float64(m.Ingest.WALBytes) }},
 	} {

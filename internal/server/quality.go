@@ -142,9 +142,10 @@ func (s *Server) auditSelected(e *tableEntry) bool {
 // quality report goes to the debug ring immediately, and — when the
 // request was sampled for auditing — a shadow audit re-executes the query
 // exactly off the request path, with the ring entry following once the
-// verdict is in. The table entry and its data view stay pinned (pq
-// retain/done) until the audit finishes, so the exact pass always runs
-// over the same data generation the approximate answer saw.
+// verdict is in. The table entry stays held (pq retain/done) until the
+// audit finishes, and the audit re-runs the request's own plan, so the
+// exact pass always runs over the same data generation the approximate
+// answer saw.
 func (s *Server) recordQuality(pq *preparedQuery, res *engine.Result) {
 	entry := QualityEntry{
 		QueryID:    pq.id,

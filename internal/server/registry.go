@@ -122,9 +122,9 @@ var (
 
 // tableEntry is one registered table. Static backends bind one Engine at
 // load time; ingest-backed tables bind an Engine per data generation —
-// the entry caches the latest (engine, view) pair and refreshes it when
+// the entry caches the latest generation's engine and refreshes it when
 // the generation advances, so repeated queries between appends share
-// plans, stitched indexes, and the engine's singleflight caches.
+// plans, indexes, and the engine's singleflight caches.
 type tableEntry struct {
 	name     string
 	source   string
@@ -150,43 +150,34 @@ type tableEntry struct {
 	// live are both nil — guard every engineNow path).
 	coord *cluster.Client
 
-	live     *ingest.WritableTable // ingest backend
-	liveMu   sync.Mutex
-	liveGen  uint64
-	liveEng  *engine.Engine
-	liveView *ingest.TableView
+	live    *ingest.WritableTable // ingest backend
+	liveMu  sync.Mutex
+	liveGen uint64
+	liveEng *engine.Engine // over the view of generation liveGen
 }
 
 // release pairs with registry.acquire.
 func (e *tableEntry) release() { e.inflight.Add(-1) }
 
-// engineNow returns the engine serving the entry's current data version,
-// its generation (0 for static tables), and a cleanup the caller must
-// run when done with the engine. For live tables the underlying view is
-// retained for the caller, so a concurrent append (which swaps the
-// cached view) can never release pinned segments out from under a
-// running query.
-func (e *tableEntry) engineNow() (*engine.Engine, uint64, func(), error) {
+// engineNow returns the engine serving the entry's current data version
+// and its generation (0 for static tables). A live table keeps one
+// engine per generation, over that generation's view; a running query
+// keeps reading its engine's view after an append moves the table on.
+func (e *tableEntry) engineNow() (*engine.Engine, uint64, error) {
 	if e.live == nil {
-		return e.eng, 0, func() {}, nil
+		return e.eng, 0, nil
 	}
 	e.liveMu.Lock()
 	defer e.liveMu.Unlock()
 	if e.liveEng == nil || e.live.Generation() != e.liveGen {
 		v, err := e.live.View()
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
-		if e.liveView != nil {
-			e.liveView.Release()
-		}
-		e.liveView = v
 		e.liveGen = v.Generation()
 		e.liveEng = engine.New(v)
 	}
-	view := e.liveView
-	view.Retain()
-	return e.liveEng, e.liveGen, view.Release, nil
+	return e.liveEng, e.liveGen, nil
 }
 
 // close releases the entry's storage resources (unload path; the caller
@@ -198,11 +189,7 @@ func (e *tableEntry) close() error {
 	}
 	if e.live != nil {
 		e.liveMu.Lock()
-		if e.liveView != nil {
-			e.liveView.Release()
-			e.liveView = nil
-			e.liveEng = nil
-		}
+		e.liveEng = nil
 		e.liveMu.Unlock()
 		return e.live.Close()
 	}
@@ -444,11 +431,10 @@ func (e *tableEntry) info() (TableInfo, error) {
 	if e.coord != nil {
 		return TableInfo{Name: e.name, Source: e.source, LoadedAt: e.loadedAt}, nil
 	}
-	eng, _, done, err := e.engineNow()
+	eng, _, err := e.engineNow()
 	if err != nil {
 		return TableInfo{}, err
 	}
-	defer done()
 	src := eng.Source()
 	info := TableInfo{
 		Name:      e.name,
@@ -510,12 +496,11 @@ func (r *registry) health() []TableHealth {
 					break
 				}
 			}
-		} else if eng, _, done, err := e.engineNow(); err != nil {
+		} else if eng, _, err := e.engineNow(); err != nil {
 			th.Error = err.Error()
 		} else {
 			th.Ready = true
 			th.Rows = eng.Source().NumRows()
-			done()
 		}
 		e.release()
 		out = append(out, th)
@@ -532,9 +517,8 @@ func (r *registry) metricsSnapshot() map[string]TableMetrics {
 		m := e.metrics.snapshot()
 		if e.coord != nil {
 			m.Shards = e.coord.Stats()
-		} else if eng, _, done, err := e.engineNow(); err == nil {
+		} else if eng, _, err := e.engineNow(); err == nil {
 			m.Storage = eng.Source().Storage()
-			done()
 		}
 		if e.live != nil {
 			st := e.live.Stats()

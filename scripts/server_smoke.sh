@@ -2,8 +2,9 @@
 # Server smoke test: generate a dataset, cold-start fastmatchd from a
 # binary snapshot, run scripted queries, and assert on the responses;
 # then exercise the live-ingestion path end to end (stream rows into an
-# ingest-backed table, query mid-ingest, kill -9 the daemon, restart,
-# and assert the WAL replay recovered every acked row).
+# ingest-backed table, query mid-ingest, wait for a persisted segment
+# file, kill -9 the daemon, restart, and assert the segment files plus
+# the WAL replay answer byte for byte as before the kill).
 # Used by CI and runnable locally: ./scripts/server_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -235,7 +236,15 @@ echo "$R5" | grep -q '"tuples_read":20001' || { echo "live scan did not see appe
 R6="$(curl -fsS -X POST "$BASE/v1/query" -d "$LIVEQ")"
 echo "$R6" | grep -q '"cached":true' || { echo "same-generation repeat not cached: $R6" >&2; exit 1; }
 
-echo "== kill -9 and restart: WAL replay must recover every acked row"
+echo "== waiting (at most 5 s) for the compactor to persist a segment file"
+for _ in $(seq 1 50); do
+  curl -fsS "$BASE/v1/tables" | grep -q '"segment_files":[1-9]' && break
+  sleep 0.1
+done
+TABLES="$(curl -fsS "$BASE/v1/tables")"
+echo "$TABLES" | grep -q '"segment_files":[1-9]' || { echo "no segment file persisted within 5 s: $TABLES" >&2; exit 1; }
+
+echo "== kill -9 and restart: segment files plus WAL replay must recover every acked row"
 kill -9 "$PID"; wait "$PID" 2>/dev/null || true
 sleep 0.3
 start_live
@@ -243,6 +252,11 @@ TABLES="$(curl -fsS "$BASE/v1/tables")"
 echo "$TABLES" | grep -q '"rows":20001' || { echo "post-replay row count wrong: $TABLES" >&2; exit 1; }
 R7="$(curl -fsS -X POST "$BASE/v1/query" -d "$LIVEQ")"
 echo "$R7" | grep -q '"tuples_read":20001' || { echo "post-replay scan wrong: $R7" >&2; exit 1; }
+P5="$(printf '%s' "$R5" | sed 's/.*"result"://')"
+P7="$(printf '%s' "$R7" | sed 's/.*"result"://')"
+[ "$P5" = "$P7" ] || { echo "post-restart result differs from pre-kill result:
+pre-kill:     $P5
+post-restart: $P7" >&2; exit 1; }
 
 echo "== admin unload drops the table; unknown unload is 404"
 CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/admin/unload" -d '{"name":"nosuch"}')"
