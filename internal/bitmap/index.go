@@ -6,54 +6,49 @@ import (
 	"fastmatch/internal/colstore"
 )
 
-// Index is the per-column bitmap index: one Bitset per attribute value,
-// each with one bit per block. The storage cost is a single bit per block
-// per attribute value — orders of magnitude cheaper than the
+// Index is the per-column bitmap index: one bit per block per attribute
+// value, held as value-major words. The storage cost is a single bit per
+// block per attribute value — orders of magnitude cheaper than the
 // bit-per-tuple indexes of prior work (§4.1).
 type Index struct {
-	perValue []*Bitset
+	perValue []*Bitset // value v's bits: a header over its stride of the words
 	blocks   int
 }
 
-// Build scans the column once and constructs its index against the
-// source's block layout. It works over any storage backend (the Codes
-// slices are only read, per the colstore.Reader aliasing contract).
-// Backends exposing exact per-block presence words (the stats computed
-// in every open's validation pass, and the live-ingest summary, use the
-// same value-major bit layout as this index) serve Build by copying
-// words, skipping the O(rows) scan entirely.
+// Build returns the column's index over the source's block layout. The
+// index adopts its words in place, never copying or writing them: a
+// backend's exact presence words (colstore.BlockStats.PresenceWords)
+// when it offers them at one word per 64 blocks, else the words of
+// colstore's block-summary builder run over [0, NumBlocks) — readers
+// without statistics and columns past the presence cap. A code past its
+// dictionary is an error.
 func Build(src colstore.Reader, columnName string) (*Index, error) {
 	col, err := src.ColumnByName(columnName)
 	if err != nil {
 		return nil, err
 	}
-	nb := src.NumBlocks()
-	card := col.Cardinality()
+	nb, card := src.NumBlocks(), col.Cardinality()
+	wpv := (nb + wordBits - 1) / wordBits
+	var words []uint64
 	if br, ok := src.(colstore.BlockStatsReader); ok {
 		if st := br.BlockStats(); st != nil {
-			// PresenceWords is exact by contract (inexact stats decline), so
-			// the copied index is bit-for-bit what the scan below builds.
-			words, wpv, ok := st.PresenceWords(columnName)
-			if ok && wpv == (nb+wordBits-1)/wordBits && len(words) == card*wpv {
-				idx := &Index{perValue: make([]*Bitset, card), blocks: nb}
-				for v := range idx.perValue {
-					bs := NewBitset(nb)
-					copy(bs.words, words[v*wpv:(v+1)*wpv])
-					idx.perValue[v] = bs
-				}
-				return idx, nil
+			if w, stride, ok := st.PresenceWords(columnName); ok && stride == wpv && len(w) == card*wpv {
+				words = w
 			}
 		}
 	}
-	idx := &Index{perValue: make([]*Bitset, card), blocks: nb}
-	for v := range idx.perValue {
-		idx.perValue[v] = NewBitset(nb)
-	}
-	for b := 0; b < nb; b++ {
-		lo, hi := src.BlockSpan(b)
-		for _, code := range col.Codes(lo, hi) {
-			idx.perValue[code].Set(b)
+	if words == nil {
+		st := colstore.TableBlockStats{Stride: wpv, Presence: map[string][]uint64{columnName: make([]uint64, card*wpv)}}
+		if err := st.Summarize(src, 0, nb); err != nil {
+			return nil, fmt.Errorf("bitmap: %w", err)
 		}
+		words = st.Presence[columnName]
+	}
+	sets := make([]Bitset, card)
+	idx := &Index{perValue: make([]*Bitset, card), blocks: nb}
+	for v := range sets {
+		sets[v] = Bitset{words: words[v*wpv : (v+1)*wpv : (v+1)*wpv], n: nb}
+		idx.perValue[v] = &sets[v]
 	}
 	return idx, nil
 }

@@ -1,6 +1,9 @@
 package colstore
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Per-block statistics ("zone maps") for data skipping.
 //
@@ -10,19 +13,19 @@ import "math"
 // answer is sound in the skipping direction — a disjoint range is a proof
 // of absence, and an unknown range merely costs a block read that a full
 // scan would have paid anyway. Presence words are each column's exact
-// per-block value presence, from which bitmap.Build copies the §4.1
-// index instead of scanning the column; the index is what categorical
-// skipping reads.
+// per-block value presence in the value-major layout of the §4.1 index:
+// bitmap.Build adopts them as the index's words, and the index is what
+// categorical skipping reads.
 //
-// Precision varies by backend and is part of each backend's contract:
-// the in-memory table computes exact per-block stats on first use; both
-// snapshot opens recompute exact code presence in their code-validation
-// scan and take measure ranges from the snapshot's stored section — the
-// heap open after checking them against the values, the mmap open
-// unread (checking would page in the measure arrays, forfeiting the
-// ~instant cold start); the live-ingest backend answers sealed blocks
-// exactly from its table-wide summary and scans the unsealed tail for
-// presence, leaving the tail's measure ranges unknown.
+// One builder makes both summaries for every backend:
+// TableBlockStats.Summarize, over a block range of a Reader. The
+// in-memory table runs it over all blocks on first use; both snapshot
+// opens run it as their one code-validation pass (the heap open also
+// folds measure ranges, to check the stored ones; the mmap open adopts
+// the stored ranges unread, since checking would page in the measure
+// arrays); the live-ingest summary runs it over newly sealed blocks and
+// a view over its unsealed tail, whose measure ranges stay unknown; and
+// bitmap.Build runs it over all blocks when a reader offers no words.
 
 // BlockStats exposes per-block column statistics. Implementations are
 // immutable and safe for concurrent readers.
@@ -47,8 +50,8 @@ type BlockStatsReader interface {
 }
 
 // maxPresenceBits caps a column's presence bitset (cardinality × blocks
-// bits, ~16 MiB of words at the cap). Columns past it skip presence, and
-// their index is built by a column scan instead.
+// bits, ~16 MiB of words at the cap). Columns past it keep no presence
+// words; their index is built on first request by the same builder.
 const maxPresenceBits = 1 << 27
 
 // presenceWordsPerValue is the stride of one value's block bits.
@@ -62,60 +65,87 @@ func PresenceFits(cardinality, numBlocks int) bool {
 	return int64(cardinality)*int64(presenceWordsPerValue(numBlocks))*64 <= maxPresenceBits
 }
 
-// TableBlockStats is the concrete per-block statistics container shared
-// by the in-memory, snapshot, and mmap backends. Immutable once built.
+// TableBlockStats holds exact per-block statistics in caller-owned
+// arrays, and its Summarize is the one builder of them. Every backend's
+// statistics, the live-ingest summary and bitmap.Build's words come out
+// of Summarize. Immutable once shared.
 type TableBlockStats struct {
-	presence map[string]presenceStats
-	ranges   map[string]rangeStats
+	// Stride is the words per value of every Presence entry, at least
+	// ⌈blocks/64⌉.
+	Stride int
+	// Presence maps a column to its value-major presence words: bit b of
+	// value v is Presence[column][v*Stride + b/64] >> (b%64) & 1. A nil
+	// entry asks Summarize to check the column's codes without marking.
+	Presence map[string][]uint64
+	// Lo and Hi map a measure to its per-block minima and maxima.
+	Lo, Hi map[string][]float64
 }
 
-type presenceStats struct {
-	words []uint64
-	wpv   int
-}
-
-type rangeStats struct{ lo, hi []float64 }
-
-// NewTableBlockStats returns an empty container, to be populated with
-// SetPresence/SetMeasureRange before sharing.
-func NewTableBlockStats() *TableBlockStats {
-	return &TableBlockStats{
-		presence: make(map[string]presenceStats),
-		ranges:   make(map[string]rangeStats),
+// Summarize folds blocks [from, to) of r into s. For every column keyed
+// in s.Presence it rejects any code at or past the column's cardinality
+// and, unless the entry is nil, ORs bit b of the code's value into its
+// words. For every measure keyed in s.Lo it sets Lo[b] and Hi[b] to the
+// block's valueRange. The caller sizes every array (cardinality × Stride
+// words, Lo/Hi past to); bits already set stay set, so a summary grows
+// one block range at a time. Each column and measure is read once, in
+// block order.
+func (s *TableBlockStats) Summarize(r Reader, from, to int) error {
+	stride := s.Stride
+	for _, name := range r.Columns() {
+		words, ok := s.Presence[name]
+		if !ok {
+			continue
+		}
+		col, err := r.ColumnByName(name)
+		if err != nil {
+			return err
+		}
+		card := uint32(col.Cardinality())
+		for b := from; b < to; b++ {
+			lo, hi := r.BlockSpan(b)
+			w, bit := b>>6, uint64(1)<<(uint(b)&63)
+			for i, code := range col.Codes(lo, hi) {
+				if code >= card {
+					return fmt.Errorf("column %q code %d out of range (dict size %d) at row %d", name, code, card, lo+i)
+				}
+				if words != nil {
+					words[int(code)*stride+w] |= bit
+				}
+			}
+		}
 	}
-}
-
-// SetPresence installs a column's value-major presence words (aliased,
-// not copied; see PresenceWords for the layout).
-func (s *TableBlockStats) SetPresence(column string, words []uint64, wordsPerValue int) {
-	s.presence[column] = presenceStats{words: words, wpv: wordsPerValue}
-}
-
-// SetMeasureRange installs a measure's per-block [lo, hi] arrays
-// (aliased, not copied; length numBlocks each).
-func (s *TableBlockStats) SetMeasureRange(measure string, lo, hi []float64) {
-	s.ranges[measure] = rangeStats{lo: lo, hi: hi}
+	for _, name := range r.MeasureNames() {
+		lo, ok := s.Lo[name]
+		if !ok {
+			continue
+		}
+		m, err := r.MeasureByName(name)
+		if err != nil {
+			return err
+		}
+		hi := s.Hi[name]
+		for b := from; b < to; b++ {
+			blo, bhi := r.BlockSpan(b)
+			lo[b], hi[b] = valueRange(m.Values(blo, bhi))
+		}
+	}
+	return nil
 }
 
 // MeasureRange implements BlockStats.
 func (s *TableBlockStats) MeasureRange(measure string, b int) (lo, hi float64, ok bool) {
-	rg, found := s.ranges[measure]
-	if !found || b < 0 || b >= len(rg.lo) {
+	mlo := s.Lo[measure]
+	if b < 0 || b >= len(mlo) {
 		return 0, 0, false
 	}
-	return rg.lo[b], rg.hi[b], true
+	return mlo[b], s.Hi[measure][b], true
 }
 
 // PresenceWords implements BlockStats.
 func (s *TableBlockStats) PresenceWords(column string) ([]uint64, int, bool) {
-	p, ok := s.presence[column]
-	if !ok {
-		return nil, 0, false
-	}
-	return p.words, p.wpv, true
+	words := s.Presence[column]
+	return words, s.Stride, words != nil
 }
-
-var _ BlockStats = (*TableBlockStats)(nil)
 
 // valueRange folds vals into [lo, hi] starting from the empty interval
 // (+Inf, -Inf): NaN values never update either bound (comparisons are
@@ -134,45 +164,36 @@ func valueRange(vals []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// computeBlockStats scans a reader once and builds exact per-block
-// statistics: value presence for every categorical column under the size
-// cap, min/max for every measure. The single pass is the same shape as
-// the snapshot/mmap open validation, which fold the identical updates
-// into their existing loops instead of calling this.
+// newBlockStats returns empty statistics at the presence stride of nb
+// blocks.
+func newBlockStats(nb int) *TableBlockStats {
+	return &TableBlockStats{
+		Stride:   presenceWordsPerValue(nb),
+		Presence: make(map[string][]uint64),
+		Lo:       make(map[string][]float64),
+		Hi:       make(map[string][]float64),
+	}
+}
+
+// computeBlockStats builds a table's exact statistics in one Summarize
+// pass: presence words for every column under the cap, min/max for every
+// measure. A code past its dictionary (NewTable does not check codes)
+// leaves the table with no statistics, so nothing is skipped and
+// bitmap.Build reports the code.
 func computeBlockStats(r Reader) *TableBlockStats {
 	nb := r.NumBlocks()
-	s := NewTableBlockStats()
+	s := newBlockStats(nb)
 	for _, name := range r.Columns() {
 		col, err := r.ColumnByName(name)
-		if err != nil {
-			continue
+		if err == nil && PresenceFits(col.Cardinality(), nb) {
+			s.Presence[name] = make([]uint64, col.Cardinality()*s.Stride)
 		}
-		card := col.Cardinality()
-		if !PresenceFits(card, nb) {
-			continue
-		}
-		wpv := presenceWordsPerValue(nb)
-		words := make([]uint64, card*wpv)
-		for b := 0; b < nb; b++ {
-			lo, hi := r.BlockSpan(b)
-			w, bit := b>>6, uint64(1)<<(uint(b)&63)
-			for _, code := range col.Codes(lo, hi) {
-				words[int(code)*wpv+w] |= bit
-			}
-		}
-		s.SetPresence(name, words, wpv)
 	}
 	for _, name := range r.MeasureNames() {
-		m, err := r.MeasureByName(name)
-		if err != nil {
-			continue
-		}
-		lo, hi := make([]float64, nb), make([]float64, nb)
-		for b := 0; b < nb; b++ {
-			blo, bhi := r.BlockSpan(b)
-			lo[b], hi[b] = valueRange(m.Values(blo, bhi))
-		}
-		s.SetMeasureRange(name, lo, hi)
+		s.Lo[name], s.Hi[name] = make([]float64, nb), make([]float64, nb)
+	}
+	if s.Summarize(r, 0, nb) != nil {
+		return newBlockStats(nb)
 	}
 	return s
 }

@@ -26,11 +26,12 @@ import (
 // depends on: magic, version, structural bounds, alignment padding, and
 // the dictionary range of every code (an out-of-range code would later
 // index candidate/group arrays out of bounds inside executor
-// goroutines). The code scan pages in the uint32 arrays sequentially —
-// still O(ms) for millions of rows and far cheaper than a full
-// materialize — and recomputes the per-block code-presence words, which
-// must match the stored ones. Open with ReadSnapshotFile to fully verify
-// a snapshot of doubtful provenance.
+// goroutines). That check is the block-summary builder's one pass
+// (TableBlockStats.Summarize): it pages in the uint32 arrays
+// sequentially — still O(ms) for millions of rows and far cheaper than a
+// full materialize — and builds the per-block presence words, which must
+// match the stored ones and become the index's words. Open with
+// ReadSnapshotFile to fully verify a snapshot of doubtful provenance.
 //
 // Fallback: on hosts without mmap support (see mmap_other.go) and on
 // big-endian hosts, OpenMmapFile materializes the table on the heap via

@@ -154,8 +154,8 @@ func WriteSnapshot(tbl *Table, w io.Writer) error {
 	}
 	for _, m := range tbl.measures {
 		sw.pad8()
-		putArray(sw, stats.ranges[m.Name].lo)
-		putArray(sw, stats.ranges[m.Name].hi)
+		putArray(sw, stats.Lo[m.Name])
+		putArray(sw, stats.Hi[m.Name])
 	}
 	if sw.err != nil {
 		return sw.err
@@ -332,13 +332,12 @@ func parseSnapshot(data []byte, verifyRanges bool) (*Table, error) {
 		rows:      rows,
 		blockSize: int(blockSize),
 	}
-	// Code-presence statistics are folded into the code-validation scan
-	// below (block-wise, so the per-block word/bit pair is hoisted out of
-	// the row loop) and then checked against the stored ones; measure
-	// ranges come from the stats section.
+	// The structural walk only sizes the statistics; one Summarize pass
+	// after it checks every code and computes the presence words (and,
+	// with verifyRanges, the measure ranges), which are then checked
+	// against the stored ones.
 	nb := tbl.NumBlocks()
-	wpv := presenceWordsPerValue(nb)
-	stats := NewTableBlockStats()
+	stats := newBlockStats(nb)
 	for ci := 0; ci < int(ncols); ci++ {
 		name, err := str("column name")
 		if err != nil {
@@ -373,31 +372,13 @@ func parseSnapshot(data []byte, verifyRanges bool) (*Table, error) {
 		if rows > 0 && (len(data)-off)/4 < rows {
 			return nil, corrupt("codes")
 		}
-		codes := castLE[uint32](data[off:], rows)
-		var words []uint64
+		stats.Presence[name] = nil // past the cap: codes checked only
 		if PresenceFits(int(dictLen), nb) {
-			words = make([]uint64, int(dictLen)*wpv)
+			stats.Presence[name] = make([]uint64, int(dictLen)*stats.Stride)
 		}
-		// An out-of-range code would later index candidate/group arrays
-		// out of bounds mid-query.
-		for b := 0; b < nb; b++ {
-			lo, hi := tbl.BlockSpan(b)
-			w, bit := b>>6, uint64(1)<<(uint(b)&63)
-			for i, code := range codes[lo:hi] {
-				if code >= dictLen {
-					return nil, fmt.Errorf("colstore: snapshot column %q code %d out of range (dict size %d) at row %d", name, code, dictLen, lo+i)
-				}
-				if words != nil {
-					words[int(code)*wpv+w] |= bit
-				}
-			}
-		}
-		if words != nil {
-			stats.SetPresence(name, words, wpv)
-		}
-		off += 4 * rows
 		tbl.colByName[name] = len(tbl.cols)
-		tbl.cols = append(tbl.cols, &Column{Name: name, Dict: dict, codes: codes})
+		tbl.cols = append(tbl.cols, &Column{Name: name, Dict: dict, codes: castLE[uint32](data[off:], rows)})
+		off += 4 * rows
 	}
 	for mi := 0; mi < int(nmeas); mi++ {
 		name, err := str("measure name")
@@ -413,20 +394,27 @@ func parseSnapshot(data []byte, verifyRanges bool) (*Table, error) {
 		if rows > 0 && (len(data)-off)/8 < rows {
 			return nil, corrupt("measure values")
 		}
+		if verifyRanges {
+			stats.Lo[name], stats.Hi[name] = make([]float64, nb), make([]float64, nb)
+		}
 		tbl.measByID[name] = len(tbl.measures)
 		tbl.measures = append(tbl.measures, &MeasureColumn{Name: name, values: castLE[float64](data[off:], rows)})
 		off += 8 * rows
 	}
+	// An out-of-range code would later index candidate/group arrays out
+	// of bounds mid-query.
+	if err := stats.Summarize(tbl, 0, nb); err != nil {
+		return nil, fmt.Errorf("colstore: snapshot %w", err)
+	}
 	// Stored presence words are cross-checked against the ones just
-	// recomputed from the codes (pages are already warm from the
-	// validation scan).
+	// computed from the codes.
 	for _, c := range tbl.cols {
 		flag, err := u32("stats presence flag")
 		if err != nil {
 			return nil, err
 		}
-		words, _, haveWords := stats.PresenceWords(c.Name)
-		if flag > 1 || (flag == 1) != haveWords {
+		words := stats.Presence[c.Name]
+		if flag > 1 || (flag == 1) != (words != nil) {
 			return nil, fmt.Errorf("colstore: snapshot column %q presence flag %d disagrees with cardinality cap", c.Name, flag)
 		}
 		if flag == 0 {
@@ -444,8 +432,9 @@ func parseSnapshot(data []byte, verifyRanges bool) (*Table, error) {
 		off += 8 * len(words)
 	}
 	// Measure ranges are copied off the stored section. Only verifyRanges
-	// recomputes them: that reads the measure arrays, which the mmap open
-	// deliberately never pages in at open.
+	// computed them, to check the stored ones bitwise: that reads the
+	// measure arrays, which the mmap open deliberately never pages in at
+	// open.
 	for _, m := range tbl.measures {
 		if err := pad8(); err != nil {
 			return nil, err
@@ -453,17 +442,18 @@ func parseSnapshot(data []byte, verifyRanges bool) (*Table, error) {
 		if nb > 0 && (len(data)-off)/16 < nb {
 			return nil, corrupt("stats measure ranges")
 		}
-		mlo := append([]float64(nil), castLE[float64](data[off:], nb)...)
-		mhi := append([]float64(nil), castLE[float64](data[off+8*nb:], nb)...)
+		mlo, mhi := castLE[float64](data[off:], nb), castLE[float64](data[off+8*nb:], nb)
 		off += 16 * nb
-		for b := 0; verifyRanges && b < nb; b++ {
-			lo, hi := tbl.BlockSpan(b)
-			vlo, vhi := valueRange(m.values[lo:hi])
-			if math.Float64bits(vlo) != math.Float64bits(mlo[b]) || math.Float64bits(vhi) != math.Float64bits(mhi[b]) {
+		if !verifyRanges {
+			stats.Lo[m.Name], stats.Hi[m.Name] = slices.Clone(mlo), slices.Clone(mhi)
+			continue
+		}
+		vlo, vhi := stats.Lo[m.Name], stats.Hi[m.Name]
+		for b := range nb {
+			if math.Float64bits(vlo[b]) != math.Float64bits(mlo[b]) || math.Float64bits(vhi[b]) != math.Float64bits(mhi[b]) {
 				return nil, fmt.Errorf("colstore: snapshot measure %q stored range disagrees with values in block %d", m.Name, b)
 			}
 		}
-		stats.SetMeasureRange(m.Name, mlo, mhi)
 	}
 	if off+4 != len(data) {
 		return nil, corrupt("CRC trailer")

@@ -193,3 +193,96 @@ func TestBackendsConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPastCapIndexMatchesBuilder covers columns past the presence cap:
+// with one row per block, 20k blocks and a 10k-value Z, Z's presence
+// bitset exceeds it, so no backend keeps presence words for Z and
+// bitmap.Build runs the block-summary builder itself. On the in-memory
+// table, the heap snapshot, the mmap snapshot and an ingest view with an
+// unsealed tail, Engine.Index equals the builder's words over the raw
+// table bit for bit.
+func TestPastCapIndexMatchesBuilder(t *testing.T) {
+	const rows, card = 20_000, 10_000
+	zd, xd := colstore.NewDictionary(), colstore.NewDictionary()
+	for v := 0; v < card; v++ {
+		zd.Intern(fmt.Sprintf("z%d", v))
+	}
+	for v := 0; v < 4; v++ {
+		xd.Intern(fmt.Sprintf("x%d", v))
+	}
+	zc, xc, m := make([]uint32, rows), make([]uint32, rows), make([]float64, rows)
+	for i := range zc {
+		// Codes first appear in code order, so the ingest twin interns
+		// the same codes.
+		zc[i], xc[i], m[i] = uint32(i%card), uint32(i%4), float64(i%97)
+	}
+	tbl, err := colstore.NewTable(1, rows,
+		[]*colstore.Column{colstore.NewColumn("Z", zd, zc), colstore.NewColumn("X", xd, xc)},
+		[]*colstore.MeasureColumn{colstore.NewMeasureColumn("m", m)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if colstore.PresenceFits(card, rows) {
+		t.Fatalf("%d values × %d blocks fit the presence cap", card, rows)
+	}
+	wpv := (rows + 63) / 64
+	ref := colstore.TableBlockStats{Stride: wpv, Presence: map[string][]uint64{"Z": make([]uint64, card*wpv)}}
+	if err := ref.Summarize(tbl, 0, rows); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/pastcap.fms"
+	if err := colstore.WriteSnapshotFile(tbl, path); err != nil {
+		t.Fatal(err)
+	}
+	backends := []struct {
+		name string
+		src  func() colstore.Reader
+	}{
+		{"inmem", func() colstore.Reader { return tbl }},
+		{"heap-snapshot", func() colstore.Reader {
+			heap, err := colstore.ReadSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return heap
+		}},
+		{"mmap", func() colstore.Reader { return mmapTwin(t, tbl) }},
+		{"ingest-tail", func() colstore.Reader {
+			wt := ingestTableFrom(t, tbl, 16_384)
+			if sealed := wt.Stats().SealedRows; sealed != 16_384 {
+				t.Fatalf("%d rows sealed, want 16384 and an unsealed tail", sealed)
+			}
+			v, err := wt.View()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}},
+	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			src := b.src()
+			if _, _, ok := blockStatsOf(src).PresenceWords("Z"); ok {
+				t.Fatal("backend offers presence words past the cap")
+			}
+			idx, err := New(src).Index("Z")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if idx.NumValues() != card || idx.NumBlocks() != rows {
+				t.Fatalf("index is %d values × %d blocks, want %d × %d", idx.NumValues(), idx.NumBlocks(), card, rows)
+			}
+			for v := 0; v < card; v++ {
+				bs, err := idx.ValueBitset(uint32(v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w := 0; w < wpv; w++ {
+					if got, want := bs.Word(w), ref.Presence["Z"][v*wpv+w]; got != want {
+						t.Fatalf("value %d word %d = %#x, builder %#x", v, w, got, want)
+					}
+				}
+			}
+		})
+	}
+}

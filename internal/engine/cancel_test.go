@@ -104,8 +104,8 @@ func ingestTableFrom(t testing.TB, tbl *colstore.Table, sealRows int) *ingest.Wr
 // hook as BlockSpan serves the block. BlockSpan is the one call every
 // executor makes per block it reads, so the hook sees a run's reads in
 // read order, on the goroutine that reads them. Block statistics come
-// from the wrapped reader, and indexes are copied from their presence
-// words, so planning reports nothing.
+// from the wrapped reader, and indexes adopt their presence words, so
+// planning reports nothing.
 type rowHookReader struct {
 	colstore.Reader
 	hook atomic.Pointer[func(rows int)]

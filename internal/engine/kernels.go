@@ -43,9 +43,10 @@ import "fastmatch/internal/histogram"
 // reference the equivalence suite and BenchmarkScanKernels compare the
 // kernels against.
 
-// maxKernelCells caps the flat accumulator (candidates × groups) at 32
-// MiB of int64 cells; larger shapes take the scalar loop, whose
-// lazily-allocated histograms handle sparse giants better anyway.
+// maxKernelCells caps a plan's candidates × groups at 32 MiB of int64
+// accumulator cells. Prepare rejects larger shapes (PlanTooLargeError):
+// the Scan and HistSim paths both allocate every candidate's histogram
+// up front, so such a plan would exhaust memory, not run slowly.
 const maxKernelCells = 1 << 22
 
 // kernelShape is a plan's vectorizable form: the aliased full-column
@@ -64,12 +65,12 @@ type kernelShape struct {
 }
 
 // kernelShape resolves the plan's vectorizable form, or nil when only the
-// scalar loop can run it: a mapper no kernel knows, or an accumulator over
-// maxKernelCells. This is the one eligibility test — Explain reports its
-// outcome, newKernel acts on it.
+// scalar loop can run it: an empty accumulator or a mapper no kernel
+// knows (Prepare has already rejected accumulators over maxKernelCells).
+// This is the one eligibility test — Explain reports its outcome,
+// newKernel acts on it.
 func (p *Plan) kernelShape() *kernelShape {
-	groups, nCand := p.grp.groups(), p.cand.numCandidates()
-	if groups <= 0 || nCand <= 0 || int64(groups)*int64(nCand) > maxKernelCells {
+	if p.grp.groups() <= 0 || p.cand.numCandidates() <= 0 {
 		return nil
 	}
 	sh := &kernelShape{}

@@ -57,6 +57,21 @@ func (p *Plan) blockRows(b int) int64 {
 	return int64(hi - lo)
 }
 
+// PlanTooLargeError reports a query whose histograms would need more
+// than maxKernelCells cells (candidates × groups). Every executor
+// allocates its histograms up front, so Prepare rejects such a shape
+// before any run could exhaust memory. A serving layer maps it to a 4xx
+// response.
+type PlanTooLargeError struct {
+	Candidates, Groups int
+}
+
+// Error implements error.
+func (e *PlanTooLargeError) Error() string {
+	return fmt.Sprintf("engine: query shape of %d candidates × %d groups needs %d histogram cells, over the limit of %d",
+		e.Candidates, e.Groups, int64(e.Candidates)*int64(e.Groups), maxKernelCells)
+}
+
 // Prepare resolves a query into a reusable Plan. Engine.Run and
 // Engine.RunContext are one-shot wrappers around Prepare; prepare
 // explicitly to amortize planning across repeated runs.
@@ -80,6 +95,9 @@ func (e *Engine) PrepareTraced(q Query, tr *trace.Trace) (*Plan, error) {
 	sp.End()
 	if err != nil {
 		return nil, err
+	}
+	if cells := int64(cand.numCandidates()) * int64(grp.groups()); cells > maxKernelCells {
+		return nil, &PlanTooLargeError{Candidates: cand.numCandidates(), Groups: grp.groups()}
 	}
 	p := &Plan{engine: e, query: q, cand: cand, grp: grp, blockSize: e.src.BlockSize(), rows: e.src.NumRows()}
 	if pc, ok := cand.(*predicateCandidates); ok {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -200,8 +201,8 @@ func TestParallelTargetResolution(t *testing.T) {
 }
 
 // overKernelCapTable builds a table whose Z × (A, B, C) accumulator,
-// 17 candidates × 64³ groups, exceeds maxKernelCells: only the scalar
-// loop runs it.
+// 64 candidates (17 of them present) × 64³ groups, exceeds
+// maxKernelCells: Prepare rejects it.
 func overKernelCapTable(t testing.TB) *colstore.Table {
 	t.Helper()
 	const rows, card = 2048, 64
@@ -234,28 +235,25 @@ func overKernelCapTable(t testing.TB) *colstore.Table {
 // TestCandidateTargetMatchesExactScan: a candidate target, resolved on a
 // single node (Plan.ResolveTarget) or as a shard target segment, equals
 // that candidate's histogram from the exact Scan's scalar reference cell
-// for cell — for every accumulator shape and for one over maxKernelCells,
-// at one and two workers.
+// for cell — for every accumulator shape, at one and two workers. A
+// shape over maxKernelCells is rejected at Prepare instead.
 func TestCandidateTargetMatchesExactScan(t *testing.T) {
+	t.Run("over-kernel-cap", func(t *testing.T) {
+		_, err := New(overKernelCapTable(t)).Prepare(Query{Z: "Z", X: []string{"A", "B", "C"}})
+		var tooLarge *PlanTooLargeError
+		if !errors.As(err, &tooLarge) || tooLarge.Candidates != 64 || tooLarge.Groups != 64*64*64 {
+			t.Fatalf("Prepare error %v, want a *PlanTooLargeError naming 64 × %d", err, 64*64*64)
+		}
+	})
 	eng, shapes := accumulatorShapes(t)
-	type tcase struct {
-		eng *Engine
-		q   Query
-	}
-	cases := map[string]tcase{
-		"over-kernel-cap": {New(overKernelCapTable(t)), Query{Z: "Z", X: []string{"A", "B", "C"}}},
-	}
 	for name, q := range shapes {
-		cases[name] = tcase{eng, q}
-	}
-	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			p, err := tc.eng.Prepare(tc.q)
+			p, err := eng.Prepare(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (p.shape == nil) != (name == "over-kernel-cap") {
-				t.Fatalf("kernel shape = %v", p.shape != nil)
+			if p.shape == nil {
+				t.Fatal("no kernel shape")
 			}
 			params := testParams()
 			params.K, params.Sigma = p.NumCandidates(), 0
@@ -283,10 +281,6 @@ func TestCandidateTargetMatchesExactScan(t *testing.T) {
 			ids := make([]int, p.NumCandidates())
 			for id := range ids {
 				ids[id] = id
-			}
-			if p.shape == nil {
-				// Every pass allocates all 17 × 64³ cells: check three.
-				ids = []int{0, len(ids) / 2, len(ids) - 1}
 			}
 			resolved := map[string]bool{}
 			for _, id := range ids {

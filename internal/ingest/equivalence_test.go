@@ -213,15 +213,17 @@ func TestCompactedFileIsByteIdenticalToBatchSnapshot(t *testing.T) {
 	}
 }
 
-// readerOnly hides TableView's block statistics so bitmap.Build takes
-// the full-scan path.
+// readerOnly hides TableView's block statistics, so bitmap.Build runs
+// the block-summary builder over the raw view instead of adopting the
+// view's presence words.
 type readerOnly struct{ colstore.Reader }
 
 // checkViewStats holds a view's block statistics to a scan of its own
 // rows: for every column, PresenceWords equals the scanned presence bits
-// word for word and the index Build copies from them equals the index a
-// scan builds; every measure's range is the exact block min/max for the
-// sealed blocks and unknown for the unsealed tail.
+// word for word and the index Build adopts from them equals the index
+// the builder makes over the raw view; every measure's range is the
+// exact block min/max for the sealed blocks and unknown for the
+// unsealed tail.
 func checkViewStats(t *testing.T, stage string, v *TableView, sealed int) {
 	t.Helper()
 	stats := v.BlockStats()

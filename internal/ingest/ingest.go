@@ -23,9 +23,11 @@
 // Sealing only advances the sealed row count: it marks the prefix whose
 // blocks the summary may describe exactly. A TableView is the spine
 // prefix at one generation plus exact block statistics: sealed blocks
-// answered from the summary, the unsealed tail's presence scanned on
-// demand. bitmap.Build copies those presence words like any other
-// backend's, so a live table has no index path of its own.
+// answered from the summary, the unsealed tail's presence built on
+// demand. The summary, the tail and every other backend's statistics
+// come from one builder (colstore.TableBlockStats.Summarize), and
+// bitmap.Build adopts a view's presence words as the index, so a live
+// table has no index path of its own.
 //
 // Segment files are the writer's persistence units, never read by
 // queries: compaction writes them and truncates the WAL, and boot copies

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"math"
 	"sync"
 
 	"fastmatch/internal/colstore"
@@ -18,10 +17,11 @@ import (
 // old backing array untouched). Compaction only writes files, so a view
 // stays valid for as long as anything holds it.
 //
-// Block statistics come from the table's one summary (see summary): the
-// view's sealed blocks are answered exactly from it, and only the
-// unsealed tail is scanned, for presence. bitmap.Build copies those
-// presence words, so the view needs no index path of its own.
+// Block statistics come from the table's one summary (see summary): a
+// column's presence words are the summary's, masked to the view's sealed
+// blocks, plus the block-summary builder run over the unsealed tail —
+// fresh words per call, which bitmap.Build adopts as the index, so the
+// view needs no index path of its own.
 type TableView struct {
 	*colstore.Table // the spine prefix, zero-copy
 	sum             *summary
@@ -71,59 +71,48 @@ func (s viewStats) MeasureRange(measure string, b int) (lo, hi float64, ok bool)
 }
 
 // PresenceWords implements colstore.BlockStats: the summary's sealed
-// prefix, masked to this view's sealed blocks, plus a scan of the tail.
-// It declines past colstore.PresenceFits, leaving Build to scan.
+// prefix plus the builder over the tail, in fresh words at the view's
+// own stride. It declines for a column the summary keeps no words for
+// (past colstore.PresenceFits), leaving Build to run the builder.
 func (s viewStats) PresenceWords(column string) ([]uint64, int, bool) {
 	v := s.v
 	col, err := v.Column(column)
 	if err != nil {
 		return nil, 0, false
 	}
-	nb, card := v.NumBlocks(), col.Cardinality()
-	if !colstore.PresenceFits(card, nb) {
-		return nil, 0, false
-	}
+	nb := v.NumBlocks()
 	wpv := (nb + 63) / 64
-	words := make([]uint64, card*wpv)
-	if !v.sum.copyPresence(v.Table, v.sealed, column, words, wpv) {
+	words := v.sum.presence(v.Table, v.sealed, column, col.Cardinality()*wpv, wpv)
+	if words == nil {
 		return nil, 0, false
 	}
-	for b := v.sealed; b < nb; b++ {
-		lo, hi := v.BlockSpan(b)
-		w, bit := b>>6, uint64(1)<<(uint(b)&63)
-		for _, code := range col.Codes(lo, hi) {
-			words[int(code)*wpv+w] |= bit
-		}
+	tail := colstore.TableBlockStats{Stride: wpv, Presence: map[string][]uint64{column: words}}
+	if tail.Summarize(v.Table, v.sealed, nb) != nil {
+		return nil, 0, false // unreachable: spine codes are interned
 	}
 	return words, wpv, true
 }
 
-// summary is the table's one block summary: per column, value-major
-// block-presence words; per measure, per-block min/max; both exact over
-// the first `blocks` sealed blocks. Appends and seals do no summary
-// work. A view's first BlockStats use extends the summary over the
-// blocks sealed since the last extension, reading them from the view's
-// spine prefix (identical in every later view), under the summary's own
-// mutex — never the table's.
+// summary is the table's one block summary, exact over the first
+// `blocks` sealed blocks: per column, value-major presence words at a
+// capacity stride that doubles when the sealed blocks outgrow it; per
+// measure, per-block min/max. colstore's block-summary builder fills it.
+// Appends and seals do no summary work. A view's first BlockStats use
+// extends the summary over the blocks sealed since the last extension,
+// reading them from the view's spine prefix (identical in every later
+// view), under the summary's own mutex — never the table's.
 type summary struct {
-	mu       sync.Mutex
-	blocks   int
-	presence map[string]*presence
-	lo, hi   map[string][]float64
-}
-
-// presence is one column's block-presence words, indexed by value code.
-type presence struct {
-	values [][]uint64
-	off    bool // past colstore.PresenceFits: views decline, Build scans
+	mu     sync.Mutex
+	blocks int
+	st     colstore.TableBlockStats // no presence entry: past the cap
 }
 
 func newSummary() *summary {
-	return &summary{
-		presence: make(map[string]*presence),
-		lo:       make(map[string][]float64),
-		hi:       make(map[string][]float64),
-	}
+	return &summary{st: colstore.TableBlockStats{
+		Presence: make(map[string][]uint64),
+		Lo:       make(map[string][]float64),
+		Hi:       make(map[string][]float64),
+	}}
 }
 
 // extend summarizes blocks [s.blocks, sealed) of tbl, whose first sealed
@@ -132,88 +121,70 @@ func (s *summary) extend(tbl *colstore.Table, sealed int) {
 	if sealed <= s.blocks {
 		return
 	}
+	if need := (sealed + 63) / 64; need > s.st.Stride {
+		stride := max(2*s.st.Stride, need)
+		for name, old := range s.st.Presence {
+			words := make([]uint64, len(old)/s.st.Stride*stride)
+			for v := 0; v*stride < len(words); v++ {
+				copy(words[v*stride:], old[v*s.st.Stride:(v+1)*s.st.Stride])
+			}
+			s.st.Presence[name] = words
+		}
+		s.st.Stride = stride
+	}
 	for _, name := range tbl.Columns() {
 		col, _ := tbl.Column(name)
-		p := s.presence[name]
-		if p == nil {
-			p = &presence{}
-			s.presence[name] = p
-		}
-		if p.off || !colstore.PresenceFits(col.Cardinality(), sealed) {
-			p.values, p.off = nil, true
+		if !colstore.PresenceFits(col.Cardinality(), sealed) { // for good: both only grow
+			delete(s.st.Presence, name)
 			continue
 		}
-		for b := s.blocks; b < sealed; b++ {
-			lo, hi := tbl.BlockSpan(b)
-			w, bit := b>>6, uint64(1)<<(uint(b)&63)
-			for _, code := range col.Codes(lo, hi) {
-				for int(code) >= len(p.values) {
-					p.values = append(p.values, nil)
-				}
-				if len(p.values[code]) <= w {
-					p.values[code] = append(p.values[code], make([]uint64, w+1-len(p.values[code]))...)
-				}
-				p.values[code][w] |= bit
-			}
-		}
+		words := s.st.Presence[name]
+		s.st.Presence[name] = append(words, make([]uint64, col.Cardinality()*s.st.Stride-len(words))...)
 	}
 	for _, name := range tbl.MeasureNames() {
-		m, _ := tbl.MeasureByName(name)
-		for b := s.blocks; b < sealed; b++ {
-			blo, bhi := tbl.BlockSpan(b)
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, x := range m.Values(blo, bhi) {
-				if x < lo {
-					lo = x
-				}
-				if x > hi {
-					hi = x
-				}
-			}
-			s.lo[name] = append(s.lo[name], lo)
-			s.hi[name] = append(s.hi[name], hi)
-		}
+		s.st.Lo[name] = append(s.st.Lo[name], make([]float64, sealed-s.blocks)...)
+		s.st.Hi[name] = append(s.st.Hi[name], make([]float64, sealed-s.blocks)...)
 	}
+	_ = s.st.Summarize(tbl, s.blocks, sealed) // spine codes are interned: in range
 	s.blocks = sealed
 }
 
-// copyPresence ORs the column's presence over blocks [0, sealed) into
-// words (value-major, wpv words per value), reporting false when the
-// column is past the presence cap.
-func (s *summary) copyPresence(tbl *colstore.Table, sealed int, column string, words []uint64, wpv int) bool {
+// presence returns fresh words of length n at stride wpv holding the
+// column's presence over blocks [0, sealed), or nil when the column is
+// past the presence cap.
+func (s *summary) presence(tbl *colstore.Table, sealed int, column string, n, wpv int) []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.extend(tbl, sealed)
-	p := s.presence[column]
-	if p == nil {
-		return true // nothing sealed yet: the tail scan is the whole answer
+	src, kept := s.st.Presence[column]
+	if !kept && s.blocks > 0 {
+		return nil
 	}
-	if p.off {
-		return false
-	}
-	// Codes past this view's cardinality first appeared after its rows,
+	words := make([]uint64, n)
+	// Values past this view's cardinality first appeared after its rows,
 	// so they have no bits in its sealed blocks.
+	stride := s.st.Stride
 	full, rem := sealed>>6, uint(sealed)&63
-	for code := 0; code < len(p.values) && code*wpv < len(words); code++ {
-		src, dst := p.values[code], words[code*wpv:(code+1)*wpv]
-		n := copy(dst[:full], src)
-		if rem != 0 && n == full && full < len(src) {
-			dst[full] = src[full] & (1<<rem - 1)
+	for v := 0; v*wpv < n && v*stride < len(src); v++ {
+		dst, from := words[v*wpv:], src[v*stride:]
+		copy(dst[:full], from)
+		if rem != 0 {
+			dst[full] = from[full] & (1<<rem - 1)
 		}
 	}
-	return true
+	return words
 }
 
 // measureRanges returns the measures' exact ranges over blocks
 // [0, sealed), aliasing the summary's arrays: later extensions only
-// append past them.
+// write past them.
 func (s *summary) measureRanges(tbl *colstore.Table, sealed int) *colstore.TableBlockStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.extend(tbl, sealed)
-	st := colstore.NewTableBlockStats()
-	for name, lo := range s.lo {
-		st.SetMeasureRange(name, lo[:sealed:sealed], s.hi[name][:sealed:sealed])
+	st := &colstore.TableBlockStats{Lo: make(map[string][]float64), Hi: make(map[string][]float64)}
+	for name, lo := range s.st.Lo {
+		st.Lo[name], st.Hi[name] = lo[:sealed:sealed], s.st.Hi[name][:sealed:sealed]
 	}
 	return st
 }

@@ -39,7 +39,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	plan, planHit, err := s.cachedPlan(pq.planKey, pq.eng, pq.q, pq.tr)
 	if err != nil {
-		pq.fail(http.StatusUnprocessableEntity, "planning query: %v", err)
+		pq.fail(planStatus(err), "planning query: %v", err)
 		return
 	}
 	s.finishRequest(pq, outcomeOK, nil, planHit, false, http.StatusOK, "")

@@ -16,7 +16,8 @@ import (
 //	go test -run=NONE -fuzz=FuzzQuerySpec -fuzztime=15s ./internal/server/
 //
 // The invariant: every stage returns an error or a value — never a
-// panic — and Prepare returns a plan exactly when it returns no error.
+// panic — and Prepare returns a plan exactly when it returns no error,
+// whose candidates × groups fit the engine's 2²²-cell accumulator limit.
 func FuzzQuerySpec(f *testing.F) {
 	eng := engine.New(fixtureTable(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -37,6 +38,9 @@ func FuzzQuerySpec(f *testing.F) {
 		p, err := eng.Prepare(q)
 		if (p == nil) == (err == nil) {
 			t.Fatalf("Prepare returned plan %v with error %v", p != nil, err)
+		}
+		if p != nil && int64(p.NumCandidates())*int64(p.Groups()) > 1<<22 {
+			t.Fatalf("Prepare accepted %d candidates × %d groups", p.NumCandidates(), p.Groups())
 		}
 	})
 }

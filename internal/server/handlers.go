@@ -351,6 +351,16 @@ func planKeyFor(table string, incarnation uint64, gens, qfp string) string {
 	return table + "\x00" + strconv.FormatUint(incarnation, 10) + "\x00" + gens + "\x00" + qfp
 }
 
+// planStatus is the HTTP status of a planning failure: 400 for a query
+// shape too large to run, 422 for any other unplannable query.
+func planStatus(err error) int {
+	var tooLarge *engine.PlanTooLargeError
+	if errors.As(err, &tooLarge) {
+		return http.StatusBadRequest
+	}
+	return http.StatusUnprocessableEntity
+}
+
 // cachedPlan returns the plan cached under key, preparing and publishing
 // it on a miss. A miss plans under tr, so plan-building cost shows up in
 // the span tree where it is paid.
@@ -546,7 +556,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, out sink) {
 	} else {
 		var err error
 		if pq.run, planHit, err = s.localRunner(pq); err != nil {
-			pq.fail(http.StatusUnprocessableEntity, "planning query: %v", err)
+			pq.fail(planStatus(err), "planning query: %v", err)
 			return
 		}
 	}

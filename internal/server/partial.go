@@ -54,7 +54,7 @@ func (s *Server) handleInternalPartial(w http.ResponseWriter, r *http.Request) {
 	}
 	plan, _, err := s.cachedPlan(lq.planKey, lq.eng, lq.q, nil)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "planning query: %v", err)
+		writeError(w, planStatus(err), "planning query: %v", err)
 		return
 	}
 

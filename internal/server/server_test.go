@@ -375,6 +375,41 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestOversizedPlanIsRejected: on a 20k-row FLIGHTS table, Z=Origin with
+// X=[Origin, Dest, DayOfMonth] asks for 347 × 347·351·31 ≈ 1.31B
+// histogram cells. Run, it would allocate them all and kill the process;
+// Prepare rejects the shape, so /v1/query and /v1/explain answer 400 and
+// the server keeps serving.
+func TestOversizedPlanIsRejected(t *testing.T) {
+	ds, err := datagen.Flights(20_000, 5, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	if err := s.RegisterTable("flights", ds.Table); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, path := range []string{"/v1/query", "/v1/explain"} {
+		body := `{"table":"flights","query":{"z":"Origin","x":["Origin","Dest","DayOfMonth"]},"target":{"uniform":true}}`
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := new(bytes.Buffer)
+		_, _ = msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "347 candidates × 3775707 groups") {
+			t.Fatalf("%s: status %d (%s), want 400 naming the shape", path, resp.StatusCode, msg)
+		}
+	}
+	req := QueryRequest{Table: "flights", Query: QuerySpec{Z: "Origin", X: []string{"DepartureHour"}}, Target: TargetSpec{Uniform: true}}
+	if status, _ := postQuery(t, ts.URL, req); status != http.StatusOK {
+		t.Fatalf("valid request after the rejection: %d, want 200", status)
+	}
+}
+
 func TestTablesHealthzAndAdminGating(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/healthz")
