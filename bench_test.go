@@ -496,18 +496,16 @@ func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, []bitmap.Predic
 }
 
 // BenchmarkScanKernels measures the exact-scan hot loop per storage
-// backend: the scalar per-row path against the vectorized grouped-count
-// kernels ("grouped-count", where no block is prunable so the kernel is
-// the entire difference), a selective predicate-candidate query with
-// block skipping toggled ("predicate", where stats prune most blocks),
-// and the candidate-target pass for a median-frequency Origin
-// ("candidate-target", Plan.ResolveTarget over that value's blocks).
-// Results are byte-identical across every variant — the equivalence
-// suite proves it — so only wall clock and the reported I/O metrics
-// move.
+// backend: the grouped-count kernels ("grouped-count/kernel", where no
+// block is prunable so the kernels are the whole pass), a selective
+// predicate-candidate query ("predicate/kernel+skip", where stats prune
+// most blocks), and the candidate-target pass for a median-frequency
+// Origin ("candidate-target", Plan.ResolveTarget over that value's
+// blocks). The engine package's BenchmarkScanReference runs the same
+// queries through the per-row reference loop and without skip masks.
 func BenchmarkScanKernels(b *testing.B) {
 	srcs, preds, mid := kernelBenchSetup(b)
-	run := func(b *testing.B, eng *engine.Engine, q engine.Query, noSkip, noKern bool) {
+	run := func(b *testing.B, eng *engine.Engine, q engine.Query) {
 		b.Helper()
 		p, err := eng.Prepare(q)
 		if err != nil {
@@ -519,12 +517,9 @@ func BenchmarkScanKernels(b *testing.B) {
 		}
 		params := coreParamsForBench(1_000_000)
 		b.ResetTimer()
-		var pruned, kernels int64
+		var pruned int64
 		for i := 0; i < b.N; i++ {
-			res, err := p.RunWithTarget(target, engine.Options{
-				Params: params, Executor: engine.Scan,
-				DisableBlockSkip: noSkip, DisableScanKernels: noKern,
-			})
+			res, err := p.RunWithTarget(target, engine.Options{Params: params, Executor: engine.Scan})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -532,31 +527,15 @@ func BenchmarkScanKernels(b *testing.B) {
 				b.Fatal("scan result not exact")
 			}
 			pruned += res.IO.BlocksPruned
-			kernels += res.IO.KernelBlocks
 		}
 		b.ReportMetric(float64(pruned)/float64(b.N), "blocks_pruned/op")
-		b.ReportMetric(float64(kernels)/float64(b.N), "kernel_blocks/op")
-	}
-	variants := []struct {
-		name           string
-		noSkip, noKern bool
-	}{
-		{"scalar", true, true},
-		{"kernel", true, false},
-		{"kernel+skip", false, false},
 	}
 	for _, backend := range []string{"inmem", "mmap", "ingest"} {
 		eng := engine.New(srcs[backend])
 		grouped := engine.Query{Z: "Origin", X: []string{"DepartureHour"}}
 		pred := engine.Query{CandidatePreds: preds, X: []string{"DepartureHour"}}
-		for _, v := range variants {
-			b.Run(backend+"/grouped-count/"+v.name, func(b *testing.B) {
-				run(b, eng, grouped, v.noSkip, v.noKern)
-			})
-			b.Run(backend+"/predicate/"+v.name, func(b *testing.B) {
-				run(b, eng, pred, v.noSkip, v.noKern)
-			})
-		}
+		b.Run(backend+"/grouped-count/kernel", func(b *testing.B) { run(b, eng, grouped) })
+		b.Run(backend+"/predicate/kernel+skip", func(b *testing.B) { run(b, eng, pred) })
 		b.Run(backend+"/candidate-target", func(b *testing.B) {
 			p, err := eng.Prepare(grouped)
 			if err != nil {

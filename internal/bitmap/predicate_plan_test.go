@@ -17,7 +17,8 @@ import (
 // compiler, into a row matcher and a block set drawn from the columns'
 // bitmap indexes. These tests pin what a tree means through the
 // engine's public API: which rows a candidate counts, that block
-// skipping never drops one of them, and which trees are rejected.
+// skipping never drops one of them (against a count that evaluates the
+// predicate row by row), and which trees are rejected.
 
 // buildTwoColTable builds a table with predicate columns z1, z2 and a
 // histogram column x (row i has x = i mod 2).
@@ -43,7 +44,7 @@ func buildTwoColTable(t testing.TB, blockSize int, z1, z2 []uint32, card int) *c
 
 // candidateCounts runs an exact scan with pred as the only candidate and
 // returns its x histogram counts and the plan's prunable block count.
-func candidateCounts(t testing.TB, eng *engine.Engine, pred bitmap.Predicate, disableSkip bool) ([]float64, int) {
+func candidateCounts(t testing.TB, eng *engine.Engine, pred bitmap.Predicate) ([]float64, int) {
 	t.Helper()
 	plan, err := eng.Prepare(engine.Query{X: []string{"x"}, CandidatePreds: []bitmap.Predicate{pred}})
 	if err != nil {
@@ -53,8 +54,7 @@ func candidateCounts(t testing.TB, eng *engine.Engine, pred bitmap.Predicate, di
 		Params: core.Params{
 			K: 1, Epsilon: 0.1, Delta: 0.05, Sigma: 0, Metric: histogram.MetricL1,
 		},
-		Executor:         engine.Scan,
-		DisableBlockSkip: disableSkip,
+		Executor: engine.Scan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestPredicateMatching(t *testing.T) {
 		{&bitmap.OrPred{Children: []bitmap.Predicate{p1, p2}}, 2, 1},
 		{&bitmap.ValuePred{Column: "z1", Code: 1}, 0, 2},
 	} {
-		got, _ := candidateCounts(t, eng, tc.pred, true)
+		got, _ := candidateCounts(t, eng, tc.pred)
 		if got[0] != tc.even || got[1] != tc.odd {
 			t.Fatalf("%s counts %v, want [%g %g]", tc.pred, got, tc.even, tc.odd)
 		}
@@ -97,7 +97,7 @@ func TestPredicateMatching(t *testing.T) {
 // Property: predicate block sets are sound — no block holding a row that
 // matches the predicate is ever pruned. This is the safety block
 // skipping needs: an exact scan that skips outside the set counts the
-// same rows as one that reads every block, and both equal a naive count.
+// same rows as a naive count that evaluates the predicate on every row.
 // For a leaf and an OR of leaves the set is exact, so the pruned blocks
 // are exactly those without a matching row.
 func TestPredicateEstimateSoundProperty(t *testing.T) {
@@ -140,11 +140,10 @@ func TestPredicateEstimateSoundProperty(t *testing.T) {
 					emptyBlocks++
 				}
 			}
-			skipped, pruned := candidateCounts(t, eng, tc.pred, false)
-			full, _ := candidateCounts(t, eng, tc.pred, true)
+			skipped, pruned := candidateCounts(t, eng, tc.pred)
 			for j := range want {
-				if skipped[j] != want[j] || full[j] != want[j] {
-					t.Logf("seed %d %s: skip %v, full %v, naive %v", seed, tc.pred, skipped, full, want)
+				if skipped[j] != want[j] {
+					t.Logf("seed %d %s: skip %v, naive %v", seed, tc.pred, skipped, want)
 					return false
 				}
 			}

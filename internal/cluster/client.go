@@ -74,6 +74,20 @@ type shardCounters struct {
 	lastError    string
 }
 
+// RejectError is a shard's 4xx answer: the shard is up and refused the
+// request itself (an unplannable or oversized query, say), so no retry
+// can help and the shard's error count and health are left alone.
+type RejectError struct {
+	Shard   string
+	Status  int
+	Message string
+}
+
+// Error implements error.
+func (e *RejectError) Error() string {
+	return fmt.Sprintf("cluster: shard %q: HTTP %d: %s", e.Shard, e.Status, e.Message)
+}
+
 func (sc *shardCounters) fail(err error) {
 	sc.errors.Add(1)
 	sc.unhealthy.Store(true)
@@ -205,8 +219,9 @@ func (b *boundShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*en
 
 // post issues one shard call with retries. Transport failures and 5xx
 // responses retry with exponential backoff (segments are stateless, so
-// a duplicate execution is harmless); 4xx responses are permanent —
-// the request itself is wrong and retrying cannot fix it.
+// a duplicate execution is harmless); a 4xx response is a *RejectError,
+// returned at once — the request itself is wrong and retrying cannot fix
+// it — and not counted against the shard.
 func (c *Client) post(ctx context.Context, idx int, preq *PartialRequest) (*PartialResponse, error) {
 	body, err := json.Marshal(preq)
 	if err != nil {
@@ -234,6 +249,10 @@ func (c *Client) post(ctx context.Context, idx int, preq *PartialRequest) (*Part
 			// the shard, so its error count and health stay as they were.
 			// (A deadline expiring on the call still counts — the shard
 			// was the slow one.)
+			break
+		}
+		var rej *RejectError
+		if errors.As(err, &rej) {
 			break
 		}
 		sc.fail(err)
@@ -273,8 +292,10 @@ func (c *Client) attempt(ctx context.Context, idx int, body []byte) (_ *PartialR
 		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
 			msg = apiErr.Error
 		}
-		permanent := httpResp.StatusCode >= 400 && httpResp.StatusCode < 500
-		return nil, permanent, fmt.Errorf("cluster: shard %q: HTTP %d: %s", ref.Name, httpResp.StatusCode, msg)
+		if httpResp.StatusCode >= 400 && httpResp.StatusCode < 500 {
+			return nil, true, &RejectError{Shard: ref.Name, Status: httpResp.StatusCode, Message: msg}
+		}
+		return nil, false, fmt.Errorf("cluster: shard %q: HTTP %d: %s", ref.Name, httpResp.StatusCode, msg)
 	}
 	var out PartialResponse
 	if err := json.Unmarshal(data, &out); err != nil {

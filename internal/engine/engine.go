@@ -91,20 +91,6 @@ type Options struct {
 	// sampling run may read up to one block past it, and ParallelScan up
 	// to one block per worker.
 	RowBudget int64
-	// DisableBlockSkip turns off statistics-based block pruning. Pruning
-	// never changes results — skipped blocks are provably free of
-	// qualifying rows and their rows are still charged to budgets and
-	// totals — so the only observable difference is in IOStats
-	// (BlocksPruned, and lower TuplesRead/BlocksRead). The knob exists
-	// for measurement and for the equivalence suite.
-	DisableBlockSkip bool
-	// DisableScanKernels sends every executor's block accumulator through
-	// the scalar per-row loop instead of the vectorized grouped-count
-	// kernels — one gate (Plan.newKernel). Results are byte-identical
-	// either way (IOStats.KernelBlocks is the only delta); the knob exists
-	// because the equivalence suite and BenchmarkScanKernels use the
-	// scalar loop as their reference.
-	DisableScanKernels bool
 	// Trace, when non-nil, collects a per-run span tree: a "run" root
 	// span with one child per execution phase (stage 1, every stage-2
 	// round, stage 3 for the sampling executors; one span per worker for
@@ -449,7 +435,6 @@ func ioDelta(cur, prev IOStats) IOStats {
 		BlocksSkipped: cur.BlocksSkipped - prev.BlocksSkipped,
 		BlocksPruned:  cur.BlocksPruned - prev.BlocksPruned,
 		TuplesRead:    cur.TuplesRead - prev.TuplesRead,
-		KernelBlocks:  cur.KernelBlocks - prev.KernelBlocks,
 		Wraps:         cur.Wraps - prev.Wraps,
 	}
 }

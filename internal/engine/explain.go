@@ -1,9 +1,8 @@
 package engine
 
 // ExplainInfo is a Plan's static execution profile: what the planner
-// resolved, what the zone-map skip masks prove prunable, and whether the
-// vectorized kernels cover the plan — everything knowable without
-// running the query. Serving layers expose it verbatim
+// resolved and what the zone-map skip masks prove prunable — everything
+// knowable without running the query. Serving layers expose it verbatim
 // (POST /v1/explain), so the field set is JSON-tagged here.
 type ExplainInfo struct {
 	// Rows/Blocks/BlockSize describe the storage source.
@@ -30,10 +29,6 @@ type ExplainInfo struct {
 	// apply after their AnyActive probe (skipGrp ⊆ skipAll).
 	PrunableBlocks      int `json:"prunable_blocks"`
 	PrunableGroupBlocks int `json:"prunable_group_blocks"`
-	// ScanKernelEligible reports whether every executor accumulates this
-	// plan's blocks through a vectorized grouped-count kernel rather than
-	// the scalar row loop (subject to Options.DisableScanKernels).
-	ScanKernelEligible bool `json:"scan_kernel_eligible"`
 }
 
 // Explain reports the plan's static execution profile without running
@@ -42,15 +37,14 @@ type ExplainInfo struct {
 func (p *Plan) Explain() ExplainInfo {
 	src := p.engine.src
 	info := ExplainInfo{
-		Rows:               src.NumRows(),
-		Blocks:             src.NumBlocks(),
-		BlockSize:          src.BlockSize(),
-		Candidates:         p.cand.numCandidates(),
-		CandidateKind:      p.cand.kind(),
-		Groups:             p.grp.groups(),
-		GroupKind:          p.grp.kind(),
-		HasBlockStats:      blockStatsOf(src) != nil,
-		ScanKernelEligible: p.shape != nil,
+		Rows:          src.NumRows(),
+		Blocks:        src.NumBlocks(),
+		BlockSize:     src.BlockSize(),
+		Candidates:    p.cand.numCandidates(),
+		CandidateKind: p.cand.kind(),
+		Groups:        p.grp.groups(),
+		GroupKind:     p.grp.kind(),
+		HasBlockStats: blockStatsOf(src) != nil,
 	}
 	if p.skipAll != nil {
 		info.PrunableBlocks = p.skipAll.Count()

@@ -38,13 +38,6 @@ func (w *fpWriter) int(tag string, v int64) {
 	w.sb.WriteByte(';')
 }
 
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Fingerprint returns a canonical cache key for the query shape: two
 // queries with the same fingerprint resolve to interchangeable Plans over
 // the same Engine. CandidatePreds are keyed by their String() forms,
@@ -95,8 +88,10 @@ func (t Target) Fingerprint() string {
 
 // Fingerprint returns a canonical cache key for every run-affecting
 // option. Two runs of the same Plan and target with equal option
-// fingerprints produce identical Results: the executors are deterministic
-// given Seed (which fixes the start block when StartBlock is negative).
+// fingerprints produce identical Results, IOStats included: the executors
+// are deterministic given Seed (which fixes the start block when
+// StartBlock is negative), and every run skips the plan's prunable blocks
+// and accumulates through the kernels, so no option changes the I/O.
 // Workers is written only for ParallelScan, the one executor whose run it
 // partitions: Scan and the sampling executors ignore it, so requests that
 // differ only in Workers share one key there. OnProgress, Trace, and
@@ -125,10 +120,5 @@ func (o Options) Fingerprint() string {
 		w.int("workers", int64(o.Workers))
 	}
 	w.int("rowbudget", o.RowBudget)
-	// Results are byte-identical across these two knobs; they are still
-	// fingerprinted because cached Results carry IOStats, which the knobs
-	// do change.
-	w.int("noskip", boolInt(o.DisableBlockSkip))
-	w.int("nokern", boolInt(o.DisableScanKernels))
 	return w.sb.String()
 }

@@ -10,15 +10,12 @@ import "fastmatch/internal/histogram"
 // calls it for every exact pass (full scans, shard scan segments and
 // candidate targets), blockSampler.readBlock for sampling rounds.
 //
-// The scalar row loop pays, per row, two interface dispatches (groupOf,
-// candidateOf), a lazy-histogram nil check, and a float64 histogram
-// update. A vectorized kernel instead processes one block's aliased code
-// slices in a batch against a flat per-worker int64 accumulator of
-// candidates × groups cells, then folds the accumulator into the
-// histograms once (histogram.AddN). Counts are non-negative integers well
-// below 2^53, so n folded at once equals n scalar Adds bit-for-bit:
-// results are byte-identical to the scalar loop, and IOStats.KernelBlocks
-// is the only observable difference.
+// A kernel processes one block's aliased code slices in a batch against
+// a flat per-worker int64 accumulator of candidates × groups cells, then
+// folds the accumulator into the histograms once (histogram.AddN).
+// Counts are non-negative integers well below 2^53, so n folded at once
+// equals n single float64 Adds bit for bit. The accumulator tests hold
+// every shape to a per-row reference loop kept in the tests.
 //
 // Kernel shapes follow the planner's mapper shapes:
 //
@@ -37,11 +34,6 @@ import "fastmatch/internal/histogram"
 // accumulate loop (one increment beside the acc increment), in a twin of
 // the loop selected when the tally is on; the exact scan runs the
 // tally-free loops, so the tally costs it nothing.
-//
-// The scalar loop is the single fallback: plans no shape covers (see
-// Plan.kernelShape) and runs with Options.DisableScanKernels — the
-// reference the equivalence suite and BenchmarkScanKernels compare the
-// kernels against.
 
 // maxKernelCells caps a plan's candidates × groups at 32 MiB of int64
 // accumulator cells. Prepare rejects larger shapes (PlanTooLargeError):
@@ -49,7 +41,7 @@ import "fastmatch/internal/histogram"
 // up front, so such a plan would exhaust memory, not run slowly.
 const maxKernelCells = 1 << 22
 
-// kernelShape is a plan's vectorizable form: the aliased full-column
+// kernelShape is a plan's accumulator form: the aliased full-column
 // slices the kernels index directly. Resolved once at Prepare and shared
 // read-only by every run of the plan.
 type kernelShape struct {
@@ -64,33 +56,23 @@ type kernelShape struct {
 	binned binnedGroups
 }
 
-// kernelShape resolves the plan's vectorizable form, or nil when only the
-// scalar loop can run it: an empty accumulator or a mapper no kernel
-// knows (Prepare has already rejected accumulators over maxKernelCells).
-// This is the one eligibility test — Explain reports its outcome,
-// newKernel acts on it.
-func (p *Plan) kernelShape() *kernelShape {
-	if p.grp.groups() <= 0 || p.cand.numCandidates() <= 0 {
-		return nil
-	}
-	sh := &kernelShape{}
+// kernelShape resolves the plan's accumulator form. Every mapper the
+// planner builds has one, so every prepared plan runs the kernels.
+func (p *Plan) kernelShape() kernelShape {
+	var sh kernelShape
 	switch g := p.grp.(type) {
 	case singleGroups:
 		sh.xc = g.codes
 	case *multiGroups:
 		sh.mg = g
-	case binnedGroups:
-		sh.binned = g
 	default:
-		return nil
+		sh.binned = g.(binnedGroups)
 	}
 	if p.multi != nil {
 		sh.matchers = p.multi.matchers
-	} else if cc, ok := p.cand.(*columnCandidates); ok {
-		sh.zc = cc.codes
-		sh.remap = cc.remap
 	} else {
-		return nil
+		cc := p.cand.(*columnCandidates)
+		sh.zc, sh.remap = cc.codes, cc.remap
 	}
 	return sh
 }
@@ -98,15 +80,14 @@ func (p *Plan) kernelShape() *kernelShape {
 // scanKernel is one worker's accumulation state. Instances are never
 // shared: everything here is written without synchronization.
 type scanKernel struct {
-	p      *Plan
 	groups int
-	// hists are the per-candidate histograms, allocated on a candidate's
-	// first counted row: the scalar loop adds to them row by row, fold
-	// drains acc into them. A candidate with no counted row stays nil.
+	// hists are the per-candidate histograms, allocated when fold first
+	// drains a non-zero cell of the candidate. A candidate with no
+	// counted row stays nil.
 	hists []*histogram.Histogram
 
-	// Vectorized state; acc == nil selects the scalar loop. The shape is
-	// held by value so the kernels' loops index its slices directly.
+	// The shape is held by value so the kernels' loops index its slices
+	// directly.
 	kernelShape
 	acc  []int64 // [candidate*groups + group]
 	gbuf []int32 // per-block group scratch; nil on the fused path
@@ -115,42 +96,32 @@ type scanKernel struct {
 	// caller last drained it, counted inside the accumulate loops: the
 	// sampler commits it into its deficits at every chunk boundary.
 	cnt []int64
-
-	multiBuf []int // scalar-loop scratch for overlapping candidates
 }
 
-// newKernel builds a worker's accumulator. It is vectorized when kernels
-// is set and the plan has a kernel shape; tally adds the per-candidate row
-// tally, which selects each shape's tallying loop. Without it (the exact
-// passes) the loops carry no tally code.
-func (p *Plan) newKernel(kernels, tally bool) *scanKernel {
-	nCand := p.cand.numCandidates()
-	k := &scanKernel{p: p, groups: p.grp.groups(), hists: make([]*histogram.Histogram, nCand)}
+// newKernel builds a worker's accumulator; tally adds the per-candidate
+// row tally, which selects each shape's tallying loop. Without it (the
+// exact passes) the loops carry no tally code.
+func (p *Plan) newKernel(tally bool) *scanKernel {
+	nCand, groups := p.cand.numCandidates(), p.grp.groups()
+	k := &scanKernel{
+		groups:      groups,
+		hists:       make([]*histogram.Histogram, nCand),
+		kernelShape: p.shape,
+		acc:         make([]int64, groups*nCand),
+	}
+	if k.xc == nil || k.matchers != nil {
+		k.gbuf = make([]int32, p.blockSize)
+	}
 	if tally {
 		k.cnt = make([]int64, nCand)
 	}
-	if kernels && p.shape != nil {
-		k.kernelShape = *p.shape
-		k.acc = make([]int64, k.groups*nCand)
-		if k.xc == nil || k.matchers != nil {
-			k.gbuf = make([]int32, p.blockSize)
-		}
-	}
 	return k
 }
-
-// vectorized reports whether block runs a kernel (IOStats.KernelBlocks
-// counts those blocks) rather than the scalar loop.
-func (k *scanKernel) vectorized() bool { return k.acc != nil }
 
 // block accumulates rows [lo, hi) — one storage block. With the tally on,
 // each shape also counts the block's rows per candidate in the same loop;
 // the exact scan runs with it off, through the tally-free loops.
 func (k *scanKernel) block(lo, hi int) {
-	if k.acc == nil {
-		k.scalar(lo, hi)
-		return
-	}
 	g, cnt := k.groups, k.cnt
 	switch {
 	case k.gbuf == nil && k.remap == nil && cnt == nil:
@@ -246,40 +217,6 @@ func (k *scanKernel) groupCodes(lo, hi int) []int32 {
 		}
 	}
 	return gb
-}
-
-// scalar is the per-row reference loop.
-func (k *scanKernel) scalar(lo, hi int) {
-	grp, cand, multi := k.p.grp, k.p.cand, k.p.multi
-	for row := lo; row < hi; row++ {
-		g := grp.groupOf(row)
-		if g < 0 {
-			continue
-		}
-		if multi != nil {
-			// All-matches membership: a predicate candidate's true
-			// histogram includes every row satisfying it, even rows an
-			// earlier overlapping predicate also matches.
-			k.multiBuf = multi.candidatesOf(row, k.multiBuf[:0])
-			for _, id := range k.multiBuf {
-				k.add(id, g)
-			}
-			continue
-		}
-		if id := cand.candidateOf(row); id >= 0 {
-			k.add(id, g)
-		}
-	}
-}
-
-func (k *scanKernel) add(id, g int) {
-	if k.hists[id] == nil {
-		k.hists[id] = histogram.New(k.groups)
-	}
-	k.hists[id].Add(g)
-	if k.cnt != nil {
-		k.cnt[id]++
-	}
 }
 
 // fold drains the accumulator into the histograms and returns them. The

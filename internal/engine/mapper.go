@@ -12,11 +12,12 @@ import (
 	"fastmatch/internal/colstore"
 )
 
-// groupMapper maps a row to its histogram group code, or -1 when the row
-// contributes to no group (e.g. a continuous value outside the bin range).
+// groupMapper describes a histogram's groups: a row maps to one group
+// code, or to none (e.g. a continuous value outside the bin range). The
+// kernels do the mapping from the mapper's aliased storage (see
+// kernelShape).
 type groupMapper interface {
 	groups() int
-	groupOf(row int) int
 	// labelOf renders a human-readable group label.
 	labelOf(g int) string
 	// kind names the mapper shape for Explain.
@@ -25,8 +26,7 @@ type groupMapper interface {
 
 // singleGroups maps groups from one categorical column. codes aliases
 // the full column storage and card caches the cardinality, both captured
-// once at plan time so the per-row hot path (groupOf, and groups() via
-// scanKernel.add) is direct data access, not an interface call.
+// once at plan time so the kernels index the codes directly.
 type singleGroups struct {
 	col   colstore.ColumnReader
 	codes []uint32
@@ -38,7 +38,6 @@ func newSingleGroups(col colstore.ColumnReader, rows int) singleGroups {
 }
 
 func (s singleGroups) groups() int          { return s.card }
-func (s singleGroups) groupOf(row int) int  { return int(s.codes[row]) }
 func (s singleGroups) labelOf(g int) string { return s.col.Dictionary().Value(uint32(g)) }
 func (s singleGroups) kind() string         { return "single" }
 
@@ -74,14 +73,6 @@ func newMultiGroups(cols []colstore.ColumnReader, rows int) (*multiGroups, error
 func (m *multiGroups) groups() int  { return m.total }
 func (m *multiGroups) kind() string { return "multi" }
 
-func (m *multiGroups) groupOf(row int) int {
-	g := 0
-	for i, codes := range m.codes {
-		g += int(codes[row]) * m.strides[i]
-	}
-	return g
-}
-
 func (m *multiGroups) labelOf(g int) string {
 	label := ""
 	for i, c := range m.cols {
@@ -110,21 +101,14 @@ func newBinnedGroups(m colstore.MeasureReader, rows int, binner *colstore.Binner
 func (b binnedGroups) groups() int  { return b.binner.NumBins() }
 func (b binnedGroups) kind() string { return "binned" }
 
-func (b binnedGroups) groupOf(row int) int {
-	bin, ok := b.binner.Bin(b.values[row])
-	if !ok {
-		return -1
-	}
-	return bin
-}
-
 func (b binnedGroups) labelOf(g int) string { return b.binner.Label(g) }
 
-// candidateMapper maps rows to candidate ids and answers block-level
-// containment questions for AnyActive selection.
+// candidateMapper describes the candidate domain and answers
+// block-level containment questions for AnyActive selection. The kernels
+// map rows to candidates from the mapper's aliased storage (see
+// kernelShape).
 type candidateMapper interface {
 	numCandidates() int
-	candidateOf(row int) int // -1 = row matches no candidate
 	// markAnyActive sets mark[i] iff block start+i may contain a tuple
 	// for an active candidate (sound: never misses a block that does),
 	// overwriting every entry: Algorithm 3's word-major evaluation.
@@ -221,14 +205,6 @@ func (cc *columnCandidates) indexBlocks() error {
 func (cc *columnCandidates) numCandidates() int { return len(cc.candValue) }
 func (cc *columnCandidates) kind() string       { return "column" }
 
-func (cc *columnCandidates) candidateOf(row int) int {
-	code := cc.codes[row]
-	if cc.remap == nil {
-		return int(code)
-	}
-	return cc.remap[code]
-}
-
 func (cc *columnCandidates) markAnyActive(active []int, start int, mark []bool) {
 	bitmap.MarkAny(cc.blocks, active, start, mark)
 }
@@ -261,9 +237,9 @@ func (cc *columnCandidates) labelOf(i int) string {
 // attribute values (Appendix A.1.2). Each candidate's block set comes
 // from the columns' bitmap indexes (§4.1). A row belongs to every
 // predicate it satisfies; HistSim's Holm–Bonferroni machinery is
-// agnostic to the induced dependence. Because a row may match several
-// predicates, candidateOf is replaced by candidatesOf; the sampler
-// handles the multi-membership. Read-only after construction.
+// agnostic to the induced dependence. A row may match several
+// predicates; the kernels count it once for each. Read-only after
+// construction.
 type predicateCandidates struct {
 	matchers []func(row int) bool
 	blocks   []*bitmap.Bitset // per candidate: blocks that may contain it
@@ -375,27 +351,6 @@ func (e *Engine) compileAll(ps []bitmap.Predicate, combine func(dst, src *bitmap
 
 func (pc *predicateCandidates) numCandidates() int { return len(pc.matchers) }
 func (pc *predicateCandidates) kind() string       { return "predicates" }
-
-// candidateOf returns the first matching predicate for single-membership
-// uses; candidatesOf (below) reports all matches.
-func (pc *predicateCandidates) candidateOf(row int) int {
-	for i, m := range pc.matchers {
-		if m(row) {
-			return i
-		}
-	}
-	return -1
-}
-
-// candidatesOf appends all matching candidate ids to dst.
-func (pc *predicateCandidates) candidatesOf(row int, dst []int) []int {
-	for i, m := range pc.matchers {
-		if m(row) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
 
 func (pc *predicateCandidates) markAnyActive(active []int, start int, mark []bool) {
 	bitmap.MarkAny(pc.blocks, active, start, mark)

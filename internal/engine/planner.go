@@ -33,12 +33,12 @@ type Plan struct {
 	// break byte-identity — so they apply only skipGrp, after the
 	// AnyActive check. Both are built once at Prepare from
 	// option-independent inputs, keeping Plans cache- and
-	// concurrency-safe; Options.DisableBlockSkip gates their use per run.
+	// concurrency-safe, and every run applies them.
 	skipAll *bitmap.Bitset
 	skipGrp *bitmap.Bitset
-	// shape is the plan's vectorizable form; nil when only the scalar row
-	// loop can accumulate it (see kernelShape).
-	shape *kernelShape
+	// shape is the plan's accumulator form, which every run's kernels
+	// index (see kernelShape).
+	shape kernelShape
 	// blockSize/rows cache the table geometry: executors consuming a
 	// pruned block virtually must not call BlockSpan — a
 	// simulated-latency backend would sleep for a block nobody reads.
@@ -60,8 +60,12 @@ func (p *Plan) blockRows(b int) int64 {
 // PlanTooLargeError reports a query whose histograms would need more
 // than maxKernelCells cells (candidates × groups). Every executor
 // allocates its histograms up front, so Prepare rejects such a shape
-// before any run could exhaust memory. A serving layer maps it to a 4xx
-// response.
+// before any run could exhaust memory. Below the cap a run's peak is 8
+// bytes per cell for each worker's int64 accumulator, plus 8 bytes per
+// cell for each float64 histogram set the run holds: Scan's per-worker
+// partials and their merged set, HistSim's cumulative estimates and the
+// current round's batch. At the cap that is 32 MiB per worker and 32
+// MiB per set. A serving layer maps it to a 4xx response.
 type PlanTooLargeError struct {
 	Candidates, Groups int
 }

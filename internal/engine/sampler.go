@@ -85,9 +85,6 @@ type IOStats struct {
 	// byte-identical with pruning off) but are NOT counted here: the
 	// whole point of pruning is that they were never read.
 	TuplesRead int64 `json:"tuples_read"`
-	// KernelBlocks counts blocks accumulated by a vectorized scan kernel
-	// instead of the scalar per-row path.
-	KernelBlocks int64 `json:"kernel_blocks"`
 	// Wraps counts cursor wrap-arounds over the block space.
 	Wraps int64 `json:"wraps"`
 }
@@ -102,7 +99,6 @@ func (s *IOStats) Add(other IOStats) {
 	s.BlocksSkipped += other.BlocksSkipped
 	s.BlocksPruned += other.BlocksPruned
 	s.TuplesRead += other.TuplesRead
-	s.KernelBlocks += other.KernelBlocks
 	s.Wraps += other.Wraps
 }
 
@@ -181,20 +177,6 @@ type blockSampler struct {
 	exact     []bool // sticky per-candidate exhaustion flags
 	stats     IOStats
 
-	// kernels lets each round's accumulator run the vectorized kernels
-	// (Options.DisableScanKernels clears it).
-	kernels bool
-
-	// Zone-map pruning masks (nil = no pruning). skipAll marks blocks
-	// provably free of qualifying rows for every candidate — safe to
-	// virtual-skip wherever a full read would happen (Stage1, ScanMatch).
-	// skipGrp ⊆ skipAll marks only group-prunable blocks; it is the mask
-	// SyncMatch/FastMatch apply AFTER their AnyActive probe (blocks
-	// AnyActive already rejects are skipped without sample accounting,
-	// and pruning them here instead would perturb Drawn).
-	skipAll *bitmap.Bitset
-	skipGrp *bitmap.Bitset
-
 	// Round-local deficit bookkeeping. active is the committed unmet
 	// candidate set AnyActive probes and lookahead marking read; it is
 	// refreshed at chunk commits, never mid-chunk.
@@ -204,8 +186,8 @@ type blockSampler struct {
 }
 
 // newSampler binds a block sampler to the plan under a run's options:
-// the executor's block policy, lookahead, and the skip/kernel knobs.
-// startBlock is normalized into the block space.
+// the executor's block policy and lookahead. startBlock is normalized
+// into the block space.
 func (p *Plan) newSampler(opts Options, startBlock int, guard *runGuard) *blockSampler {
 	src := p.engine.src
 	nb := src.NumBlocks()
@@ -216,7 +198,6 @@ func (p *Plan) newSampler(opts Options, startBlock int, guard *runGuard) *blockS
 		mode:      opts.Executor,
 		guard:     guard,
 		lookahead: opts.Lookahead,
-		kernels:   !opts.DisableScanKernels,
 		consumed:  bitmap.NewBitset(nb),
 		exact:     make([]bool, p.cand.numCandidates()),
 		deficit:   make([]int64, p.cand.numCandidates()),
@@ -226,10 +207,6 @@ func (p *Plan) newSampler(opts Options, startBlock int, guard *runGuard) *blockS
 	}
 	if nb > 0 {
 		bs.cursor = ((startBlock % nb) + nb) % nb
-	}
-	if !opts.DisableBlockSkip {
-		bs.skipAll = p.skipAll
-		bs.skipGrp = p.skipGrp
 	}
 	return bs
 }
@@ -310,9 +287,6 @@ func (bs *blockSampler) readBlock(b int, batch *core.Batch, kern *scanKernel) {
 	kern.block(lo, hi)
 	bs.stats.BlocksRead++
 	bs.stats.TuplesRead += int64(hi - lo)
-	if kern.vectorized() {
-		bs.stats.KernelBlocks++
-	}
 }
 
 // SampleUntil implements core.Sampler with the executor's block policy.
@@ -388,7 +362,10 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 	}
 	stage1 := stage1Need >= 0
 	chunk := chunkBlocks(bs.plan.blockSize)
-	kern := bs.plan.newKernel(bs.kernels, true)
+	kern := bs.plan.newKernel(true)
+	// The plan's zone-map masks: skipAll where a full read would happen,
+	// skipGrp after an AnyActive probe (see Plan.skipAll).
+	skipAll, skipGrp := bs.plan.skipAll, bs.plan.skipGrp
 
 	// FastMatch lookahead window state: marking decisions are computed
 	// for lookahead-sized tiles at fixed block-index positions
@@ -438,7 +415,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 			case bs.consumed.Get(b):
 			case !mark[b-winStart]:
 				bs.stats.BlocksSkipped++
-			case bs.skipGrp != nil && bs.skipGrp.Get(b):
+			case skipGrp != nil && skipGrp.Get(b):
 				bs.skipVirtual(b, batch)
 			default:
 				read = true
@@ -453,7 +430,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 				bs.stats.BlocksSkipped++
 			// Group-prunable blocks only: candidate-prunable ones were
 			// already rejected (without sample accounting) by AnyActive.
-			case bs.skipGrp != nil && bs.skipGrp.Get(b):
+			case skipGrp != nil && skipGrp.Get(b):
 				bs.skipVirtual(b, batch)
 			default:
 				read = true
@@ -461,7 +438,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 		default: // stage 1, ScanMatch, Scan: read everything not pruned
 			switch {
 			case bs.consumed.Get(b):
-			case bs.skipAll != nil && bs.skipAll.Get(b):
+			case skipAll != nil && skipAll.Get(b):
 				bs.skipVirtual(b, batch)
 			default:
 				read = true

@@ -39,10 +39,6 @@ type scanExec struct {
 	// qualifying row; sweep consumes them virtually (rows charged to
 	// guards and totals, nothing read).
 	skip *bitmap.Bitset
-	// kernels lets sweep's accumulator run the vectorized kernels
-	// (Options.DisableScanKernels clears it for runScan; scan segments and
-	// candidate-target passes always set it).
-	kernels bool
 	// span, when non-nil, is the traced run's parent span: the merge
 	// barrier records one child span per worker (the blocks it swept,
 	// wall time, and IOStats). Nil for untraced runs and target resolution —
@@ -128,7 +124,7 @@ func (s *scanExec) sweep(cur *blockCursor, only *bitmap.Bitset) *scanPartial {
 	if s.span != nil {
 		part.times = &scanPartialTimes{began: time.Now()}
 	}
-	kern := s.plan.newKernel(s.kernels, false) // per-worker, folded on return
+	kern := s.plan.newKernel(false) // per-worker, folded on return
 chunks:
 	for loBlock, hiBlock, ok := cur.claim(); ok; loBlock, hiBlock, ok = cur.claim() {
 		for b := loBlock; b < hiBlock; b++ {
@@ -152,9 +148,6 @@ chunks:
 				kern.block(lo, hi)
 				part.io.TuplesRead += n
 				part.rows += n
-				if kern.vectorized() {
-					part.io.KernelBlocks++
-				}
 			}
 			if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
 				s.emit(part.io)
@@ -230,7 +223,6 @@ func (s *scanExec) run(only *bitmap.Bitset) ([]*histogram.Histogram, IOStats, in
 func (p *Plan) scanCandidate(id, workers int, guard *runGuard) (*histogram.Histogram, int64, error) {
 	ex := p.newScanExec(workers)
 	ex.guard = guard
-	ex.kernels = true
 	hists, _, rows, err := ex.run(p.cand.candidateBlocks(id))
 	return hists[id], rows, err
 }
@@ -244,10 +236,7 @@ func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, g
 	ex := p.newScanExec(workers)
 	ex.guard = guard
 	ex.span = span
-	if !opts.DisableBlockSkip {
-		ex.skip = p.skipAll
-	}
-	ex.kernels = !opts.DisableScanKernels
+	ex.skip = p.skipAll
 	if ex.workers == 1 {
 		ex.emit = emit
 	}

@@ -234,9 +234,10 @@ func overKernelCapTable(t testing.TB) *colstore.Table {
 
 // TestCandidateTargetMatchesExactScan: a candidate target, resolved on a
 // single node (Plan.ResolveTarget) or as a shard target segment, equals
-// that candidate's histogram from the exact Scan's scalar reference cell
-// for cell — for every accumulator shape, at one and two workers. A
-// shape over maxKernelCells is rejected at Prepare instead.
+// that candidate's histogram from a full pass of the per-row reference
+// loop (refKernel) cell for cell — for every accumulator shape, at one
+// and two workers. A shape over maxKernelCells is rejected at Prepare
+// instead.
 func TestCandidateTargetMatchesExactScan(t *testing.T) {
 	t.Run("over-kernel-cap", func(t *testing.T) {
 		_, err := New(overKernelCapTable(t)).Prepare(Query{Z: "Z", X: []string{"A", "B", "C"}})
@@ -245,27 +246,15 @@ func TestCandidateTargetMatchesExactScan(t *testing.T) {
 			t.Fatalf("Prepare error %v, want a *PlanTooLargeError naming 64 × %d", err, 64*64*64)
 		}
 	})
-	eng, shapes := accumulatorShapes(t)
-	for name, q := range shapes {
+	tbl := accumulatorTable(t)
+	eng := New(tbl)
+	for name, q := range accumulatorShapes(t, tbl, eng) {
 		t.Run(name, func(t *testing.T) {
 			p, err := eng.Prepare(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.shape == nil {
-				t.Fatal("no kernel shape")
-			}
-			params := testParams()
-			params.K, params.Sigma = p.NumCandidates(), 0
-			res, err := p.RunContext(context.Background(), Target{Uniform: true},
-				Options{Params: params, Executor: Scan, DisableScanKernels: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]*histogram.Histogram, p.NumCandidates())
-			for _, m := range res.TopK {
-				want[m.ID] = m.Histogram
-			}
+			want := refHists(p)
 			same := func(path string, id, workers int, got *histogram.Histogram) {
 				t.Helper()
 				if got.Groups() != p.Groups() {
@@ -273,7 +262,7 @@ func TestCandidateTargetMatchesExactScan(t *testing.T) {
 				}
 				for g := 0; g < p.Groups(); g++ {
 					if got.Count(g) != want[id].Count(g) {
-						t.Fatalf("%s: candidate %d workers=%d: cell %d = %v, exact Scan %v",
+						t.Fatalf("%s: candidate %d workers=%d: cell %d = %v, reference %v",
 							path, id, workers, g, got.Count(g), want[id].Count(g))
 					}
 				}
@@ -285,7 +274,7 @@ func TestCandidateTargetMatchesExactScan(t *testing.T) {
 			resolved := map[string]bool{}
 			for _, id := range ids {
 				if want[id] == nil {
-					t.Fatalf("exact Scan ranked no histogram for candidate %d", id)
+					t.Fatalf("the reference counted no row for candidate %d", id)
 				}
 				label := p.cand.labelOf(id)
 				for _, workers := range []int{1, 2} {

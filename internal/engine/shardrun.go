@@ -141,7 +141,6 @@ func (p *Plan) runScanSegment(ctx context.Context, req *ShardSegment) (*ShardSeg
 	ex := p.newScanExec(req.Workers)
 	ex.guard = newRunGuard(ctx, req.RowBudget)
 	ex.skip = p.skipAll
-	ex.kernels = true
 	hists, io, rows, stopErr := ex.run(nil)
 	return &ShardSegmentResult{
 		Batch:   core.EncodeBatch(scanBatch(hists, rows)),

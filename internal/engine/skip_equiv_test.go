@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -13,14 +14,25 @@ import (
 	"fastmatch/internal/ingest"
 )
 
-// Skip-equivalence suite: statistics-based block pruning and the
-// vectorized scan kernels must never change a result. Every executor, on
-// every storage backend, must return byte-identical results (including
-// the ranked top-k and partial results) with the knobs on and off — the
-// only permitted deltas are the documented IOStats counters
-// (BlocksPruned, KernelBlocks, and the lower BlocksRead/TuplesRead that
-// pruning buys). A property test closes the loop by re-reading every
-// pruned block and proving it holds no qualifying row.
+// Skip-equivalence suite: statistics-based block pruning must never
+// change a result. Every executor, on every storage backend, must return
+// byte-identical results (including the ranked top-k and partial
+// results) to the same plan run without its skip masks — the only
+// permitted deltas are the documented IOStats counters (BlocksPruned,
+// and the lower BlocksRead/TuplesRead that pruning buys). A property
+// test closes the loop by re-reading every pruned block and proving it
+// holds no qualifying row. The exact executors' histograms must also
+// equal the per-row reference loop's (refHists); the kernels under every
+// executor are held to that loop block by block in
+// TestAccumulatorMatchesScalarReference.
+
+// withoutSkipMasks returns a copy of p that prunes nothing: the skip-off
+// reference every pruning run is compared against.
+func withoutSkipMasks(p *Plan) *Plan {
+	c := *p
+	c.skipAll, c.skipGrp = nil, nil
+	return &c
+}
 
 // skipTestTable builds a table engineered so both prune sources fire:
 // Z runs in contiguous regions (a predicate over a value covers only its
@@ -71,14 +83,17 @@ func skipTestBackends(t testing.TB, tbl *colstore.Table) map[string]*Engine {
 }
 
 // compactedIngestTwin is ingestTwin with CompactNow run before the view
-// is taken, so block skipping reads file-backed segment statistics.
+// is taken, so block skipping reads file-backed segment statistics. Every
+// sealed segment is compacted; rows past the last full 4096-row seal
+// stay in the live tail.
 func compactedIngestTwin(t testing.TB, tbl *colstore.Table) *ingest.TableView {
 	t.Helper()
-	wt := ingestTableFrom(t, tbl, 4096)
+	const sealRows = 4096
+	wt := ingestTableFrom(t, tbl, sealRows)
 	if err := wt.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	if st := wt.Stats(); st.SegmentFiles == 0 || st.PersistedRows != tbl.NumRows() {
+	if st := wt.Stats(); st.SegmentFiles == 0 || st.PersistedRows != tbl.NumRows()-tbl.NumRows()%sealRows {
 		t.Fatalf("compaction left %d segment files over %d of %d rows", st.SegmentFiles, st.PersistedRows, tbl.NumRows())
 	}
 	v, err := wt.View()
@@ -138,7 +153,7 @@ func skipQueries(t testing.TB, eng *Engine) map[string]Query {
 
 // canonicalResultNoIO is canonicalResult with IOStats zeroed as well:
 // the comparison form for runs that differ only in the documented I/O
-// counter deltas (pruning and kernel knobs).
+// counter deltas pruning causes.
 func canonicalResultNoIO(t testing.TB, res *Result) string {
 	t.Helper()
 	c := *res
@@ -157,47 +172,45 @@ func TestSkipOnOffByteIdentical(t *testing.T) {
 		for qname, q := range skipQueries(t, eng) {
 			for _, exec := range allExecutors() {
 				t.Run(fmt.Sprintf("%s/%s/%s", backend, qname, exec), func(t *testing.T) {
-					combos := []struct {
-						name           string
-						noSkip, noKern bool
-					}{
-						{"skip+kern", false, false},
-						{"skip-only", false, true},
-						{"kern-only", true, false},
-						{"neither", true, true},
+					p, err := eng.Prepare(q)
+					if err != nil {
+						t.Fatal(err)
 					}
-					results := make([]*Result, len(combos))
-					for i, c := range combos {
-						opts := equivOptions(exec, eng.Source().NumBlocks())
-						opts.DisableBlockSkip = c.noSkip
-						opts.DisableScanKernels = c.noKern
-						res, err := eng.Run(q, Target{Uniform: true}, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", c.name, err)
-						}
-						results[i] = res
+					opts := equivOptions(exec, eng.Source().NumBlocks())
+					skipOn, err := p.RunContext(context.Background(), Target{Uniform: true}, opts)
+					if err != nil {
+						t.Fatalf("skip on: %v", err)
 					}
-					want := canonicalResultNoIO(t, results[len(combos)-1]) // scalar full-scan reference
-					for i, c := range combos {
-						if got := canonicalResultNoIO(t, results[i]); got != want {
-							t.Fatalf("%s diverges from scalar full scan:\n%s\nvs\n%s", c.name, got, want)
-						}
+					skipOff, err := withoutSkipMasks(p).RunContext(context.Background(), Target{Uniform: true}, opts)
+					if err != nil {
+						t.Fatalf("skip off: %v", err)
 					}
-					skipOn, skipOff := results[0], results[3]
+					if got, want := canonicalResultNoIO(t, skipOn), canonicalResultNoIO(t, skipOff); got != want {
+						t.Fatalf("pruning run diverges from the full read:\n%s\nvs\n%s", got, want)
+					}
 					if skipOn.IO.BlocksPruned == 0 {
-						t.Fatal("pruning query pruned no blocks with skipping enabled")
+						t.Fatal("pruning query pruned no blocks")
 					}
 					if skipOff.IO.BlocksPruned != 0 {
-						t.Fatalf("DisableBlockSkip still pruned %d blocks", skipOff.IO.BlocksPruned)
+						t.Fatalf("the plan without skip masks still pruned %d blocks", skipOff.IO.BlocksPruned)
 					}
 					if skipOn.IO.TuplesRead >= skipOff.IO.TuplesRead {
 						t.Fatalf("pruning read no fewer tuples: %d vs %d", skipOn.IO.TuplesRead, skipOff.IO.TuplesRead)
 					}
-					if skipOn.IO.KernelBlocks == 0 {
-						t.Fatalf("%s took no kernel blocks with kernels enabled", exec)
+					if !skipOn.Exact {
+						return
 					}
-					if skipOff.IO.KernelBlocks != 0 {
-						t.Fatalf("DisableScanKernels still took %d kernel blocks", skipOff.IO.KernelBlocks)
+					ref := refHists(p)
+					for _, m := range skipOn.TopK {
+						for g := 0; g < p.Groups(); g++ {
+							want := 0.0
+							if ref[m.ID] != nil {
+								want = ref[m.ID].Count(g)
+							}
+							if got := m.Histogram.Count(g); got != want {
+								t.Fatalf("candidate %s cell %d = %v, reference %v", m.Label, g, got, want)
+							}
+						}
 					}
 				})
 			}
@@ -222,6 +235,7 @@ func TestSkipMasksPruneProvablyEmptyBlocks(t *testing.T) {
 					t.Fatal("pruning query built no skip mask")
 				}
 				src := eng.Source()
+				ref := newRefKernel(p, false)
 				pruned := 0
 				for b := 0; b < src.NumBlocks(); b++ {
 					if !p.skipAll.Get(b) {
@@ -233,13 +247,13 @@ func TestSkipMasksPruneProvablyEmptyBlocks(t *testing.T) {
 					var buf []int
 					for row := lo; row < hi; row++ {
 						if grpPruned {
-							if g := p.grp.groupOf(row); g >= 0 {
+							if g := ref.groupOf(row); g >= 0 {
 								t.Fatalf("block %d group-pruned but row %d maps to group %d", b, row, g)
 							}
 							continue
 						}
 						// Candidate-side prune: no predicate may match.
-						if buf = p.multi.candidatesOf(row, buf[:0]); len(buf) > 0 {
+						if buf = ref.candidatesOf(row, buf[:0]); len(buf) > 0 {
 							t.Fatalf("block %d candidate-pruned but row %d matches candidate %d", b, row, buf[0])
 						}
 					}
@@ -254,17 +268,19 @@ func TestSkipMasksPruneProvablyEmptyBlocks(t *testing.T) {
 
 // TestSkipConcurrentAgreement hammers the pruning path from several
 // goroutines per backend (run under -race) and checks every run agrees
-// with the pruning-off, kernels-off reference.
+// with the same plan run without its skip masks.
 func TestSkipConcurrentAgreement(t *testing.T) {
 	tbl := skipTestTable(t)
 	for backend, eng := range skipTestBackends(t, tbl) {
 		for _, exec := range []Executor{Scan, ParallelScan, FastMatch} {
 			t.Run(fmt.Sprintf("%s/%s", backend, exec), func(t *testing.T) {
 				q := predQuery(t, eng, nil, "M", subRangeBinner(t), "z1", "z5")
-				refOpts := equivOptions(exec, eng.Source().NumBlocks())
-				refOpts.DisableBlockSkip = true
-				refOpts.DisableScanKernels = true
-				ref, err := eng.Run(q, Target{Uniform: true}, refOpts)
+				p, err := eng.Prepare(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := withoutSkipMasks(p).RunContext(context.Background(), Target{Uniform: true},
+					equivOptions(exec, eng.Source().NumBlocks()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -375,7 +391,6 @@ func TestPredicateCandidateBlockSets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf []int
 				for i, pred := range preds {
 					got := p.multi.candidateBlocks(i)
 					for b := 0; b < src.NumBlocks(); b++ {
@@ -383,8 +398,7 @@ func TestPredicateCandidateBlockSets(t *testing.T) {
 						holds := false
 						for row := lo; row < hi; row++ {
 							want := fold(pred, row, row+1)
-							buf = p.multi.candidatesOf(row, buf[:0])
-							if matched := slices.Contains(buf, i); matched != want {
+							if matched := p.multi.matchers[i](row); matched != want {
 								t.Fatalf("%s: row %d matcher says %v, naive scan %v", pred, row, matched, want)
 							}
 							holds = holds || want

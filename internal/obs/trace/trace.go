@@ -29,7 +29,6 @@ type IO struct {
 	BlocksSkipped int64 `json:"blocks_skipped,omitempty"`
 	BlocksPruned  int64 `json:"blocks_pruned,omitempty"`
 	TuplesRead    int64 `json:"tuples_read,omitempty"`
-	KernelBlocks  int64 `json:"kernel_blocks,omitempty"`
 	Wraps         int64 `json:"wraps,omitempty"`
 }
 
@@ -39,7 +38,6 @@ func (io *IO) Add(other IO) {
 	io.BlocksSkipped += other.BlocksSkipped
 	io.BlocksPruned += other.BlocksPruned
 	io.TuplesRead += other.TuplesRead
-	io.KernelBlocks += other.KernelBlocks
 	io.Wraps += other.Wraps
 }
 

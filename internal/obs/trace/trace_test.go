@@ -155,8 +155,8 @@ func TestIOAddAndIsZero(t *testing.T) {
 		t.Fatal("zero IO not zero")
 	}
 	io.Add(IO{BlocksRead: 1, Wraps: 2})
-	io.Add(IO{BlocksRead: 2, KernelBlocks: 3})
-	want := IO{BlocksRead: 3, Wraps: 2, KernelBlocks: 3}
+	io.Add(IO{BlocksRead: 2, TuplesRead: 3})
+	want := IO{BlocksRead: 3, Wraps: 2, TuplesRead: 3}
 	if io != want {
 		t.Fatalf("Add = %+v, want %+v", io, want)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -305,6 +306,47 @@ func TestCoordinatedHTTPAudit(t *testing.T) {
 	}
 	if ql := getQualityLog(t, fx.coordTS.URL); len(ql.Queries) != 0 {
 		t.Fatalf("/v1/debug/quality recorded %d entries for an exact coordinated answer", len(ql.Queries))
+	}
+}
+
+// TestCoordinatedShardRejectionPassesThrough: a query every shard
+// rejects — Z × [Z, X, Z, X, Z] asks for 18 × 285,768 = 5,143,824
+// histogram cells, over the 2²² plan cap — comes back from the
+// coordinator with the shards' 400 and message, as a single node
+// answers it, and leaves every shard's error count and health as they
+// were: the shards answered, the query was at fault.
+func TestCoordinatedShardRejectionPassesThrough(t *testing.T) {
+	fx := newClusterFixture(t, 3, Config{})
+	req := QueryRequest{Table: "fixture", Query: QuerySpec{Z: "Z", X: []string{"Z", "X", "Z", "X", "Z"}},
+		Target: TargetSpec{Uniform: true}}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, url := range []string{fx.single.URL, fx.coordTS.URL} {
+		resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "18 candidates × 285768 groups") {
+			t.Fatalf("%s: status %d (%s), want 400 naming the shape", url, resp.StatusCode, e.Error)
+		}
+	}
+	for _, sc := range getStats(t, fx.coordTS.URL).Tables["fixture"].Shards {
+		if sc.Errors != 0 || !sc.Healthy || sc.Retries != 0 {
+			t.Errorf("shard %s after the rejection: errors=%d retries=%d healthy=%v, want 0, 0, true",
+				sc.Name, sc.Errors, sc.Retries, sc.Healthy)
+		}
+	}
+	ok := QueryRequest{Table: "fixture", Query: QuerySpec{Z: "Z", X: []string{"X"}}, Target: TargetSpec{Uniform: true}}
+	if status, _ := postClusterQuery(t, fx.coordTS.URL, ok); status != http.StatusOK {
+		t.Fatalf("valid query after the rejection: %d, want 200", status)
 	}
 }
 

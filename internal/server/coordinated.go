@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -116,6 +117,15 @@ func (s *Server) bindShards(ctx context.Context, pq *preparedQuery) (rows int, o
 		gens[i] = strconv.FormatUint(m.Generation, 10)
 	}
 	if live == 0 {
+		// A shard that refused the query answered it: the query is at
+		// fault, not the cluster, so its status and message go back.
+		for _, err := range errs {
+			var rej *cluster.RejectError
+			if errors.As(err, &rej) {
+				pq.fail(rej.Status, "%s", rej.Message)
+				return 0, false
+			}
+		}
 		pq.fail(http.StatusServiceUnavailable, "table %q unavailable: all %d shards unreachable", pq.req.Table, len(pq.shards))
 		return 0, false
 	}

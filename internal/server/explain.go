@@ -10,7 +10,7 @@ import (
 // execution profile — what the planner resolved and what the skip masks
 // prove prunable — without running the query. The request body is the
 // same QueryRequest as /v1/query (target and most options are ignored;
-// executor and kernel/skip toggles shape the report).
+// the executor option shapes the report).
 type ExplainResponse struct {
 	Table string `json:"table"`
 	// Plan is the engine's static profile for the resolved plan.

@@ -116,8 +116,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(m TableMetrics) float64 { return float64(m.IO.BlocksPruned) }},
 		{"fastmatch_tuples_read_total", "Tuples consumed by engine runs.",
 			func(m TableMetrics) float64 { return float64(m.IO.TuplesRead) }},
-		{"fastmatch_kernel_blocks_total", "Blocks processed by vectorized scan kernels.",
-			func(m TableMetrics) float64 { return float64(m.IO.KernelBlocks) }},
 		{"fastmatch_wraps_total", "Circular-scan wraparounds.",
 			func(m TableMetrics) float64 { return float64(m.IO.Wraps) }},
 		{"fastmatch_histsim_rounds_total", "HistSim stage-2 refinement rounds.",

@@ -103,10 +103,10 @@ R4="$(curl -fsS -X POST "$BASE/v1/query" -d "$PQUERY")"
 echo "$R4" | grep -q '"label":"Origin='             || { echo "predicate candidate missing from: $R4" >&2; exit 1; }
 echo "$R4" | grep -Eq '"blocks_skipped":[1-9]'       || { echo "predicate query skipped no blocks: $R4" >&2; exit 1; }
 echo "$R4" | grep -Eq '"blocks_pruned":[1-9]'        || { echo "predicate query pruned no blocks: $R4" >&2; exit 1; }
-echo "$R4" | grep -Eq '"kernel_blocks":[1-9]'        || { echo "predicate query took no kernel blocks: $R4" >&2; exit 1; }
+echo "$R4" | grep -Eq '"blocks_read":[1-9]'          || { echo "predicate query read no blocks: $R4" >&2; exit 1; }
 FSTATS="$(curl -fsS "$BASE/v1/stats" | sed 's/.*"flights"://')"
 printf '%s' "$FSTATS" | grep -Eq '"blocks_pruned":[1-9]' || { echo "/v1/stats missing pruned blocks: $FSTATS" >&2; exit 1; }
-printf '%s' "$FSTATS" | grep -Eq '"kernel_blocks":[1-9]' || { echo "/v1/stats missing kernel blocks: $FSTATS" >&2; exit 1; }
+printf '%s' "$FSTATS" | grep -Eq '"blocks_read":[1-9]'   || { echo "/v1/stats missing blocks read: $FSTATS" >&2; exit 1; }
 
 echo "== /metrics exposes Prometheus text, with the pruning counters ticked"
 METRICS="$(curl -fsS "$BASE/metrics")"
