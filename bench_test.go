@@ -7,6 +7,7 @@
 package fastmatch_test
 
 import (
+	"fmt"
 	"os"
 	"sort"
 	"strconv"
@@ -372,11 +373,11 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 // --- Scan-kernel and block-skipping benchmarks ---
 
 var (
-	kernOnce sync.Once
-	kernSrcs map[string]colstore.Reader
-	kernPred []bitmap.Predicate
-	kernMid  string
-	kernErr  error
+	kernOnce  sync.Once
+	kernSrcs  map[string]colstore.Reader
+	kernPreds map[string][]bitmap.Predicate
+	kernMid   string
+	kernErr   error
 )
 
 // kernelBenchSetup builds the 1M-row table behind every storage backend
@@ -384,7 +385,10 @@ var (
 // Origin values as a selective predicate set — rare values appear in few
 // blocks, so the candidate-union complement prunes most of the table —
 // and names the median-frequency Origin, a typical candidate target.
-func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, []bitmap.Predicate, string) {
+// Each backend's predicates carry that backend's codes for the rare
+// values (the ingest dictionary interns values in arrival order), and
+// the setup fails unless every backend prunes the same blocks for them.
+func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, map[string][]bitmap.Predicate, string) {
 	b.Helper()
 	kernOnce.Do(func() {
 		ds, err := datagen.Flights(1_000_000, 5, 64)
@@ -484,15 +488,43 @@ func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, []bitmap.Predic
 			rare[i] = uint32(best)
 			counts[best] = 0
 		}
-		kernPred = make([]bitmap.Predicate, len(rare))
-		for i, v := range rare {
-			kernPred[i] = &bitmap.ValuePred{Column: "Origin", Code: v}
+		kernPreds = make(map[string][]bitmap.Predicate, len(kernSrcs))
+		pruned := make(map[string]int64, len(kernSrcs))
+		for backend, src := range kernSrcs {
+			bcol, err := src.ColumnByName("Origin")
+			if err != nil {
+				kernErr = err
+				return
+			}
+			preds := make([]bitmap.Predicate, len(rare))
+			for i, v := range rare {
+				code, ok := bcol.Dictionary().Code(col.Dictionary().Value(v))
+				if !ok {
+					kernErr = fmt.Errorf("%s: Origin value %d missing", backend, v)
+					return
+				}
+				preds[i] = &bitmap.ValuePred{Column: "Origin", Code: code}
+			}
+			kernPreds[backend] = preds
+			res, err := engine.New(src).Run(engine.Query{CandidatePreds: preds, X: []string{"DepartureHour"}},
+				engine.Target{Uniform: true}, engine.Options{Params: coreParamsForBench(1_000_000), Executor: engine.Scan})
+			if err != nil {
+				kernErr = err
+				return
+			}
+			pruned[backend] = res.IO.BlocksPruned
+		}
+		for backend, n := range pruned {
+			if n != pruned["inmem"] {
+				kernErr = fmt.Errorf("predicate query prunes %d blocks on %s, %d on inmem", n, backend, pruned["inmem"])
+				return
+			}
 		}
 	})
 	if kernErr != nil {
 		b.Fatal(kernErr)
 	}
-	return kernSrcs, kernPred, kernMid
+	return kernSrcs, kernPreds, kernMid
 }
 
 // BenchmarkScanKernels measures the exact-scan hot loop per storage
@@ -533,7 +565,7 @@ func BenchmarkScanKernels(b *testing.B) {
 	for _, backend := range []string{"inmem", "mmap", "ingest"} {
 		eng := engine.New(srcs[backend])
 		grouped := engine.Query{Z: "Origin", X: []string{"DepartureHour"}}
-		pred := engine.Query{CandidatePreds: preds, X: []string{"DepartureHour"}}
+		pred := engine.Query{CandidatePreds: preds[backend], X: []string{"DepartureHour"}}
 		b.Run(backend+"/grouped-count/kernel", func(b *testing.B) { run(b, eng, grouped) })
 		b.Run(backend+"/predicate/kernel+skip", func(b *testing.B) { run(b, eng, pred) })
 		b.Run(backend+"/candidate-target", func(b *testing.B) {

@@ -56,10 +56,14 @@
 // data. A dead shard degrades the answer honestly — 200 with
 // "partial": true and the missing shard named — never a wrong total.
 //
-// Answer-quality observability: "quality": true on a query returns the
-// run's convergence report next to the result; shadow-audit verdicts and
-// recent quality reports are served at GET /v1/debug/quality and feed
-// the fastmatch_quality_*/fastmatch_audit_* Prometheus families.
+// Query log: every request leaves one record — executor, outcome, span
+// tree, the sampling run's convergence report and, when shadow-audited
+// (-audit-fraction), the audit verdict — found by its X-Query-ID at
+// GET /v1/debug/queries/{id}. GET /v1/debug/queries lists the newest
+// records (?order=slowest: the slowest of the last 15 minutes); -query-log
+// bounds each view. "quality": true on a query returns the convergence
+// report next to the result. Quality reports and audits feed the
+// fastmatch_quality_*/fastmatch_audit_* Prometheus families.
 //
 // Progressive queries: POST /v1/query/stream answers with NDJSON — one
 // progress frame per HistSim round, then a terminal result frame
@@ -101,9 +105,8 @@ func main() {
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	slowQueryMS := flag.Int64("slow-query-ms", 0, "slow-query threshold in milliseconds; requests at or past it log their full span tree at warn level (0 = off)")
-	traceRing := flag.Int("trace-ring", 32, "slowest recent traces kept for GET /v1/debug/traces (negative disables)")
+	queryLog := flag.Int("query-log", 32, "query records kept in each view of GET /v1/debug/queries: the newest, and the slowest of the last 15 minutes (negative disables)")
 	auditFraction := flag.Float64("audit-fraction", 0, "fraction of completed sampling-executor answers to shadow-audit against an exact re-execution (0 = off, 1 = every answer; per-table audit= overrides)")
-	qualityRing := flag.Int("quality-ring", 32, "recent answer-quality records kept for GET /v1/debug/quality (negative disables)")
 
 	var tables []server.TableSpec
 	flag.Func("table", "dataset to serve, as name=path, name=path?backend=mmap, or name=dir?backend=ingest&columns=a,b (repeatable)", func(v string) error {
@@ -225,9 +228,8 @@ func main() {
 		QueryTimeout:    *queryTimeout,
 		Logger:          logger,
 		SlowQuery:       time.Duration(*slowQueryMS) * time.Millisecond,
-		TraceRingSize:   *traceRing,
+		QueryLogSize:    *queryLog,
 		AuditFraction:   *auditFraction,
-		QualityRingSize: *qualityRing,
 	})
 	for _, spec := range tables {
 		spec.Measures = measures[spec.Name]

@@ -1,9 +1,9 @@
 // Command quality demonstrates the answer-quality observability
 // subsystem end to end:
 //
-//  1. Direct engine use — Options.Quality streaming per-round
+//  1. Direct engine use — every sampling run streams per-round
 //     convergence telemetry (estimated-distance margin vs ε, stopping
-//     slack, top-k churn) through OnProgress, then the terminal
+//     slack, top-k churn) through OnProgress, then returns the terminal
 //     QualityReport with per-match confidence intervals.
 //  2. AuditRun — grading the sampled answer against an exact
 //     re-execution: strict precision@k, rank displacement, distance
@@ -12,7 +12,8 @@
 //     Truncated and AuditRun refuses to grade it (it claimed nothing).
 //  4. Over HTTP — "quality": true returns the report next to the
 //     result, and a shadow-audit sampler (AuditFraction 1) grades the
-//     answer off the request path, visible at GET /v1/debug/quality.
+//     answer off the request path; the verdict lands in the query's
+//     record at GET /v1/debug/queries/{id}, found by its X-Query-ID.
 //
 // Run with:
 //
@@ -46,11 +47,7 @@ func main() {
 	opts.Params.K = 3
 	opts.Params.Epsilon = 0.02
 	opts.Seed = 42
-	opts.Quality = true
 	opts.OnProgress = func(p fastmatch.Progress) {
-		if p.Quality == nil {
-			return
-		}
 		fmt.Printf("  round %-2d  gap=%-8.4f slack=%-8.4f churn=%d pruned=%d\n",
 			p.Round, p.Quality.Gap, p.Quality.Slack, p.Quality.Churn, p.Quality.PrunedCandidates)
 	}
@@ -108,7 +105,7 @@ func main() {
 	}
 
 	// --- 4. The same machinery behind the HTTP API. ---
-	fmt.Println("\n== over HTTP: quality report in the response, shadow audit in the debug ring")
+	fmt.Println("\n== over HTTP: quality report in the response, shadow audit in the query record")
 	srv := fastmatch.NewServer(fastmatch.ServerConfig{AuditFraction: 1})
 	if err := srv.RegisterTable("taxi", tbl); err != nil {
 		log.Fatal(err)
@@ -127,6 +124,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	queryID := resp.Header.Get("X-Query-ID")
 	var reply struct {
 		Quality *fastmatch.QualityReport `json:"quality"`
 	}
@@ -137,31 +135,28 @@ func main() {
 	fmt.Printf("  response quality: rounds=%d guarantee_met=%v\n",
 		reply.Quality.Rounds, reply.Quality.GuaranteeMet)
 
-	// The shadow audit runs off the request path; poll the debug ring.
+	// The shadow audit runs off the request path; poll the query's record.
 	for i := 0; i < 100; i++ {
-		resp, err := http.Get(ts.URL + "/v1/debug/quality")
+		resp, err := http.Get(ts.URL + "/v1/debug/queries/" + queryID)
 		if err != nil {
 			log.Fatal(err)
 		}
-		var ring struct {
-			Queries []struct {
-				QueryID string           `json:"query_id"`
-				Audit   *fastmatch.Audit `json:"audit"`
-			} `json:"queries"`
+		var rec struct {
+			Executor string           `json:"executor"`
+			Audit    *fastmatch.Audit `json:"audit"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&ring); err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
 			log.Fatal(err)
 		}
 		resp.Body.Close()
-		if len(ring.Queries) > 0 && ring.Queries[0].Audit != nil {
-			a := ring.Queries[0].Audit
-			fmt.Printf("  debug ring: query %s audited — precision@%d=%.2f, violations=%d\n",
-				ring.Queries[0].QueryID, a.K, a.PrecisionAtK, a.GuaranteeViolations)
+		if rec.Audit != nil {
+			fmt.Printf("  query %s (%s) audited — precision@%d=%.2f, violations=%d\n",
+				queryID, rec.Executor, rec.Audit.K, rec.Audit.PrecisionAtK, rec.Audit.GuaranteeViolations)
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	log.Fatal("shadow audit never landed in the debug ring")
+	log.Fatal("shadow audit never landed in the query record")
 }
 
 // buildTable synthesizes hourly trip counts for cities with distinct

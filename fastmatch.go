@@ -116,10 +116,9 @@ type (
 	Histogram = histogram.Histogram
 	// Metric is the distance function over normalized histograms.
 	Metric = histogram.Metric
-	// QualityReport is a completed sampling run's answer-quality
-	// self-assessment — rounds, final margin, per-match confidence
-	// intervals, termination cause — collected when Options.Quality is
-	// set; see Result.Quality.
+	// QualityReport is a sampling run's answer-quality self-assessment —
+	// rounds, final margin, per-match confidence intervals, termination
+	// cause — which every sampling run returns in Result.Quality.
 	QualityReport = engine.QualityReport
 	// Audit is AuditRun's ground-truth verdict: precision@k, rank
 	// displacement, and per-candidate distance error for a completed

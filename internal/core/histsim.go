@@ -30,8 +30,8 @@ type Result struct {
 	Partial bool
 	// Stats carries run diagnostics.
 	Stats RunStats
-	// Quality is the answer-quality report, present only when
-	// Params.CollectQuality was set (nil otherwise).
+	// Quality is the answer-quality report. Every run that returns a
+	// Result carries one.
 	Quality *Quality
 }
 
@@ -71,7 +71,7 @@ type state struct {
 	res   *Result
 	need  map[int]int // reusable need map
 
-	// Quality-telemetry accumulators (used only when CollectQuality).
+	// Quality-telemetry accumulators.
 	prevTop map[int]bool // previous emission's top-k membership
 	qChurn  int          // total churn across emissions
 }
@@ -139,9 +139,7 @@ func RunObserved(s Sampler, target *histogram.Histogram, p Params, obs Observer)
 	}
 	if exhausted {
 		st.finishExact()
-		if p.CollectQuality {
-			st.res.Quality = st.buildQuality(false)
-		}
+		st.res.Quality = st.buildQuality(false)
 		return st.res, nil
 	}
 	if err := st.stage3(); err != nil {
@@ -151,9 +149,7 @@ func RunObserved(s Sampler, target *histogram.Histogram, p Params, obs Observer)
 		return nil, err
 	}
 	st.emit("stage3", 0)
-	if p.CollectQuality {
-		st.res.Quality = st.buildQuality(false)
-	}
+	st.res.Quality = st.buildQuality(false)
 	return st.res, nil
 }
 

@@ -46,12 +46,6 @@ type Params struct {
 	// Exhausting the data always terminates the algorithm first in
 	// practice, since the per-round sample demand grows geometrically.
 	MaxRounds int
-	// CollectQuality enables answer-quality telemetry: per-round
-	// convergence snapshots (Snapshot.Quality) and the final
-	// Result.Quality report. Purely observational — it never changes the
-	// answer, the sampling schedule, or the I/O — so engine fingerprints
-	// exclude it; when false (the default) no quality work runs at all.
-	CollectQuality bool
 }
 
 // epsSeparation returns ε₁ (Guarantee 1).

@@ -33,9 +33,8 @@ type Snapshot struct {
 	ActiveCandidates int
 	// Drawn is the cumulative tuples consumed so far.
 	Drawn int64
-	// Quality is the emission's convergence telemetry, present only when
-	// Params.CollectQuality is set (nil otherwise). Its TopK entries are
-	// aligned with Snapshot.TopK.
+	// Quality is the emission's convergence telemetry. Its TopK entries
+	// are aligned with Snapshot.TopK.
 	Quality *RoundQuality
 }
 
@@ -45,14 +44,11 @@ type Snapshot struct {
 // fast and must not block. A nil Observer costs nothing.
 type Observer func(Snapshot)
 
-// emit reports the current state to the observer, if any, and advances
-// the quality accumulators when collection is on. The interim ranking
-// covers only observed candidates, for the same reason salvage does: an
-// empty estimate reads as uniform, not as unknown.
+// emit advances the quality accumulators and reports the current state
+// to the observer, if any. The interim ranking covers only observed
+// candidates, for the same reason salvage does: an empty estimate reads
+// as uniform, not as unknown.
 func (st *state) emit(phase string, round int) {
-	if st.obs == nil && !st.params.CollectQuality {
-		return
-	}
 	st.refreshTau()
 	active := st.a
 	if active == nil {
@@ -62,13 +58,12 @@ func (st *state) emit(phase string, round int) {
 	if st.params.KRange.KMax > 0 {
 		k = st.params.KRange.KMax
 	}
-	top := histogram.TopK(st.tau, st.observed(active), k)
-	var q *RoundQuality
-	if st.params.CollectQuality {
-		// Churn tracking must advance even with no observer attached, so
-		// the final report's totals don't depend on who was listening.
-		q = st.roundQuality(phase, round, top, active)
-	}
+	// One ranking serves both the top-k and the margin after it.
+	ranked := histogram.TopK(st.tau, st.observed(active), k+1)
+	top := ranked[:min(k, len(ranked))]
+	// Churn tracking advances with no observer attached too, so the final
+	// report's totals don't depend on who was listening.
+	q := st.roundQuality(phase, round, top, gapAfter(ranked, len(top)), active)
 	if st.obs == nil {
 		return
 	}
@@ -109,9 +104,7 @@ func (st *state) salvage(cause error) (*Result, error) {
 		st.setTopK(obs, k)
 	}
 	st.finalize()
-	if st.params.CollectQuality {
-		st.res.Quality = st.buildQuality(true)
-	}
+	st.res.Quality = st.buildQuality(true)
 	return st.res, cause
 }
 

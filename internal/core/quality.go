@@ -6,12 +6,12 @@ import (
 
 // Quality telemetry: HistSim's answer comes with a probabilistic contract
 // (precision ≥ 1−ε at confidence 1−δ), and this file makes the contract
-// observable. When Params.CollectQuality is set, every emission point
-// (after stage 1, after each stage-2 round, after stage 3) computes a
-// RoundQuality describing how the estimates are converging, and the final
-// Result carries a Quality report describing how — and how trustworthily —
-// the run terminated. Collection never changes the answer: it reads the
-// cumulative estimates the algorithm already maintains.
+// observable. Every emission point (after stage 1, after each stage-2
+// round, after stage 3) computes a RoundQuality describing how the
+// estimates are converging, and the final Result carries a Quality
+// report describing how — and how trustworthily — the run terminated.
+// Collection never changes the answer: it reads the cumulative estimates
+// the algorithm already maintains.
 
 // CandidateQuality describes the estimate quality of one ranked
 // candidate: its current distance estimate, a confidence-interval
@@ -60,8 +60,7 @@ type RoundQuality struct {
 	TopK []CandidateQuality `json:"topk,omitempty"`
 }
 
-// Quality is the final answer-quality report attached to Result when
-// Params.CollectQuality is set.
+// Quality is the final answer-quality report attached to every Result.
 type Quality struct {
 	// Rounds is the number of stage-2 rounds the run used.
 	Rounds int `json:"rounds"`
@@ -128,14 +127,19 @@ func (st *state) candQuality(rk histogram.Ranked) CandidateQuality {
 }
 
 // gapAt returns the observed margin τ_(k+1) − τ_(k) over the ranked
-// observed candidates, or 0 when fewer than k+1 are ranked (everything
-// observed is in the matching set: the separation hypotheses are vacuous).
+// observed candidates (see gapAfter).
 func (st *state) gapAt(k int) float64 {
 	active := st.a
 	if active == nil {
 		active = allCandidates(st.nCand)
 	}
-	ranked := histogram.TopK(st.tau, st.observed(active), len(active))
+	return gapAfter(histogram.TopK(st.tau, st.observed(active), len(active)), k)
+}
+
+// gapAfter returns the margin τ_(k+1) − τ_(k) of a ranking, or 0 when
+// fewer than k+1 are ranked (everything observed is in the matching set:
+// the separation hypotheses are vacuous).
+func gapAfter(ranked []histogram.Ranked, k int) float64 {
 	if k <= 0 || k >= len(ranked) {
 		return 0
 	}
@@ -144,16 +148,16 @@ func (st *state) gapAt(k int) float64 {
 
 // roundQuality computes the emission's convergence telemetry and folds it
 // into the run-level accumulators (total churn, previous top-k set).
-// top is the emission's ranking (Snapshot.TopK), active the current
-// candidate set.
-func (st *state) roundQuality(phase string, round int, top []histogram.Ranked, active []int) *RoundQuality {
+// top is the emission's ranking (Snapshot.TopK), gap the observed margin
+// after it, active the current candidate set.
+func (st *state) roundQuality(phase string, round int, top []histogram.Ranked, gap float64, active []int) *RoundQuality {
 	q := &RoundQuality{
 		Phase:            phase,
 		Round:            round,
 		ActiveCandidates: len(active),
 		PrunedCandidates: st.res.Stats.PrunedCandidates,
+		Gap:              gap,
 	}
-	q.Gap = st.gapAt(len(top))
 	q.Slack = q.Gap - st.params.epsSeparation()
 	cur := make(map[int]bool, len(top))
 	q.TopK = make([]CandidateQuality, len(top))

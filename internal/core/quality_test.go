@@ -1,51 +1,108 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
-	"reflect"
+	"os"
+	"sort"
 	"testing"
+
+	"fastmatch/internal/histogram"
 )
 
-// runTwin runs the same population/seed twice — once with quality
-// collection, once without — and returns both results.
-func runTwin(t *testing.T, params Params) (plain, collected *Result) {
+// qualityOffDigests holds the SHA-256 of each perturbation case's answer
+// (answerDigest) as HistSim returned it before quality collection became
+// unconditional, when it still ran with collection off. The answers
+// computed today must match them byte for byte: collection reads the
+// estimates, it never steers them.
+func qualityOffDigests(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile("testdata/quality_off_digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d map[string]string
+	if err := json.Unmarshal(b, &d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// answerDigest hashes everything a Result answers with except its quality
+// report: flags, pruned set, run stats, the ranking's exact distance bits
+// and every reconstructed histogram's counts.
+func answerDigest(res *Result) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "exact=%v partial=%v pruned=%v stats=%+v\n", res.Exact, res.Partial, res.Pruned, res.Stats)
+	for _, rk := range res.TopK {
+		fmt.Fprintf(h, "top %d %x\n", rk.ID, math.Float64bits(rk.Distance))
+	}
+	ids := make([]int, 0, len(res.Hists))
+	for id := range res.Hists {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		fmt.Fprintf(h, "hist %d:", id)
+		hh := res.Hists[id]
+		for g := 0; g < hh.Groups(); g++ {
+			fmt.Fprintf(h, " %x", math.Float64bits(hh.Count(g)))
+		}
+		fmt.Fprintln(h)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// runDefault runs the suite's reference population and seed.
+func runDefault(t *testing.T, params Params) *Result {
 	t.Helper()
 	pop := makePopulation(t, 21, 150_000, 16, 8, 0.1)
-
-	p1 := params
-	r1, err := Run(pop.sampler(t, 5), pop.targets, p1)
+	res, err := Run(pop.sampler(t, 5), pop.targets, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := params
-	p2.CollectQuality = true
-	r2, err := Run(pop.sampler(t, 5), pop.targets, p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r1, r2
+	return res
 }
 
 func TestQualityCollectionDoesNotPerturbAnswer(t *testing.T) {
-	plain, collected := runTwin(t, defaultParams())
-	if collected.Quality == nil {
-		t.Fatal("CollectQuality run returned no Quality report")
+	want := qualityOffDigests(t)
+	krange := defaultParams()
+	krange.KRange.KMin, krange.KRange.KMax = 2, 5
+	l2 := defaultParams()
+	l2.Metric = histogram.MetricL2
+	got := map[string]*Result{
+		"default": runDefault(t, defaultParams()),
+		"krange":  runDefault(t, krange),
+		"l2":      runDefault(t, l2),
 	}
-	if plain.Quality != nil {
-		t.Fatal("plain run grew a Quality report")
+	// A population small enough to exhaust: the exact termination path.
+	pop := makePopulation(t, 2, 3000, 12, 6, 0)
+	exact := defaultParams()
+	exact.Epsilon, exact.Delta = 0.01, 0.001
+	res, err := Run(pop.sampler(t, 3), pop.targets, exact)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Null the report and the two results must be deeply equal: quality
-	// collection reads the estimates, never steers them.
-	c := *collected
-	c.Quality = nil
-	if !reflect.DeepEqual(plain, &c) {
-		t.Fatalf("quality collection perturbed the answer:\nplain:     %+v\ncollected: %+v", plain, &c)
+	got["exact"] = res
+	if len(got) != len(want) {
+		t.Fatalf("%d cases, %d reference digests", len(got), len(want))
+	}
+	for name, res := range got {
+		if res.Quality == nil {
+			t.Fatalf("%s: run returned no Quality report", name)
+		}
+		if d := answerDigest(res); d != want[name] {
+			t.Errorf("%s: answer digest %s, quality-off reference %s", name, d, want[name])
+		}
 	}
 }
 
 func TestQualityReportAnatomy(t *testing.T) {
-	_, res := runTwin(t, defaultParams())
+	res := runDefault(t, defaultParams())
 	q := res.Quality
 	if q.Termination != TerminationGuarantee && q.Termination != TerminationExact {
 		t.Fatalf("completed run terminated %q", q.Termination)
@@ -83,7 +140,6 @@ func TestQualityReportAnatomy(t *testing.T) {
 func TestQualitySnapshotsCarryConvergenceTelemetry(t *testing.T) {
 	pop := makePopulation(t, 23, 150_000, 16, 8, 0.1)
 	params := defaultParams()
-	params.CollectQuality = true
 	var snaps []Snapshot
 	_, err := RunObserved(pop.sampler(t, 9), pop.targets, params, func(s Snapshot) {
 		snaps = append(snaps, s)
@@ -120,8 +176,7 @@ func TestQualitySnapshotsCarryConvergenceTelemetry(t *testing.T) {
 	}
 	// Telemetry must not depend on an observer being attached: the same
 	// run without one yields the same final churn total.
-	p2 := params
-	res, err := Run(pop.sampler(t, 9), pop.targets, p2)
+	res, err := Run(pop.sampler(t, 9), pop.targets, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +193,6 @@ func TestQualityTruncatedRun(t *testing.T) {
 	pop := makePopulation(t, 25, 200_000, 12, 6, 0)
 	params := defaultParams()
 	params.Stage1Samples = 5_000
-	params.CollectQuality = true
 	s := &interruptingSampler{SliceSampler: pop.sampler(t, 3), after: 2}
 	res, err := Run(s, pop.targets, params)
 	if !errors.Is(err, ErrInterrupted) {
@@ -162,7 +216,6 @@ func TestQualityExactRun(t *testing.T) {
 	params := defaultParams()
 	params.Epsilon = 0.01
 	params.Delta = 0.001
-	params.CollectQuality = true
 	res, err := Run(pop.sampler(t, 3), pop.targets, params)
 	if err != nil {
 		t.Fatal(err)

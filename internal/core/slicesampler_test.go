@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"math/rand"
+	"fastmatch/internal/histogram"
 )
 
 func TestNewSliceSamplerValidation(t *testing.T) {
@@ -169,4 +171,133 @@ func TestSliceSamplerShuffleUniformity(t *testing.T) {
 			t.Fatalf("candidate %d got %.2f of its tuples in the first half", i, frac)
 		}
 	}
+}
+
+// SliceSampler is the reference Sampler: an in-memory list of (candidate,
+// group) tuples consumed sequentially after an upfront shuffle, so every
+// prefix is a uniform sample without replacement. The FastMatch engine
+// supersedes it for block-based I/O; SliceSampler remains the simplest
+// correct implementation, which this package's tests run HistSim over.
+type SliceSampler struct {
+	z, x   []uint32
+	nCand  int
+	groups int
+	pos    int
+}
+
+// NewSliceSampler builds a sampler over parallel candidate/group code
+// slices. If shuffleSeed is non-nil the tuples are permuted first; pass
+// nil only when the data is already randomly ordered.
+func NewSliceSampler(z, x []uint32, nCand, groups int, shuffleSeed *int64) (*SliceSampler, error) {
+	if len(z) != len(x) {
+		return nil, fmt.Errorf("core: z/x length mismatch %d vs %d", len(z), len(x))
+	}
+	if nCand <= 0 || groups <= 0 {
+		return nil, fmt.Errorf("core: invalid cardinalities nCand=%d groups=%d", nCand, groups)
+	}
+	for i := range z {
+		if int(z[i]) >= nCand {
+			return nil, fmt.Errorf("core: z code %d out of range at row %d", z[i], i)
+		}
+		if int(x[i]) >= groups {
+			return nil, fmt.Errorf("core: x code %d out of range at row %d", x[i], i)
+		}
+	}
+	s := &SliceSampler{
+		z: append([]uint32(nil), z...), x: append([]uint32(nil), x...),
+		nCand: nCand, groups: groups,
+	}
+	if shuffleSeed != nil {
+		rng := rand.New(rand.NewSource(*shuffleSeed))
+		rng.Shuffle(len(s.z), func(i, j int) {
+			s.z[i], s.z[j] = s.z[j], s.z[i]
+			s.x[i], s.x[j] = s.x[j], s.x[i]
+		})
+	}
+	return s, nil
+}
+
+// NumCandidates implements Sampler.
+func (s *SliceSampler) NumCandidates() int { return s.nCand }
+
+// Groups implements Sampler.
+func (s *SliceSampler) Groups() int { return s.groups }
+
+// TotalRows implements Sampler.
+func (s *SliceSampler) TotalRows() int64 { return int64(len(s.z)) }
+
+// Consumed returns the number of tuples read so far.
+func (s *SliceSampler) Consumed() int { return s.pos }
+
+// Stage1 implements Sampler by reading the next m tuples.
+func (s *SliceSampler) Stage1(m int) (*Batch, error) {
+	batch := s.newBatch()
+	for taken := 0; taken < m && s.pos < len(s.z); taken++ {
+		s.take(batch)
+	}
+	batch.Exhausted = s.pos >= len(s.z)
+	return batch, nil
+}
+
+// SampleUntil implements Sampler by reading tuples until every needed
+// candidate has its quota of fresh samples.
+func (s *SliceSampler) SampleUntil(need map[int]int) (*Batch, error) {
+	batch := s.newBatch()
+	remaining := 0
+	deficit := make(map[int]int, len(need))
+	for id, n := range need {
+		if id < 0 || id >= s.nCand {
+			return nil, fmt.Errorf("core: need for unknown candidate %d", id)
+		}
+		if n > 0 {
+			deficit[id] = n
+			remaining++
+		}
+	}
+	for remaining > 0 && s.pos < len(s.z) {
+		zi := int(s.z[s.pos])
+		s.take(batch)
+		if d, ok := deficit[zi]; ok {
+			if d == 1 {
+				delete(deficit, zi)
+				remaining--
+			} else {
+				deficit[zi] = d - 1
+			}
+		}
+	}
+	batch.Exhausted = s.pos >= len(s.z)
+	return batch, nil
+}
+
+func (s *SliceSampler) newBatch() *Batch {
+	return &Batch{
+		Counts: make([]int64, s.nCand),
+		Hists:  make([]*histogram.Histogram, s.nCand),
+	}
+}
+
+func (s *SliceSampler) take(batch *Batch) {
+	zi, xi := int(s.z[s.pos]), int(s.x[s.pos])
+	s.pos++
+	batch.Drawn++
+	if batch.Hists[zi] == nil {
+		batch.Hists[zi] = histogram.New(s.groups)
+	}
+	batch.Hists[zi].Add(xi)
+	batch.Counts[zi]++
+}
+
+// ExactHistograms scans the full data (independent of sampler position)
+// and returns the exact per-candidate histograms — the ground truth r*_i
+// used by tests and by target construction.
+func (s *SliceSampler) ExactHistograms() []*histogram.Histogram {
+	out := make([]*histogram.Histogram, s.nCand)
+	for i := range out {
+		out[i] = histogram.New(s.groups)
+	}
+	for i := range s.z {
+		out[s.z[i]].Add(int(s.x[i]))
+	}
+	return out
 }

@@ -135,7 +135,6 @@ func AuditReferenceOptions(opts Options, numCandidates int) Options {
 	exOpts.Params.K = numCandidates
 	exOpts.Params.KRange.KMin, exOpts.Params.KRange.KMax = 0, 0
 	exOpts.Params.Sigma = 0 // the reference must rank every candidate
-	exOpts.Params.CollectQuality = false
 	return exOpts
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -360,8 +361,12 @@ func TestProgressSequenceDeterministic(t *testing.T) {
 			if len(a) == 0 {
 				t.Fatal("no progress emitted")
 			}
-			if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
-				t.Fatalf("progress sequences diverge:\n%+v\nvs\n%+v", a, b)
+			// JSON, not %+v: frames carry a *ProgressQuality, whose
+			// address differs between runs.
+			ja, _ := json.Marshal(a)
+			jb, _ := json.Marshal(b)
+			if string(ja) != string(jb) {
+				t.Fatalf("progress sequences diverge:\n%s\nvs\n%s", ja, jb)
 			}
 			wantPhase := "stage1"
 			if exec == Scan {

@@ -49,7 +49,8 @@ type Progress struct {
 	// should zero it.
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Quality carries convergence telemetry (observed margin vs ε,
-	// ranking churn), present only when Options.Quality is set.
+	// ranking churn), present on every sampling-executor round frame
+	// (nil on the exact executors' scan frames).
 	Quality *ProgressQuality `json:"quality,omitempty"`
 }
 
@@ -59,8 +60,8 @@ type ProgressMatch struct {
 	ID       int     `json:"id"`
 	Label    string  `json:"label"`
 	Distance float64 `json:"distance"`
-	// CI is the (1−δ) confidence-interval half-width around Distance,
-	// present (nonzero) only when Options.Quality is set.
+	// CI is the (1−δ) confidence-interval half-width around Distance
+	// (clamped to the metric's diameter).
 	CI float64 `json:"ci,omitempty"`
 }
 

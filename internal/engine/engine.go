@@ -104,15 +104,6 @@ type Options struct {
 	// not be served from result caches keyed by fingerprint (the serving
 	// layer bypasses its result-cache read for traced requests).
 	Trace *trace.Trace
-	// Quality, when set, makes sampling-executor runs collect answer-
-	// quality telemetry: per-round convergence data on Progress frames
-	// and trace spans (gap, slack, churn, per-candidate confidence
-	// intervals) and a final Result.Quality report. Like OnProgress and
-	// Trace it is purely observational — the answer, sampling schedule,
-	// and I/O are unchanged, and it is excluded from Options.Fingerprint.
-	// The exact Scan/ParallelScan executors ignore it (their answers are
-	// exact; there is no convergence to report).
-	Quality bool
 }
 
 // Result is a complete query answer.
@@ -139,11 +130,12 @@ type Result struct {
 	// GroupLabels names the histogram groups, aligned with Histogram
 	// vector indices.
 	GroupLabels []string
-	// Quality is the answer-quality report, present only when
-	// Options.Quality was set on a sampling-executor run (nil otherwise).
-	// Excluded from JSON: serialized results must stay byte-identical
-	// whether or not quality telemetry was requested. Serving layers
-	// surface it as a sibling field of the result, never inside it.
+	// Quality is the answer-quality report every sampling-executor run
+	// returns (nil for the exact Scan and ParallelScan: their answers
+	// are exact, with no convergence to report). Excluded from JSON:
+	// serving layers surface it as a sibling field of the result, never
+	// inside it, so result bytes do not depend on whether a client asked
+	// for the report.
 	Quality *QualityReport `json:"-"`
 }
 
@@ -300,12 +292,6 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 		res.GroupLabels = groupLabels(p.grp)
 		return res, err
 	}
-	if opts.Quality {
-		// The knob maps to core's collection flag here (opts is a copy);
-		// core.Params.CollectQuality is as fingerprint-neutral as
-		// Options.Quality itself.
-		opts.Params.CollectQuality = true
-	}
 	start := opts.StartBlock
 	if nb := p.engine.src.NumBlocks(); start < 0 && nb > 0 {
 		start = rand.New(rand.NewSource(opts.Seed)).Intn(nb)
@@ -348,11 +334,9 @@ func runObserver(began time.Time, opts Options, stats func() IOStats, labelOf fu
 			sp := runSpan.ChildAt(name, phaseStart)
 			sp.SetAttr("drawn", s.Drawn)
 			sp.SetAttr("active_candidates", s.ActiveCandidates)
-			if q := s.Quality; q != nil {
-				sp.SetAttr("gap", q.Gap)
-				sp.SetAttr("slack", q.Slack)
-				sp.SetAttr("churn", q.Churn)
-			}
+			sp.SetAttr("gap", s.Quality.Gap)
+			sp.SetAttr("slack", s.Quality.Slack)
+			sp.SetAttr("churn", s.Quality.Churn)
 			sp.SetIO(trace.IO(ioDelta(cur, phaseIO)))
 			sp.EndAt(now)
 			phaseStart, phaseIO = now, cur
@@ -367,24 +351,19 @@ func runObserver(began time.Time, opts Options, stats func() IOStats, labelOf fu
 			SamplesDrawn:     s.Drawn,
 			IO:               stats(),
 			Elapsed:          time.Since(began),
+			Quality: &ProgressQuality{
+				Gap:              s.Quality.Gap,
+				Slack:            s.Quality.Slack,
+				Churn:            s.Quality.Churn,
+				PrunedCandidates: s.Quality.PrunedCandidates,
+			},
 		}
 		if len(s.TopK) > 0 {
 			pr.TopK = make([]ProgressMatch, len(s.TopK))
 			for i, rk := range s.TopK {
-				pr.TopK[i] = ProgressMatch{ID: rk.ID, Label: labelOf(rk.ID), Distance: rk.Distance}
-			}
-		}
-		if q := s.Quality; q != nil {
-			pr.Quality = &ProgressQuality{
-				Gap:              q.Gap,
-				Slack:            q.Slack,
-				Churn:            q.Churn,
-				PrunedCandidates: q.PrunedCandidates,
-			}
-			// Quality entries are aligned with Snapshot.TopK by the
-			// core contract.
-			for i := range pr.TopK {
-				pr.TopK[i].CI = q.TopK[i].CI
+				// Quality entries are aligned with Snapshot.TopK by the
+				// core contract.
+				pr.TopK[i] = ProgressMatch{ID: rk.ID, Label: labelOf(rk.ID), Distance: rk.Distance, CI: s.Quality.TopK[i].CI}
 			}
 		}
 		opts.OnProgress(pr)

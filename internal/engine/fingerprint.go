@@ -94,9 +94,9 @@ func (t Target) Fingerprint() string {
 // and accumulates through the kernels, so no option changes the I/O.
 // Workers is written only for ParallelScan, the one executor whose run it
 // partitions: Scan and the sampling executors ignore it, so requests that
-// differ only in Workers share one key there. OnProgress, Trace, and
-// Quality (no effect on the result; purely observational) are
-// deliberately excluded — which is also why serving layers must bypass
+// differ only in Workers share one key there. OnProgress and Trace (no
+// effect on the result; purely observational) are deliberately
+// excluded — which is also why serving layers must bypass
 // their result-cache read for traced requests: the fingerprint of a
 // traced and an untraced request is identical by design.
 func (o Options) Fingerprint() string {

@@ -5,10 +5,10 @@ import (
 )
 
 // QualityReport is the engine-level answer-quality report: core.Quality
-// with candidate labels resolved. It is attached to Result.Quality when
-// Options.Quality is set on a sampling-executor run; serving layers
-// surface it next to (never inside) the serialized result, so result
-// bytes stay identical whether or not quality was requested.
+// with candidate labels resolved. Every sampling-executor run attaches it
+// to Result.Quality; serving layers surface it next to (never inside) the
+// serialized result, so result bytes stay identical whether or not a
+// client asked for the report.
 type QualityReport struct {
 	// Rounds is the number of stage-2 refinement rounds the run used.
 	Rounds int `json:"rounds"`
@@ -46,7 +46,7 @@ type MatchQuality struct {
 }
 
 // ProgressQuality is the per-frame convergence telemetry attached to
-// Progress when Options.Quality is set: how wide the observed separation
+// every sampling-executor Progress frame: how wide the observed separation
 // margin is relative to ε, and how stable the ranking is. Per-candidate
 // confidence intervals ride on ProgressMatch.CI.
 type ProgressQuality struct {
@@ -58,9 +58,6 @@ type ProgressQuality struct {
 
 // qualityReport converts the core report, resolving candidate labels.
 func qualityReport(q *core.Quality, label func(int) string) *QualityReport {
-	if q == nil {
-		return nil
-	}
 	r := &QualityReport{
 		Rounds:           q.Rounds,
 		FinalGap:         q.FinalGap,

@@ -2,9 +2,13 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"testing"
 	"time"
 
@@ -12,56 +16,95 @@ import (
 	"fastmatch/internal/histogram"
 )
 
-// Quality equivalence suite: requesting answer-quality telemetry must be
-// invisible to the answer itself. Every sampling executor, on every
-// storage backend, must return a byte-identical Result (including
-// IOStats) with Options.Quality on and off — quality collection reads
-// the estimates HistSim already maintains, it never steers sampling.
+// Quality equivalence suite: answer-quality telemetry must be invisible
+// to the answer itself. Every sampling executor, on every storage
+// backend, must return the Result (IOStats included) it returned before
+// collection became unconditional — quality collection reads the
+// estimates HistSim already maintains, it never steers sampling.
+
+// qualityOffDigests holds the SHA-256 (answerDigest) of every case's
+// answer as the sampling executors returned it with quality collection
+// off, keyed "backend/query/executor".
+func qualityOffDigests(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile("testdata/quality_off_digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d map[string]string
+	if err := json.Unmarshal(b, &d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// answerDigest hashes a Result's canonical bytes together with every
+// match's histogram counts, which the canonical JSON does not carry.
+func answerDigest(t testing.TB, res *Result) string {
+	h := sha256.New()
+	h.Write([]byte(canonicalResult(t, res)))
+	for _, m := range res.TopK {
+		fmt.Fprintf(h, "\nhist %d:", m.ID)
+		for g := 0; g < m.Histogram.Groups(); g++ {
+			fmt.Fprintf(h, " %x", math.Float64bits(m.Histogram.Count(g)))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 func TestQualityByteIdenticalAcrossExecutorsAndBackends(t *testing.T) {
-	tbl := skipTestTable(t)
-	for backend, eng := range skipTestBackends(t, tbl) {
+	want := qualityOffDigests(t)
+	check := func(t *testing.T, key string, eng *Engine, q Query, opts Options) {
+		t.Run(key, func(t *testing.T) {
+			res, err := eng.Run(q, Target{Uniform: true}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := answerDigest(t, res); d != want[key] {
+				t.Fatalf("answer digest %s, quality-off reference %q", d, want[key])
+			}
+			qr := res.Quality
+			if qr == nil {
+				t.Fatal("sampling run returned no Result.Quality")
+			}
+			if qr.Truncated || !qr.GuaranteeMet {
+				t.Fatalf("completed run reported %+v", qr)
+			}
+			if len(qr.Matches) != len(res.TopK) {
+				t.Fatalf("%d quality matches for %d TopK", len(qr.Matches), len(res.TopK))
+			}
+			for i, m := range qr.Matches {
+				if m.Label != res.TopK[i].Label || m.Distance != res.TopK[i].Distance {
+					t.Fatalf("quality match %d (%s, %g) misaligned with TopK (%s, %g)",
+						i, m.Label, m.Distance, res.TopK[i].Label, res.TopK[i].Distance)
+				}
+				if !res.Exact && (m.CI <= 0 || math.IsInf(m.CI, 1)) {
+					t.Fatalf("match %d: CI=%g", i, m.CI)
+				}
+			}
+		})
+	}
+	cases := 0
+	for backend, eng := range skipTestBackends(t, skipTestTable(t)) {
 		for qname, q := range skipQueries(t, eng) {
 			for _, exec := range samplingExecutors() {
-				t.Run(fmt.Sprintf("%s/%s/%s", backend, qname, exec), func(t *testing.T) {
-					opts := equivOptions(exec, eng.Source().NumBlocks())
-					plain, err := eng.Run(q, Target{Uniform: true}, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.Quality = true
-					collected, err := eng.Run(q, Target{Uniform: true}, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := canonicalResult(t, collected), canonicalResult(t, plain); got != want {
-						t.Fatalf("quality-collecting run diverges:\n%s\nvs\n%s", got, want)
-					}
-					if plain.Quality != nil {
-						t.Fatal("plain run grew a Quality report")
-					}
-					qr := collected.Quality
-					if qr == nil {
-						t.Fatal("Options.Quality run returned no Result.Quality")
-					}
-					if qr.Truncated || !qr.GuaranteeMet {
-						t.Fatalf("completed run reported %+v", qr)
-					}
-					if len(qr.Matches) != len(collected.TopK) {
-						t.Fatalf("%d quality matches for %d TopK", len(qr.Matches), len(collected.TopK))
-					}
-					for i, m := range qr.Matches {
-						if m.Label != collected.TopK[i].Label || m.Distance != collected.TopK[i].Distance {
-							t.Fatalf("quality match %d (%s, %g) misaligned with TopK (%s, %g)",
-								i, m.Label, m.Distance, collected.TopK[i].Label, collected.TopK[i].Distance)
-						}
-						if !collected.Exact && (m.CI <= 0 || math.IsInf(m.CI, 1)) {
-							t.Fatalf("match %d: CI=%g", i, m.CI)
-						}
-					}
-				})
+				check(t, fmt.Sprintf("%s/%s/%s", backend, qname, exec), eng, q, equivOptions(exec, eng.Source().NumBlocks()))
+				cases++
 			}
 		}
+	}
+	// The skip table's queries all exhaust it; at ε = 0.2 this table's
+	// runs stop on the guarantee before reading every row.
+	for backend, eng := range skipTestBackends(t, testDataset(t, 100_000, 20, 8, 5)) {
+		for _, exec := range samplingExecutors() {
+			opts := equivOptions(exec, eng.Source().NumBlocks())
+			opts.Params.Epsilon = 0.2
+			check(t, fmt.Sprintf("%s/sampled/%s", backend, exec), eng, baseQuery(), opts)
+			cases++
+		}
+	}
+	if cases != len(want) {
+		t.Fatalf("%d cases, %d reference digests", cases, len(want))
 	}
 }
 
@@ -69,7 +112,6 @@ func TestQualityProgressFramesCarryTelemetry(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 5)
 	eng := New(tbl)
 	opts := equivOptions(FastMatch, tbl.NumBlocks())
-	opts.Quality = true
 	var frames []Progress
 	opts.OnProgress = func(p Progress) { frames = append(frames, p) }
 	res, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
@@ -94,22 +136,6 @@ func TestQualityProgressFramesCarryTelemetry(t *testing.T) {
 	}
 	if res.Quality == nil {
 		t.Fatal("no final quality report")
-	}
-	// Without Options.Quality the frames must stay lean.
-	opts.Quality = false
-	frames = nil
-	if _, err := eng.Run(baseQuery(), Target{Uniform: true}, opts); err != nil {
-		t.Fatal(err)
-	}
-	for i, fr := range frames {
-		if fr.Quality != nil {
-			t.Fatalf("frame %d carries quality telemetry without Options.Quality", i)
-		}
-		for j, m := range fr.TopK {
-			if m.CI != 0 {
-				t.Fatalf("frame %d match %d: CI=%g without Options.Quality", i, j, m.CI)
-			}
-		}
 	}
 }
 
@@ -150,7 +176,6 @@ func TestQualityTruncatedRunFlagged(t *testing.T) {
 			eng := New(colstore.NewThrottledReader(tbl, tc.perBlock))
 			q := tc.query(t, eng)
 			opts := equivOptions(FastMatch, tbl.NumBlocks())
-			opts.Quality = true
 			tc.tweak(&opts)
 			// Plan before the clock starts: planning is shared across
 			// runs and deliberately not cancellable.
@@ -209,7 +234,6 @@ func TestAuditMatchesGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := equivOptions(FastMatch, tbl.NumBlocks())
-	opts.Quality = true
 	approx, err := plan.RunWithTarget(target, opts)
 	if err != nil {
 		t.Fatal(err)

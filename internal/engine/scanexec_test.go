@@ -302,8 +302,6 @@ func TestCandidateTargetMatchesExactScan(t *testing.T) {
 	}
 }
 
-// TestPlanReuse runs one Plan repeatedly across executors and checks the
-// answers match planning from scratch each time.
 // TestBlockCursorHandsOutEveryBlockOnce: workers racing on one cursor
 // receive every block exactly once, in non-empty chunks of at most
 // scanChunk, and a lone worker receives the blocks in order.
@@ -348,6 +346,8 @@ func TestBlockCursorHandsOutEveryBlockOnce(t *testing.T) {
 	}
 }
 
+// TestPlanReuse runs one Plan repeatedly across executors and checks the
+// answers match planning from scratch each time.
 func TestPlanReuse(t *testing.T) {
 	tbl := testDataset(t, 30_000, 15, 6, 25)
 	e := New(tbl)

@@ -3,14 +3,16 @@ package server
 import (
 	"container/list"
 	"sync"
+
+	"fastmatch/internal/engine"
 )
 
 // lruCache is a thread-safe fixed-capacity LRU map with hit/miss
 // accounting. The server instantiates two: a plan cache (query shape →
 // *engine.Plan, so repeated query shapes skip planning and index lookups)
-// and a result cache (full request fingerprint → encoded result payload;
-// sound because runs are deterministic given their seed, so equal
-// fingerprints imply byte-identical results).
+// and a result cache (full request fingerprint → cachedResult; sound
+// because runs are deterministic given their seed, so equal fingerprints
+// imply byte-identical results).
 type lruCache[K comparable, V any] struct {
 	mu     sync.Mutex
 	cap    int
@@ -18,6 +20,14 @@ type lruCache[K comparable, V any] struct {
 	items  map[K]*list.Element
 	hits   int64
 	misses int64
+}
+
+// cachedResult is a result-cache value: the encoded result payload and
+// the run's quality report (nil for exact executors), so a hit answers a
+// quality request as the run itself did.
+type cachedResult struct {
+	payload []byte
+	quality *engine.QualityReport
 }
 
 type lruEntry[K comparable, V any] struct {

@@ -278,7 +278,8 @@ func TestCoordinatedHTTPShardLoss(t *testing.T) {
 // TestCoordinatedHTTPAudit: a coordinated table answers exactly, so even
 // with every answer selected for auditing (AuditFraction 1) a fastmatch
 // request comes back exact and nothing is audited — the audit counters
-// and /v1/debug/quality do not move.
+// do not move, and the request's record carries no quality report and
+// no audit.
 func TestCoordinatedHTTPAudit(t *testing.T) {
 	fx := newClusterFixture(t, 2, Config{AuditFraction: 1})
 	seed := int64(3)
@@ -288,7 +289,7 @@ func TestCoordinatedHTTPAudit(t *testing.T) {
 		Target:  TargetSpec{Uniform: true},
 		Options: &OptionsSpec{Executor: "fastmatch", Seed: &seed},
 	}
-	status, rep := postClusterQuery(t, fx.coordTS.URL, req)
+	status, rep := postQualityQuery(t, fx.coordTS.URL, req)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -304,8 +305,9 @@ func TestCoordinatedHTTPAudit(t *testing.T) {
 	if tm.AuditRuns != 0 || tm.AuditErrors != 0 {
 		t.Fatalf("exact coordinated answer was audited: runs=%d errors=%d", tm.AuditRuns, tm.AuditErrors)
 	}
-	if ql := getQualityLog(t, fx.coordTS.URL); len(ql.Queries) != 0 {
-		t.Fatalf("/v1/debug/quality recorded %d entries for an exact coordinated answer", len(ql.Queries))
+	rec := mustQueryRecord(t, fx.coordTS.URL, rep.ID)
+	if rec.Quality != nil || rec.Audit != nil || rec.AuditError != "" {
+		t.Fatalf("exact coordinated answer's record: quality %+v, audit %+v %q", rec.Quality, rec.Audit, rec.AuditError)
 	}
 }
 

@@ -42,7 +42,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		pq.fail(planStatus(err), "planning query: %v", err)
 		return
 	}
-	s.finishRequest(pq, outcomeOK, nil, planHit, false, http.StatusOK, "")
+	s.finishRequest(pq, outcomeOK, nil, planHit, nil, http.StatusOK, "")
 	writeJSON(w, http.StatusOK, ExplainResponse{
 		Table:      pq.req.Table,
 		Plan:       plan.Explain(),

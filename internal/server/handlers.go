@@ -32,8 +32,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/tables", s.handleTables)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/debug/traces", s.handleDebugTraces)
-	s.mux.HandleFunc("GET /v1/debug/quality", s.handleDebugQuality)
+	s.mux.HandleFunc("GET /v1/debug/queries", s.handleDebugQueries)
+	s.mux.HandleFunc("GET /v1/debug/queries/{id}", s.handleDebugQuery)
 	s.mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
 		s.serveQuery(w, r, blockingSink{w})
 	})
@@ -173,8 +173,9 @@ type wireResponse struct {
 	// response at `"result":` (the smoke script does) keeps working.
 	Trace *trace.Snapshot `json:"trace,omitempty"`
 	// Quality is the run's answer-quality report, present only when the
-	// request set "quality": true on a sampling executor. Like Trace it is
-	// a sibling of Result — never inside it — so the result bytes stay
+	// request set "quality": true on a sampling executor (on a cache hit,
+	// the report of the run that filled the cache). Like Trace it is a
+	// sibling of Result — never inside it — so the result bytes stay
 	// byte-identical whether or not quality was requested.
 	Quality *engine.QualityReport `json:"quality,omitempty"`
 	// Shards reports per-shard status for coordinated tables (one entry
@@ -219,7 +220,7 @@ func (b blockingSink) answer(resp wireResponse) { writeJSON(b.w, http.StatusOK, 
 // coordinated table do differently. run executes the prepared query
 // (a local run reports no shards); reference re-executes it exactly for
 // a shadow audit of approx. A coordinated runner has no reference: its
-// answers are exact, so prepareQuery never selects them for an audit.
+// answers are exact, so startAudit never audits them.
 type runner struct {
 	run       func(ctx context.Context, opts engine.Options) (*cluster.Result, error)
 	reference func(ctx context.Context, approx *engine.Result) (*engine.Audit, error)
@@ -241,18 +242,16 @@ type preparedQuery struct {
 	target    engine.Target
 	resultKey string
 	began     time.Time
-	// id is the generated query ID (echoed as X-Query-ID and stamped on
-	// the trace); tr is the request's span tree, recorded for every
-	// request — it feeds the slow-query log and the slowest-traces ring
-	// whether or not the client asked for the trace back.
+	// id is the generated query ID (echoed as X-Query-ID, stamped on the
+	// trace and keying the request's query record); tr is the request's
+	// span tree, recorded for every request — it feeds the slow-query log
+	// and the query log whether or not the client asked for the trace
+	// back.
 	id string
 	tr *trace.Trace
-	// audit marks the request as sampled for a shadow audit (decided at
-	// prepare time so the run collects quality telemetry); holds counts
-	// the users of the acquired entry — the handler plus any in-flight
-	// audit — so it outlives the response when an audit is still
-	// re-executing the plan.
-	audit bool
+	// holds counts the users of the acquired entry — the handler plus
+	// any in-flight audit — so it outlives the response when an audit is
+	// still re-executing the plan.
 	holds atomic.Int32
 	// auto is why the executor was chosen, when the request asked for auto.
 	auto *engine.AutoDecision
@@ -280,7 +279,7 @@ func (pq *preparedQuery) done() {
 // end closes a request that produced no answer: it is accounted
 // (metrics, trace, request log) under oc and reported through the sink.
 func (pq *preparedQuery) end(oc runOutcome, res *engine.Result, planHit bool, status int, msg string) {
-	pq.srv.finishRequest(pq, oc, res, planHit, false, pq.out.carried(status), msg)
+	pq.srv.finishRequest(pq, oc, res, planHit, nil, pq.out.carried(status), msg)
 	pq.out.fail(status, msg)
 }
 
@@ -382,8 +381,8 @@ func (s *Server) cachedPlan(key string, eng *engine.Engine, q engine.Query, tr *
 // prepareQuery binds pq to its data — a local engine or, under ctx, a
 // coordinated table's shard set — and then runs the tail both share:
 // default options scaled by the row count the query ranges over, the
-// wire overrides, validation, the target, the cache keys and the audit
-// decision. On failure it answers the error and returns false.
+// wire overrides, validation, the target and the cache keys. On failure
+// it answers the error and returns false.
 func (s *Server) prepareQuery(ctx context.Context, pq *preparedQuery) bool {
 	var rows int
 	if pq.entry.coord != nil {
@@ -411,7 +410,7 @@ func (s *Server) prepareQuery(ctx context.Context, pq *preparedQuery) bool {
 		return false
 	}
 	// The executor is resolved once, before the keys, so the cache key,
-	// the audit decision, explain and the run span describe what runs:
+	// the query record, explain and the run span describe what runs:
 	// coordinated ⇒ the exact scatter-gather scan; auto ⇒ the closed form.
 	groups := 0
 	if pq.entry.coord == nil && pq.opts.Executor == engine.Auto {
@@ -421,18 +420,10 @@ func (s *Server) prepareQuery(ctx context.Context, pq *preparedQuery) bool {
 	pq.target = pq.req.Target.toTarget()
 	pq.resultKey = pq.planKey + "\x00" + pq.target.Fingerprint() + "\x00" + pq.opts.Fingerprint()
 	// Every request runs traced: the engine's span tree feeds the
-	// slow-query log and the debug ring even when the client never asked
+	// slow-query log and the query log even when the client never asked
 	// for it (Trace is excluded from the fingerprint, so this does not
 	// fragment the result cache).
 	pq.opts.Trace = pq.tr
-	// Shadow-audit sampling is decided up front so the run also collects
-	// quality telemetry for the debug ring. Quality, like Trace, is
-	// excluded from the fingerprint: collection never changes the result
-	// bytes, so audited and unaudited runs share cache entries.
-	if isSamplingExecutor(pq.opts.Executor) {
-		pq.audit = s.auditSelected(pq.entry)
-		pq.opts.Quality = pq.req.Quality || pq.audit
-	}
 	return true
 }
 
@@ -501,7 +492,7 @@ func (s *Server) localRunner(pq *preparedQuery) (runner, bool, error) {
 // serveQuery is the one query pipeline behind POST /v1/query and
 // POST /v1/query/stream: decode → bind table → run context → prepare →
 // result-cache read → admission → run → encode → result-cache write →
-// finishRequest → recordQuality → answer. The table kind picks the
+// finishRequest → startAudit → answer. The table kind picks the
 // runner and the route picks the sink; nothing else differs.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, out sink) {
 	pq := s.bindQuery(w, r, out)
@@ -517,26 +508,30 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, out sink) {
 
 	// Result cache: seeded runs are deterministic (the async FastMatch
 	// executor aside, where a cached answer is still one valid (ε, δ)
-	// answer), so a fingerprint hit can skip the engine entirely. Traced
-	// and quality-carrying requests skip the read — Trace and Quality are
-	// excluded from the fingerprint, so a hit would hand back a payload
-	// with no span tree or quality report behind it — but still publish
-	// their payload below for plain requests to reuse. A hit keeps the
-	// sink's shape: a streamed one is still a start frame, then the result.
-	if pq.cacheable && !pq.req.Trace && !pq.req.Quality {
+	// answer), so a fingerprint hit can skip the engine entirely; it
+	// carries the run's quality report too. Traced requests skip the
+	// read — a trace describes this request's own run, and Trace is
+	// excluded from the fingerprint — but still publish their payload
+	// below for untraced requests to reuse. A hit keeps the sink's shape:
+	// a streamed one is still a start frame, then the result.
+	if pq.cacheable && !pq.req.Trace {
 		csp := pq.tr.Start("result_cache")
-		payload, hit := s.results.Get(pq.resultKey)
-		csp.SetAttr("hit", hit)
+		hit, ok := s.results.Get(pq.resultKey)
+		csp.SetAttr("hit", ok)
 		csp.End()
-		if hit {
+		if ok {
 			out.begin(pq.id)
-			s.finishRequest(pq, outcomeOK, nil, false, true, http.StatusOK, "")
-			out.answer(wireResponse{
+			s.finishRequest(pq, outcomeOK, nil, false, &hit, http.StatusOK, "")
+			resp := wireResponse{
 				Table:      pq.req.Table,
 				Cached:     true,
 				DurationNS: int64(time.Since(pq.began)),
-				Result:     json.RawMessage(payload),
-			})
+				Result:     json.RawMessage(hit.payload),
+			}
+			if pq.req.Quality {
+				resp.Quality = hit.quality
+			}
+			out.answer(resp)
 			return
 		}
 	}
@@ -608,10 +603,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, out sink) {
 	case res.Partial && timedOut:
 		oc = outcomeTimedOut
 	case !res.Partial && pq.cacheable:
-		s.results.Put(pq.resultKey, payload)
+		s.results.Put(pq.resultKey, cachedResult{payload: payload, quality: res.Quality})
 	}
-	snap := s.finishRequest(pq, oc, res, planHit, false, http.StatusOK, "")
-	s.recordQuality(pq, res)
+	snap := s.finishRequest(pq, oc, res, planHit, nil, http.StatusOK, "")
+	s.startAudit(pq, res)
 	resp := wireResponse{
 		Table:         pq.req.Table,
 		DurationNS:    int64(time.Since(pq.began)),

@@ -25,19 +25,40 @@ func newQueryID() string {
 
 // finishRequest is the single exit point every query request (blocking or
 // streaming, success or failure) funnels through: it stamps the trace's
-// end, records per-table metrics, feeds the slowest-traces ring, writes
+// end, records per-table metrics, writes the request's query record and
 // the per-request log line, and — past the slow-query threshold — logs
 // the full span tree. res is nil for cache hits and never-ran requests;
-// status is the HTTP status the response carried. Returns the finished
-// trace's snapshot so the caller can attach it to the response.
-func (s *Server) finishRequest(pq *preparedQuery, oc runOutcome, res *engine.Result, planHit, resultHit bool, status int, errMsg string) trace.Snapshot {
+// hit is the result-cache entry that answered a cache hit (nil
+// otherwise); status is the HTTP status the response carried. Returns
+// the finished trace's snapshot so the caller can attach it to the
+// response.
+func (s *Server) finishRequest(pq *preparedQuery, oc runOutcome, res *engine.Result, planHit bool, hit *cachedResult, status int, errMsg string) trace.Snapshot {
 	d := time.Since(pq.began)
+	resultHit := hit != nil
 	pq.tr.End()
 	if pq.entry != nil {
 		pq.entry.metrics.observe(d, res, oc, planHit, resultHit)
 	}
 	snap := pq.tr.Snapshot()
-	s.traces.record(snap)
+	rec := &QueryRecord{
+		QueryID:    pq.id,
+		Table:      pq.req.Table,
+		Outcome:    oc.String(),
+		Status:     status,
+		Cached:     resultHit,
+		DurationNS: int64(d),
+		Trace:      snap,
+	}
+	if pq.resultKey != "" { // set once prepareQuery resolved the executor
+		rec.Executor, rec.Auto = pq.opts.Executor.String(), pq.auto
+	}
+	switch {
+	case res != nil:
+		rec.Quality = res.Quality
+	case resultHit:
+		rec.Quality = hit.quality
+	}
+	s.queries.add(rec)
 	attrs := []any{
 		"query_id", pq.id,
 		"table", pq.req.Table,

@@ -25,9 +25,9 @@ type tableMetrics struct {
 	// c holds the counters in their wire form; snapshot copies it whole
 	// and fills in the rest (quantiles, histograms).
 	c TableMetrics
-	// qualityRounds is the stage-2 round distribution of runs that
-	// carried a quality report; auditPrecision the shadow audits'
-	// ground-truth precision@k distribution.
+	// qualityRounds is the stage-2 round distribution of sampling runs;
+	// auditPrecision the shadow audits' ground-truth precision@k
+	// distribution.
 	qualityRounds  *metrics.Histogram
 	auditPrecision *metrics.Histogram
 	latencies      [latencyWindow]time.Duration
@@ -206,8 +206,8 @@ type TableMetrics struct {
 	AppendRequests int64 `json:"append_requests,omitempty"`
 	AppendedRows   int64 `json:"appended_rows,omitempty"`
 	AppendErrors   int64 `json:"append_errors,omitempty"`
-	// QualityRuns counts runs that carried an answer-quality report;
-	// QualityTruncatedRuns the subset cut short before the (ε, δ)
+	// QualityRuns counts sampling runs (each carries an answer-quality
+	// report); QualityTruncatedRuns the subset cut short before the (ε, δ)
 	// guarantee held; QualityFinalMargin is the most recent completed
 	// run's observed separation margin τ_(k+1) − τ_(k).
 	QualityRuns          int64   `json:"quality_runs,omitempty"`

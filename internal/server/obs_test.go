@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"regexp"
@@ -217,36 +216,28 @@ func TestTracedQueryReturnsSpanTree(t *testing.T) {
 	}
 }
 
-func TestDebugTracesRingAndExplain(t *testing.T) {
-	s, tbl, ts := newTestServer(t, Config{TraceRingSize: 8})
+func TestDebugQueriesAndExplain(t *testing.T) {
+	s, tbl, ts := newTestServer(t, Config{QueryLogSize: 8})
 	req := baseRequest(44, "scanmatch")
 	if code, _ := postQuery(t, ts.URL, req); code != http.StatusOK {
 		t.Fatalf("query: %d", code)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var traces TracesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
-		t.Fatal(err)
-	}
-	if len(traces.Traces) == 0 {
-		t.Fatal("trace ring empty after a query")
+	slowest := getQueryLog(t, ts.URL, "slowest").Queries
+	if len(slowest) == 0 {
+		t.Fatal("slowest view empty after a query")
 	}
 	found := false
-	for _, sn := range traces.Traces {
-		if sn.Find("run") != nil {
+	for _, r := range slowest {
+		if r.Trace.Find("run") != nil {
 			found = true
 		}
-		if sn.QueryID == "" {
-			t.Fatal("ring trace without a query ID")
+		if r.QueryID == "" || r.Trace.QueryID != r.QueryID {
+			t.Fatalf("record %q holds the trace of %q", r.QueryID, r.Trace.QueryID)
 		}
 	}
 	if !found {
-		t.Fatal("no ring trace contains a run span")
+		t.Fatal("no record's trace contains a run span")
 	}
 
 	// Explain: same request body, no execution, plan facts.
@@ -423,35 +414,6 @@ func TestQueryIDsAreUnique(t *testing.T) {
 			t.Fatalf("duplicate query id %q", id)
 		}
 		seen[id] = true
-	}
-}
-
-// TestTraceRingOrdering checks the ring keeps the slowest traces in
-// duration-descending order and respects its capacity.
-func TestTraceRingOrdering(t *testing.T) {
-	r := newTraceRing(3)
-	mk := func(id string, d time.Duration) trace.Snapshot {
-		return trace.Snapshot{QueryID: id, StartTime: time.Now(), DurationNS: d.Nanoseconds()}
-	}
-	r.record(mk("a", 10*time.Millisecond))
-	r.record(mk("b", 30*time.Millisecond))
-	r.record(mk("c", 20*time.Millisecond))
-	r.record(mk("d", 5*time.Millisecond)) // too fast: ring full, rejected
-	r.record(mk("e", 25*time.Millisecond))
-	got := r.snapshot()
-	if len(got) != 3 {
-		t.Fatalf("ring holds %d", len(got))
-	}
-	ids := fmt.Sprintf("%s%s%s", got[0].QueryID, got[1].QueryID, got[2].QueryID)
-	if ids != "bec" {
-		t.Fatalf("ring order %q, want \"bec\"", ids)
-	}
-
-	if disabled := newTraceRing(-1); disabled != nil {
-		disabled.record(mk("x", time.Second))
-		if len(disabled.snapshot()) != 0 {
-			t.Fatal("disabled ring recorded a trace")
-		}
 	}
 }
 

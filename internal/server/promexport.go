@@ -126,9 +126,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(m TableMetrics) float64 { return float64(m.AppendedRows) }},
 		{"fastmatch_append_errors_total", "Failed row-append requests.",
 			func(m TableMetrics) float64 { return float64(m.AppendErrors) }},
-		{"fastmatch_quality_runs_total", "Runs that carried an answer-quality report.",
+		{"fastmatch_quality_runs_total", "Sampling runs, each of which carries an answer-quality report.",
 			func(m TableMetrics) float64 { return float64(m.QualityRuns) }},
-		{"fastmatch_quality_truncated_total", "Quality-reporting runs cut short before the guarantee held.",
+		{"fastmatch_quality_truncated_total", "Sampling runs cut short before the guarantee held.",
 			func(m TableMetrics) float64 { return float64(m.QualityTruncatedRuns) }},
 		{"fastmatch_audit_runs_total", "Shadow audits attempted (exact re-executions of sampled answers).",
 			func(m TableMetrics) float64 { return float64(m.AuditRuns) }},
@@ -157,15 +157,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	// Answer-quality distributions and the last observed margin. The
-	// margin gauge is only meaningful after a quality-reporting run, so
-	// tables without one emit no series.
-	qm := pw.Gauge("fastmatch_quality_final_margin", "Most recent quality-reporting run's observed separation margin.")
+	// margin gauge is only meaningful after a sampling run, so tables
+	// without one emit no series.
+	qm := pw.Gauge("fastmatch_quality_final_margin", "Most recent sampling run's observed separation margin.")
 	for _, n := range names {
 		if tables[n].QualityRuns > 0 {
 			qm.Sample(tables[n].QualityFinalMargin, "table", n)
 		}
 	}
-	qr := pw.HistogramFamily("fastmatch_quality_rounds", "Stage-2 refinement rounds per quality-reporting run.")
+	qr := pw.HistogramFamily("fastmatch_quality_rounds", "Stage-2 refinement rounds per sampling run.")
 	for _, n := range names {
 		qr.Histogram(tables[n].QualityRoundsHist, "table", n)
 	}

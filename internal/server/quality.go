@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"math/rand/v2"
-	"net/http"
-	"sync"
 	"time"
 
 	"fastmatch/internal/engine"
@@ -13,11 +11,9 @@ import (
 // Answer-quality observability: the serving layer's view of how good the
 // probabilistic answers actually are. Two mechanisms feed it:
 //
-//   - Quality telemetry (engine.Options.Quality): per-round convergence
-//     state and a terminal report the engine computes during the run
-//     itself. Requested by clients ("quality": true) or switched on by
-//     the audit sampler; observational only — result bytes are identical
-//     either way.
+//   - Quality telemetry: per-round convergence state and a terminal
+//     report every sampling run computes as it goes. Clients see it with
+//     "quality": true; the query record keeps it either way.
 //   - Shadow audits: a configured fraction of completed sampling-executor
 //     answers is re-executed off the request path with the exact Scan
 //     executor (engine.AuditRun), yielding ground-truth precision@k,
@@ -25,85 +21,9 @@ import (
 //     (truncated) answers claimed no guarantee and are never audited,
 //     so the violation counter only ever reflects answers that did.
 //
-// Both land in a bounded ring served at GET /v1/debug/quality, in the
-// per-table counters (/v1/stats), and in the fastmatch_quality_* /
+// Both land in the request's query record (GET /v1/debug/queries/{id}),
+// in the per-table counters (/v1/stats), and in the fastmatch_quality_* /
 // fastmatch_audit_* Prometheus families (/metrics).
-
-// QualityEntry is one completed query's answer-quality record in the
-// debug ring: the engine's quality report, plus the shadow-audit verdict
-// when the query was sampled for auditing.
-type QualityEntry struct {
-	QueryID    string    `json:"query_id"`
-	Table      string    `json:"table"`
-	Executor   string    `json:"executor"`
-	RecordedAt time.Time `json:"recorded_at"`
-	// Quality is the engine's convergence report (present when the run
-	// collected quality telemetry).
-	Quality *engine.QualityReport `json:"quality,omitempty"`
-	// Audit is the shadow audit's ground-truth comparison (present when
-	// the query was sampled for auditing and the exact pass succeeded);
-	// AuditError records why an attempted audit failed.
-	Audit      *engine.Audit `json:"audit,omitempty"`
-	AuditError string        `json:"audit_error,omitempty"`
-}
-
-// qualityRing keeps the most recent quality entries for
-// GET /v1/debug/quality, newest first. Unlike the trace ring (slowest
-// wins) recency is the right order here: an operator asks "how good have
-// answers been lately", not "which was worst ever".
-type qualityRing struct {
-	mu      sync.Mutex
-	cap     int
-	entries []QualityEntry // newest first
-}
-
-// newQualityRing creates a ring keeping up to size entries; size < 0
-// disables recording entirely.
-func newQualityRing(size int) *qualityRing {
-	if size < 0 {
-		size = 0
-	}
-	return &qualityRing{cap: size}
-}
-
-// record offers one entry to the ring.
-func (r *qualityRing) record(e QualityEntry) {
-	if r.cap == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.entries = append(r.entries, QualityEntry{})
-	copy(r.entries[1:], r.entries)
-	r.entries[0] = e
-	if len(r.entries) > r.cap {
-		r.entries = r.entries[:r.cap]
-	}
-}
-
-// snapshot copies the current entries, newest first.
-func (r *qualityRing) snapshot() []QualityEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]QualityEntry, len(r.entries))
-	copy(out, r.entries)
-	return out
-}
-
-// QualityLogResponse is the body of GET /v1/debug/quality.
-type QualityLogResponse struct {
-	// Queries lists recent answer-quality records, newest first (at most
-	// Config.QualityRingSize).
-	Queries []QualityEntry `json:"queries"`
-}
-
-func (s *Server) handleDebugQuality(w http.ResponseWriter, _ *http.Request) {
-	entries := s.quality.snapshot()
-	if entries == nil {
-		entries = []QualityEntry{}
-	}
-	writeJSON(w, http.StatusOK, QualityLogResponse{Queries: entries})
-}
 
 // isSamplingExecutor reports whether the executor answers with a
 // probabilistic (ε, δ) guarantee — the only answers worth auditing
@@ -138,29 +58,17 @@ func (s *Server) auditSelected(e *tableEntry) bool {
 	return f > 0 && (f >= 1 || rand.Float64() < f)
 }
 
-// recordQuality publishes a completed query's answer-quality record: the
-// quality report goes to the debug ring immediately, and — when the
-// request was sampled for auditing — a shadow audit re-executes the query
-// exactly off the request path, with the ring entry following once the
-// verdict is in. The table entry stays held (pq retain/done) until the
-// audit finishes, and the audit re-runs the request's own plan, so the
-// exact pass always runs over the same data generation the approximate
-// answer saw.
-func (s *Server) recordQuality(pq *preparedQuery, res *engine.Result) {
-	entry := QualityEntry{
-		QueryID:    pq.id,
-		Table:      pq.req.Table,
-		Executor:   pq.opts.Executor.String(),
-		RecordedAt: time.Now(),
-		Quality:    res.Quality,
-	}
-	// Partial answers claimed no guarantee: record their (truncated)
-	// quality report but never audit them — a phantom violation count
-	// would indict the guarantee for a promise it never made.
-	if !pq.audit || res.Partial || len(res.TopK) == 0 {
-		if entry.Quality != nil {
-			s.quality.record(entry)
-		}
+// startAudit shadow-audits a completed answer when the table's audit
+// fraction selects it: the query is re-executed exactly off the request
+// path, and the verdict is filled into the request's query record by ID
+// once it is in. Partial answers claimed no guarantee and are never
+// audited — a phantom violation count would indict the guarantee for a
+// promise it never made. The table entry stays held (pq retain/done)
+// until the audit finishes, and the audit re-runs the request's own
+// plan, so the exact pass always runs over the same data generation the
+// approximate answer saw.
+func (s *Server) startAudit(pq *preparedQuery, res *engine.Result) {
+	if !isSamplingExecutor(pq.opts.Executor) || res.Partial || len(res.TopK) == 0 || !s.auditSelected(pq.entry) {
 		return
 	}
 	pq.retain()
@@ -168,9 +76,9 @@ func (s *Server) recordQuality(pq *preparedQuery, res *engine.Result) {
 	go func() {
 		defer s.auditWG.Done()
 		defer pq.done()
-		entry.Audit, entry.AuditError = s.runAudit(pq, res)
-		pq.entry.metrics.observeAudit(entry.Audit, entry.AuditError != "")
-		s.quality.record(entry)
+		audit, errMsg := s.runAudit(pq, res)
+		pq.entry.metrics.observeAudit(audit, errMsg != "")
+		s.queries.setAudit(pq.id, audit, errMsg)
 	}()
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,19 +15,21 @@ import (
 )
 
 // Answer-quality observability suite: the quality report on /v1/query,
-// the shadow-audit sampler, the /v1/debug/quality ring, and the
+// the shadow-audit sampler, the query log's records, and the
 // fastmatch_quality_* / fastmatch_audit_* metric families.
 
 // qualityReply mirrors the query response with the quality report and
-// the result kept raw for byte-level comparison.
+// the result kept raw for byte-level comparison; ID is the X-Query-ID
+// response header.
 type qualityReply struct {
+	ID      string                `json:"-"`
 	Cached  bool                  `json:"cached"`
 	Quality *engine.QualityReport `json:"quality"`
 	Result  json.RawMessage       `json:"result"`
 }
 
 // postQualityQuery sends a query request and decodes the reply including
-// the quality report.
+// the quality report and the query ID.
 func postQualityQuery(t testing.TB, url string, req QueryRequest) (int, qualityReply) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -38,7 +41,7 @@ func postQualityQuery(t testing.TB, url string, req QueryRequest) (int, qualityR
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out qualityReply
+	out := qualityReply{ID: resp.Header.Get("X-Query-ID")}
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
@@ -47,29 +50,59 @@ func postQualityQuery(t testing.TB, url string, req QueryRequest) (int, qualityR
 	return resp.StatusCode, out
 }
 
-// getQualityLog fetches /v1/debug/quality.
-func getQualityLog(t testing.TB, url string) QualityLogResponse {
+// getQueryLog fetches /v1/debug/queries, with ?order= when order is set.
+func getQueryLog(t testing.TB, url, order string) QueryLogResponse {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/debug/quality")
+	if order != "" {
+		order = "?order=" + order
+	}
+	resp, err := http.Get(url + "/v1/debug/queries" + order)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/debug/quality: %s", resp.Status)
+		t.Fatalf("GET /v1/debug/queries%s: %s", order, resp.Status)
 	}
-	var out QualityLogResponse
+	var out QueryLogResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
+// getQueryRecord fetches /v1/debug/queries/{id}; the record is decoded
+// only on 200.
+func getQueryRecord(t testing.TB, url, id string) (int, QueryRecord) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/debug/queries/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out QueryRecord
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, out
+}
+
+// mustQueryRecord is getQueryRecord for a record that must be there.
+func mustQueryRecord(t testing.TB, url, id string) QueryRecord {
+	t.Helper()
+	status, rec := getQueryRecord(t, url, id)
+	if status != http.StatusOK {
+		t.Fatalf("GET /v1/debug/queries/%s: %d", id, status)
+	}
+	return rec
+}
+
 // TestQualityReportInResponse checks the three contracts of
 // "quality": true — the report rides next to the result, the result
-// bytes are identical to an unadorned request's, and quality-carrying
-// requests bypass the result-cache read (a cached payload has no report
-// to attach).
+// bytes are identical to an unadorned request's, and a quality request
+// reads the result cache, whose entry carries the run's report.
 func TestQualityReportInResponse(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	req := baseRequest(9, "scanmatch")
@@ -108,18 +141,21 @@ func TestQualityReportInResponse(t *testing.T) {
 		t.Fatal("quality run must still publish its payload to the result cache")
 	}
 
-	// A second quality request must bypass the cache read (cached=false)
-	// yet still produce the same bytes.
+	// A second quality request is a cache hit that answers with the same
+	// bytes and the same report.
 	req.Quality = true
 	status, again := postQualityQuery(t, ts.URL, req)
 	if status != http.StatusOK {
 		t.Fatalf("repeat status %d", status)
 	}
-	if again.Cached {
-		t.Fatal("quality request must bypass the result-cache read")
+	if !again.Cached {
+		t.Fatal("quality request missed the result cache")
 	}
-	if again.Quality == nil || !bytes.Equal(again.Result, withQ.Result) {
-		t.Fatal("repeat quality run differs from the first")
+	if !bytes.Equal(again.Result, withQ.Result) {
+		t.Fatal("cached quality answer's bytes differ from the run's")
+	}
+	if !reflect.DeepEqual(again.Quality, withQ.Quality) {
+		t.Fatalf("cached quality report differs from the run's:\n%+v\nvs\n%+v", again.Quality, withQ.Quality)
 	}
 }
 
@@ -141,23 +177,19 @@ func TestExactExecutorNoQualityReport(t *testing.T) {
 // TestAuditSamplerGroundTruth forces the shadow audit on every query
 // (AuditFraction 1) and checks the full chain: the audit runs off-path,
 // its precision@k equals the test's own exact-ranking computation, and
-// the verdict lands in /v1/debug/quality, /v1/stats, and /metrics.
+// the verdict lands in the query's record, /v1/stats, and /metrics.
 func TestAuditSamplerGroundTruth(t *testing.T) {
 	s, tbl, ts := newTestServer(t, Config{AuditFraction: 1})
 	req := baseRequest(7, "scanmatch")
-	status, reply := postQuery(t, ts.URL, req)
+	status, reply := postQualityQuery(t, ts.URL, req)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
 	s.auditWG.Wait()
 
-	log := getQualityLog(t, ts.URL)
-	if len(log.Queries) != 1 {
-		t.Fatalf("quality ring has %d entries, want 1", len(log.Queries))
-	}
-	entry := log.Queries[0]
-	if entry.Table != "fixture" || entry.QueryID == "" {
-		t.Fatalf("bad entry identity: %+v", entry)
+	entry := mustQueryRecord(t, ts.URL, reply.ID)
+	if entry.Table != "fixture" || entry.QueryID != reply.ID {
+		t.Fatalf("bad record identity: %+v", entry)
 	}
 	if entry.AuditError != "" {
 		t.Fatalf("audit failed: %s", entry.AuditError)
@@ -261,12 +293,12 @@ func TestTruncatedRunFlaggedNotAudited(t *testing.T) {
 	}
 
 	s.auditWG.Wait()
-	log := getQualityLog(t, ts.URL)
-	if len(log.Queries) != 1 {
-		t.Fatalf("quality ring has %d entries, want 1", len(log.Queries))
+	rec := mustQueryRecord(t, ts.URL, reply.ID)
+	if rec.Quality == nil || !rec.Quality.Truncated {
+		t.Fatalf("truncated run's record: quality %+v", rec.Quality)
 	}
-	if log.Queries[0].Audit != nil || log.Queries[0].AuditError != "" {
-		t.Fatalf("truncated run was audited: %+v", log.Queries[0])
+	if rec.Audit != nil || rec.AuditError != "" {
+		t.Fatalf("truncated run was audited: %+v", rec)
 	}
 	tm := getStats(t, ts.URL).Tables["fixture"]
 	if tm.AuditRuns != 0 || tm.AuditGuaranteeViolations != 0 {
@@ -315,30 +347,42 @@ func TestPerTableAuditOverride(t *testing.T) {
 	}
 }
 
-// TestQualityRingBounded: the debug ring holds at most QualityRingSize
-// entries, newest first.
-func TestQualityRingBounded(t *testing.T) {
-	_, _, ts := newTestServer(t, Config{QualityRingSize: 2})
+// TestQueryLogBounded: the newest view holds at most QueryLogSize
+// records, newest first, and so does the slowest view.
+func TestQueryLogBounded(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{QueryLogSize: 2})
+	var ids []string
 	for seed := int64(1); seed <= 3; seed++ {
 		req := baseRequest(seed, "scanmatch")
 		req.Quality = true
-		if status, _ := postQualityQuery(t, ts.URL, req); status != http.StatusOK {
+		status, reply := postQualityQuery(t, ts.URL, req)
+		if status != http.StatusOK {
 			t.Fatalf("seed %d: status %d", seed, status)
 		}
+		ids = append(ids, reply.ID)
 	}
-	log := getQualityLog(t, ts.URL)
+	log := getQueryLog(t, ts.URL, "")
 	if len(log.Queries) != 2 {
-		t.Fatalf("ring has %d entries, want cap 2", len(log.Queries))
+		t.Fatalf("newest view has %d records, want cap 2", len(log.Queries))
 	}
-	if log.Queries[0].RecordedAt.Before(log.Queries[1].RecordedAt) {
-		t.Fatal("ring entries not newest-first")
+	if log.Queries[0].QueryID != ids[2] || log.Queries[1].QueryID != ids[1] {
+		t.Fatalf("newest view holds %s, %s; want %s, %s", log.Queries[0].QueryID, log.Queries[1].QueryID, ids[2], ids[1])
+	}
+	for _, r := range log.Queries {
+		if r.Quality == nil {
+			t.Fatalf("record %s of a sampling run has no quality report", r.QueryID)
+		}
+	}
+	if n := len(getQueryLog(t, ts.URL, "slowest").Queries); n != 2 {
+		t.Fatalf("slowest view has %d records, want cap 2", n)
 	}
 }
 
 // TestStreamCarriesQueryIDAndQuality: the stream's start frame carries
-// the query ID (for correlating with traces, logs, and the quality
-// ring) and a quality-requesting stream's result frame carries the
-// report.
+// the query ID (for correlating with logs and the query record), a
+// quality-requesting stream's result frame carries the report, and a
+// sampling run's round frames carry convergence telemetry whether or not
+// the report was asked for.
 func TestStreamCarriesQueryIDAndQuality(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	req := baseRequest(13, "scanmatch")
@@ -360,6 +404,21 @@ func TestStreamCarriesQueryIDAndQuality(t *testing.T) {
 	}
 	if final.Quality == nil || final.Quality.Rounds < 0 {
 		t.Fatalf("result frame carries no quality report: %+v", final.Quality)
+	}
+
+	// Another seed, so the run is not a cache hit, without "quality".
+	req = baseRequest(14, "scanmatch")
+	status, frames = postStream(t, ts.URL, req)
+	if status != http.StatusOK || len(frames) < 3 {
+		t.Fatalf("plain stream status %d, %d frames", status, len(frames))
+	}
+	for i, f := range frames[1 : len(frames)-1] {
+		if f.Progress == nil || f.Progress.Quality == nil {
+			t.Fatalf("round frame %d carries no convergence telemetry: %+v", i+1, f.Progress)
+		}
+	}
+	if final := frames[len(frames)-1]; final.Type != "result" || final.Quality != nil {
+		t.Fatalf("plain stream's result frame: type %q, quality %+v", final.Type, final.Quality)
 	}
 }
 
@@ -413,7 +472,7 @@ func TestAuditRareTargetGradesAtRunSigma(t *testing.T) {
 			Stage1Samples: intp(10_000), Executor: "scanmatch", Seed: i64p(4),
 		},
 	}
-	status, reply := postQuery(t, ts.URL, req)
+	status, reply := postQualityQuery(t, ts.URL, req)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -436,11 +495,85 @@ func TestAuditRareTargetGradesAtRunSigma(t *testing.T) {
 	if tm.AuditGuaranteeViolations != 0 {
 		t.Fatalf("audit counted %d guarantee violations for a correct answer", tm.AuditGuaranteeViolations)
 	}
-	log := getQualityLog(t, ts.URL)
-	if len(log.Queries) != 1 || log.Queries[0].Audit == nil {
-		t.Fatalf("quality ring: %+v, want one audited entry", log.Queries)
+	rec := mustQueryRecord(t, ts.URL, reply.ID)
+	if rec.Audit == nil {
+		t.Fatalf("query record %+v, want an audit verdict", rec)
 	}
-	if a := log.Queries[0].Audit; a.GuaranteeViolations != 0 || a.PrecisionAtK != 1 {
+	if a := rec.Audit; a.GuaranteeViolations != 0 || a.PrecisionAtK != 1 {
 		t.Fatalf("audit verdict: %d violations, precision@k %g; want 0 and 1", a.GuaranteeViolations, a.PrecisionAtK)
+	}
+}
+
+// TestQueryRecordByID: a fastmatch query's one record is found by the
+// X-Query-ID it answered with, carrying what ran, where the time went,
+// how the estimate converged and — once the audit is in — whether the
+// answer kept its guarantee. An unknown ID is a 404.
+func TestQueryRecordByID(t *testing.T) {
+	s, _, ts := newTestServer(t, Config{AuditFraction: 1})
+	status, reply := postQualityQuery(t, ts.URL, baseRequest(21, "fastmatch"))
+	if status != http.StatusOK || reply.ID == "" {
+		t.Fatalf("status %d, query id %q", status, reply.ID)
+	}
+	s.auditWG.Wait()
+	rec := mustQueryRecord(t, ts.URL, reply.ID)
+	if rec.QueryID != reply.ID || rec.Table != "fixture" || rec.Executor != "FastMatch" {
+		t.Fatalf("record identity: %+v", rec)
+	}
+	if rec.Outcome != "ok" || rec.Status != http.StatusOK || rec.Cached || rec.DurationNS <= 0 {
+		t.Fatalf("record outcome: %s %d cached=%v duration=%d", rec.Outcome, rec.Status, rec.Cached, rec.DurationNS)
+	}
+	if rec.Trace.QueryID != reply.ID || rec.Trace.Find("run") == nil {
+		t.Fatalf("record trace: %+v", rec.Trace)
+	}
+	if rec.Quality == nil || !rec.Quality.GuaranteeMet {
+		t.Fatalf("record quality: %+v", rec.Quality)
+	}
+	if rec.Audit == nil || rec.AuditError != "" {
+		t.Fatalf("record audit %+v, error %q", rec.Audit, rec.AuditError)
+	}
+
+	if status, _ := getQueryRecord(t, ts.URL, "0123456789abcdef"); status != http.StatusNotFound {
+		t.Fatalf("unknown query id: %d, want 404", status)
+	}
+	resp, err := http.Get(ts.URL + "/v1/debug/queries?order=fastest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown order: %s, want 400", resp.Status)
+	}
+}
+
+// TestCacheHitRecord: a result-cache hit leaves its own record, flagged
+// cached, with the report of the run that filled the cache; a failed
+// request leaves one too.
+func TestCacheHitRecord(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	req := baseRequest(23, "scanmatch")
+	status, run := postQualityQuery(t, ts.URL, req)
+	if status != http.StatusOK || run.Cached {
+		t.Fatalf("first request: status %d cached=%v", status, run.Cached)
+	}
+	status, hit := postQualityQuery(t, ts.URL, req)
+	if status != http.StatusOK || !hit.Cached {
+		t.Fatalf("repeat: status %d cached=%v", status, hit.Cached)
+	}
+	runRec, hitRec := mustQueryRecord(t, ts.URL, run.ID), mustQueryRecord(t, ts.URL, hit.ID)
+	if runRec.Cached || !hitRec.Cached {
+		t.Fatalf("records cached=%v and %v, want false and true", runRec.Cached, hitRec.Cached)
+	}
+	if hitRec.Quality == nil || !reflect.DeepEqual(hitRec.Quality, runRec.Quality) {
+		t.Fatalf("hit record's quality %+v, want the run's %+v", hitRec.Quality, runRec.Quality)
+	}
+
+	req.Table = "no-such-table"
+	status, failed := postQualityQuery(t, ts.URL, req)
+	if status != http.StatusNotFound {
+		t.Fatalf("unknown table: status %d", status)
+	}
+	rec := mustQueryRecord(t, ts.URL, failed.ID)
+	if rec.Outcome != "failed" || rec.Status != http.StatusNotFound || rec.Executor != "" {
+		t.Fatalf("failed request's record: %+v", rec)
 	}
 }

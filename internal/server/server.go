@@ -49,8 +49,8 @@ type Config struct {
 	// query-shape plans, keyed per table); 0 selects 256, < 0 disables.
 	PlanCacheSize int
 	// ResultCacheSize bounds the result cache (entries are encoded result
-	// payloads keyed by the full request fingerprint); 0 selects 1024,
-	// < 0 disables.
+	// payloads with their runs' quality reports, keyed by the full
+	// request fingerprint); 0 selects 1024, < 0 disables.
 	ResultCacheSize int
 	// EnableAdmin exposes POST /v1/admin/load, letting clients load
 	// arbitrary file paths readable by the process — leave off unless the
@@ -70,10 +70,11 @@ type Config struct {
 	// request at or past it is logged at Warn level with its full span
 	// tree attached.
 	SlowQuery time.Duration
-	// TraceRingSize bounds the in-memory ring of slowest recent traces
-	// served at GET /v1/debug/traces; 0 selects 32, < 0 disables the
-	// ring (the endpoint then always answers with an empty list).
-	TraceRingSize int
+	// QueryLogSize bounds each view of the in-memory query log served at
+	// GET /v1/debug/queries: the newest records and the slowest of the
+	// last 15 minutes. 0 selects 32, < 0 disables the log (the list
+	// endpoint then answers with an empty list, and every lookup 404s).
+	QueryLogSize int
 	// AuditFraction is the fraction (0..1) of completed sampling-executor
 	// answers to shadow-audit: re-execute the plan with the exact Scan
 	// executor off the request path and compare (precision@k, rank
@@ -83,10 +84,6 @@ type Config struct {
 	// scans: they take regular admission slots, so they compete with —
 	// but never exceed — the serving concurrency bound.
 	AuditFraction float64
-	// QualityRingSize bounds the in-memory ring of recent answer-quality
-	// records (quality reports + shadow-audit verdicts) served at
-	// GET /v1/debug/quality; 0 selects 32, < 0 disables the ring.
-	QualityRingSize int
 }
 
 // Server serves FastMatch queries over registered tables. Create with
@@ -96,13 +93,12 @@ type Server struct {
 	cfg     Config
 	reg     *registry
 	plans   *lruCache[string, *engine.Plan]
-	results *lruCache[string, []byte]
+	results *lruCache[string, cachedResult]
 	adm     *admission
 	mux     *http.ServeMux
 	started time.Time
 	log     *slog.Logger
-	traces  *traceRing
-	quality *qualityRing
+	queries *queryLog
 	// auditWG tracks in-flight shadow audits; tests wait on it to observe
 	// audit outcomes deterministically.
 	auditWG sync.WaitGroup
@@ -129,24 +125,20 @@ func New(cfg Config) *Server {
 	if cfg.ResultCacheSize == 0 {
 		cfg.ResultCacheSize = 1024
 	}
-	if cfg.TraceRingSize == 0 {
-		cfg.TraceRingSize = 32
-	}
-	if cfg.QualityRingSize == 0 {
-		cfg.QualityRingSize = 32
+	if cfg.QueryLogSize == 0 {
+		cfg.QueryLogSize = 32
 	}
 	log := logx.OrDiscard(cfg.Logger)
 	s := &Server{
 		cfg:     cfg,
 		reg:     newRegistry(log),
 		plans:   newLRUCache[string, *engine.Plan](cfg.PlanCacheSize),
-		results: newLRUCache[string, []byte](cfg.ResultCacheSize),
+		results: newLRUCache[string, cachedResult](cfg.ResultCacheSize),
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxWait),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 		log:     log,
-		traces:  newTraceRing(cfg.TraceRingSize),
-		quality: newQualityRing(cfg.QualityRingSize),
+		queries: newQueryLog(cfg.QueryLogSize),
 	}
 	s.routes()
 	return s

@@ -32,14 +32,13 @@ type StreamFrame struct {
 	Type string `json:"type"`
 	// QueryID identifies the request (the X-Query-ID header value),
 	// carried on the start frame so stream consumers can correlate the
-	// run with traces, logs, and /v1/debug/quality without reading
-	// response headers.
+	// run with logs and its record at /v1/debug/queries/{id} without
+	// reading response headers.
 	QueryID string `json:"query_id,omitempty"`
 	// Progress carries interim run state ("progress" frames). The first
 	// frame of every stream is a progress frame with phase "start",
-	// emitted before the run begins. When the request set "quality":
-	// true, round frames carry convergence telemetry (Progress.Quality,
-	// per-match CI).
+	// emitted before the run begins. A sampling run's round frames carry
+	// its convergence telemetry (Progress.Quality, per-match CI).
 	Progress *engine.Progress `json:"progress,omitempty"`
 	// Table/Cached/DurationNS/Trace/Quality/Result mirror the blocking
 	// endpoint's response ("result" frames); Trace and Quality are
@@ -85,7 +84,7 @@ func (k *streamSink) frame(f StreamFrame) {
 
 // begin opens the stream with a start frame carrying the query ID:
 // clients can render "query accepted" immediately and correlate the
-// stream with traces and audit records, and even a cached or instant
+// stream with its query record, and even a cached or instant
 // answer keeps the progress-then-result frame shape.
 func (k *streamSink) begin(queryID string) func(engine.Progress) {
 	k.w.Header().Set("Content-Type", "application/x-ndjson")

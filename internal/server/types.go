@@ -33,11 +33,11 @@ type QueryRequest struct {
 	// for untraced requests to reuse.
 	Trace bool `json:"trace,omitempty"`
 	// Quality asks for the run's answer-quality report in the response
-	// (the "quality" field) and per-round convergence telemetry in stream
-	// progress frames. Sampling executors only (scan/parallelscan answer
-	// exactly and ignore it). Like Trace, quality requests bypass the
-	// result-cache read but the result bytes are byte-identical either
-	// way — collection is purely observational.
+	// (the "quality" field). Every sampling run collects it, and its
+	// stream round frames carry per-round convergence telemetry, whether
+	// or not it was asked for; a cache hit answers with the report of the
+	// run that filled the cache. Sampling executors only (scan and
+	// parallelscan answer exactly and report none).
 	Quality bool `json:"quality,omitempty"`
 }
 

@@ -126,38 +126,42 @@ PW1="$(printf '%s' "$RW1" | sed 's/.*"result"://')"
 PW4="$(printf '%s' "$RW4" | sed 's/.*"result"://')"
 [ "$PW1" = "$PW4" ] || { echo "workers=4 result differs from workers=1" >&2; echo "w1: $PW1" >&2; echo "w4: $PW4" >&2; exit 1; }
 
-echo "== traced query returns a span tree with the same result bytes; ring exposes it"
+echo "== traced query returns a span tree with the same result bytes; its query record carries it"
 TQUERY="$(printf '%s' "$QUERY" | sed 's/^{/{"trace":true,/')"
-RT="$(curl -fsS -X POST "$BASE/v1/query" -d "$TQUERY")"
+RT="$(curl -fsS -D "$TMP/traced.headers" -X POST "$BASE/v1/query" -d "$TQUERY")"
+TID="$(grep -i '^x-query-id:' "$TMP/traced.headers" | cut -d' ' -f2 | tr -d '\r')"
+[ -n "$TID" ] || { echo "traced response carries no X-Query-ID" >&2; exit 1; }
 echo "$RT" | grep -q '"trace":{'      || { echo "no trace in traced response: $RT" >&2; exit 1; }
 echo "$RT" | grep -q '"name":"run"'   || { echo "no run span in trace: $RT" >&2; exit 1; }
 echo "$RT" | grep -q '"cached":false' || { echo "traced request served from cache: $RT" >&2; exit 1; }
 PT="$(printf '%s' "$RT" | sed 's/.*"result"://')"
 [ "$P1" = "$PT" ] || { echo "traced result differs from untraced" >&2; echo "plain:  $P1" >&2; echo "traced: $PT" >&2; exit 1; }
-DT="$(curl -fsS "$BASE/v1/debug/traces")"
-echo "$DT" | grep -q '"query_id":' || { echo "debug trace ring empty: $DT" >&2; exit 1; }
+DT="$(curl -fsS "$BASE/v1/debug/queries/$TID")"
+echo "$DT" | grep -q "\"query_id\":\"$TID\"" || { echo "query record is not the traced request's: $DT" >&2; exit 1; }
+echo "$DT" | grep -q '"name":"run"'             || { echo "query record has no run span: $DT" >&2; exit 1; }
+curl -fsS "$BASE/v1/debug/queries?order=slowest" | grep -q '"query_id":' || { echo "slowest query view empty" >&2; exit 1; }
 curl -fsS "$BASE/healthz" | grep -q '"table_status":' || { echo "healthz missing table_status" >&2; exit 1; }
 
-echo "== quality-requesting query returns a convergence report next to identical result bytes"
+echo "== quality-requesting query is a cache hit that returns the run's convergence report next to identical result bytes"
 QQUERY="$(printf '%s' "$QUERY" | sed 's/^{/{"quality":true,/')"
 RQ="$(curl -fsS -X POST "$BASE/v1/query" -d "$QQUERY")"
 echo "$RQ" | grep -q '"quality":{'           || { echo "no quality report in: $RQ" >&2; exit 1; }
 echo "$RQ" | grep -q '"guarantee_met":true'  || { echo "quality report does not claim the guarantee: $RQ" >&2; exit 1; }
 echo "$RQ" | grep -Eq '"rounds":[0-9]'       || { echo "quality report missing rounds: $RQ" >&2; exit 1; }
-echo "$RQ" | grep -q '"cached":false'        || { echo "quality request served from cache: $RQ" >&2; exit 1; }
+echo "$RQ" | grep -q '"cached":true'         || { echo "quality request missed the result cache: $RQ" >&2; exit 1; }
 PQ="$(printf '%s' "$RQ" | sed 's/.*"result"://')"
-[ "$P1" = "$PQ" ] || { echo "quality collection perturbed the result" >&2; echo "plain:   $P1" >&2; echo "quality: $PQ" >&2; exit 1; }
+[ "$P1" = "$PQ" ] || { echo "cached quality answer differs from the run's result bytes" >&2; echo "plain:   $P1" >&2; echo "quality: $PQ" >&2; exit 1; }
 
-echo "== shadow audits (audit=1 on flights) land in /v1/debug/quality and /metrics"
+echo "== shadow audits (audit=1 on flights) land in the audited query's record and /metrics"
 AUDITED=""
 for i in $(seq 1 50); do
-  DQ="$(curl -fsS "$BASE/v1/debug/quality")"
+  DQ="$(curl -fsS "$BASE/v1/debug/queries/$TID")"
   if printf '%s' "$DQ" | grep -q '"precision_at_k":'; then AUDITED=yes; break; fi
   sleep 0.1
 done
-[ -n "$AUDITED" ] || { echo "no audit verdict in /v1/debug/quality: $DQ" >&2; exit 1; }
-printf '%s' "$DQ" | grep -q '"audit":{'    || { echo "quality ring entry has no audit: $DQ" >&2; exit 1; }
-printf '%s' "$DQ" | grep -q '"query_id":'  || { echo "quality ring entry has no query id: $DQ" >&2; exit 1; }
+[ -n "$AUDITED" ] || { echo "no audit verdict in the record of query $TID: $DQ" >&2; exit 1; }
+printf '%s' "$DQ" | grep -q '"audit":{'    || { echo "query record has no audit: $DQ" >&2; exit 1; }
+printf '%s' "$DQ" | grep -q '"quality":{'  || { echo "query record has no quality report: $DQ" >&2; exit 1; }
 METRICS="$(curl -fsS "$BASE/metrics")"
 printf '%s\n' "$METRICS" | grep -Eq '^fastmatch_audit_runs_total\{table="flights"\} [1-9]' || { echo "/metrics shows no audit runs" >&2; exit 1; }
 printf '%s\n' "$METRICS" | grep -Eq '^fastmatch_audit_precision_at_k_count\{table="flights"\} [1-9]' || { echo "/metrics missing audit precision histogram" >&2; exit 1; }
