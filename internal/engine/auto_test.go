@@ -107,7 +107,7 @@ func TestAutoPicksSamplerWhenItCanSkip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return canonicalResult(t, res)
+		return canonicalAnswer(t, res)
 	}
 	tr := trace.New("auto")
 	auto := run(Auto, tr)

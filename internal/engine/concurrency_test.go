@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -157,5 +159,70 @@ func TestBuildCachePanicRecovery(t *testing.T) {
 	v, err := c.get("k", func() (int, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("get after panic = %d, %v; want 7, nil", v, err)
+	}
+}
+
+// TestBackendsConcurrent hammers both backends from many goroutines
+// (run with -race) and checks every run agrees with a precomputed
+// expectation — the mmap pages are shared and read-only, so concurrent
+// access must be free of both races and divergence.
+func TestBackendsConcurrent(t *testing.T) {
+	tbl := testDataset(t, 30_000, 15, 8, 6)
+	inmem := New(tbl)
+	for _, exec := range []Executor{Scan, FastMatch} {
+		opts := runOptions(exec, tbl.NumBlocks(), 4)
+		want, err := inmem.Run(baseQuery(), Target{Uniform: true}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agreeConcurrently(t, []*Engine{inmem, New(mmapTwin(t, tbl))}, baseQuery(), opts, canonicalAnswer(t, want))
+	}
+}
+
+// TestSkipConcurrentAgreement hammers the pruning path from several
+// goroutines per backend (run under -race) and checks every run agrees
+// with the same plan run without its skip masks.
+func TestSkipConcurrentAgreement(t *testing.T) {
+	tbl := skipTestTable(t)
+	for backend, eng := range backendEngines(t, tbl) {
+		for _, exec := range []Executor{Scan, ParallelScan, FastMatch} {
+			t.Run(fmt.Sprintf("%s/%s", backend, exec), func(t *testing.T) {
+				q := predQuery(t, eng, nil, "M", subRangeBinner(t), "z1", "z5")
+				p, err := eng.Prepare(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := runOptions(exec, eng.Source().NumBlocks(), 4)
+				ref, err := withoutSkipMasks(p).RunContext(context.Background(), Target{Uniform: true}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agreeConcurrently(t, []*Engine{eng}, q, opts, canonicalAnswer(t, ref))
+			})
+		}
+	}
+}
+
+// agreeConcurrently runs q on every engine from four goroutines each,
+// all at once, and reports every run whose answer is not want.
+func agreeConcurrently(t *testing.T, engines []*Engine, q Query, opts Options, want string) {
+	t.Helper()
+	results := make([]*Result, 4*len(engines))
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = engines[i%len(engines)].Run(q, Target{Uniform: true}, opts)
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Errorf("%s run %d: %v", opts.Executor, i, errs[i])
+		} else if got := canonicalAnswer(t, res); got != want {
+			t.Errorf("%s run %d diverged:\n%s\nvs\n%s", opts.Executor, i, got, want)
+		}
 	}
 }

@@ -208,11 +208,11 @@ func (e *Engine) RunContext(ctx context.Context, q Query, t Target, opts Options
 // *InvalidOptionsError before any target resolution or sampling work
 // starts. Every executor checks the context (its cancellation and
 // deadline) and Options.RowBudget at block-batch granularity and
-// unwinds cleanly when it fires: lookahead goroutines are joined, shared
-// caches stay consistent, and the engine returns a best-effort partial
-// Result (Partial set, ranked by the estimates at the stop point)
-// together with a typed error — ErrCanceled for context stops,
-// ErrBudgetExhausted for the row budget. A stop during target
+// unwinds cleanly when it fires: scan workers are joined (sampling
+// starts none), shared caches stay consistent, and the engine returns a
+// best-effort partial Result (Partial set, ranked by the estimates at
+// the stop point) together with a typed error — ErrCanceled for context
+// stops, ErrBudgetExhausted for the row budget. A stop during target
 // resolution or before any sampling returns a nil Result with the
 // error. Interim state streams through Options.OnProgress.
 //

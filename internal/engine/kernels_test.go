@@ -219,7 +219,7 @@ func (r *refKernel) matches(pred bitmap.Predicate, row int) bool {
 // reference's, and the tallies sum to the histogram totals.
 func TestAccumulatorMatchesScalarReference(t *testing.T) {
 	tbl := accumulatorTable(t)
-	backends := skipTestBackends(t, tbl)
+	backends := backendEngines(t, tbl)
 	shapes := map[string]map[string]Query{}
 	for backend, eng := range backends {
 		shapes[backend] = accumulatorShapes(t, tbl, eng)

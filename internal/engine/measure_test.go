@@ -143,3 +143,29 @@ func TestMeasureBiasedViewHistogramEstimate(t *testing.T) {
 		t.Fatalf("z1 SUM histogram L1 error %g", d)
 	}
 }
+
+// TestBackendEquivalenceMeasureBiasedView checks the derived-view path:
+// a view built from the mmap backend must equal one built from the heap
+// table (same seed, same multiplicities).
+func TestBackendEquivalenceMeasureBiasedView(t *testing.T) {
+	tbl := testDataset(t, 10_000, 10, 6, 9)
+	mt := mmapTwin(t, tbl)
+	va, err := MeasureBiasedView(tbl, "M", 5_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := MeasureBiasedView(mt, "M", 5_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if va.NumRows() != vb.NumRows() {
+		t.Fatalf("view rows diverge: %d vs %d", va.NumRows(), vb.NumRows())
+	}
+	ca, _ := va.Column("Z")
+	cb, _ := vb.Column("Z")
+	for i := 0; i < va.NumRows(); i++ {
+		if ca.Code(i) != cb.Code(i) {
+			t.Fatalf("view row %d diverges", i)
+		}
+	}
+}

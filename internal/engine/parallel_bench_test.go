@@ -21,7 +21,7 @@ func BenchmarkSampling(b *testing.B) {
 	}
 	for _, exec := range append([]Executor{Scan}, samplingExecutors()...) {
 		b.Run(exec.String(), func(b *testing.B) {
-			opts := equivOptions(exec, tbl.NumBlocks())
+			opts := runOptions(exec, tbl.NumBlocks(), 4)
 			tuples := int64(0)
 			for i := 0; i < b.N; i++ {
 				res, err := plan.RunWithTarget(target, opts)

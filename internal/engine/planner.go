@@ -130,9 +130,8 @@ func blockStatsOf(src colstore.Reader) colstore.BlockStats {
 // edge span (Bin assigns no group to such values, so no row in the block
 // can count). Candidate-side: a predicate-candidate query skips blocks
 // outside the union of all candidates' possible blocks (no predicate can
-// match there). Both prunes are sound by construction — a skipped block
-// provably contributes to no histogram — which the equivalence suite
-// verifies by re-reading pruned blocks.
+// match there). Both prunes are sound by construction: a skipped block
+// provably contributes to no histogram, which a test re-reads to verify.
 func (p *Plan) buildSkipMasks() {
 	nb := p.engine.src.NumBlocks()
 	if nb == 0 {

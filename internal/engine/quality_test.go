@@ -38,6 +38,20 @@ func qualityOffDigests(t *testing.T) map[string]string {
 	return d
 }
 
+// canonicalResult is the result JSON without the wall-clock Duration:
+// the bytes answerDigest hashes, so they must not change. The JSON
+// renders every Histogram as {}.
+func canonicalResult(t testing.TB, res *Result) string {
+	t.Helper()
+	c := *res
+	c.Duration = 0
+	b, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // answerDigest hashes a Result's canonical bytes together with every
 // match's histogram counts, which the canonical JSON does not carry.
 func answerDigest(t testing.TB, res *Result) string {
@@ -85,19 +99,19 @@ func TestQualityByteIdenticalAcrossExecutorsAndBackends(t *testing.T) {
 		})
 	}
 	cases := 0
-	for backend, eng := range skipTestBackends(t, skipTestTable(t)) {
+	for backend, eng := range backendEngines(t, skipTestTable(t)) {
 		for qname, q := range skipQueries(t, eng) {
 			for _, exec := range samplingExecutors() {
-				check(t, fmt.Sprintf("%s/%s/%s", backend, qname, exec), eng, q, equivOptions(exec, eng.Source().NumBlocks()))
+				check(t, fmt.Sprintf("%s/%s/%s", backend, qname, exec), eng, q, runOptions(exec, eng.Source().NumBlocks(), 4))
 				cases++
 			}
 		}
 	}
 	// The skip table's queries all exhaust it; at ε = 0.2 this table's
 	// runs stop on the guarantee before reading every row.
-	for backend, eng := range skipTestBackends(t, testDataset(t, 100_000, 20, 8, 5)) {
+	for backend, eng := range backendEngines(t, testDataset(t, 100_000, 20, 8, 5)) {
 		for _, exec := range samplingExecutors() {
-			opts := equivOptions(exec, eng.Source().NumBlocks())
+			opts := runOptions(exec, eng.Source().NumBlocks(), 4)
 			opts.Params.Epsilon = 0.2
 			check(t, fmt.Sprintf("%s/sampled/%s", backend, exec), eng, baseQuery(), opts)
 			cases++
@@ -111,7 +125,7 @@ func TestQualityByteIdenticalAcrossExecutorsAndBackends(t *testing.T) {
 func TestQualityProgressFramesCarryTelemetry(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 5)
 	eng := New(tbl)
-	opts := equivOptions(FastMatch, tbl.NumBlocks())
+	opts := runOptions(FastMatch, tbl.NumBlocks(), 4)
 	var frames []Progress
 	opts.OnProgress = func(p Progress) { frames = append(frames, p) }
 	res, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
@@ -175,7 +189,7 @@ func TestQualityTruncatedRunFlagged(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			eng := New(colstore.NewThrottledReader(tbl, tc.perBlock))
 			q := tc.query(t, eng)
-			opts := equivOptions(FastMatch, tbl.NumBlocks())
+			opts := runOptions(FastMatch, tbl.NumBlocks(), 4)
 			tc.tweak(&opts)
 			// Plan before the clock starts: planning is shared across
 			// runs and deliberately not cancellable.
@@ -233,7 +247,7 @@ func TestAuditMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := equivOptions(FastMatch, tbl.NumBlocks())
+	opts := runOptions(FastMatch, tbl.NumBlocks(), 4)
 	approx, err := plan.RunWithTarget(target, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -419,10 +433,10 @@ func TestAuditRefusesEmptyAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AuditRun(context.Background(), plan, target, nil, equivOptions(FastMatch, 1)); err == nil {
+	if _, err := AuditRun(context.Background(), plan, target, nil, runOptions(FastMatch, 1, 4)); err == nil {
 		t.Fatal("nil result audited")
 	}
-	if _, err := AuditRun(context.Background(), plan, target, &Result{}, equivOptions(FastMatch, 1)); err == nil {
+	if _, err := AuditRun(context.Background(), plan, target, &Result{}, runOptions(FastMatch, 1, 4)); err == nil {
 		t.Fatal("empty result audited")
 	}
 }
@@ -438,7 +452,7 @@ func TestAuditHonorsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := equivOptions(FastMatch, tbl.NumBlocks())
+	opts := runOptions(FastMatch, tbl.NumBlocks(), 4)
 	approx, err := plan.RunWithTarget(target, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"fastmatch/internal/core"
@@ -259,5 +260,38 @@ func TestStartBlockNormalization(t *testing.T) {
 		if bs.cursor < 0 || bs.cursor >= nb {
 			t.Fatalf("start %d normalized to out-of-range cursor %d", start, bs.cursor)
 		}
+	}
+}
+
+// TestSamplingRunsOnCallerGoroutine runs every sampling executor at
+// Workers: 4 with a row hook that samples runtime.NumGoroutine() on every
+// block it reads: a sampling run must never hold more goroutines than
+// existed before it started.
+func TestSamplingRunsOnCallerGoroutine(t *testing.T) {
+	tbl := testDataset(t, 40_000, 20, 8, 5)
+	hooked := &rowHookReader{Reader: tbl}
+	eng := New(hooked)
+	for _, exec := range samplingExecutors() {
+		t.Run(exec.String(), func(t *testing.T) {
+			peak := 0
+			hooked.set(func(int) {
+				if n := runtime.NumGoroutine(); n > peak {
+					peak = n
+				}
+			})
+			defer hooked.set(nil)
+			opts := runOptions(exec, tbl.NumBlocks(), 4)
+			base := runtime.NumGoroutine()
+			res, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.IO.BlocksRead == 0 || peak == 0 {
+				t.Fatal("run read no rows through the hook")
+			}
+			if peak > base {
+				t.Fatalf("%d goroutines during the run, %d before it", peak, base)
+			}
+		})
 	}
 }

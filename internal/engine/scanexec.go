@@ -248,7 +248,7 @@ func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, g
 	return res, stopErr
 }
 
-// rankExact ranks fully-accumulated per-candidate histograms the way the
+// RankExact ranks fully-accumulated per-candidate histograms the way the
 // exact pass does: σ pruning only on a complete pass (selectivities from
 // a truncated pass are biased), never-reached candidates dropped from a
 // partial ranking, k from Params.K or the KRange rule. Shared between
@@ -275,6 +275,9 @@ func RankExact(target *histogram.Histogram, params core.Params, hists []*histogr
 		}
 		dist[i] = params.Metric.Distance(hists[i], target)
 		ranked = append(ranked, i)
+	}
+	if ranked == nil && !complete { // TopK reads nil ids as every candidate
+		return nil, nil
 	}
 	k := params.K
 	if params.KRange.KMax > 0 {

@@ -14,41 +14,12 @@ import (
 	"fastmatch/internal/histogram"
 )
 
-// requireIdenticalResults asserts two exact results agree bit-for-bit:
-// same top-k order, same distances, same histogram counts, same pruning.
+// requireIdenticalResults asserts an exact result equals want bit for
+// bit: the answer, histogram counts included, and the IOStats.
 func requireIdenticalResults(t *testing.T, want, got *Result) {
 	t.Helper()
-	if !got.Exact {
-		t.Fatal("parallel result not exact")
-	}
-	if len(got.TopK) != len(want.TopK) {
-		t.Fatalf("topk size %d, want %d", len(got.TopK), len(want.TopK))
-	}
-	for i := range want.TopK {
-		w, g := want.TopK[i], got.TopK[i]
-		if g.ID != w.ID || g.Label != w.Label {
-			t.Fatalf("topk[%d] = %d %q, want %d %q", i, g.ID, g.Label, w.ID, w.Label)
-		}
-		if g.Distance != w.Distance {
-			t.Fatalf("topk[%d] distance %v != %v", i, g.Distance, w.Distance)
-		}
-		wc, gc := w.Histogram.Counts(), g.Histogram.Counts()
-		for j := range wc {
-			if wc[j] != gc[j] {
-				t.Fatalf("topk[%d] hist[%d] = %v, want %v", i, j, gc[j], wc[j])
-			}
-		}
-	}
-	if len(got.Pruned) != len(want.Pruned) {
-		t.Fatalf("pruned %d, want %d", len(got.Pruned), len(want.Pruned))
-	}
-	for i := range want.Pruned {
-		if got.Pruned[i] != want.Pruned[i] {
-			t.Fatalf("pruned[%d] = %q, want %q", i, got.Pruned[i], want.Pruned[i])
-		}
-	}
-	if got.IO.BlocksRead != want.IO.BlocksRead || got.IO.TuplesRead != want.IO.TuplesRead {
-		t.Fatalf("io %+v, want %+v", got.IO, want.IO)
+	if g, w := canonicalAnswer(t, got), canonicalAnswer(t, want); !got.Exact || g != w || got.IO != want.IO {
+		t.Fatalf("result diverges:\n%s %+v\nvs\n%s %+v", g, got.IO, w, want.IO)
 	}
 }
 
@@ -72,27 +43,6 @@ func TestParallelScanMatchesScan(t *testing.T) {
 		}
 		requireIdenticalResults(t, truth, res)
 	}
-}
-
-// TestParallelScanKnownCandidates covers the restricted-domain path of
-// the partitioned scan.
-func TestParallelScanKnownCandidates(t *testing.T) {
-	tbl := testDataset(t, 40_000, 12, 6, 22)
-	e := New(tbl)
-	z, _ := tbl.Column("Z")
-	q := baseQuery()
-	q.KnownCandidates = []string{z.Dict.Value(0), z.Dict.Value(1), z.Dict.Value(4)}
-	truth, err := e.Run(q, Target{Uniform: true}, Options{Params: testParams(), Executor: Scan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(q, Target{Uniform: true}, Options{
-		Params: testParams(), Executor: ParallelScan, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, truth, res)
 }
 
 // TestParallelScanPredicateCandidates covers the overlapping

@@ -28,8 +28,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := func() Options {
-		o := cancelOptions(Scan, tbl.NumBlocks())
-		o.Workers = 1
+		o := runOptions(Scan, tbl.NumBlocks(), 1)
 		return o
 	}
 

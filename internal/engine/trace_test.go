@@ -1,56 +1,12 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"fastmatch/internal/obs/trace"
 )
-
-// Trace equivalence suite: attaching a trace to a run must be invisible
-// to its answer. Every executor, on every storage backend, must return a
-// byte-identical Result (including IOStats — the observer only reads the
-// counters) with tracing on and off, and the span tree's per-span IO must
-// sum exactly to the run's Result.IO. The second property is what makes
-// traces trustworthy for debugging: no I/O the run performed is missing
-// from the tree, none is double-counted.
-
-func traceOptions(exec Executor, nb int) Options {
-	return equivOptions(exec, nb)
-}
-
-func TestTraceByteIdenticalAndIOSums(t *testing.T) {
-	tbl := skipTestTable(t)
-	for backend, eng := range skipTestBackends(t, tbl) {
-		for qname, q := range skipQueries(t, eng) {
-			for _, exec := range allExecutors() {
-				t.Run(fmt.Sprintf("%s/%s/%s", backend, qname, exec), func(t *testing.T) {
-					opts := traceOptions(exec, eng.Source().NumBlocks())
-					plain, err := eng.Run(q, Target{Uniform: true}, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tr := trace.New("test-query")
-					opts.Trace = tr
-					traced, err := eng.Run(q, Target{Uniform: true}, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tr.End()
-					if got, want := canonicalResult(t, traced), canonicalResult(t, plain); got != want {
-						t.Fatalf("traced run diverges from untraced:\n%s\nvs\n%s", got, want)
-					}
-					snap := tr.Snapshot()
-					if got, want := snap.SumIO(), trace.IO(traced.IO); got != want {
-						t.Fatalf("span IO sum %+v != result IO %+v", got, want)
-					}
-				})
-			}
-		}
-	}
-}
 
 // TestTraceSpanShape pins the documented tree: a "run" root carrying the
 // executor attribute, phase children for the sampling executors
@@ -81,8 +37,7 @@ func TestTraceSpanShape(t *testing.T) {
 
 	run := func(t *testing.T, exec Executor, workers int) trace.Snapshot {
 		t.Helper()
-		opts := traceOptions(exec, tbl.NumBlocks())
-		opts.Workers = workers
+		opts := runOptions(exec, tbl.NumBlocks(), workers)
 		tr := trace.New("shape")
 		opts.Trace = tr
 		if _, err := eng.Run(q, Target{Uniform: true}, opts); err != nil {
@@ -132,7 +87,7 @@ func TestTraceSpanShape(t *testing.T) {
 		// samplers need stage-2 rounds to separate them.
 		bq := skipQueries(t, eng)["binned-measure"]
 		for _, exec := range []Executor{ScanMatch, SyncMatch, FastMatch} {
-			opts := traceOptions(exec, tbl.NumBlocks())
+			opts := runOptions(exec, tbl.NumBlocks(), 4)
 			// A small stage-1 draw can't separate 8 live candidates at a
 			// tight epsilon, so stage 2 must run rounds.
 			opts.Params.Stage1Samples = 256
@@ -164,32 +119,4 @@ func TestTraceSpanShape(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestTraceInterruptedRunStillSums cancels a run mid-flight and checks
-// the salvage path: the partial result's IO must still equal the span
-// tree's sum (the residual lands in the closing "tail" span).
-func TestTraceInterruptedRunStillSums(t *testing.T) {
-	tbl := skipTestTable(t)
-	eng := New(tbl)
-	q := skipQueries(t, eng)["pred-cands"]
-	plan, err := eng.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := traceOptions(FastMatch, tbl.NumBlocks())
-	opts.RowBudget = 512 // interrupt long before exhaustion
-	tr := trace.New("interrupted")
-	opts.Trace = tr
-	res, err := plan.RunContext(context.Background(), Target{Uniform: true}, opts)
-	if res == nil {
-		t.Fatal(err)
-	}
-	if !res.Partial {
-		t.Fatal("MaxBlocks run was not partial; raise the table size or lower the budget")
-	}
-	tr.End()
-	if got, want := tr.Snapshot().SumIO(), trace.IO(res.IO); got != want {
-		t.Fatalf("interrupted span IO sum %+v != result IO %+v", got, want)
-	}
 }

@@ -81,8 +81,8 @@ func equivOptions(exec engine.Executor, nb int) engine.Options {
 	return engine.Options{
 		Params:   equivParams(),
 		Executor: exec,
-		// One marking window spans all blocks so FastMatch's async
-		// lookahead is deterministic (see the engine equivalence suite).
+		// One marking window spans all blocks, as in the engine's
+		// conformance matrix.
 		Lookahead:  nb + 1,
 		StartBlock: -1,
 		Seed:       11,

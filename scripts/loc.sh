@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # loc.sh prints ROADMAP.md's size ledger: non-test Go lines per part, one
-# line per ledger row, then the root-module total. The counting rule is
-# ROADMAP's: every .go file that is not a _test.go file, outside
-# benchmark/ (a nested module with its own go.mod).
+# line per ledger row, with the part's test lines beside them, then the
+# root-module totals. The counting rule is ROADMAP's: every .go file that
+# is not a _test.go file, outside benchmark/ (a nested module with its
+# own go.mod); test lines count the _test.go files the same way.
 #
 #   ./scripts/loc.sh             # print the ledger
-#   ./scripts/loc.sh -max 18500  # also exit 1 when the total exceeds 18,500
+#   ./scripts/loc.sh -max 18500  # also exit 1 when the non-test total exceeds 18,500
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,26 +15,33 @@ if [ "${1:-}" = "-max" ]; then
 	max="${2:?-max needs a line count}"
 fi
 
-# count PATH...: non-test .go lines under the paths.
-count() {
-	find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 -r cat | wc -l
+# lines NOT PATH...: lines of the .go files under the paths that are
+# test files, or with NOT = "!" that are not.
+lines() {
+	local not=$1
+	shift
+	find "$@" -name '*.go' $not -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 -r cat | wc -l
 }
+count() { lines '!' "$@"; }
+tests() { lines '' "$@"; }
 
-row() { printf '%-44s %s\n' "$1" "$2"; }
+row() { printf '%-44s %-28s %s\n' "$1" "$2" "$3"; }
 
+row "part" "non-test" "test"
 for part in server engine colstore ingest core expt cluster; do
-	row "$part" "$(count "./internal/$part")"
+	row "$part" "$(count "./internal/$part")" "$(tests "./internal/$part")"
 done
-small=""
+small="" smallTests=""
 for part in bitmap histogram obs datagen stats; do
 	small="${small:+$small / }$(count "./internal/$part")"
+	smallTests="${smallTests:+$smallTests / }$(tests "./internal/$part")"
 done
-row "bitmap / histogram / obs / datagen / stats" "$small"
-row "cmd/" "$(count ./cmd)"
-row "examples/" "$(count ./examples)"
-row "fastmatch.go" "$(count ./fastmatch.go)"
+row "bitmap / histogram / obs / datagen / stats" "$small" "$smallTests"
+row "cmd/" "$(count ./cmd)" "$(tests ./cmd)"
+row "examples/" "$(count ./examples)" "$(tests ./examples)"
+row "fastmatch.go" "$(count ./fastmatch.go)" "$(tests . -maxdepth 1)"
 total=$(count .)
-row "total" "$total"
+row "total" "$total" "$(tests .)"
 
 if [ -n "$max" ] && [ "$total" -gt "$max" ]; then
 	echo "non-test lines: $total exceeds the ROADMAP target of $max" >&2
