@@ -131,34 +131,49 @@ func allExecutors() []engine.Executor {
 // TestCoordinatedByteIdentical is the core contract: for K in {1,2,3}
 // shards and every requested executor, the coordinated answer equals the
 // single-node ParallelScan answer over the concatenated data
-// byte-for-byte — result and IOStats.
+// byte-for-byte — result and IOStats. A second input sets σ above every
+// candidate's selectivity: both sides then keep every candidate, as
+// HistSim's stage 1 does.
 func TestCoordinatedByteIdentical(t *testing.T) {
 	const rows = 40_000
 	tbl, _ := clusterDataset(t, rows, 1)
-	res, err := engine.New(tbl).Run(baseQuery(), engine.Target{Uniform: true}, clusterOptions(engine.ParallelScan))
-	if err != nil {
-		t.Fatalf("single-node: %v", err)
-	}
-	want := canonical(t, res)
-	for _, exec := range allExecutors() {
-		for k := 1; k <= 3; k++ {
-			t.Run(fmt.Sprintf("%s/k=%d", exec, k), func(t *testing.T) {
-				_, parts := clusterDataset(t, rows, k)
-				coord := New(shardSet(t, parts)...)
-				cres, err := coord.Run(context.Background(), engine.Target{Uniform: true}, clusterOptions(exec))
-				if err != nil {
-					t.Fatalf("coordinated: %v", err)
-				}
-				if cres.Degraded || len(cres.Missing) != 0 {
-					t.Fatalf("healthy cluster reported degraded: %+v", cres)
-				}
-				if got := canonical(t, cres.Result); got != want {
-					t.Fatalf("k=%d result diverges from single node:\n%s\nvs\n%s", k, got, want)
-				}
-				if cres.Result.IO != res.IO {
-					t.Fatalf("k=%d IOStats diverge: %+v vs %+v", k, cres.Result.IO, res.IO)
-				}
-			})
+	for _, in := range []struct {
+		name  string
+		sigma float64
+	}{{"", testParams().Sigma}, {"sigma-prunes-all/", 0.9}} {
+		options := func(exec engine.Executor) engine.Options {
+			o := clusterOptions(exec)
+			o.Params.Sigma = in.sigma
+			return o
+		}
+		res, err := engine.New(tbl).Run(baseQuery(), engine.Target{Uniform: true}, options(engine.ParallelScan))
+		if err != nil {
+			t.Fatalf("single-node: %v", err)
+		}
+		if in.sigma > 0.5 && (len(res.Pruned) != 0 || len(res.TopK) != testParams().K) {
+			t.Fatalf("σ %g: single node pruned %v and ranked %d", in.sigma, res.Pruned, len(res.TopK))
+		}
+		want := canonical(t, res)
+		for _, exec := range allExecutors() {
+			for k := 1; k <= 3; k++ {
+				t.Run(fmt.Sprintf("%s%s/k=%d", in.name, exec, k), func(t *testing.T) {
+					_, parts := clusterDataset(t, rows, k)
+					coord := New(shardSet(t, parts)...)
+					cres, err := coord.Run(context.Background(), engine.Target{Uniform: true}, options(exec))
+					if err != nil {
+						t.Fatalf("coordinated: %v", err)
+					}
+					if cres.Degraded || len(cres.Missing) != 0 {
+						t.Fatalf("healthy cluster reported degraded: %+v", cres)
+					}
+					if got := canonical(t, cres.Result); got != want {
+						t.Fatalf("k=%d result diverges from single node:\n%s\nvs\n%s", k, got, want)
+					}
+					if cres.Result.IO != res.IO {
+						t.Fatalf("k=%d IOStats diverge: %+v vs %+v", k, cres.Result.IO, res.IO)
+					}
+				})
+			}
 		}
 	}
 }

@@ -210,10 +210,10 @@ func NewMeasureColumn(name string, values []float64) *MeasureColumn {
 // columns, the zero-copy counterpart of Builder.Build for backends that
 // already hold columnar data (sealed ingest segments, ingest views).
 // Every column and measure must have exactly rows entries; blockSize ≤ 0
-// selects the default of 256.
+// selects DefaultBlockSize.
 func NewTable(blockSize, rows int, cols []*Column, measures []*MeasureColumn) (*Table, error) {
 	if blockSize <= 0 {
-		blockSize = 256
+		blockSize = DefaultBlockSize
 	}
 	if rows < 0 {
 		return nil, fmt.Errorf("colstore: negative row count %d", rows)
@@ -268,12 +268,16 @@ type Builder struct {
 	blockSize int
 }
 
+// DefaultBlockSize is the block size, in tuples, of every table built
+// without one. The paper's 600-byte column blocks hold 150 four-byte
+// codes; 256 is the nearest power of two above it.
+const DefaultBlockSize = 256
+
 // NewBuilder creates a builder with the given block size (tuples per
-// block). The paper's default of 600 bytes per column block corresponds to
-// 150 four-byte codes; we default to 256 when blockSize ≤ 0.
+// block); blockSize ≤ 0 selects DefaultBlockSize.
 func NewBuilder(blockSize int) *Builder {
 	if blockSize <= 0 {
-		blockSize = 256
+		blockSize = DefaultBlockSize
 	}
 	return &Builder{
 		colByName: make(map[string]int),

@@ -8,6 +8,13 @@
 //
 // Every stage-2 round asks the sampler for exactly the per-candidate
 // sample counts n'_i of the paper's Equation (1), with no I/O clamp.
+//
+// A run reports as it goes: after stage 1, after every stage-2 round and
+// after stage 3 it hands its Observer one Snapshot — the phase, the
+// samples drawn, the interim ranking with each candidate's confidence
+// interval, and the convergence telemetry (gap, slack, churn). That one
+// record per emission is the run's only interim view; the engine renders
+// both its progress frames and its trace phase spans from it.
 package core
 
 import (

@@ -17,25 +17,38 @@ import (
 // other errors wrapped in the same chain.
 var ErrInterrupted = errors.New("core: run interrupted")
 
-// Snapshot is the interim state Run reports through an Observer: where
-// the algorithm is, how much it has consumed, and its current best
-// ranking. TopK is ordered ascending by estimated distance; the estimates
-// carry no guarantee until the run terminates.
+// Snapshot is the one record of an emission: after stage 1, after every
+// stage-2 round and after stage 3, Run reports through its Observer where
+// the algorithm is, how much it has consumed, its current best ranking
+// and how that ranking is converging. The engine renders every interim
+// view of a run — progress frames and trace phase spans alike — from
+// these records. The estimates carry no guarantee until the run
+// terminates.
 type Snapshot struct {
 	// Phase is "stage1", "stage2", or "stage3".
 	Phase string
 	// Round is the stage-2 round just completed (0 outside stage 2).
 	Round int
-	// TopK is the current best-k by cumulative estimated distance.
-	TopK []histogram.Ranked
-	// ActiveCandidates counts candidates still under consideration
-	// (post-pruning).
+	// TopK is the current best-k by cumulative estimated distance,
+	// ascending, each entry with its confidence interval and evidence.
+	TopK []CandidateQuality
+	// ActiveCandidates and PrunedCandidates count the survivors of and
+	// casualties to stage-1 pruning.
 	ActiveCandidates int
+	PrunedCandidates int
 	// Drawn is the cumulative tuples consumed so far.
 	Drawn int64
-	// Quality is the emission's convergence telemetry. Its TopK entries
-	// are aligned with Snapshot.TopK.
-	Quality *RoundQuality
+	// Gap is the observed separation margin τ_(k+1) − τ_(k) over the
+	// ranked observed candidates (0 when fewer than k+1 are ranked).
+	Gap float64
+	// Slack is Gap − ε₁: the distance of the observed margin from the
+	// separation threshold. Positive slack means the current ranking
+	// separates by more than the guarantee demands; persistent negative
+	// slack predicts more rounds.
+	Slack float64
+	// Churn counts current top-k members absent from the previous
+	// emission's top-k (0 on the first emission).
+	Churn int
 }
 
 // Observer receives interim snapshots during a run. It is called
@@ -44,8 +57,8 @@ type Snapshot struct {
 // fast and must not block. A nil Observer costs nothing.
 type Observer func(Snapshot)
 
-// emit advances the quality accumulators and reports the current state
-// to the observer, if any. The interim ranking covers only observed
+// emit advances the churn accumulators and reports the current state to
+// the observer, if any. The interim ranking covers only observed
 // candidates, for the same reason salvage does: an empty estimate reads
 // as uniform, not as unknown.
 func (st *state) emit(phase string, round int) {
@@ -61,20 +74,36 @@ func (st *state) emit(phase string, round int) {
 	// One ranking serves both the top-k and the margin after it.
 	ranked := histogram.TopK(st.tau, st.observed(active), k+1)
 	top := ranked[:min(k, len(ranked))]
-	// Churn tracking advances with no observer attached too, so the final
-	// report's totals don't depend on who was listening.
-	q := st.roundQuality(phase, round, top, gapAfter(ranked, len(top)), active)
+	// Churn advances with no observer attached too, so the final report's
+	// total doesn't depend on who was listening.
+	churn := 0
+	cur := make(map[int]bool, len(top))
+	for _, rk := range top {
+		cur[rk.ID] = true
+		if st.prevTop != nil && !st.prevTop[rk.ID] {
+			churn++
+		}
+	}
+	st.prevTop = cur
+	st.qChurn += churn
 	if st.obs == nil {
 		return
 	}
-	st.obs(Snapshot{
+	s := Snapshot{
 		Phase:            phase,
 		Round:            round,
-		TopK:             top,
+		TopK:             make([]CandidateQuality, len(top)),
 		ActiveCandidates: len(active),
+		PrunedCandidates: st.res.Stats.PrunedCandidates,
 		Drawn:            st.drawn,
-		Quality:          q,
-	})
+		Gap:              gapAfter(ranked, len(top)),
+		Churn:            churn,
+	}
+	s.Slack = s.Gap - st.params.epsSeparation()
+	for i, rk := range top {
+		s.TopK[i] = st.candQuality(rk)
+	}
+	st.obs(s)
 }
 
 // salvage builds the best-effort partial answer after an interruption

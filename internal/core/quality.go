@@ -6,10 +6,10 @@ import (
 
 // Quality telemetry: HistSim's answer comes with a probabilistic contract
 // (precision ≥ 1−ε at confidence 1−δ), and this file makes the contract
-// observable. Every emission point (after stage 1, after each stage-2
-// round, after stage 3) computes a RoundQuality describing how the
-// estimates are converging, and the final Result carries a Quality
-// report describing how — and how trustworthily — the run terminated.
+// observable. Every emission (after stage 1, after each stage-2 round,
+// after stage 3) carries in its Snapshot how the estimates are
+// converging, and the final Result carries a Quality report describing
+// how — and how trustworthily — the run terminated.
 // Collection never changes the answer: it reads the cumulative estimates
 // the algorithm already maintains.
 
@@ -35,37 +35,12 @@ type CandidateQuality struct {
 	UnseenGroups int `json:"unseen_groups,omitempty"`
 }
 
-// RoundQuality is one emission's convergence telemetry.
-type RoundQuality struct {
-	// Phase and Round identify the emission ("stage1"/"stage2"/"stage3").
-	Phase string `json:"phase"`
-	Round int    `json:"round,omitempty"`
-	// Gap is the observed separation margin τ_(k+1) − τ_(k) over the
-	// ranked observed candidates (0 when fewer than k+1 are ranked).
-	Gap float64 `json:"gap"`
-	// Slack is Gap − ε₁: the distance of the observed margin from the
-	// separation threshold. Positive slack means the current ranking
-	// separates by more than the guarantee demands; persistent negative
-	// slack predicts more rounds.
-	Slack float64 `json:"slack"`
-	// Churn counts current top-k members absent from the previous
-	// emission's top-k (0 on the first emission).
-	Churn int `json:"churn"`
-	// ActiveCandidates and PrunedCandidates count the survivors of and
-	// casualties to stage-1 pruning.
-	ActiveCandidates int `json:"active_candidates"`
-	PrunedCandidates int `json:"pruned_candidates,omitempty"`
-	// TopK carries per-candidate quality aligned with the emission's
-	// ranking (Snapshot.TopK).
-	TopK []CandidateQuality `json:"topk,omitempty"`
-}
-
 // Quality is the final answer-quality report attached to every Result.
 type Quality struct {
 	// Rounds is the number of stage-2 rounds the run used.
 	Rounds int `json:"rounds"`
 	// FinalGap and FinalSlack are the terminal observed margin and its
-	// distance from ε₁ (see RoundQuality).
+	// distance from ε₁ (see Snapshot.Gap and Snapshot.Slack).
 	FinalGap   float64 `json:"final_gap"`
 	FinalSlack float64 `json:"final_slack"`
 	// Churn is the total top-k membership churn summed over emissions —
@@ -144,36 +119,6 @@ func gapAfter(ranked []histogram.Ranked, k int) float64 {
 		return 0
 	}
 	return ranked[k].Distance - ranked[k-1].Distance
-}
-
-// roundQuality computes the emission's convergence telemetry and folds it
-// into the run-level accumulators (total churn, previous top-k set).
-// top is the emission's ranking (Snapshot.TopK), gap the observed margin
-// after it, active the current candidate set.
-func (st *state) roundQuality(phase string, round int, top []histogram.Ranked, gap float64, active []int) *RoundQuality {
-	q := &RoundQuality{
-		Phase:            phase,
-		Round:            round,
-		ActiveCandidates: len(active),
-		PrunedCandidates: st.res.Stats.PrunedCandidates,
-		Gap:              gap,
-	}
-	q.Slack = q.Gap - st.params.epsSeparation()
-	cur := make(map[int]bool, len(top))
-	q.TopK = make([]CandidateQuality, len(top))
-	for i, rk := range top {
-		cur[rk.ID] = true
-		q.TopK[i] = st.candQuality(rk)
-		if st.prevTop != nil && !st.prevTop[rk.ID] {
-			q.Churn++
-		}
-	}
-	if st.prevTop == nil {
-		q.Churn = 0
-	}
-	st.prevTop = cur
-	st.qChurn += q.Churn
-	return q
 }
 
 // buildQuality assembles the final report after finalize() has re-ranked

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"fastmatch/internal/bitmap"
 	"fastmatch/internal/colstore"
 	"fastmatch/internal/core"
+	"fastmatch/internal/histogram"
 	"fastmatch/internal/ingest"
 	"fastmatch/internal/obs/trace"
 )
@@ -52,6 +54,9 @@ import (
 //	                          skip, stop, observers   and progress frames
 //	inmem, workers 1,         the same unobserved     bytes: answer, IOStats;
 //	observed                                          span IO sums to IOStats
+//	observed sampling cell    its own frames          each phase span: the
+//	                                                  frame's fields, the IO
+//	                                                  since the frame before
 //	inmem, workers 1, skip    the same with skip off  bytes: answer (budget
 //	on, no stop or budget                             rows count pruned blocks)
 //	inmem, workers 1, skip    nothing: a root         (the cancel trigger
@@ -64,11 +69,15 @@ import (
 //	                                                  + one block per worker,
 //	                                                  ≥ budget with skip off;
 //	                                                  ranks observed candidates
-//	every completed cell      its own run             exact: counts equal
-//	                                                  refHists; sampling:
-//	                                                  GuaranteeMet, and on
-//	                                                  the table's guarantee
-//	                                                  shapes no exhaustion
+//	every completed cell      its own run             σ prunes some
+//	                                                  candidate or none;
+//	                                                  exact: counts equal
+//	                                                  refHists, distances
+//	                                                  the metric's over them;
+//	                                                  sampling: GuaranteeMet,
+//	                                                  and on the table's
+//	                                                  guarantee shapes no
+//	                                                  exhaustion
 //	skip off                  its own run             prunes no block
 //
 // ParallelScan and Auto take Scan's cell as parent: the exact answer does
@@ -174,6 +183,7 @@ type matrixTable struct {
 type shape struct {
 	q      Query
 	target Target
+	params func(*core.Params) // applied after the table's; nil for none
 }
 
 // uniform pairs every query with the uniform target.
@@ -186,8 +196,8 @@ func uniform(qs map[string]Query) map[string]shape {
 }
 
 // matrixTables is the shape corpus: column, known and predicate
-// candidates × single, multi and binned X, a candidate target, and
-// sampling runs that stop on the guarantee.
+// candidates × single, multi and binned X, a candidate target, a σ that
+// prunes every candidate, and sampling runs that stop on the guarantee.
 var matrixTables = []matrixTable{
 	{
 		name:  "skip",
@@ -227,11 +237,17 @@ var matrixTables = []matrixTable{
 			if err != nil {
 				t.Fatal(err)
 			}
-			return uniform(map[string]Query{
+			s := uniform(map[string]Query{
 				"column":     baseQuery(),
 				"predicates": predQuery(t, eng, []string{"X"}, "", nil, "z1", "z2", "z4", "z6", "z7"),
 				"binned":     {Z: "Z", XMeasure: "M", XBins: bins},
 			})
+			// No candidate reaches σ = 0.5 (each holds about 1/8 of the
+			// rows), so HistSim keeps them all and the exact pass must
+			// too. Auto still resolves to Scan: need·4 ≥ σN.
+			s["sigma-prunes-all"] = shape{q: baseQuery(), target: Target{Uniform: true},
+				params: func(p *core.Params) { p.Sigma = 0.5 }}
+			return s
 		},
 		params:    func(p *core.Params) { p.Stage1Samples, p.Epsilon = 2048, 0.2 },
 		guarantee: func(Query) bool { return true },
@@ -373,17 +389,19 @@ type outcome struct {
 	res    *Result
 	err    error
 	answer string
-	frames []string  // progress frames, Elapsed zeroed
-	spanIO *trace.IO // the trace's span IO sum, when observed
+	frames []string        // progress frames, Elapsed zeroed
+	trace  *trace.Snapshot // the run's trace, when observed
 }
 
 // shapeMatrix runs one shape's cells.
 type shapeMatrix struct {
 	table    *matrixTable
 	shape    []shape // per backend
+	params   core.Params
 	hooks    []*rowHookReader
 	plans    []*Plan // per backend, with skip masks
 	refHists [][]float64
+	target   *histogram.Histogram // the shape's target, resolved on inmem
 	// resolveRows is how many rows the target resolution reads and
 	// charges to the run's guard: stop points are counted past it.
 	resolveRows int64
@@ -410,7 +428,12 @@ func TestConformanceMatrix(t *testing.T) {
 			sort.Strings(names)
 			for si, name := range names {
 				t.Run(name, func(t *testing.T) {
-					m := &shapeMatrix{table: mt, hooks: hooks, done: map[cell]outcome{}}
+					m := &shapeMatrix{table: mt, params: testParams(), hooks: hooks, done: map[cell]outcome{}}
+					for _, set := range []func(*core.Params){mt.params, shapes[0][name].params} {
+						if set != nil {
+							set(&m.params)
+						}
+					}
 					for b, eng := range engines {
 						sh := shapes[b][name]
 						m.shape = append(m.shape, sh)
@@ -441,7 +464,8 @@ func (m *shapeMatrix) prepare(t *testing.T) {
 	}
 	var rows atomic.Int64
 	m.hooks[0].set(func(n int) { rows.Add(int64(n)) })
-	_, err := p.ResolveTarget(m.shape[0].target, 1)
+	var err error
+	m.target, err = p.ResolveTarget(m.shape[0].target, 1)
 	m.hooks[0].set(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -505,9 +529,7 @@ func (m *shapeMatrix) exec(t *testing.T, c cell) outcome {
 		p = withoutSkipMasks(p)
 	}
 	opts := runOptions(c.exec, p.engine.src.NumBlocks(), c.workers)
-	if m.table.params != nil {
-		m.table.params(&opts.Params)
-	}
+	opts.Params = m.params
 	var o outcome
 	var tr *trace.Trace
 	if c.observe {
@@ -540,8 +562,8 @@ func (m *shapeMatrix) exec(t *testing.T, c cell) outcome {
 	o.answer = canonicalAnswer(t, o.res)
 	if tr != nil {
 		tr.End()
-		sum := tr.Snapshot().SumIO()
-		o.spanIO = &sum
+		sn := tr.Snapshot()
+		o.trace = &sn
 	}
 	return o
 }
@@ -551,10 +573,15 @@ func (m *shapeMatrix) checkAlone(t *testing.T, c cell, o outcome) {
 	t.Helper()
 	res, q, bs := o.res, m.shape[c.backend].q, int64(m.plans[c.backend].blockSize)
 	fail := t.Errorf
-	if o.spanIO != nil && *o.spanIO != trace.IO(res.IO) {
-		fail("span IO sum %+v, result IO %+v", *o.spanIO, res.IO)
-	}
 	exact := c.exec == Scan || c.exec == ParallelScan || c.exec == Auto
+	if o.trace != nil {
+		if sum := o.trace.SumIO(); sum != trace.IO(res.IO) {
+			fail("span IO sum %+v, result IO %+v", sum, res.IO)
+		}
+		if !exact {
+			checkStory(t, o.frames, o.trace.Find("run"))
+		}
+	}
 	if exact != (res.Quality == nil) {
 		fail("quality report %+v", res.Quality)
 		return
@@ -587,10 +614,18 @@ func (m *shapeMatrix) checkAlone(t *testing.T, c cell, o outcome) {
 			fail("completed run: err %v, partial %v, exact %v", o.err, res.Partial, res.Exact)
 			return
 		}
+		if n := len(res.Pruned); n > 0 && n == len(m.refHists) {
+			fail("σ pruned all %d candidates", n)
+		}
 		if exact {
 			for _, mt := range res.TopK {
-				if want := m.refHists[mt.ID]; !slices.Equal(mt.Histogram.Counts(), want) {
+				want := m.refHists[mt.ID]
+				if !slices.Equal(mt.Histogram.Counts(), want) {
 					fail("candidate %s counts %v, reference loop %v", mt.Label, mt.Histogram.Counts(), want)
+					continue
+				}
+				if d := m.params.Metric.Distance(histogram.FromCounts(want), m.target); mt.Distance != d {
+					fail("candidate %s at distance %g, reference %g", mt.Label, mt.Distance, d)
 				}
 			}
 			return
@@ -627,6 +662,41 @@ func (m *shapeMatrix) checkAlone(t *testing.T, c cell, o outcome) {
 		if mt.Histogram == nil || mt.Histogram.Total() == 0 {
 			fail("partial result ranks never-observed candidate %s", mt.Label)
 		}
+	}
+}
+
+// checkStory holds a sampling run's phase spans to its progress frames:
+// one span per frame, in order, named for the frame's phase, with the
+// frame's fields as attrs and the IO between the frame before it and it.
+// A "tail" span may follow, carrying IO read after the last frame.
+func checkStory(t *testing.T, frames []string, run *trace.SpanSnapshot) {
+	t.Helper()
+	spans := run.Children
+	if n := len(spans); n > 0 && spans[n-1].Name == "tail" {
+		spans = spans[:n-1]
+	}
+	if len(spans) != len(frames) {
+		t.Errorf("%d phase spans for %d progress frames", len(spans), len(frames))
+		return
+	}
+	var prev IOStats
+	for i, raw := range frames {
+		var f Progress
+		if err := json.Unmarshal([]byte(raw), &f); err != nil {
+			t.Fatal(err)
+		}
+		name := f.Phase
+		if f.Phase == "stage2" {
+			name = fmt.Sprintf("stage2.round%d", f.Round)
+		}
+		attrs := map[string]any{"drawn": f.SamplesDrawn, "active_candidates": f.ActiveCandidates,
+			"gap": f.Quality.Gap, "slack": f.Quality.Slack, "churn": f.Quality.Churn}
+		sp, io := spans[i], trace.IO(ioDelta(f.IO, prev))
+		if sp.Name != name || !reflect.DeepEqual(sp.Attrs, attrs) || sp.IO == nil || *sp.IO != io {
+			t.Errorf("span %d %s %v IO %+v tells another story than frame %s (IO since the last frame %+v)",
+				i, sp.Name, sp.Attrs, sp.IO, raw, io)
+		}
+		prev = f.IO
 	}
 }
 

@@ -77,12 +77,13 @@ type Options struct {
 	// single-threaded exact baseline by definition; ParallelScan is its
 	// parallel counterpart.
 	Workers int
-	// OnProgress, when non-nil, receives interim run state: sampling
-	// executors emit after stage 1, after every HistSim round, and after
-	// stage 3; the sequential Scan executor emits every few hundred
-	// blocks. Callbacks run synchronously on the run's goroutine(s) —
-	// they must be fast and must not block. A nil OnProgress adds no
-	// work to the run. OnProgress does not affect the result and is
+	// OnProgress, when non-nil, receives interim run state as Progress
+	// frames: sampling executors emit after stage 1, after every HistSim
+	// round, and after stage 3; the sequential Scan executor emits every
+	// few hundred blocks. Callbacks run synchronously, one at a time, on
+	// the goroutine doing the run's work — they must be fast and must
+	// not block. A run with neither OnProgress nor Trace does no
+	// observation work. OnProgress does not affect the result and is
 	// excluded from Options.Fingerprint.
 	OnProgress func(Progress)
 	// RowBudget, when > 0, caps the tuples a run may read across all
@@ -96,13 +97,16 @@ type Options struct {
 	// round, stage 3 for the sampling executors; one span per worker for
 	// the exact scans), each carrying the IOStats delta attributed to
 	// that phase, plus a "resolve_target" span on the RunContext path.
-	// Spans are recorded from the hooks OnProgress already uses, at the
-	// same discipline: a nil Trace adds no work to the run (no
-	// allocations, no branches on the per-row paths), and tracing never
-	// affects the result. Trace is excluded from Options.Fingerprint —
-	// like OnProgress it is observational — and traced responses must
-	// not be served from result caches keyed by fingerprint (the serving
-	// layer bypasses its result-cache read for traced requests).
+	// A sampling phase's span and its Progress frame render one stamped
+	// emission: the span's attrs are the frame's fields, and its IO is
+	// the difference of consecutive frames' IO (a closing "tail" span
+	// carries IO read after the last frame). A nil Trace adds no work to
+	// the run (no allocations, no branches on the per-row paths), and
+	// tracing never affects the result. Trace is excluded from
+	// Options.Fingerprint — like OnProgress it is observational — and
+	// traced responses must not be served from result caches keyed by
+	// fingerprint (the serving layer bypasses its result-cache read for
+	// traced requests).
 	Trace *trace.Trace
 }
 
@@ -273,18 +277,16 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 		runSpan.SetAttr("auto_c", auto.C)
 	}
 	defer runSpan.End()
+	var rec *runRecord // nil for an unobserved run
+	if opts.OnProgress != nil || opts.Trace != nil {
+		rec = &runRecord{began: began, onProgress: opts.OnProgress, span: runSpan, at: began}
+	}
 	if opts.Executor == Scan || opts.Executor == ParallelScan {
 		workers := 1
 		if opts.Executor == ParallelScan {
 			workers = opts.Workers
 		}
-		var emit func(io IOStats)
-		if opts.OnProgress != nil {
-			emit = func(io IOStats) {
-				opts.OnProgress(Progress{Phase: "scan", IO: io, Elapsed: time.Since(began)})
-			}
-		}
-		res, err := p.runScan(target, opts, workers, guard, emit, runSpan)
+		res, err := p.runScan(target, opts, workers, guard, rec)
 		if res == nil {
 			return nil, err
 		}
@@ -297,88 +299,100 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 		start = rand.New(rand.NewSource(opts.Seed)).Intn(nb)
 	}
 	bs := p.newSampler(opts, start, guard)
-	obs, obsClose := runObserver(began, opts, bs.Stats, p.cand.labelOf, runSpan)
-	defer obsClose()
-	coreRes, err := core.RunObserved(bs, target, opts.Params, obs)
+	coreRes, err := core.RunObserved(bs, target, opts.Params, rec.observer(bs.Stats, p.cand.labelOf))
+	rec.finish(bs.Stats())
 	if err != nil && (coreRes == nil || !interrupted(err)) {
 		return nil, err
 	}
 	return samplingResult(coreRes, bs.Stats(), time.Since(began), groupLabels(p.grp), p.cand.labelOf), err
 }
 
-// runObserver builds the OnProgress/trace observer for a sampling run:
-// each core emission (after stage 1, every stage-2 round, stage 3) cuts
-// a phase span carrying the IOStats delta since the previous one and/or
-// a Progress frame. Tracing forces an observer on even when OnProgress
-// is nil — the cost sits on the per-round path, never the per-row path,
-// and results are unchanged (the guarantee OnProgress pins in its
-// perturbation test). The returned closer must run after the core run:
-// an interrupted run salvages without a final emission, and a few I/O
-// counters land after the last one, so it folds the residual into a
-// closing "tail" span keeping the tree's IO summing to the run's total.
-func runObserver(began time.Time, opts Options, stats func() IOStats, labelOf func(int) string, runSpan *trace.Span) (core.Observer, func()) {
-	traced := opts.Trace != nil
-	if opts.OnProgress == nil && !traced {
-		return nil, func() {}
+// runRecord is an observed run's one record of what it reported. Every
+// emission — a sampling phase's end (after stage 1, every stage-2 round,
+// stage 3) or a sequential scan's interval — is stamped once, with the
+// time and the run's cumulative IO, as a Progress frame. OnProgress
+// receives the frame; a traced sampling run also gets a span per phase
+// cut from it, whose IO is the difference of two consecutive stamps and
+// whose attrs are the frame's fields. Exact scans trace their workers
+// instead (see scanExec.run). The record is nil when the run has neither
+// OnProgress nor a Trace, so an unobserved run does no observation work.
+type runRecord struct {
+	began      time.Time
+	onProgress func(Progress)
+	span       *trace.Span // the run span; nil when untraced
+	at         time.Time   // the last stamp's time
+	io         IOStats     // the last stamp's cumulative IO
+}
+
+// emit stamps one frame, f.IO being the run's cumulative IO, and renders
+// it: a phase span for a traced sampling frame, then the frame itself for
+// OnProgress. It runs on the run's goroutine (a scan's only worker).
+func (r *runRecord) emit(f Progress) {
+	now := time.Now()
+	f.Elapsed = now.Sub(r.began)
+	if r.span != nil && f.Phase != "scan" {
+		name := f.Phase
+		if f.Phase == "stage2" {
+			name = fmt.Sprintf("stage2.round%d", f.Round)
+		}
+		sp := r.span.ChildAt(name, r.at)
+		sp.SetAttr("drawn", f.SamplesDrawn)
+		sp.SetAttr("active_candidates", f.ActiveCandidates)
+		sp.SetAttr("gap", f.Quality.Gap)
+		sp.SetAttr("slack", f.Quality.Slack)
+		sp.SetAttr("churn", f.Quality.Churn)
+		sp.SetIO(trace.IO(ioDelta(f.IO, r.io)))
+		sp.EndAt(now)
 	}
-	phaseStart := began
-	var phaseIO IOStats
-	obs := func(s core.Snapshot) {
-		if traced {
-			now := time.Now()
-			cur := stats()
-			name := s.Phase
-			if s.Phase == "stage2" {
-				name = fmt.Sprintf("stage2.round%d", s.Round)
-			}
-			sp := runSpan.ChildAt(name, phaseStart)
-			sp.SetAttr("drawn", s.Drawn)
-			sp.SetAttr("active_candidates", s.ActiveCandidates)
-			sp.SetAttr("gap", s.Quality.Gap)
-			sp.SetAttr("slack", s.Quality.Slack)
-			sp.SetAttr("churn", s.Quality.Churn)
-			sp.SetIO(trace.IO(ioDelta(cur, phaseIO)))
-			sp.EndAt(now)
-			phaseStart, phaseIO = now, cur
-		}
-		if opts.OnProgress == nil {
-			return
-		}
-		pr := Progress{
+	r.at, r.io = now, f.IO
+	if r.onProgress != nil {
+		r.onProgress(f)
+	}
+}
+
+// observer turns core's per-emission Snapshot into the record's frame;
+// nil for an unobserved run.
+func (r *runRecord) observer(stats func() IOStats, labelOf func(int) string) core.Observer {
+	if r == nil {
+		return nil
+	}
+	return func(s core.Snapshot) {
+		f := Progress{
 			Phase:            s.Phase,
 			Round:            s.Round,
 			ActiveCandidates: s.ActiveCandidates,
 			SamplesDrawn:     s.Drawn,
 			IO:               stats(),
-			Elapsed:          time.Since(began),
 			Quality: &ProgressQuality{
-				Gap:              s.Quality.Gap,
-				Slack:            s.Quality.Slack,
-				Churn:            s.Quality.Churn,
-				PrunedCandidates: s.Quality.PrunedCandidates,
+				Gap:              s.Gap,
+				Slack:            s.Slack,
+				Churn:            s.Churn,
+				PrunedCandidates: s.PrunedCandidates,
 			},
 		}
 		if len(s.TopK) > 0 {
-			pr.TopK = make([]ProgressMatch, len(s.TopK))
-			for i, rk := range s.TopK {
-				// Quality entries are aligned with Snapshot.TopK by the
-				// core contract.
-				pr.TopK[i] = ProgressMatch{ID: rk.ID, Label: labelOf(rk.ID), Distance: rk.Distance, CI: s.Quality.TopK[i].CI}
+			f.TopK = make([]ProgressMatch, len(s.TopK))
+			for i, c := range s.TopK {
+				f.TopK[i] = ProgressMatch{ID: c.ID, Label: labelOf(c.ID), Distance: c.Distance, CI: c.CI}
 			}
 		}
-		opts.OnProgress(pr)
+		r.emit(f)
 	}
-	closer := func() {}
-	if traced {
-		closer = func() {
-			if resid := ioDelta(stats(), phaseIO); resid != (IOStats{}) {
-				sp := runSpan.ChildAt("tail", phaseStart)
-				sp.SetIO(trace.IO(resid))
-				sp.End()
-			}
-		}
+}
+
+// finish closes a traced sampling run's record. An interrupted run
+// salvages without a final emission, and a few I/O counters land after
+// the last one, so it folds the residual into a closing "tail" span,
+// keeping the tree's IO summing to the run's total.
+func (r *runRecord) finish(io IOStats) {
+	if r == nil || r.span == nil {
+		return
 	}
-	return obs, closer
+	if resid := ioDelta(io, r.io); resid != (IOStats{}) {
+		sp := r.span.ChildAt("tail", r.at)
+		sp.SetIO(trace.IO(resid))
+		sp.End()
+	}
 }
 
 // samplingResult converts a core sampling result into an engine Result.

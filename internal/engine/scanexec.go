@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,27 +31,18 @@ type scanExec struct {
 	// guard, when non-nil, is consulted once per block so a canceled or
 	// budget-capped scan unwinds promptly with partial accumulators.
 	guard *runGuard
-	// emit, when non-nil, receives an I/O snapshot every
-	// scanProgressInterval blocks. It is only set for single-worker
-	// scans: parallel workers race, so their interleaving (and thus any
-	// frame sequence) would be nondeterministic.
-	emit func(io IOStats)
 	// skip, when non-nil, marks blocks whose statistics prove no
 	// qualifying row; sweep consumes them virtually (rows charged to
 	// guards and totals, nothing read).
 	skip *bitmap.Bitset
-	// span, when non-nil, is the traced run's parent span: the merge
-	// barrier records one child span per worker (the blocks it swept,
-	// wall time, and IOStats). Nil for untraced runs and target resolution —
-	// workers then take no timestamps and pay nothing.
-	span *trace.Span
-}
-
-// scanPartialTimes is the per-worker wall-clock pair recorded only for
-// traced runs.
-type scanPartialTimes struct {
-	began time.Time
-	ended time.Time
+	// rec, when non-nil, is the observed run's record. A single-worker
+	// sweep emits a "scan" frame to it every scanProgressInterval blocks
+	// (parallel workers race, so their interleaving — and thus any frame
+	// sequence — would be nondeterministic); on a traced run the merge
+	// barrier cuts one span per worker under its run span (the blocks it
+	// swept, wall time, and IOStats). Nil for unobserved runs and target
+	// resolution — workers then take no timestamps and pay nothing.
+	rec *runRecord
 }
 
 // scanProgressInterval is how many blocks a sequential scan reads between
@@ -79,11 +71,11 @@ func (p *Plan) newScanExec(workers int) *scanExec {
 
 // scanPartial is one worker's private accumulators.
 type scanPartial struct {
-	hists []*histogram.Histogram // nil for candidates with no counted row
-	io    IOStats
-	rows  int64
-	err   error             // guard termination, if the worker was interrupted
-	times *scanPartialTimes // non-nil only for traced runs
+	hists        []*histogram.Histogram // nil for candidates with no counted row
+	io           IOStats
+	rows         int64
+	err          error     // guard termination, if the worker was interrupted
+	began, ended time.Time // the worker's wall clock, taken only on traced runs
 }
 
 // blockCursor hands out the blocks of one run in order, in chunks, to
@@ -121,8 +113,9 @@ func (c *blockCursor) claim() (lo, hi int, ok bool) {
 // and counts match the pruning-off sweep exactly.
 func (s *scanExec) sweep(cur *blockCursor, only *bitmap.Bitset) *scanPartial {
 	part := &scanPartial{}
-	if s.span != nil {
-		part.times = &scanPartialTimes{began: time.Now()}
+	traced := s.rec != nil && s.rec.span != nil
+	if traced {
+		part.began = time.Now()
 	}
 	kern := s.plan.newKernel(false) // per-worker, folded on return
 chunks:
@@ -149,14 +142,14 @@ chunks:
 				part.io.TuplesRead += n
 				part.rows += n
 			}
-			if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
-				s.emit(part.io)
+			if s.rec != nil && s.workers == 1 && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
+				s.rec.emit(Progress{Phase: "scan", IO: part.io})
 			}
 		}
 	}
 	part.hists = kern.fold()
-	if part.times != nil {
-		part.times.ended = time.Now()
+	if traced {
+		part.ended = time.Now()
 	}
 	return part
 }
@@ -194,11 +187,11 @@ func (s *scanExec) run(only *bitmap.Bitset) ([]*histogram.Histogram, IOStats, in
 		if part.err != nil && stopErr == nil {
 			stopErr = part.err
 		}
-		if s.span != nil && part.times != nil {
-			sp := s.span.ChildAt(fmt.Sprintf("worker%d", w), part.times.began)
+		if !part.began.IsZero() {
+			sp := s.rec.span.ChildAt(fmt.Sprintf("worker%d", w), part.began)
 			sp.SetAttr("blocks", part.io.BlocksRead+part.io.BlocksPruned)
 			sp.SetIO(trace.IO(part.io))
-			sp.EndAt(part.times.ended)
+			sp.EndAt(part.ended)
 		}
 		for i, h := range part.hists {
 			if h == nil {
@@ -232,14 +225,11 @@ func (p *Plan) scanCandidate(id, workers int, guard *runGuard) (*histogram.Histo
 // (guard fired) instead returns a best-effort Result — Partial set, no σ
 // pruning (selectivities from a truncated pass are biased), candidates
 // ranked by their partial histograms — alongside the termination error.
-func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, guard *runGuard, emit func(io IOStats), span *trace.Span) (*Result, error) {
+func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, guard *runGuard, rec *runRecord) (*Result, error) {
 	ex := p.newScanExec(workers)
 	ex.guard = guard
-	ex.span = span
+	ex.rec = rec
 	ex.skip = p.skipAll
-	if ex.workers == 1 {
-		ex.emit = emit
-	}
 	hists, io, totalRows, stopErr := ex.run(nil)
 	res := &Result{Exact: stopErr == nil, Partial: stopErr != nil, IO: io}
 	res.TopK, res.Pruned = RankExact(target, opts.Params, hists, totalRows, stopErr == nil, p.cand.labelOf)
@@ -250,21 +240,22 @@ func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, g
 
 // RankExact ranks fully-accumulated per-candidate histograms the way the
 // exact pass does: σ pruning only on a complete pass (selectivities from
-// a truncated pass are biased), never-reached candidates dropped from a
-// partial ranking, k from Params.K or the KRange rule. Shared between
-// runScan and the cluster coordinator's scatter-gather Scan path, which
-// ranks globally summed shard histograms — keeping it shared is what
-// makes the coordinated top-k byte-identical to the single-node one.
+// a truncated pass are biased) and, as in HistSim's stage 1, none at all
+// when σ would prune every candidate; never-reached candidates dropped
+// from a partial ranking; k from Params.K or the KRange rule. Shared
+// between runScan and the cluster coordinator's scatter-gather Scan path,
+// which ranks globally summed shard histograms — keeping it shared is
+// what makes the coordinated top-k byte-identical to the single-node one.
 func RankExact(target *histogram.Histogram, params core.Params, hists []*histogram.Histogram,
 	totalRows int64, complete bool, labelOf func(int) string) (topK []Match, pruned []string) {
+	common := func(h *histogram.Histogram) bool { return h.Total()/float64(totalRows) >= params.Sigma }
+	prune := complete && params.Sigma > 0 && slices.ContainsFunc(hists, common)
 	dist := make([]float64, len(hists))
 	var ranked []int
 	for i := range hists {
-		if complete && params.Sigma > 0 {
-			if sel := hists[i].Total() / float64(totalRows); sel < params.Sigma {
-				pruned = append(pruned, labelOf(i))
-				continue
-			}
+		if prune && !common(hists[i]) {
+			pruned = append(pruned, labelOf(i))
+			continue
 		}
 		if !complete && hists[i].Total() == 0 {
 			// Never-reached candidate: its empty histogram normalizes

@@ -20,9 +20,8 @@ import (
 type Config struct {
 	// Rows per dataset (default 1_000_000).
 	Rows int
-	// BlockSize in tuples (default 256 ≈ the paper's 600-byte blocks of
-	// 4-byte codes... the paper used 150; both work, see the block-size
-	// ablation).
+	// BlockSize in tuples (default colstore.DefaultBlockSize, the size
+	// the daemon serves; see the block-size ablation).
 	BlockSize int
 	// Seed drives dataset generation and run randomization.
 	Seed int64
@@ -49,11 +48,7 @@ func (c Config) WithDefaults() Config {
 		c.Rows = 1_000_000
 	}
 	if c.BlockSize == 0 {
-		// The paper's 600-byte column blocks hold 150 4-byte codes; 32
-		// keeps σ·blockSize — the skippability of blocks when only rare
-		// candidates remain active — proportionate at scaled-down dataset
-		// sizes.
-		c.BlockSize = 32
+		c.BlockSize = colstore.DefaultBlockSize
 	}
 	if c.Epsilon == 0 {
 		// The paper's ε = 0.04 at 600M rows: the Theorem-1 sample demand

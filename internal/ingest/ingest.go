@@ -49,6 +49,8 @@ import (
 	"fmt"
 	"log/slog"
 	"time"
+
+	"fastmatch/internal/colstore"
 )
 
 // Sentinel errors callers branch on (errors.Is). Serving layers map
@@ -78,8 +80,8 @@ type Schema struct {
 	// Measures lists the numeric measure column names (non-negative
 	// values, matching the batch loader's measure contract).
 	Measures []string `json:"measures,omitempty"`
-	// BlockSize is the tuples-per-block granularity; ≤ 0 selects the
-	// colstore default of 256.
+	// BlockSize is the tuples-per-block granularity; ≤ 0 selects
+	// colstore.DefaultBlockSize.
 	BlockSize int `json:"block_size,omitempty"`
 }
 
@@ -89,7 +91,7 @@ func (s *Schema) validate() error {
 		return fmt.Errorf("ingest: schema needs at least one column")
 	}
 	if s.BlockSize <= 0 {
-		s.BlockSize = 256
+		s.BlockSize = colstore.DefaultBlockSize
 	}
 	if s.BlockSize > 1<<31 { // the snapshot format's bound
 		return fmt.Errorf("ingest: block size %d out of range", s.BlockSize)
