@@ -90,13 +90,16 @@ func (c *Coordinator) Run(ctx context.Context, t engine.Target, opts engine.Opti
 	if err := st.stopCheck(); err != nil {
 		return nil, err
 	}
+	// Every coordinated run is one exact pass, which counts every
+	// candidate: a candidate target is only looked up here and taken
+	// from the merged partials (see run), so it costs no shard call.
 	rsp := opts.Trace.Start("resolve_target")
-	target, err := st.resolveTarget(ctx, t)
+	target, targetID, err := engine.MaterializeTarget(t, st.groups, st.nCand, st.labelOf)
 	rsp.End()
 	if err != nil {
 		return nil, err
 	}
-	return st.run(ctx, target)
+	return st.run(ctx, target, targetID)
 }
 
 // shardRun is one shard's per-run state, owned by the coordinator.
@@ -278,56 +281,6 @@ func (st *runState) segmentFailed(sr *shardRun, err error) error {
 	return nil
 }
 
-// resolveTarget resolves the query target across the shard set:
-// explicit and uniform targets resolve locally; candidate targets by an
-// exact scatter-gather scan of the candidate's blocks. Target I/O is
-// excluded from the run's IOStats (the single-node contract) but its
-// rows are charged against the budget, exactly as the shared guard
-// charges them intra-node.
-func (st *runState) resolveTarget(ctx context.Context, t engine.Target) (*histogram.Histogram, error) {
-	return engine.MaterializeTarget(t, st.groups, len(st.labels), func(i int) string { return st.labels[i] },
-		func(id int) (*histogram.Histogram, error) { return st.resolveCandidateTarget(ctx, id) })
-}
-
-// resolveCandidateTarget sums the candidate's exact local histograms. A
-// shard failure here is an error, not degradation: a target missing a
-// shard's rows would silently change the question being asked (the
-// single-node analogue — an interrupted target scan — errors too).
-func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histogram.Histogram, error) {
-	h := histogram.New(st.groups)
-	mkReq := func() *engine.ShardSegment {
-		return &engine.ShardSegment{
-			Kind:            engine.SegTarget,
-			Workers:         st.opts.Workers,
-			TargetCandidate: id,
-		}
-	}
-	err := st.each(ctx, mkReq, func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
-		var part *core.Batch
-		if err == nil {
-			part, err = st.decodePartial(res)
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: target resolution on shard %q: %w", sr.shard.Name(), err)
-		}
-		st.charged += part.Drawn
-		sr.segments++
-		if res.Stopped != "" {
-			return res.StopError(st.budget, st.charged)
-		}
-		if ph := part.Hists[id]; ph != nil {
-			if err := h.AddHistogram(ph); err != nil {
-				return fmt.Errorf("cluster: target resolution on shard %q: %w", sr.shard.Name(), err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // finish attaches per-shard statuses to the engine result.
 func (st *runState) finish(res *engine.Result) *Result {
 	out := &Result{Result: res, Degraded: st.degraded}
@@ -343,11 +296,20 @@ func (st *runState) finish(res *engine.Result) *Result {
 			s.Rows = sr.meta.Rows
 		}
 		out.Shards = append(out.Shards, s)
+	}
+	out.Missing = st.missing()
+	return out
+}
+
+// missing names the shards that did not contribute, in row-range order.
+func (st *runState) missing() []string {
+	var names []string
+	for _, sr := range st.shards {
 		if sr.dead {
-			out.Missing = append(out.Missing, sr.shard.Name())
+			names = append(names, sr.shard.Name())
 		}
 	}
-	return out
+	return names
 }
 
 // each sends one segment to every live shard and hands each response to
@@ -357,7 +319,7 @@ func (st *runState) finish(res *engine.Result) *Result {
 // because folds are integer-sum merges. Budgeted runs chain the shards
 // sequentially with the residual budget instead: their stops are charged
 // in row order, so concurrent shards would race the stop point.
-func (st *runState) each(ctx context.Context, mkReq func() *engine.ShardSegment,
+func (st *runState) each(ctx context.Context, seg engine.ShardSegment,
 	fold func(*shardRun, *engine.ShardSegmentResult, error) error) error {
 	if st.budget > 0 {
 		for _, sr := range st.walk {
@@ -367,9 +329,9 @@ func (st *runState) each(ctx context.Context, mkReq func() *engine.ShardSegment,
 			if err := st.stopCheck(); err != nil {
 				return err
 			}
-			req := mkReq()
+			req := seg
 			req.RowBudget = st.residualBudget()
-			res, err := sr.shard.Segment(ctx, req)
+			res, err := sr.shard.Segment(ctx, &req)
 			if err := fold(sr, res, err); err != nil {
 				return err
 			}
@@ -390,7 +352,8 @@ func (st *runState) each(ctx context.Context, mkReq func() *engine.ShardSegment,
 	ch := make(chan response, len(live))
 	for _, sr := range live {
 		go func(sr *shardRun) {
-			res, err := sr.shard.Segment(ctx, mkReq())
+			req := seg
+			res, err := sr.shard.Segment(ctx, &req)
 			ch <- response{sr, res, err}
 		}(sr)
 	}

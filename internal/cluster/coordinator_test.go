@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -201,43 +202,97 @@ func TestCoordinatedCandidateTarget(t *testing.T) {
 	}
 }
 
+// countingShard counts the segment calls its shard answers.
+type countingShard struct {
+	Shard
+	segments atomic.Int64
+}
+
+func (c *countingShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*engine.ShardSegmentResult, error) {
+	c.segments.Add(1)
+	return c.Shard.Segment(ctx, seg)
+}
+
+// TestCoordinatedOneSegmentPerShard: a coordinated query, whatever its
+// executor and target, costs each live shard exactly one segment call —
+// a candidate target comes from the merged scan partials, not from a
+// round of its own — budgeted or not, and each shard's status says so.
+func TestCoordinatedOneSegmentPerShard(t *testing.T) {
+	_, parts := clusterDataset(t, 40_000, 3)
+	for _, target := range []engine.Target{{Uniform: true}, {Candidate: "Z_1"}} {
+		for _, exec := range allExecutors() {
+			for _, budget := range []int64{0, 40_000} {
+				shards := shardSet(t, parts)
+				counted := make([]*countingShard, len(shards))
+				for i, sh := range shards {
+					counted[i] = &countingShard{Shard: sh}
+					shards[i] = counted[i]
+				}
+				opts := clusterOptions(exec)
+				opts.RowBudget = budget
+				cres, err := New(shards...).Run(context.Background(), target, opts)
+				if err != nil || !cres.Result.Exact {
+					t.Fatalf("%+v %s budget=%d: err %v", target, exec, budget, err)
+				}
+				for i, c := range counted {
+					if n, st := c.segments.Load(), cres.Shards[i].Segments; n != 1 || st != 1 {
+						t.Fatalf("%+v %s budget=%d: shard %s answered %d segments, status says %d; want 1",
+							target, exec, budget, c.Name(), n, st)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCoordinatedBudgetPartial pins the interruption contract: whatever
 // executor is requested, a row budget must stop a coordinated run at the
 // same block as the single-node Scan — identical partial result bytes,
-// identical typed error text.
+// identical typed error text. A candidate target is the candidate's
+// histogram at that stop point on both sides.
 func TestCoordinatedBudgetPartial(t *testing.T) {
 	const rows = 40_000
 	tbl, _ := clusterDataset(t, rows, 1)
 	single := engine.New(tbl)
-	for _, exec := range allExecutors() {
-		for _, budget := range []int64{3_000, 12_000} {
-			t.Run(fmt.Sprintf("%s/budget=%d", exec, budget), func(t *testing.T) {
-				opts := clusterOptions(engine.Scan)
-				opts.RowBudget = budget
-				res, err := single.Run(baseQuery(), engine.Target{Uniform: true}, opts)
-				if err == nil || !errors.Is(err, engine.ErrBudgetExhausted) {
-					t.Fatalf("single-node: expected budget stop, got %v", err)
-				}
-				for k := 2; k <= 3; k++ {
-					_, parts := clusterDataset(t, rows, k)
-					coord := New(shardSet(t, parts)...)
-					copts := clusterOptions(exec)
-					copts.RowBudget = budget
-					cres, cerr := coord.Run(context.Background(), engine.Target{Uniform: true}, copts)
-					if cerr == nil || !errors.Is(cerr, engine.ErrBudgetExhausted) {
-						t.Fatalf("k=%d: expected budget stop, got %v", k, cerr)
-					}
-					if cerr.Error() != err.Error() {
-						t.Fatalf("k=%d stop error diverges: %q vs %q", k, cerr, err)
-					}
-					if res == nil || cres == nil {
-						t.Fatalf("k=%d: missing partial result (%v, %v)", k, res, cres)
-					}
-					if got, want := canonical(t, cres.Result), canonical(t, res); got != want {
-						t.Fatalf("k=%d partial result diverges:\n%s\nvs\n%s", k, got, want)
-					}
-				}
-			})
+	for _, tc := range []struct {
+		name   string
+		target engine.Target
+	}{{"", engine.Target{Uniform: true}}, {"/target=Z_1", engine.Target{Candidate: "Z_1"}}} {
+		for _, exec := range allExecutors() {
+			for _, budget := range []int64{3_000, 12_000} {
+				t.Run(fmt.Sprintf("%s/budget=%d%s", exec, budget, tc.name), func(t *testing.T) {
+					budgetPartial(t, single, rows, exec, budget, tc.target)
+				})
+			}
+		}
+	}
+}
+
+// budgetPartial runs one TestCoordinatedBudgetPartial case.
+func budgetPartial(t *testing.T, single *engine.Engine, rows int, exec engine.Executor, budget int64, target engine.Target) {
+	opts := clusterOptions(engine.Scan)
+	opts.RowBudget = budget
+	res, err := single.Run(baseQuery(), target, opts)
+	if err == nil || !errors.Is(err, engine.ErrBudgetExhausted) {
+		t.Fatalf("single-node: expected budget stop, got %v", err)
+	}
+	for k := 2; k <= 3; k++ {
+		_, parts := clusterDataset(t, rows, k)
+		coord := New(shardSet(t, parts)...)
+		copts := clusterOptions(exec)
+		copts.RowBudget = budget
+		cres, cerr := coord.Run(context.Background(), target, copts)
+		if cerr == nil || !errors.Is(cerr, engine.ErrBudgetExhausted) {
+			t.Fatalf("k=%d: expected budget stop, got %v", k, cerr)
+		}
+		if cerr.Error() != err.Error() {
+			t.Fatalf("k=%d stop error diverges: %q vs %q", k, cerr, err)
+		}
+		if res == nil || cres == nil {
+			t.Fatalf("k=%d: missing partial result (%v, %v)", k, res, cres)
+		}
+		if got, want := canonical(t, cres.Result), canonical(t, res); got != want {
+			t.Fatalf("k=%d partial result diverges:\n%s\nvs\n%s", k, got, want)
 		}
 	}
 }
@@ -358,6 +413,52 @@ func TestCoordinatedShardLoss(t *testing.T) {
 	}
 }
 
+// TestCoordinatedShardLossCandidateTarget: a degraded run ranks against
+// the candidate target over the rows it read — the target ranks itself
+// at distance 0 — and stays Degraded and Partial with the dead shard
+// named; when no live shard holds a row of the target, there is nothing
+// to rank against, and the run is an error naming the missing shard.
+func TestCoordinatedShardLossCandidateTarget(t *testing.T) {
+	_, parts := clusterDataset(t, 40_000, 3)
+	target := engine.Target{Candidate: "Z_1"}
+	dying := func(shards []Shard) {
+		sh := shards[1].(*planShard)
+		sh.fail, sh.allow = errors.New("connection refused"), 1
+	}
+	shards := shardSet(t, parts)
+	dying(shards)
+	cres, err := New(shards...).Run(context.Background(), target, clusterOptions(engine.ParallelScan))
+	if err != nil {
+		t.Fatalf("shard loss must degrade, not error: %v", err)
+	}
+	res := cres.Result
+	if !cres.Degraded || len(cres.Missing) != 1 || cres.Missing[0] != "s1" || !res.Partial || res.Exact {
+		t.Fatalf("degraded=%v missing=%v partial=%v exact=%v, want a partial missing s1",
+			cres.Degraded, cres.Missing, res.Partial, res.Exact)
+	}
+	if len(res.TopK) == 0 || res.TopK[0].Label != target.Candidate || res.TopK[0].Distance != 0 {
+		t.Fatalf("top match %+v, want the target at distance 0", res.TopK)
+	}
+
+	shards = shardSet(t, parts)
+	dying(shards)
+	meta, err := shards[0].Meta(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := slices.Index(meta.Labels, target.Candidate)
+	for _, i := range []int{0, 2} { // the live shards hold no row of the target
+		shards[i] = &lyingShard{Shard: shards[i], partial: func(b *core.Batch) *core.Batch {
+			b.Hists[id], b.Counts[id] = nil, 0
+			return b
+		}}
+	}
+	cres, err = New(shards...).Run(context.Background(), target, clusterOptions(engine.ParallelScan))
+	if err == nil || cres != nil || !strings.Contains(err.Error(), "s1") {
+		t.Fatalf("target unread: result %+v, err %v; want an error naming s1", cres, err)
+	}
+}
+
 // TestCoordinatedDeadAtConnect: a shard unreachable at connect time
 // degrades the run up front; all shards unreachable is an error.
 func TestCoordinatedDeadAtConnect(t *testing.T) {
@@ -395,7 +496,7 @@ func TestCoordinatedDeadAtConnect(t *testing.T) {
 type lyingShard struct {
 	Shard
 	meta    func(*engine.ShardMeta)
-	partial func(kind engine.SegmentKind, b *core.Batch) *core.Batch
+	partial func(b *core.Batch) *core.Batch
 }
 
 func (l *lyingShard) Meta(ctx context.Context) (*engine.ShardMeta, error) {
@@ -415,7 +516,7 @@ func (l *lyingShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*en
 	if err != nil {
 		return nil, err
 	}
-	res.Batch = core.EncodeBatch(l.partial(seg.Kind, b))
+	res.Batch = core.EncodeBatch(l.partial(b))
 	return res, nil
 }
 
@@ -433,37 +534,13 @@ func TestCoordinatorRejectsShortMeta(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsNarrowTargetPartial: a target partial that
-// covers one candidate instead of the whole domain fails the target
-// resolution with an error.
-func TestCoordinatorRejectsNarrowTargetPartial(t *testing.T) {
-	_, parts := clusterDataset(t, 40_000, 2)
-	shards := shardSet(t, parts)
-	shards[1] = &lyingShard{Shard: shards[1], partial: func(kind engine.SegmentKind, b *core.Batch) *core.Batch {
-		if kind != engine.SegTarget {
-			return b
-		}
-		last := len(b.Hists) - 1
-		return &core.Batch{Drawn: b.Drawn, Counts: b.Counts[last:], Hists: b.Hists[last:]}
-	}}
-	meta, err := shards[0].Meta(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := engine.Target{Candidate: meta.Labels[len(meta.Labels)-1]}
-	_, err = New(shards...).Run(context.Background(), target, clusterOptions(engine.ParallelScan))
-	if err == nil || !strings.Contains(err.Error(), `target resolution on shard "s1"`) {
-		t.Fatalf("err = %v, want a target resolution error naming s1", err)
-	}
-}
-
 // TestCoordinatorDegradesOnNarrowScanPartial: a scan partial whose
 // histograms are one group short is a failed segment: its shard is
 // named missing and the answer is an honest partial.
 func TestCoordinatorDegradesOnNarrowScanPartial(t *testing.T) {
 	_, parts := clusterDataset(t, 40_000, 3)
 	shards := shardSet(t, parts)
-	shards[1] = &lyingShard{Shard: shards[1], partial: func(kind engine.SegmentKind, b *core.Batch) *core.Batch {
+	shards[1] = &lyingShard{Shard: shards[1], partial: func(b *core.Batch) *core.Batch {
 		for i, h := range b.Hists {
 			if h != nil {
 				b.Hists[i] = histogram.FromCounts(h.Counts()[1:])

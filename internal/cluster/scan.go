@@ -10,18 +10,15 @@ import (
 	"fastmatch/internal/histogram"
 )
 
-// run answers the query against a resolved target by exact
-// scatter-gather: each live shard scans its qualifying blocks, the
-// coordinator folds the local exact histograms with Batch.Merge, then
-// ranks the global accumulation through the same engine.RankExact the
-// single-node pass uses. A budgeted run chains the shards with the
-// residual budget (see each), so the stop lands on the same block a
-// single-node Scan would stop at.
-func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Result, error) {
+// run answers the query by exact scatter-gather: each live shard scans
+// its qualifying blocks, the coordinator folds the local exact
+// histograms with Batch.Merge, then ranks the global accumulation
+// through the same engine.RankExact the single-node pass uses, against
+// target or, when it is nil, candidate targetID's histogram in the fold.
+// A budgeted run chains the shards with the residual budget (see each),
+// so the stop lands on the same block a single-node Scan would stop at.
+func (st *runState) run(ctx context.Context, target *histogram.Histogram, targetID int) (*Result, error) {
 	opts := st.opts
-	if target.Groups() != st.groups {
-		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), st.groups)
-	}
 	began := time.Now()
 	runSpan := opts.Trace.StartAt("run", began)
 	runSpan.SetAttr("executor", engine.ParallelScan.String())
@@ -35,17 +32,11 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Resu
 	if st.budget > 0 {
 		workers = 1
 	}
-	mkReq := func() *engine.ShardSegment {
-		return &engine.ShardSegment{
-			Kind:     engine.SegScan,
-			Executor: engine.ParallelScan,
-			Workers:  workers,
-		}
-	}
+	seg := engine.ShardSegment{Kind: engine.SegScan, Executor: engine.ParallelScan, Workers: workers}
 	gb := st.newBatch()
 	var io engine.IOStats
 	var mergeErr error
-	stopErr := st.each(ctx, mkReq, func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
+	stopErr := st.each(ctx, seg, func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
 		var part *core.Batch
 		if err == nil {
 			part, err = st.decodePartial(res)
@@ -80,6 +71,18 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Resu
 	for i, h := range hists {
 		if h == nil {
 			hists[i] = histogram.New(st.groups)
+		}
+	}
+	if target == nil {
+		// A stopped or degraded fold holds the target over the rows it
+		// read, as it holds every candidate; one that read none of the
+		// target's rows has nothing to rank against.
+		if target = hists[targetID]; !complete && target.Total() == 0 {
+			if stopErr != nil {
+				return nil, stopErr
+			}
+			return nil, fmt.Errorf("cluster: target candidate %q has no row on the live shards (missing %v)",
+				st.labels[targetID], st.missing())
 		}
 	}
 	res := &engine.Result{Exact: complete, Partial: !complete, IO: io}

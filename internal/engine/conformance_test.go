@@ -80,8 +80,12 @@ import (
 //	                                                  exhaustion
 //	skip off                  its own run             prunes no block
 //
-// ParallelScan and Auto take Scan's cell as parent: the exact answer does
-// not depend on the executor, and Auto resolves to Scan at this scale.
+// ParallelScan takes Scan's cell as parent, since the exact answer does
+// not depend on the executor; Auto takes the cell of the executor it
+// resolves to on the shape (ResolveExecutor), and is exact or sampling as
+// that executor is. An exact cell takes a candidate target from its own
+// pass; a sampling cell resolves it with a pass of its own first, so its
+// stop points are counted past that pass's rows.
 // On the skip table a completed skip-on run must prune blocks and read
 // fewer tuples. On the guarantee table every completed sampling run, and
 // on the accumulator table every one without bins, must stop on HistSim's
@@ -197,7 +201,8 @@ func uniform(qs map[string]Query) map[string]shape {
 
 // matrixTables is the shape corpus: column, known and predicate
 // candidates × single, multi and binned X, a candidate target, a σ that
-// prunes every candidate, and sampling runs that stop on the guarantee.
+// prunes every candidate, a σ at which Auto samples, and sampling runs
+// that stop on the guarantee.
 var matrixTables = []matrixTable{
 	{
 		name:  "skip",
@@ -218,6 +223,11 @@ var matrixTables = []matrixTable{
 				t.Fatal(err)
 			}
 			s["candidate-target"] = shape{q: baseQuery(), target: Target{Candidate: z.Dict.Value(0)}}
+			// At σ = 0.9 Auto samples (need·4 < σN), so its cells take
+			// FastMatch's as parent and resolve the target first; no
+			// candidate reaches σ, so none is pruned.
+			s["auto-samples"] = shape{q: baseQuery(), target: Target{Candidate: z.Dict.Value(0)},
+				params: func(p *core.Params) { p.Sigma = 0.9 }}
 			return s
 		},
 		// A stage-1 sample a quarter of the table's rows leaves room for
@@ -364,10 +374,14 @@ func (c cell) scanWorkers() int {
 // timingDependent: a stop lands wherever the racing workers are.
 func (c cell) timingDependent() bool { return c.stop != stopNone && c.scanWorkers() > 1 }
 
-// parent is the cell c is compared with, and whether c is a root.
-func (c cell) parent() (cell, bool) {
+// parent is the cell c is compared with, and whether c is a root; auto
+// is the executor Auto resolves to on the shape.
+func (c cell) parent(auto Executor) (cell, bool) {
 	exec := c.exec
-	if exec == ParallelScan || exec == Auto {
+	if exec == Auto {
+		exec = auto
+	}
+	if exec == ParallelScan {
 		exec = Scan
 	}
 	twin := cell{exec: exec, workers: 1, skip: c.skip, stop: c.stop, observe: c.observe}
@@ -402,10 +416,29 @@ type shapeMatrix struct {
 	plans    []*Plan // per backend, with skip masks
 	refHists [][]float64
 	target   *histogram.Histogram // the shape's target, resolved on inmem
-	// resolveRows is how many rows the target resolution reads and
-	// charges to the run's guard: stop points are counted past it.
-	resolveRows int64
-	done        map[cell]outcome
+	auto     Executor             // what Auto resolves to on the shape
+	// targetRows is how many rows a separate target resolution reads
+	// (see resolveRows).
+	targetRows int64
+	done       map[cell]outcome
+}
+
+// resolved is the executor c's run answers with.
+func (m *shapeMatrix) resolved(c cell) Executor {
+	if c.exec == Auto {
+		return m.auto
+	}
+	return c.exec
+}
+
+// resolveRows is how many rows c's target resolution reads and charges
+// to the run's guard: stop points are counted past it. An exact pass
+// takes its target from its own counts, so its resolution reads none.
+func (m *shapeMatrix) resolveRows(c cell) int64 {
+	if m.resolved(c).exact() {
+		return 0
+	}
+	return m.targetRows
 }
 
 func TestConformanceMatrix(t *testing.T) {
@@ -451,8 +484,9 @@ func TestConformanceMatrix(t *testing.T) {
 	}
 }
 
-// prepare computes the exact reference histograms and the target
-// resolution's row count on the inmem backend.
+// prepare computes the exact reference histograms, the target
+// resolution's row count on the inmem backend, and what Auto resolves
+// to.
 func (m *shapeMatrix) prepare(t *testing.T) {
 	p := m.plans[0]
 	for _, h := range refHists(p) {
@@ -463,14 +497,15 @@ func (m *shapeMatrix) prepare(t *testing.T) {
 		m.refHists = append(m.refHists, h.Counts())
 	}
 	var rows atomic.Int64
-	m.hooks[0].set(func(n int) { rows.Add(int64(n)) })
+	m.hooks[0].set(func(lo, hi int) { rows.Add(int64(hi - lo)) })
 	var err error
 	m.target, err = p.ResolveTarget(m.shape[0].target, 1)
 	m.hooks[0].set(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.resolveRows = rows.Load()
+	m.targetRows = rows.Load()
+	m.auto, _ = ResolveExecutor(Options{Executor: Auto, Params: m.params}, p.rows, p.Groups(), false)
 }
 
 // run checks the completed root cells first, then the pairwise
@@ -504,7 +539,7 @@ func (m *shapeMatrix) outcome(t *testing.T, c cell) outcome {
 		return o
 	}
 	var parent outcome
-	pc, hasParent := c.parent()
+	pc, hasParent := c.parent(m.auto)
 	if hasParent {
 		parent = m.outcome(t, pc)
 	}
@@ -547,12 +582,12 @@ func (m *shapeMatrix) exec(t *testing.T, c cell) outcome {
 	ctx := context.Background()
 	switch c.stop {
 	case stopBudget:
-		opts.RowBudget = m.resolveRows + m.table.budget
+		opts.RowBudget = m.resolveRows(c) + m.table.budget
 	case stopCancel:
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
-		m.hooks[c.backend].set(cancelAfterRows(cancel, m.resolveRows+m.table.cancelAt))
+		m.hooks[c.backend].set(cancelAfterRows(cancel, m.resolveRows(c)+m.table.cancelAt))
 		defer m.hooks[c.backend].set(nil)
 	}
 	o.res, o.err = p.RunContext(ctx, m.shape[c.backend].target, opts)
@@ -573,7 +608,7 @@ func (m *shapeMatrix) checkAlone(t *testing.T, c cell, o outcome) {
 	t.Helper()
 	res, q, bs := o.res, m.shape[c.backend].q, int64(m.plans[c.backend].blockSize)
 	fail := t.Errorf
-	exact := c.exec == Scan || c.exec == ParallelScan || c.exec == Auto
+	exact := m.resolved(c).exact()
 	if o.trace != nil {
 		if sum := o.trace.SumIO(); sum != trace.IO(res.IO) {
 			fail("span IO sum %+v, result IO %+v", sum, res.IO)
@@ -876,19 +911,19 @@ func ingestTableFrom(t testing.TB, tbl *colstore.Table, sealRows int) *ingest.Wr
 	return wt
 }
 
-// rowHookReader wraps a Reader and reports each block's row count to its
-// hook as BlockSpan serves the block. BlockSpan is the one call every
-// executor makes per block it reads, so the hook sees a run's reads in
-// read order, on the goroutine that reads them. Block statistics come
+// rowHookReader wraps a Reader and reports each block's row span
+// [lo, hi) to its hook as BlockSpan serves the block. BlockSpan is the
+// one call every executor makes per block it reads, so the hook sees a
+// run's reads in read order, on the goroutine that reads them. Block statistics come
 // from the wrapped reader, and indexes adopt their presence words, so
 // planning reports nothing.
 type rowHookReader struct {
 	colstore.Reader
-	hook atomic.Pointer[func(rows int)]
+	hook atomic.Pointer[func(lo, hi int)]
 }
 
 // set installs hook for the reads that follow; nil removes it.
-func (r *rowHookReader) set(hook func(rows int)) {
+func (r *rowHookReader) set(hook func(lo, hi int)) {
 	if hook == nil {
 		r.hook.Store(nil)
 		return
@@ -899,7 +934,7 @@ func (r *rowHookReader) set(hook func(rows int)) {
 func (r *rowHookReader) BlockSpan(b int) (lo, hi int) {
 	lo, hi = r.Reader.BlockSpan(b)
 	if h := r.hook.Load(); h != nil {
-		(*h)(hi - lo)
+		(*h)(lo, hi)
 	}
 	return lo, hi
 }
@@ -909,10 +944,10 @@ func (r *rowHookReader) BlockStats() colstore.BlockStats { return blockStatsOf(r
 // cancelAfterRows returns a row hook that cancels ctx once n rows have
 // been served — a deterministic mid-scan trigger that works identically
 // for sequential and parallel executors.
-func cancelAfterRows(cancel context.CancelFunc, n int64) func(int) {
+func cancelAfterRows(cancel context.CancelFunc, n int64) func(lo, hi int) {
 	var seen atomic.Int64
-	return func(rows int) {
-		if seen.Add(int64(rows)) >= n {
+	return func(lo, hi int) {
+		if seen.Add(int64(hi-lo)) >= n {
 			cancel()
 		}
 	}

@@ -43,7 +43,9 @@ type Target struct {
 	// Counts is an explicit target histogram (takes precedence).
 	Counts []float64
 	// Candidate names a candidate value whose exact histogram is the
-	// target (e.g. "Greece"); resolved by a full scan of that candidate.
+	// target (e.g. "Greece"). An exact run takes it from its own pass,
+	// which counts every candidate; a sampling run, which needs it before
+	// stage 1, resolves it first with a scan of that candidate's blocks.
 	Candidate string
 	// Uniform targets the uniform distribution (used by most Table 3
 	// queries: "closest candidate to uniform").
@@ -70,12 +72,13 @@ type Options struct {
 	// time).
 	Seed int64
 	// Workers is the goroutine count for the exact path: the ParallelScan
-	// executor's block partitions and parallel candidate-target
-	// resolution; ≤ 0 selects GOMAXPROCS. The sampling executors run
-	// every round on the caller's goroutine and ignore it (see
-	// blockSampler), as does the sequential Scan executor, the
-	// single-threaded exact baseline by definition; ParallelScan is its
-	// parallel counterpart.
+	// executor's block partitions and, for the sampling executors only,
+	// the candidate-target scan before stage 1 (an exact run takes its
+	// candidate target from its own pass); ≤ 0 selects GOMAXPROCS. The
+	// sampling executors run every round on the caller's goroutine (see
+	// blockSampler), and the sequential Scan executor, the
+	// single-threaded exact baseline by definition, ignores it;
+	// ParallelScan is its parallel counterpart.
 	Workers int
 	// OnProgress, when non-nil, receives interim run state as Progress
 	// frames: sampling executors emit after stage 1, after every HistSim
@@ -87,16 +90,20 @@ type Options struct {
 	// excluded from Options.Fingerprint.
 	OnProgress func(Progress)
 	// RowBudget, when > 0, caps the tuples a run may read across all
-	// stages and workers; exhausting it returns a partial Result with
-	// ErrBudgetExhausted. The cap is enforced at block granularity, so a
-	// sampling run may read up to one block past it, and ParallelScan up
-	// to one block per worker.
+	// stages and workers — a sampling run's candidate-target scan
+	// included; an exact run reads its candidate target in its one pass,
+	// so a budget of the table's rows completes it. Exhausting the budget
+	// returns a partial Result with ErrBudgetExhausted. The cap is
+	// enforced at block granularity, so a sampling run may read up to one
+	// block past it, and ParallelScan up to one block per worker.
 	RowBudget int64
 	// Trace, when non-nil, collects a per-run span tree: a "run" root
 	// span with one child per execution phase (stage 1, every stage-2
 	// round, stage 3 for the sampling executors; one span per worker for
 	// the exact scans), each carrying the IOStats delta attributed to
-	// that phase, plus a "resolve_target" span on the RunContext path.
+	// that phase, plus a "resolve_target" span on the RunContext path
+	// (on an exact run it times only the candidate lookup: the target
+	// comes from the run's pass).
 	// A sampling phase's span and its Progress frame render one stamped
 	// emission: the span's attrs are the frame's fields, and its IO is
 	// the difference of consecutive frames' IO (a closing "tail" span
@@ -121,15 +128,18 @@ type Result struct {
 	// Partial reports a best-effort answer from a run cut short by
 	// cancellation, a deadline, or a row budget: TopK is ranked by the
 	// estimates at the stop point and carries no separation or
-	// reconstruction guarantee. Partial results are always accompanied
+	// reconstruction guarantee. An exact run's candidate target is
+	// itself the candidate's histogram at that stop point, like every
+	// histogram ranked against it. Partial results are always accompanied
 	// by an ErrCanceled or ErrBudgetExhausted error.
 	Partial bool
 	// Stats carries HistSim diagnostics (zero-valued for Scan).
 	Stats core.RunStats
 	// IO carries block-level I/O counters.
 	IO IOStats
-	// Duration is the wall-clock time of the run (excluding target
-	// resolution and index construction).
+	// Duration is the wall-clock time of the run, excluding index
+	// construction and a sampling run's candidate-target scan; an exact
+	// run's one pass, which yields its candidate target, is included.
 	Duration time.Duration
 	// GroupLabels names the histogram groups, aligned with Histogram
 	// vector indices.
@@ -188,9 +198,10 @@ func (e *Engine) Index(column string) (*bitmap.Index, error) {
 	})
 }
 
-// Run plans the query and answers it with the configured executor. The
-// target is resolved before timing starts, matching the paper's
-// measurement of query execution only. Repeated runs of the same query
+// Run plans the query and answers it with the configured executor. A
+// sampling run resolves its target before timing starts, matching the
+// paper's measurement of query execution only; an exact run takes a
+// candidate target from its timed pass. Repeated runs of the same query
 // shape should Prepare once and call Plan.RunContext instead.
 func (e *Engine) Run(q Query, t Target, opts Options) (*Result, error) {
 	return e.RunContext(context.Background(), q, t, opts)
@@ -206,19 +217,24 @@ func (e *Engine) RunContext(ctx context.Context, q Query, t Target, opts Options
 	return p.RunContext(ctx, t, opts)
 }
 
-// RunContext resolves the target under the plan and answers it with the
-// configured executor, governed by a context. Options are validated
-// first (see Options.Validate), so a malformed request fails with an
-// *InvalidOptionsError before any target resolution or sampling work
-// starts. Every executor checks the context (its cancellation and
-// deadline) and Options.RowBudget at block-batch granularity and
-// unwinds cleanly when it fires: scan workers are joined (sampling
-// starts none), shared caches stay consistent, and the engine returns a
-// best-effort partial Result (Partial set, ranked by the estimates at
-// the stop point) together with a typed error — ErrCanceled for context
-// stops, ErrBudgetExhausted for the row budget. A stop during target
-// resolution or before any sampling returns a nil Result with the
-// error. Interim state streams through Options.OnProgress.
+// RunContext resolves the executor and the target under the plan and
+// answers it with that executor, governed by a context. Options are
+// validated first (see Options.Validate), so a malformed request fails
+// with an *InvalidOptionsError before any target resolution or sampling
+// work starts. An exact executor (Scan, ParallelScan, or Auto resolved to
+// Scan) counts every candidate in its one pass, so a Candidate target is
+// only looked up here and taken from that pass; a sampling executor needs
+// the target before stage 1 and resolves it with a pass of its own. Every
+// executor checks the context (its cancellation and deadline) and
+// Options.RowBudget at block-batch granularity and unwinds cleanly when
+// it fires: scan workers are joined (sampling starts none), shared caches
+// stay consistent, and the engine returns a best-effort partial Result
+// (Partial set, ranked by the estimates at the stop point) together with
+// a typed error — ErrCanceled for context stops, ErrBudgetExhausted for
+// the row budget. A stop during a separate target resolution, before any
+// sampling, or before an exact pass reached its candidate target returns
+// a nil Result with the error. Interim state streams through
+// Options.OnProgress.
 //
 // Planning and bitmap-index construction are not canceled mid-build:
 // they are shared across runs under singleflight guards, so a canceled
@@ -231,16 +247,22 @@ func (p *Plan) RunContext(ctx context.Context, t Target, opts Options) (*Result,
 	if err := guard.stop(); err != nil {
 		return nil, err
 	}
-	// The resolve_target span carries no IO: target resolution is outside
-	// the run's IOStats by contract (Result.Duration excludes it too), so
-	// attributing its I/O here would break the per-span-sum invariant.
+	var auto *AutoDecision
+	opts.Executor, auto = ResolveExecutor(opts, p.rows, p.grp.groups(), false)
+	// The resolve_target span carries no IO: a separate target pass is
+	// outside the run's IOStats by contract (Result.Duration excludes it
+	// too), so attributing its I/O here would break the per-span-sum
+	// invariant. On an exact run it times only the lookup.
 	rsp := opts.Trace.Start("resolve_target")
-	target, err := p.resolveTarget(t, opts.Workers, guard)
+	target, targetID, err := MaterializeTarget(t, p.grp.groups(), p.cand.numCandidates(), p.cand.labelOf)
+	if err == nil && target == nil && !opts.Executor.exact() {
+		target, err = p.scanCandidate(targetID, opts.Workers, guard)
+	}
 	rsp.End()
 	if err != nil {
 		return nil, err
 	}
-	return p.runWithTarget(target, opts, guard)
+	return p.run(target, targetID, auto, opts, guard)
 }
 
 // RunWithTarget answers the plan against a pre-resolved target histogram.
@@ -256,19 +278,21 @@ func (p *Plan) RunWithTargetContext(ctx context.Context, target *histogram.Histo
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return p.runWithTarget(target, opts, newRunGuard(ctx, opts.RowBudget))
-}
-
-// runWithTarget executes the plan under an optional run guard; the
-// caller has validated opts.
-func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *runGuard) (*Result, error) {
 	if target.Groups() != p.grp.groups() {
 		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), p.grp.groups())
 	}
-	began := time.Now()
-	runSpan := opts.Trace.StartAt("run", began)
 	var auto *AutoDecision
 	opts.Executor, auto = ResolveExecutor(opts, p.rows, p.grp.groups(), false)
+	return p.run(target, 0, auto, opts, newRunGuard(ctx, opts.RowBudget))
+}
+
+// run executes the plan with opts.Executor, resolved from Auto (auto
+// says why, or is nil), under an optional run guard; the caller has
+// validated opts. The target is target, or when it is nil candidate
+// targetID's histogram from the exact pass itself.
+func (p *Plan) run(target *histogram.Histogram, targetID int, auto *AutoDecision, opts Options, guard *runGuard) (*Result, error) {
+	began := time.Now()
+	runSpan := opts.Trace.StartAt("run", began)
 	runSpan.SetAttr("executor", opts.Executor.String())
 	if auto != nil {
 		runSpan.SetAttr("auto_need", auto.Need)
@@ -281,12 +305,12 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 	if opts.OnProgress != nil || opts.Trace != nil {
 		rec = &runRecord{began: began, onProgress: opts.OnProgress, span: runSpan, at: began}
 	}
-	if opts.Executor == Scan || opts.Executor == ParallelScan {
+	if opts.Executor.exact() {
 		workers := 1
 		if opts.Executor == ParallelScan {
 			workers = opts.Workers
 		}
-		res, err := p.runScan(target, opts, workers, guard, rec)
+		res, err := p.runScan(target, targetID, opts, workers, guard, rec)
 		if res == nil {
 			return nil, err
 		}

@@ -266,42 +266,42 @@ func (p *Plan) ResolveTarget(t Target, workers int) (*histogram.Histogram, error
 // context aborts the candidate-resolution scan with the typed
 // termination error (a truncated target would be wrong, not partial).
 func (p *Plan) resolveTarget(t Target, workers int, guard *runGuard) (*histogram.Histogram, error) {
-	return MaterializeTarget(t, p.grp.groups(), p.cand.numCandidates(), p.cand.labelOf, func(id int) (*histogram.Histogram, error) {
-		h, _, err := p.scanCandidate(id, workers, guard)
-		if err != nil {
-			return nil, err
-		}
-		return h, nil
-	})
+	h, id, err := MaterializeTarget(t, p.grp.groups(), p.cand.numCandidates(), p.cand.labelOf)
+	if err != nil || h != nil {
+		return h, err
+	}
+	return p.scanCandidate(id, workers, guard)
 }
 
 // MaterializeTarget resolves a target specification for a query with
 // groups histogram groups and candidates candidates, in one precedence:
-// explicit Counts, then Uniform, then the Candidate whose label (read
-// through labelOf) matches, whose exact histogram exact computes. Plans
-// resolve through it with a local candidate scan, the cluster
-// coordinator with a scatter-gather one.
-func MaterializeTarget(t Target, groups, candidates int, labelOf func(int) string, exact func(id int) (*histogram.Histogram, error)) (*histogram.Histogram, error) {
+// explicit Counts, then Uniform — both returned as a histogram, with id
+// -1 — then the Candidate whose label (read through labelOf) matches,
+// returned as its id with a nil histogram. The caller computes that
+// candidate's exact histogram: ResolveTarget and a sampling run with a
+// candidate scan, an exact pass (single node or coordinated) from its
+// own per-candidate counts.
+func MaterializeTarget(t Target, groups, candidates int, labelOf func(int) string) (*histogram.Histogram, int, error) {
 	switch {
 	case len(t.Counts) > 0:
 		if len(t.Counts) != groups {
-			return nil, fmt.Errorf("engine: target has %d groups, query produces %d", len(t.Counts), groups)
+			return nil, -1, fmt.Errorf("engine: target has %d groups, query produces %d", len(t.Counts), groups)
 		}
-		return histogram.FromCounts(t.Counts), nil
+		return histogram.FromCounts(t.Counts), -1, nil
 	case t.Uniform:
 		counts := make([]float64, groups)
 		for i := range counts {
 			counts[i] = 1
 		}
-		return histogram.FromCounts(counts), nil
+		return histogram.FromCounts(counts), -1, nil
 	case t.Candidate != "":
 		for id := 0; id < candidates; id++ {
 			if labelOf(id) == t.Candidate {
-				return exact(id)
+				return nil, id, nil
 			}
 		}
-		return nil, fmt.Errorf("engine: target candidate %q not found", t.Candidate)
+		return nil, -1, fmt.Errorf("engine: target candidate %q not found", t.Candidate)
 	default:
-		return nil, fmt.Errorf("engine: empty target specification")
+		return nil, -1, fmt.Errorf("engine: empty target specification")
 	}
 }

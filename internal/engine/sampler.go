@@ -57,6 +57,10 @@ func (e Executor) String() string {
 	}
 }
 
+// exact reports the exact-pass executors, which count every candidate in
+// one pass.
+func (e Executor) exact() bool { return e == Scan || e == ParallelScan }
+
 // ParseExecutor maps an executor name (String's, in any case) onto its
 // Executor; an unknown name yields an *InvalidOptionsError.
 func ParseExecutor(s string) (Executor, error) {

@@ -274,7 +274,7 @@ func TestSamplingRunsOnCallerGoroutine(t *testing.T) {
 	for _, exec := range samplingExecutors() {
 		t.Run(exec.String(), func(t *testing.T) {
 			peak := 0
-			hooked.set(func(int) {
+			hooked.set(func(int, int) {
 				if n := runtime.NumGoroutine(); n > peak {
 					peak = n
 				}

@@ -40,8 +40,9 @@ type scanExec struct {
 	// (parallel workers race, so their interleaving — and thus any frame
 	// sequence — would be nondeterministic); on a traced run the merge
 	// barrier cuts one span per worker under its run span (the blocks it
-	// swept, wall time, and IOStats). Nil for unobserved runs and target
-	// resolution — workers then take no timestamps and pay nothing.
+	// swept, wall time, and IOStats). Nil for unobserved runs and a
+	// separate target pass — workers then take no timestamps and pay
+	// nothing.
 	rec *runRecord
 }
 
@@ -206,31 +207,42 @@ func (s *scanExec) run(only *bitmap.Bitset) ([]*histogram.Histogram, IOStats, in
 }
 
 // scanCandidate computes the exact histogram of one candidate,
-// restricted (via the bitmap index) to the blocks that contain it, and
-// the rows it charged to the guard. The target pass for single-node
-// resolution and shard target segments alike: it accumulates every
-// candidate through the kernels, as every exact pass does, and returns
-// the one asked for. An interrupted pass returns the guard's termination
-// error beside the truncated histogram: callers must not use it — a
+// restricted (via the bitmap index) to the blocks that contain it: the
+// target pass of ResolveTarget and of a sampling run, which needs its
+// target before stage 1 (an exact run takes the target from its own pass
+// instead; see runScan). It accumulates every candidate through the
+// kernels, as every exact pass does, and returns the one asked for. An
+// interrupted pass returns only the guard's termination error: a
 // truncated target is not best-effort-usable, it is wrong.
-func (p *Plan) scanCandidate(id, workers int, guard *runGuard) (*histogram.Histogram, int64, error) {
+func (p *Plan) scanCandidate(id, workers int, guard *runGuard) (*histogram.Histogram, error) {
 	ex := p.newScanExec(workers)
 	ex.guard = guard
-	hists, _, rows, err := ex.run(p.cand.candidateBlocks(id))
-	return hists[id], rows, err
+	hists, _, _, err := ex.run(p.cand.candidateBlocks(id))
+	if err != nil {
+		return nil, err
+	}
+	return hists[id], nil
 }
 
 // runScan answers the plan exactly: one full pass computing every
-// candidate histogram, exact σ pruning, exact top-k. An interrupted pass
+// candidate histogram, exact σ pruning, exact top-k. A nil target is
+// candidate targetID's histogram from the same pass. An interrupted pass
 // (guard fired) instead returns a best-effort Result — Partial set, no σ
 // pruning (selectivities from a truncated pass are biased), candidates
-// ranked by their partial histograms — alongside the termination error.
-func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, guard *runGuard, rec *runRecord) (*Result, error) {
+// ranked by their partial histograms, against a candidate target's
+// histogram at the same stop point — alongside the termination error; a
+// pass stopped before it reached the candidate target returns no Result.
+func (p *Plan) runScan(target *histogram.Histogram, targetID int, opts Options, workers int, guard *runGuard, rec *runRecord) (*Result, error) {
 	ex := p.newScanExec(workers)
 	ex.guard = guard
 	ex.rec = rec
 	ex.skip = p.skipAll
 	hists, io, totalRows, stopErr := ex.run(nil)
+	if target == nil {
+		if target = hists[targetID]; stopErr != nil && target.Total() == 0 {
+			return nil, stopErr
+		}
+	}
 	res := &Result{Exact: stopErr == nil, Partial: stopErr != nil, IO: io}
 	res.TopK, res.Pruned = RankExact(target, opts.Params, hists, totalRows, stopErr == nil, p.cand.labelOf)
 	res.Stats.ChosenK = len(res.TopK)

@@ -10,7 +10,6 @@ import (
 
 	"fastmatch/internal/bitmap"
 	"fastmatch/internal/colstore"
-	"fastmatch/internal/core"
 	"fastmatch/internal/histogram"
 )
 
@@ -182,12 +181,11 @@ func overKernelCapTable(t testing.TB) *colstore.Table {
 	return tbl
 }
 
-// TestCandidateTargetMatchesExactScan: a candidate target, resolved on a
-// single node (Plan.ResolveTarget) or as a shard target segment, equals
-// that candidate's histogram from a full pass of the per-row reference
-// loop (refKernel) cell for cell — for every accumulator shape, at one
-// and two workers. A shape over maxKernelCells is rejected at Prepare
-// instead.
+// TestCandidateTargetMatchesExactScan: a candidate target resolved by
+// Plan.ResolveTarget equals that candidate's histogram from a full pass
+// of the per-row reference loop (refKernel) cell for cell — for every
+// accumulator shape, at one and two workers. A shape over
+// maxKernelCells is rejected at Prepare instead.
 func TestCandidateTargetMatchesExactScan(t *testing.T) {
 	t.Run("over-kernel-cap", func(t *testing.T) {
 		_, err := New(overKernelCapTable(t)).Prepare(Query{Z: "Z", X: []string{"A", "B", "C"}})
@@ -205,15 +203,15 @@ func TestCandidateTargetMatchesExactScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := refHists(p)
-			same := func(path string, id, workers int, got *histogram.Histogram) {
+			same := func(id, workers int, got *histogram.Histogram) {
 				t.Helper()
 				if got.Groups() != p.Groups() {
-					t.Fatalf("%s: candidate %d workers=%d: %d groups, want %d", path, id, workers, got.Groups(), p.Groups())
+					t.Fatalf("candidate %d workers=%d: %d groups, want %d", id, workers, got.Groups(), p.Groups())
 				}
 				for g := 0; g < p.Groups(); g++ {
 					if got.Count(g) != want[id].Count(g) {
-						t.Fatalf("%s: candidate %d workers=%d: cell %d = %v, reference %v",
-							path, id, workers, g, got.Count(g), want[id].Count(g))
+						t.Fatalf("candidate %d workers=%d: cell %d = %v, reference %v",
+							id, workers, g, got.Count(g), want[id].Count(g))
 					}
 				}
 			}
@@ -227,28 +225,84 @@ func TestCandidateTargetMatchesExactScan(t *testing.T) {
 					t.Fatalf("the reference counted no row for candidate %d", id)
 				}
 				label := p.cand.labelOf(id)
-				for _, workers := range []int{1, 2} {
-					if !resolved[label] { // ResolveTarget picks a label's first candidate
-						got, err := p.ResolveTarget(Target{Candidate: label}, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						same("ResolveTarget", id, workers, got)
-					}
-					seg, err := p.RunShardSegment(context.Background(),
-						&ShardSegment{Kind: SegTarget, Workers: workers, TargetCandidate: id})
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := core.DecodeBatch(seg.Batch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					same("SegTarget", id, workers, b.Hists[id])
+				if resolved[label] { // ResolveTarget picks a label's first candidate
+					continue
 				}
 				resolved[label] = true
+				for _, workers := range []int{1, 2} {
+					got, err := p.ResolveTarget(Target{Candidate: label}, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same(id, workers, got)
+				}
 			}
 		})
+	}
+}
+
+// TestCandidateTargetOnePass pins the exact executors' one pass: with a
+// candidate target, Scan, ParallelScan at 1, 2 and 4 workers, and Auto
+// resolved to Scan read every row of every block the skip masks keep
+// exactly once and no other row, on every backend — the target comes
+// from the pass, not from a pass of its own. So a row budget of the
+// table's size completes Exact, with the unbudgeted answer.
+func TestCandidateTargetOnePass(t *testing.T) {
+	acc := inArrivalOrder(t, accumulatorTable(t))
+	for _, tc := range []struct {
+		name  string
+		tbl   *colstore.Table
+		query func(*Engine) Query
+	}{
+		{"column", acc, func(*Engine) Query { return baseQuery() }},
+		{"pred-cands", skipTestTable(t), func(eng *Engine) Query { return skipQueries(t, eng)["pred-cands"] }},
+	} {
+		for _, backend := range matrixBackends {
+			hooked := &rowHookReader{Reader: backend.open(t, tc.tbl)}
+			eng := New(hooked)
+			p, err := eng.Prepare(tc.query(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := Target{Candidate: p.cand.labelOf(0)}
+			if exec, _ := ResolveExecutor(runOptions(Auto, 0, 0), p.rows, p.Groups(), false); exec != Scan {
+				t.Fatalf("%s: Auto resolves to %s, want Scan", tc.name, exec)
+			}
+			for _, run := range []struct {
+				exec    Executor
+				workers int
+			}{{Scan, 1}, {ParallelScan, 1}, {ParallelScan, 2}, {ParallelScan, 4}, {Auto, 1}} {
+				t.Run(fmt.Sprintf("%s/%s/%s/workers=%d", tc.name, backend.name, run.exec, run.workers), func(t *testing.T) {
+					reads := make([]atomic.Int32, tc.tbl.NumRows())
+					hooked.set(func(lo, hi int) {
+						for row := lo; row < hi; row++ {
+							reads[row].Add(1)
+						}
+					})
+					opts := runOptions(run.exec, tc.tbl.NumBlocks(), run.workers)
+					res, err := p.RunContext(context.Background(), target, opts)
+					hooked.set(nil)
+					if err != nil || !res.Exact {
+						t.Fatalf("run: err %v, result %+v", err, res)
+					}
+					for row := range reads {
+						want := int32(1)
+						if p.skipAll != nil && p.skipAll.Get(row/p.blockSize) {
+							want = 0
+						}
+						if n := reads[row].Load(); n != want {
+							t.Fatalf("row %d read %d times, want %d", row, n, want)
+						}
+					}
+					opts.RowBudget = int64(tc.tbl.NumRows())
+					budgeted, err := p.RunContext(context.Background(), target, opts)
+					if err != nil || !budgeted.Exact || budgeted.Partial {
+						t.Fatalf("row budget of the table's %d rows: err %v, result %+v", opts.RowBudget, err, budgeted)
+					}
+					requireIdenticalResults(t, res, budgeted)
+				})
+			}
+		}
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 // A cluster coordinator (internal/cluster) answers a query over a table
 // split into row-range shards, each served by an independent fastmatchd
 // process, by exact scatter-gather: every shard runs one stateless
-// segment call into this file — an exact scan of its blocks, or one
-// candidate's exact histogram for target resolution — and returns a
-// mergeable core.Batch partial. The coordinator folds the partials with
-// core.Batch.Merge (integer sums), so the fold equals a single-node
-// exact pass over the concatenated data. Candidate and group IDs are
+// segment call into this file — an exact scan of its blocks — and
+// returns a mergeable core.Batch partial. The coordinator folds the
+// partials with core.Batch.Merge (integer sums), so the fold equals a
+// single-node exact pass over the concatenated data, and takes a
+// candidate target from the fold: it costs no call of its own. Candidate and group IDs are
 // dictionary-driven, so shards built with shared full dictionaries
 // (datagen -shards) expose identical candidate domains, group counts and
 // labels.
@@ -29,12 +29,9 @@ import (
 // SegmentKind selects what a shard segment executes.
 type SegmentKind string
 
-const (
-	// SegScan runs the exact-pass executor over the whole shard.
-	SegScan SegmentKind = "scan"
-	// SegTarget resolves one candidate's exact local histogram.
-	SegTarget SegmentKind = "target"
-)
+// SegScan runs the exact-pass executor over the whole shard: the one
+// segment kind.
+const SegScan SegmentKind = "scan"
 
 // ShardMeta describes a plan's shape on one shard. The coordinator
 // cross-checks metas: candidate and group domains must agree across
@@ -83,9 +80,6 @@ type ShardSegment struct {
 	// coordinator never forwards an exhausted budget — it synthesizes the
 	// stop itself). The segment's deadline is its request context's.
 	RowBudget int64 `json:"row_budget,omitempty"`
-
-	// TargetCandidate is the candidate id to resolve (SegTarget).
-	TargetCandidate int `json:"target_candidate,omitempty"`
 }
 
 // Segment stop reasons, the wire form of the guard's typed errors.
@@ -125,19 +119,12 @@ func (r *ShardSegmentResult) StopError(budget, read int64) error {
 
 // RunShardSegment executes one shard segment against this plan. It is
 // stateless with respect to the plan (safe for concurrent segments) and
-// idempotent with respect to the request.
+// idempotent with respect to the request. Its one error is a segment
+// kind other than SegScan: a request it cannot run.
 func (p *Plan) RunShardSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
-	switch req.Kind {
-	case SegScan:
-		return p.runScanSegment(ctx, req)
-	case SegTarget:
-		return p.runTargetSegment(ctx, req)
-	default:
+	if req.Kind != SegScan {
 		return nil, fmt.Errorf("engine: unknown segment kind %q", req.Kind)
 	}
-}
-
-func (p *Plan) runScanSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
 	ex := p.newScanExec(req.Workers)
 	ex.guard = newRunGuard(ctx, req.RowBudget)
 	ex.skip = p.skipAll
@@ -145,20 +132,6 @@ func (p *Plan) runScanSegment(ctx context.Context, req *ShardSegment) (*ShardSeg
 	return &ShardSegmentResult{
 		Batch:   core.EncodeBatch(scanBatch(hists, rows)),
 		IO:      io,
-		Stopped: stopReason(stopErr),
-	}, nil
-}
-
-func (p *Plan) runTargetSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
-	id := req.TargetCandidate
-	if id < 0 || id >= p.cand.numCandidates() {
-		return nil, fmt.Errorf("engine: segment target candidate %d out of range", id)
-	}
-	h, rows, stopErr := p.scanCandidate(id, req.Workers, newRunGuard(ctx, req.RowBudget))
-	batch := p.newBatch()
-	batch.Drawn, batch.Counts[id], batch.Hists[id] = rows, int64(h.Total()), h
-	return &ShardSegmentResult{
-		Batch:   core.EncodeBatch(batch),
 		Stopped: stopReason(stopErr),
 	}, nil
 }

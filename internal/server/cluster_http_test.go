@@ -355,7 +355,7 @@ func TestCoordinatedShardRejectionPassesThrough(t *testing.T) {
 // TestInternalPartialGuards covers the shard-internal endpoint's refusal
 // paths: unknown tables 404, coordinated tables 400 (a coordinator is
 // not a shard), unknown ops 400, and segment kinds other than the exact
-// scan and target passes 422.
+// scan 400 — the retired "target" kind among them.
 func TestInternalPartialGuards(t *testing.T) {
 	fx := newClusterFixture(t, 2, Config{})
 	post := func(url string, preq cluster.PartialRequest) int {
@@ -381,10 +381,10 @@ func TestInternalPartialGuards(t *testing.T) {
 	if got := post(fx.shards[0].URL, cluster.PartialRequest{Table: "fixture", Query: rawQ, Op: "meta"}); got != http.StatusOK {
 		t.Errorf("meta on a shard: want 200, got %d", got)
 	}
-	for _, kind := range []engine.SegmentKind{"stage1", "round"} {
+	for _, kind := range []engine.SegmentKind{"stage1", "round", "target"} {
 		seg := &engine.ShardSegment{Kind: kind, Executor: engine.SyncMatch}
-		if got := post(fx.shards[0].URL, cluster.PartialRequest{Table: "fixture", Query: rawQ, Op: "segment", Segment: seg}); got != http.StatusUnprocessableEntity {
-			t.Errorf("segment kind %q: want 422, got %d", kind, got)
+		if got := post(fx.shards[0].URL, cluster.PartialRequest{Table: "fixture", Query: rawQ, Op: "segment", Segment: seg}); got != http.StatusBadRequest {
+			t.Errorf("segment kind %q: want 400, got %d", kind, got)
 		}
 	}
 	seg := &engine.ShardSegment{Kind: engine.SegScan, Executor: engine.ParallelScan}

@@ -29,11 +29,11 @@ func postPartial(s *Server, body []byte) (int, []byte) {
 //
 // The invariant: the answer is a 4xx carrying an ErrorResponse, or a 200
 // whose segment Batch decodes to one slot per plan candidate (or whose
-// meta answers a meta op) — never a panic or a 5xx. Workers, the target
-// candidate and the row budget come off the wire unchecked by the
-// decoder: workers is capped at the block count, the candidate is range
-// checked before any use, and the budget is only compared, so none of
-// them sizes an allocation.
+// meta answers a meta op) — never a panic or a 5xx. Workers and the row
+// budget come off the wire unchecked by the decoder: workers is capped at
+// the block count and the budget is only compared, so neither sizes an
+// allocation. A segment kind other than "scan" (the retired "target"
+// among them) is refused with a 400.
 func FuzzShardSegment(f *testing.F) {
 	tbl := fixtureTable(f)
 	s := New(Config{})
@@ -103,5 +103,25 @@ func TestShardSegmentRejectsDeadline(t *testing.T) {
 		`"segment":{"kind":"scan","deadline":"2030-01-01T00:00:00Z"}}`
 	if status, resp := postPartial(s, []byte(body)); status != http.StatusBadRequest {
 		t.Fatalf("stray deadline: status %d (%s), want 400", status, resp)
+	}
+}
+
+// TestShardSegmentRejectsTargetKind pins the retired target segment: a
+// coordinator takes a candidate target from its scan partials, so a
+// "target" segment is an unknown kind, and its candidate field an
+// unknown field — both 400, neither a panic.
+func TestShardSegmentRejectsTargetKind(t *testing.T) {
+	s := New(Config{})
+	if err := s.RegisterTable("fixture", fixtureTable(t)); err != nil {
+		t.Fatal(err)
+	}
+	for seg, want := range map[string]string{
+		`{"kind":"target"}`:                      "unknown segment kind",
+		`{"kind":"target","target_candidate":3}`: "unknown field",
+	} {
+		body := `{"table":"fixture","query":{"z":"Z","x":["X"]},"op":"segment","segment":` + seg + `}`
+		if status, resp := postPartial(s, []byte(body)); status != http.StatusBadRequest || !bytes.Contains(resp, []byte(want)) {
+			t.Errorf("segment %s: status %d (%s), want 400 naming %q", seg, status, resp, want)
+		}
 	}
 }

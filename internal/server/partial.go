@@ -11,11 +11,10 @@ import (
 // shard-internal endpoint coordinators fold queries through. Two ops:
 // "meta" answers the plan's shard metadata (domains, block counts, data
 // generation) for coordinator validation and cache keying; "segment"
-// runs one stateless exact pass over this shard (Plan.RunShardSegment):
-// a scan of its blocks, or one candidate's histogram for target
-// resolution. Any other segment kind is refused with 422. Segments carry
-// no cross-call state, so retries are harmless and any shard replica
-// could answer them.
+// runs one stateless exact scan of this shard's blocks
+// (Plan.RunShardSegment). Any other segment kind is a request the shard
+// cannot run, refused with 400. Segments carry no cross-call state, so
+// retries are harmless and any shard replica could answer them.
 //
 // The endpoint shares the plan cache with /v1/query: a shard serving
 // both direct queries and coordinated segments for the same query shape
@@ -69,8 +68,8 @@ func (s *Server) handleInternalPartial(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		segRes, err := plan.RunShardSegment(r.Context(), preq.Segment)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "running segment: %v", err)
+		if err != nil { // an unknown segment kind
+			writeError(w, http.StatusBadRequest, "running segment: %v", err)
 			return
 		}
 		writeJSON(w, http.StatusOK, cluster.PartialResponse{Segment: segRes})
