@@ -71,11 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	target, err := plan.ResolveTarget(fastmatch.Target{Uniform: true}, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	audit, err := fastmatch.AuditRun(context.Background(), plan, target, res, opts)
+	audit, err := fastmatch.AuditRun(context.Background(), plan, fastmatch.Target{Uniform: true}, res, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +96,7 @@ func main() {
 	}
 	fmt.Printf("  partial=%v truncated=%v termination=%q guarantee_met=%v\n",
 		bres.Partial, bres.Quality.Truncated, bres.Quality.Termination, bres.Quality.GuaranteeMet)
-	if _, err := fastmatch.AuditRun(context.Background(), plan, target, bres, bopts); err != nil {
+	if _, err := fastmatch.AuditRun(context.Background(), plan, fastmatch.Target{Uniform: true}, bres, bopts); err != nil {
 		fmt.Printf("  auditor: %v\n", err)
 	}
 

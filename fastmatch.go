@@ -188,8 +188,8 @@ type (
 // answers are refused — they claimed no guarantee, so there is nothing
 // to indict. This is the primitive behind the server's shadow-audit
 // sampler (ServerConfig.AuditFraction).
-func AuditRun(ctx context.Context, p *Plan, target *Histogram, approx *Result, opts Options) (*Audit, error) {
-	return engine.AuditRun(ctx, p, target, approx, opts)
+func AuditRun(ctx context.Context, p *Plan, t Target, approx *Result, opts Options) (*Audit, error) {
+	return engine.AuditRun(ctx, p, t, approx, opts)
 }
 
 // NewThrottledReader wraps a storage backend so every block read costs

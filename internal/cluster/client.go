@@ -131,6 +131,21 @@ func NewClient(refs []ShardRef) *Client {
 	return c
 }
 
+// CheckRefs refuses a shard set that lists one shard twice, by name or
+// by URL: the coordinator would fold its rows twice.
+func CheckRefs(refs []ShardRef) error {
+	seen := make(map[string]bool, 2*len(refs))
+	for _, ref := range refs {
+		for _, key := range []string{"name " + ref.Name, "URL " + ref.URL} {
+			if seen[key] {
+				return fmt.Errorf("cluster: shard %s listed twice", key)
+			}
+			seen[key] = true
+		}
+	}
+	return nil
+}
+
 // Refs returns the configured shard set, in row-range order.
 func (c *Client) Refs() []ShardRef { return c.refs }
 

@@ -9,8 +9,8 @@
 // engine.RankExact the single-node exact pass uses. A K-shard answer is
 // therefore byte-identical to a single-node ParallelScan over the
 // concatenated data, and an exact answer meets every (ε, δ) promise a
-// sampling executor could have made. The equivalence suite enforces
-// this.
+// sampling executor could have made. The conformance matrix's cluster
+// rows (TestConformanceMatrix in internal/engine) enforce this.
 //
 // Robustness is degraded-but-honest: a shard that dies mid-run
 // contributes nothing, the answer is marked Partial with the missing
@@ -26,7 +26,6 @@ import (
 
 	"fastmatch/internal/core"
 	"fastmatch/internal/engine"
-	"fastmatch/internal/histogram"
 	"fastmatch/internal/obs/trace"
 )
 
@@ -136,6 +135,14 @@ func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runSta
 	if len(c.shards) == 0 {
 		return nil, errors.New("cluster: no shards configured")
 	}
+	// A shard listed twice would be folded twice: a wrong total.
+	names := make(map[string]bool, len(c.shards))
+	for _, sh := range c.shards {
+		if names[sh.Name()] {
+			return nil, fmt.Errorf("cluster: shard %q listed twice", sh.Name())
+		}
+		names[sh.Name()] = true
+	}
 	st := &runState{
 		ctx:    ctx,
 		opts:   opts,
@@ -217,11 +224,6 @@ func metaMatch(a, b *engine.ShardMeta) error {
 
 func (st *runState) labelOf(i int) string { return st.labels[i] }
 
-// newBatch allocates an empty global batch over the candidate domain.
-func (st *runState) newBatch() *core.Batch {
-	return &core.Batch{Counts: make([]int64, st.nCand), Hists: make([]*histogram.Histogram, st.nCand)}
-}
-
 // stopCheck evaluates the run's stop conditions between segments in the
 // single-node guard's order (context, then budget), so a coordinated
 // stop lands exactly where the single-node guard's would.
@@ -235,16 +237,6 @@ func (st *runState) stopCheck() error {
 		return engine.BudgetStopError(st.budget, st.charged)
 	}
 	return nil
-}
-
-// residualBudget is the row budget left for the next segment (0 =
-// unlimited; an exhausted budget never reaches a shard — stopCheck
-// fires first).
-func (st *runState) residualBudget() int64 {
-	if st.budget <= 0 {
-		return 0
-	}
-	return st.budget - st.charged
 }
 
 // decodePartial decodes a segment's partial and checks it against the
@@ -329,8 +321,8 @@ func (st *runState) each(ctx context.Context, seg engine.ShardSegment,
 			if err := st.stopCheck(); err != nil {
 				return err
 			}
-			req := seg
-			req.RowBudget = st.residualBudget()
+			req := seg // with the residual budget: stopCheck kept it positive
+			req.RowBudget = st.budget - st.charged
 			res, err := sr.shard.Segment(ctx, &req)
 			if err := fold(sr, res, err); err != nil {
 				return err

@@ -33,7 +33,7 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram, target
 		workers = 1
 	}
 	seg := engine.ShardSegment{Kind: engine.SegScan, Executor: engine.ParallelScan, Workers: workers}
-	gb := st.newBatch()
+	gb := &core.Batch{Counts: make([]int64, st.nCand), Hists: make([]*histogram.Histogram, st.nCand)}
 	var io engine.IOStats
 	var mergeErr error
 	stopErr := st.each(ctx, seg, func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {

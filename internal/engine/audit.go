@@ -75,14 +75,15 @@ type AuditCandidate struct {
 	ReconstructionViolation bool `json:"reconstruction_violation,omitempty"`
 }
 
-// AuditRun re-executes the plan and target with the exact Scan executor
-// and measures the approximate answer against the full exact ranking:
-// strict precision@k, rank displacement, per-candidate distance error,
-// and violations of both guarantees. opts should be the options the
-// approximate run used — its Params (ε, σ, metric) parameterize the
-// audit; executor-specific knobs are ignored. Partial approximate
-// answers are refused: a truncated run claimed no guarantee, so auditing
-// one would count phantom violations.
+// AuditRun re-executes the plan and target with the exact Scan executor,
+// which takes a candidate target from its own pass, and measures the
+// approximate answer against the full exact ranking: strict precision@k,
+// rank displacement, per-candidate distance error, and violations of
+// both guarantees. opts should be the options the approximate run used
+// — its Params (ε, σ, metric) parameterize the audit; executor-specific
+// knobs are ignored. Partial approximate answers are refused: a
+// truncated run claimed no guarantee, so auditing one would count
+// phantom violations.
 //
 // The exact pass ranks every candidate (no σ pruning, k = |candidates|),
 // so it costs a full scan of the qualifying blocks; run audits off the
@@ -92,7 +93,7 @@ type AuditCandidate struct {
 // return is dropped from the reference before grading. Left in, rare
 // near neighbours of a rare target would pull the exact k-th distance
 // down and count violations the guarantee never forbade.
-func AuditRun(ctx context.Context, p *Plan, target *histogram.Histogram, approx *Result, opts Options) (*Audit, error) {
+func AuditRun(ctx context.Context, p *Plan, t Target, approx *Result, opts Options) (*Audit, error) {
 	if approx == nil || len(approx.TopK) == 0 {
 		return nil, fmt.Errorf("engine: nothing to audit: empty approximate answer")
 	}
@@ -100,7 +101,7 @@ func AuditRun(ctx context.Context, p *Plan, target *histogram.Histogram, approx 
 		return nil, fmt.Errorf("engine: refusing to audit a partial answer: no guarantee was claimed")
 	}
 	exOpts := AuditReferenceOptions(opts, p.NumCandidates())
-	exact, err := p.RunWithTargetContext(ctx, target, exOpts)
+	exact, err := p.RunContext(ctx, t, exOpts)
 	if err != nil {
 		return nil, fmt.Errorf("engine: audit reference scan: %w", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,27 +24,32 @@ import (
 )
 
 // The conformance matrix: FastMatch's block skipping, HistSim's stopping
-// rule, the storage backend, the worker count and a run's observers
-// change how much is read, never the answer. One test holds every
-// executor to that over one backend table, one option builder and one
-// shape corpus. Axes:
+// rule, the storage backend, the worker count, a run's observers and a
+// coordinator's shard layout change how much is read, never the answer.
+// One test holds every executor to that over one backend table, one
+// option builder and one shape corpus. Axes:
 //
-//	backend      inmem, mmap, ingest, ingest-compacted (matrixBackends)
+//	backend      inmem, mmap, ingest, ingest-compacted (matrixBackends);
+//	             cluster-1 and cluster-3 (ClusterRows, whose own table
+//	             gives their rules and faults)
 //	executor     Scan, ParallelScan, ScanMatch, SyncMatch, FastMatch, Auto
 //	workers      1, 2, 4, and 0 (the default: GOMAXPROCS)
 //	skip         the plan's skip masks, or withoutSkipMasks
 //	stop         none, a row budget, a cancel after a row count
 //	observers    none, or OnProgress and a Trace
+//	start        a seeded start block, or one three blocks before the end
+//	lookahead    one window over every block, or windows of 3 or 17
 //	accumulator  the kernels; completed exact runs also the per-row
 //	             reference loop (refHists), every match cell for cell
 //
 // Per shape, backend and executor the matrix runs a seeded pairwise
-// cover of workers × skip × stop × observers: every pair of values of
-// every two of those axes meets in some cell. Each cell's checks are a
-// subtest, table/shape/backend/executor/workers=…/skip=…/stop=…/
-// observers=…, so a failure names its cell and -run selects one (its
-// parents still run, unchecked). Every cell chains through
-// its parent to a root cell on inmem at workers 1 without observers. A
+// cover of workers × skip × stop × observers × start × lookahead: every
+// pair of values of every two of those axes meets in some cell. Each
+// cell's checks are a subtest, table/shape/backend/executor/workers=…/
+// skip=…/stop=…/observers=…/start=…/lookahead=…, so a failure names its
+// cell and -run selects one (its parents still run, unchecked). Every
+// cell chains through its parent to a root cell on inmem at workers 1
+// without observers. A
 // cell's answer is canonicalAnswer: the result JSON without Duration and
 // IOStats, every match's histogram counts and the quality report. Cells
 // compare bytes where the contract promises bytes, bounds where it
@@ -81,11 +87,14 @@ import (
 //	skip off                  its own run             prunes no block
 //
 // ParallelScan takes Scan's cell as parent, since the exact answer does
-// not depend on the executor; Auto takes the cell of the executor it
-// resolves to on the shape (ResolveExecutor), and is exact or sampling as
-// that executor is. An exact cell takes a candidate target from its own
-// pass; a sampling cell resolves it with a pass of its own first, so its
-// stop points are counted past that pass's rows.
+// not depend on the executor. An exact cell's parent starts at the
+// seeded block, and only FastMatch's parents keep the lookahead: an exact
+// pass reads every block in order, and only FastMatch marks ahead. Auto
+// takes the cell of the executor it resolves to on the shape
+// (ResolveExecutor), and is exact or sampling as that executor is. An
+// exact cell takes a candidate target from its own pass; a sampling cell
+// resolves it with a pass of its own first, so its stop points are
+// counted past that pass's rows.
 // On the skip table a completed skip-on run must prune blocks and read
 // fewer tuples. On the guarantee table every completed sampling run, and
 // on the accumulator table every one without bins, must stop on HistSim's
@@ -200,9 +209,9 @@ func uniform(qs map[string]Query) map[string]shape {
 }
 
 // matrixTables is the shape corpus: column, known and predicate
-// candidates × single, multi and binned X, a candidate target, a σ that
-// prunes every candidate, a σ at which Auto samples, and sampling runs
-// that stop on the guarantee.
+// candidates × single, multi and binned X, a candidate and a counts
+// target, a σ that prunes every candidate, a σ at which Auto samples,
+// and sampling runs that stop on the guarantee.
 var matrixTables = []matrixTable{
 	{
 		name:  "skip",
@@ -223,6 +232,17 @@ var matrixTables = []matrixTable{
 				t.Fatal(err)
 			}
 			s["candidate-target"] = shape{q: baseQuery(), target: Target{Candidate: z.Dict.Value(0)}}
+			// An explicit target: another candidate's counts, so sampling
+			// runs separate as they do against a candidate target.
+			p, err := eng.Prepare(baseQuery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := p.ResolveTarget(Target{Candidate: z.Dict.Value(1)}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s["counts-target"] = shape{q: baseQuery(), target: Target{Counts: h.Counts()}}
 			// At σ = 0.9 Auto samples (need·4 < σN), so its cells take
 			// FastMatch's as parent and resolve the target first; no
 			// candidate reaches σ, so none is pruned.
@@ -343,21 +363,39 @@ var (
 	matrixExecutors = append(allExecutors(), Auto)
 	matrixWorkers   = []int{1, 2, 4, 0}
 	stopNames       = []string{"none", "budget", "cancel"}
+	// A sampling walk starts at a seeded block or three blocks before the
+	// end, so it wraps early; FastMatch marks one window over every block
+	// or short windows it retiles, split at the wrap.
+	startNames     = []string{"seeded", "late"}
+	lookaheadNames = []string{"all", "3", "17"}
 )
 
 // cell is one point of the matrix.
 type cell struct {
-	backend int
-	exec    Executor
-	workers int
-	skip    bool
-	stop    stopKind
-	observe bool
+	backend   int
+	exec      Executor
+	workers   int
+	skip      bool
+	stop      stopKind
+	observe   bool
+	start     int // index into startNames
+	lookahead int // index into lookaheadNames
 }
 
 func (c cell) String() string {
-	return fmt.Sprintf("%s/%s/workers=%d/skip=%v/stop=%s/observers=%v",
-		matrixBackends[c.backend].name, c.exec, c.workers, c.skip, stopNames[c.stop], c.observe)
+	return fmt.Sprintf("%s/%s/workers=%d/skip=%v/stop=%s/observers=%v/start=%s/lookahead=%s",
+		matrixBackends[c.backend].name, c.exec, c.workers, c.skip, stopNames[c.stop], c.observe,
+		startNames[c.start], lookaheadNames[c.lookahead])
+}
+
+// options sets c's start block and lookahead window over nb blocks.
+func (c cell) options(o *Options, nb int) {
+	if c.start == 1 {
+		o.StartBlock = max(nb-3, 0)
+	}
+	if c.lookahead > 0 {
+		o.Lookahead, _ = strconv.Atoi(lookaheadNames[c.lookahead])
+	}
 }
 
 // scanWorkers is how many goroutines the cell's run reads with.
@@ -384,7 +422,13 @@ func (c cell) parent(auto Executor) (cell, bool) {
 	if exec == ParallelScan {
 		exec = Scan
 	}
-	twin := cell{exec: exec, workers: 1, skip: c.skip, stop: c.stop, observe: c.observe}
+	twin := cell{exec: exec, workers: 1, skip: c.skip, stop: c.stop, observe: c.observe, start: c.start, lookahead: c.lookahead}
+	if exec.exact() {
+		twin.start = 0 // an exact pass walks every block in order
+	}
+	if exec != FastMatch {
+		twin.lookahead = 0 // only FastMatch marks ahead
+	}
 	switch {
 	case c != twin:
 		return twin, true
@@ -410,7 +454,8 @@ type outcome struct {
 // shapeMatrix runs one shape's cells.
 type shapeMatrix struct {
 	table    *matrixTable
-	shape    []shape // per backend
+	tbl      *colstore.Table // the inmem backend's table
+	shape    []shape         // per backend
 	params   core.Params
 	hooks    []*rowHookReader
 	plans    []*Plan // per backend, with skip masks
@@ -461,7 +506,7 @@ func TestConformanceMatrix(t *testing.T) {
 			sort.Strings(names)
 			for si, name := range names {
 				t.Run(name, func(t *testing.T) {
-					m := &shapeMatrix{table: mt, params: testParams(), hooks: hooks, done: map[cell]outcome{}}
+					m := &shapeMatrix{table: mt, tbl: tbl, params: testParams(), hooks: hooks, done: map[cell]outcome{}}
 					for _, set := range []func(*core.Params){mt.params, shapes[0][name].params} {
 						if set != nil {
 							set(&m.params)
@@ -478,6 +523,7 @@ func TestConformanceMatrix(t *testing.T) {
 					}
 					m.prepare(t)
 					m.run(t, int64(si))
+					ClusterRows(t, m, int64(si))
 				})
 			}
 		})
@@ -512,15 +558,25 @@ func (m *shapeMatrix) prepare(t *testing.T) {
 // cover of every backend × executor, canceled cells before budget cells
 // before completed ones.
 func (m *shapeMatrix) run(t *testing.T, seed int64) {
-	for _, exec := range []Executor{Scan, ScanMatch, SyncMatch, FastMatch} {
-		m.outcome(t, cell{exec: exec, workers: 1})
+	m.outcome(t, cell{exec: Scan, workers: 1})
+	for _, exec := range samplingExecutors() {
+		for start := range startNames {
+			for lookahead := range lookaheadNames {
+				c := cell{exec: exec, workers: 1, start: start, lookahead: lookahead}
+				if exec != FastMatch {
+					c.lookahead = 0
+				}
+				m.outcome(t, c)
+			}
+		}
 	}
 	var cells []cell
 	for b := range matrixBackends {
 		for e, exec := range matrixExecutors {
-			for _, row := range pairwiseCover(seed*1000+int64(b*len(matrixExecutors)+e), len(matrixWorkers), 2, 3, 2) {
+			for _, row := range pairwiseCover(seed*1000+int64(b*len(matrixExecutors)+e),
+				len(matrixWorkers), 2, 3, 2, len(startNames), len(lookaheadNames)) {
 				cells = append(cells, cell{backend: b, exec: exec, workers: matrixWorkers[row[0]],
-					skip: row[1] == 1, stop: stopKind(row[2]), observe: row[3] == 1})
+					skip: row[1] == 1, stop: stopKind(row[2]), observe: row[3] == 1, start: row[4], lookahead: row[5]})
 			}
 		}
 	}
@@ -565,6 +621,7 @@ func (m *shapeMatrix) exec(t *testing.T, c cell) outcome {
 	}
 	opts := runOptions(c.exec, p.engine.src.NumBlocks(), c.workers)
 	opts.Params = m.params
+	c.options(&opts, p.engine.src.NumBlocks())
 	var o outcome
 	var tr *trace.Trace
 	if c.observe {
@@ -776,30 +833,37 @@ func pairwiseCover(seed int64, axes ...int) [][]int {
 		rows = next
 	}
 	rand.New(rand.NewSource(seed)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-	covered := map[[4]int]bool{}
-	newPairs := func(r []int, cover bool) (n int) {
+	// Each row's pairs, numbered: axes a < b taking values va and vb.
+	n, width := len(axes), slices.Max(axes)
+	pairs := make([][]int, len(rows))
+	for i, r := range rows {
 		for a := range r {
-			for b := a + 1; b < len(r); b++ {
-				if p := [4]int{a, r[a], b, r[b]}; !covered[p] {
-					n++
-					covered[p] = cover
-				}
+			for b := a + 1; b < n; b++ {
+				pairs[i] = append(pairs[i], ((a*n+b)*width+r[a])*width+r[b])
 			}
 		}
-		return n
 	}
+	covered := make([]bool, n*n*width*width)
 	var cover [][]int
 	for {
 		best, bestN := 0, 0
-		for i, r := range rows {
-			if n := newPairs(r, false); n > bestN {
-				best, bestN = i, n
+		for i, ps := range pairs {
+			fresh := 0
+			for _, p := range ps {
+				if !covered[p] {
+					fresh++
+				}
+			}
+			if fresh > bestN {
+				best, bestN = i, fresh
 			}
 		}
 		if bestN == 0 {
 			return cover
 		}
-		newPairs(rows[best], true)
+		for _, p := range pairs[best] {
+			covered[p] = true
+		}
 		cover = append(cover, rows[best])
 	}
 }

@@ -130,8 +130,11 @@ type Result struct {
 	// estimates at the stop point and carries no separation or
 	// reconstruction guarantee. An exact run's candidate target is
 	// itself the candidate's histogram at that stop point, like every
-	// histogram ranked against it. Partial results are always accompanied
-	// by an ErrCanceled or ErrBudgetExhausted error.
+	// histogram ranked against it. A stopped run's partial comes with an
+	// ErrCanceled or ErrBudgetExhausted error; a degraded coordinated
+	// answer (internal/cluster) is Partial with a nil error and its
+	// missing shards named. The conformance matrix's cluster rows pin
+	// both.
 	Partial bool
 	// Stats carries HistSim diagnostics (zero-valued for Scan).
 	Stats core.RunStats

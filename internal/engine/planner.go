@@ -259,18 +259,11 @@ func (p *Plan) NumCandidates() int { return p.cand.numCandidates() }
 // (via the bitmap index) to the blocks containing the candidate; workers
 // ≤ 0 selects GOMAXPROCS.
 func (p *Plan) ResolveTarget(t Target, workers int) (*histogram.Histogram, error) {
-	return p.resolveTarget(t, workers, nil)
-}
-
-// resolveTarget is ResolveTarget under an optional run guard: a canceled
-// context aborts the candidate-resolution scan with the typed
-// termination error (a truncated target would be wrong, not partial).
-func (p *Plan) resolveTarget(t Target, workers int, guard *runGuard) (*histogram.Histogram, error) {
 	h, id, err := MaterializeTarget(t, p.grp.groups(), p.cand.numCandidates(), p.cand.labelOf)
 	if err != nil || h != nil {
 		return h, err
 	}
-	return p.scanCandidate(id, workers, guard)
+	return p.scanCandidate(id, workers, nil)
 }
 
 // MaterializeTarget resolves a target specification for a query with

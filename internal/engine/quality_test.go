@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -222,11 +223,7 @@ func TestQualityTruncatedRunFlagged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			target, err := plan.ResolveTarget(Target{Uniform: true}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := AuditRun(context.Background(), plan, target, res, opts); err == nil {
+			if _, err := AuditRun(context.Background(), plan, Target{Uniform: true}, res, opts); err == nil {
 				t.Fatal("AuditRun accepted a partial answer")
 			}
 		})
@@ -292,7 +289,7 @@ func TestAuditMatchesGroundTruth(t *testing.T) {
 		}
 	}
 
-	audit, err := AuditRun(context.Background(), plan, target, approx, opts)
+	audit, err := AuditRun(context.Background(), plan, Target{Uniform: true}, approx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +332,30 @@ func TestAuditMatchesGroundTruth(t *testing.T) {
 	}
 
 	// Determinism: a second audit of the same run is identical.
-	audit2, err := AuditRun(context.Background(), plan, target, approx, opts)
+	audit2, err := AuditRun(context.Background(), plan, Target{Uniform: true}, approx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if audit.PrecisionAtK != audit2.PrecisionAtK || audit.MeanAbsError != audit2.MeanAbsError {
 		t.Fatal("audit is not deterministic")
+	}
+
+	// A candidate target's reference pass takes the target from its own
+	// counts, and grades as the candidate's resolved histogram does.
+	cand := Target{Candidate: exact.TopK[0].Label}
+	resolved, err := plan.ResolveTarget(cand, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var graded [2]*Audit
+	for i, tg := range []Target{cand, {Counts: resolved.Counts()}} {
+		if graded[i], err = AuditRun(context.Background(), plan, tg, approx, opts); err != nil {
+			t.Fatal(err)
+		}
+		graded[i].ExactDuration = 0
+	}
+	if !reflect.DeepEqual(graded[0], graded[1]) {
+		t.Fatalf("candidate-target audit %+v, resolved-histogram audit %+v", graded[0], graded[1])
 	}
 }
 
@@ -393,7 +408,7 @@ func TestGradeAuditCountsReconstructionViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audited, err := AuditRun(context.Background(), plan, target, &tampered, opts)
+	audited, err := AuditRun(context.Background(), plan, Target{Uniform: true}, &tampered, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +428,7 @@ func TestGradeAuditCountsReconstructionViolations(t *testing.T) {
 	// between histograms reaches 2.
 	loose := opts
 	loose.Params.EpsilonReconstruct = 2
-	a, err := AuditRun(context.Background(), plan, target, &tampered, loose)
+	a, err := AuditRun(context.Background(), plan, Target{Uniform: true}, &tampered, loose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,14 +444,10 @@ func TestAuditRefusesEmptyAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := plan.ResolveTarget(Target{Uniform: true}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AuditRun(context.Background(), plan, target, nil, runOptions(FastMatch, 1, 4)); err == nil {
+	if _, err := AuditRun(context.Background(), plan, Target{Uniform: true}, nil, runOptions(FastMatch, 1, 4)); err == nil {
 		t.Fatal("nil result audited")
 	}
-	if _, err := AuditRun(context.Background(), plan, target, &Result{}, runOptions(FastMatch, 1, 4)); err == nil {
+	if _, err := AuditRun(context.Background(), plan, Target{Uniform: true}, &Result{}, runOptions(FastMatch, 1, 4)); err == nil {
 		t.Fatal("empty result audited")
 	}
 }
@@ -459,7 +470,7 @@ func TestAuditHonorsContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AuditRun(ctx, plan, target, approx, opts); !errors.Is(err, ErrCanceled) {
+	if _, err := AuditRun(ctx, plan, Target{Uniform: true}, approx, opts); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled audit returned %v, want ErrCanceled", err)
 	}
 }

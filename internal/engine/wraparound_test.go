@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestCursorContinuesAcrossStages(t *testing.T) {
 	// Stage 1 then stage-2-style sampling must consume disjoint blocks:
@@ -121,33 +118,5 @@ func TestScanIgnoresStartBlock(t *testing.T) {
 		if a.TopK[i].Label != b.TopK[i].Label {
 			t.Fatal("Scan results depend on start block")
 		}
-	}
-}
-
-// TestWorkerCountByteIdenticalShortLookahead re-runs FastMatch with a
-// marking window far smaller than the block space, forcing window
-// retiling and the wrap-around split on every pass — the lookahead
-// machinery runOptions' one spanning window never exercises.
-func TestWorkerCountByteIdenticalShortLookahead(t *testing.T) {
-	tbl := testDataset(t, 40_000, 20, 8, 5)
-	eng := New(tbl)
-	for _, lookahead := range []int{3, 17} {
-		t.Run(fmt.Sprintf("lookahead=%d", lookahead), func(t *testing.T) {
-			var want string
-			for i, workers := range []int{1, 0, 4} {
-				opts := runOptions(FastMatch, tbl.NumBlocks(), workers)
-				opts.Lookahead = lookahead
-				res, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				got := canonicalAnswer(t, res)
-				if i == 0 {
-					want = got
-				} else if got != want {
-					t.Fatalf("workers=%d diverges from workers=1 at lookahead %d", workers, lookahead)
-				}
-			}
-		})
 	}
 }

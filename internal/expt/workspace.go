@@ -334,7 +334,7 @@ func (w *Workspace) audit(queryID string, exec engine.Executor, ov RunOverrides,
 	if err != nil {
 		return nil, err
 	}
-	return engine.AuditRun(context.Background(), st.plan, st.target, res, w.options(st, exec, ov))
+	return engine.AuditRun(context.Background(), st.plan, engine.Target{Counts: st.target.Counts()}, res, w.options(st, exec, ov))
 }
 
 // TimedRun averages wall-clock time over reps runs with distinct seeds and

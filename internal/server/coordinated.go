@@ -29,6 +29,9 @@ import (
 
 // registerCoordinated installs a coordinated entry over a shard client.
 func (r *registry) registerCoordinated(name string, client *cluster.Client, queryTimeout time.Duration) error {
+	if err := cluster.CheckRefs(client.Refs()); err != nil {
+		return err
+	}
 	return r.add(&tableEntry{
 		name:         name,
 		source:       coordSource(client),

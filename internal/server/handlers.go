@@ -480,11 +480,7 @@ func (s *Server) localRunner(pq *preparedQuery) (runner, bool, error) {
 			return &cluster.Result{Result: res}, err
 		},
 		reference: func(ctx context.Context, approx *engine.Result) (*engine.Audit, error) {
-			target, err := plan.ResolveTarget(pq.target, 0)
-			if err != nil {
-				return nil, fmt.Errorf("resolving audit target: %w", err)
-			}
-			return engine.AuditRun(ctx, plan, target, approx, pq.opts)
+			return engine.AuditRun(ctx, plan, pq.target, approx, pq.opts)
 		},
 	}, planHit, nil
 }

@@ -324,14 +324,19 @@ func TestCoordinatedMetaPrefetchHonorsTableTimeout(t *testing.T) {
 	const timeout = time.Second
 	fx := newClusterFixture(t, 3, Config{})
 	hung := make(chan struct{})
-	silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.Copy(io.Discard, r.Body)
-		select {
-		case <-r.Context().Done():
-		case <-hung:
-		}
-	}))
-	t.Cleanup(silent.Close)
+	// One silent daemon per shard: a coordinated table refuses a URL
+	// listed twice.
+	silent := make([]*httptest.Server, 3)
+	for i := range silent {
+		silent[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			select {
+			case <-r.Context().Done():
+			case <-hung:
+			}
+		}))
+		t.Cleanup(silent[i].Close)
+	}
 	t.Cleanup(func() { close(hung) }) // runs before Close, which waits for handlers
 
 	for _, tc := range []struct {
@@ -346,7 +351,7 @@ func TestCoordinatedMetaPrefetchHonorsTableTimeout(t *testing.T) {
 			for i, mute := range tc.silent {
 				refs[i] = cluster.ShardRef{Name: shardName(i), URL: fx.shards[i].URL}
 				if mute {
-					refs[i].URL = silent.URL
+					refs[i].URL = silent[i].URL
 				}
 			}
 			s := New(Config{})

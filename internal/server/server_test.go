@@ -566,6 +566,12 @@ func TestBackendSpecValidation(t *testing.T) {
 	if err := s.LoadTable(TableSpec{Name: "coord", Shards: shards}); err != nil {
 		t.Fatalf("coordinated table without audit_fraction: %v", err)
 	}
+	// A shard listed twice, by name or by URL, would be folded twice.
+	for _, dup := range []cluster.ShardRef{{Name: "a", URL: "http://127.0.0.1:2"}, {Name: "b", URL: "http://127.0.0.1:1"}} {
+		if err := s.RegisterCoordinatedTable("dup", append(shards, dup)); err == nil || !strings.Contains(err.Error(), "listed twice") {
+			t.Fatalf("shard %+v repeated: err = %v, want it refused", dup, err)
+		}
+	}
 }
 
 func TestAdminLoadCSV(t *testing.T) {
