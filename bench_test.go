@@ -380,7 +380,8 @@ var (
 	kernErr   error
 )
 
-// kernelBenchSetup builds the 1M-row table behind every storage backend
+// kernelBenchSetup builds the 1M-row table, at the block size the daemon
+// serves (colstore.DefaultBlockSize), behind every storage backend
 // (generated once, outside the timed region), picks the three rarest
 // Origin values as a selective predicate set — rare values appear in few
 // blocks, so the candidate-union complement prunes most of the table —
@@ -391,7 +392,7 @@ var (
 func kernelBenchSetup(b *testing.B) (map[string]colstore.Reader, map[string][]bitmap.Predicate, string) {
 	b.Helper()
 	kernOnce.Do(func() {
-		ds, err := datagen.Flights(1_000_000, 5, 64)
+		ds, err := datagen.Flights(1_000_000, 5, colstore.DefaultBlockSize)
 		if err != nil {
 			kernErr = err
 			return

@@ -906,7 +906,8 @@ func ingestTwin(t testing.TB, tbl *colstore.Table) *ingest.TableView {
 // compactedIngestTwin is ingestTwin with CompactNow run before the view
 // is taken, so block skipping reads file-backed segment statistics. Every
 // sealed segment is compacted; rows past the last full 4096-row seal
-// stay in the live tail.
+// stay in the live tail, so a table shorter than one seal has no segment
+// file.
 func compactedIngestTwin(t testing.TB, tbl *colstore.Table) *ingest.TableView {
 	t.Helper()
 	const sealRows = 4096
@@ -914,7 +915,7 @@ func compactedIngestTwin(t testing.TB, tbl *colstore.Table) *ingest.TableView {
 	if err := wt.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	if st := wt.Stats(); st.SegmentFiles == 0 || st.PersistedRows != tbl.NumRows()-tbl.NumRows()%sealRows {
+	if st := wt.Stats(); (st.SegmentFiles == 0) != (tbl.NumRows() < sealRows) || st.PersistedRows != tbl.NumRows()-tbl.NumRows()%sealRows {
 		t.Fatalf("compaction left %d segment files over %d of %d rows", st.SegmentFiles, st.PersistedRows, tbl.NumRows())
 	}
 	v, err := wt.View()

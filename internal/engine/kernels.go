@@ -20,14 +20,18 @@ import "fastmatch/internal/histogram"
 // Kernel shapes follow the planner's mapper shapes:
 //
 //   - fused single/single: candidate = Z code, group = X code — one
-//     branch-free multiply-add per row (plus the known-candidate remap
-//     variant, whose table is total by construction).
+//     multiply-add per row over the block's Z and X codes (plus the
+//     known-candidate remap variant, whose table is total by construction).
 //   - multi-column groups: the composite group code is built per block
 //     with one strided pass per column into a scratch buffer.
 //   - binned measure groups: bins resolved per block into the scratch
 //     buffer (-1 = out of range, dropped at accumulation).
 //   - predicate candidates: per candidate, the compiled matcher sweeps
 //     the block against the precomputed group buffer.
+//
+// Every row loop ranges over slices cut to its block: the only per-row
+// bounds checks left index by data (accumulator cell, tally, remap),
+// each marked "// bce:", and scripts/bce.sh fails on any other.
 //
 // A sampling round's kernel also tallies rows per candidate for the
 // sampler's chunk commits. Each shape counts that tally inside its
@@ -122,69 +126,75 @@ func (p *Plan) newKernel(tally bool) *scanKernel {
 // each shape also counts the block's rows per candidate in the same loop;
 // the exact scan runs with it off, through the tally-free loops.
 func (k *scanKernel) block(lo, hi int) {
-	g, cnt := k.groups, k.cnt
-	switch {
-	case k.gbuf == nil && k.remap == nil && cnt == nil:
-		// Fused single/single: group and candidate are direct code
-		// lookups; no scratch, no branches beyond the remap variant.
-		for row := lo; row < hi; row++ {
-			k.acc[int(k.zc[row])*g+int(k.xc[row])]++
-		}
-	case k.gbuf == nil && k.remap == nil:
-		for row := lo; row < hi; row++ {
-			z := k.zc[row]
-			k.acc[int(z)*g+int(k.xc[row])]++
-			cnt[z]++
-		}
-	case k.gbuf == nil && cnt == nil:
-		for row := lo; row < hi; row++ {
-			k.acc[k.remap[k.zc[row]]*g+int(k.xc[row])]++
-		}
-	case k.gbuf == nil:
-		for row := lo; row < hi; row++ {
-			id := k.remap[k.zc[row]]
-			k.acc[id*g+int(k.xc[row])]++
-			cnt[id]++
-		}
-	case k.matchers != nil:
+	g, acc, cnt, remap := k.groups, k.acc, k.cnt, k.remap
+	if k.matchers != nil {
 		gb := k.groupCodes(lo, hi)
 		for c, m := range k.matchers {
 			base, n := c*g, int64(0)
 			for i, gg := range gb {
 				if gg >= 0 && m(lo+i) {
-					k.acc[base+int(gg)]++
+					acc[base+int(gg)]++ // bce: acc
 					n++
 				}
 			}
 			if cnt != nil {
-				cnt[c] += n
+				cnt[c] += n // bce: cnt
 			}
 		}
-	case cnt == nil:
-		gb := k.groupCodes(lo, hi)
+		return
+	}
+	if k.gbuf == nil {
+		// Fused single/single: direct code lookups, no scratch.
+		zs := k.zc[lo:hi]
+		xs := k.xc[lo:hi][:len(zs)]
+		switch {
+		case remap == nil && cnt == nil:
+			for i, z := range zs {
+				acc[int(z)*g+int(xs[i])]++ // bce: acc
+			}
+		case remap == nil:
+			for i, z := range zs {
+				acc[int(z)*g+int(xs[i])]++ // bce: acc
+				cnt[z]++                   // bce: cnt
+			}
+		case cnt == nil:
+			for i, z := range zs {
+				acc[remap[z]*g+int(xs[i])]++ // bce: acc, remap
+			}
+		default:
+			for i, z := range zs {
+				id := remap[z]         // bce: remap
+				acc[id*g+int(xs[i])]++ // bce: acc
+				cnt[id]++              // bce: cnt
+			}
+		}
+		return
+	}
+	gb := k.groupCodes(lo, hi)
+	zs := k.zc[lo:hi][:len(gb)]
+	if cnt == nil {
 		for i, gg := range gb {
 			if gg < 0 {
 				continue
 			}
-			id := int(k.zc[lo+i])
-			if k.remap != nil {
-				id = k.remap[id]
+			id := int(zs[i])
+			if remap != nil {
+				id = remap[id] // bce: remap
 			}
-			k.acc[id*g+int(gg)]++
+			acc[id*g+int(gg)]++ // bce: acc
 		}
-	default:
-		gb := k.groupCodes(lo, hi)
-		for i, gg := range gb {
-			if gg < 0 {
-				continue
-			}
-			id := int(k.zc[lo+i])
-			if k.remap != nil {
-				id = k.remap[id]
-			}
-			k.acc[id*g+int(gg)]++
-			cnt[id]++
+		return
+	}
+	for i, gg := range gb {
+		if gg < 0 {
+			continue
 		}
+		id := int(zs[i])
+		if remap != nil {
+			id = remap[id] // bce: remap
+		}
+		acc[id*g+int(gg)]++ // bce: acc
+		cnt[id]++           // bce: cnt
 	}
 }
 
@@ -194,22 +204,23 @@ func (k *scanKernel) groupCodes(lo, hi int) []int32 {
 	gb := k.gbuf[:hi-lo]
 	switch {
 	case k.xc != nil:
-		for i := range gb {
-			gb[i] = int32(k.xc[lo+i])
+		for i, x := range k.xc[lo:hi][:len(gb)] {
+			gb[i] = int32(x)
 		}
 	case k.mg != nil:
-		for i := range gb {
-			gb[i] = 0
-		}
-		for ci, codes := range k.mg.codes {
-			stride := int32(k.mg.strides[ci])
-			for i := range gb {
-				gb[i] += int32(codes[lo+i]) * stride
+		clear(gb)
+		cols := k.mg.codes
+		strides := k.mg.strides[:len(cols)]
+		for ci, codes := range cols {
+			stride := int32(strides[ci])
+			for i, c := range codes[lo:hi][:len(gb)] {
+				gb[i] += int32(c) * stride
 			}
 		}
 	default:
-		for i := range gb {
-			if bin, ok := k.binned.binner.Bin(k.binned.values[lo+i]); ok {
+		bins := k.binned.binner
+		for i, v := range k.binned.values[lo:hi][:len(gb)] {
+			if bin, ok := bins.Bin(v); ok {
 				gb[i] = int32(bin)
 			} else {
 				gb[i] = -1

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fastmatch/internal/bitmap"
+	"fastmatch/internal/colstore"
 	"fastmatch/internal/datagen"
 	"fastmatch/internal/histogram"
 )
@@ -25,7 +26,7 @@ var benchHists []*histogram.Histogram
 //     plan without its skip masks (withoutSkipMasks) and through the
 //     plan itself, where the masks prune most blocks.
 func BenchmarkScanReference(b *testing.B) {
-	ds, err := datagen.Flights(1_000_000, 5, 64)
+	ds, err := datagen.Flights(1_000_000, 5, colstore.DefaultBlockSize)
 	if err != nil {
 		b.Fatal(err)
 	}

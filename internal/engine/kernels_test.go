@@ -39,6 +39,9 @@ func accumulatorShapes(t testing.TB, tbl *colstore.Table, eng *Engine) map[strin
 	vals := append([]float64(nil), m.Values(0, src.NumRows())...)
 	sort.Float64s(vals)
 	q1, q3 := vals[len(vals)/4], vals[3*len(vals)/4]
+	if q3 == q1 { // a one-row table: its row opens the first bin
+		q3 = q1 + 1
+	}
 	bins, err := colstore.NewBinner([]float64{q1, q1 + (q3-q1)/3, q1 + 2*(q3-q1)/3, q3})
 	if err != nil {
 		t.Fatal(err)
@@ -54,10 +57,22 @@ func accumulatorShapes(t testing.TB, tbl *colstore.Table, eng *Engine) map[strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	zv := func(code uint32) string { return base.Dictionary().Value(code) }
+	// The shapes name the table's Z values in code order, cycling through
+	// them on a table that holds fewer than five (the edge-case tables).
+	var present []uint32
+	seen := make([]bool, base.Cardinality())
+	for _, code := range base.Codes(0, tbl.NumRows()) {
+		seen[code] = true
+	}
+	for code, ok := range seen {
+		if ok {
+			present = append(present, uint32(code))
+		}
+	}
+	zv := func(i int) string { return base.Dictionary().Value(present[i%len(present)]) }
 	return map[string]Query{
 		"single-single":               baseQuery(),
-		"known-candidates-with-dummy": {Z: "Z", X: []string{"X"}, KnownCandidates: []string{zv(3), zv(0)}},
+		"known-candidates-with-dummy": {Z: "Z", X: []string{"X"}, KnownCandidates: slices.Compact([]string{zv(3), zv(0)})},
 		"multi-x":                     {Z: "Z", X: []string{"X", "W"}},
 		"binned-sparse":               {Z: "Z", XMeasure: "M", XBins: bins},
 		"overlapping-predicates": {X: []string{"X"}, CandidatePreds: []bitmap.Predicate{
@@ -216,9 +231,22 @@ func (r *refKernel) matches(pred bitmap.Predicate, row int) bool {
 // test: on every backend, for every plan shape, with the tally on and
 // off, the kernels produce the reference loop's histograms cell for cell
 // (nil histograms included), every block's whole tally equals the
-// reference's, and the tallies sum to the histogram totals.
+// reference's, and the tallies sum to the histogram totals. Beside the
+// accumulator table it runs the edges of the kernels' block cuts: a
+// one-row table, a table shorter than one block, and a table of two full
+// blocks, whose last cut ends at NumRows on the block grid.
 func TestAccumulatorMatchesScalarReference(t *testing.T) {
-	tbl := accumulatorTable(t)
+	checkAccumulator(t, accumulatorTable(t))
+	for _, rows := range []int{1, 37, 128} {
+		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {
+			checkAccumulator(t, testDataset(t, rows, 9, 6, 77))
+		})
+	}
+}
+
+// checkAccumulator holds the kernels to the reference loop over tbl's
+// rows, as TestAccumulatorMatchesScalarReference describes.
+func checkAccumulator(t *testing.T, tbl *colstore.Table) {
 	backends := backendEngines(t, tbl)
 	shapes := map[string]map[string]Query{}
 	for backend, eng := range backends {
