@@ -91,7 +91,7 @@ type (
 	// safe for concurrent use: its index cache is guarded by singleflight
 	// locking, and per-run scan state lives in the run.
 	Engine = engine.Engine
-	// Plan is a prepared query — candidate and group mappers resolved
+	// Plan is a prepared query — candidates and groups resolved
 	// once, reusable (and safe to share) across runs; see Engine.Prepare.
 	Plan = engine.Plan
 	// Query is a histogram-generating query template: candidate attribute

@@ -106,8 +106,12 @@ func TestIndexBuildAndContains(t *testing.T) {
 		{2, 0}: false, {2, 1}: true, {2, 2}: false,
 	}
 	for key, want := range wantBits {
-		if got := idx.Contains(uint32(key[0]), key[1]); got != want {
-			t.Errorf("Contains(v=%d, b=%d) = %v, want %v", key[0], key[1], got, want)
+		vb, err := idx.ValueBitset(uint32(key[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := vb.Get(key[1]); got != want {
+			t.Errorf("ValueBitset(%d).Get(%d) = %v, want %v", key[0], key[1], got, want)
 		}
 	}
 }
@@ -155,7 +159,7 @@ func TestIndexInvariantProperty(t *testing.T) {
 				present[c] = true
 			}
 			for v := 0; v < card; v++ {
-				if idx.Contains(uint32(v), b) != present[uint32(v)] {
+				if vb, err := idx.ValueBitset(uint32(v)); err != nil || vb.Get(b) != present[uint32(v)] {
 					return false
 				}
 			}

@@ -59,11 +59,6 @@ func (ix *Index) NumBlocks() int { return ix.blocks }
 // NumValues returns the attribute-value cardinality.
 func (ix *Index) NumValues() int { return len(ix.perValue) }
 
-// Contains reports whether block b contains any tuple with value code v.
-func (ix *Index) Contains(v uint32, b int) bool {
-	return ix.perValue[v].Get(b)
-}
-
 // ValueBitset returns the bitset for value v (read-only use).
 func (ix *Index) ValueBitset(v uint32) (*Bitset, error) {
 	if int(v) >= len(ix.perValue) {

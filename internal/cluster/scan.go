@@ -65,30 +65,19 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram, target
 		return nil, mergeErr
 	}
 	// Degraded scans are honest partials: the fold holds only data
-	// actually read, and an incomplete pass never σ-prunes.
-	complete := stopErr == nil && !st.degraded
-	hists := gb.Hists
-	for i, h := range hists {
-		if h == nil {
-			hists[i] = histogram.New(st.groups)
+	// actually read, and an incomplete pass never σ-prunes. A stopped or
+	// degraded fold holds a candidate target over the rows it read, as it
+	// holds every candidate; one that read none of the target's rows has
+	// nothing to rank against.
+	res := engine.RankExact(target, targetID, gb.Hists, st.groups, gb.Drawn, stopErr == nil && !st.degraded, opts.Params, st.labelOf)
+	if res == nil {
+		if stopErr != nil {
+			return nil, stopErr
 		}
+		return nil, fmt.Errorf("cluster: target candidate %q has no row on the live shards (missing %v)",
+			st.labels[targetID], st.missing())
 	}
-	if target == nil {
-		// A stopped or degraded fold holds the target over the rows it
-		// read, as it holds every candidate; one that read none of the
-		// target's rows has nothing to rank against.
-		if target = hists[targetID]; !complete && target.Total() == 0 {
-			if stopErr != nil {
-				return nil, stopErr
-			}
-			return nil, fmt.Errorf("cluster: target candidate %q has no row on the live shards (missing %v)",
-				st.labels[targetID], st.missing())
-		}
-	}
-	res := &engine.Result{Exact: complete, Partial: !complete, IO: io}
-	res.TopK, res.Pruned = engine.RankExact(target, opts.Params, hists, gb.Drawn, complete, st.labelOf)
-	res.Stats.ChosenK = len(res.TopK)
-	res.Stats.PrunedCandidates = len(res.Pruned)
+	res.IO = io
 	res.Duration = time.Since(began)
 	res.GroupLabels = st.groupLabels
 	return st.finish(res), stopErr

@@ -31,7 +31,10 @@ func NewBinner(edges []float64) (*Binner, error) {
 	return &Binner{edges: out}, nil
 }
 
-// NewUniformBinner builds n equal-width bins over [lo, hi].
+// NewUniformBinner builds n equal-width bins over [lo, hi]. The built
+// edges must be strictly increasing, as NewBinner requires: a range whose
+// width overflows, or one too narrow for n distinct float64 edges, is an
+// error.
 func NewUniformBinner(lo, hi float64, n int) (*Binner, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("colstore: need at least 1 bin, got %d", n)
@@ -45,7 +48,7 @@ func NewUniformBinner(lo, hi float64, n int) (*Binner, error) {
 		edges[i] = lo + float64(i)*w
 	}
 	edges[n] = hi // avoid accumulated FP error at the top edge
-	return &Binner{edges: edges}, nil
+	return NewBinner(edges)
 }
 
 // NumBins returns the number of bins.

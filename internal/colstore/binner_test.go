@@ -60,6 +60,14 @@ func TestUniformBinnerValidation(t *testing.T) {
 	if _, err := NewUniformBinner(5, 5, 3); err == nil {
 		t.Fatal("empty range accepted")
 	}
+	// The width overflows to +Inf, so the edges start NaN, +Inf.
+	if b, err := NewUniformBinner(-1e308, 1e308, 2); err == nil {
+		t.Fatalf("overflowing range accepted with edges %v", b.Edges())
+	}
+	// Eight bins over a range of two float64 ulps repeat edges.
+	if b, err := NewUniformBinner(1e16, 1e16+4, 8); err == nil {
+		t.Fatalf("zero-width bins accepted with edges %v", b.Edges())
+	}
 }
 
 func TestBinnerLabel(t *testing.T) {

@@ -145,13 +145,13 @@ func TestPredicateCandidateBlockSets(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, pred := range preds {
-					got := p.multi.candidateBlocks(i)
+					got := p.cand.blocks[i]
 					for b := 0; b < src.NumBlocks(); b++ {
 						lo, hi := src.BlockSpan(b)
 						holds := false
 						for row := lo; row < hi; row++ {
 							want := fold(pred, row, row+1)
-							if matched := p.multi.matchers[i](row); matched != want {
+							if matched := p.cand.matchers[i](row); matched != want {
 								t.Fatalf("%s: row %d matcher says %v, naive scan %v", pred, row, matched, want)
 							}
 							holds = holds || want

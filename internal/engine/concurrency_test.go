@@ -10,7 +10,7 @@ import (
 // TestConcurrentEngineStress hammers one shared Engine from many
 // goroutines with a mix of query shapes, so concurrent index builds, plan
 // preparation, and runs all overlap. Run under -race it
-// verifies the singleflight-guarded caches and the read-only mappers.
+// verifies the singleflight-guarded caches and the read-only plans.
 func TestConcurrentEngineStress(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 31)
 	e := New(tbl)

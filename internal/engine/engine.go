@@ -74,11 +74,11 @@ type Options struct {
 	// Workers is the goroutine count for the exact path: the ParallelScan
 	// executor's block partitions and, for the sampling executors only,
 	// the candidate-target scan before stage 1 (an exact run takes its
-	// candidate target from its own pass); ≤ 0 selects GOMAXPROCS. The
-	// sampling executors run every round on the caller's goroutine (see
-	// blockSampler), and the sequential Scan executor, the
-	// single-threaded exact baseline by definition, ignores it;
-	// ParallelScan is its parallel counterpart.
+	// candidate target from its own pass); ≤ 0 selects GOMAXPROCS, and
+	// more than MaxWorkers is invalid. The sampling executors run every
+	// round on the caller's goroutine (see blockSampler), and the
+	// sequential Scan executor, the single-threaded exact baseline by
+	// definition, ignores it; ParallelScan is its parallel counterpart.
 	Workers int
 	// OnProgress, when non-nil, receives interim run state as Progress
 	// frames: sampling executors emit after stage 1, after every HistSim
@@ -251,13 +251,13 @@ func (p *Plan) RunContext(ctx context.Context, t Target, opts Options) (*Result,
 		return nil, err
 	}
 	var auto *AutoDecision
-	opts.Executor, auto = ResolveExecutor(opts, p.rows, p.grp.groups(), false)
+	opts.Executor, auto = ResolveExecutor(opts, p.rows, p.grp.n, false)
 	// The resolve_target span carries no IO: a separate target pass is
 	// outside the run's IOStats by contract (Result.Duration excludes it
 	// too), so attributing its I/O here would break the per-span-sum
 	// invariant. On an exact run it times only the lookup.
 	rsp := opts.Trace.Start("resolve_target")
-	target, targetID, err := MaterializeTarget(t, p.grp.groups(), p.cand.numCandidates(), p.cand.labelOf)
+	target, targetID, err := MaterializeTarget(t, p.grp.n, len(p.cand.blocks), p.cand.label)
 	if err == nil && target == nil && !opts.Executor.exact() {
 		target, err = p.scanCandidate(targetID, opts.Workers, guard)
 	}
@@ -281,11 +281,11 @@ func (p *Plan) RunWithTargetContext(ctx context.Context, target *histogram.Histo
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if target.Groups() != p.grp.groups() {
-		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), p.grp.groups())
+	if target.Groups() != p.grp.n {
+		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), p.grp.n)
 	}
 	var auto *AutoDecision
-	opts.Executor, auto = ResolveExecutor(opts, p.rows, p.grp.groups(), false)
+	opts.Executor, auto = ResolveExecutor(opts, p.rows, p.grp.n, false)
 	return p.run(target, 0, auto, opts, newRunGuard(ctx, opts.RowBudget))
 }
 
@@ -318,7 +318,7 @@ func (p *Plan) run(target *histogram.Histogram, targetID int, auto *AutoDecision
 			return nil, err
 		}
 		res.Duration = time.Since(began)
-		res.GroupLabels = groupLabels(p.grp)
+		res.GroupLabels = p.grp.labels()
 		return res, err
 	}
 	start := opts.StartBlock
@@ -326,12 +326,12 @@ func (p *Plan) run(target *histogram.Histogram, targetID int, auto *AutoDecision
 		start = rand.New(rand.NewSource(opts.Seed)).Intn(nb)
 	}
 	bs := p.newSampler(opts, start, guard)
-	coreRes, err := core.RunObserved(bs, target, opts.Params, rec.observer(bs.Stats, p.cand.labelOf))
+	coreRes, err := core.RunObserved(bs, target, opts.Params, rec.observer(bs.Stats, p.cand.label))
 	rec.finish(bs.Stats())
 	if err != nil && (coreRes == nil || !interrupted(err)) {
 		return nil, err
 	}
-	return samplingResult(coreRes, bs.Stats(), time.Since(began), groupLabels(p.grp), p.cand.labelOf), err
+	return samplingResult(coreRes, bs.Stats(), time.Since(began), p.grp.labels(), p.cand.label), err
 }
 
 // runRecord is an observed run's one record of what it reported. Every
@@ -457,12 +457,4 @@ func ioDelta(cur, prev IOStats) IOStats {
 		TuplesRead:    cur.TuplesRead - prev.TuplesRead,
 		Wraps:         cur.Wraps - prev.Wraps,
 	}
-}
-
-func groupLabels(grp groupMapper) []string {
-	out := make([]string, grp.groups())
-	for g := range out {
-		out[g] = grp.labelOf(g)
-	}
-	return out
 }

@@ -40,11 +40,20 @@ func (p *Plan) Explain() ExplainInfo {
 		Rows:          src.NumRows(),
 		Blocks:        src.NumBlocks(),
 		BlockSize:     src.BlockSize(),
-		Candidates:    p.cand.numCandidates(),
-		CandidateKind: p.cand.kind(),
-		Groups:        p.grp.groups(),
-		GroupKind:     p.grp.kind(),
+		Candidates:    len(p.cand.blocks),
+		CandidateKind: "column",
+		Groups:        p.grp.n,
+		GroupKind:     "single",
 		HasBlockStats: blockStatsOf(src) != nil,
+	}
+	if p.cand.matchers != nil {
+		info.CandidateKind = "predicates"
+	}
+	switch {
+	case p.grp.binner != nil:
+		info.GroupKind = "binned"
+	case p.grp.mc != nil:
+		info.GroupKind = "multi"
 	}
 	if p.skipAll != nil {
 		info.PrunableBlocks = p.skipAll.Count()

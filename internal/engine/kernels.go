@@ -17,9 +17,9 @@ import "fastmatch/internal/histogram"
 // equals n single float64 Adds bit for bit. The accumulator tests hold
 // every shape to a per-row reference loop kept in the tests.
 //
-// Kernel shapes follow the planner's mapper shapes:
+// A kernel's shape is its plan's candidate source × group source:
 //
-//   - fused single/single: candidate = Z code, group = X code — one
+//   - fused column × single X: candidate = Z code, group = X code — one
 //     multiply-add per row over the block's Z and X codes (plus the
 //     known-candidate remap variant, whose table is total by construction).
 //   - multi-column groups: the composite group code is built per block
@@ -45,54 +45,18 @@ import "fastmatch/internal/histogram"
 // up front, so such a plan would exhaust memory, not run slowly.
 const maxKernelCells = 1 << 22
 
-// kernelShape is a plan's accumulator form: the aliased full-column
-// slices the kernels index directly. Resolved once at Prepare and shared
-// read-only by every run of the plan.
-type kernelShape struct {
-	// Candidate side: exactly one of (zc) / (matchers) is set.
-	zc       []uint32             // columnCandidates: Z codes
-	remap    []int                // nil = identity; else total, values ≥ 0
-	matchers []func(row int) bool // predicateCandidates: compiled matchers
-
-	// Group side: exactly one of (xc) / (mg) / (binned) is set.
-	xc     []uint32 // singleGroups: X codes
-	mg     *multiGroups
-	binned binnedGroups
-}
-
-// kernelShape resolves the plan's accumulator form. Every mapper the
-// planner builds has one, so every prepared plan runs the kernels.
-func (p *Plan) kernelShape() kernelShape {
-	var sh kernelShape
-	switch g := p.grp.(type) {
-	case singleGroups:
-		sh.xc = g.codes
-	case *multiGroups:
-		sh.mg = g
-	default:
-		sh.binned = g.(binnedGroups)
-	}
-	if p.multi != nil {
-		sh.matchers = p.multi.matchers
-	} else {
-		cc := p.cand.(*columnCandidates)
-		sh.zc, sh.remap = cc.codes, cc.remap
-	}
-	return sh
-}
-
 // scanKernel is one worker's accumulation state. Instances are never
 // shared: everything here is written without synchronization.
 type scanKernel struct {
-	groups int
 	// hists are the per-candidate histograms, allocated when fold first
 	// drains a non-zero cell of the candidate. A candidate with no
 	// counted row stays nil.
 	hists []*histogram.Histogram
 
-	// The shape is held by value so the kernels' loops index its slices
-	// directly.
-	kernelShape
+	// The plan's candidates and groups, copied by value so the loops
+	// index their slices directly.
+	cand candidates
+	grp  groups
 	acc  []int64 // [candidate*groups + group]
 	gbuf []int32 // per-block group scratch; nil on the fused path
 
@@ -106,14 +70,14 @@ type scanKernel struct {
 // row tally, which selects each shape's tallying loop. Without it (the
 // exact passes) the loops carry no tally code.
 func (p *Plan) newKernel(tally bool) *scanKernel {
-	nCand, groups := p.cand.numCandidates(), p.grp.groups()
+	nCand := len(p.cand.blocks)
 	k := &scanKernel{
-		groups:      groups,
-		hists:       make([]*histogram.Histogram, nCand),
-		kernelShape: p.shape,
-		acc:         make([]int64, groups*nCand),
+		hists: make([]*histogram.Histogram, nCand),
+		cand:  p.cand,
+		grp:   p.grp,
+		acc:   make([]int64, p.grp.n*nCand),
 	}
-	if k.xc == nil || k.matchers != nil {
+	if k.grp.xc == nil || k.cand.matchers != nil {
 		k.gbuf = make([]int32, p.blockSize)
 	}
 	if tally {
@@ -126,10 +90,10 @@ func (p *Plan) newKernel(tally bool) *scanKernel {
 // each shape also counts the block's rows per candidate in the same loop;
 // the exact scan runs with it off, through the tally-free loops.
 func (k *scanKernel) block(lo, hi int) {
-	g, acc, cnt, remap := k.groups, k.acc, k.cnt, k.remap
-	if k.matchers != nil {
+	g, acc, cnt, remap := k.grp.n, k.acc, k.cnt, k.cand.remap
+	if k.cand.matchers != nil {
 		gb := k.groupCodes(lo, hi)
-		for c, m := range k.matchers {
+		for c, m := range k.cand.matchers {
 			base, n := c*g, int64(0)
 			for i, gg := range gb {
 				if gg >= 0 && m(lo+i) {
@@ -145,8 +109,8 @@ func (k *scanKernel) block(lo, hi int) {
 	}
 	if k.gbuf == nil {
 		// Fused single/single: direct code lookups, no scratch.
-		zs := k.zc[lo:hi]
-		xs := k.xc[lo:hi][:len(zs)]
+		zs := k.cand.zc[lo:hi]
+		xs := k.grp.xc[lo:hi][:len(zs)]
 		switch {
 		case remap == nil && cnt == nil:
 			for i, z := range zs {
@@ -171,7 +135,7 @@ func (k *scanKernel) block(lo, hi int) {
 		return
 	}
 	gb := k.groupCodes(lo, hi)
-	zs := k.zc[lo:hi][:len(gb)]
+	zs := k.cand.zc[lo:hi][:len(gb)]
 	if cnt == nil {
 		for i, gg := range gb {
 			if gg < 0 {
@@ -203,14 +167,14 @@ func (k *scanKernel) block(lo, hi int) {
 func (k *scanKernel) groupCodes(lo, hi int) []int32 {
 	gb := k.gbuf[:hi-lo]
 	switch {
-	case k.xc != nil:
-		for i, x := range k.xc[lo:hi][:len(gb)] {
+	case k.grp.xc != nil:
+		for i, x := range k.grp.xc[lo:hi][:len(gb)] {
 			gb[i] = int32(x)
 		}
-	case k.mg != nil:
+	case k.grp.mc != nil:
 		clear(gb)
-		cols := k.mg.codes
-		strides := k.mg.strides[:len(cols)]
+		cols := k.grp.mc
+		strides := k.grp.strides[:len(cols)]
 		for ci, codes := range cols {
 			stride := int32(strides[ci])
 			for i, c := range codes[lo:hi][:len(gb)] {
@@ -218,8 +182,8 @@ func (k *scanKernel) groupCodes(lo, hi int) []int32 {
 			}
 		}
 	default:
-		bins := k.binned.binner
-		for i, v := range k.binned.values[lo:hi][:len(gb)] {
+		bins := k.grp.binner
+		for i, v := range k.grp.values[lo:hi][:len(gb)] {
 			if bin, ok := bins.Bin(v); ok {
 				gb[i] = int32(bin)
 			} else {
@@ -237,11 +201,11 @@ func (k *scanKernel) fold() []*histogram.Histogram {
 		if n == 0 {
 			continue
 		}
-		id := i / k.groups
+		id := i / k.grp.n
 		if k.hists[id] == nil {
-			k.hists[id] = histogram.New(k.groups)
+			k.hists[id] = histogram.New(k.grp.n)
 		}
-		k.hists[id].AddN(i%k.groups, float64(n))
+		k.hists[id].AddN(i%k.grp.n, float64(n))
 		k.acc[i] = 0
 	}
 	return k.hists

@@ -87,8 +87,9 @@ func accumulatorShapes(t testing.TB, tbl *colstore.Table, eng *Engine) map[strin
 
 // refKernel is the accumulator's reference: the per-row loop the kernels
 // replaced. It maps each row from the plan's query through the source's
-// column readers, one row at a time — never through kernelShape, the
-// planner's strides and remap table, or the compiled matchers — and adds
+// column readers, one row at a time — never through the plan's
+// candidates and groups, their strides and remap table, or the compiled
+// matchers — and adds
 // it to a float64 histogram allocated on the candidate's first counted
 // row.
 type refKernel struct {

@@ -4,16 +4,19 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"fastmatch/internal/bitmap"
 )
 
 // TestMarkAnyActiveMatchesBlockProbe holds the word-major lookahead
-// marking (Algorithm 3) to the per-block probe (Algorithm 2) at the
-// mapper level: for column candidates with and without a KnownCandidates
-// dummy and for predicate candidates, on the in-memory backend and on an
-// ingest view whose index is copied from 37-block seals that end inside
-// a word, every mark[i] of a random tile equals blockAnyActive(active,
-// start+i) for a random active set — including tiles that start inside a
-// word and run past the last block, which must read unmarked.
+// marking (Algorithm 3) to the per-block probe (Algorithm 2) over a
+// plan's candidate block sets: for column candidates with and without a
+// KnownCandidates dummy and for predicate candidates, on the in-memory
+// backend and on an ingest view whose index is copied from 37-block
+// seals that end inside a word, every mark[i] of a random tile equals
+// anyActive(blocks, active, start+i) for a random active set — including
+// tiles that start inside a word and run past the last block, which must
+// read unmarked.
 func TestMarkAnyActiveMatchesBlockProbe(t *testing.T) {
 	tbl := testDataset(t, 20_000, 40, 6, 11) // 313 blocks of 64 rows
 	wt := ingestTableFrom(t, tbl, 37*64)     // 37-block segments
@@ -55,12 +58,12 @@ func TestMarkAnyActiveMatchesBlockProbe(t *testing.T) {
 					start := rng.Intn(nb)
 					mark := make([]bool, rng.Intn(1100)+1)
 					for i := range mark {
-						mark[i] = true // markAnyActive must overwrite every entry
+						mark[i] = true // MarkAny must overwrite every entry
 					}
-					p.cand.markAnyActive(active, start, mark)
+					bitmap.MarkAny(p.cand.blocks, active, start, mark)
 					for i, got := range mark {
 						b := start + i
-						want := b < nb && p.cand.blockAnyActive(active, b)
+						want := b < nb && anyActive(p.cand.blocks, active, b)
 						if got != want {
 							t.Fatalf("trial %d: active %v, tile at %d: mark[%d] = %v, block probe %v", trial, active, start, i, got, want)
 						}

@@ -103,9 +103,17 @@ func (e *InvalidOptionsError) Error() string {
 	return fmt.Sprintf("engine: invalid option %s: %s", e.Field, e.Reason)
 }
 
+// MaxWorkers caps the exact path's worker count a caller may ask for.
+// Each worker holds a candidates × groups accumulator of up to 32 MiB
+// (see PlanTooLargeError), so the cap is fixed, not the machine's CPU
+// count: a request cannot buy thousands of accumulators. A count ≤ 0
+// still selects GOMAXPROCS.
+const MaxWorkers = 64
+
 // Validate checks every run-affecting field and returns an
 // *InvalidOptionsError naming the first offending one: the Params
-// through core.Params.Validate, then the executor and the row budget.
+// through core.Params.Validate, then the executor, the row budget and
+// the worker count.
 // The zero Options value is NOT valid (K and Epsilon are zero);
 // DefaultOptions always is.
 func (o Options) Validate() error {
@@ -123,6 +131,9 @@ func (o Options) Validate() error {
 	}
 	if o.RowBudget < 0 {
 		return bad("RowBudget", "row budget must be ≥ 0, got %d", o.RowBudget)
+	}
+	if o.Workers > MaxWorkers {
+		return bad("Workers", "at most %d workers, got %d", MaxWorkers, o.Workers)
 	}
 	return nil
 }

@@ -35,6 +35,7 @@ func TestOptionsValidateRejectsNonsense(t *testing.T) {
 		{"negative rounds", func(o *Options) { o.Params.MaxRounds = -1 }, "MaxRounds"},
 		{"unknown metric", func(o *Options) { o.Params.Metric = histogram.Metric(99) }, "Metric"},
 		{"unknown executor", func(o *Options) { o.Executor = Executor(42) }, "Executor"},
+		{"too many workers", func(o *Options) { o.Workers = MaxWorkers + 1 }, "Workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,6 +56,13 @@ func TestOptionsValidateRejectsNonsense(t *testing.T) {
 func TestOptionsValidateAcceptsDefaults(t *testing.T) {
 	if err := validOptions().Validate(); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
+	}
+	for _, w := range []int{-1, 0, MaxWorkers} {
+		o := validOptions()
+		o.Workers = w
+		if err := o.Validate(); err != nil {
+			t.Fatalf("workers %d rejected: %v", w, err)
+		}
 	}
 }
 

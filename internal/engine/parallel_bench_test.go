@@ -50,7 +50,7 @@ func BenchmarkCandidateTarget(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	target := Target{Candidate: plan.cand.labelOf(0)}
+	target := Target{Candidate: plan.cand.label(0)}
 	for _, exec := range []Executor{Scan, ParallelScan, FastMatch} {
 		b.Run(exec.String(), func(b *testing.B) {
 			opts := runOptions(exec, tbl.NumBlocks(), 0)

@@ -9,7 +9,7 @@ import (
 	"fastmatch/internal/obs/trace"
 )
 
-// Plan is a resolved query: the candidate and group mappers bound to the
+// Plan is a resolved query: its candidates and groups bound to the
 // engine's table and indexes. Planning resolves columns, builds (or fetches
 // cached) bitmap indexes, and compiles predicate matchers once; the
 // resulting Plan is immutable and safe for concurrent use, so callers
@@ -18,9 +18,8 @@ import (
 type Plan struct {
 	engine *Engine
 	query  Query
-	cand   candidateMapper
-	multi  *predicateCandidates // non-nil iff candidates may overlap
-	grp    groupMapper
+	cand   candidates
+	grp    groups
 	// skipAll / skipGrp mark blocks the storage backend's block statistics
 	// prove free of qualifying rows; executors consume them virtually
 	// (rows charged to guards and totals, nothing read) so results stay
@@ -36,9 +35,6 @@ type Plan struct {
 	// concurrency-safe, and every run applies them.
 	skipAll *bitmap.Bitset
 	skipGrp *bitmap.Bitset
-	// shape is the plan's accumulator form, which every run's kernels
-	// index (see kernelShape).
-	shape kernelShape
 	// blockSize/rows cache the table geometry: executors consuming a
 	// pruned block virtually must not call BlockSpan — a
 	// simulated-latency backend would sleep for a block nobody reads.
@@ -100,14 +96,10 @@ func (e *Engine) PrepareTraced(q Query, tr *trace.Trace) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cells := int64(cand.numCandidates()) * int64(grp.groups()); cells > maxKernelCells {
-		return nil, &PlanTooLargeError{Candidates: cand.numCandidates(), Groups: grp.groups()}
+	if cells := int64(len(cand.blocks)) * int64(grp.n); cells > maxKernelCells {
+		return nil, &PlanTooLargeError{Candidates: len(cand.blocks), Groups: grp.n}
 	}
 	p := &Plan{engine: e, query: q, cand: cand, grp: grp, blockSize: e.src.BlockSize(), rows: e.src.NumRows()}
-	if pc, ok := cand.(*predicateCandidates); ok {
-		p.multi = pc
-	}
-	p.shape = p.kernelShape()
 	sp = psp.Child("skip_masks")
 	p.buildSkipMasks()
 	sp.End()
@@ -138,11 +130,11 @@ func (p *Plan) buildSkipMasks() {
 		return
 	}
 	var grpMask *bitmap.Bitset
-	if bg, ok := p.grp.(binnedGroups); ok {
+	if p.grp.binner != nil {
 		if stats := blockStatsOf(p.engine.src); stats != nil {
-			edges := bg.binner.Edges()
+			edges := p.grp.binner.Edges()
 			if len(edges) >= 2 {
-				name := bg.m.MeasureName()
+				name := p.query.XMeasure
 				for b := 0; b < nb; b++ {
 					lo, hi, ok := stats.MeasureRange(name, b)
 					if ok && (hi < edges[0] || lo > edges[len(edges)-1]) {
@@ -156,9 +148,9 @@ func (p *Plan) buildSkipMasks() {
 		}
 	}
 	var candMask *bitmap.Bitset
-	if p.multi != nil {
+	if p.cand.matchers != nil {
 		union := bitmap.NewBitset(nb)
-		for _, bs := range p.multi.blocks {
+		for _, bs := range p.cand.blocks {
 			_ = union.Or(bs) // lengths match by construction
 		}
 		for b := 0; b < nb; b++ {
@@ -184,47 +176,47 @@ func (p *Plan) buildSkipMasks() {
 	}
 }
 
-// planCandidates resolves the candidate mapper: predicate candidates when
+// planCandidates resolves the candidates: predicate candidates when
 // CandidatePreds is set, otherwise the distinct values of the Z column
 // backed by its bitmap index.
-func (e *Engine) planCandidates(q Query) (candidateMapper, error) {
+func (e *Engine) planCandidates(q Query) (candidates, error) {
 	if len(q.CandidatePreds) > 0 {
 		return e.newPredicateCandidates(q.CandidatePreds)
 	}
 	if q.Z == "" {
-		return nil, fmt.Errorf("engine: query needs Z or CandidatePreds")
+		return candidates{}, fmt.Errorf("engine: query needs Z or CandidatePreds")
 	}
 	col, err := e.src.ColumnByName(q.Z)
 	if err != nil {
-		return nil, err
+		return candidates{}, err
 	}
 	idx, err := e.Index(q.Z)
 	if err != nil {
-		return nil, err
+		return candidates{}, err
 	}
 	return newColumnCandidates(col, e.src.NumRows(), idx, q.KnownCandidates)
 }
 
-// planGroups resolves the group mapper: binned measure groups, a single
+// planGroups resolves the groups: binned measure groups, a single
 // categorical column, or the cross product of several.
-func (e *Engine) planGroups(q Query) (groupMapper, error) {
+func (e *Engine) planGroups(q Query) (groups, error) {
 	if q.XMeasure != "" {
 		if q.XBins == nil {
-			return nil, fmt.Errorf("engine: XMeasure %q needs XBins", q.XMeasure)
+			return groups{}, fmt.Errorf("engine: XMeasure %q needs XBins", q.XMeasure)
 		}
 		m, err := e.src.MeasureByName(q.XMeasure)
 		if err != nil {
-			return nil, err
+			return groups{}, err
 		}
 		return newBinnedGroups(m, e.src.NumRows(), q.XBins), nil
 	}
 	if len(q.X) == 0 {
-		return nil, fmt.Errorf("engine: query needs X or XMeasure")
+		return groups{}, fmt.Errorf("engine: query needs X or XMeasure")
 	}
 	if len(q.X) == 1 {
 		col, err := e.src.ColumnByName(q.X[0])
 		if err != nil {
-			return nil, err
+			return groups{}, err
 		}
 		return newSingleGroups(col, e.src.NumRows()), nil
 	}
@@ -232,7 +224,7 @@ func (e *Engine) planGroups(q Query) (groupMapper, error) {
 	for i, name := range q.X {
 		col, err := e.src.ColumnByName(name)
 		if err != nil {
-			return nil, err
+			return groups{}, err
 		}
 		cols[i] = col
 	}
@@ -245,21 +237,21 @@ func (e *Engine) Groups(q Query) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return grp.groups(), nil
+	return grp.n, nil
 }
 
 // Groups returns the number of histogram groups the plan produces.
-func (p *Plan) Groups() int { return p.grp.groups() }
+func (p *Plan) Groups() int { return p.grp.n }
 
 // NumCandidates returns the number of candidates in the plan's domain.
-func (p *Plan) NumCandidates() int { return p.cand.numCandidates() }
+func (p *Plan) NumCandidates() int { return len(p.cand.blocks) }
 
 // ResolveTarget materializes the target histogram under this plan.
 // Candidate targets are resolved with an exact parallel scan restricted
 // (via the bitmap index) to the blocks containing the candidate; workers
 // ≤ 0 selects GOMAXPROCS.
 func (p *Plan) ResolveTarget(t Target, workers int) (*histogram.Histogram, error) {
-	h, id, err := MaterializeTarget(t, p.grp.groups(), p.cand.numCandidates(), p.cand.labelOf)
+	h, id, err := MaterializeTarget(t, p.grp.n, len(p.cand.blocks), p.cand.label)
 	if err != nil || h != nil {
 		return h, err
 	}

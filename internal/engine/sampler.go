@@ -170,7 +170,6 @@ func chunkBlocks(blockSize int) int {
 type blockSampler struct {
 	plan *Plan
 	src  colstore.Reader
-	cand candidateMapper
 	mode Executor
 
 	guard     *runGuard // nil when nothing enforces termination
@@ -198,13 +197,12 @@ func (p *Plan) newSampler(opts Options, startBlock int, guard *runGuard) *blockS
 	bs := &blockSampler{
 		plan:      p,
 		src:       src,
-		cand:      p.cand,
 		mode:      opts.Executor,
 		guard:     guard,
 		lookahead: opts.Lookahead,
 		consumed:  bitmap.NewBitset(nb),
-		exact:     make([]bool, p.cand.numCandidates()),
-		deficit:   make([]int64, p.cand.numCandidates()),
+		exact:     make([]bool, len(p.cand.blocks)),
+		deficit:   make([]int64, len(p.cand.blocks)),
 	}
 	if bs.lookahead <= 0 {
 		bs.lookahead = 1024
@@ -216,10 +214,10 @@ func (p *Plan) newSampler(opts Options, startBlock int, guard *runGuard) *blockS
 }
 
 // NumCandidates implements core.Sampler.
-func (bs *blockSampler) NumCandidates() int { return bs.cand.numCandidates() }
+func (bs *blockSampler) NumCandidates() int { return len(bs.plan.cand.blocks) }
 
 // Groups implements core.Sampler.
-func (bs *blockSampler) Groups() int { return bs.plan.grp.groups() }
+func (bs *blockSampler) Groups() int { return bs.plan.grp.n }
 
 // TotalRows implements core.Sampler.
 func (bs *blockSampler) TotalRows() int64 { return int64(bs.src.NumRows()) }
@@ -233,7 +231,7 @@ func (bs *blockSampler) allConsumed() bool {
 
 // newBatch allocates an empty batch over the plan's candidate domain.
 func (p *Plan) newBatch() *core.Batch {
-	n := p.cand.numCandidates()
+	n := len(p.cand.blocks)
 	return &core.Batch{Counts: make([]int64, n), Hists: make([]*histogram.Histogram, n)}
 }
 
@@ -301,7 +299,7 @@ func (bs *blockSampler) SampleUntil(need map[int]int) (*core.Batch, error) {
 		bs.deficit[i] = 0
 	}
 	for id, n := range need {
-		if id < 0 || id >= bs.cand.numCandidates() {
+		if id < 0 || id >= len(bs.plan.cand.blocks) {
 			return nil, fmt.Errorf("engine: need for unknown candidate %d", id)
 		}
 		if n > 0 && !bs.exact[id] {
@@ -367,6 +365,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 	stage1 := stage1Need >= 0
 	chunk := chunkBlocks(bs.plan.blockSize)
 	kern := bs.plan.newKernel(true)
+	blocks := bs.plan.cand.blocks
 	// The plan's zone-map masks: skipAll where a full read would happen,
 	// skipGrp after an AnyActive probe (see Plan.skipAll).
 	skipAll, skipGrp := bs.plan.skipAll, bs.plan.skipGrp
@@ -412,7 +411,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 					mark = make([]bool, n)
 				}
 				mark = mark[:n]
-				bs.cand.markAnyActive(bs.active, b, mark)
+				bitmap.MarkAny(blocks, bs.active, b, mark)
 				winStart, winEnd = b, b+n
 			}
 			switch {
@@ -427,10 +426,9 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 		case !stage1 && bs.mode == SyncMatch:
 			switch {
 			case bs.consumed.Get(b):
-			// Algorithm 2: probe each active candidate's bitmap for this
-			// single block — the cache-hostile pattern SyncMatch models —
-			// with the last-committed active set.
-			case !bs.cand.blockAnyActive(bs.active, b):
+			// Algorithm 2: probe this one block with the last-committed
+			// active set.
+			case !anyActive(blocks, bs.active, b):
 				bs.stats.BlocksSkipped++
 			// Group-prunable blocks only: candidate-prunable ones were
 			// already rejected (without sample accounting) by AnyActive.
@@ -439,7 +437,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) error {
 			default:
 				read = true
 			}
-		default: // stage 1, ScanMatch, Scan: read everything not pruned
+		default: // stage 1 and ScanMatch: read everything not pruned
 			switch {
 			case bs.consumed.Get(b):
 			case skipAll != nil && skipAll.Get(b):
@@ -491,13 +489,22 @@ func (bs *blockSampler) commitChunk(k *scanKernel) {
 	clear(k.cnt)
 }
 
+// anyActive is Algorithm 2's AnyActive for one block: whether block b
+// may hold a row of any active candidate. Each probe touches a different
+// candidate's bitmap, the cache-hostile pattern SyncMatch models.
+func anyActive(blocks []*bitmap.Bitset, active []int, b int) bool {
+	for _, id := range active {
+		if blocks[id].Get(b) {
+			return true
+		}
+	}
+	return false
+}
+
 // candidateExhausted reports whether every block containing candidate i
 // has been consumed.
 func (bs *blockSampler) candidateExhausted(i int) bool {
-	cb := bs.cand.candidateBlocks(i)
-	if cb == nil {
-		return bs.allConsumed()
-	}
+	cb := bs.plan.cand.blocks[i]
 	for w := 0; w < cb.NumWords(); w++ {
 		if cb.Word(w)&^bs.consumed.Word(w) != 0 {
 			return false

@@ -174,10 +174,9 @@ func (s *scanExec) run(only *bitmap.Bitset) ([]*histogram.Histogram, IOStats, in
 	}
 	wg.Wait()
 
-	n := s.plan.cand.numCandidates()
-	hists := make([]*histogram.Histogram, n)
+	hists := make([]*histogram.Histogram, len(s.plan.cand.blocks))
 	for i := range hists {
-		hists[i] = histogram.New(s.plan.grp.groups())
+		hists[i] = histogram.New(s.plan.grp.n)
 	}
 	var io IOStats
 	var rows int64
@@ -217,7 +216,7 @@ func (s *scanExec) run(only *bitmap.Bitset) ([]*histogram.Histogram, IOStats, in
 func (p *Plan) scanCandidate(id, workers int, guard *runGuard) (*histogram.Histogram, error) {
 	ex := p.newScanExec(workers)
 	ex.guard = guard
-	hists, _, _, err := ex.run(p.cand.candidateBlocks(id))
+	hists, _, _, err := ex.run(p.cand.blocks[id])
 	if err != nil {
 		return nil, err
 	}
@@ -238,35 +237,48 @@ func (p *Plan) runScan(target *histogram.Histogram, targetID int, opts Options, 
 	ex.rec = rec
 	ex.skip = p.skipAll
 	hists, io, totalRows, stopErr := ex.run(nil)
-	if target == nil {
-		if target = hists[targetID]; stopErr != nil && target.Total() == 0 {
-			return nil, stopErr
-		}
+	res := RankExact(target, targetID, hists, p.grp.n, totalRows, stopErr == nil, opts.Params, p.cand.label)
+	if res == nil {
+		return nil, stopErr
 	}
-	res := &Result{Exact: stopErr == nil, Partial: stopErr != nil, IO: io}
-	res.TopK, res.Pruned = RankExact(target, opts.Params, hists, totalRows, stopErr == nil, p.cand.labelOf)
-	res.Stats.ChosenK = len(res.TopK)
-	res.Stats.PrunedCandidates = len(res.Pruned)
+	res.IO = io
 	return res, stopErr
 }
 
-// RankExact ranks fully-accumulated per-candidate histograms the way the
-// exact pass does: σ pruning only on a complete pass (selectivities from
-// a truncated pass are biased) and, as in HistSim's stage 1, none at all
-// when σ would prune every candidate; never-reached candidates dropped
-// from a partial ranking; k from Params.K or the KRange rule. Shared
-// between runScan and the cluster coordinator's scatter-gather Scan path,
-// which ranks globally summed shard histograms — keeping it shared is
-// what makes the coordinated top-k byte-identical to the single-node one.
-func RankExact(target *histogram.Histogram, params core.Params, hists []*histogram.Histogram,
-	totalRows int64, complete bool, labelOf func(int) string) (topK []Match, pruned []string) {
+// RankExact answers a query from an exact pass's per-candidate
+// histograms over totalRows charged rows, replacing each nil entry (no
+// counted row) with an empty histogram of groups groups: the one
+// tail of the single-node pass and of the cluster coordinator's fold of
+// summed shard histograms, which is what makes the coordinated answer
+// byte-identical to the single-node one. A nil target is candidate
+// targetID's histogram from the same pass; when an incomplete pass never
+// reached it, RankExact returns nil and the caller reports why. σ prunes
+// only a complete pass (selectivities from a truncated pass are biased)
+// and, as in HistSim's stage 1, not at all when σ would prune every
+// candidate; a partial ranking drops never-reached candidates; k comes
+// from Params.K or the KRange rule. The Result sets Exact, Partial, TopK,
+// Pruned and their Stats counts; the caller adds IO, Duration and
+// GroupLabels.
+func RankExact(target *histogram.Histogram, targetID int, hists []*histogram.Histogram, groups int,
+	totalRows int64, complete bool, params core.Params, labelOf func(int) string) *Result {
+	for i, h := range hists {
+		if h == nil {
+			hists[i] = histogram.New(groups)
+		}
+	}
+	if target == nil {
+		if target = hists[targetID]; !complete && target.Total() == 0 {
+			return nil
+		}
+	}
+	res := &Result{Exact: complete, Partial: !complete}
 	common := func(h *histogram.Histogram) bool { return h.Total()/float64(totalRows) >= params.Sigma }
 	prune := complete && params.Sigma > 0 && slices.ContainsFunc(hists, common)
 	dist := make([]float64, len(hists))
 	var ranked []int
 	for i := range hists {
 		if prune && !common(hists[i]) {
-			pruned = append(pruned, labelOf(i))
+			res.Pruned = append(res.Pruned, labelOf(i))
 			continue
 		}
 		if !complete && hists[i].Total() == 0 {
@@ -280,7 +292,7 @@ func RankExact(target *histogram.Histogram, params core.Params, hists []*histogr
 		ranked = append(ranked, i)
 	}
 	if ranked == nil && !complete { // TopK reads nil ids as every candidate
-		return nil, nil
+		return res
 	}
 	k := params.K
 	if params.KRange.KMax > 0 {
@@ -290,12 +302,14 @@ func RankExact(target *histogram.Histogram, params core.Params, hists []*histogr
 		}
 	}
 	for _, rk := range histogram.TopK(dist, ranked, k) {
-		topK = append(topK, Match{
+		res.TopK = append(res.TopK, Match{
 			ID:        rk.ID,
 			Label:     labelOf(rk.ID),
 			Distance:  rk.Distance,
 			Histogram: hists[rk.ID].Clone(),
 		})
 	}
-	return topK, pruned
+	res.Stats.ChosenK = len(res.TopK)
+	res.Stats.PrunedCandidates = len(res.Pruned)
+	return res
 }

@@ -224,7 +224,7 @@ func TestCandidateTargetMatchesExactScan(t *testing.T) {
 				if want[id] == nil {
 					t.Fatalf("the reference counted no row for candidate %d", id)
 				}
-				label := p.cand.labelOf(id)
+				label := p.cand.label(id)
 				if resolved[label] { // ResolveTarget picks a label's first candidate
 					continue
 				}
@@ -264,7 +264,7 @@ func TestCandidateTargetOnePass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			target := Target{Candidate: p.cand.labelOf(0)}
+			target := Target{Candidate: p.cand.label(0)}
 			if exec, _ := ResolveExecutor(runOptions(Auto, 0, 0), p.rows, p.Groups(), false); exec != Scan {
 				t.Fatalf("%s: Auto resolves to %s, want Scan", tc.name, exec)
 			}

@@ -51,18 +51,18 @@ type ShardMeta struct {
 
 // ShardMeta reports the plan's local shape for coordinator validation.
 func (p *Plan) ShardMeta() ShardMeta {
-	n := p.cand.numCandidates()
+	n := len(p.cand.blocks)
 	m := ShardMeta{
 		Rows:        p.engine.src.NumRows(),
 		Blocks:      p.engine.src.NumBlocks(),
 		BlockSize:   p.engine.src.BlockSize(),
 		Candidates:  n,
-		Groups:      p.grp.groups(),
-		GroupLabels: groupLabels(p.grp),
+		Groups:      p.grp.n,
+		GroupLabels: p.grp.labels(),
+		Labels:      make([]string, n),
 	}
-	m.Labels = make([]string, n)
-	for i := 0; i < n; i++ {
-		m.Labels[i] = p.cand.labelOf(i)
+	for i := range m.Labels {
+		m.Labels[i] = p.cand.label(i)
 	}
 	return m
 }
@@ -119,11 +119,15 @@ func (r *ShardSegmentResult) StopError(budget, read int64) error {
 
 // RunShardSegment executes one shard segment against this plan. It is
 // stateless with respect to the plan (safe for concurrent segments) and
-// idempotent with respect to the request. Its one error is a segment
-// kind other than SegScan: a request it cannot run.
+// idempotent with respect to the request. Its errors are requests it
+// cannot run: a segment kind other than SegScan, or more than MaxWorkers
+// workers, refused before any worker starts.
 func (p *Plan) RunShardSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
 	if req.Kind != SegScan {
 		return nil, fmt.Errorf("engine: unknown segment kind %q", req.Kind)
+	}
+	if req.Workers > MaxWorkers {
+		return nil, fmt.Errorf("engine: segment asks for %d workers, at most %d", req.Workers, MaxWorkers)
 	}
 	ex := p.newScanExec(req.Workers)
 	ex.guard = newRunGuard(ctx, req.RowBudget)

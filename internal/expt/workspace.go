@@ -148,7 +148,7 @@ func (w *Workspace) prepare(spec QuerySpec) error {
 	st := &queryState{spec: spec, total: int64(tbl.NumRows())}
 	// Plan once per query: the plan builds (and caches) the Z index, so
 	// index construction lands in the untimed preprocessing phase, and
-	// every run reuses the resolved mappers.
+	// every run reuses the resolved candidates and groups.
 	st.plan, err = w.engines[spec.Dataset].Prepare(engine.Query{Z: spec.Z, X: []string{spec.X}})
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -30,10 +31,11 @@ func postPartial(s *Server, body []byte) (int, []byte) {
 // The invariant: the answer is a 4xx carrying an ErrorResponse, or a 200
 // whose segment Batch decodes to one slot per plan candidate (or whose
 // meta answers a meta op) — never a panic or a 5xx. Workers and the row
-// budget come off the wire unchecked by the decoder: workers is capped at
-// the block count and the budget is only compared, so neither sizes an
-// allocation. A segment kind other than "scan" (the retired "target"
-// among them) is refused with a 400.
+// budget come off the wire unchecked by the decoder: workers above
+// engine.MaxWorkers is refused with a 400 and any other count is capped
+// at the block count, and the budget is only compared, so neither sizes
+// an unbounded allocation. A segment kind other than "scan" (the retired
+// "target" among them) is refused with a 400.
 func FuzzShardSegment(f *testing.F) {
 	tbl := fixtureTable(f)
 	s := New(Config{})
@@ -123,5 +125,21 @@ func TestShardSegmentRejectsTargetKind(t *testing.T) {
 		if status, resp := postPartial(s, []byte(body)); status != http.StatusBadRequest || !bytes.Contains(resp, []byte(want)) {
 			t.Errorf("segment %s: status %d (%s), want 400 naming %q", seg, status, resp, want)
 		}
+	}
+}
+
+// TestShardSegmentRejectsTooManyWorkers pins the segment path's worker
+// bound: the endpoint skips admission and Options.Validate, so
+// RunShardSegment refuses more than engine.MaxWorkers workers itself,
+// with a 400, before any worker starts.
+func TestShardSegmentRejectsTooManyWorkers(t *testing.T) {
+	s := New(Config{})
+	if err := s.RegisterTable("fixture", fixtureTable(t)); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"table":"fixture","query":{"z":"Z","x":["X"]},"op":"segment","segment":{"kind":"scan","workers":%d}}`,
+		engine.MaxWorkers+1)
+	if status, resp := postPartial(s, []byte(body)); status != http.StatusBadRequest || !bytes.Contains(resp, []byte("workers")) {
+		t.Fatalf("status %d (%s), want 400 naming the workers", status, resp)
 	}
 }

@@ -12,8 +12,9 @@ import (
 // "meta" answers the plan's shard metadata (domains, block counts, data
 // generation) for coordinator validation and cache keying; "segment"
 // runs one stateless exact scan of this shard's blocks
-// (Plan.RunShardSegment). Any other segment kind is a request the shard
-// cannot run, refused with 400. Segments carry no cross-call state, so
+// (Plan.RunShardSegment). Any other segment kind, and a segment asking
+// for more than engine.MaxWorkers workers, is a request the shard cannot
+// run, refused with 400. Segments carry no cross-call state, so
 // retries are harmless and any shard replica could answer them.
 //
 // The endpoint shares the plan cache with /v1/query: a shard serving
@@ -68,7 +69,7 @@ func (s *Server) handleInternalPartial(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		segRes, err := plan.RunShardSegment(r.Context(), preq.Segment)
-		if err != nil { // an unknown segment kind
+		if err != nil { // an unknown segment kind or too many workers
 			writeError(w, http.StatusBadRequest, "running segment: %v", err)
 			return
 		}

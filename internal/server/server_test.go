@@ -363,6 +363,17 @@ func TestErrorStatuses(t *testing.T) {
 	if got := post(`{"table":"fixture","query":{"z":"Z","x":["X"]},"target":{"uniform":true},"options":{"executor":"warp"}}`); got != http.StatusUnprocessableEntity {
 		t.Errorf("unknown executor: %d, want 422", got)
 	}
+	if got := post(`{"table":"fixture","query":{"z":"Z","x":["X"]},"target":{"uniform":true},"options":{"executor":"parallelscan","workers":65}}`); got != http.StatusUnprocessableEntity {
+		t.Errorf("workers over the maximum: %d, want 422", got)
+	}
+	for _, bins := range []string{`{"lo":-1e308,"hi":1e308,"n":2}`, `{"lo":1e16,"hi":10000000000000004,"n":8}`} {
+		if got := post(`{"table":"fixture","query":{"z":"Z","x_measure":"M","x_bins":` + bins + `},"target":{"uniform":true}}`); got != http.StatusUnprocessableEntity {
+			t.Errorf("degenerate uniform bins %s: %d, want 422", bins, got)
+		}
+	}
+	if got := post(`{"table":"fixture","query":{"z":"Z","x_measure":"M","x_bins":{"lo":0,"hi":100,"n":8}},"target":{"uniform":true}}`); got != http.StatusOK {
+		t.Errorf("uniform bins: %d, want 200", got)
+	}
 	if got := post(`{"table":"fixture","query":{"z":"Z","x":["X"]},"target":{"candidate":"nobody"}}`); got != http.StatusUnprocessableEntity {
 		t.Errorf("unknown target candidate: %d, want 422", got)
 	}

@@ -109,8 +109,9 @@ type OptionsSpec struct {
 	Seed *int64 `json:"seed,omitempty"`
 	// Workers sets the exact path's intra-node fan-out: ParallelScan
 	// partitions and a sampling run's candidate-target scan (an exact
-	// run takes its candidate target from its own pass). Sampling rounds
-	// run on one goroutine and ignore it. It enters the options fingerprint
+	// run takes its candidate target from its own pass); more than
+	// engine.MaxWorkers is a 422. Sampling rounds run on one goroutine
+	// and ignore it. It enters the options fingerprint
 	// only for parallelscan, so sampling requests that differ only in
 	// workers share one result-cache entry.
 	Workers *int `json:"workers,omitempty"`
