@@ -36,7 +36,7 @@ func main() {
 	delta := flag.Float64("delta", 0.01, "error probability bound δ")
 	sigma := flag.Float64("sigma", 0.001, "minimum selectivity threshold σ")
 	executor := flag.String("executor", "auto", "auto, scan, parallelscan, scanmatch, syncmatch, or fastmatch")
-	workers := flag.Int("workers", 0, "parallelscan worker count (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "exact-pass worker count: scan, parallelscan and a sampling run's candidate-target pass (0 = GOMAXPROCS)")
 	metric := flag.String("metric", "l1", "distance metric: l1 or l2")
 	targetCandidate := flag.String("target-candidate", "", "candidate value whose histogram is the target")
 	targetUniform := flag.Bool("target-uniform", false, "target the uniform distribution")

@@ -128,11 +128,13 @@ func AuditRun(ctx context.Context, p *Plan, t Target, approx *Result, opts Optio
 
 // AuditReferenceOptions derives the options for an audit's exact
 // reference pass from the approximate run's options: the Scan executor
-// ranking every candidate (no σ pruning, k = candidate count, no
-// KRange), with the approximate run's metric. Shared by AuditRun and
-// graders that run their own reference pass.
+// on one worker (a shadow audit re-scans after the answer is sent, and
+// must not take every core from the requests in front of it), ranking
+// every candidate (no σ pruning, k = candidate count, no KRange), with
+// the approximate run's metric. Shared by AuditRun and graders that run
+// their own reference pass.
 func AuditReferenceOptions(opts Options, numCandidates int) Options {
-	exOpts := Options{Params: opts.Params, Executor: Scan}
+	exOpts := Options{Params: opts.Params, Executor: Scan, Workers: 1}
 	exOpts.Params.K = numCandidates
 	exOpts.Params.KRange.KMin, exOpts.Params.KRange.KMax = 0, 0
 	exOpts.Params.Sigma = 0 // the reference must rank every candidate

@@ -69,7 +69,9 @@ import (
 //	on, cancel                                        counts rows read, so
 //	                                                  pruning moves the stop)
 //	ParallelScan, workers     its own run only        timing-dependent stop:
-//	> 1, budget or cancel                             the bounds below
+//	> 1, budget or cancel;                            the bounds below
+//	unobserved Scan, workers
+//	> 1, cancel
 //	every stopped cell        its own run             typed error, Partial,
 //	                                                  TuplesRead ≤ stop point
 //	                                                  + one block per worker,
@@ -398,10 +400,16 @@ func (c cell) options(o *Options, nb int) {
 	}
 }
 
-// scanWorkers is how many goroutines the cell's run reads with.
-func (c cell) scanWorkers() int {
+// scanWorkers is how many goroutines the cell's run reads with, auto
+// being what Auto resolves to: an exact pass reads at its workers,
+// except a Scan with a row budget or OnProgress, which reads on one.
+func (c cell) scanWorkers(auto Executor) int {
+	exec := c.exec
+	if exec == Auto {
+		exec = auto
+	}
 	switch {
-	case c.exec != ParallelScan:
+	case !exec.exact(), exec == Scan && (c.stop == stopBudget || c.observe):
 		return 1
 	case c.workers == 0:
 		return runtime.GOMAXPROCS(0)
@@ -410,7 +418,9 @@ func (c cell) scanWorkers() int {
 }
 
 // timingDependent: a stop lands wherever the racing workers are.
-func (c cell) timingDependent() bool { return c.stop != stopNone && c.scanWorkers() > 1 }
+func (c cell) timingDependent(auto Executor) bool {
+	return c.stop != stopNone && c.scanWorkers(auto) > 1
+}
 
 // parent is the cell c is compared with, and whether c is a root; auto
 // is the executor Auto resolves to on the shape.
@@ -683,7 +693,7 @@ func (m *shapeMatrix) checkAlone(t *testing.T, c cell, o outcome) {
 	}
 	if c.observe && o.frames == nil && c.stop == stopNone {
 		switch {
-		case exact && c.scanWorkers() == 1 && res.IO.BlocksRead+res.IO.BlocksPruned >= scanProgressInterval:
+		case exact && c.scanWorkers(m.auto) == 1 && res.IO.BlocksRead+res.IO.BlocksPruned >= scanProgressInterval:
 			fail("no progress frame over %d blocks", res.IO.BlocksRead+res.IO.BlocksPruned)
 		case !exact:
 			fail("no progress frame")
@@ -697,7 +707,7 @@ func (m *shapeMatrix) checkAlone(t *testing.T, c cell, o outcome) {
 		if !strings.HasPrefix(o.frames[0], want) {
 			fail("first progress frame %s, want phase %s", o.frames[0], want)
 		}
-		if c.scanWorkers() > 1 {
+		if c.scanWorkers(m.auto) > 1 {
 			fail("%d progress frames from a racing scan", len(o.frames))
 		}
 	}
@@ -738,7 +748,7 @@ func (m *shapeMatrix) checkAlone(t *testing.T, c cell, o outcome) {
 	if !res.Partial || res.Exact || (res.Quality != nil && res.Quality.Termination != "truncated") {
 		fail("stopped run: partial %v, exact %v, quality %+v", res.Partial, res.Exact, res.Quality)
 	}
-	if limit := stopAt + int64(c.scanWorkers())*bs; res.IO.TuplesRead > limit {
+	if limit := stopAt + int64(c.scanWorkers(m.auto))*bs; res.IO.TuplesRead > limit {
 		fail("read %d tuples, stop point %d + one block per worker", res.IO.TuplesRead, stopAt)
 	}
 	if c.stop == stopBudget && !c.skip && res.IO.TuplesRead < stopAt {
@@ -795,7 +805,7 @@ func checkStory(t *testing.T, frames []string, run *trace.SpanSnapshot) {
 // checkAgainst holds a cell to its parent by the matrix's rules.
 func (m *shapeMatrix) checkAgainst(t *testing.T, c cell, o outcome, pc cell, parent outcome) {
 	t.Helper()
-	if c.timingDependent() {
+	if c.timingDependent(m.auto) {
 		return
 	}
 	if o.answer != parent.answer {
@@ -807,7 +817,7 @@ func (m *shapeMatrix) checkAgainst(t *testing.T, c cell, o outcome, pc cell, par
 		if on != off {
 			t.Errorf("IOStats %+v, %s %+v", on, pc, off)
 		}
-		if c.observe == pc.observe && c.scanWorkers() == 1 && !slices.Equal(o.frames, parent.frames) {
+		if c.observe == pc.observe && c.scanWorkers(m.auto) == 1 && !slices.Equal(o.frames, parent.frames) {
 			t.Errorf("progress frames diverge from %s:\n%v\nvs\n%v", pc, o.frames, parent.frames)
 		}
 		return

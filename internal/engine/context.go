@@ -26,9 +26,9 @@ var (
 // Progress is the interim state of a run in flight, delivered through
 // Options.OnProgress. Sampling executors emit one after stage 1, after
 // every HistSim round, and after stage 3, each rendered from HistSim's
-// core.Snapshot of that emission; the sequential Scan executor emits one
-// every few hundred blocks of its pass (ParallelScan's workers race, so
-// it reports no interim frames). Each frame is stamped once with the
+// core.Snapshot of that emission; a one-worker exact pass emits one
+// every few hundred blocks (parallel workers race, so a multi-worker
+// pass reports no interim frames). Each frame is stamped once with the
 // time and the run's cumulative IO, and a traced sampling run cuts its
 // phase span from the same stamp (see Options.Trace), so frames and
 // spans tell one story. Estimates carry no guarantee until the run

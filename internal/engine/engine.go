@@ -71,18 +71,18 @@ type Options struct {
 	// supply a distinct Seed per run (the CLI tools seed from wall-clock
 	// time).
 	Seed int64
-	// Workers is the goroutine count for the exact path: the ParallelScan
-	// executor's block partitions and, for the sampling executors only,
-	// the candidate-target scan before stage 1 (an exact run takes its
+	// Workers is the goroutine count for the exact path: the pass of Scan
+	// and ParallelScan and, for the sampling executors only, the
+	// candidate-target scan before stage 1 (an exact run takes its
 	// candidate target from its own pass); ≤ 0 selects GOMAXPROCS, and
-	// more than MaxWorkers is invalid. The sampling executors run every
-	// round on the caller's goroutine (see blockSampler), and the
-	// sequential Scan executor, the single-threaded exact baseline by
-	// definition, ignores it; ParallelScan is its parallel counterpart.
+	// more than MaxWorkers is invalid. A Scan with a RowBudget or an
+	// OnProgress reads on one worker, so its stop point and its frames
+	// stay deterministic. The sampling executors run every round on the
+	// caller's goroutine (see blockSampler).
 	Workers int
 	// OnProgress, when non-nil, receives interim run state as Progress
 	// frames: sampling executors emit after stage 1, after every HistSim
-	// round, and after stage 3; the sequential Scan executor emits every
+	// round, and after stage 3; a one-worker exact pass emits every
 	// few hundred blocks. Callbacks run synchronously, one at a time, on
 	// the goroutine doing the run's work — they must be fast and must
 	// not block. A run with neither OnProgress nor Trace does no
@@ -309,9 +309,9 @@ func (p *Plan) run(target *histogram.Histogram, targetID int, auto *AutoDecision
 		rec = &runRecord{began: began, onProgress: opts.OnProgress, span: runSpan, at: began}
 	}
 	if opts.Executor.exact() {
-		workers := 1
-		if opts.Executor == ParallelScan {
-			workers = opts.Workers
+		workers := opts.Workers
+		if opts.Executor == Scan && (opts.RowBudget > 0 || opts.OnProgress != nil) {
+			workers = 1 // a deterministic stop point; frames from one sweep
 		}
 		res, err := p.runScan(target, targetID, opts, workers, guard, rec)
 		if res == nil {

@@ -92,12 +92,13 @@ func (t Target) Fingerprint() string {
 // are deterministic given Seed (which fixes the start block when
 // StartBlock is negative), and every run skips the plan's prunable blocks
 // and accumulates through the kernels, so no option changes the I/O.
-// Workers is written only for ParallelScan, the one executor whose run it
-// partitions: Scan and the sampling executors ignore it, so requests that
-// differ only in Workers share one key there. OnProgress and Trace (no
-// effect on the result; purely observational) are deliberately
-// excluded — which is also why serving layers must bypass
-// their result-cache read for traced requests: the fingerprint of a
+// Workers is written only for ParallelScan, whose budget-stopped answer
+// depends on it: Scan reads a budget on one worker and answers the same
+// at any count otherwise, and the sampling executors' rounds ignore it,
+// so requests that differ only in Workers share one key there.
+// OnProgress and Trace (no effect on the result; purely observational)
+// are deliberately excluded — which is also why serving layers must
+// bypass their result-cache read for traced requests: the fingerprint of a
 // traced and an untraced request is identical by design.
 func (o Options) Fingerprint() string {
 	var w fpWriter

@@ -46,6 +46,8 @@ func DefaultOptions(totalRows int) Options {
 // 0.29 and 60–98 % at 0.46; at 1.0–1.6× the scan's per-tuple cost (2
 // vCPU, 20M rows) plus stage-1 and round overheads it breaks even only
 // below about ⅔ read. c = 4 keeps every sampled run below the 0.29 cell.
+// Those costs are a one-goroutine scan's; a scan on every core moves the
+// break-even, and a measured σ sweep (ROADMAP.md item 5) re-fits c.
 const autoScanRatio = 4
 
 // AutoDecision is why Auto resolved as it did: need, σN, need/σN (omitted

@@ -28,10 +28,9 @@ const (
 	// reads, decoupling the sampling engine from the I/O manager (§4.2
 	// Challenge 4).
 	FastMatch
-	// ParallelScan is the exact baseline run as N workers over disjoint
-	// block partitions with per-worker accumulators merged at a barrier;
-	// results are identical to Scan. Worker count comes from
-	// Options.Workers (default GOMAXPROCS).
+	// ParallelScan is Scan's pass at Options.Workers (default GOMAXPROCS)
+	// even under a RowBudget or OnProgress, where Scan reads on one
+	// worker; results are identical to Scan.
 	ParallelScan
 	// Auto picks Scan or FastMatch per run before any I/O (ResolveExecutor).
 	Auto

@@ -18,8 +18,8 @@ import (
 // scanExec is the exact-pass executor: the full-data baseline the paper
 // compares against (§5.2), generalized to N workers that claim disjoint
 // block chunks from a shared cursor into private accumulators merged at a
-// barrier. With workers == 1 it degenerates to the sequential Scan
-// baseline; ParallelScan runs it at Options.Workers (default GOMAXPROCS).
+// barrier. Scan and ParallelScan run it at Options.Workers (default
+// GOMAXPROCS); with workers == 1 it is the paper's sequential baseline.
 // Because every worker counts a disjoint set of rows and counts are
 // integer-valued, the merged histograms — and therefore distances, pruning
 // decisions, and the top-k — are identical to the sequential pass
@@ -61,12 +61,7 @@ func (p *Plan) newScanExec(workers int) *scanExec {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if nb := p.engine.src.NumBlocks(); workers > nb {
-		workers = nb
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, p.engine.src.NumBlocks()))
 	return &scanExec{plan: p, src: p.engine.src, workers: workers}
 }
 
@@ -233,9 +228,10 @@ func (p *Plan) scanCandidate(id, workers int, guard *runGuard) (*histogram.Histo
 // pass stopped before it reached the candidate target returns no Result.
 func (p *Plan) runScan(target *histogram.Histogram, targetID int, opts Options, workers int, guard *runGuard, rec *runRecord) (*Result, error) {
 	ex := p.newScanExec(workers)
-	ex.guard = guard
-	ex.rec = rec
-	ex.skip = p.skipAll
+	ex.guard, ex.rec, ex.skip = guard, rec, p.skipAll
+	if rec != nil {
+		rec.span.SetAttr("workers", ex.workers)
+	}
 	hists, io, totalRows, stopErr := ex.run(nil)
 	res := RankExact(target, targetID, hists, p.grp.n, totalRows, stopErr == nil, opts.Params, p.cand.label)
 	if res == nil {

@@ -300,7 +300,9 @@ func (w *Workspace) params(st *queryState, ov RunOverrides) core.Params {
 }
 
 // options builds the engine options of one run: the one place both Run
-// and audit take them from.
+// and audit take them from. Every executor reads on one worker: the
+// paper's Scan baseline is sequential, and Table 4 and the guarantee
+// campaign compare the executors on one core.
 func (w *Workspace) options(st *queryState, exec engine.Executor, ov RunOverrides) engine.Options {
 	lookahead := w.Cfg.Lookahead
 	if ov.Lookahead > 0 {
@@ -312,6 +314,7 @@ func (w *Workspace) options(st *queryState, exec engine.Executor, ov RunOverride
 		Lookahead:  lookahead,
 		StartBlock: -1,
 		Seed:       ov.Seed + w.Cfg.RunSeed,
+		Workers:    1,
 	}
 }
 

@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fastmatch/internal/obs/trace"
 )
@@ -101,5 +106,131 @@ func TestAutoDefaultAnswersExactly(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || ex.Executor != "FastMatch" || ex.Auto != nil {
 		t.Fatalf("explain of explicit fastmatch: executor %q, auto %+v, err %v", ex.Executor, ex.Auto, err)
+	}
+}
+
+// TestWorkersFollowLoad: a request that names no workers reads on every
+// core while it is the daemon's only traffic, and on one while another
+// request is in flight or one of the last quietStarts starts found one
+// (the run span's workers attr and worker spans agree); an explicit
+// workers is always honoured, and a streamed scan keeps its frames,
+// which come only from a one-worker sweep.
+func TestWorkersFollowLoad(t *testing.T) {
+	s, _, ts := newTestServer(t, Config{})
+	var hold atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	var freed sync.Once
+	free := func() { freed.Do(func() { close(release) }) }
+	t.Cleanup(free) // a failed check must not leave a handler parked
+	s.testHookRunning = func() {
+		if hold.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+	}
+	workerSpans := func(req QueryRequest) int {
+		t.Helper()
+		req.Trace = true
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var traced struct {
+			Trace *trace.Snapshot `json:"trace"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&traced); err != nil || traced.Trace == nil {
+			t.Fatalf("traced request: status %d, err %v", resp.StatusCode, err)
+		}
+		run := traced.Trace.Find("run")
+		n := 0
+		for _, sp := range run.Children {
+			if strings.HasPrefix(sp.Name, "worker") {
+				n++
+			}
+		}
+		if run.Attrs["workers"] != float64(n) {
+			t.Fatalf("run span says workers %v, has %d worker spans", run.Attrs["workers"], n)
+		}
+		return n
+	}
+	scanFrames := func(req QueryRequest) int {
+		t.Helper()
+		req.Trace = true // skips the result-cache read
+		status, frames := postStream(t, ts.URL, req)
+		if status != http.StatusOK {
+			t.Fatalf("stream status %d", status)
+		}
+		n := 0
+		for _, f := range frames {
+			if f.Progress != nil && f.Progress.Phase == "scan" {
+				n++
+			}
+		}
+		return n
+	}
+	// drained waits until the last response's handler has let go of its
+	// entry: a client can read a response before its handler returns.
+	drained := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); s.reg.busy.Load() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d requests still in flight", s.reg.busy.Load())
+			}
+		}
+	}
+	auto := baseRequest(8, "")
+	explicit := baseRequest(8, "")
+	explicit.Options.Workers = intp(3)
+	procs := runtime.GOMAXPROCS(0)
+
+	if procs > 1 {
+		if got := workerSpans(auto); got != procs {
+			t.Fatalf("the daemon's only request read on %d workers, want GOMAXPROCS = %d", got, procs)
+		}
+	}
+	if scanFrames(auto) == 0 || scanFrames(explicit) == 0 {
+		t.Fatal("a streamed scan lost its frames")
+	}
+
+	hold.Store(true)
+	done := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(baseRequest(9, "scanmatch"))
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	<-parked // one request now sits in the engine
+	if got := workerSpans(auto); got != 1 {
+		t.Errorf("beside a request in flight: %d workers, want 1", got)
+	}
+	if got := workerSpans(explicit); got != 3 {
+		t.Errorf("explicit workers 3 beside a request in flight: %d workers", got)
+	}
+	if scanFrames(auto) == 0 {
+		t.Error("a streamed scan beside a request in flight lost its frames")
+	}
+	free()
+	if status := <-done; status != http.StatusOK {
+		t.Fatalf("held request: status %d", status)
+	}
+
+	// Alone again, but the last starts found company: every core comes
+	// back only at the quietStarts-th start that found none.
+	for i := 1; i <= quietStarts; i++ {
+		drained()
+		want := 1
+		if i == quietStarts {
+			want = procs
+		}
+		if got := workerSpans(auto); got != want {
+			t.Fatalf("quiet start %d of %d: %d workers, want %d", i, quietStarts, got, want)
+		}
 	}
 }

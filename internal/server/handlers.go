@@ -272,7 +272,7 @@ type preparedQuery struct {
 func (pq *preparedQuery) retain() { pq.holds.Add(1) }
 func (pq *preparedQuery) done() {
 	if pq.holds.Add(-1) == 0 {
-		pq.entry.release()
+		pq.srv.reg.release(pq.entry)
 	}
 }
 
@@ -556,6 +556,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, out sink) {
 	if pq.auto != nil {
 		// The engine re-derives this choice from the plan and stamps it on its run span.
 		opts.Executor = engine.Auto
+	}
+	if pq.entry.coord == nil && (pq.req.Options == nil || pq.req.Options.Workers == nil) {
+		// Every core while the daemon is quiet, one otherwise; chosen
+		// after the cache key, so entries do not split by load.
+		opts.Workers = 1
+		if s.reg.quiet() {
+			opts.Workers = 0
+		}
 	}
 	opts.OnProgress = out.begin(pq.id)
 	cres, err := pq.run.run(ctx, opts)

@@ -66,7 +66,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no table %q (see /v1/tables)", name)
 		return
 	}
-	defer entry.release()
+	defer s.reg.release(entry)
 	if entry.live == nil {
 		writeError(w, http.StatusConflict, "table %q: %v (backend %q)", name, errNotIngest,
 			entry.eng.Source().Storage().Backend)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"fastmatch/internal/cluster"
 	"fastmatch/internal/ingest"
 )
 
@@ -289,6 +290,37 @@ func TestUnloadReloadInvalidatesCaches(t *testing.T) {
 	if got := tuplesRead(t, rep); got != 150 {
 		t.Fatalf("post-reload scan read %d tuples, want 150 (stale cache across incarnations)", got)
 	}
+}
+
+// TestCoordinatedCacheFollowsShardGeneration: a coordinated answer is
+// cached under its shards' data generations, and the coordinator's run
+// never reads them, so only that key keeps an answer over older shard
+// data from being served. An append to a live shard moves its
+// generation: the repeat must miss the cache and count the new rows.
+func TestCoordinatedCacheFollowsShardGeneration(t *testing.T) {
+	shard := New(Config{})
+	loadIngest(t, shard, "live")
+	shardTS := newHTTPServer(t, shard)
+	coord := New(Config{})
+	refs := []cluster.ShardRef{{Name: "a", URL: shardTS.URL}}
+	if err := coord.reg.registerCoordinated("live", cluster.NewClient(refs), 0); err != nil {
+		t.Fatal(err)
+	}
+	coordTS := newHTTPServer(t, coord)
+	ask := func(rows int64, cached bool) {
+		t.Helper()
+		code, rep := postQuery(t, coordTS.URL, scanQuery("live"))
+		if code != http.StatusOK || rep.Cached != cached || tuplesRead(t, rep) != rows {
+			t.Fatalf("coordinated query: code %d, cached %v, %d tuples; want cached %v over %d rows",
+				code, rep.Cached, tuplesRead(t, rep), cached, rows)
+		}
+	}
+	appendRows(t, shardTS.URL, "live", genIngestRows(400, 0))
+	ask(400, false)
+	ask(400, true)
+	appendRows(t, shardTS.URL, "live", genIngestRows(50, 400))
+	ask(450, false)
+	ask(450, true)
 }
 
 // TestConcurrentAppendAndQueryHTTP hammers the append and query

@@ -286,7 +286,10 @@ func TestDebugQueriesAndExplain(t *testing.T) {
 		if n := entry.inflight.Load(); n != 1 { // ours
 			t.Fatalf("table %q: %d requests in flight after explain, want none", name, n-1)
 		}
-		entry.release()
+		if n := s.reg.busy.Load(); n != 1 { // ours
+			t.Fatalf("daemon: %d requests in flight after explain, want none", n-1)
+		}
+		s.reg.release(entry)
 	}
 }
 

@@ -36,7 +36,7 @@ func (s *Server) handleInternalPartial(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no table %q (see /v1/tables)", preq.Table)
 		return
 	}
-	defer entry.release()
+	defer s.reg.release(entry)
 	if entry.coord != nil {
 		writeError(w, http.StatusBadRequest,
 			"table %q is itself coordinated: internal partials run on shard daemons, not coordinators", preq.Table)

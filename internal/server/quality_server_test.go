@@ -343,7 +343,7 @@ func TestPerTableAuditOverride(t *testing.T) {
 		if got := s.auditFractionFor(e); got != want {
 			t.Fatalf("table %q audit fraction %v, want %v", name, got, want)
 		}
-		e.release()
+		s.reg.release(e)
 	}
 }
 

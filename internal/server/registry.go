@@ -156,7 +156,7 @@ type tableEntry struct {
 	liveEng *engine.Engine // over the view of generation liveGen
 }
 
-// release pairs with registry.acquire.
+// release pairs with registry.acquireAll.
 func (e *tableEntry) release() { e.inflight.Add(-1) }
 
 // engineNow returns the engine serving the entry's current data version
@@ -208,7 +208,27 @@ type registry struct {
 	entries      map[string]*tableEntry
 	incarnations map[string]uint64
 	log          *slog.Logger
+	// busy counts the table-bound requests in flight, daemon-wide
+	// (acquire to registry.release, so an audited request counts until
+	// its audit ends); starts has one bit per request start, the newest
+	// lowest, set when that start found another request in flight.
+	// Together they say whether the daemon is quiet.
+	busy   atomic.Int64
+	starts atomic.Uint64
 }
+
+// quietStarts is how many of the daemon's latest request starts must
+// have found no other request in flight before a request may read on
+// every core. The in-flight count alone is not enough: while a scan's
+// workers hold every P, go's scheduler has no idle P to poll the
+// network, so a request that arrives mid-scan can wait for the scan to
+// end, and a closed-loop client between two requests looks idle for
+// exactly that window. In paired runs of the benchmark (2 vCPUs, 10 s
+// windows, medians against one worker per request), the in-flight count
+// alone raised serve-hot-1m's p50 from 0.248 to 0.271 ms, worse in 6 of
+// 6 pairs; with a 16-start history it held (0.264 → 0.270 ms, 10 pairs)
+// while sample-20m fell from 33.7 to 18.3 ms, better in 10 of 10.
+const quietStarts = 16
 
 func newRegistry(log *slog.Logger) *registry {
 	return &registry{
@@ -398,16 +418,40 @@ func (r *registry) count() int {
 }
 
 // acquire returns the entry for a table name with its inflight counter
-// raised; callers must pair it with entry.release. Taking the counter
-// under the read lock excludes a racing unload.
+// raised and the request's start recorded; callers must pair it with
+// registry.release. Taking the counter under the read lock excludes a
+// racing unload.
 func (r *registry) acquire(name string) (*tableEntry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.entries[name]
 	if ok {
 		e.inflight.Add(1)
+		var found uint64
+		if r.busy.Add(1) > 1 {
+			found = 1
+		}
+		for {
+			old := r.starts.Load()
+			if r.starts.CompareAndSwap(old, old<<1|found) {
+				break
+			}
+		}
 	}
 	return e, ok
+}
+
+// release pairs with acquire.
+func (r *registry) release(e *tableEntry) {
+	e.release()
+	r.busy.Add(-1)
+}
+
+// quiet reports whether a request that holds an acquired entry is the
+// daemon's only traffic: no other request is in flight, and none of the
+// last quietStarts starts found one.
+func (r *registry) quiet() bool {
+	return r.busy.Load() == 1 && r.starts.Load()&(1<<quietStarts-1) == 0
 }
 
 // acquireAll copies the entry list with every inflight counter raised

@@ -107,13 +107,15 @@ type OptionsSpec struct {
 	// Seed fixes the run's random start block; identical seeded requests
 	// produce identical results (and hit the result cache).
 	Seed *int64 `json:"seed,omitempty"`
-	// Workers sets the exact path's intra-node fan-out: ParallelScan
-	// partitions and a sampling run's candidate-target scan (an exact
-	// run takes its candidate target from its own pass); more than
-	// engine.MaxWorkers is a 422. Sampling rounds run on one goroutine
-	// and ignore it. It enters the options fingerprint
-	// only for parallelscan, so sampling requests that differ only in
-	// workers share one result-cache entry.
+	// Workers sets the exact path's intra-node fan-out: the exact pass
+	// (a scan with a row budget or on /v1/query/stream reads on one)
+	// and a sampling run's candidate-target scan (an exact run takes its
+	// candidate target from its own pass); more than engine.MaxWorkers
+	// is a 422. Sampling rounds run on one goroutine and ignore it.
+	// Omitted on a local table, it is every core while the request is
+	// the daemon's only traffic and one otherwise (registry.quiet). It
+	// enters the options fingerprint only for parallelscan, so scan and
+	// sampling requests that differ only in workers share one entry.
 	Workers *int `json:"workers,omitempty"`
 	// RowBudget caps the tuples the run may read; exhausting it returns
 	// a best-effort partial result (Partial set in the payload).

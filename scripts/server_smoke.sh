@@ -82,6 +82,18 @@ FQUERY="$(printf '%s' "$AQUERY" | sed 's/"options":{/"options":{"executor":"fast
 RF="$(curl -fsS -X POST "$BASE/v1/query" -d "$FQUERY")"
 echo "$RF" | grep -q '"exact":false' || { echo "explicit fastmatch answer not sampled: $RF" >&2; exit 1; }
 
+echo "== on the idle daemon an exact query that names no executor reads on every core; \"workers\":1 reads on one, with identical bytes"
+NPROC="$(nproc)"
+WQUERY="$(printf '%s' "$AQUERY" | sed 's/^{/{"trace":true,/; s/"seed":41/"seed":43/')"
+WONEQUERY="$(printf '%s' "$WQUERY" | sed 's/"options":{/"options":{"workers":1,/')"
+RWN="$(curl -fsS -X POST "$BASE/v1/query" -d "$WQUERY")"
+RWONE="$(curl -fsS -X POST "$BASE/v1/query" -d "$WONEQUERY")"
+printf '%s' "$RWN" | grep -q "\"executor\":\"Scan\",\"workers\":$NPROC[,}]" || { echo "idle daemon's exact query did not read on $NPROC workers: $RWN" >&2; exit 1; }
+printf '%s' "$RWONE" | grep -q '"executor":"Scan","workers":1[,}]' || { echo "\"workers\":1 was not honoured: $RWONE" >&2; exit 1; }
+PWN="$(printf '%s' "$RWN" | sed 's/.*"result"://')"
+PWONE="$(printf '%s' "$RWONE" | sed 's/.*"result"://')"
+[ "$PWN" = "$PWONE" ] || { echo "$NPROC-worker answer differs from one worker's" >&2; echo "all: $PWN" >&2; echo "one: $PWONE" >&2; exit 1; }
+
 echo "== mmap-backed table answers the same query identically"
 MMQUERY="$(printf '%s' "$QUERY" | sed 's/"table":"flights"/"table":"flightsmm"/')"
 R3="$(curl -fsS -X POST "$BASE/v1/query" -d "$MMQUERY")"
